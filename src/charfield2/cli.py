@@ -20,8 +20,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from . import bitpoly, extbasis, field as gf, fixtures, normal, tables, tower
 from .errors import (CharField2Error, ConstructionContradictionError,
@@ -29,28 +27,6 @@ from .errors import (CharField2Error, ConstructionContradictionError,
                      NotNormalError, UnsupportedDegreeError)
 
 _KIND_CHOICES = extbasis.KINDS
-
-
-@dataclass
-class RunConfig:
-    """Plumbing for one CLI invocation (everything that affects output)."""
-    command: str
-    n: Optional[object] = None
-    m: Optional[object] = None
-    modulus: Optional[str] = None
-    alpha: Optional[str] = None
-    kind: Optional[object] = None
-    format: str = "csv"
-    out: Optional[str] = None
-    seed: int = 0
-    workers: int = 1
-    limit: Optional[int] = None
-
-    @classmethod
-    def from_args(cls, args):
-        keys = ("command", "n", "m", "modulus", "alpha", "kind", "format",
-                "out", "seed", "workers", "limit")
-        return cls(**{k: getattr(args, k) for k in keys if hasattr(args, k)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,13 +18,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import field as gf
-from .errors import (DomainError, InvalidElementError, NoKummerExtensionError,
+from .errors import (ConstructionContradictionError, DomainError,
+                     InvalidElementError, NoKummerExtensionError,
                      UnsupportedDegreeError)
 from .normal import NormalBasisCtx, alpha_mul, frobenius_shift, normal_mul
 from .witt import asw4_reduction_rules
 
 KINDS = ("as2", "k3", "asw4", "ka6")
-KIND_DEGREE = {"as2": 2, "k3": 3, "asw4": 4, "ka6": 6}
 
 
 @dataclass
@@ -56,18 +56,6 @@ class OpCounter:
 
 
 @dataclass(frozen=True)
-class ExtRule:
-    """A generator power rewritten as a combination of basis monomials.
-
-    combo maps generator-exponent tuples to NormalCoords coefficients,
-    e.g. b^2 = b + a is ExtRule("b", 2, {(1,): one, (0,): coords(a)}).
-    """
-    gen: str
-    power: int
-    combo: dict
-
-
-@dataclass(frozen=True)
 class ExtElem:
     """An element of the extended field as d blocks of normal coordinates."""
     blocks: tuple
@@ -76,22 +64,34 @@ class ExtElem:
         return iter(self.blocks)
 
 
+def _pack(blocks, n: int) -> int:
+    """Blocks of n-bit coordinates -> one flat int (block j at bits j*n...)."""
+    out = 0
+    for j, v in enumerate(blocks):
+        out |= v << (j * n)
+    return out
+
+
+def _unpack(flat: int, n: int, d: int) -> tuple:
+    """Inverse of _pack: a flat int -> d blocks of n-bit coordinates."""
+    mask = (1 << n) - 1
+    return tuple((flat >> (j * n)) & mask for j in range(d))
+
+
 class ExtBasisCtx:
     """An extended basis over a normal basis, with counted arithmetic."""
 
-    def __init__(self, base: NormalBasisCtx, kind: str, gens, monomials, rules):
+    def __init__(self, base: NormalBasisCtx, kind: str, gens, monomials):
         if kind not in KINDS:
             raise DomainError(f"unknown kind {kind!r}")
         self.base = base
         self.kind = kind
         self.n = base.n
-        self.d = KIND_DEGREE[kind]
-        self.m = self.n * self.d
         self.gens = tuple(gens)
         self.monomials = tuple(monomials)
-        self.rules = tuple(rules)
+        self.d = len(self.monomials)
+        self.m = self.n * self.d
         self.counter = OpCounter()
-        self.precomp = {"mul_rows": base.mul_rows}
 
     def __repr__(self):
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
@@ -125,9 +125,7 @@ class ExtBasisCtx:
 
 def build_as2(nb: NormalBasisCtx) -> ExtBasisCtx:
     """Quadratic extension basis: b^2 = b + a (always defined; trace(a) = 1)."""
-    one = nb.one()
-    rule = ExtRule("b", 2, {(1,): one, (0,): nb.alpha_coords()})
-    return ExtBasisCtx(nb, "as2", ("b",), ((0,), (1,)), (rule,))
+    return ExtBasisCtx(nb, "as2", ("b",), ((0,), (1,)))
 
 
 def build_kummer3(nb: NormalBasisCtx) -> ExtBasisCtx:
@@ -143,21 +141,28 @@ def build_kummer3(nb: NormalBasisCtx) -> ExtBasisCtx:
         raise NoKummerExtensionError(
             "cubic Kummer construction requires a primitive basis generator; "
             "this one is a non-cube but does not generate the multiplicative group")
-    rule = ExtRule("b", 3, {(0,): nb.alpha_coords()})
-    return ExtBasisCtx(nb, "k3", ("b",), ((0,), (1,), (2,)), (rule,))
+    return ExtBasisCtx(nb, "k3", ("b",), ((0,), (1,), (2,)))
 
 
 def build_asw4(nb: NormalBasisCtx) -> ExtBasisCtx:
     """Quartic tower basis from length-2 Witt vectors: b0^2 = b0 + a,
-    b1^2 = b1 + (1+a)b0 + a^2 (defined for even n only)."""
+    b1^2 = b1 + (1+a)b0 + a^2 (defined for even n only).
+
+    The rules are derived from W_2 arithmetic and must equal the ones that
+    _asw4_mul / _asw4_square and the oracle hard-code; a mismatch refuses
+    construction."""
     if nb.n % 2 != 0:
         raise UnsupportedDegreeError(
             "quartic tower rules define a field only for even n "
             "(the defining quadratic for b1 becomes reducible for odd n)")
-    rule0, rule1 = asw4_reduction_rules(nb)
-    rules = (ExtRule("b0", 2, rule0), ExtRule("b1", 2, rule1))
+    one, a = nb.one(), nb.alpha_coords()
+    programmed = ({(1, 0): one, (0, 0): a},
+                  {(0, 1): one, (1, 0): one ^ a, (0, 0): frobenius_shift(nb.n, a)})
+    if tuple(asw4_reduction_rules(nb)) != programmed:
+        raise ConstructionContradictionError(
+            "Witt-derived quartic rules differ from the programmed ones")
     monomials = ((0, 0), (1, 0), (0, 1), (1, 1))
-    return ExtBasisCtx(nb, "asw4", ("b0", "b1"), monomials, rules)
+    return ExtBasisCtx(nb, "asw4", ("b0", "b1"), monomials)
 
 
 def build_ka6(nb: NormalBasisCtx) -> ExtBasisCtx:
@@ -167,11 +172,8 @@ def build_ka6(nb: NormalBasisCtx) -> ExtBasisCtx:
     if element_is_cube(as2, quad_generator(as2)):
         raise NoKummerExtensionError(
             "quadratic generator is a cube in F_{2^(2n)}; x^3 - b is reducible")
-    one = nb.one()
-    rules = (ExtRule("b", 2, {(1, 0): one, (0, 0): nb.alpha_coords()}),
-             ExtRule("g", 3, {(1, 0): one}))
     monomials = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
-    return ExtBasisCtx(nb, "ka6", ("b", "g"), monomials, rules)
+    return ExtBasisCtx(nb, "ka6", ("b", "g"), monomials)
 
 
 def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:

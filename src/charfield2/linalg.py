@@ -10,7 +10,6 @@ def parity(x: int) -> int:
 
 def mat_rank(rows, width: int) -> int:
     """Rank of the matrix whose rows are the given ints."""
-    basis = []
     rank = 0
     work = list(rows)
     for col in range(width):
@@ -24,7 +23,6 @@ def mat_rank(rows, width: int) -> int:
         if pivot is None:
             continue
         rank += 1
-        basis.append(pivot)
         work = [r ^ pivot if r & bit else r for r in work]
     return rank
 
@@ -81,7 +79,6 @@ def solve_linear(rows, width: int, target: int):
     m = len(rows)
     aug = [(rows[i], 1 << i) for i in range(m)]
     t = (target, 0)
-    used = []
     for col in range(width):
         bit = 1 << col
         pivot = None
@@ -94,28 +91,7 @@ def solve_linear(rows, width: int, target: int):
             if t[0] & bit:
                 return None
             continue
-        used.append(pivot)
         aug = [(r ^ pivot[0], c ^ pivot[1]) if r & bit else (r, c) for r, c in aug]
         if t[0] & bit:
             t = (t[0] ^ pivot[0], t[1] ^ pivot[1])
     return t[1] if t[0] == 0 else None
-
-
-def kernel_basis(rows, width: int):
-    """Basis (as ints over the row index space) of {v : v x M = 0}."""
-    m = len(rows)
-    aug = [(rows[i], 1 << i) for i in range(m)]
-    reduced = []
-    for col in range(width):
-        bit = 1 << col
-        pivot = None
-        for idx in range(len(aug)):
-            if aug[idx][0] & bit:
-                pivot = aug[idx]
-                del aug[idx]
-                break
-        if pivot is None:
-            continue
-        reduced.append(pivot)
-        aug = [(r ^ pivot[0], c ^ pivot[1]) if r & bit else (r, c) for r, c in aug]
-    return [c for r, c in aug if r == 0]

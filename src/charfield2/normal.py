@@ -137,25 +137,10 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     return z
 
 
-def per_ell_cross_sum(table, n: int, ell: int) -> int:
-    """S_ell: number of (i,j) with sum_r t_{j-i,r-i} t_{r,ell} nonzero in F_2."""
-    col = mat_transpose(table, n)[ell]
-    total = 0
-    for d in range(n):
-        row = table[d]
-        for i in range(n):
-            total += parity(rotl(row, i, n) & col)
-    return total
-
-
-def cross_product_sum(nb_or_table, n: int = None) -> int:
-    """Sum of S_ell over ell = 0..n-1 for a normal basis (or raw table)."""
-    if isinstance(nb_or_table, NormalBasisCtx):
-        table, n = nb_or_table.table, nb_or_table.n
-    else:
-        table = nb_or_table
-        if n is None:
-            raise DomainError("n required with a raw table")
+def cross_product_sum(nb: NormalBasisCtx) -> int:
+    """Sum over ell of S_ell, the number of (i,j) with
+    sum_r t_{j-i,r-i} t_{r,ell} nonzero in F_2."""
+    table, n = nb.table, nb.n
     cols = mat_transpose(table, n)
     rots = [[rotl(table[d], i, n) for i in range(n)] for d in range(n)]
     total = 0

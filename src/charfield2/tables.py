@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import bitpoly
 from . import field as gf
 from .errors import ConstructionContradictionError, DomainError
-from .extbasis import ExtBasisCtx, ExtElem
+from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
 from .linalg import mat_invert, mat_transpose, parity, row_apply
 from .normal import NormalBasisCtx, cross_product_sum, rotl
 
@@ -123,18 +123,6 @@ def _fp_divide(big, a, b):
 
 # --- oracle embedding ---------------------------------------------------
 
-def _pack(blocks, n):
-    out = 0
-    for b, v in enumerate(blocks):
-        out |= v << (b * n)
-    return out
-
-
-def _unpack(flat, n, d):
-    mask = (1 << n) - 1
-    return tuple((flat >> (b * n)) & mask for b in range(d))
-
-
 class OracleEmbedding:
     """Deterministic embedding of a (possibly extended) basis into one big field."""
 
@@ -240,10 +228,6 @@ class OracleEmbedding:
 
     def embed_ext(self, x: ExtElem) -> int:
         return self.embed_blocks(x.blocks)
-
-    def embed_base_elem(self, v: int) -> int:
-        """Base-field normal coordinates -> big-field element."""
-        return row_apply(self.basis_images[:self.base.n], v)
 
     def to_blocks(self, y: int):
         """Big-field element -> blocks of coordinates over the basis."""
@@ -463,34 +447,15 @@ class CountReport:
     density_actual: int
 
 
-def _verify_counts(ext: ExtBasisCtx, expected) -> CountReport:
-    emb = build_embedding(ext)
-    ts = build_tables(emb)
+def verify_table_counts(ext: ExtBasisCtx) -> CountReport:
+    """Closed-form vs brute-force per-table counts for any kind that has a
+    closed form (all but the sextic tower)."""
+    expected = expected_counts(ext.base, ext.kind)
+    ts = build_tables(build_embedding(ext))
     actual = ts.per_table_nonzeros
     mism = [(k, e, a) for k, (e, a) in enumerate(zip(expected, actual)) if e != a]
     return CountReport(ext.kind, ext.n, ext.m, not mism, list(expected), actual,
                        mism, sum(expected), ts.density)
-
-
-def verify_as2_counts(ext: ExtBasisCtx) -> CountReport:
-    """Closed-form vs brute-force per-table counts for a quadratic basis."""
-    return _verify_counts(ext, as2_expected_counts(ext.base))
-
-
-def verify_k3_counts(ext: ExtBasisCtx) -> CountReport:
-    """Closed-form vs brute-force per-table counts for a cubic Kummer basis."""
-    return _verify_counts(ext, k3_expected_counts(ext.base))
-
-
-def verify_asw4_counts(ext: ExtBasisCtx) -> CountReport:
-    """Closed-form vs brute-force per-table counts for a quartic tower basis."""
-    return _verify_counts(ext, asw4_expected_counts(ext.base))
-
-
-def verify_table_counts(ext: ExtBasisCtx) -> CountReport:
-    """Closed-form vs brute-force per-table counts for any kind that has a
-    closed form (all but the sextic tower)."""
-    return _verify_counts(ext, expected_counts(ext.base, ext.kind))
 
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):

@@ -21,7 +21,7 @@ from typing import Optional
 from . import extbasis, field as gf, linalg
 from .errors import (ConstructionContradictionError, DomainError,
                      NoKummerExtensionError, UnsupportedDegreeError)
-from .extbasis import ExtBasisCtx, ExtElem
+from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
 from .normal import NormalBasisCtx
 
 
@@ -86,18 +86,6 @@ def bicubic_possible(n: int, nb: Optional[NormalBasisCtx] = None) -> bool:
 
 # --- constructive witnesses --------------------------------------------
 
-def _flatten(ctx: ExtBasisCtx, x: ExtElem) -> int:
-    bits = 0
-    for j, b in enumerate(x.blocks):
-        bits |= b << (j * ctx.n)
-    return bits
-
-
-def _unflatten(ctx: ExtBasisCtx, bits: int) -> ExtElem:
-    mask = ctx.base.field.mask
-    return ExtElem(tuple((bits >> (j * ctx.n)) & mask for j in range(ctx.d)))
-
-
 def ext_trace(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
     """Absolute trace of x down to F_2, summed with the extension's own
     arithmetic; the result is the zero or the identity element."""
@@ -117,11 +105,11 @@ def artin_schreier_preimage(ctx: ExtBasisCtx, x: ExtElem):
     with ctx.counter.paused():
         rows = []
         for i in range(ctx.m):
-            e = _unflatten(ctx, 1 << i)
+            e = ExtElem(_unpack(1 << i, ctx.n, ctx.d))
             img = extbasis.square(ctx, e)
-            rows.append(_flatten(ctx, img) ^ (1 << i))
-        sol = linalg.solve_linear(rows, ctx.m, _flatten(ctx, x))
-    return None if sol is None else _unflatten(ctx, sol)
+            rows.append(_pack(img.blocks, ctx.n) ^ (1 << i))
+        sol = linalg.solve_linear(rows, ctx.m, _pack(x.blocks, ctx.n))
+    return None if sol is None else ExtElem(_unpack(sol, ctx.n, ctx.d))
 
 
 # --- report -------------------------------------------------------------

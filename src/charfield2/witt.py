@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import field as gf
 from .errors import DomainError
-from .normal import NormalBasisCtx, normal_mul, rotl
+from .normal import NormalBasisCtx, normal_mul
 
 
 # --- generic Witt formulas (shared by concrete and symbolic evaluation) ---

@@ -10,9 +10,10 @@ import time
 
 import pytest
 
-from charfield2 import bitpoly, extbasis as xb, field as gf
+from charfield2 import extbasis as xb, field as gf
 from charfield2 import fixtures, normal, tables, tower
-from charfield2.errors import NoKummerExtensionError, UnsupportedDegreeError
+from charfield2.cli import _basis_for_kind
+from charfield2.errors import NoKummerExtensionError
 
 # ---------------------------------------------------------------------------
 # frozen expectations
@@ -22,27 +23,6 @@ CROSS_SUMS_LARGE = {16: 1921, 18: 613, 20: 1625, 22: 2005, 24: 3961, 26: 2501}
 KUMMER_DENSITY = {6: 51, 18: 699, 42: 4299, 48: 13923, 78: 15459}
 KUMMER_REFUSED = (12, 30, 36, 54, 60, 66, 72)
 MUL_COUNTS = {"as2": (3, 4, 1), "k3": (6, 15, 2), "asw4": (9, 33, 9)}
-
-
-def _basis_admitting(kind, n, tries=60):
-    """A normal basis of degree n over which `kind` constructs, or None."""
-    if n in fixtures.FIXTURES:
-        fx = fixtures.get_fixture(n)
-        ctx = gf.FieldCtx(bitpoly.parse(fx.modulus))
-        cands = [bitpoly.parse(fx.alpha)]
-    else:
-        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
-        cands = []
-    cands += [a for a in normal.search_normal_elements(
-        ctx, require_primitive=(kind == "k3"), limit=tries) if a not in cands]
-    for a in cands:
-        nb = normal.build_normal_basis(ctx, a)
-        try:
-            xb.build_kind(nb, kind)
-        except (UnsupportedDegreeError, NoKummerExtensionError):
-            continue
-        return nb
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +87,7 @@ def test_oracle_equivalence_200_pairs_per_context():
     covered = set()
     for kind in ("as2", "k3", "asw4", "ka6"):
         for n in range(1, 9):
-            nb = _basis_admitting(kind, n)
+            nb = _basis_for_kind(kind, n)
             if nb is None:
                 continue
             covered.add((kind, n))
@@ -175,14 +155,14 @@ def test_multiplication_operation_counts_exact():
 def test_tower_predicates_match_oracle_evidence():
     # second quadratic step: predicate vs trace of the generator's image
     for n in range(1, 7):
-        nb = _basis_admitting("as2", n)
+        nb = _basis_for_kind("as2", n)
         emb = tables.build_embedding(xb.build_as2(nb))
         oracle = gf.trace(emb.big, emb.gen_images["b"]) == 1
         assert tower.biquadratic_possible(n) == oracle == (n % 2 == 1)
 
     # quadratic over cubic: impossible, witnessed by a solved preimage
     for n in (2, 4, 6):
-        nb = _basis_admitting("k3", n)
+        nb = _basis_for_kind("k3", n)
         assert nb is not None
         k3 = xb.build_kummer3(nb)
         assert tower.as2_over_k3_possible(k3) is False
@@ -197,7 +177,7 @@ def test_tower_predicates_match_oracle_evidence():
     assert tower.v3(((1 << 6) - 1) // 3) == tower.v3(21) == 1
     assert tower.v3(((1 << 12) - 1) // 15) == tower.v3(273) == 1
     for n in (2, 4):
-        nb = _basis_admitting("k3", n)
+        nb = _basis_for_kind("k3", n)
         assert tower.bicubic_possible(n, nb) is True
         emb = tables.build_embedding(xb.build_kummer3(nb))
         assert not gf.is_cube(emb.big, emb.gen_images["b"])

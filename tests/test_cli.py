@@ -5,10 +5,13 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from charfield2.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -274,12 +277,41 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "charfield2.cli", "cross-sums", "--n", "2"],
-        capture_output=True, text=True)
+    """The `charfield2` script declared in pyproject.toml runs the same
+    command as `python -m charfield2.cli` (checked without installing)."""
+    import tomllib
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["charfield2"]
+    module, func = target.split(":")
+    argv = ["cross-sums", "--n", "2"]
+    proc = subprocess.run([sys.executable, "-m", "charfield2.cli", *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     assert "1+x+x^2" in proc.stdout
-    script = subprocess.run(["charfield2", "cross-sums", "--n", "2"],
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    script = subprocess.run([sys.executable, "-c", code, *argv],
                             capture_output=True, text=True)
-    assert script.returncode == 0
+    assert script.returncode == proc.returncode
     assert script.stdout == proc.stdout
+
+
+# --- byte identity with the benchmark goldens ------------------------------
+
+GOLDEN_COMMANDS = {
+    "verify.n8": ["verify", "--n", "8", "--format", "csv", "--seed", "0"],
+    "tables.ka6.n8": ["tables", "--kind", "ka6", "--n", "8"],
+    "tables.asw4.n8": ["tables", "--kind", "asw4", "--n", "8"],
+    "densities": ["densities"],
+    "cross-sums": ["cross-sums"],
+    "search.n12": ["search", "--n", "12", "--limit", "50"],
+    "bench.ka6.n8": ["bench", "--kind", "ka6", "--n", "8", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("label", GOLDEN_COMMANDS)
+def test_output_matches_golden(capsys, label):
+    """Every benchmarked command prints exactly its recorded golden output."""
+    code, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[label])
+    assert code == 0
+    golden = ROOT / "perfbench" / "goldens" / f"{label}.txt"
+    assert out == golden.read_text(encoding="utf-8")

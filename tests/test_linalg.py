@@ -108,21 +108,3 @@ def test_solve_linear_detects_unsolvable():
     assert linalg.solve_linear([0b01, 0b01], 2, 0b10) is None
     assert linalg.solve_linear([], 2, 0b01) is None
     assert linalg.solve_linear([], 2, 0) == 0
-
-
-def test_kernel_basis_spans_the_kernel():
-    rng = random.Random(20240805)
-    for _ in range(40):
-        m, w = rng.randint(1, 6), rng.randint(1, 6)
-        rows = _random_matrix(rng, m, w)
-        basis = linalg.kernel_basis(rows, w)
-        for b in basis:
-            assert linalg.row_apply(rows, b) == 0
-        assert linalg.mat_rank(basis, m) == len(basis)
-        assert len(basis) == m - linalg.mat_rank(rows, w)
-
-
-def test_kernel_basis_known_case():
-    # duplicate rows: kernel contains their sum
-    basis = linalg.kernel_basis([0b11, 0b11], 2)
-    assert basis == [0b11]

@@ -125,15 +125,6 @@ def test_cross_product_sum_small_values():
     assert normal.cross_product_sum(NB6) == 101
 
 
-def test_cross_product_sum_accepts_raw_table():
-    assert normal.cross_product_sum(NB4.table, NB4.n) == 25
-
-
-def test_per_ell_cross_sums_total():
-    total = sum(normal.per_ell_cross_sum(NB6.table, 6, ell) for ell in range(6))
-    assert total == 101
-
-
 def test_search_normal_elements_ascending_and_limited():
     found = normal.search_normal_elements(F4)
     assert found == sorted(found)

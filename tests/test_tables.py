@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from charfield2 import extbasis as xb, field as gf, normal, tables
-from charfield2.errors import DomainError
+from charfield2 import extbasis as xb, field as gf, normal, tables, witt
+from charfield2.errors import ConstructionContradictionError, DomainError
 from charfield2.fixtures import get_fixture
 
 NB2 = get_fixture(2).basis()
@@ -44,6 +44,32 @@ def test_embedding_respects_construction_rules(kind, nb):
     emb = tables.build_embedding(xb.build_kind(nb, kind))
     assert emb.check_rules()
     assert emb.m == nb.n * {"as2": 2, "k3": 3, "asw4": 4, "ka6": 6}[kind]
+
+
+@pytest.mark.parametrize("kind", xb.KINDS)
+def test_check_rules_rejects_a_broken_generator_image(kind):
+    """Negative control: each generator image, moved off its rule, fails.
+
+    XOR 2 moves the image off every rule; XOR 1 would not do for as2's b or
+    asw4's b1, since y + 1 solves y^2 + y = c whenever y does."""
+    emb = tables.build_embedding(xb.build_kind(NB2, kind))
+    for gen in emb.ext.gens:
+        good = emb.gen_images[gen]
+        emb.gen_images[gen] = good ^ 2
+        assert not emb.check_rules(), gen
+        emb.gen_images[gen] = good
+    assert emb.check_rules()
+
+
+def test_build_asw4_refuses_rules_that_differ_from_the_programs(monkeypatch):
+    """Negative control: a Witt derivation that disagrees with the hard-coded
+    programs refuses construction."""
+    rule_b0, rule_b1 = witt.asw4_reduction_rules(NB2)
+    wrong_b1 = dict(rule_b1)
+    wrong_b1[(0, 0)] ^= 1
+    monkeypatch.setattr(xb, "asw4_reduction_rules", lambda nb: (rule_b0, wrong_b1))
+    with pytest.raises(ConstructionContradictionError):
+        xb.build_asw4(NB2)
 
 
 def test_embedding_of_plain_normal_basis():
@@ -125,14 +151,6 @@ def test_closed_form_counts_match_brute_force(kind):
         assert report.mismatches == []
         assert report.expected == report.actual
         assert report.density_expected == report.density_actual
-
-
-def test_dedicated_verifiers_agree_with_dispatcher():
-    r1 = tables.verify_as2_counts(xb.build_as2(NB2))
-    r2 = tables.verify_table_counts(xb.build_as2(NB2))
-    assert (r1.ok, r1.expected, r1.actual) == (r2.ok, r2.expected, r2.actual)
-    assert tables.verify_k3_counts(xb.build_kummer3(NB2)).ok
-    assert tables.verify_asw4_counts(xb.build_asw4(NB2)).ok
 
 
 def test_no_closed_form_for_sextic_tower():
