@@ -13,7 +13,7 @@ def degree(p: BitPoly):
 
 def weight(p: BitPoly) -> int:
     """Number of nonzero coefficients."""
-    return bin(p).count("1")
+    return p.bit_count()
 
 
 def poly_mul(a: BitPoly, b: BitPoly) -> BitPoly:

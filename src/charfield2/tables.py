@@ -17,6 +17,10 @@ from .normal import NormalBasisCtx, cross_product_sum, rotl
 
 
 # --- polynomial helpers with coefficients in a big field ----------------
+#
+# Products by 0 and 1 are skipped throughout: the base modulus and the
+# Frobenius powers X^(2^i) mod it have coefficients in F_2, so splitting it
+# needs field products only where coefficients leave F_2.
 
 def _fp_trim(p):
     while p and p[-1] == 0:
@@ -24,36 +28,48 @@ def _fp_trim(p):
     return p
 
 
+def _mul(big, u, v):
+    """u*v in `big`, with no field product when either factor is 0 or 1."""
+    return u * v if u < 2 or v < 2 else gf.poly_mul_mod(big, u, v)
+
+
+def _sq(big, c):
+    """c^2 in `big`, with no field product when c is 0 or 1."""
+    return c if c < 2 else gf.square(big, c)
+
+
 def _fp_monic(big, p):
     p = _fp_trim(list(p))
-    if not p:
+    if not p or p[-1] == 1:
         return p
-    lead = p[-1]
-    if lead == 1:
-        return p
-    inv = gf.inverse(big, lead)
-    return [gf.poly_mul_mod(big, c, inv) for c in p]
+    inv = gf.inverse(big, p[-1])
+    return [_mul(big, inv, c) for c in p]
 
 
-def _fp_mod(big, a, b):
-    a = list(a)
+def _fp_divmod(big, a, b):
+    """Quotient and remainder of a by a nonzero b."""
+    a = _fp_trim(list(a))
     b = _fp_trim(list(b))
     db = len(b) - 1
     binv = 1 if b[-1] == 1 else gf.inverse(big, b[-1])
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
         shift = len(a) - 1 - db
-        factor = gf.poly_mul_mod(big, a[-1], binv)
-        for i, c in enumerate(b):
-            if c:
-                a[shift + i] ^= gf.poly_mul_mod(big, factor, c)
+        factor = _mul(big, a.pop(), binv)  # cancels the leading term
+        q[shift] = factor
+        for i in range(db):
+            if b[i]:
+                a[shift + i] ^= _mul(big, factor, b[i])
         _fp_trim(a)
-    return a
+    return q, a
+
+
+def _fp_mod(big, a, b):
+    return _fp_divmod(big, a, b)[1]
 
 
 def _fp_mulmod(big, a, b, mod):
+    """a*b mod `mod` by the schoolbook product (the reference for _fp_sqmod)."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, u in enumerate(a):
         if not u:
@@ -64,6 +80,14 @@ def _fp_mulmod(big, a, b, mod):
     return _fp_mod(big, out, mod)
 
 
+def _fp_sqmod(big, t, mod):
+    """t^2 mod `mod`: in characteristic 2, (sum c_i X^i)^2 = sum c_i^2 X^(2i)."""
+    out = [0] * (2 * len(t) - 1) if t else []
+    for i, c in enumerate(t):
+        out[2 * i] = _sq(big, c)
+    return _fp_mod(big, out, mod)
+
+
 def _fp_gcd(big, a, b):
     a, b = list(a), list(b)
     while _fp_trim(b):
@@ -71,9 +95,46 @@ def _fp_gcd(big, a, b):
     return _fp_monic(big, a)
 
 
+def _frobenius_powers(big, h):
+    """X^(2^i) mod h for i < big.n."""
+    t = _fp_mod(big, [0, 1], h)
+    powers = [t]
+    for _ in range(big.n - 1):
+        t = _fp_sqmod(big, t, h)
+        powers.append(t)
+    return powers
+
+
+def _trace_split(big, h, powers):
+    """A proper monic factor of a monic h of degree >= 2 that is squarefree and
+    splits in `big`: gcd(h, T_c) for the first c = x^j that separates two roots.
+
+    T_c(X) = sum_{i<m} (cX)^(2^i) maps each root r to the trace of cr, so the
+    gcd collects the roots where that trace is 0; the x^j jointly separate any
+    two roots.  T_c is built from powers[i] = X^(2^i) modulo h or any multiple
+    of it.  c = 1 comes last: it cannot split a factor of an irreducible
+    polynomial over F_2, whose roots are conjugate and so share one trace."""
+    width = max(map(len, powers))
+    for j in (*range(1, big.n), 0):
+        c = 1 << j
+        acc = [0] * width
+        for p in powers:
+            for k, v in enumerate(p):
+                if v:
+                    acc[k] ^= _mul(big, c, v)
+            c = _sq(big, c)
+        g = _fp_gcd(big, h, _fp_mod(big, acc, h))
+        if 1 < len(g) < len(h):
+            return g
+    raise ConstructionContradictionError("root splitting did not converge")
+
+
 def find_roots(big: gf.FieldCtx, coeffs) -> list:
     """All roots in `big` of a squarefree polynomial that splits there (sorted)."""
     h = _fp_monic(big, coeffs)
+    if len(h) < 2:
+        return []
+    powers = _frobenius_powers(big, h)
     stack = [h]
     roots = []
     while stack:
@@ -81,44 +142,35 @@ def find_roots(big: gf.FieldCtx, coeffs) -> list:
         if len(h) == 2:  # monic X + c: root is c (char 2)
             roots.append(h[0])
             continue
-        if len(h) < 2:
-            continue
-        split = None
-        j = -1
-        while split is None:
-            j += 1
-            if j >= big.n:
-                raise ConstructionContradictionError("root splitting did not converge")
-            c = 1 << j  # x^j: the basis elements jointly separate any two roots
-            # T_c(X) = sum_{i<m} (cX)^(2^i) mod h
-            t = _fp_mod(big, [0, c], h)
-            acc = list(t) + [0] * (len(h) - 1 - len(t))
-            for _ in range(big.n - 1):
-                t = _fp_mulmod(big, t, t, h)
-                for i, v in enumerate(t):
-                    acc[i] ^= v
-            g = _fp_gcd(big, h, _fp_trim(acc))
-            if 1 < len(g) < len(h):
-                split = g
-        stack.append(split)
-        stack.append(_fp_monic(big, _fp_divide(big, h, split)))
+        g = _trace_split(big, h, powers)
+        stack.append(g)
+        stack.append(_fp_monic(big, _fp_divmod(big, h, g)[0]))
     return sorted(roots)
 
 
-def _fp_divide(big, a, b):
-    a = list(a)
-    b = _fp_trim(list(b))
-    db = len(b) - 1
-    binv = 1 if b[-1] == 1 else gf.inverse(big, b[-1])
-    q = [0] * max(len(a) - db, 0)
-    while _fp_trim(a) and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        factor = gf.poly_mul_mod(big, a[-1], binv)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            if c:
-                a[shift + i] ^= gf.poly_mul_mod(big, factor, c)
-    return q
+def least_conjugate_root(big: gf.FieldCtx, f: int) -> int:
+    """Least root in `big` of an irreducible f over F_2 whose degree divides big.n.
+
+    Splits f down to one root r, keeping the smaller factor each time.  The
+    roots of f are the Frobenius orbit r, r^2, ..., r^(2^(deg f - 1)), so the
+    least root is the orbit minimum, whichever root the splitting found."""
+    if not bitpoly.is_irreducible(f):
+        raise DomainError(f"{bitpoly.to_human(f)} is not irreducible over F_2")
+    n = bitpoly.degree(f)
+    if big.n % n:
+        raise DomainError(f"degree {n} does not divide the field degree {big.n}")
+    h = [(f >> i) & 1 for i in range(n + 1)]
+    powers = _frobenius_powers(big, h)
+    while len(h) > 2:
+        g = _trace_split(big, h, powers)
+        if 2 * len(g) > len(h) + 1:  # deg g > deg h / 2: keep the cofactor
+            g = _fp_monic(big, _fp_divmod(big, h, g)[0])
+        h = g
+    r = least = h[0]
+    for _ in range(n - 1):
+        r = gf.square(big, r)
+        least = min(least, r)
+    return least
 
 
 # --- oracle embedding ---------------------------------------------------
@@ -144,9 +196,7 @@ class OracleEmbedding:
         big = self.big
 
         # image of the base field: least root of its modulus in the big field
-        froots = find_roots(big, [1 if (nb.field.modulus >> i) & 1 else 0
-                                  for i in range(nb.n + 1)])
-        self.root = froots[0]
+        self.root = least_conjugate_root(big, nb.field.modulus)
         alpha_img = self._eval_base(nb.alpha)
         self.alpha_img = alpha_img
         conj = []
@@ -294,7 +344,7 @@ def build_tables(emb: OracleEmbedding) -> TableSet:
                 low = coords & -coords
                 tables[low.bit_length() - 1][i] |= 1 << j
                 coords ^= low
-    nz = [sum(bin(r).count("1") for r in t) for t in tables]
+    nz = [sum(r.bit_count() for r in t) for t in tables]
     return TableSet(m, tables, nz, sum(nz))
 
 
@@ -310,7 +360,7 @@ def table_mul(ts: TableSet, x: int, y: int) -> int:
 def normal_table_set(nb: NormalBasisCtx) -> TableSet:
     """The n tables of the base normal basis itself (t^k_{i,j} = t_{j-i,k-i})."""
     rows = nb.mul_rows
-    nz = [sum(bin(r).count("1") for r in t) for t in rows]
+    nz = [sum(r.bit_count() for r in t) for t in rows]
     return TableSet(nb.n, [list(t) for t in rows], nz, sum(nz))
 
 

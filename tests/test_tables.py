@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from charfield2 import extbasis as xb, field as gf, normal, tables, witt
+from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, witt
 from charfield2.errors import ConstructionContradictionError, DomainError
 from charfield2.fixtures import get_fixture
 
@@ -33,6 +34,75 @@ def test_find_roots_is_deterministic_and_sorted():
     r1 = tables.find_roots(big, [1, 0, 0, 1])
     r2 = tables.find_roots(big, [1, 0, 0, 1])
     assert r1 == r2 == sorted(r1)
+
+
+def _first_irreducibles(d, count=3):
+    out = []
+    for f in range(1 << d, 2 << d):
+        if len(out) == count:
+            break
+        if bitpoly.is_irreducible(f):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_least_conjugate_root_is_the_least_root(m):
+    big = gf.FieldCtx(bitpoly.min_irreducible(m))
+    for d in (d for d in range(1, m + 1) if m % d == 0):
+        for f in _first_irreducibles(d):
+            coeffs = [(f >> i) & 1 for i in range(d + 1)]
+            r = tables.least_conjugate_root(big, f)
+            assert r == tables.find_roots(big, coeffs)[0], (m, f)
+            value = 0
+            for c in reversed(coeffs):  # Horner's rule: f(r)
+                value = gf.poly_mul_mod(big, value, r) ^ c
+            assert value == 0
+            assert len({gf.frobenius(big, r, i) for i in range(d)}) == d
+
+
+def test_least_conjugate_root_refuses_a_degree_that_does_not_divide_m():
+    big = gf.FieldCtx(bitpoly.min_irreducible(8))
+    with pytest.raises(DomainError):
+        tables.least_conjugate_root(big, 0b1011)  # 1 + x + x^3: irreducible, 3 does not divide 8
+
+
+@pytest.mark.parametrize("f", [
+    0b10101,  # (1 + x + x^2)^2
+    0b10010,  # x (1 + x) (1 + x + x^2): squarefree, splits in F_256
+])
+def test_least_conjugate_root_refuses_a_reducible_polynomial(f):
+    big = gf.FieldCtx(bitpoly.min_irreducible(8))
+    with pytest.raises(DomainError):
+        tables.least_conjugate_root(big, f)
+
+
+F64 = gf.FieldCtx(0b1000011)
+
+
+@given(st.lists(st.integers(0, 63), max_size=10),
+       st.lists(st.integers(0, 63), max_size=6))
+def test_char2_polynomial_square_matches_the_schoolbook_product(t, h):
+    h = h + [1]  # monic
+    assert tables._fp_sqmod(F64, t, h) == tables._fp_mulmod(F64, t, t, h)
+
+
+def test_embedding_field_product_budget(monkeypatch):
+    """Deterministic cost guard for the as2 embedding at n = 24 (m = 48):
+    splitting the modulus down to one root takes 3,837 field products,
+    splitting it into all 24 linear factors about 213,000."""
+    ctx = xb.build_as2(get_fixture(24).basis())
+    real = gf.poly_mul_mod
+    calls = 0
+
+    def counting(big, a, b):
+        nonlocal calls
+        calls += 1
+        return real(big, a, b)
+
+    monkeypatch.setattr(gf, "poly_mul_mod", counting)
+    tables.build_embedding(ctx)
+    assert 0 < calls < 50_000
 
 
 @pytest.mark.parametrize("kind,nb", [
