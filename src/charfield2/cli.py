@@ -266,7 +266,7 @@ def cmd_tables(args) -> int:
     if args.kind is None:
         width = (nb.n + 7) // 8
         header = ("i", "row", "popcount")
-        rows = [(i, r.to_bytes(width, "little").hex(), bin(r).count("1"))
+        rows = [(i, r.to_bytes(width, "little").hex(), r.bit_count())
                 for i, r in enumerate(nb.table)]
         _emit(args, header, rows,
               {"n": nb.n, "weight": nb.weight, "density": nb.density,

@@ -16,6 +16,7 @@ table-vector products (multiplications by a) are tallied in the context's OpCoun
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from . import field as gf
 from .errors import (ConstructionContradictionError, DomainError,
@@ -312,27 +313,35 @@ def _k3_square(ctx, x):
     return (ctx._shift(C), ctx._tvp(ctx._shift(E)), ctx._shift(D))
 
 
-def _k3_mul(ctx, x, y):
+def _cubic_mul(add, mul, by_c, x, y):
+    """Product in a cubic Kummer basis (1, g, g^2) with g^3 = c, by six
+    coefficient products; add, mul and by_c are the coefficient ring's sum,
+    product and product by c."""
     C0, C1, C2 = x
     D0, D1, D2 = y
-    c01 = ctx._add(C0, C1)
-    d01 = ctx._add(D0, D1)
-    c02 = ctx._add(C0, C2)
-    d02 = ctx._add(D0, D2)
-    c012 = ctx._add(c01, C2)
-    d012 = ctx._add(d01, D2)
-    m0 = ctx._mul(C0, D0)
-    m1 = ctx._mul(C1, D1)
-    m2 = ctx._mul(C2, D2)
-    m01 = ctx._mul(c01, d01)
-    m02 = ctx._mul(c02, d02)
-    m012 = ctx._mul(c012, d012)
-    w = ctx._add(ctx._add(ctx._add(m0, m01), m02), m012)
-    z0 = ctx._add(m0, ctx._tvp(w))
-    s = ctx._add(m0, m1)
-    z1 = ctx._add(ctx._add(s, ctx._tvp(m2)), m01)
-    z2 = ctx._add(ctx._add(s, m2), m02)
+    c01 = add(C0, C1)
+    d01 = add(D0, D1)
+    c02 = add(C0, C2)
+    d02 = add(D0, D2)
+    c012 = add(c01, C2)
+    d012 = add(d01, D2)
+    m0 = mul(C0, D0)
+    m1 = mul(C1, D1)
+    m2 = mul(C2, D2)
+    m01 = mul(c01, d01)
+    m02 = mul(c02, d02)
+    m012 = mul(c012, d012)
+    w = add(add(add(m0, m01), m02), m012)
+    z0 = add(m0, by_c(w))
+    s = add(m0, m1)
+    z1 = add(add(s, by_c(m2)), m01)
+    z2 = add(add(s, m2), m02)
     return (z0, z1, z2)
+
+
+def _k3_mul(ctx, x, y):
+    """k3 over F_{2^n}: coefficients are blocks and c = a."""
+    return _cubic_mul(ctx._add, ctx._mul, ctx._tvp, x, y)
 
 
 def _asw4_square(ctx, x):
@@ -400,10 +409,6 @@ def _ka6_padd(ctx, p, q):
     return (ctx._add(p[0], q[0]), ctx._add(p[1], q[1]))
 
 
-def _ka6_pmul(ctx, p, q):
-    return _as2_mul(ctx, p, q)
-
-
 def _ka6_bmul(ctx, p):
     """Multiply (u + b*v) by b: b(u + bv) = a*v + b(u + v)."""
     u, v = p
@@ -422,25 +427,10 @@ def _ka6_square(ctx, x):
 
 
 def _ka6_mul(ctx, x, y):
-    P0, P1, P2 = (x[0], x[1]), (x[2], x[3]), (x[4], x[5])
-    Q0, Q1, Q2 = (y[0], y[1]), (y[2], y[3]), (y[4], y[5])
-    p01 = _ka6_padd(ctx, P0, P1)
-    q01 = _ka6_padd(ctx, Q0, Q1)
-    p02 = _ka6_padd(ctx, P0, P2)
-    q02 = _ka6_padd(ctx, Q0, Q2)
-    p012 = _ka6_padd(ctx, p01, P2)
-    q012 = _ka6_padd(ctx, q01, Q2)
-    m0 = _ka6_pmul(ctx, P0, Q0)
-    m1 = _ka6_pmul(ctx, P1, Q1)
-    m2 = _ka6_pmul(ctx, P2, Q2)
-    m01 = _ka6_pmul(ctx, p01, q01)
-    m02 = _ka6_pmul(ctx, p02, q02)
-    m012 = _ka6_pmul(ctx, p012, q012)
-    w = _ka6_padd(ctx, _ka6_padd(ctx, _ka6_padd(ctx, m0, m01), m02), m012)
-    z0 = _ka6_padd(ctx, m0, _ka6_bmul(ctx, w))
-    s = _ka6_padd(ctx, m0, m1)
-    z1 = _ka6_padd(ctx, _ka6_padd(ctx, s, _ka6_bmul(ctx, m2)), m01)
-    z2 = _ka6_padd(ctx, _ka6_padd(ctx, s, m2), m02)
+    """The k3 program over F_{2^(2n)}: coefficients are (u, v) pairs, c = b."""
+    z0, z1, z2 = _cubic_mul(partial(_ka6_padd, ctx), partial(_as2_mul, ctx),
+                            partial(_ka6_bmul, ctx),
+                            (x[0:2], x[2:4], x[4:6]), (y[0:2], y[2:4], y[4:6]))
     return (*z0, *z1, *z2)
 
 

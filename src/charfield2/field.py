@@ -14,12 +14,17 @@ Gf2nElem = int
 
 
 def max_degree() -> int:
-    """Configured degree cap (env CHARFIELD2_MAX_N, default 64)."""
+    """Configured degree cap (env CHARFIELD2_MAX_N, default 64); a value
+    that is not a positive integer raises UnsupportedDegreeError."""
     raw = os.environ.get("CHARFIELD2_MAX_N", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_N
+        cap = int(raw) if raw else DEFAULT_MAX_N
     except ValueError:
-        return DEFAULT_MAX_N
+        cap = 0
+    if cap < 1:
+        raise UnsupportedDegreeError(
+            f"CHARFIELD2_MAX_N={raw!r} is not a positive integer")
+    return cap
 
 
 class FieldCtx:

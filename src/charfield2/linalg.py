@@ -1,30 +1,51 @@
-"""GF(2) linear algebra on bit-packed rows (row = int, bit j = entry j)."""
+"""GF(2) linear algebra on bit-packed rows (row = int, bit j = entry j, j < width)."""
 
 from .errors import DomainError
 
 
 def parity(x: int) -> int:
     """Parity of the popcount of x."""
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
+
+
+def _echelon(rows, width: int):
+    """Column-by-column elimination: (pivot bit, pivot row) pairs, by column.
+
+    Each column below `width` takes as pivot the first remaining row with
+    that bit set and clears the bit from the rows after it. Bits at or
+    above `width` ride along without being eliminated.
+    """
+    pivots = []
+    work = list(rows)
+    for col in range(width):
+        bit = 1 << col
+        for row in work:
+            if row & bit:
+                work.remove(row)
+                pivots.append((bit, row))
+                work = [r ^ row if r & bit else r for r in work]
+                break
+    return pivots
+
+
+def _reduce(pivots, t: int) -> int:
+    """Clear t's pivot columns by xoring in pivot rows, in column order."""
+    for bit, row in pivots:
+        if t & bit:
+            t ^= row
+    return t
+
+
+def _pivots_with_index(rows, width: int):
+    """Pivots of the rows, each carrying its index i as bit width + i."""
+    if any(r >> width for r in rows):
+        raise DomainError(f"a row has bits at or above width {width}")
+    return _echelon([r | 1 << (width + i) for i, r in enumerate(rows)], width)
 
 
 def mat_rank(rows, width: int) -> int:
     """Rank of the matrix whose rows are the given ints."""
-    rank = 0
-    work = list(rows)
-    for col in range(width):
-        bit = 1 << col
-        pivot = None
-        for idx in range(len(work)):
-            if work[idx] & bit:
-                pivot = work[idx]
-                del work[idx]
-                break
-        if pivot is None:
-            continue
-        rank += 1
-        work = [r ^ pivot if r & bit else r for r in work]
-    return rank
+    return len(_echelon(rows, width))
 
 
 def mat_invert(rows, width: int):
@@ -32,22 +53,10 @@ def mat_invert(rows, width: int):
     n = len(rows)
     if n != width:
         raise DomainError("matrix must be square")
-    aug = [(rows[i], 1 << i) for i in range(n)]
-    for col in range(n):
-        bit = 1 << col
-        pivot = None
-        for idx in range(col, n):
-            if aug[idx][0] & bit:
-                pivot = idx
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow, pinv = aug[col]
-        for idx in range(n):
-            if idx != col and aug[idx][0] & bit:
-                aug[idx] = (aug[idx][0] ^ prow, aug[idx][1] ^ pinv)
-    return [inv for _, inv in aug]
+    pivots = _pivots_with_index(rows, n)
+    if len(pivots) < n:
+        return None
+    return [_reduce(pivots, 1 << k) >> n for k in range(n)]
 
 
 def row_apply(rows, v: int) -> int:
@@ -76,22 +85,8 @@ def solve_linear(rows, width: int, target: int):
 
     Returns a vector over the row index space (len(rows) bits).
     """
-    m = len(rows)
-    aug = [(rows[i], 1 << i) for i in range(m)]
-    t = (target, 0)
-    for col in range(width):
-        bit = 1 << col
-        pivot = None
-        for idx in range(len(aug)):
-            if aug[idx][0] & bit:
-                pivot = aug[idx]
-                del aug[idx]
-                break
-        if pivot is None:
-            if t[0] & bit:
-                return None
-            continue
-        aug = [(r ^ pivot[0], c ^ pivot[1]) if r & bit else (r, c) for r, c in aug]
-        if t[0] & bit:
-            t = (t[0] ^ pivot[0], t[1] ^ pivot[1])
-    return t[1] if t[0] == 0 else None
+    pivots = _pivots_with_index(rows, width)
+    t = _reduce(pivots, target)
+    if t & ((1 << width) - 1) or target >> width:
+        return None
+    return t >> width

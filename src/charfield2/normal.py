@@ -51,22 +51,21 @@ class NormalBasisCtx:
         self.field = ctx
         self.alpha = alpha
         self.n = ctx.n
-        self.conj = conjugates(ctx, alpha)
-        self._from_normal = self.conj  # row i = poly coords of a^(2^i)
+        self.conj = conjugates(ctx, alpha)  # row i = poly coords of a^(2^i)
         self._to_normal = mat_invert(self.conj, ctx.n)
         table = []
         for i in range(ctx.n):
             prod = gf.poly_mul_mod(ctx, alpha, self.conj[i])
             table.append(row_apply(self._to_normal, prod))
         self.table = table
-        self.weight = sum(bin(r).count("1") for r in table)
+        self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
         self._mul_rows = None
 
     def to_poly(self, v: NormalCoords) -> int:
         """Normal coordinates -> polynomial-basis element."""
         self._check(v)
-        return row_apply(self._from_normal, v)
+        return row_apply(self.conj, v)
 
     def to_normal(self, p: int) -> NormalCoords:
         """Polynomial-basis element -> normal coordinates."""
@@ -153,14 +152,17 @@ def cross_product_sum(nb: NormalBasisCtx) -> int:
     return total
 
 
-def _search_chunk(modulus: int, require_primitive: bool, start: int, stop: int):
-    ctx = gf.FieldCtx(modulus, check_irreducible=False)
+def _scan(ctx: gf.FieldCtx, require_primitive: bool, start: int, stop: int,
+          limit: int = None):
+    """Normal elements among candidates start..stop-1, ascending, at most `limit`."""
     found = []
     for a in range(start, stop):
         if is_normal_element(ctx, a):
             if require_primitive and not gf.is_primitive(ctx, a):
                 continue
             found.append(a)
+            if limit is not None and len(found) >= limit:
+                break
     return found
 
 
@@ -172,24 +174,15 @@ def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,
     With workers > 1 the range is partitioned and results merged in candidate order.
     """
     top = 1 << ctx.n
-    if workers and workers > 1 and top > 4096:
-        chunk = (top + workers - 1) // workers
-        spans = [(s, min(s + chunk, top)) for s in range(1, top, chunk)]
-        out = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_search_chunk, ctx.modulus, require_primitive, s, e)
-                       for s, e in spans]
-            for fut in futures:  # submission order == candidate order
-                out.extend(fut.result())
-                if limit is not None and len(out) >= limit:
-                    break
-        return out[:limit] if limit is not None else out
+    if not (workers and workers > 1 and top > 4096):
+        return _scan(ctx, require_primitive, 1, top, limit)
+    chunk = (top + workers - 1) // workers
     out = []
-    for a in range(1, top):
-        if is_normal_element(ctx, a):
-            if require_primitive and not gf.is_primitive(ctx, a):
-                continue
-            out.append(a)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_scan, ctx, require_primitive, s, min(s + chunk, top), limit)
+                   for s in range(1, top, chunk)]
+        for fut in futures:  # submission order == candidate order
+            out.extend(fut.result())
             if limit is not None and len(out) >= limit:
                 break
-    return out
+    return out[:limit] if limit is not None else out

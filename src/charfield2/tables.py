@@ -376,20 +376,9 @@ class _CountHelper:
         T = nb.table
         self.rots = [[rotl(T[d], i, n) for i in range(n)] for d in range(n)]
         col1 = mat_transpose(T, n)
-        col2 = []
-        col3 = []
-        for ell in range(n):
-            c2 = 0
-            for r in range(n):
-                if parity(T[r] & col1[ell]):
-                    c2 |= 1 << r
-            col2.append(c2)
-        for ell in range(n):
-            c3 = 0
-            for r in range(n):
-                if parity(T[r] & col2[ell]):
-                    c3 |= 1 << r
-            col3.append(c3)
+        # bit r of row_apply(col1, c) is parity(T[r] & c), since col1 = T^t
+        col2 = [row_apply(col1, c) for c in col1]
+        col3 = [row_apply(col1, c) for c in col2]
         self.col1, self.col2, self.col3 = col1, col2, col3
         self.T = T
 

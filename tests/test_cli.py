@@ -249,6 +249,14 @@ def test_search_rejects_mismatched_modulus(capsys):
     assert "does not match" in err
 
 
+def test_malformed_degree_cap_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "bogus")
+    code, out, err = run_cli(capsys, "search", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'bogus'" in err
+
+
 # --- generic plumbing ------------------------------------------------------
 
 def test_usage_errors_exit_two():

@@ -46,8 +46,10 @@ def test_degree_cap_env(monkeypatch):
     monkeypatch.setenv("CHARFIELD2_MAX_N", "4")
     with pytest.raises(UnsupportedDegreeError):
         gf.FieldCtx(0b100101)
-    monkeypatch.setenv("CHARFIELD2_MAX_N", "bogus")
-    assert gf.max_degree() == 64
+    for bad in ("bogus", "0", "-3"):
+        monkeypatch.setenv("CHARFIELD2_MAX_N", bad)
+        with pytest.raises(UnsupportedDegreeError, match=repr(bad)):
+            gf.max_degree()
 
 
 def test_validate_rejects_out_of_range():

@@ -108,3 +108,36 @@ def test_solve_linear_detects_unsolvable():
     assert linalg.solve_linear([0b01, 0b01], 2, 0b10) is None
     assert linalg.solve_linear([], 2, 0b01) is None
     assert linalg.solve_linear([], 2, 0) == 0
+    # a target with bits beyond the width is outside any row span
+    assert linalg.solve_linear([0b1, 0b1], 1, 0b10) is None
+
+
+def test_rows_wider_than_width_are_refused():
+    with pytest.raises(DomainError):
+        linalg.solve_linear([0b11], 1, 0b1)
+    with pytest.raises(DomainError):
+        linalg.mat_invert([0b10], 1)
+
+
+def test_elimination_matches_exhaustive_enumeration():
+    """rank, solvability and invertibility against the span listed by brute
+    force, for every shape m x w with m, w <= 5."""
+    rng = random.Random(20240805)
+    for m in range(6):
+        for w in range(1, 6):
+            for _ in range(20):
+                rows = _random_matrix(rng, m, w)
+                span = {linalg.row_apply(rows, v) for v in range(1 << m)}
+                assert 1 << linalg.mat_rank(rows, w) == len(span)
+                for t in range(1 << w):
+                    sol = linalg.solve_linear(rows, w, t)
+                    assert (sol is None) == (t not in span)
+                    if sol is not None:
+                        assert 0 <= sol < 1 << m
+                        assert linalg.row_apply(rows, sol) == t
+                if m == w:
+                    inv = linalg.mat_invert(rows, w)
+                    assert (inv is None) == (len(span) < 1 << w)
+                    if inv is not None:
+                        assert all(linalg.row_apply(rows, inv[k]) == 1 << k
+                                   for k in range(w))
