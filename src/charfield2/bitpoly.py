@@ -1,6 +1,7 @@
 """Polynomials over GF(2) packed into Python ints (bit i = coefficient of x^i)."""
 
 from .errors import DomainError
+from .linalg import null_space
 
 # A BitPoly is a non-negative int; bit i holds the coefficient of x^i.
 BitPoly = int
@@ -120,6 +121,35 @@ def min_irreducible(n: int) -> BitPoly:
             if is_irreducible(f):
                 return f
     raise DomainError(f"no irreducible of degree {n} found")  # unreachable
+
+
+def xn_minus_1_factors(n: int):
+    """(factors, e): the distinct irreducible factors of x^n - 1 over F_2,
+    ascending, and the e with x^n - 1 = (their product)^(2^e).
+
+    x^n - 1 = (x^m - 1)^(2^e) with m odd, and x^m - 1 is squarefree. Berlekamp
+    splits it: the g with g^2 = g mod x^m - 1 form the null space of Q - I,
+    where row i of Q is x^(2i) mod x^m - 1 = x^(2i mod m), and every pair of
+    factors is separated by gcd with one g of a basis of that space.
+    """
+    if n < 1:
+        raise DomainError("degree must be positive")
+    e = (n & -n).bit_length() - 1
+    m = n >> e
+    basis = null_space([(1 << 2 * i % m) ^ (1 << i) for i in range(m)], m)
+    factors = [(1 << m) | 1]
+    for g in basis:
+        if len(factors) == len(basis):
+            break
+        split = []
+        for h in factors:
+            d = poly_gcd(h, g)
+            if 0 < degree(d) < degree(h):
+                split += [d, poly_divmod(h, d)[0]]
+            else:
+                split.append(h)
+        factors = split
+    return sorted(factors), e
 
 
 def to_hex(p: BitPoly) -> str:

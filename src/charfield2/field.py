@@ -6,6 +6,7 @@ from sympy import factorint
 
 from . import bitpoly
 from .errors import DomainError, InvalidElementError, UnsupportedDegreeError
+from .linalg import row_apply, solve_linear
 
 DEFAULT_MAX_N = 64
 
@@ -53,6 +54,7 @@ class FieldCtx:
                 t = (t & self.mask) ^ xn
         self.reduction = red
         self._order_factors = None
+        self._normality_maps = None
 
     @property
     def order(self) -> int:
@@ -66,6 +68,17 @@ class FieldCtx:
             self._order_factors = tuple(sorted(factorint(self.order)))
         return self._order_factors
 
+    @property
+    def normality_maps(self):
+        """(t, maps), built once on demand: for each irreducible phi dividing
+        x^n - 1, the linear map ((x^n - 1)/phi)(Frobenius). For phi = x + 1
+        it is the trace, given as the functional t (bit i = Tr(x^i)); the
+        others are matrices. a is normal iff Tr(a) = 1 and no matrix sends
+        a to 0."""
+        if self._normality_maps is None:
+            self._normality_maps = _normality_maps(self)
+        return self._normality_maps
+
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={bitpoly.to_human(self.modulus)})"
 
@@ -74,6 +87,28 @@ class FieldCtx:
 
     def __hash__(self):
         return hash(("FieldCtx", self.modulus))
+
+
+def _normality_maps(ctx: FieldCtx):
+    """See FieldCtx.normality_maps (Lidl-Niederreiter, Finite Fields, Thm 2.39)."""
+    n = ctx.n
+    sq = [reduce_product(ctx, 1 << 2 * i) for i in range(n)]  # row i = x^(2i)
+    # powers[j] = S^j, S the squaring matrix: row i = (x^i)^(2^j)
+    powers = [[1 << i for i in range(n)]]
+    for _ in range(n - 1):
+        powers.append([row_apply(sq, r) for r in powers[-1]])
+    factors, _ = bitpoly.xn_minus_1_factors(n)
+    maps = []
+    for phi in factors:
+        rows = [0] * n
+        quot = bitpoly.poly_divmod((1 << n) | 1, phi)[0]
+        while quot:
+            low = quot & -quot
+            rows = [r ^ p for r, p in zip(rows, powers[low.bit_length() - 1])]
+            quot ^= low
+        maps.append(tuple(rows))
+    trace = sum(r << i for i, r in enumerate(maps[0]))  # phi = x + 1 sorts first
+    return trace, tuple(maps[1:])
 
 
 def validate(ctx: FieldCtx, a: int) -> int:
@@ -181,8 +216,6 @@ def is_cube(ctx: FieldCtx, a: int) -> bool:
 
 def solve_artin_schreier(ctx: FieldCtx, c: int):
     """All y with y^2 + y = c, sorted ascending ([] when trace(c) = 1)."""
-    from .linalg import solve_linear
-
     validate(ctx, c)
     rows = []
     for i in range(ctx.n):

@@ -59,6 +59,19 @@ def mat_invert(rows, width: int):
     return [_reduce(pivots, 1 << k) >> n for k in range(n)]
 
 
+def null_space(rows, width: int):
+    """A basis of {v : row_apply(rows, v) == 0}, as ints over the row index space.
+
+    Row i with its index bit, reduced against the pivots, keeps no bit below
+    `width`, so its index bits name rows that sum to 0. That is 0 for a row
+    the elimination took as a pivot; any other row keeps its own index bit,
+    which no pivot carries, so the nonzero results are independent.
+    """
+    pivots = _pivots_with_index(rows, width)
+    vecs = (_reduce(pivots, r | 1 << (width + i)) >> width for i, r in enumerate(rows))
+    return [v for v in vecs if v]
+
+
 def row_apply(rows, v: int) -> int:
     """Row-vector times matrix: xor of rows[i] over set bits i of v."""
     out = 0

@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import field as gf
 from .errors import DomainError, NotNormalError
-from .linalg import mat_invert, mat_rank, mat_transpose, parity, row_apply
+from .linalg import mat_invert, mat_transpose, parity, row_apply
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
@@ -34,25 +34,29 @@ def conjugates(ctx: gf.FieldCtx, a: int):
         cur = gf.poly_mul_mod(ctx, cur, cur)
     return out
 
+
 def is_normal_element(ctx: gf.FieldCtx, a: int) -> bool:
-    """True iff the Frobenius orbit of a spans F_{2^n} over F_2."""
-    if a == 0:
+    """True iff the Frobenius orbit of a spans F_{2^n} over F_2, that is iff
+    ((x^n - 1)/phi)(Frobenius) sends a to nonzero for every irreducible
+    phi | x^n - 1 (ctx.normality_maps: the trace first, then the matrices)."""
+    trace, maps = ctx.normality_maps
+    if not parity(gf.validate(ctx, a) & trace):
         return False
-    return mat_rank(conjugates(ctx, a), ctx.n) == ctx.n
+    return all(row_apply(m, a) for m in maps)
 
 
 class NormalBasisCtx:
     """A normal basis of F_{2^n} together with its structure table."""
 
     def __init__(self, ctx: gf.FieldCtx, alpha: int):
-        if not is_normal_element(ctx, alpha):
+        self.conj = conjugates(ctx, alpha)  # row i = poly coords of a^(2^i)
+        self._to_normal = mat_invert(self.conj, ctx.n)
+        if self._to_normal is None:
             raise NotNormalError(
                 f"{gf.elem_to_hex(ctx, alpha)} does not generate a normal basis (n={ctx.n})")
         self.field = ctx
         self.alpha = alpha
         self.n = ctx.n
-        self.conj = conjugates(ctx, alpha)  # row i = poly coords of a^(2^i)
-        self._to_normal = mat_invert(self.conj, ctx.n)
         table = []
         for i in range(ctx.n):
             prod = gf.poly_mul_mod(ctx, alpha, self.conj[i])
@@ -154,9 +158,14 @@ def cross_product_sum(nb: NormalBasisCtx) -> int:
 
 def _scan(ctx: gf.FieldCtx, require_primitive: bool, start: int, stop: int,
           limit: int = None):
-    """Normal elements among candidates start..stop-1, ascending, at most `limit`."""
+    """Normal elements among candidates start..stop-1, ascending, at most `limit`.
+
+    Normal elements have trace 1, and every candidate below the least
+    monomial of trace 1 has trace 0, so the scan starts there.
+    """
+    trace = ctx.normality_maps[0]
     found = []
-    for a in range(start, stop):
+    for a in range(max(start, trace & -trace), stop):
         if is_normal_element(ctx, a):
             if require_primitive and not gf.is_primitive(ctx, a):
                 continue

@@ -162,6 +162,38 @@ def test_min_irreducible_rejects_nonpositive_degree():
         bitpoly.min_irreducible(0)
 
 
+def _cyclotomic_cosets(m):
+    """The cyclotomic cosets {s, 2s, 4s, ...} of 2 modulo m."""
+    return {frozenset(s * 2 ** k % m for k in range(m)) for s in range(m)}
+
+
+@pytest.mark.parametrize("n", range(1, 81))
+def test_xn_minus_1_factors(n):
+    """Distinct irreducibles whose product raised to 2^e is x^n - 1, one
+    for each cyclotomic coset of 2 modulo the odd part of n."""
+    factors, e = bitpoly.xn_minus_1_factors(n)
+    assert n % 2 ** e == 0 and (n >> e) % 2 == 1
+    assert factors == sorted(set(factors))
+    assert all(bitpoly.is_irreducible(f) for f in factors)
+    prod = 1
+    for f in factors:
+        prod = bitpoly.poly_mul(prod, f)
+    for _ in range(e):
+        prod = bitpoly.poly_mul(prod, prod)
+    assert prod == (1 << n) | 1
+    assert len(factors) == len(_cyclotomic_cosets(n >> e))
+
+
+def test_xn_minus_1_factors_known_values():
+    human = lambda n: [bitpoly.to_human(f) for f in bitpoly.xn_minus_1_factors(n)[0]]
+    assert human(16) == ["1+x"]
+    assert human(7) == ["1+x", "1+x+x^3", "1+x^2+x^3"]
+    assert human(18) == ["1+x", "1+x+x^2", "1+x^3+x^6"]
+    assert bitpoly.xn_minus_1_factors(18)[1] == 1
+    with pytest.raises(DomainError):
+        bitpoly.xn_minus_1_factors(0)
+
+
 @given(polys)
 def test_hex_round_trip(p):
     assert bitpoly.parse(bitpoly.to_hex(p)) == p

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from charfield2 import bitpoly, field as gf, normal
 from charfield2.cli import main
+from charfield2.linalg import mat_rank
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -247,6 +249,22 @@ def test_search_rejects_mismatched_modulus(capsys):
     code, _, err = run_cli(capsys, "search", "--n", "3", "--modulus", "1+x+x^2")
     assert code == 2
     assert "does not match" in err
+
+
+def test_search_n64_first_hit_after_trace_zero_prefix(capsys):
+    """At n = 64 every candidate below 2^61 has trace 0; the scan skips them
+    and its first hit, x^61, has conjugates of full rank."""
+    code, out, _ = run_cli(capsys, "search", "--n", "64", "--limit", "1")
+    _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 1
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(64))
+    hit = bitpoly.parse(rows[0][0])
+    assert mat_rank(normal.conjugates(ctx, hit), 64) == 64
+    trace = sum(gf.trace(ctx, 1 << i) << i for i in range(64))
+    assert ctx.normality_maps[0] == trace  # the functional the scan skips by
+    # every skipped candidate a < hit has a & t == 0, so trace 0: not normal
+    assert (hit - 1) & trace == 0 and hit & trace
+    assert hit == 1 << 61
 
 
 def test_malformed_degree_cap_is_an_error(capsys, monkeypatch):

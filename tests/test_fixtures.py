@@ -31,6 +31,14 @@ def test_fixture_rebuilds_and_matches_frozen_invariants(n):
     assert normal.cross_product_sum(nb) == fx.cross_sum
 
 
+def test_n18_adjudication_counts_every_normal_element():
+    """The n = 18 adjudication scans "all 96768 normal elements" of 1+x^3+x^18;
+    x^18 - 1 = ((x+1)(x^2+x+1)(x^6+x^3+1))^2 gives 96768 = 2 * 12 * 4032."""
+    ctx = gf.FieldCtx(bitpoly.parse(fixtures.get_fixture(18).modulus))
+    assert "all 96768 normal elements" in fixtures.get_fixture(18).comment
+    assert len(normal.search_normal_elements(ctx)) == 96768 == 2 * 12 * 4032
+
+
 def test_density_record_tables_are_consistent():
     assert fixtures.DENSITY_DEGREES == tuple(range(6, 79, 6))
     # quadratic records stop at 66 (no reference values above that)

@@ -120,8 +120,8 @@ def test_rows_wider_than_width_are_refused():
 
 
 def test_elimination_matches_exhaustive_enumeration():
-    """rank, solvability and invertibility against the span listed by brute
-    force, for every shape m x w with m, w <= 5."""
+    """rank, solvability, invertibility and the null space against the span
+    and the kernel listed by brute force, for every shape m x w with m, w <= 5."""
     rng = random.Random(20240805)
     for m in range(6):
         for w in range(1, 6):
@@ -129,6 +129,10 @@ def test_elimination_matches_exhaustive_enumeration():
                 rows = _random_matrix(rng, m, w)
                 span = {linalg.row_apply(rows, v) for v in range(1 << m)}
                 assert 1 << linalg.mat_rank(rows, w) == len(span)
+                kernel = {v for v in range(1 << m) if linalg.row_apply(rows, v) == 0}
+                basis = linalg.null_space(rows, w)
+                assert {linalg.row_apply(basis, c) for c in range(1 << len(basis))} == kernel
+                assert 1 << len(basis) == len(kernel)  # the basis is independent
                 for t in range(1 << w):
                     sol = linalg.solve_linear(rows, w, t)
                     assert (sol is None) == (t not in span)

@@ -1,10 +1,14 @@
 """Tests for normal bases, their structure tables, and cross-product sums."""
 
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charfield2 import field as gf, normal
-from charfield2.errors import DomainError, NotNormalError
+from charfield2 import bitpoly, field as gf, normal
+from charfield2.errors import DomainError, InvalidElementError, NotNormalError
+from charfield2.linalg import mat_rank
 
 F4 = gf.FieldCtx(0b111)
 F16 = gf.FieldCtx(0b10011)
@@ -46,6 +50,89 @@ def test_is_normal_element_known_cases():
 def test_build_rejects_non_normal():
     with pytest.raises(NotNormalError):
         normal.build_normal_basis(F16, 0b10)
+    with pytest.raises(NotNormalError):
+        normal.build_normal_basis(F16, 0)
+    for bad in (16, -1):
+        with pytest.raises(InvalidElementError):
+            normal.build_normal_basis(F16, bad)
+
+
+def _rank_normal(ctx, a):
+    """The reference test: a is normal iff its n conjugates have rank n."""
+    return mat_rank(normal.conjugates(ctx, a), ctx.n) == ctx.n
+
+
+def _least_irreducibles(n, count=2):
+    """The `count` least irreducibles of degree n with constant term 1."""
+    odd = range((1 << n) | 1, 1 << (n + 1), 2)
+    return list(islice(filter(bitpoly.is_irreducible, odd), count))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_criterion_matches_rank_for_every_element(n):
+    """Under two moduli per degree (one where only one exists), the annihilator
+    criterion agrees with the rank everywhere, and the scan, which skips the
+    trace-0 prefix, returns exactly the elements of full rank."""
+    for f in _least_irreducibles(n):
+        ctx = gf.FieldCtx(f)
+        normals = [a for a in range(1 << n) if _rank_normal(ctx, a)]
+        assert [a for a in range(1 << n) if normal.is_normal_element(ctx, a)] == normals
+        assert normal.search_normal_elements(ctx) == normals
+
+
+def _frobenius_poly(ctx, phi, b):
+    """phi(Frobenius)(b) = sum of b^(2^j) over the terms x^j of phi."""
+    out = 0
+    for j in range(phi.bit_length()):
+        if phi >> j & 1:
+            out ^= gf.frobenius(ctx, b, j)
+    return out
+
+
+@pytest.mark.parametrize("n", range(13, 65))
+def test_criterion_matches_rank_on_seeded_draws(n):
+    """300 uniform draws, plus three elements phi(Frobenius)(b) of trace 1 for
+    each irreducible phi != x + 1 dividing x^n - 1: these are never normal,
+    and only the matrix for phi can reject them."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+    rng = random.Random(f"normal:{n}")
+    for _ in range(300):
+        a = rng.getrandbits(n)
+        assert normal.is_normal_element(ctx, a) == _rank_normal(ctx, a)
+    for phi in bitpoly.xn_minus_1_factors(n)[0][1:]:
+        for _ in range(3):
+            b = rng.getrandbits(n)
+            while gf.trace(ctx, b) != 1:
+                b = rng.getrandbits(n)
+            a = _frobenius_poly(ctx, phi, b)
+            assert gf.trace(ctx, a) == 1
+            assert not _rank_normal(ctx, a)
+            assert not normal.is_normal_element(ctx, a)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_scan_count_is_phi2(n):
+    """The exhaustive scan finds Phi_2(x^n - 1) normal elements: with
+    x^n - 1 = prod phi^m, m = 2^e, that is prod (2^(m deg phi) - 2^((m-1) deg phi))."""
+    factors, e = bitpoly.xn_minus_1_factors(n)
+    m = 2 ** e
+    want = 1
+    for phi in factors:
+        d = bitpoly.degree(phi)
+        want *= 2 ** (m * d) - 2 ** ((m - 1) * d)
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+    assert len(normal.search_normal_elements(ctx)) == want
+
+
+def test_trace_functional_and_scan_start():
+    """The trace in ctx.normality_maps is Tr on each monomial. Under 1+x+x^28
+    every candidate below x^27 has trace 0, and x^27 is the first hit."""
+    f28 = gf.FieldCtx(bitpoly.min_irreducible(28))
+    for ctx in (F4, F16, F64, f28):
+        trace, _ = ctx.normality_maps
+        assert trace == sum(gf.trace(ctx, 1 << i) << i for i in range(ctx.n))
+    assert ((1 << 27) - 1) & f28.normality_maps[0] == 0
+    assert normal.search_normal_elements(f28, limit=1) == [1 << 27]
 
 
 def test_coordinate_round_trip():
