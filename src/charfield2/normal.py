@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import field as gf
 from .errors import DomainError, NotNormalError
-from .linalg import mat_invert, mat_transpose, parity, row_apply
+from .linalg import mat_invert, parity, row_apply
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
@@ -140,20 +140,16 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     return z
 
 
+def basis_products(nb: NormalBasisCtx):
+    """The n^2 products a^(2^i) * a^(2^j) in normal coordinates, as
+    rotl(T[d], i) = (a * a^(2^d))^(2^i) for j = i + d, d-major."""
+    n = nb.n
+    return [rotl(row, i, n) for row in nb.table for i in range(n)]
+
+
 def cross_product_sum(nb: NormalBasisCtx) -> int:
-    """Sum over ell of S_ell, the number of (i,j) with
-    sum_r t_{j-i,r-i} t_{r,ell} nonzero in F_2."""
-    table, n = nb.table, nb.n
-    cols = mat_transpose(table, n)
-    rots = [[rotl(table[d], i, n) for i in range(n)] for d in range(n)]
-    total = 0
-    for ell in range(n):
-        col = cols[ell]
-        for d in range(n):
-            rd = rots[d]
-            for i in range(n):
-                total += parity(rd[i] & col)
-    return total
+    """CS = sum over i, j of the weight of a * a^(2^i) * a^(2^j)."""
+    return sum(row_apply(nb.table, u).bit_count() for u in basis_products(nb))
 
 
 def _scan(ctx: gf.FieldCtx, require_primitive: bool, start: int, stop: int,

@@ -13,7 +13,7 @@ from . import field as gf
 from .errors import ConstructionContradictionError, DomainError
 from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
 from .linalg import mat_invert, mat_transpose, parity, row_apply
-from .normal import NormalBasisCtx, cross_product_sum, rotl
+from .normal import NormalBasisCtx, basis_products
 
 
 # --- polynomial helpers with coefficients in a big field ----------------
@@ -365,110 +365,46 @@ def normal_table_set(nb: NormalBasisCtx) -> TableSet:
 
 
 # --- closed-form per-table counts ----------------------------------------
+#
+# Every count is a column count over the n^2 products u = a^(2^i) a^(2^j) of
+# the base basis (normal.basis_products): S(v)[l] is the number of u whose
+# vector v(u) has bit l set, and v is a sum of u, a*u, a^2*u and a^3*u.
 
-class _CountHelper:
-    """Precomputed parity machinery over a base table for the count formulas."""
-
-    def __init__(self, nb: NormalBasisCtx):
-        self.nb = nb
-        self.n = nb.n
-        n = self.n
-        T = nb.table
-        self.rots = [[rotl(T[d], i, n) for i in range(n)] for d in range(n)]
-        col1 = mat_transpose(T, n)
-        # bit r of row_apply(col1, c) is parity(T[r] & c), since col1 = T^t
-        col2 = [row_apply(col1, c) for c in col1]
-        col3 = [row_apply(col1, c) for c in col2]
-        self.col1, self.col2, self.col3 = col1, col2, col3
-        self.T = T
-
-    def sums(self, ell: int, combos):
-        """For each combo (a callable of in1,in2,in3,e -> 0/1), the (i,j) tally."""
-        n = self.n
-        c1, c2, c3 = self.col1[ell], self.col2[ell], self.col3[ell]
-        totals = [0] * len(combos)
-        for d in range(n):
-            row = self.T[d]
-            rotsd = self.rots[d]
-            for i in range(n):
-                u = rotsd[i]
-                in1 = parity(u & c1)
-                in2 = parity(u & c2)
-                in3 = parity(u & c3)
-                e = (row >> ((ell - i) % n)) & 1
-                for c, fn in enumerate(combos):
-                    totals[c] += fn(in1, in2, in3, e)
-        return totals
-
-
-def as2_expected_counts(nb: NormalBasisCtx):
-    """Per-table nonzero counts of the quadratic extended basis (2n tables)."""
-    h = _CountHelper(nb)
-    w = nb.weight
-    counts = []
-    for ell in range(nb.n):
-        (s1,) = h.sums(ell, [lambda i1, i2, i3, e: i1])
-        counts.append(w + s1)
-    counts.extend([3 * w] * nb.n)
-    return counts
-
-
-def k3_expected_counts(nb: NormalBasisCtx):
-    """Per-table nonzero counts of the cubic Kummer extended basis (3n tables)."""
-    h = _CountHelper(nb)
-    w = nb.weight
-    s = []
-    for ell in range(nb.n):
-        (s1,) = h.sums(ell, [lambda i1, i2, i3, e: i1])
-        s.append(s1)
-    return ([w + 2 * s[ell] for ell in range(nb.n)]
-            + [2 * w + s[ell] for ell in range(nb.n)]
-            + [3 * w] * nb.n)
-
-
-def asw4_expected_counts(nb: NormalBasisCtx):
-    """Per-table nonzero counts of the quartic tower basis (4n tables)."""
-    h = _CountHelper(nb)
-    w = nb.weight
-    n = nb.n
-    r1 = []
-    r2 = []
-    r3 = []
-    for ell in range(n):
-        a, b, c, dd = h.sums(ell, [
-            lambda i1, i2, i3, e: i1,
-            lambda i1, i2, i3, e: i2,
-            lambda i1, i2, i3, e: i2 ^ i1,
-            lambda i1, i2, i3, e: i3 ^ i2 ^ i1,
-        ])
-        r1.append(w + a + b + 2 * c + dd)
-        p, q = h.sums(ell, [
-            lambda i1, i2, i3, e: i1 ^ e,
-            lambda i1, i2, i3, e: i2 ^ i1 ^ e,
-        ])
-        r2.append(4 * w + p + 2 * q)
-        r3.append(3 * w + 3 * a)
-    return r1 + r2 + r3 + [9 * w] * n
+def _column_counts(vectors, n):
+    return [c.bit_count() for c in mat_transpose(vectors, n)]
 
 
 def expected_counts(nb: NormalBasisCtx, kind: str):
-    fns = {"as2": as2_expected_counts, "k3": k3_expected_counts,
-           "asw4": asw4_expected_counts}
-    if kind not in fns:
+    """Per-table nonzero counts of the as2 (2n tables), k3 (3n) or asw4 (4n)
+    extended basis over nb."""
+    if kind not in ("as2", "k3", "asw4"):
         raise DomainError(f"no closed-form counts for kind {kind!r}")
-    return fns[kind](nb)
+    n, w, T = nb.n, nb.weight, nb.table
+    u0 = basis_products(nb)
+    u1 = [row_apply(T, u) for u in u0]
+    s1 = _column_counts(u1, n)
+    if kind == "as2":
+        return [w + a for a in s1] + [3 * w] * n
+    if kind == "k3":
+        return [w + 2 * a for a in s1] + [2 * w + a for a in s1] + [3 * w] * n
+    u2 = [row_apply(T, u) for u in u1]
+    u3 = [row_apply(T, u) for u in u2]
+    u12 = [a ^ b for a, b in zip(u1, u2)]
+    s2 = _column_counts(u2, n)
+    s12 = _column_counts(u12, n)
+    s123 = _column_counts([a ^ b for a, b in zip(u12, u3)], n)
+    s01 = _column_counts([a ^ b for a, b in zip(u0, u1)], n)
+    s012 = _column_counts([a ^ b for a, b in zip(u0, u12)], n)
+    return ([w + a + b + 2 * c + d for a, b, c, d in zip(s1, s2, s12, s123)]
+            + [4 * w + p + 2 * q for p, q in zip(s01, s012)]
+            + [3 * w + 3 * a for a in s1]
+            + [9 * w] * n)
 
 
 def expected_density(nb: NormalBasisCtx, kind: str) -> int:
-    """Closed-form density: 4d(N)+CS for as2, 6d(N)+3CS for k3."""
-    cs = cross_product_sum(nb)
-    if kind == "as2":
-        return 4 * nb.density + cs
-    if kind == "k3":
-        return 6 * nb.density + 3 * cs
-    if kind == "asw4":
-        return sum(asw4_expected_counts(nb))
-    raise DomainError(f"no density formula for kind {kind!r}")
+    """Closed-form density: 4d(N)+CS for as2, 6d(N)+3CS for k3, and the
+    quartic tower's sum of counts."""
+    return sum(expected_counts(nb, kind))
 
 
 # --- verification -------------------------------------------------------
@@ -498,15 +434,14 @@ def verify_table_counts(ext: ExtBasisCtx) -> CountReport:
 
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
-    """Recompute every basis product; return (k, i, j) witnesses of bad entries."""
-    big = emb.big
-    imgs = emb.basis_images
-    inv = emb._to_coords
+    """Rebuild the tables from `emb`; return (k, i, j) witnesses of the
+    entries of `ts` that differ, in (i, j, k) order."""
     bad = []
-    for i in range(emb.m):
-        for j in range(emb.m):
-            coords = row_apply(inv, gf.poly_mul_mod(big, imgs[i], imgs[j]))
-            for k in range(emb.m):
-                if ((coords >> k) & 1) != ts.entry(k, i, j):
-                    bad.append((k, i, j))
-    return bad
+    for k, (rows, fresh) in enumerate(zip(ts.tables, build_tables(emb).tables)):
+        for i, (row, ref) in enumerate(zip(rows, fresh)):
+            diff = row ^ ref
+            while diff:
+                low = diff & -diff
+                bad.append((k, i, low.bit_length() - 1))
+                diff ^= low
+    return sorted(bad, key=lambda kij: (kij[1], kij[2], kij[0]))

@@ -174,6 +174,26 @@ def test_verify_corruption_control_trips(capsys):
     assert "(0, 0, 0)" in bad[0]["detail"]
 
 
+def test_verify_skips_the_oracle_over_the_degree_cap(capsys, monkeypatch):
+    """ka6 at n = 3 needs an oracle field of degree 18: over a cap of 12 the
+    run reports it as skipped and goes on, rather than stopping with exit 2."""
+    argv = ("verify", "--n", "3", "--kind", "ka6", "--limit", "5")
+    _, uncapped, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "12")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    before = [c for c in json.loads(uncapped)["checks"] if c["kind"] == "ka6"]
+    assert [c for c in checks if c["kind"] == "ka6" and c["n"] < 3] == [
+        c for c in before if c["n"] < 3]
+    at3 = [(c["name"], c["ok"]) for c in checks
+           if c["kind"] == "ka6" and c["n"] == 3]
+    assert at3 == [("oracle_skipped", True), ("mul_op_counts", True),
+                   ("square_op_counts", True)]
+    skipped = next(c for c in checks if c["name"] == "oracle_skipped")
+    assert skipped["detail"].startswith("degree 18 exceeds cap 12")
+
+
 def test_verify_verdicts_are_seed_independent(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "8",
                          "--seed", "1")

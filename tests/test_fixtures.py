@@ -39,6 +39,31 @@ def test_n18_adjudication_counts_every_normal_element():
     assert len(normal.search_normal_elements(ctx)) == 96768 == 2 * 12 * 4032
 
 
+def test_n18_adjudication_minimum_weight_orbits():
+    """Conjugates share one table, so one least element per Frobenius orbit
+    covers all 96768 normal elements (5376 orbits of 18). Minimum weight 35
+    occurs in exactly two orbits, with cross sums 613 and 1157; the fixture
+    stores the least element of the 613 orbit."""
+    fx = fixtures.get_fixture(18)
+    ctx = gf.FieldCtx(bitpoly.parse(fx.modulus))
+    reps, seen = [], set()
+    for a in normal.search_normal_elements(ctx):  # ascending: a is its orbit's least
+        if a in seen:
+            continue
+        reps.append(a)
+        for _ in range(18):
+            seen.add(a)
+            a = gf.square(ctx, a)
+    assert len(reps) == 5376 and len(seen) == 96768
+    bases = [normal.build_normal_basis(ctx, a) for a in reps]
+    lightest = min(nb.weight for nb in bases)
+    best = sorted((normal.cross_product_sum(nb), nb.alpha)
+                  for nb in bases if nb.weight == lightest)
+    assert lightest == fx.table_weight == 35
+    assert [cs for cs, _ in best] == [613, 1157]
+    assert best[0] == (fx.cross_sum, bitpoly.parse(fx.alpha))
+
+
 def test_density_record_tables_are_consistent():
     assert fixtures.DENSITY_DEGREES == tuple(range(6, 79, 6))
     # quadratic records stop at 66 (no reference values above that)

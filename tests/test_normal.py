@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charfield2 import bitpoly, field as gf, normal
+from charfield2 import bitpoly, field as gf, fixtures, normal
 from charfield2.errors import DomainError, InvalidElementError, NotNormalError
 from charfield2.linalg import mat_rank
 
@@ -210,6 +210,36 @@ def test_cross_product_sum_small_values():
     assert normal.cross_product_sum(NB2) == 5
     assert normal.cross_product_sum(NB4) == 25
     assert normal.cross_product_sum(NB6) == 101
+
+
+def _cross_sum_by_field_products(nb):
+    """sum over i, j of the weight of alpha * alpha^(2^i) * alpha^(2^j),
+    multiplied out in the polynomial basis and converted once."""
+    ctx, conj = nb.field, nb.conj
+    return sum(nb.to_normal(gf.poly_mul_mod(
+                   ctx, nb.alpha, gf.poly_mul_mod(ctx, ci, cj))).bit_count()
+               for ci in conj for cj in conj)
+
+
+def test_cross_product_sum_matches_field_arithmetic():
+    bases = [fixtures.get_fixture(n).basis()
+             for n in fixtures.fixture_degrees() if n <= 12]
+    rng = random.Random(20261018)
+    for n in (3, 5, 7, 9, 11):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        hits = normal.search_normal_elements(ctx, limit=40)
+        bases += [normal.build_normal_basis(ctx, a) for a in rng.sample(hits, 2)]
+    for nb in bases:
+        assert normal.cross_product_sum(nb) == _cross_sum_by_field_products(nb), nb
+
+
+def test_basis_products_are_the_products_of_two_conjugates():
+    """Entry d*n + i is alpha^(2^i) * alpha^(2^(i+d))."""
+    for nb in (NB2, NB4, NB6):
+        n, conj = nb.n, nb.conj
+        want = [nb.to_normal(gf.poly_mul_mod(nb.field, conj[i], conj[(i + d) % n]))
+                for d in range(n) for i in range(n)]
+        assert normal.basis_products(nb) == want
 
 
 def test_search_normal_elements_ascending_and_limited():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, witt
-from charfield2.errors import ConstructionContradictionError, DomainError
-from charfield2.fixtures import get_fixture
+from charfield2.errors import (ConstructionContradictionError, DomainError,
+                               NoKummerExtensionError, UnsupportedDegreeError)
+from charfield2.fixtures import fixture_degrees, get_fixture
 
 NB2 = get_fixture(2).basis()
 NB4 = get_fixture(4).basis()
@@ -213,14 +214,24 @@ def test_table_entry_accessor():
 
 @pytest.mark.parametrize("kind", ["as2", "k3", "asw4"])
 def test_closed_form_counts_match_brute_force(kind):
-    for nb in (NB2, NB4):
-        if kind == "k3" and nb is NB4:
-            continue  # the n=4 generator is a cube
-        report = tables.verify_table_counts(xb.build_kind(nb, kind))
-        assert report.ok, report.mismatches
+    """Every fixture n <= 12: as2 always, asw4 at even n, k3 where the
+    generator is a primitive non-cube (m = 4n = 48 at most)."""
+    checked = 0
+    for n in (n for n in fixture_degrees() if n <= 12):
+        if kind == "asw4" and n % 2:
+            continue
+        try:
+            ext = xb.build_kind(get_fixture(n).basis(), kind)
+        except (NoKummerExtensionError, UnsupportedDegreeError):
+            assert kind == "k3"
+            continue
+        report = tables.verify_table_counts(ext)
+        assert report.ok, (n, report.mismatches)
         assert report.mismatches == []
         assert report.expected == report.actual
         assert report.density_expected == report.density_actual
+        checked += 1
+    assert checked == {"as2": 7, "k3": 3, "asw4": 6}[kind]
 
 
 def test_no_closed_form_for_sextic_tower():
@@ -235,10 +246,9 @@ def test_expected_density_formulas():
         cs = normal.cross_product_sum(nb)
         assert tables.expected_density(nb, "as2") == 4 * nb.density + cs
         assert tables.expected_density(nb, "k3") == 6 * nb.density + 3 * cs
-        assert tables.expected_density(nb, "as2") == sum(tables.as2_expected_counts(nb))
-        assert tables.expected_density(nb, "k3") == sum(tables.k3_expected_counts(nb))
-        assert (tables.expected_density(nb, "asw4")
-                == sum(tables.asw4_expected_counts(nb)))
+        for kind in ("as2", "k3", "asw4"):
+            assert (tables.expected_density(nb, kind)
+                    == sum(tables.expected_counts(nb, kind)))
 
 
 def test_verify_table_entries_clean_and_corrupted():
@@ -248,3 +258,7 @@ def test_verify_table_entries_clean_and_corrupted():
     ts.tables[0][0] ^= 1  # flip one bit
     witnesses = tables.verify_table_entries(emb, ts)
     assert witnesses == [(0, 0, 0)]
+    # two more flips in other tables: witnesses come in (i, j, k) order
+    ts.tables[3][0] ^= 1 << 1    # (k, i, j) = (3, 0, 1)
+    ts.tables[1][1] ^= 1 << 0    # (k, i, j) = (1, 1, 0)
+    assert tables.verify_table_entries(emb, ts) == [(0, 0, 0), (3, 0, 1), (1, 1, 0)]
