@@ -1,8 +1,8 @@
 """Binary field contexts F_2[x]/(f) with elements packed into ints."""
 
 import os
-
-from sympy import factorint
+from itertools import count
+from math import gcd
 
 from . import bitpoly
 from .errors import DomainError, InvalidElementError, UnsupportedDegreeError
@@ -65,7 +65,7 @@ class FieldCtx:
     def order_factors(self):
         """Sorted prime factors of 2^n - 1 (computed once on demand)."""
         if self._order_factors is None:
-            self._order_factors = tuple(sorted(factorint(self.order)))
+            self._order_factors = mersenne_prime_factors(self.n)
         return self._order_factors
 
     @property
@@ -87,6 +87,93 @@ class FieldCtx:
 
     def __hash__(self):
         return hash(("FieldCtx", self.modulus))
+
+
+def mersenne_prime_factors(n: int) -> tuple:
+    """Sorted distinct primes dividing 2^n - 1.
+
+    2^n - 1 is the product of the cyclotomic values Phi_d(2) over d | n,
+    each the quotient of 2^d - 1 by the Phi_e(2) of its proper divisors e,
+    and each is split on its own. A prime q dividing Phi_d(2) but not d is
+    1 mod d (2 has order d mod q), and odd, so 1 mod k = lcm(2, d); the rho
+    map x^k + c then takes about (q - 1)/k values mod q, which shortens its
+    cycles by about sqrt(k) (Brent and Pollard's factorisation of F_8).
+    """
+    phi, primes = {}, set()
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        m = (1 << d) - 1
+        for e, v in phi.items():
+            if d % e == 0:
+                m //= v
+        phi[d] = m
+        stack = [m]
+        while stack:
+            m = stack.pop()
+            if m == 1:
+                continue
+            if _is_prime(m):
+                primes.add(m)
+            else:
+                f = _rho_factor(m, d if d % 2 == 0 else 2 * d)
+                stack += [f, m // f]
+    return tuple(sorted(primes))
+
+
+# The least strong pseudoprime to all of these bases is 3317044064679887385961981
+# (> 2^81), so _is_prime is exact for every factor of 2^n - 1 with n <= 81.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES; a strong probable prime test
+    above 3317044064679887385961981."""
+    if m < 2:
+        return False
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m: int, k: int) -> int:
+    """A proper factor of an odd composite m: Brent's variant of Pollard rho
+    on x -> x^k + c from x = 3 (2^k + 1 is 2 again when m | 2^k - 1), with
+    gcds taken over batches of 128 steps."""
+    for c in count(1):
+        y, r, q, g = 3, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (pow(y, k, m) + c) % m
+            j = 0
+            while j < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - j)):
+                    y = (pow(y, k, m) + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                j += 128
+            r *= 2
+        if g == m:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (pow(ys, k, m) + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g
 
 
 def _normality_maps(ctx: FieldCtx):

@@ -4,6 +4,10 @@ A normal basis is (a, a^2, a^4, ..., a^(2^(n-1))) for a normal element a.
 Coordinates relative to it are packed into ints (bit i = coefficient of a^(2^i)).
 The structure table T = (t_{i,j}) is defined by a * a^(2^i) = sum_j t_{i,j} a^(2^j);
 row i of T is stored as an int with bit j = t_{i,j}.
+
+normal_mul reads T alone: a product costs n ANDs plus at most w(N) shifted
+XORs, so the density d(N) = n * w(N) is its cost. The paper's n product
+tables z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +68,9 @@ class NormalBasisCtx:
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
+        # (T[d], set-bit positions of T[d]) for d = 0..n//2: the terms of normal_mul
+        self._mul_terms = [(r, tuple(j for j in range(ctx.n) if r >> j & 1))
+                           for r in table[:ctx.n // 2 + 1]]
         self._mul_rows = None
 
     def to_poly(self, v: NormalCoords) -> int:
@@ -91,7 +98,11 @@ class NormalBasisCtx:
 
     @property
     def mul_rows(self):
-        """Product tables T_k (k = 0..n-1), rows over i: bit j = t_{(j-i) mod n, (k-i) mod n}."""
+        """Product tables T_k (k = 0..n-1), rows over i: bit j = t_{(j-i) mod n, (k-i) mod n}.
+
+        These are the paper's z_k = u T_k v^t, n^3 bits built on first use.
+        normal_mul does not read them; tables.normal_table_set does, and the
+        tests use them as the reference for normal_mul."""
         if self._mul_rows is None:
             n = self.n
             tabs = []
@@ -130,14 +141,35 @@ def alpha_mul(nb: NormalBasisCtx, v: NormalCoords) -> NormalCoords:
 
 
 def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCoords:
-    """Full product in normal coordinates via the tables z_k = u T_k v^t."""
-    nb._check(u)
-    nb._check(v)
-    z = 0
-    for k, rows in enumerate(nb.mul_rows):
-        if parity(row_apply(rows, u) & v):
-            z |= 1 << k
-    return z
+    """Full product in normal coordinates from the base table alone.
+
+    a^(2^i) a^(2^(i+d)) = rotl(T[d], i), so u v is the sum over d of
+    w_d (*) T[d], where bit i of w_d = u & rotl(v, -d) is u_i v_(i+d) and (*)
+    is the cyclic carry-less product mod x^n - 1. Since T[n-d] = rotl(T[d], -d),
+    the terms d and n - d are one product by T[d] with
+    w = (u & rotl(v, -d)) ^ (v & rotl(u, -d)). The non-cyclic products go
+    into one 2n-bit accumulator, folded once at the end. Each product loops
+    over the stored set-bit positions of T[d], or over the set bits of w when
+    they number under half as many: a bit of w costs several operations to
+    find, a stored position none.
+    """
+    n = nb.n
+    uu = nb._check(u) | u << n
+    vv = nb._check(v) | v << n
+    acc = 0
+    for d, (t, bits) in enumerate(nb._mul_terms):
+        w = u & (vv >> d)
+        if 0 < d and 2 * d != n:
+            w ^= v & (uu >> d)
+        if 2 * w.bit_count() < len(bits):
+            while w:
+                low = w & -w
+                acc ^= t << (low.bit_length() - 1)
+                w ^= low
+        else:
+            for j in bits:
+                acc ^= w << j
+    return (acc & nb.field.mask) ^ (acc >> n)
 
 
 def basis_products(nb: NormalBasisCtx):

@@ -194,6 +194,26 @@ def test_verify_skips_the_oracle_over_the_degree_cap(capsys, monkeypatch):
     assert skipped["detail"].startswith("degree 18 exceeds cap 12")
 
 
+def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypatch):
+    """The tower rows build a k3 embedding of degree 3n: over a cap of 12,
+    n = 6 gets an oracle_skipped row in place of tower_bicubic, and every row
+    for n <= 5 is unchanged."""
+    argv = ("verify", "--n", "6", "--kind", "as2", "--limit", "5")
+    _, uncapped, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "12")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    before = json.loads(uncapped)["checks"]
+    assert [c for c in checks if c["n"] <= 5] == [c for c in before if c["n"] <= 5]
+    names = [(c["name"], c["kind"]) for c in checks if c["n"] == 6]
+    want = [(c["name"], c["kind"]) for c in before if c["n"] == 6]
+    assert want[-1] == ("tower_bicubic", "k3")
+    assert names == want[:-1] + [("oracle_skipped", "k3")]
+    assert checks[-1]["ok"]
+    assert checks[-1]["detail"].startswith("degree 18 exceeds cap 12")
+
+
 def test_verify_verdicts_are_seed_independent(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "8",
                          "--seed", "1")

@@ -28,6 +28,169 @@ def test_ctx_construction_and_validation():
     assert gf.FieldCtx(0b101, check_irreducible=False).n == 2
 
 
+# The distinct primes of 2^n - 1 for n <= 128, frozen from an independent
+# factorisation (sympy's factorint).
+MERSENNE_PRIMES = {
+    1: [],
+    2: [3],
+    3: [7],
+    4: [3, 5],
+    5: [31],
+    6: [3, 7],
+    7: [127],
+    8: [3, 5, 17],
+    9: [7, 73],
+    10: [3, 11, 31],
+    11: [23, 89],
+    12: [3, 5, 7, 13],
+    13: [8191],
+    14: [3, 43, 127],
+    15: [7, 31, 151],
+    16: [3, 5, 17, 257],
+    17: [131071],
+    18: [3, 7, 19, 73],
+    19: [524287],
+    20: [3, 5, 11, 31, 41],
+    21: [7, 127, 337],
+    22: [3, 23, 89, 683],
+    23: [47, 178481],
+    24: [3, 5, 7, 13, 17, 241],
+    25: [31, 601, 1801],
+    26: [3, 2731, 8191],
+    27: [7, 73, 262657],
+    28: [3, 5, 29, 43, 113, 127],
+    29: [233, 1103, 2089],
+    30: [3, 7, 11, 31, 151, 331],
+    31: [2147483647],
+    32: [3, 5, 17, 257, 65537],
+    33: [7, 23, 89, 599479],
+    34: [3, 43691, 131071],
+    35: [31, 71, 127, 122921],
+    36: [3, 5, 7, 13, 19, 37, 73, 109],
+    37: [223, 616318177],
+    38: [3, 174763, 524287],
+    39: [7, 79, 8191, 121369],
+    40: [3, 5, 11, 17, 31, 41, 61681],
+    41: [13367, 164511353],
+    42: [3, 7, 43, 127, 337, 5419],
+    43: [431, 9719, 2099863],
+    44: [3, 5, 23, 89, 397, 683, 2113],
+    45: [7, 31, 73, 151, 631, 23311],
+    46: [3, 47, 178481, 2796203],
+    47: [2351, 4513, 13264529],
+    48: [3, 5, 7, 13, 17, 97, 241, 257, 673],
+    49: [127, 4432676798593],
+    50: [3, 11, 31, 251, 601, 1801, 4051],
+    51: [7, 103, 2143, 11119, 131071],
+    52: [3, 5, 53, 157, 1613, 2731, 8191],
+    53: [6361, 69431, 20394401],
+    54: [3, 7, 19, 73, 87211, 262657],
+    55: [23, 31, 89, 881, 3191, 201961],
+    56: [3, 5, 17, 29, 43, 113, 127, 15790321],
+    57: [7, 32377, 524287, 1212847],
+    58: [3, 59, 233, 1103, 2089, 3033169],
+    59: [179951, 3203431780337],
+    60: [3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321],
+    61: [2305843009213693951],
+    62: [3, 715827883, 2147483647],
+    63: [7, 73, 127, 337, 92737, 649657],
+    64: [3, 5, 17, 257, 641, 65537, 6700417],
+    65: [31, 8191, 145295143558111],
+    66: [3, 7, 23, 67, 89, 683, 20857, 599479],
+    67: [193707721, 761838257287],
+    68: [3, 5, 137, 953, 26317, 43691, 131071],
+    69: [7, 47, 178481, 10052678938039],
+    70: [3, 11, 31, 43, 71, 127, 281, 86171, 122921],
+    71: [228479, 48544121, 212885833],
+    72: [3, 5, 7, 13, 17, 19, 37, 73, 109, 241, 433, 38737],
+    73: [439, 2298041, 9361973132609],
+    74: [3, 223, 1777, 25781083, 616318177],
+    75: [7, 31, 151, 601, 1801, 100801, 10567201],
+    76: [3, 5, 229, 457, 174763, 524287, 525313],
+    77: [23, 89, 127, 581283643249112959],
+    78: [3, 7, 79, 2731, 8191, 121369, 22366891],
+    79: [2687, 202029703, 1113491139767],
+    80: [3, 5, 11, 17, 31, 41, 257, 61681, 4278255361],
+    81: [7, 73, 2593, 71119, 262657, 97685839],
+    82: [3, 83, 13367, 164511353, 8831418697],
+    83: [167, 57912614113275649087721],
+    84: [3, 5, 7, 13, 29, 43, 113, 127, 337, 1429, 5419, 14449],
+    85: [31, 131071, 9520972806333758431],
+    86: [3, 431, 9719, 2099863, 2932031007403],
+    87: [7, 233, 1103, 2089, 4177, 9857737155463],
+    88: [3, 5, 17, 23, 89, 353, 397, 683, 2113, 2931542417],
+    89: [618970019642690137449562111],
+    90: [3, 7, 11, 19, 31, 73, 151, 331, 631, 23311, 18837001],
+    91: [127, 911, 8191, 112901153, 23140471537],
+    92: [3, 5, 47, 277, 1013, 1657, 30269, 178481, 2796203],
+    93: [7, 2147483647, 658812288653553079],
+    94: [3, 283, 2351, 4513, 13264529, 165768537521],
+    95: [31, 191, 524287, 420778751, 30327152671],
+    96: [3, 5, 7, 13, 17, 97, 193, 241, 257, 673, 65537, 22253377],
+    97: [11447, 13842607235828485645766393],
+    98: [3, 43, 127, 4363953127297, 4432676798593],
+    99: [7, 23, 73, 89, 199, 153649, 599479, 33057806959],
+    100: [3, 5, 11, 31, 41, 101, 251, 601, 1801, 4051, 8101, 268501],
+    101: [7432339208719, 341117531003194129],
+    102: [3, 7, 103, 307, 2143, 2857, 6529, 11119, 43691, 131071],
+    103: [2550183799, 3976656429941438590393],
+    104: [3, 5, 17, 53, 157, 1613, 2731, 8191, 858001, 308761441],
+    105: [7, 31, 71, 127, 151, 337, 29191, 106681, 122921, 152041],
+    106: [3, 107, 6361, 69431, 20394401, 28059810762433],
+    107: [162259276829213363391578010288127],
+    108: [3, 5, 7, 13, 19, 37, 73, 109, 87211, 246241, 262657, 279073],
+    109: [745988807, 870035986098720987332873],
+    110: [3, 11, 23, 31, 89, 683, 881, 2971, 3191, 201961, 48912491],
+    111: [7, 223, 321679, 26295457, 319020217, 616318177],
+    112: [3, 5, 17, 29, 43, 113, 127, 257, 5153, 15790321, 54410972897],
+    113: [3391, 23279, 65993, 1868569, 1066818132868207],
+    114: [3, 7, 571, 32377, 174763, 524287, 1212847, 160465489],
+    115: [31, 47, 14951, 178481, 4036961, 2646507710984041],
+    116: [3, 5, 59, 233, 1103, 2089, 3033169, 107367629, 536903681],
+    117: [7, 73, 79, 937, 6553, 8191, 86113, 121369, 7830118297],
+    118: [3, 2833, 37171, 179951, 1824726041, 3203431780337],
+    119: [127, 239, 20231, 131071, 62983048367, 131105292137],
+    120: [3, 5, 7, 11, 13, 17, 31, 41, 61, 151, 241, 331, 1321, 61681, 4562284561],
+    121: [23, 89, 727, 1786393878363164227858270210279],
+    122: [3, 768614336404564651, 2305843009213693951],
+    123: [7, 13367, 3887047, 164511353, 177722253954175633],
+    124: [3, 5, 5581, 8681, 49477, 384773, 715827883, 2147483647],
+    125: [31, 601, 1801, 269089806001, 4710883168879506001],
+    126: [3, 7, 19, 43, 73, 127, 337, 5419, 92737, 649657, 77158673929],
+    127: [170141183460469231731687303715884105727],
+    128: [3, 5, 17, 257, 641, 65537, 274177, 6700417, 67280421310721],
+}
+
+
+def test_mersenne_prime_factors_match_the_frozen_table():
+    """Each frozen list is complete (dividing its primes out of 2^n - 1
+    leaves 1) and prime, and the package finds exactly it."""
+    for n, primes in MERSENNE_PRIMES.items():
+        rest = (1 << n) - 1
+        for p in primes:
+            assert gf._is_prime(p) and rest % p == 0, (n, p)
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, n
+        assert gf.mersenne_prime_factors(n) == tuple(primes), n
+
+
+def test_is_prime_against_a_sieve_and_pseudoprimes():
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, limit):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [m for m in range(limit) if gf._is_prime(m)] == [
+        m for m in range(limit) if sieve[m]]
+    # Carmichael numbers and strong pseudoprimes to the first bases
+    for m in (561, 1105, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not gf._is_prime(m), m
+    assert gf._is_prime((1 << 127) - 1)
+
+
 def test_ctx_equality_and_repr():
     assert gf.FieldCtx(0b10011) == F16
     assert F16 != F4

@@ -6,8 +6,9 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charfield2 import bitpoly, field as gf, fixtures, normal
-from charfield2.errors import DomainError, InvalidElementError, NotNormalError
+from charfield2 import bitpoly, extbasis, field as gf, fixtures, normal
+from charfield2.errors import (DomainError, InvalidElementError, NoKummerExtensionError,
+                               NotNormalError, UnsupportedDegreeError)
 from charfield2.linalg import mat_rank
 
 F4 = gf.FieldCtx(0b111)
@@ -191,6 +192,78 @@ def test_normal_mul_matches_field_product(u, v):
     assert NB6.to_poly(normal.normal_mul(NB6, u, v)) == expected
 
 
+def _searched_bases():
+    """Two seeded bases among the first 40 normal elements under
+    min_irreducible(n), at each odd n = 3..11."""
+    rng = random.Random(20261018)
+    bases = []
+    for n in (3, 5, 7, 9, 11):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        hits = normal.search_normal_elements(ctx, limit=40)
+        bases += [normal.build_normal_basis(ctx, a) for a in rng.sample(hits, 2)]
+    return bases
+
+
+def _arith_basis_64():
+    """The n = 64 basis of the arith benchmark: the first normal element drawn
+    by random.Random(2) under min_irreducible(64) over which all four kinds
+    build."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(64))
+    rng = random.Random(2)
+    while True:
+        a = rng.getrandbits(64)
+        if not normal.is_normal_element(ctx, a):
+            continue
+        nb = normal.build_normal_basis(ctx, a)
+        try:
+            for kind in extbasis.KINDS:
+                extbasis.build_kind(nb, kind)
+        except (UnsupportedDegreeError, NoKummerExtensionError):
+            continue
+        return nb
+
+
+def _operand_pairs(nb, rng, count):
+    """`count` seeded pairs, plus 0, one(), all-ones and every unit vector,
+    each against itself, the others and a seeded operand on either side."""
+    n = nb.n
+    edges = [0, nb.one(), nb.field.mask] + [1 << i for i in range(n)]
+    pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(count)]
+    pairs += [(e, f) for e in edges[:3] for f in edges]
+    pairs += [(e, rng.getrandbits(n)) for e in edges]
+    pairs += [(rng.getrandbits(n), e) for e in edges]
+    return pairs
+
+
+def _field_product(nb, u, v):
+    return nb.to_normal(gf.poly_mul_mod(nb.field, nb.to_poly(u), nb.to_poly(v)))
+
+
+def test_normal_mul_matches_field_product_on_many_bases():
+    """Every fixture (n = 1..26), two searched bases at each odd n = 3..11 and
+    the dense n = 64 basis of the arith benchmark."""
+    bases = [fixtures.get_fixture(n).basis() for n in fixtures.fixture_degrees()]
+    bases += _searched_bases() + [_arith_basis_64()]
+    rng = random.Random(20261019)
+    for nb in bases:
+        for u, v in _operand_pairs(nb, rng, 60):
+            assert normal.normal_mul(nb, u, v) == _field_product(nb, u, v), (nb, u, v)
+
+
+def test_normal_mul_never_builds_the_product_tables(monkeypatch):
+    """The product reads only the base table: with mul_rows refusing to be
+    built, products still come out right."""
+    def refuse(self):
+        raise AssertionError("normal_mul built the n^3-bit product tables")
+
+    monkeypatch.setattr(normal.NormalBasisCtx, "mul_rows", property(refuse))
+    rng = random.Random(20261020)
+    for n in (1, 2, 12, 26):
+        nb = fixtures.get_fixture(n).basis()
+        for u, v in _operand_pairs(nb, rng, 20):
+            assert normal.normal_mul(nb, u, v) == _field_product(nb, u, v)
+
+
 def test_mul_rows_shift_structure():
     """Entry (i, j) of table k equals entry ((j-i) mod n, (k-i) mod n) of the base table."""
     for nb in (NB2, NB4, NB6):
@@ -224,12 +297,7 @@ def _cross_sum_by_field_products(nb):
 def test_cross_product_sum_matches_field_arithmetic():
     bases = [fixtures.get_fixture(n).basis()
              for n in fixtures.fixture_degrees() if n <= 12]
-    rng = random.Random(20261018)
-    for n in (3, 5, 7, 9, 11):
-        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
-        hits = normal.search_normal_elements(ctx, limit=40)
-        bases += [normal.build_normal_basis(ctx, a) for a in rng.sample(hits, 2)]
-    for nb in bases:
+    for nb in bases + _searched_bases():
         assert normal.cross_product_sum(nb) == _cross_sum_by_field_products(nb), nb
 
 

@@ -182,10 +182,18 @@ def test_normal_table_set_matches_brute_force():
 
 
 def test_normal_table_mul_matches_normal_mul():
-    ts = tables.normal_table_set(NB4)
-    for u in range(16):
-        for v in range(16):
-            assert tables.table_mul(ts, u, v) == normal.normal_mul(NB4, u, v)
+    """z_k = u T_k v^t over the n^3-bit tables against the product from the
+    base table: every pair up to n = 6, 300 seeded pairs above, n <= 12."""
+    rng = random.Random(20261021)
+    for n in (n for n in fixture_degrees() if n <= 12):
+        nb = get_fixture(n).basis()
+        ts = tables.normal_table_set(nb)
+        if n <= 6:
+            pairs = [(u, v) for u in range(1 << n) for v in range(1 << n)]
+        else:
+            pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(300)]
+        for u, v in pairs:
+            assert tables.table_mul(ts, u, v) == normal.normal_mul(nb, u, v), (n, u, v)
 
 
 def test_ext_table_mul_matches_counted_mul():
