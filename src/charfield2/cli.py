@@ -292,26 +292,30 @@ def cmd_tables(args) -> int:
     return 1 if failures else 0
 
 
-def _oracle(ctx, kind, n):
-    """The oracle embedding of ctx; None, after one passing oracle_skipped
-    row naming the cap, when its field is over the degree cap."""
+def _oracle(ctx, kind, n, skipped):
+    """The oracle embedding of ctx; None when its field is over the degree
+    cap, after a passing oracle_skipped row naming the cap unless the set
+    `skipped` already holds (kind, n)."""
     try:
         return tables.build_embedding(ctx)
     except UnsupportedDegreeError as exc:
-        yield ("oracle_skipped", kind, n, True, str(exc))
+        if (kind, n) not in skipped:
+            skipped.add((kind, n))
+            yield ("oracle_skipped", kind, n, True, str(exc))
         return None
 
 
 def _verify_checks(args):
     """Yield (name, kind, n, ok, detail) rows for the verification suites."""
     pairs = args.limit
+    skipped = set()
     for kind in args.kind:
         for n in range(1, args.n + 1):
             nb = _basis_for_kind(kind, n)
             if nb is None:
                 continue
             ctx = extbasis.build_kind(nb, kind)
-            emb = yield from _oracle(ctx, kind, n)
+            emb = yield from _oracle(ctx, kind, n, skipped)
             if emb is not None:
                 rng = random.Random(f"{args.seed}:{kind}:{n}")
                 bad = 0
@@ -362,7 +366,7 @@ def _verify_checks(args):
     for n in range(1, min(args.n, 6) + 1):
         nb = _basis_for_kind("as2", n)
         as2 = extbasis.build_as2(nb)
-        emb = yield from _oracle(as2, "as2", n)
+        emb = yield from _oracle(as2, "as2", n, skipped)
         if emb is not None:
             b_img = emb.gen_images["b"]
             ok = tower.biquadratic_possible(n) == (gf.trace(emb.big, b_img) == 1)
@@ -389,7 +393,7 @@ def _verify_checks(args):
                   and tower.ext_trace(k3, beta) == extbasis.zero(k3))
             yield ("tower_no_quadratic_over_cubic", "k3", n, ok,
                    "trace 0 and a solved quadratic preimage")
-            embk = yield from _oracle(k3, "k3", n)
+            embk = yield from _oracle(k3, "k3", n, skipped)
             if embk is not None:
                 direct = not gf.is_cube(embk.big, embk.gen_images["b"])
                 ok = tower.bicubic_possible(n, k3nb) == direct

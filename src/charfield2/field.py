@@ -98,6 +98,11 @@ def mersenne_prime_factors(n: int) -> tuple:
     1 mod d (2 has order d mod q), and odd, so 1 mod k = lcm(2, d); the rho
     map x^k + c then takes about (q - 1)/k values mod q, which shortens its
     cycles by about sqrt(k) (Brent and Pollard's factorisation of F_8).
+
+    Checked against a table of known factorisations for n <= 128 (1.4 s for
+    all of them together). Above that, rho's run time grows with the square
+    root of each prime it splits off: 2^137 - 1, whose smaller prime is about
+    3.2e19, is not factored in 3 minutes.
     """
     phi, primes = {}, set()
     for d in (d for d in range(1, n + 1) if n % d == 0):

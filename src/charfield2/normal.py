@@ -68,8 +68,8 @@ class NormalBasisCtx:
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
-        # (T[d], set-bit positions of T[d]) for d = 0..n//2: the terms of normal_mul
-        self._mul_terms = [(r, tuple(j for j in range(ctx.n) if r >> j & 1))
+        # set-bit positions of T[d] for d = 0..n//2: the terms of normal_mul
+        self._mul_terms = [tuple(j for j in range(ctx.n) if r >> j & 1)
                            for r in table[:ctx.n // 2 + 1]]
         self._mul_rows = None
 
@@ -149,26 +149,18 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     the terms d and n - d are one product by T[d] with
     w = (u & rotl(v, -d)) ^ (v & rotl(u, -d)). The non-cyclic products go
     into one 2n-bit accumulator, folded once at the end. Each product loops
-    over the stored set-bit positions of T[d], or over the set bits of w when
-    they number under half as many: a bit of w costs several operations to
-    find, a stored position none.
+    over the stored set-bit positions of T[d].
     """
     n = nb.n
     uu = nb._check(u) | u << n
     vv = nb._check(v) | v << n
     acc = 0
-    for d, (t, bits) in enumerate(nb._mul_terms):
+    for d, bits in enumerate(nb._mul_terms):
         w = u & (vv >> d)
         if 0 < d and 2 * d != n:
             w ^= v & (uu >> d)
-        if 2 * w.bit_count() < len(bits):
-            while w:
-                low = w & -w
-                acc ^= t << (low.bit_length() - 1)
-                w ^= low
-        else:
-            for j in bits:
-                acc ^= w << j
+        for j in bits:
+            acc ^= w << j
     return (acc & nb.field.mask) ^ (acc >> n)
 
 

@@ -213,6 +213,16 @@ def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypat
     assert checks[-1]["ok"]
     assert checks[-1]["detail"].startswith("degree 18 exceeds cap 12")
 
+    # Under a cap of 8 the per-kind rows and the tower rows both need the
+    # (as2, 5) and (k3, 4) embeddings; each skip is reported once.
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "8")
+    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--kind", "as2", "k3",
+                           "--limit", "3")
+    assert code == 0
+    skips = [(c["kind"], c["n"]) for c in json.loads(out)["checks"]
+             if c["name"] == "oracle_skipped"]
+    assert skips == [("as2", 5), ("k3", 4)]
+
 
 def test_verify_verdicts_are_seed_independent(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "8",
