@@ -31,6 +31,13 @@ def poly_mul(a: BitPoly, b: BitPoly) -> BitPoly:
     return out
 
 
+def poly_square(a: BitPoly) -> BitPoly:
+    """a^2: in characteristic 2 the square spreads bit i to bit 2i, which is
+    reading a's binary digits in base 4 (exempt from the int-str digit limit,
+    as every power-of-two base is)."""
+    return int(bin(a)[2:], 4)
+
+
 def poly_divmod(a: BitPoly, b: BitPoly):
     """Quotient and remainder of a by b (b != 0)."""
     if b == 0:
@@ -68,7 +75,7 @@ def poly_powmod(a: BitPoly, e: int, m: BitPoly) -> BitPoly:
     while e:
         if e & 1:
             result = poly_mulmod(result, a, m)
-        a = poly_mulmod(a, a, m)
+        a = poly_mod(poly_square(a), m)
         e >>= 1
     return result
 
@@ -85,7 +92,7 @@ def is_irreducible(f: BitPoly) -> bool:
     stages = [x]
     t = x
     for _ in range(n):
-        t = poly_mulmod(t, t, f)
+        t = poly_mod(poly_square(t), f)
         stages.append(t)
     if stages[n] != poly_mod(x, f):
         return False
@@ -113,14 +120,23 @@ def min_irreducible(n: int) -> BitPoly:
     if n == 1:
         return 0b11  # 1 + x
     top = (1 << n) | 1
-    from itertools import combinations
     for extra in range(1, n, 2):  # term counts 3, 5, 7, ...
-        cands = sorted(sum(1 << e for e in combo) | top
-                       for combo in combinations(range(1, n), extra))
-        for f in cands:
-            if is_irreducible(f):
-                return f
+        for middle in _ascending_sums(extra, n - 1):
+            if is_irreducible(middle | top):
+                return middle | top
     raise DomainError(f"no irreducible of degree {n} found")  # unreachable
+
+
+def _ascending_sums(count: int, hi: int):
+    """Every sum of `count` distinct powers x^e with 1 <= e <= hi, in ascending
+    value: a sum is ordered by its top exponent first, so for each top exponent
+    in increasing order, recurse on the exponents below it."""
+    if count == 0:
+        yield 0
+        return
+    for top in range(count, hi + 1):
+        for rest in _ascending_sums(count - 1, top - 1):
+            yield rest | 1 << top
 
 
 def xn_minus_1_factors(n: int):

@@ -43,16 +43,23 @@ class FieldCtx:
         self.n = deg
         self.modulus = modulus
         self.mask = (1 << deg) - 1
-        # reduction[i] = x^(n+i) mod f, enough to fold a (2n-1)-bit product
-        xn = modulus & self.mask  # x^n mod f
-        red = []
-        t = xn
-        for _ in range(deg):
-            red.append(t)
-            t <<= 1
-            if t >> deg:
-                t = (t & self.mask) ^ xn
-        self.reduction = red
+        xn = modulus & self.mask  # x^n mod f = f - x^n, of degree k
+        if 2 * xn.bit_length() <= deg + 3:  # 2k <= n + 1
+            # the set-bit positions of f - x^n: reduce_product folds the
+            # overflow by one shift per term, in at most two passes
+            self.fold_terms = tuple(i for i in range(deg) if xn >> i & 1)
+            self.reduction = None
+        else:
+            # reduction[i] = x^(n+i) mod f, enough to fold a (2n-1)-bit product
+            self.fold_terms = None
+            red = []
+            t = xn
+            for _ in range(deg):
+                red.append(t)
+                t <<= 1
+                if t >> deg:
+                    t = (t & self.mask) ^ xn
+            self.reduction = red
         self._order_factors = None
         self._normality_maps = None
 
@@ -219,10 +226,25 @@ def poly_mul_mod(ctx: FieldCtx, a: int, b: int) -> int:
 
 
 def reduce_product(ctx: FieldCtx, prod: int) -> int:
-    """Reduce a raw carry-less product (up to 2n-1 bits) modulo the field modulus."""
+    """Reduce a raw carry-less product (up to 2n-1 bits) modulo the field modulus.
+
+    With f = x^n + r and k = deg r, the overflow h = prod >> n has degree at
+    most n - 2, and x^n h = r h. When 2k <= n + 1 (ctx.fold_terms) r h is
+    formed by one shift per term of r: its overflow has degree at most k - 2,
+    and that of the second fold at most 2k - 2 < n. Denser moduli fold one
+    overflow bit at a time through ctx.reduction."""
     n = ctx.n
     high = prod >> n
     out = prod & ctx.mask
+    terms = ctx.fold_terms
+    if terms is not None:
+        while high:
+            fold = 0
+            for e in terms:
+                fold ^= high << e
+            out ^= fold & ctx.mask
+            high = fold >> n
+        return out
     red = ctx.reduction
     while high:
         low = high & -high
@@ -232,8 +254,8 @@ def reduce_product(ctx: FieldCtx, prod: int) -> int:
 
 
 def square(ctx: FieldCtx, a: int) -> int:
-    """Field square of a."""
-    return poly_mul_mod(ctx, a, a)
+    """Field square of a: the spread bits of a, reduced."""
+    return reduce_product(ctx, bitpoly.poly_square(validate(ctx, a)))
 
 
 def power(ctx: FieldCtx, a: int, e: int) -> int:
@@ -244,7 +266,7 @@ def power(ctx: FieldCtx, a: int, e: int) -> int:
     while e:
         if e & 1:
             result = poly_mul_mod(ctx, result, base)
-        base = poly_mul_mod(ctx, base, base)
+        base = square(ctx, base)
         e >>= 1
     return result
 
@@ -260,7 +282,7 @@ def frobenius(ctx: FieldCtx, a: int, k: int = 1) -> int:
     """a^(2^k); the Frobenius automorphism applied k times (k mod n)."""
     validate(ctx, a)
     for _ in range(k % ctx.n):
-        a = poly_mul_mod(ctx, a, a)
+        a = square(ctx, a)
     return a
 
 
@@ -271,7 +293,7 @@ def trace(ctx: FieldCtx, a: int) -> int:
     cur = a
     for _ in range(ctx.n):
         t ^= cur
-        cur = poly_mul_mod(ctx, cur, cur)
+        cur = square(ctx, cur)
     if t not in (0, 1):
         raise AssertionError("trace landed outside F_2")
     return t
@@ -309,10 +331,7 @@ def is_cube(ctx: FieldCtx, a: int) -> bool:
 def solve_artin_schreier(ctx: FieldCtx, c: int):
     """All y with y^2 + y = c, sorted ascending ([] when trace(c) = 1)."""
     validate(ctx, c)
-    rows = []
-    for i in range(ctx.n):
-        e = 1 << i
-        rows.append(poly_mul_mod(ctx, e, e) ^ e)
+    rows = [reduce_product(ctx, 1 << 2 * i) ^ (1 << i) for i in range(ctx.n)]
     y = solve_linear(rows, ctx.n, c)
     if y is None:
         return []

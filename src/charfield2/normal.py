@@ -35,7 +35,7 @@ def conjugates(ctx: gf.FieldCtx, a: int):
     cur = gf.validate(ctx, a)
     for _ in range(ctx.n):
         out.append(cur)
-        cur = gf.poly_mul_mod(ctx, cur, cur)
+        cur = gf.square(ctx, cur)
     return out
 
 

@@ -203,7 +203,7 @@ class OracleEmbedding:
         cur = alpha_img
         for _ in range(nb.n):
             conj.append(cur)
-            cur = gf.poly_mul_mod(big, cur, cur)
+            cur = gf.square(big, cur)
         self.alpha_conj = conj
 
         self.gen_images = self._solve_generators()
@@ -241,7 +241,7 @@ class OracleEmbedding:
             return {"b": find_roots(big, [a, 0, 0, 1])[0]}
         if kind == "asw4":
             b0 = self._as_root(a)
-            a2 = gf.poly_mul_mod(big, a, a)
+            a2 = gf.square(big, a)
             c = gf.poly_mul_mod(big, a ^ 1, b0) ^ a2  # (1+a)b0 + a^2
             b1 = self._as_root(c)
             return {"b0": b0, "b1": b1}
@@ -289,7 +289,7 @@ class OracleEmbedding:
         big = self.big
         a = self.alpha_img
         g = self.gen_images
-        sq = lambda t: gf.poly_mul_mod(big, t, t)
+        sq = lambda t: gf.square(big, t)
         mul = lambda u, v: gf.poly_mul_mod(big, u, v)
         if self.ext is None:
             return True
@@ -331,19 +331,22 @@ class TableSet:
 
 
 def build_tables(emb: OracleEmbedding) -> TableSet:
-    """Brute-force tables: expand every basis product over the basis."""
+    """Brute-force tables: expand every basis product over the basis.  The
+    big field commutes, so each product with j >= i fills entries (i, j) and
+    (j, i)."""
     m = emb.m
     big = emb.big
     imgs = emb.basis_images
     inv = emb._to_coords
     tables = [[0] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
+        for j in range(i, m):
             coords = row_apply(inv, gf.poly_mul_mod(big, imgs[i], imgs[j]))
             while coords:
-                low = coords & -coords
-                tables[low.bit_length() - 1][i] |= 1 << j
-                coords ^= low
+                rows = tables[(coords & -coords).bit_length() - 1]
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                coords &= coords - 1
     nz = [sum(r.bit_count() for r in t) for t in tables]
     return TableSet(m, tables, nz, sum(nz))
 

@@ -74,7 +74,7 @@ def w2_neg(x: W2Vector) -> W2Vector:
 def w2_mul(x: W2Vector, y: W2Vector) -> W2Vector:
     ctx = _same_ctx(x, y)
     mul = lambda a, b: gf.poly_mul_mod(ctx, a, b)
-    sq = lambda a: gf.poly_mul_mod(ctx, a, a)
+    sq = lambda a: gf.square(ctx, a)
     r = _w2_mul(int.__xor__, mul, sq, x.pair(), y.pair())
     return W2Vector(ctx, *r)
 
@@ -83,7 +83,7 @@ def wp_map(x: W2Vector) -> W2Vector:
     """The additive map (x0, x1) -> (x0^2 + x0, x1^2 + x1 + x0^3)."""
     ctx = x.ctx
     mul = lambda a, b: gf.poly_mul_mod(ctx, a, b)
-    sq = lambda a: gf.poly_mul_mod(ctx, a, a)
+    sq = lambda a: gf.square(ctx, a)
     r = _wp(int.__xor__, mul, sq, x.pair())
     return W2Vector(ctx, *r)
 

@@ -1,5 +1,8 @@
 """Tests for bit-packed GF(2)[x] polynomial arithmetic."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +59,19 @@ def test_poly_mul_degree_adds(a, b):
         assert bitpoly.degree(prod) == bitpoly.degree(a) + bitpoly.degree(b)
     else:
         assert prod == 0
+
+
+@given(polys)
+def test_poly_square_matches_poly_mul(a):
+    assert bitpoly.poly_square(a) == bitpoly.poly_mul(a, a)
+
+
+def test_poly_square_of_zero_and_of_a_long_polynomial():
+    """Base-4 int() is exempt from the int-str digit limit (4300 digits by
+    default), so a 20,011-bit square needs no raised limit."""
+    assert bitpoly.poly_square(0) == 0
+    a = random.Random(20011).getrandbits(20011) | 1 << 20010
+    assert bitpoly.poly_square(a) == bitpoly.poly_mul(a, a)
 
 
 @given(polys, nonzero_polys)
@@ -155,6 +171,31 @@ def test_min_irreducible_properties(n):
     if n >= 2:
         assert bitpoly.weight(f) % 2 == 1  # degree >= 2 irreducible => odd term count
     assert bitpoly.min_irreducible(n) == f
+
+
+def _min_irreducible_by_sorting(n):
+    """Reference: sort all C(n - 1, w) middle-term sums for each odd term
+    count w = 1, 3, ... and take the first irreducible."""
+    if n == 1:
+        return 0b11
+    top = (1 << n) | 1
+    for extra in range(1, n, 2):
+        for f in sorted(sum(1 << e for e in combo) | top
+                        for combo in combinations(range(1, n), extra)):
+            if bitpoly.is_irreducible(f):
+                return f
+
+
+def test_min_irreducible_matches_the_sorted_definition():
+    for n in range(1, 41):
+        assert bitpoly.min_irreducible(n) == _min_irreducible_by_sorting(n), n
+
+
+@pytest.mark.parametrize("n,f", [(48, "1+x^2+x^3+x^5+x^48"),
+                                 (64, "1+x+x^3+x^4+x^64"),
+                                 (78, "1+x^3+x^5+x^6+x^78")])
+def test_min_irreducible_pinned_pentanomials(n, f):
+    assert bitpoly.to_human(bitpoly.min_irreducible(n)) == f
 
 
 def test_min_irreducible_rejects_nonpositive_degree():

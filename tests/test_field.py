@@ -1,5 +1,7 @@
 """Tests for binary field contexts and element arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,6 +231,35 @@ def test_validate_rejects_out_of_range():
 def test_mul_matches_naive_reduction(a, b):
     expected = bitpoly.poly_mod(bitpoly.poly_mul(a, b), F256.modulus)
     assert gf.poly_mul_mod(F256, a, b) == expected
+
+
+# (modulus, takes the sparse fold): every min_irreducible(n) for n <= 64, the
+# boundary pair 2k = n + 1 (fold, two passes) and 2k = n + 2 (per-bit) for k
+# the second-highest degree, a dense modulus, and both moduli of degree 1.
+REDUCTION_MODULI = (
+    [(bitpoly.min_irreducible(n), True) for n in range(1, 65)]
+    + [(bitpoly.parse("1+x^4+x^7"), True),
+       (bitpoly.parse("1+x^7+x^12"), False),
+       (bitpoly.parse("1+x+x^2+x^3+x^4"), False),
+       (bitpoly.parse("x"), True)])
+
+
+@pytest.mark.parametrize("f,folds", REDUCTION_MODULI,
+                         ids=[bitpoly.to_human(f) for f, _ in REDUCTION_MODULI])
+def test_reduce_product_and_square_match_poly_mod(f, folds):
+    ctx = gf.FieldCtx(f)
+    assert (ctx.fold_terms is not None) == folds
+    assert (ctx.reduction is None) == folds  # only the path in use is built
+    n = ctx.n
+    rng = random.Random(f)
+    # x^(2n-2) overflows into the second fold at 2k = n + 1: for 1+x^4+x^7,
+    # x^12 = x^5 (1 + x^4) = x^5 + x^9 and x^9 = x^2 (1 + x^4)
+    prods = [0, 1 << 2 * n - 2, (1 << 2 * n - 1) - 1]
+    prods += [rng.getrandbits(2 * n - 1) for _ in range(40)]
+    for p in prods:
+        assert gf.reduce_product(ctx, p) == bitpoly.poly_mod(p, f)
+    for a in [0, ctx.mask] + [rng.getrandbits(n) for _ in range(40)]:
+        assert gf.square(ctx, a) == bitpoly.poly_mod(bitpoly.poly_mul(a, a), f)
 
 
 @given(elems16, elems16, elems16)

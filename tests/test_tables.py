@@ -9,6 +9,7 @@ from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, wit
 from charfield2.errors import (ConstructionContradictionError, DomainError,
                                NoKummerExtensionError, UnsupportedDegreeError)
 from charfield2.fixtures import fixture_degrees, get_fixture
+from charfield2.linalg import row_apply
 
 NB2 = get_fixture(2).basis()
 NB4 = get_fixture(4).basis()
@@ -210,6 +211,47 @@ def test_ext_table_mul_matches_counted_mul():
             flat_prod = tables.table_mul(ts, flat_x, flat_y)
             prod = xb.mul(ctx, x, y)
             assert flat_prod == sum(b << (i * n) for i, b in enumerate(prod.blocks))
+
+
+def _tables_by_full_loop(emb):
+    """Reference for build_tables: all m^2 products, one entry each."""
+    m = emb.m
+    tables_ = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            coords = row_apply(emb._to_coords,
+                               gf.poly_mul_mod(emb.big, emb.basis_images[i],
+                                               emb.basis_images[j]))
+            for k in range(m):
+                tables_[k][i] |= (coords >> k & 1) << j
+    return tables_
+
+
+def _sources_up_to_4():
+    """Every basis and extension kind that builds over the fixtures n <= 4."""
+    for n in (d for d in fixture_degrees() if d <= 4):
+        nb = get_fixture(n).basis()
+        yield f"normal-n{n}", nb
+        for kind in xb.KINDS:
+            try:
+                yield f"{kind}-n{n}", xb.build_kind(nb, kind)
+            except (NoKummerExtensionError, UnsupportedDegreeError):
+                continue
+
+
+@pytest.mark.parametrize("label,source", list(_sources_up_to_4()))
+def test_build_tables_matches_the_full_loop_and_is_symmetric(label, source):
+    emb = tables.build_embedding(source)
+    ts = tables.build_tables(emb)
+    assert ts.tables == _tables_by_full_loop(emb)
+    assert ts.per_table_nonzeros == [sum(r.bit_count() for r in t) for t in ts.tables]
+    m = ts.m
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                assert ts.entry(k, i, j) == ts.entry(k, j, i)
+    ts.tables[0][0] ^= 1  # the verify --corrupt-table control's flip
+    assert tables.verify_table_entries(emb, ts) == [(0, 0, 0)]
 
 
 def test_table_entry_accessor():
