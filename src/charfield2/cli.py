@@ -131,6 +131,18 @@ def _emit(args, header, rows, json_obj) -> None:
         sys.stdout.write(text)
 
 
+def _field_for(n, modulus):
+    """The field of degree n modulo --modulus (None or 'auto': the least
+    irreducible of degree n)."""
+    mod = (bitpoly.min_irreducible(n) if modulus in (None, "auto")
+           else bitpoly.parse(modulus))
+    ctx = gf.FieldCtx(mod)
+    if ctx.n != n:
+        raise UnsupportedDegreeError(
+            f"modulus degree {ctx.n} does not match --n {n}")
+    return ctx
+
+
 def _resolve_basis(n, modulus, alpha, require_primitive=False):
     """Build a normal basis from explicit arguments, falling back to the
     pinned fixture; returns (basis, fixture-or-None)."""
@@ -140,14 +152,7 @@ def _resolve_basis(n, modulus, alpha, require_primitive=False):
     if modulus is None or alpha is None:
         raise UnsupportedDegreeError(
             "--modulus and --alpha must be given together")
-    if modulus == "auto":
-        mod = bitpoly.min_irreducible(n)
-    else:
-        mod = bitpoly.parse(modulus)
-    ctx = gf.FieldCtx(mod)
-    if ctx.n != n:
-        raise UnsupportedDegreeError(
-            f"modulus degree {ctx.n} does not match --n {n}")
+    ctx = _field_for(n, modulus)
     if alpha == "search":
         hits = normal.search_normal_elements(
             ctx, require_primitive=require_primitive, limit=1)
@@ -467,12 +472,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_search(args) -> int:
-    mod = (bitpoly.min_irreducible(args.n) if args.modulus in (None, "auto")
-           else bitpoly.parse(args.modulus))
-    ctx = gf.FieldCtx(mod)
-    if ctx.n != args.n:
-        raise UnsupportedDegreeError(
-            f"modulus degree {ctx.n} does not match --n {args.n}")
+    ctx = _field_for(args.n, args.modulus)
     hits = normal.search_normal_elements(
         ctx, require_primitive=args.require_primitive,
         limit=args.limit, workers=args.workers)
@@ -483,7 +483,7 @@ def cmd_search(args) -> int:
         rows.append((bitpoly.to_human(a), gf.elem_to_hex(ctx, a),
                      nb.weight, nb.density, normal.cross_product_sum(nb)))
     _emit(args, header, rows,
-          {"n": args.n, "modulus": bitpoly.to_human(mod),
+          {"n": args.n, "modulus": bitpoly.to_human(ctx.modulus),
            "hits": [dict(zip(header, r)) for r in rows]})
     return 0
 

@@ -17,15 +17,45 @@ table-vector products (multiplications by a) are tallied in the context's OpCoun
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
+from typing import Callable, NamedTuple
 
 from . import field as gf
 from .errors import (ConstructionContradictionError, DomainError,
                      InvalidElementError, NoKummerExtensionError,
                      UnsupportedDegreeError)
 from .normal import NormalBasisCtx, alpha_mul, frobenius_shift, normal_mul
-from .witt import asw4_reduction_rules
+from .witt import SymPoly, asw4_reduction_rules
 
-KINDS = ("as2", "k3", "asw4", "ka6")
+
+class Rule(NamedTuple):
+    """One adjoined generator y: a root of y^2 + y = c (degree 2, an
+    Artin-Schreier step) or of y^3 = c (degree 3, a Kummer step), where
+    c = rhs(mul, a, *earlier generators) for a product `mul` and the base
+    generator a."""
+    gen: str
+    degree: int
+    rhs: Callable
+
+
+# Each kind's generators in adjunction order: the one statement of the
+# defining rules, read by the contexts, the oracle and the Witt check.
+RULES = {
+    "as2": (Rule("b", 2, lambda mul, a: a),),
+    "k3": (Rule("b", 3, lambda mul, a: a),),
+    "asw4": (Rule("b0", 2, lambda mul, a: a),
+             Rule("b1", 2, lambda mul, a, b0: b0 ^ mul(a, b0) ^ mul(a, a))),
+    "ka6": (Rule("b", 2, lambda mul, a: a),
+            Rule("g", 3, lambda mul, a, b: b)),
+}
+KINDS = tuple(RULES)
+
+
+def _monomials(rules) -> tuple:
+    """Exponent tuples of the basis monomials, the first generator's
+    exponent varying fastest; ((),) for no generators."""
+    degrees = [r.degree for r in reversed(rules)]
+    return tuple(e[::-1] for e in product(*map(range, degrees)))
 
 
 @dataclass
@@ -82,14 +112,14 @@ def _unpack(flat: int, n: int, d: int) -> tuple:
 class ExtBasisCtx:
     """An extended basis over a normal basis, with counted arithmetic."""
 
-    def __init__(self, base: NormalBasisCtx, kind: str, gens, monomials):
-        if kind not in KINDS:
+    def __init__(self, base: NormalBasisCtx, kind: str):
+        if kind not in RULES:
             raise DomainError(f"unknown kind {kind!r}")
         self.base = base
         self.kind = kind
         self.n = base.n
-        self.gens = tuple(gens)
-        self.monomials = tuple(monomials)
+        self.gens = tuple(r.gen for r in RULES[kind])
+        self.monomials = _monomials(RULES[kind])
         self.d = len(self.monomials)
         self.m = self.n * self.d
         self.counter = OpCounter()
@@ -126,7 +156,7 @@ class ExtBasisCtx:
 
 def build_as2(nb: NormalBasisCtx) -> ExtBasisCtx:
     """Quadratic extension basis: b^2 = b + a (always defined; trace(a) = 1)."""
-    return ExtBasisCtx(nb, "as2", ("b",), ((0,), (1,)))
+    return ExtBasisCtx(nb, "as2")
 
 
 def build_kummer3(nb: NormalBasisCtx) -> ExtBasisCtx:
@@ -142,28 +172,29 @@ def build_kummer3(nb: NormalBasisCtx) -> ExtBasisCtx:
         raise NoKummerExtensionError(
             "cubic Kummer construction requires a primitive basis generator; "
             "this one is a non-cube but does not generate the multiplicative group")
-    return ExtBasisCtx(nb, "k3", ("b",), ((0,), (1,), (2,)))
+    return ExtBasisCtx(nb, "k3")
 
 
 def build_asw4(nb: NormalBasisCtx) -> ExtBasisCtx:
     """Quartic tower basis from length-2 Witt vectors: b0^2 = b0 + a,
     b1^2 = b1 + (1+a)b0 + a^2 (defined for even n only).
 
-    The rules are derived from W_2 arithmetic and must equal the ones that
-    _asw4_mul / _asw4_square and the oracle hard-code; a mismatch refuses
-    construction."""
+    The rules are derived from W_2 arithmetic and must equal RULES["asw4"],
+    evaluated here over symbolic b0, b1; a mismatch refuses construction."""
     if nb.n % 2 != 0:
         raise UnsupportedDegreeError(
             "quartic tower rules define a field only for even n "
             "(the defining quadratic for b1 becomes reducible for odd n)")
-    one, a = nb.one(), nb.alpha_coords()
-    programmed = ({(1, 0): one, (0, 0): a},
-                  {(0, 1): one, (1, 0): one ^ a, (0, 0): frobenius_shift(nb.n, a)})
-    if tuple(asw4_reduction_rules(nb)) != programmed:
+    a = SymPoly.const(nb, nb.alpha_coords())
+    gens, stated = [], []
+    for k, rule in enumerate(RULES["asw4"]):  # y^2 = y + c
+        y = SymPoly.gen(nb, k)
+        stated.append((y + rule.rhs(SymPoly.__mul__, a, *gens)).terms)
+        gens.append(y)
+    if list(asw4_reduction_rules(nb)) != stated:
         raise ConstructionContradictionError(
-            "Witt-derived quartic rules differ from the programmed ones")
-    monomials = ((0, 0), (1, 0), (0, 1), (1, 1))
-    return ExtBasisCtx(nb, "asw4", ("b0", "b1"), monomials)
+            "Witt-derived quartic rules differ from RULES['asw4']")
+    return ExtBasisCtx(nb, "asw4")
 
 
 def build_ka6(nb: NormalBasisCtx) -> ExtBasisCtx:
@@ -173,8 +204,7 @@ def build_ka6(nb: NormalBasisCtx) -> ExtBasisCtx:
     if element_is_cube(as2, quad_generator(as2)):
         raise NoKummerExtensionError(
             "quadratic generator is a cube in F_{2^(2n)}; x^3 - b is reducible")
-    monomials = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
-    return ExtBasisCtx(nb, "ka6", ("b", "g"), monomials)
+    return ExtBasisCtx(nb, "ka6")
 
 
 def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:

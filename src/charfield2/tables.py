@@ -7,11 +7,12 @@ are compared against the closed-form per-table counts.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import bitpoly
 from . import field as gf
 from .errors import ConstructionContradictionError, DomainError
-from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
+from .extbasis import RULES, ExtBasisCtx, ExtElem, _monomials, _pack, _unpack
 from .linalg import mat_invert, mat_transpose, parity, row_apply
 from .normal import NormalBasisCtx, basis_products
 
@@ -180,38 +181,32 @@ class OracleEmbedding:
 
     def __init__(self, source):
         if isinstance(source, ExtBasisCtx):
-            self.ext = source
-            nb = source.base
-            d = source.d
-        elif isinstance(source, NormalBasisCtx):
-            self.ext = None
-            nb = source
-            d = 1
+            nb, self.rules = source.base, RULES[source.kind]
+        elif isinstance(source, NormalBasisCtx):  # the kind with no generators
+            nb, self.rules = source, ()
         else:
             raise DomainError("source must be a normal or extended basis context")
+        monomials = _monomials(self.rules)
         self.base = nb
-        self.d = d
-        self.m = nb.n * d
+        self.d = len(monomials)
+        self.m = nb.n * self.d
         self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m), check_irreducible=False)
         big = self.big
 
         # image of the base field: least root of its modulus in the big field
         self.root = least_conjugate_root(big, nb.field.modulus)
-        alpha_img = self._eval_base(nb.alpha)
-        self.alpha_img = alpha_img
-        conj = []
-        cur = alpha_img
-        for _ in range(nb.n):
-            conj.append(cur)
-            cur = gf.square(big, cur)
-        self.alpha_conj = conj
-
+        self.alpha_img = self._eval_base(nb.alpha)
         self.gen_images = self._solve_generators()
-        mono_imgs = self._monomial_images()
+        conj = [self.alpha_img]
+        for _ in range(nb.n - 1):
+            conj.append(gf.square(big, conj[-1]))
         images = []
-        for mono in mono_imgs:
-            for i in range(nb.n):
-                images.append(gf.poly_mul_mod(big, conj[i], mono))
+        for mono in monomials:
+            img = 1
+            for y, e in zip(self.gen_images.values(), mono):
+                for _ in range(e):
+                    img = gf.poly_mul_mod(big, img, y)
+            images += [gf.poly_mul_mod(big, c, img) for c in conj]
         self.basis_images = images
         inv = mat_invert(images, self.m)
         if inv is None:
@@ -230,46 +225,19 @@ class OracleEmbedding:
         return out
 
     def _solve_generators(self):
+        """Least root in the big field of each rule, in adjunction order."""
         big = self.big
-        a = self.alpha_img
-        if self.ext is None:
-            return {}
-        kind = self.ext.kind
-        if kind == "as2":
-            return {"b": self._as_root(a)}
-        if kind == "k3":
-            return {"b": find_roots(big, [a, 0, 0, 1])[0]}
-        if kind == "asw4":
-            b0 = self._as_root(a)
-            a2 = gf.square(big, a)
-            c = gf.poly_mul_mod(big, a ^ 1, b0) ^ a2  # (1+a)b0 + a^2
-            b1 = self._as_root(c)
-            return {"b0": b0, "b1": b1}
-        if kind == "ka6":
-            b = self._as_root(a)
-            g = find_roots(big, [b, 0, 0, 1])[0]
-            return {"b": b, "g": g}
-        raise DomainError(f"unknown kind {kind!r}")
-
-    def _as_root(self, c: int) -> int:
-        sols = gf.solve_artin_schreier(self.big, c)
-        if not sols:
-            raise ConstructionContradictionError(
-                "defining quadratic has no root in the big field")
-        return sols[0]
-
-    def _monomial_images(self):
-        big = self.big
-        if self.ext is None:
-            return [1]
-        out = []
-        for mono in self.ext.monomials:
-            img = 1
-            for gen, e in zip(self.ext.gens, mono):
-                for _ in range(e):
-                    img = gf.poly_mul_mod(big, img, self.gen_images[gen])
-            out.append(img)
-        return out
+        mul = partial(gf.poly_mul_mod, big)
+        images = {}
+        for gen, degree, rhs in self.rules:
+            c = rhs(mul, self.alpha_img, *images.values())
+            roots = (gf.solve_artin_schreier(big, c) if degree == 2
+                     else find_roots(big, [c, 0, 0, 1]))
+            if not roots:
+                raise ConstructionContradictionError(
+                    f"the defining rule of {gen} has no root in the big field")
+            images[gen] = roots[0]
+        return images
 
     # conversions ------------------------------------------------------
     def embed_blocks(self, blocks) -> int:
@@ -285,27 +253,16 @@ class OracleEmbedding:
         return _unpack(flat, self.base.n, self.d)
 
     def check_rules(self) -> bool:
-        """Plug each construction rule back in via big-field arithmetic."""
-        big = self.big
-        a = self.alpha_img
-        g = self.gen_images
-        sq = lambda t: gf.square(big, t)
-        mul = lambda u, v: gf.poly_mul_mod(big, u, v)
-        if self.ext is None:
-            return True
-        kind = self.ext.kind
-        if kind == "as2":
-            return sq(g["b"]) == g["b"] ^ a
-        if kind == "k3":
-            return mul(sq(g["b"]), g["b"]) == a
-        if kind == "asw4":
-            ok0 = sq(g["b0"]) == g["b0"] ^ a
-            rhs = g["b1"] ^ mul(a ^ 1, g["b0"]) ^ sq(a)
-            return ok0 and sq(g["b1"]) == rhs
-        if kind == "ka6":
-            ok0 = sq(g["b"]) == g["b"] ^ a
-            return ok0 and mul(sq(g["g"]), g["g"]) == g["b"]
-        return False
+        """Plug each generator image back into its rule with big-field products."""
+        mul = partial(gf.poly_mul_mod, self.big)
+        earlier = []
+        for gen, degree, rhs in self.rules:
+            y = self.gen_images[gen]
+            lhs = mul(y, y) ^ y if degree == 2 else mul(mul(y, y), y)
+            if lhs != rhs(mul, self.alpha_img, *earlier):
+                return False
+            earlier.append(y)
+        return True
 
 
 def build_embedding(source) -> OracleEmbedding:

@@ -122,6 +122,8 @@ class SymPoly:
             out[k] = out.get(k, 0) ^ v
         return SymPoly(self.nb, out)
 
+    __xor__ = __add__
+
     def __mul__(self, other):
         out = {}
         for (a0, a1), u in self.terms.items():

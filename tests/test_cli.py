@@ -301,6 +301,17 @@ def test_search_rejects_mismatched_modulus(capsys):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "3", "--modulus", "1+x+x^2"),
+    ("tables", "--n", "3", "--modulus", "1+x+x^2", "--alpha", "x"),
+    ("cross-sums", "--n", "3", "--modulus", "1+x+x^2", "--alpha", "x"),
+])
+def test_mismatched_modulus_is_one_error_everywhere(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: modulus degree 2 does not match --n 3\n"
+
+
 def test_search_n64_first_hit_after_trace_zero_prefix(capsys):
     """At n = 64 every candidate below 2^61 has trace 0; the scan skips them
     and its first hit, x^61, has conjugates of full rank."""

@@ -80,6 +80,26 @@ def test_build_ka6_rejects_cube_quadratic_generator():
     assert xb.build_ka6(nb_alt).m == 24
 
 
+@pytest.mark.parametrize("kind,gens,monomials", [
+    ("as2", ("b",), ((0,), (1,))),
+    ("k3", ("b",), ((0,), (1,), (2,))),
+    ("asw4", ("b0", "b1"), ((0, 0), (1, 0), (0, 1), (1, 1))),
+    ("ka6", ("b", "g"), ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))),
+])
+def test_rules_fix_each_kinds_generators_and_block_layout(kind, gens, monomials):
+    """The monomial order read off RULES is the block layout behind every
+    golden: block j holds the coefficient of monomials[j]."""
+    ctx = xb.ExtBasisCtx(NB2, kind)
+    assert (ctx.gens, ctx.monomials, ctx.d) == (gens, monomials, len(monomials))
+    assert tuple(rule.gen for rule in xb.RULES[kind]) == gens
+
+
+def test_kinds_are_the_rule_table_keys():
+    assert xb.KINDS == tuple(xb.RULES) == KINDS
+    with pytest.raises(DomainError):
+        xb.ExtBasisCtx(NB2, "k9")
+
+
 def test_build_kind_dispatch():
     assert xb.build_kind(NB2, "as2").kind == "as2"
     assert xb.build_kind(NB2, "ka6").kind == "ka6"

@@ -1,11 +1,12 @@
 """Tests for the oracle embedding, brute-force tables, and closed-form counts."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, witt
+from charfield2 import bitpoly, cli, extbasis as xb, field as gf, normal, tables, witt
 from charfield2.errors import (ConstructionContradictionError, DomainError,
                                NoKummerExtensionError, UnsupportedDegreeError)
 from charfield2.fixtures import fixture_degrees, get_fixture
@@ -124,8 +125,10 @@ def test_check_rules_rejects_a_broken_generator_image(kind):
 
     XOR 2 moves the image off every rule; XOR 1 would not do for as2's b or
     asw4's b1, since y + 1 solves y^2 + y = c whenever y does."""
-    emb = tables.build_embedding(xb.build_kind(NB2, kind))
-    for gen in emb.ext.gens:
+    ctx = xb.build_kind(NB2, kind)
+    emb = tables.build_embedding(ctx)
+    assert tuple(emb.gen_images) == ctx.gens
+    for gen in ctx.gens:
         good = emb.gen_images[gen]
         emb.gen_images[gen] = good ^ 2
         assert not emb.check_rules(), gen
@@ -134,14 +137,85 @@ def test_check_rules_rejects_a_broken_generator_image(kind):
 
 
 def test_build_asw4_refuses_rules_that_differ_from_the_programs(monkeypatch):
-    """Negative control: a Witt derivation that disagrees with the hard-coded
-    programs refuses construction."""
+    """Negative control: a Witt derivation that disagrees with RULES["asw4"]
+    refuses construction."""
     rule_b0, rule_b1 = witt.asw4_reduction_rules(NB2)
     wrong_b1 = dict(rule_b1)
     wrong_b1[(0, 0)] ^= 1
     monkeypatch.setattr(xb, "asw4_reduction_rules", lambda nb: (rule_b0, wrong_b1))
     with pytest.raises(ConstructionContradictionError):
         xb.build_asw4(NB2)
+
+
+def test_build_asw4_refuses_a_wrong_stated_rule(monkeypatch):
+    """Negative control: RULES["asw4"] with b1's side missing its a^2 term
+    disagrees with the Witt derivation, which refuses construction."""
+    rule_b0, rule_b1 = xb.RULES["asw4"]
+    wrong_b1 = rule_b1._replace(rhs=lambda mul, a, b0: b0 ^ mul(a, b0))
+    monkeypatch.setitem(xb.RULES, "asw4", (rule_b0, wrong_b1))
+    with pytest.raises(ConstructionContradictionError):
+        xb.build_asw4(NB2)
+
+
+def test_oracle_solves_the_stated_rules(monkeypatch):
+    """Negative control: RULES["as2"] changed after the context is built to
+    b^2 + b = a^2 moves the oracle's b to a root of the new rule, so the big
+    field's b*b = b + a^2 disagrees with the as2 program's b + a."""
+    for nb in (NB2, NB4):
+        ctx = xb.build_as2(nb)
+        monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
+        emb = tables.build_embedding(ctx)
+        assert emb.check_rules()
+        b = emb.embed_ext(xb.generator_element(ctx, "b"))
+        b_squared = xb.mul(ctx, xb.generator_element(ctx, "b"),
+                           xb.generator_element(ctx, "b"))
+        assert emb.embed_ext(b_squared) != gf.poly_mul_mod(emb.big, b, b)
+        monkeypatch.undo()
+        emb = tables.build_embedding(ctx)
+        assert emb.embed_ext(b_squared) == gf.square(emb.big, emb.gen_images["b"])
+
+
+def _charfield2_modules():
+    return [mod for name, mod in sys.modules.items()
+            if name == "charfield2" or name.startswith("charfield2.")]
+
+
+def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
+    """With the normal-basis products and the extended programs made to raise
+    at every binding, every kind at n = 2 and 4 still embeds, passes its rule
+    check, and yields tables that verify: the oracle reads only RULES."""
+    sources = [get_fixture(n).basis() for n in (2, 4)]
+    for kind in xb.KINDS:
+        for n in (2, 4):
+            nb = cli._basis_for_kind(kind, n)
+            if nb is not None:
+                sources.append(xb.build_kind(nb, kind))
+    assert {s.kind for s in sources[2:]} == set(xb.KINDS)
+    assert len(sources) == 10
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used the arithmetic under test")
+
+    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square)
+    for mod in _charfield2_modules():
+        for attr, obj in list(vars(mod).items()):
+            if any(obj is fn for fn in under_test):
+                monkeypatch.setattr(mod, attr, forbidden)
+    with pytest.raises(AssertionError):
+        xb.mul(sources[2], xb.zero(sources[2]), xb.zero(sources[2]))
+    for source in sources:
+        emb = tables.build_embedding(source)
+        assert emb.check_rules()
+        ts = tables.build_tables(emb)
+        assert tables.verify_table_entries(emb, ts) == []
+
+
+def test_embedding_of_plain_normal_basis_has_no_generators():
+    """A plain normal basis is the kind with no generators."""
+    for nb in (NB2, NB4):
+        emb = tables.build_embedding(nb)
+        assert emb.d == 1 and emb.gen_images == {}
+        assert emb.check_rules()
 
 
 def test_embedding_of_plain_normal_basis():
