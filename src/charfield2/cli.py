@@ -23,7 +23,7 @@ import time
 
 from . import bitpoly, extbasis, field as gf, fixtures, normal, tables, tower
 from .errors import (CharField2Error, ConstructionContradictionError,
-                     MissingFixtureError, NoKummerExtensionError,
+                     DomainError, MissingFixtureError, NoKummerExtensionError,
                      NotNormalError, UnsupportedDegreeError)
 
 _KIND_CHOICES = extbasis.KINDS
@@ -106,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only elements generating the multiplicative group")
     p.add_argument("--limit", type=int, default=10,
                    help="stop after this many hits (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel scan processes (default %(default)s)")
     common(p)
 
     return parser
@@ -164,9 +162,9 @@ def _resolve_basis(n, modulus, alpha, require_primitive=False):
     return normal.build_normal_basis(ctx, a), None
 
 
-def _basis_for_kind(kind, n, tries=60):
+def _basis_for_kind(kind, n):
     """A normal basis over which `kind` exists at degree n: the pinned
-    fixture when suitable, else the first suitable searched element.
+    fixture when suitable, else the first suitable of 60 searched elements.
     Returns None when no candidate admits the kind."""
     if kind == "asw4" and n % 2 != 0:
         return None
@@ -181,7 +179,7 @@ def _basis_for_kind(kind, n, tries=60):
         cands = []
     want_primitive = kind == "k3"
     cands += [a for a in normal.search_normal_elements(
-        ctx, require_primitive=want_primitive, limit=tries) if a not in cands]
+        ctx, require_primitive=want_primitive, limit=60) if a not in cands]
     for a in cands:
         nb = normal.build_normal_basis(ctx, a)
         try:
@@ -407,6 +405,8 @@ def _verify_checks(args):
 
 
 def cmd_verify(args) -> int:
+    if args.limit < 0:
+        raise DomainError(f"--limit must be at least 0, got {args.limit}")
     checks = [
         {"name": name, "kind": kind, "n": n, "ok": ok, "detail": detail}
         for name, kind, n, ok, detail in _verify_checks(args)
@@ -423,6 +423,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.limit < 1:
+        raise DomainError(f"--limit must be at least 1, got {args.limit}")
     nb, _ = _resolve_basis(args.n, args.modulus, args.alpha,
                            require_primitive=args.kind == "k3")
     ctx = extbasis.build_kind(nb, args.kind)
@@ -475,7 +477,7 @@ def cmd_search(args) -> int:
     ctx = _field_for(args.n, args.modulus)
     hits = normal.search_normal_elements(
         ctx, require_primitive=args.require_primitive,
-        limit=args.limit, workers=args.workers)
+        limit=args.limit)
     header = ("element", "element_hex", "table_weight", "density", "cross_sum")
     rows = []
     for a in hits:

@@ -10,8 +10,6 @@ XORs, so the density d(N) = n * w(N) is its cost. The paper's n product
 tables z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-
 from . import field as gf
 from .errors import DomainError, NotNormalError
 from .linalg import mat_invert, parity, row_apply
@@ -176,42 +174,24 @@ def cross_product_sum(nb: NormalBasisCtx) -> int:
     return sum(row_apply(nb.table, u).bit_count() for u in basis_products(nb))
 
 
-def _scan(ctx: gf.FieldCtx, require_primitive: bool, start: int, stop: int,
-          limit: int = None):
-    """Normal elements among candidates start..stop-1, ascending, at most `limit`.
+def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,
+                           limit: int = None):
+    """Normal elements of F_{2^n} in ascending order (optionally only primitive ones).
 
-    Normal elements have trace 1, and every candidate below the least
-    monomial of trace 1 has trace 0, so the scan starts there.
+    Scans candidates 1..2^n-1 and stops after `limit` hits; `limit` None scans
+    them all, and a `limit` below 1 is a DomainError. Normal elements have
+    trace 1, and every candidate below the least monomial of trace 1 has
+    trace 0, so the scan starts there.
     """
+    if limit is not None and limit < 1:
+        raise DomainError(f"limit must be at least 1, got {limit}")
     trace = ctx.normality_maps[0]
     found = []
-    for a in range(max(start, trace & -trace), stop):
+    for a in range(trace & -trace, 1 << ctx.n):
         if is_normal_element(ctx, a):
             if require_primitive and not gf.is_primitive(ctx, a):
                 continue
             found.append(a)
-            if limit is not None and len(found) >= limit:
+            if len(found) == limit:
                 break
     return found
-
-
-def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,
-                           limit: int = None, workers: int = 1):
-    """Normal elements of F_{2^n} in ascending candidate order (optionally primitive).
-
-    Scans candidates 1..2^n-1; stops after `limit` hits (scans all when None).
-    With workers > 1 the range is partitioned and results merged in candidate order.
-    """
-    top = 1 << ctx.n
-    if not (workers and workers > 1 and top > 4096):
-        return _scan(ctx, require_primitive, 1, top, limit)
-    chunk = (top + workers - 1) // workers
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan, ctx, require_primitive, s, min(s + chunk, top), limit)
-                   for s in range(1, top, chunk)]
-        for fut in futures:  # submission order == candidate order
-            out.extend(fut.result())
-            if limit is not None and len(out) >= limit:
-                break
-    return out[:limit] if limit is not None else out

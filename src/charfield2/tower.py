@@ -128,7 +128,7 @@ class TowerReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def build_tower_report(nb: NormalBasisCtx, with_witnesses: bool = True) -> TowerReport:
+def build_tower_report(nb: NormalBasisCtx) -> TowerReport:
     """Evaluate every two-step tower predicate over one normal basis.
 
     k3_over_k3 is None when no cubic Kummer step exists to build upon.
@@ -151,18 +151,17 @@ def build_tower_report(nb: NormalBasisCtx, with_witnesses: bool = True) -> Tower
         witnesses["as2_over_k3"] = f"vacuous, no cubic step exists here: {exc}"
         witnesses["k3_over_k3"] = f"no cubic step exists here: {exc}"
     else:
-        if with_witnesses:
-            beta = extbasis.generator_element(k3, "b")
-            if ext_trace(k3, beta) != extbasis.zero(k3):
-                raise ConstructionContradictionError(
-                    "cube-root generator has nonzero absolute trace")
-            gamma = artin_schreier_preimage(k3, beta)
-            if gamma is None:
-                raise ConstructionContradictionError(
-                    "no quadratic preimage despite zero trace")
-            witnesses["as2_over_k3"] = (
-                "trace(b) = 0; y with y^2 + y = b: "
-                + extbasis.ext_to_hex(k3, gamma))
+        beta = extbasis.generator_element(k3, "b")
+        if ext_trace(k3, beta) != extbasis.zero(k3):
+            raise ConstructionContradictionError(
+                "cube-root generator has nonzero absolute trace")
+        gamma = artin_schreier_preimage(k3, beta)
+        if gamma is None:
+            raise ConstructionContradictionError(
+                "no quadratic preimage despite zero trace")
+        witnesses["as2_over_k3"] = (
+            "trace(b) = 0; y with y^2 + y = b: "
+            + extbasis.ext_to_hex(k3, gamma))
         k3k3 = bicubic_possible(n, nb)
         q = ((1 << (3 * n)) - 1) // ((1 << n) - 1)
         witnesses["k3_over_k3"] = f"v3((2^{3 * n} - 1)/(2^{n} - 1)) = v3({q}) = {v3(q)}"

@@ -345,6 +345,21 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "4", "--workers", "2"])  # no such flag
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "4", "--limit", "0"),
+    ("search", "--n", "4", "--limit", "-1"),
+    ("bench", "--kind", "as2", "--n", "4", "--limit", "0"),
+    ("verify", "--n", "2", "--limit", "-1"),
+])
+def test_out_of_range_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -380,6 +395,18 @@ def test_console_script_entry_point():
                             capture_output=True, text=True)
     assert script.returncode == proc.returncode
     assert script.stdout == proc.stdout
+
+
+def test_import_starts_no_process_machinery():
+    """Importing the package and its CLI loads neither multiprocessing nor
+    concurrent.futures: the normal-element scan is serial."""
+    code = ("import charfield2, charfield2.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # --- byte identity with the benchmark goldens ------------------------------

@@ -318,6 +318,8 @@ def test_search_normal_elements_ascending_and_limited():
     assert len(first) == 3
     assert first == normal.search_normal_elements(F16)[:3]
     assert all(normal.is_normal_element(F16, a) for a in first)
+    with pytest.raises(DomainError):
+        normal.search_normal_elements(F16, limit=0)
 
 
 def test_search_primitive_filter():
@@ -326,10 +328,3 @@ def test_search_primitive_filter():
     assert all(gf.is_primitive(F16, a) for a in prim)
     assert all(normal.is_normal_element(F16, a) for a in prim)
     assert set(prim) <= set(normal.search_normal_elements(F16))
-
-
-def test_search_workers_agree_with_serial():
-    f = gf.FieldCtx(0b10000000011011)  # degree 13 keeps the parallel path honest
-    serial = normal.search_normal_elements(f, limit=8)
-    parallel = normal.search_normal_elements(f, limit=8, workers=2)
-    assert serial == parallel
