@@ -3,9 +3,9 @@
 Carry-less polynomial arithmetic over F_2, field contexts for F_{2^n},
 normal-basis construction with multiplication tables and cross-product
 sums, quadratic/cubic-Kummer/quartic/sextic extended bases with exactly
-counted arithmetic, truncated length-2 Witt vectors, tower existence
-predicates, an independent big-field oracle embedding for verification,
-and a reproduction corpus of reference densities.
+counted arithmetic, the quartic rules derived from length-2 Witt vectors,
+tower existence predicates, an independent big-field oracle embedding for
+verification, and a reproduction corpus of reference densities.
 """
 
 from . import bitpoly, field, fixtures, linalg, normal, tables, tower, witt
@@ -28,7 +28,6 @@ from .tables import (CountReport, OracleEmbedding, TableSet, build_embedding,
 from .tower import (TowerReport, as2_over_k3_possible, bicubic_possible,
                     biquadratic_possible, build_tower_report,
                     kummer_over_as2_possible)
-from .witt import W2Vector, w2_add, w2_mul, w2_neg, w2_one, w2_zero, wp_map
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "table_mul", "verify_table_counts", "verify_table_entries",
     "TowerReport", "as2_over_k3_possible", "bicubic_possible",
     "biquadratic_possible", "build_tower_report", "kummer_over_as2_possible",
-    "W2Vector", "w2_add", "w2_mul", "w2_neg", "w2_one", "w2_zero", "wp_map",
     "bitpoly", "field", "fixtures", "linalg", "normal", "tables", "tower",
     "witt", "__version__",
 ]

@@ -63,23 +63,6 @@ def poly_gcd(a: BitPoly, b: BitPoly) -> BitPoly:
     return a
 
 
-def poly_mulmod(a: BitPoly, b: BitPoly, m: BitPoly) -> BitPoly:
-    """a*b mod m."""
-    return poly_mod(poly_mul(a, b), m)
-
-
-def poly_powmod(a: BitPoly, e: int, m: BitPoly) -> BitPoly:
-    """a^e mod m for e >= 0."""
-    result = poly_mod(1, m)
-    a = poly_mod(a, m)
-    while e:
-        if e & 1:
-            result = poly_mulmod(result, a, m)
-        a = poly_mod(poly_square(a), m)
-        e >>= 1
-    return result
-
-
 def is_irreducible(f: BitPoly) -> bool:
     """Rabin test: x^(2^n) == x mod f and gcd(x^(2^(n/q)) - x, f) = 1 for prime q | n."""
     n = degree(f)

@@ -71,10 +71,6 @@ class OpCounter:
     def as_tuple(self):
         return (self.base_mults, self.base_adds, self.table_vector_products)
 
-    def as_dict(self):
-        return {"base_mults": self.base_mults, "base_adds": self.base_adds,
-                "table_vector_products": self.table_vector_products}
-
     @contextmanager
     def paused(self):
         """Run a block without letting it disturb the tally."""

@@ -283,9 +283,6 @@ class TableSet:
     per_table_nonzeros: list
     density: int
 
-    def entry(self, k: int, i: int, j: int) -> int:
-        return (self.tables[k][i] >> j) & 1
-
 
 def build_tables(emb: OracleEmbedding) -> TableSet:
     """Brute-force tables: expand every basis product over the basis.  The

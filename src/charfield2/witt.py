@@ -1,19 +1,18 @@
-"""Length-2 Witt vectors over F_{2^n} and the quartic reduction-rule derivation.
+"""Length-2 Witt vector formulas and the quartic reduction-rule derivation.
 
 W_2(F_{2^n}) elements are pairs (x0, x1) of field elements with
     (x0,x1) + (y0,y1) = (x0+y0, x1+y1+x0*y0)
     (x0,x1) * (y0,y1) = (x0*y0, x1*y0^2 + y1*x0^2)
 The additive inverse of (a,b) is (a, b+a^2); the ring has characteristic 4.
+The formulas take the component ring's operations as arguments; the package
+evaluates them symbolically, over polynomials in the quartic generators.
 """
 
-from dataclasses import dataclass
-
-from . import field as gf
 from .errors import DomainError
 from .normal import NormalBasisCtx, normal_mul
 
 
-# --- generic Witt formulas (shared by concrete and symbolic evaluation) ---
+# --- Witt formulas, generic in the component ring's operations ---
 
 def _w2_add(add, mul, x, y):
     return (add(x[0], y[0]), add(add(x[1], y[1]), mul(x[0], y[0])))
@@ -24,76 +23,9 @@ def _w2_mul(add, mul, square, x, y):
 
 
 def _wp(add, mul, square, x):
+    """The additive map (x0, x1) -> (x0^2 + x0, x1^2 + x1 + x0^3)."""
     frob = (square(x[0]), square(x[1]))
     return _w2_add(add, mul, frob, x)
-
-
-# --- concrete Witt vectors over a field context ---
-
-@dataclass(frozen=True)
-class W2Vector:
-    """A length-2 Witt vector over F_{2^n} (components in polynomial coordinates)."""
-    ctx: gf.FieldCtx
-    x0: int
-    x1: int
-
-    def __post_init__(self):
-        gf.validate(self.ctx, self.x0)
-        gf.validate(self.ctx, self.x1)
-
-    def pair(self):
-        return (self.x0, self.x1)
-
-
-def _same_ctx(x: W2Vector, y: W2Vector) -> gf.FieldCtx:
-    if x.ctx != y.ctx:
-        raise DomainError("Witt vectors from different field contexts")
-    return x.ctx
-
-
-def w2_zero(ctx: gf.FieldCtx) -> W2Vector:
-    return W2Vector(ctx, 0, 0)
-
-
-def w2_one(ctx: gf.FieldCtx) -> W2Vector:
-    return W2Vector(ctx, 1, 0)
-
-
-def w2_add(x: W2Vector, y: W2Vector) -> W2Vector:
-    ctx = _same_ctx(x, y)
-    mul = lambda a, b: gf.poly_mul_mod(ctx, a, b)
-    r = _w2_add(int.__xor__, mul, x.pair(), y.pair())
-    return W2Vector(ctx, *r)
-
-
-def w2_neg(x: W2Vector) -> W2Vector:
-    """Additive inverse: (a, b) -> (a, b + a^2)."""
-    return W2Vector(x.ctx, x.x0, x.x1 ^ gf.square(x.ctx, x.x0))
-
-
-def w2_mul(x: W2Vector, y: W2Vector) -> W2Vector:
-    ctx = _same_ctx(x, y)
-    mul = lambda a, b: gf.poly_mul_mod(ctx, a, b)
-    sq = lambda a: gf.square(ctx, a)
-    r = _w2_mul(int.__xor__, mul, sq, x.pair(), y.pair())
-    return W2Vector(ctx, *r)
-
-
-def wp_map(x: W2Vector) -> W2Vector:
-    """The additive map (x0, x1) -> (x0^2 + x0, x1^2 + x1 + x0^3)."""
-    ctx = x.ctx
-    mul = lambda a, b: gf.poly_mul_mod(ctx, a, b)
-    sq = lambda a: gf.square(ctx, a)
-    r = _wp(int.__xor__, mul, sq, x.pair())
-    return W2Vector(ctx, *r)
-
-
-def w2_enumerate(ctx: gf.FieldCtx):
-    """All 4^n Witt vectors over F_{2^n} (for small n)."""
-    top = 1 << ctx.n
-    for x0 in range(top):
-        for x1 in range(top):
-            yield W2Vector(ctx, x0, x1)
 
 
 # --- symbolic layer: polynomials in two generators over normal coordinates ---
@@ -159,9 +91,6 @@ class SymPoly:
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self.terms == other.terms
 
-    def is_zero(self):
-        return not self.terms
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(0)"
@@ -211,17 +140,3 @@ def _isolate(poly: SymPoly, mono):
 def _as_dict(poly: SymPoly):
     return dict(poly.terms)
 
-
-def asw4_rules_plugback(nb: NormalBasisCtx) -> bool:
-    """Check wp((b0,b1)) + (alpha,alpha) == (0,0) symbolically under the rules."""
-    rule_b0, rule_b1 = asw4_reduction_rules(nb)
-    rules = {0: SymPoly(nb, rule_b0), 1: SymPoly(nb, rule_b1)}
-    b0 = SymPoly.gen(nb, 0)
-    b1 = SymPoly.gen(nb, 1)
-    alpha = SymPoly.const(nb, nb.alpha_coords())
-    add = SymPoly.__add__
-    mul = SymPoly.__mul__
-
-    s = _wp(add, mul, lambda p: p.square(), (b0, b1))
-    t = _w2_add(add, mul, s, (alpha, alpha))
-    return t[0].reduce(rules).is_zero() and t[1].reduce(rules).is_zero()

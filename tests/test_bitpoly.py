@@ -115,21 +115,6 @@ def test_poly_gcd_common_factor(a, b):
     assert bitpoly.poly_mod(g, c) == 0
 
 
-@given(polys, polys, st.integers(min_value=2, max_value=(1 << 16) - 1))
-def test_poly_mulmod_matches_mul_then_mod(a, b, m):
-    expected = bitpoly.poly_mod(bitpoly.poly_mul(a, b), m)
-    assert bitpoly.poly_mulmod(a, b, m) == expected
-
-
-@given(polys, st.integers(min_value=0, max_value=64),
-       st.integers(min_value=2, max_value=(1 << 16) - 1))
-def test_poly_powmod_matches_repeated_mul(a, e, m):
-    acc = bitpoly.poly_mod(1, m)
-    for _ in range(e):
-        acc = bitpoly.poly_mulmod(acc, a, m)
-    assert bitpoly.poly_powmod(a, e, m) == acc
-
-
 def _brute_irreducible(f):
     """Trial division by every lower-degree polynomial of degree >= 1."""
     d = bitpoly.degree(f)

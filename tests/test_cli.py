@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from charfield2 import bitpoly, field as gf, normal
+from charfield2 import bitpoly, extbasis, field as gf, normal
 from charfield2.cli import main
 from charfield2.linalg import mat_rank
 
@@ -224,6 +224,22 @@ def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypat
     assert skips == [("as2", 5), ("k3", 4)]
 
 
+def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
+    """The predicate and the sextic builder share extbasis.element_is_cube;
+    the row also checks the predicate against the oracle's cube test, so a
+    wrong cube test turns the row to "no"."""
+    cube = extbasis.element_is_cube
+    monkeypatch.setattr(extbasis, "element_is_cube",
+                        lambda ctx, x: not cube(ctx, x))
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--kind", "as2",
+                           "--limit", "2", "--format", "csv")
+    _, rows = parse_csv(out)
+    tower = [r for r in rows if r[0] == "tower_kummer_over_quadratic"]
+    assert code == 1
+    assert [(r[2], r[3]) for r in tower] == [("1", "no"), ("2", "no")]
+    assert {r[4] for r in tower} == {"predicate vs sextic builder outcome"}
+
+
 def test_verify_verdicts_are_seed_independent(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "8",
                          "--seed", "1")
@@ -255,15 +271,6 @@ def test_bench_counts_exact(capsys):
     assert (sq_row["base_mults"], sq_row["base_adds"],
             sq_row["table_vector_products"]) == ("0", "0", "1")
     assert "mean" in err  # timing goes to stderr by default
-
-
-def test_bench_timing_column_is_opt_in(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--kind", "as2", "--n", "2",
-                           "--limit", "3", "--timing")
-    header, rows = parse_csv(out)
-    assert code == 0
-    assert header[-1] == "mean_ns"
-    assert all(int(r[-1]) >= 0 for r in rows)
 
 
 def test_bench_output_is_deterministic(capsys):
@@ -339,15 +346,18 @@ def test_malformed_degree_cap_is_an_error(capsys, monkeypatch):
 # --- generic plumbing ------------------------------------------------------
 
 def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["tables"])  # --n is required
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "4", "--workers", "2"])  # no such flag
-    assert exc.value.code == 2
+    for argv in (["tables"],  # --n is required
+                 ["no-such-command"],
+                 # no such flags: --seed exists on verify and bench only
+                 ["search", "--n", "4", "--workers", "2"],
+                 ["search", "--n", "4", "--seed", "1"],
+                 ["cross-sums", "--seed", "1"],
+                 ["densities", "--seed", "1"],
+                 ["tables", "--n", "2", "--seed", "1"],
+                 ["bench", "--kind", "as2", "--n", "2", "--timing"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -360,6 +370,18 @@ def test_out_of_range_limit_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "0"),
+    ("verify", "--n", "-1"),
+    ("densities", "--m", "0", "-6"),
+    ("densities", "--m", "6", "-6"),
+])
+def test_empty_verification_run_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must be at least 1" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -313,5 +313,3 @@ def test_counter_accumulates_and_pauses():
         xb.mul(ctx, x, y)
         xb.square(ctx, x)
     assert ctx.counter.as_tuple() == (6, 8, 2)
-    assert ctx.counter.as_dict() == {"base_mults": 6, "base_adds": 8,
-                                     "table_vector_products": 2}

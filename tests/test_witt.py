@@ -1,84 +1,87 @@
-"""Tests for length-2 Witt vector arithmetic and the quartic reduction rules."""
+"""Tests for the length-2 Witt vector formulas and the quartic reduction rules.
+
+The formulas `_w2_add`, `_w2_mul` and `_wp` take the component ring's
+operations as arguments; here they run on pairs of F_4 and F_8 elements.
+"""
 
 import itertools
 
 import pytest
 
 from charfield2 import field as gf, normal, witt
-from charfield2.errors import DomainError
+from charfield2.witt import SymPoly, _w2_add, _w2_mul, _wp
 
 F4 = gf.FieldCtx(0b111)
 F8 = gf.FieldCtx(0b1011)
-ALL4 = list(witt.w2_enumerate(F4))  # 16 vectors
 
 
-def test_enumerate_covers_the_ring():
-    assert len(ALL4) == 16
-    assert len({v.pair() for v in ALL4}) == 16
+def _ring(ctx):
+    """add, mul and square of W_2(ctx), each on (x0, x1) pairs."""
+    mul = lambda a, b: gf.poly_mul_mod(ctx, a, b)
+    sq = lambda a: gf.square(ctx, a)
+    return (lambda x, y: _w2_add(int.__xor__, mul, x, y),
+            lambda x, y: _w2_mul(int.__xor__, mul, sq, x, y),
+            lambda x: _wp(int.__xor__, mul, sq, x))
+
+
+def _pairs(ctx):
+    """All 4^n elements of W_2(F_{2^n})."""
+    return list(itertools.product(range(1 << ctx.n), repeat=2))
+
+
+ADD4, MUL4, WP4 = _ring(F4)
+ALL4 = _pairs(F4)  # 16 vectors
+ZERO, ONE = (0, 0), (1, 0)
 
 
 def test_zero_and_one_are_neutral():
-    z, e = witt.w2_zero(F4), witt.w2_one(F4)
     for v in ALL4:
-        assert witt.w2_add(v, z) == v
-        assert witt.w2_mul(v, e) == v
-        assert witt.w2_mul(v, z) == z
+        assert ADD4(v, ZERO) == v
+        assert MUL4(v, ONE) == v
+        assert MUL4(v, ZERO) == ZERO
 
 
 def test_addition_group_axioms():
     for x, y in itertools.product(ALL4, repeat=2):
-        assert witt.w2_add(x, y) == witt.w2_add(y, x)
+        assert ADD4(x, y) == ADD4(y, x)
     for x, y, z in itertools.product(ALL4[:8], ALL4[:8], ALL4[:8]):
-        lhs = witt.w2_add(witt.w2_add(x, y), z)
-        rhs = witt.w2_add(x, witt.w2_add(y, z))
-        assert lhs == rhs
+        assert ADD4(ADD4(x, y), z) == ADD4(x, ADD4(y, z))
 
 
 def test_neg_is_additive_inverse():
-    for v in ALL4:
-        assert witt.w2_add(v, witt.w2_neg(v)) == witt.w2_zero(F4)
+    """The additive inverse of (a, b) is (a, b + a^2)."""
+    for a, b in ALL4:
+        assert ADD4((a, b), (a, b ^ gf.square(F4, a))) == ZERO
 
 
 def test_multiplication_ring_axioms():
     for x, y in itertools.product(ALL4, repeat=2):
-        assert witt.w2_mul(x, y) == witt.w2_mul(y, x)
+        assert MUL4(x, y) == MUL4(y, x)
     for x, y, z in itertools.product(ALL4[:8], ALL4[:8], ALL4[:8]):
-        assert (witt.w2_mul(witt.w2_mul(x, y), z)
-                == witt.w2_mul(x, witt.w2_mul(y, z)))
-        lhs = witt.w2_mul(x, witt.w2_add(y, z))
-        rhs = witt.w2_add(witt.w2_mul(x, y), witt.w2_mul(x, z))
-        assert lhs == rhs
+        assert MUL4(MUL4(x, y), z) == MUL4(x, MUL4(y, z))
+        assert MUL4(x, ADD4(y, z)) == ADD4(MUL4(x, y), MUL4(x, z))
 
 
 def test_characteristic_four():
-    one = witt.w2_one(F4)
-    two = witt.w2_add(one, one)
-    assert two.pair() == (0, 1)
-    four = witt.w2_add(two, two)
-    assert four == witt.w2_zero(F4)
-    assert two != witt.w2_zero(F4)
-
-
-def test_mixed_context_rejected():
-    with pytest.raises(DomainError):
-        witt.w2_add(witt.w2_one(F4), witt.w2_one(F8))
+    two = ADD4(ONE, ONE)
+    assert two == (0, 1)
+    assert ADD4(two, two) == ZERO
+    assert two != ZERO
 
 
 def test_wp_map_known_value_and_additivity():
-    assert witt.wp_map(witt.W2Vector(F4, 1, 0)).pair() == (0, 1)
-    assert witt.wp_map(witt.w2_zero(F4)) == witt.w2_zero(F4)
+    assert WP4(ONE) == (0, 1)
+    assert WP4(ZERO) == ZERO
     for x, y in itertools.product(ALL4, repeat=2):
-        lhs = witt.wp_map(witt.w2_add(x, y))
-        rhs = witt.w2_add(witt.wp_map(x), witt.wp_map(y))
-        assert lhs == rhs
+        assert WP4(ADD4(x, y)) == ADD4(WP4(x), WP4(y))
 
 
 def test_wp_map_component_formula():
-    for v in ALL4:
-        img = witt.wp_map(v)
-        assert img.x0 == gf.square(F4, v.x0) ^ v.x0
-        cube = gf.poly_mul_mod(F4, gf.square(F4, v.x0), v.x0)
-        assert img.x1 == gf.square(F4, v.x1) ^ v.x1 ^ cube
+    for x0, x1 in ALL4:
+        img = WP4((x0, x1))
+        assert img[0] == gf.square(F4, x0) ^ x0
+        cube = gf.poly_mul_mod(F4, gf.square(F4, x0), x0)
+        assert img[1] == gf.square(F4, x1) ^ x1 ^ cube
 
 
 @pytest.mark.parametrize("n,modulus,alpha", [
@@ -87,8 +90,15 @@ def test_wp_map_component_formula():
     (6, 0b1000011, 0b111000),
 ])
 def test_asw4_rules_plug_back_to_zero(n, modulus, alpha):
+    """Under the derived rules, wp((b0, b1)) + (alpha, alpha) reduces to (0, 0)."""
     nb = normal.build_normal_basis(gf.FieldCtx(modulus), alpha)
-    assert witt.asw4_rules_plugback(nb)
+    rule_b0, rule_b1 = witt.asw4_reduction_rules(nb)
+    rules = {0: SymPoly(nb, rule_b0), 1: SymPoly(nb, rule_b1)}
+    gens = (SymPoly.gen(nb, 0), SymPoly.gen(nb, 1))
+    alpha_c = SymPoly.const(nb, nb.alpha_coords())
+    s = _wp(SymPoly.__add__, SymPoly.__mul__, SymPoly.square, gens)
+    t = _w2_add(SymPoly.__add__, SymPoly.__mul__, s, (alpha_c, alpha_c))
+    assert [c.reduce(rules).terms for c in t] == [{}, {}]
 
 
 def test_asw4_rule_shapes():
@@ -104,7 +114,8 @@ def test_asw4_rule_shapes():
 
 
 def _wp_fiber_size(ctx, target):
-    return sum(witt.wp_map(v).pair() == target for v in witt.w2_enumerate(ctx))
+    wp = _ring(ctx)[2]
+    return sum(wp(v) == target for v in _pairs(ctx))
 
 
 def test_wp_fiber_over_alpha_pair_is_empty():
@@ -120,12 +131,11 @@ def test_wp_fiber_over_alpha_pair_is_empty():
 
 def test_wp_kernel_size_tracks_parity():
     """ker wp is all of W_2(F_2) (cyclic of order 4) iff n is even, else just 2Z/4."""
-    kernel4 = [v for v in ALL4 if witt.wp_map(v) == witt.w2_zero(F4)]
+    kernel4 = [v for v in ALL4 if WP4(v) == ZERO]
     assert len(kernel4) == 4
-    gens = [v for v in kernel4 if witt.w2_add(v, v) != witt.w2_zero(F4)]
+    gens = [v for v in kernel4 if ADD4(v, v) != ZERO]
     assert len(gens) == 2  # two elements of additive order 4: the kernel is cyclic
-    kernel8 = [v for v in witt.w2_enumerate(F8) if witt.wp_map(v) == witt.w2_zero(F8)]
-    assert [v.pair() for v in kernel8] == [(0, 0), (0, 1)]
+    wp8 = _ring(F8)[2]
+    assert [v for v in _pairs(F8) if wp8(v) == ZERO] == [(0, 0), (0, 1)]
     # additivity makes every nonempty fiber a kernel coset
-    img = witt.wp_map(witt.W2Vector(F4, 0b11, 0b01))
-    assert _wp_fiber_size(F4, img.pair()) == 4
+    assert _wp_fiber_size(F4, WP4((0b11, 0b01))) == 4
