@@ -21,10 +21,9 @@ from .extbasis import (EXPECTED_MUL_COUNTS, EXPECTED_SQUARE_COUNTS,
                        build_asw4, build_ka6, build_kind, build_kummer3,
                        element_is_cube, mul, power, square)
 from .fixtures import FIXTURES, Fixture, get_fixture
-from .tables import (CountReport, OracleEmbedding, TableSet, build_embedding,
-                     build_tables, expected_counts, expected_density,
-                     normal_table_set, table_mul, verify_table_counts,
-                     verify_table_entries)
+from .tables import (OracleEmbedding, TableSet, build_embedding, build_tables,
+                     expected_counts, expected_density, normal_table_set,
+                     table_mul, verify_table_entries)
 from .tower import (TowerReport, as2_over_k3_possible, bicubic_possible,
                     biquadratic_possible, build_tower_report,
                     kummer_over_as2_possible)
@@ -41,9 +40,9 @@ __all__ = [
     "OpCounter", "build_as2", "build_asw4", "build_ka6", "build_kind",
     "build_kummer3", "element_is_cube", "mul", "power", "square",
     "FIXTURES", "Fixture", "get_fixture",
-    "CountReport", "OracleEmbedding", "TableSet", "build_embedding",
-    "build_tables", "expected_counts", "expected_density", "normal_table_set",
-    "table_mul", "verify_table_counts", "verify_table_entries",
+    "OracleEmbedding", "TableSet", "build_embedding", "build_tables",
+    "expected_counts", "expected_density", "normal_table_set", "table_mul",
+    "verify_table_entries",
     "TowerReport", "as2_over_k3_possible", "bicubic_possible",
     "biquadratic_possible", "build_tower_report", "kummer_over_as2_possible",
     "bitpoly", "field", "fixtures", "linalg", "normal", "tables", "tower",

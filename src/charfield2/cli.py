@@ -15,6 +15,7 @@ All CSV/JSON output is byte-identical across runs for the same arguments
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -122,8 +123,12 @@ def _emit(args, header, rows, json_obj) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CharField2Error(
+                f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -162,9 +167,9 @@ def _resolve_basis(n, modulus, alpha, require_primitive=False):
 
 
 def _basis_for_kind(kind, n):
-    """A normal basis over which `kind` exists at degree n: the pinned
-    fixture when suitable, else the first suitable of 60 searched elements.
-    Returns None when no candidate admits the kind."""
+    """The extended basis of `kind` at degree n over the pinned fixture when
+    it admits the kind, else over the first of 60 searched normal elements
+    that does. Returns None when no candidate admits the kind."""
     if kind == "asw4" and n % 2 != 0:
         return None
     if kind == "k3" and ((1 << n) - 1) % 3 != 0:
@@ -180,12 +185,10 @@ def _basis_for_kind(kind, n):
     cands += [a for a in normal.search_normal_elements(
         ctx, require_primitive=want_primitive, limit=60) if a not in cands]
     for a in cands:
-        nb = normal.build_normal_basis(ctx, a)
         try:
-            extbasis.build_kind(nb, kind)
+            return extbasis.build_kind(normal.build_normal_basis(ctx, a), kind)
         except (UnsupportedDegreeError, NoKummerExtensionError):
             continue
-        return nb
     return None
 
 
@@ -259,6 +262,9 @@ def cmd_densities(args) -> int:
                    else fixtures.EXPECTED_KUMMER_DENSITY.get(m, ""))
         check(d_k, d_k_exp)
 
+        if d_n == d_n_exp == d_a == d_a_exp == d_k == d_k_exp == "":
+            raise DomainError(
+                f"no density is computable or recorded for m = {m}")
         rows.append((m, d_n, d_n_exp, d_a, d_a_exp, d_k, d_k_exp))
     _emit(args, header, rows, [dict(zip(header, r)) for r in rows])
     return 1 if failures else 0
@@ -296,30 +302,50 @@ def cmd_tables(args) -> int:
     return 1 if failures else 0
 
 
-def _oracle(ctx, kind, n, skipped):
-    """The oracle embedding of ctx; None when its field is over the degree
-    cap, after a passing oracle_skipped row naming the cap unless the set
-    `skipped` already holds (kind, n)."""
-    try:
-        return tables.build_embedding(ctx)
-    except UnsupportedDegreeError as exc:
-        if (kind, n) not in skipped:
-            skipped.add((kind, n))
-            yield ("oracle_skipped", kind, n, True, str(exc))
-        return None
+def _oracle(ctx, oracles):
+    """The oracle embedding of ctx, built on the first request and kept in
+    `oracles` by (kind, n); None when its field is over the degree cap, after
+    a passing oracle_skipped row naming the cap on the first request."""
+    key = (ctx.kind, ctx.n)
+    if key not in oracles:
+        try:
+            oracles[key] = tables.build_embedding(ctx)
+        except UnsupportedDegreeError as exc:
+            oracles[key] = None
+            yield ("oracle_skipped", *key, True, str(exc))
+    return oracles[key]
+
+
+def _op_counts(ctx, op, pairs):
+    """Run `op` ("mul" or "square") on each (x, y) of `pairs` (square takes
+    x). Returns the tally per operation, the tally expected of ctx.kind, and
+    whether every operation cost exactly that."""
+    ctx.counter.reset()
+    if op == "mul":
+        for x, y in pairs:
+            extbasis.mul(ctx, x, y)
+        want = extbasis.EXPECTED_MUL_COUNTS[ctx.kind]
+    else:
+        for x, _ in pairs:
+            extbasis.square(ctx, x)
+        want = extbasis.EXPECTED_SQUARE_COUNTS[ctx.kind]
+    total = ctx.counter.as_tuple()
+    got = tuple(t // len(pairs) for t in total)
+    return got, want, got == want and all(t % len(pairs) == 0 for t in total)
 
 
 def _verify_checks(args):
-    """Yield (name, kind, n, ok, detail) rows for the verification suites."""
+    """Yield (name, kind, n, ok, detail) rows for the verification suites.
+    Each (kind, n) case is built once and its oracle embedding at most once."""
     pairs = args.limit
-    skipped = set()
+    case = functools.cache(_basis_for_kind)
+    oracles = {}
     for kind in args.kind:
         for n in range(1, args.n + 1):
-            nb = _basis_for_kind(kind, n)
-            if nb is None:
+            ctx = case(kind, n)
+            if ctx is None:
                 continue
-            ctx = extbasis.build_kind(nb, kind)
-            emb = yield from _oracle(ctx, kind, n, skipped)
+            emb = yield from _oracle(ctx, oracles)
             if emb is not None:
                 rng = random.Random(f"{args.seed}:{kind}:{n}")
                 bad = 0
@@ -338,27 +364,19 @@ def _verify_checks(args):
                 yield ("oracle_equivalence", kind, n, bad == 0,
                        f"{pairs} pairs, {bad} mismatches")
 
-            ctx.counter.reset()
-            extbasis.mul(ctx, extbasis.zero(ctx), extbasis.zero(ctx))
-            got = ctx.counter.as_tuple()
-            want = extbasis.EXPECTED_MUL_COUNTS[kind]
-            yield ("mul_op_counts", kind, n, got == want,
-                   f"got {got}, want {want}")
-            ctx.counter.reset()
-            extbasis.square(ctx, extbasis.zero(ctx))
-            got = ctx.counter.as_tuple()
-            want = extbasis.EXPECTED_SQUARE_COUNTS[kind]
-            yield ("square_op_counts", kind, n, got == want,
-                   f"got {got}, want {want}")
+            for op in ("mul", "square"):
+                got, want, ok = _op_counts(
+                    ctx, op, [(extbasis.zero(ctx), extbasis.zero(ctx))])
+                yield (f"{op}_op_counts", kind, n, ok, f"got {got}, want {want}")
 
             if emb is None:
                 continue
 
             if kind != "ka6" and (kind != "asw4" or n <= 4):
-                report = tables.verify_table_counts(ctx)
-                yield ("closed_form_counts", kind, n, report.ok,
-                       f"expected {list(report.expected)}, "
-                       f"actual {list(report.actual)}")
+                want = tables.expected_counts(ctx.base, kind)
+                got = tables.build_tables(emb).per_table_nonzeros
+                yield ("closed_form_counts", kind, n, got == want,
+                       f"expected {want}, actual {got}")
 
             if args.corrupt_table:
                 ts = tables.build_tables(emb)
@@ -368,9 +386,8 @@ def _verify_checks(args):
                        f"first bad entries {witnesses[:3]}")
 
     for n in range(1, min(args.n, 6) + 1):
-        nb = _basis_for_kind("as2", n)
-        as2 = extbasis.build_as2(nb)
-        emb = yield from _oracle(as2, "as2", n, skipped)
+        as2 = case("as2", n)
+        emb = yield from _oracle(as2, oracles)
         if emb is not None:
             b_img = emb.gen_images["b"]
             ok = tower.biquadratic_possible(n) == (gf.trace(emb.big, b_img) == 1)
@@ -378,7 +395,7 @@ def _verify_checks(args):
                    "predicate vs trace of the quadratic generator's image")
         built = True
         try:
-            extbasis.build_ka6(nb)
+            extbasis.build_ka6(as2.base)
         except NoKummerExtensionError:
             built = False
         verdict = tower.kummer_over_as2_possible(as2)
@@ -386,9 +403,8 @@ def _verify_checks(args):
             emb is None or verdict != gf.is_cube(emb.big, emb.gen_images["b"]))
         yield ("tower_kummer_over_quadratic", "as2", n, ok,
                "predicate vs sextic builder outcome")
-        k3nb = _basis_for_kind("k3", n)
-        if k3nb is not None:
-            k3 = extbasis.build_kummer3(k3nb)
+        k3 = case("k3", n)
+        if k3 is not None:
             beta = extbasis.generator_element(k3, "b")
             gamma = tower.artin_schreier_preimage(k3, beta)
             sq = extbasis.square(k3, gamma)
@@ -399,10 +415,10 @@ def _verify_checks(args):
                   and tower.ext_trace(k3, beta) == extbasis.zero(k3))
             yield ("tower_no_quadratic_over_cubic", "k3", n, ok,
                    "trace 0 and a solved quadratic preimage")
-            embk = yield from _oracle(k3, "k3", n, skipped)
+            embk = yield from _oracle(k3, oracles)
             if embk is not None:
                 direct = not gf.is_cube(embk.big, embk.gen_images["b"])
-                ok = tower.bicubic_possible(n, k3nb) == direct
+                ok = tower.bicubic_possible(n, k3.base) == direct
                 yield ("tower_bicubic", "k3", n, ok,
                        "valuation criterion vs direct cube test in the big field")
 
@@ -439,22 +455,13 @@ def cmd_bench(args) -> int:
                                  for _ in range(ctx.d))) for _ in range(iters)]
     ys = [extbasis.ExtElem(tuple(rng.randrange(1 << args.n)
                                  for _ in range(ctx.d))) for _ in range(iters)]
+    pairs = list(zip(xs, ys))
 
     results, failures = [], 0
-    for op, want in (("mul", extbasis.EXPECTED_MUL_COUNTS[args.kind]),
-                     ("square", extbasis.EXPECTED_SQUARE_COUNTS[args.kind])):
-        ctx.counter.reset()
+    for op in ("mul", "square"):
         t0 = time.perf_counter()
-        if op == "mul":
-            for x, y in zip(xs, ys):
-                extbasis.mul(ctx, x, y)
-        else:
-            for x in xs:
-                extbasis.square(ctx, x)
+        got, want, exact = _op_counts(ctx, op, pairs)
         elapsed = time.perf_counter() - t0
-        total = ctx.counter.as_tuple()
-        got = tuple(t // iters for t in total)
-        exact = all(t % iters == 0 for t in total) and got == want
         failures += not exact
         mean_ns = round(elapsed / iters * 1e9)
         print(f"bench {args.kind} n={args.n} {op}: "

@@ -16,7 +16,7 @@ scratch by this package and cross-checked against the density records.
 from dataclasses import dataclass
 
 from . import bitpoly, field as gf, normal
-from .errors import MissingFixtureError
+from .errors import DomainError, MissingFixtureError
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,10 @@ KUMMER_NONE = frozenset((12, 30, 36, 54, 60, 66, 72))
 
 
 def get_fixture(n: int) -> Fixture:
-    """The pinned fixture for degree n, or a missing-fixture error."""
+    """The pinned fixture for degree n, or a missing-fixture error; a
+    degree below 1 is a domain error."""
+    if n < 1:
+        raise DomainError("degree must be positive")
     try:
         return FIXTURES[n]
     except KeyError:

@@ -1,9 +1,9 @@
-"""Multiplication tables of extended bases, oracle embeddings, and count checks.
+"""Multiplication tables of extended bases, oracle embeddings, and closed-form counts.
 
 The ground truth for every table is an independent embedding into one big field
 F_2[x]/(g) of degree m: basis vectors are mapped to explicit elements there, all
 m^2 pairwise products are expanded back over the basis, and the resulting tables
-are compared against the closed-form per-table counts.
+can be compared against the closed-form per-table counts.
 """
 
 from dataclasses import dataclass
@@ -365,30 +365,6 @@ def expected_density(nb: NormalBasisCtx, kind: str) -> int:
 
 
 # --- verification -------------------------------------------------------
-
-@dataclass
-class CountReport:
-    kind: str
-    n: int
-    m: int
-    ok: bool
-    expected: list
-    actual: list
-    mismatches: list          # [(table index, expected, actual)]
-    density_expected: int
-    density_actual: int
-
-
-def verify_table_counts(ext: ExtBasisCtx) -> CountReport:
-    """Closed-form vs brute-force per-table counts for any kind that has a
-    closed form (all but the sextic tower)."""
-    expected = expected_counts(ext.base, ext.kind)
-    ts = build_tables(build_embedding(ext))
-    actual = ts.per_table_nonzeros
-    mism = [(k, e, a) for k, (e, a) in enumerate(zip(expected, actual)) if e != a]
-    return CountReport(ext.kind, ext.n, ext.m, not mism, list(expected), actual,
-                       mism, sum(expected), ts.density)
-
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     """Rebuild the tables from `emb`; return (k, i, j) witnesses of the

@@ -89,11 +89,10 @@ def test_oracle_equivalence_200_pairs_per_context():
     covered = set()
     for kind in ("as2", "k3", "asw4", "ka6"):
         for n in range(1, 9):
-            nb = _basis_for_kind(kind, n)
-            if nb is None:
+            ctx = _basis_for_kind(kind, n)
+            if ctx is None:
                 continue
             covered.add((kind, n))
-            ctx = xb.build_kind(nb, kind)
             emb = tables.build_embedding(ctx)
             rng = random.Random(f"accept:{kind}:{n}")
             failures = 0
@@ -126,16 +125,16 @@ def test_closed_form_counts_match_brute_force_everywhere_applicable():
     for kind, n in cases:
         nb = fixtures.get_fixture(n).basis()
         ctx = xb.build_kind(nb, kind)
-        report = tables.verify_table_counts(ctx)
-        assert report.ok, (kind, n, report.mismatches)
-        assert report.mismatches == []
-        assert report.density_expected == report.density_actual
+        ts = tables.build_tables(tables.build_embedding(ctx))
+        expected = tables.expected_counts(nb, kind)
+        assert ts.per_table_nonzeros == expected, (kind, n)
+        assert ts.density == sum(expected)
         # the constant tail ranges must hold exactly
         w = nb.weight
         if kind in ("as2", "k3"):
-            assert report.actual[-n:] == [3 * w] * n
+            assert ts.per_table_nonzeros[-n:] == [3 * w] * n
         if kind == "asw4":
-            assert report.actual[-n:] == [9 * w] * n
+            assert ts.per_table_nonzeros[-n:] == [9 * w] * n
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +156,14 @@ def test_multiplication_operation_counts_exact():
 def test_tower_predicates_match_oracle_evidence():
     # second quadratic step: predicate vs trace of the generator's image
     for n in range(1, 7):
-        nb = _basis_for_kind("as2", n)
-        emb = tables.build_embedding(xb.build_as2(nb))
+        emb = tables.build_embedding(_basis_for_kind("as2", n))
         oracle = gf.trace(emb.big, emb.gen_images["b"]) == 1
         assert tower.biquadratic_possible(n) == oracle == (n % 2 == 1)
 
     # quadratic over cubic: impossible, witnessed by a solved preimage
     for n in (2, 4, 6):
-        nb = _basis_for_kind("k3", n)
-        assert nb is not None
-        k3 = xb.build_kummer3(nb)
+        k3 = _basis_for_kind("k3", n)
+        assert k3 is not None
         assert tower.as2_over_k3_possible(k3) is False
         beta = xb.generator_element(k3, "b")
         assert tower.ext_trace(k3, beta) == xb.zero(k3)
@@ -179,9 +176,9 @@ def test_tower_predicates_match_oracle_evidence():
     assert tower.v3(((1 << 6) - 1) // 3) == tower.v3(21) == 1
     assert tower.v3(((1 << 12) - 1) // 15) == tower.v3(273) == 1
     for n in (2, 4):
-        nb = _basis_for_kind("k3", n)
-        assert tower.bicubic_possible(n, nb) is True
-        emb = tables.build_embedding(xb.build_kummer3(nb))
+        k3 = _basis_for_kind("k3", n)
+        assert tower.bicubic_possible(n, k3.base) is True
+        emb = tables.build_embedding(k3)
         assert not gf.is_cube(emb.big, emb.gen_images["b"])
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from charfield2 import bitpoly, extbasis, field as gf, normal
+from charfield2 import bitpoly, cli, extbasis, field as gf, normal, tables
 from charfield2.cli import main
 from charfield2.linalg import mat_rank
 
@@ -240,6 +240,46 @@ def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
     assert {r[4] for r in tower} == {"predicate vs sextic builder outcome"}
 
 
+def test_verify_builds_each_case_once(capsys, monkeypatch):
+    """verify --n 8 asks for each of its 32 (kind, n) cases once and embeds
+    each of the 24 that exist once; the closed-form and tower rows read
+    those builds."""
+    calls = {"_basis_for_kind": 0, "build_embedding": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "_basis_for_kind")
+    counted(tables, "build_embedding")
+    code, _, _ = run_cli(capsys, "verify", "--n", "8", "--limit", "1")
+    assert code == 0
+    assert calls == {"_basis_for_kind": 32, "build_embedding": 24}
+
+
+def test_wrong_expected_tally_fails_verify_and_bench(capsys, monkeypatch):
+    """verify and bench check their tallies through one helper: a wrong
+    expected as2 mul tally turns verify's mul_op_counts rows and bench's mul
+    row to "no", and the square rows still pass."""
+    monkeypatch.setitem(extbasis.EXPECTED_MUL_COUNTS, "as2", (3, 4, 2))
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--kind", "as2",
+                           "--limit", "2", "--format", "csv")
+    _, rows = parse_csv(out)
+    assert code == 1
+    assert [(r[0], r[2], r[3]) for r in rows if r[0].endswith("_op_counts")] == [
+        ("mul_op_counts", "1", "no"), ("square_op_counts", "1", "yes"),
+        ("mul_op_counts", "2", "no"), ("square_op_counts", "2", "yes")]
+    code, out, _ = run_cli(capsys, "bench", "--kind", "as2", "--n", "2",
+                           "--limit", "3")
+    _, rows = parse_csv(out)
+    assert code == 1
+    assert [(r[3], r[-1]) for r in rows] == [("mul", "no"), ("square", "yes")]
+
+
 def test_verify_verdicts_are_seed_independent(capsys):
     _, out1, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "8",
                          "--seed", "1")
@@ -365,11 +405,21 @@ def test_usage_errors_exit_two():
     ("search", "--n", "4", "--limit", "-1"),
     ("bench", "--kind", "as2", "--n", "4", "--limit", "0"),
     ("verify", "--n", "2", "--limit", "-1"),
+    # a degree below 1 never has a fixture
+    ("tables", "--n", "0"),
+    ("bench", "--kind", "as2", "--n", "-2"),
+    ("cross-sums", "--n", "0"),
+    # no density column is computable or recorded for these degrees
+    ("densities", "--m", "5", "7"),
+    ("cross-sums", "--n", "2", "--out", str(ROOT / "no-such-dir" / "x.csv")),
 ])
 def test_out_of_range_limit_is_a_usage_error(capsys, argv):
+    """Limits, degrees and --out paths that cannot be used: one error line
+    on stderr, nothing on stdout, exit 2."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -36,7 +36,7 @@ def test_quick_start_values_match_its_comments():
         "normal.cross_product_sum(nb)": 25,
         "ext.counter.as_tuple()": (3, 4, 1),
         "tables.verify_table_entries(emb, ts)": [],
-        "tables.verify_table_counts(ext).ok": True,
+        'tables.expected_counts(nb, "as2") == ts.per_table_nonzeros': True,
         "fixtures.get_fixture(8).basis().weight": 21,
     }
     comments = {line.split("#")[0].strip(): line.split("#", 1)[1].strip()
