@@ -295,7 +295,8 @@ def trace(ctx: FieldCtx, a: int) -> int:
         t ^= cur
         cur = square(ctx, cur)
     if t not in (0, 1):
-        raise AssertionError("trace landed outside F_2")
+        raise DomainError(f"trace landed outside F_2: modulus "
+                          f"{bitpoly.to_human(ctx.modulus)} is reducible")
     return t
 
 

@@ -164,14 +164,16 @@ def test_verify_small_run_all_green(capsys):
     assert all(c["ok"] for c in report["checks"])
 
 
-def test_verify_corruption_control_trips(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "5",
-                           "--kind", "as2", "--corrupt-table")
-    report = json.loads(out)
-    assert code == 1
-    bad = [c for c in report["checks"] if c["name"] == "corruption_control"]
-    assert bad and all(not c["ok"] for c in bad)
-    assert "(0, 0, 0)" in bad[0]["detail"]
+def test_verify_takes_each_kind_once(capsys):
+    """A kind given twice is checked once: the output equals the run that
+    names it once, in the order the kinds were first given."""
+    for fmt in ("csv", "json"):
+        _, once, _ = run_cli(capsys, "verify", "--n", "2", "--kind", "as2", "k3",
+                             "--limit", "1", "--format", fmt)
+        _, twice, _ = run_cli(capsys, "verify", "--n", "2", "--kind", "as2", "k3",
+                              "as2", "--limit", "1", "--format", fmt)
+        assert twice == once
+    assert json.loads(once)["kinds"] == ["as2", "k3"]
 
 
 def test_verify_skips_the_oracle_over_the_degree_cap(capsys, monkeypatch):
@@ -243,8 +245,9 @@ def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
 def test_verify_builds_each_case_once(capsys, monkeypatch):
     """verify --n 8 asks for each of its 32 (kind, n) cases once and embeds
     each of the 24 that exist once; the closed-form and tower rows read
-    those builds."""
-    calls = {"_basis_for_kind": 0, "build_embedding": 0}
+    those builds, so the sextic builder runs only for the ka6 cases' own
+    candidates (10 calls; a throwaway build per tower row made it 16)."""
+    calls = {"_basis_for_kind": 0, "build_embedding": 0, "build_ka6": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -256,9 +259,51 @@ def test_verify_builds_each_case_once(capsys, monkeypatch):
 
     counted(cli, "_basis_for_kind")
     counted(tables, "build_embedding")
+    counted(extbasis, "build_ka6")
     code, _, _ = run_cli(capsys, "verify", "--n", "8", "--limit", "1")
     assert code == 0
-    assert calls == {"_basis_for_kind": 32, "build_embedding": 24}
+    assert calls == {"_basis_for_kind": 32, "build_embedding": 24,
+                     "build_ka6": 10}
+
+
+# The least irreducible modulus of each degree 1..20, the one verify's cases
+# use, and the normal element each kind's case sits on (None: no case).
+PINNED_MODULI = [0x3, 0x7, 0xb, 0x13, 0x25, 0x43, 0x83, 0x11b, 0x203, 0x409,
+                 0x805, 0x1009, 0x201b, 0x4021, 0x8003, 0x1002b, 0x20009,
+                 0x40009, 0x80027, 0x100009]
+PINNED_ALPHAS = {
+    "as2": [0x1, 0x2, 0x3, 0x8, 0x3, 0x38, 0x9, 0xc0, 0x3, 0x2a8, 0x3, 0x3fc,
+            0x3, 0x32e0, 0x81, 0xfb40, 0x3, 0xccd2, 0x3, 0xf8908],
+    "k3": [None, 0x2, None, 0x9, None, 0x38, None, 0xc0, None, 0x80, None,
+           0x203, None, 0x32e0, None, 0xfb40, None, 0x8004, None, 0x20000],
+    "asw4": [None, 0x2, None, 0x8, None, 0x38, None, 0xc0, None, 0x2a8, None,
+             0x3fc, None, 0x32e0, None, 0xfb40, None, 0xccd2, None, 0xf8908],
+    "ka6": [0x1, 0x2, 0x3, 0x9, 0x3, 0x38, 0xb, 0xc0, 0x3, 0x80, 0x9, 0x203,
+            0x7, 0x32e0, 0x81, 0xfb40, 0x3, 0x8002, 0xb, 0x20000],
+}
+
+
+@pytest.mark.parametrize("kind", extbasis.KINDS)
+def test_basis_for_kind_picks_pinned_bases(kind, monkeypatch):
+    """The builders alone decide which candidate admits a kind; the choice at
+    every n <= 20 is pinned, including the degrees with no case at all."""
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "120")
+    for n, (mod, alpha) in enumerate(zip(PINNED_MODULI, PINNED_ALPHAS[kind]), 1):
+        ctx = cli._basis_for_kind(kind, n)
+        got = None if ctx is None else (ctx.base.field.modulus, ctx.base.alpha)
+        assert got == (None if alpha is None else (mod, alpha)), (kind, n)
+
+
+@pytest.mark.parametrize("kind", ["asw4", "k3"])
+def test_basis_for_kind_stops_at_a_refused_degree(kind, monkeypatch):
+    """A degree the builder refuses is refused for every candidate, so the
+    scan stops after the first basis build."""
+    builds = []
+    build = normal.build_normal_basis
+    monkeypatch.setattr(normal, "build_normal_basis",
+                        lambda ctx, a: builds.append(a) or build(ctx, a))
+    assert cli._basis_for_kind(kind, 5) is None
+    assert len(builds) <= 1
 
 
 def test_wrong_expected_tally_fails_verify_and_bench(capsys, monkeypatch):
@@ -394,7 +439,8 @@ def test_usage_errors_exit_two():
                  ["cross-sums", "--seed", "1"],
                  ["densities", "--seed", "1"],
                  ["tables", "--n", "2", "--seed", "1"],
-                 ["bench", "--kind", "as2", "--n", "2", "--timing"]):
+                 ["bench", "--kind", "as2", "--n", "2", "--timing"],
+                 ["verify", "--corrupt-table"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

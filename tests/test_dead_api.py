@@ -6,9 +6,10 @@ other than at its own definition: as an identifier, or inside a string (the
 benchmark's tracer wraps functions by dotted name).  Comments, docstrings
 and the re-exports in __init__.py do not count.
 Names that only the tests or the README read are allowed below, each with its
-reason.
+reason.  Likewise every option of every CLI subcommand is read by cli.py.
 """
 
+import argparse
 import inspect
 import io
 import re
@@ -17,7 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 import charfield2
-import charfield2.cli  # noqa: F401  (a layer like the others)
+import charfield2.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("bitpoly", "linalg", "field", "normal", "witt", "extbasis", "tables",
@@ -89,3 +90,21 @@ def test_allowed_names_exist_and_are_unread():
     for dotted in ALLOWED:
         assert dotted in public, dotted
         assert not reads[public[dotted]], dotted
+
+
+def test_every_cli_option_is_read():
+    """Each subcommand option's dest is read as args.<dest> in the code of
+    cli.py (not its comments): an option nothing reads does nothing."""
+    source = io.StringIO((ROOT / "src" / "charfield2" / "cli.py").read_text(
+        encoding="utf-8"))
+    toks = [t.string for t in tokenize.generate_tokens(source.readline)
+            if t.type != tokenize.COMMENT]
+    read = {c for a, dot, c in zip(toks, toks[1:], toks[2:])
+            if a == "args" and dot == "."}
+    parser = charfield2.cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = sorted(f"{name} {action.option_strings}"
+                    for name, p in sub.choices.items() for action in p._actions
+                    if action.dest != "help" and action.dest not in read)
+    assert unread == []

@@ -313,6 +313,13 @@ def test_trace_properties():
     assert gf.trace(F16, 0) == 0
 
 
+def test_trace_over_a_reducible_modulus_is_a_domain_error():
+    # x in F_2[x]/(x^2 + 1) has "trace" x + x^2 = x + 1, outside F_2
+    ctx = gf.FieldCtx(0b101, check_irreducible=False)
+    with pytest.raises(DomainError, match=r"modulus 1\+x\^2 is reducible"):
+        gf.trace(ctx, 0b10)
+
+
 def test_multiplicative_order_divides_group_order():
     for a in range(1, 16):
         t = gf.multiplicative_order(F16, a)
