@@ -183,6 +183,7 @@ def parse(s: str) -> BitPoly:
 
 
 def _parse_human(s: str) -> BitPoly:
+    from .field import _check_cap  # late: field imports this module
     p = 0
     for term in s.replace(" ", "").split("+"):
         if term == "0":
@@ -191,10 +192,12 @@ def _parse_human(s: str) -> BitPoly:
             i = 0
         elif term == "x":
             i = 1
-        elif term.startswith("x^"):
-            i = int(term[2:])
-            if i < 0:
-                raise DomainError(f"negative exponent in {s!r}")
+        elif term.startswith("x^") and term[2:].isdecimal():
+            try:
+                i = int(term[2:])
+            except ValueError:  # past int()'s digit limit
+                raise DomainError(f"exponent too long in {s!r}") from None
+            _check_cap(i)  # before 1 << i allocates an oversized int
         else:
             raise DomainError(f"bad monomial {term!r} in {s!r}")
         p ^= 1 << i

@@ -21,6 +21,7 @@ import json
 import random
 import sys
 import time
+from itertools import chain, islice
 
 from . import bitpoly, extbasis, field as gf, fixtures, normal, tables, tower
 from .errors import (CharField2Error, ConstructionContradictionError,
@@ -68,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", default=None,
                    help="explicit modulus ('auto' = least irreducible)")
     p.add_argument("--alpha", default=None,
-                   help="explicit normal element ('search' = first found)")
+                   help="explicit normal element ('search' = first normal "
+                        "element the kind's builder accepts)")
     common(p)
 
     p = sub.add_parser("verify",
@@ -143,49 +145,58 @@ def _field_for(n, modulus):
     return ctx
 
 
-def _resolve_basis(n, modulus, alpha, require_primitive=False):
-    """Build a normal basis from explicit arguments, falling back to the
-    pinned fixture; returns (basis, fixture-or-None)."""
+def _first_basis(ctx, cands, kind=None):
+    """The normal basis over the first candidate when kind is None, else the
+    first extended basis of `kind` its builder accepts. A refused degree (n
+    alone decides it) raises at once; so does the last refused candidate."""
+    refusal = NotNormalError(f"no normal element found for n={ctx.n}")
+    for a in cands:
+        nb = normal.build_normal_basis(ctx, a)
+        if kind is None:
+            return nb
+        try:
+            return extbasis.build_kind(nb, kind)
+        except NoKummerExtensionError as exc:
+            refusal = exc.with_traceback(None)  # its frames would form a cycle
+    raise refusal
+
+
+def _fixture_field(n):
+    """The pinned fixture's field of degree n, and its generator as candidate."""
+    fixture = fixtures.get_fixture(n)
+    return (gf.FieldCtx(bitpoly.parse(fixture.modulus)),
+            [bitpoly.parse(fixture.alpha)])
+
+
+def _resolve_basis(n, modulus, alpha, kind=None):
+    """The basis of `kind` (None: the normal basis) over the pinned fixture
+    when neither --modulus nor --alpha is given, else over --alpha, where
+    'search' takes the first normal element the kind's builder accepts."""
     if modulus is None and alpha is None:
-        fixture = fixtures.get_fixture(n)
-        return fixture.basis(), fixture
+        return _first_basis(*_fixture_field(n), kind)
     if modulus is None or alpha is None:
         raise UnsupportedDegreeError(
             "--modulus and --alpha must be given together")
     ctx = _field_for(n, modulus)
-    if alpha == "search":
-        hits = normal.search_normal_elements(
-            ctx, require_primitive=require_primitive, limit=1)
-        if not hits:
-            raise NotNormalError(f"no normal element found for n={n}")
-        a = hits[0]
-    else:
-        a = bitpoly.parse(alpha)
-    return normal.build_normal_basis(ctx, a), None
+    cands = (normal.normal_elements(ctx) if alpha == "search"
+             else [bitpoly.parse(alpha)])
+    return _first_basis(ctx, cands, kind)
 
 
 def _basis_for_kind(kind, n):
-    """The extended basis of `kind` at degree n over the pinned fixture when
-    it admits the kind, else over the first of 60 searched normal elements
-    that does. The builder alone decides: None when it refuses the degree,
-    which depends on n alone, or when no candidate admits the kind."""
+    """The extended basis of `kind` at degree n over the pinned fixture, else
+    over the first of 60 normal elements its builder accepts; None when the
+    builder refuses the degree or every candidate."""
     if n in fixtures.FIXTURES:
-        fixture = fixtures.get_fixture(n)
-        ctx = gf.FieldCtx(bitpoly.parse(fixture.modulus))
-        cands = [bitpoly.parse(fixture.alpha)]
+        ctx, cands = _fixture_field(n)
     else:
-        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
-        cands = []
-    cands += [a for a in normal.search_normal_elements(ctx, limit=60)
-              if a not in cands]
-    for a in cands:
-        try:
-            return extbasis.build_kind(normal.build_normal_basis(ctx, a), kind)
-        except UnsupportedDegreeError:
-            return None
-        except NoKummerExtensionError:
-            continue
-    return None
+        ctx, cands = gf.FieldCtx(bitpoly.min_irreducible(n)), []
+    scan = (a for a in islice(normal.normal_elements(ctx), 60)
+            if a not in cands)
+    try:
+        return _first_basis(ctx, chain(cands, scan), kind)
+    except (UnsupportedDegreeError, NoKummerExtensionError):
+        return None
 
 
 # --- subcommands ----------------------------------------------------------
@@ -195,23 +206,19 @@ def cmd_cross_sums(args) -> int:
         if args.n is None or len(args.n) != 1:
             raise UnsupportedDegreeError(
                 "an explicit --modulus/--alpha needs exactly one --n")
-        nb, fixture = _resolve_basis(args.n[0], args.modulus, args.alpha)
-        entries = [(args.n[0], nb, None)]
+        entries = [(_resolve_basis(args.n[0], args.modulus, args.alpha), None)]
     else:
         degrees = args.n if args.n is not None else fixtures.fixture_degrees()
-        entries = []
-        for n in degrees:
-            fixture = fixtures.get_fixture(n)
-            entries.append((n, fixture.basis(), fixture))
+        entries = [(f.basis(), f) for f in map(fixtures.get_fixture, degrees)]
 
     header = ("n", "modulus", "normal_element", "cross_sum", "expected", "match")
     rows, failures = [], 0
-    for n, nb, fixture in entries:
+    for nb, fixture in entries:
         cs = normal.cross_product_sum(nb)
         expected = fixture.cross_sum if fixture else ""
         match = "" if fixture is None else ("yes" if cs == expected else "no")
         failures += match == "no"
-        rows.append((n, bitpoly.to_human(nb.field.modulus),
+        rows.append((nb.n, bitpoly.to_human(nb.field.modulus),
                      bitpoly.to_human(nb.alpha), cs, expected, match))
     _emit(args, header, rows,
           [dict(zip(header, r)) for r in rows])
@@ -247,13 +254,12 @@ def cmd_densities(args) -> int:
 
         d_k = ""
         if m % 3 == 0 and m // 3 in fixtures.FIXTURES:
-            nb = fixtures.get_fixture(m // 3).basis()
             try:
-                extbasis.build_kummer3(nb)
+                k3 = _resolve_basis(m // 3, None, None, "k3")
             except (UnsupportedDegreeError, NoKummerExtensionError):
                 d_k = "-"
             else:
-                d_k = tables.expected_density(nb, "k3")
+                d_k = tables.expected_density(k3.base, "k3")
         d_k_exp = ("-" if m in fixtures.KUMMER_NONE
                    else fixtures.EXPECTED_KUMMER_DENSITY.get(m, ""))
         check(d_k, d_k_exp)
@@ -267,22 +273,20 @@ def cmd_densities(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    nb, _ = _resolve_basis(args.n, args.modulus, args.alpha,
-                           require_primitive=args.kind == "k3")
+    basis = _resolve_basis(args.n, args.modulus, args.alpha, args.kind)
     if args.kind is None:
-        width = (nb.n + 7) // 8
+        width = (basis.n + 7) // 8
         header = ("i", "row", "popcount")
         rows = [(i, r.to_bytes(width, "little").hex(), r.bit_count())
-                for i, r in enumerate(nb.table)]
+                for i, r in enumerate(basis.table)]
         _emit(args, header, rows,
-              {"n": nb.n, "weight": nb.weight, "density": nb.density,
+              {"n": basis.n, "weight": basis.weight, "density": basis.density,
                "rows": [r for _, r, _ in rows]})
         return 0
 
-    ctx = extbasis.build_kind(nb, args.kind)
-    ts = tables.build_tables(tables.build_embedding(ctx))
-    expected = (tables.expected_counts(nb, args.kind)
-                if args.kind != "ka6" else None)
+    ts = tables.build_tables(tables.build_embedding(basis))
+    expected = (tables.expected_counts(basis.base, args.kind)
+                if args.kind in tables.CLOSED_FORM_KINDS else None)
     header = ("table_index", "nonzeros", "closed_form", "match")
     rows, failures = [], 0
     for k, nz in enumerate(ts.per_table_nonzeros):
@@ -291,7 +295,7 @@ def cmd_tables(args) -> int:
         failures += match == "no"
         rows.append((k, nz, exp, match))
     _emit(args, header, rows,
-          {"kind": args.kind, "n": nb.n, "m": ts.m,
+          {"kind": args.kind, "n": basis.n, "m": ts.m,
            "per_table_nonzeros": list(ts.per_table_nonzeros),
            "closed_form": None if expected is None else list(expected),
            "density": ts.density})
@@ -368,7 +372,7 @@ def _verify_checks(args):
             if emb is None:
                 continue
 
-            if kind != "ka6" and (kind != "asw4" or n <= 4):
+            if kind in tables.CLOSED_FORM_KINDS and (kind != "asw4" or n <= 4):
                 want = tables.expected_counts(ctx.base, kind)
                 got = tables.build_tables(emb).per_table_nonzeros
                 yield ("closed_form_counts", kind, n, got == want,
@@ -406,7 +410,7 @@ def _verify_checks(args):
             embk = yield from _oracle(k3, oracles)
             if embk is not None:
                 direct = not gf.is_cube(embk.big, embk.gen_images["b"])
-                ok = tower.bicubic_possible(n, k3.base) == direct
+                ok = tower.bicubic_possible(k3) == direct
                 yield ("tower_bicubic", "k3", n, ok,
                        "valuation criterion vs direct cube test in the big field")
 
@@ -435,9 +439,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.limit < 1:
         raise DomainError(f"--limit must be at least 1, got {args.limit}")
-    nb, _ = _resolve_basis(args.n, args.modulus, args.alpha,
-                           require_primitive=args.kind == "k3")
-    ctx = extbasis.build_kind(nb, args.kind)
+    ctx = _resolve_basis(args.n, args.modulus, args.alpha, args.kind)
     rng = random.Random(args.seed)
     iters = args.limit
     xs = [extbasis.ExtElem(tuple(rng.randrange(1 << args.n)

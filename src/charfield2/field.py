@@ -28,6 +28,13 @@ def max_degree() -> int:
     return cap
 
 
+def _check_cap(deg: int) -> None:
+    """UnsupportedDegreeError when degree deg exceeds max_degree()."""
+    if deg > max_degree():
+        raise UnsupportedDegreeError(
+            f"degree {deg} exceeds cap {max_degree()} (set CHARFIELD2_MAX_N)")
+
+
 class FieldCtx:
     """Arithmetic context for F_2[x]/(modulus), modulus irreducible of degree n."""
 
@@ -35,9 +42,7 @@ class FieldCtx:
         deg = bitpoly.degree(modulus)
         if deg is None or deg == 0:
             raise DomainError("modulus must be non-constant")
-        if deg > max_degree():
-            raise UnsupportedDegreeError(
-                f"degree {deg} exceeds cap {max_degree()} (set CHARFIELD2_MAX_N)")
+        _check_cap(deg)
         if check_irreducible and not bitpoly.is_irreducible(modulus):
             raise DomainError(f"modulus {bitpoly.to_human(modulus)} is not irreducible")
         self.n = deg

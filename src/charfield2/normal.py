@@ -10,6 +10,8 @@ XORs, so the density d(N) = n * w(N) is its cost. The paper's n product
 tables z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
 """
 
+from itertools import islice
+
 from . import field as gf
 from .errors import DomainError, NotNormalError
 from .linalg import mat_invert, parity, row_apply
@@ -127,9 +129,9 @@ def build_normal_basis(ctx: gf.FieldCtx, alpha: int) -> NormalBasisCtx:
     return NormalBasisCtx(ctx, alpha)
 
 
-def frobenius_shift(n: int, v: NormalCoords, k: int = 1) -> NormalCoords:
-    """Squaring in normal coordinates: cyclic shift of v by k positions."""
-    return rotl(v, k, n)
+def frobenius_shift(n: int, v: NormalCoords) -> NormalCoords:
+    """Squaring in normal coordinates: cyclic shift of v by one position."""
+    return rotl(v, 1, n)
 
 
 def alpha_mul(nb: NormalBasisCtx, v: NormalCoords) -> NormalCoords:
@@ -174,24 +176,22 @@ def cross_product_sum(nb: NormalBasisCtx) -> int:
     return sum(row_apply(nb.table, u).bit_count() for u in basis_products(nb))
 
 
+def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
+    """Normal elements of F_{2^n} in ascending order (optionally only primitive
+    ones), tested only as the caller asks for the next. Normal elements have
+    trace 1, and every candidate below the least monomial of trace 1 has
+    trace 0, so the scan starts there."""
+    trace = ctx.normality_maps[0]
+    for a in range(trace & -trace, 1 << ctx.n):
+        if is_normal_element(ctx, a) and (
+                not require_primitive or gf.is_primitive(ctx, a)):
+            yield a
+
+
 def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,
                            limit: int = None):
-    """Normal elements of F_{2^n} in ascending order (optionally only primitive ones).
-
-    Scans candidates 1..2^n-1 and stops after `limit` hits; `limit` None scans
-    them all, and a `limit` below 1 is a DomainError. Normal elements have
-    trace 1, and every candidate below the least monomial of trace 1 has
-    trace 0, so the scan starts there.
-    """
+    """The first `limit` of normal_elements(ctx, require_primitive); `limit`
+    None takes them all, and a `limit` below 1 is a DomainError."""
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be at least 1, got {limit}")
-    trace = ctx.normality_maps[0]
-    found = []
-    for a in range(trace & -trace, 1 << ctx.n):
-        if is_normal_element(ctx, a):
-            if require_primitive and not gf.is_primitive(ctx, a):
-                continue
-            found.append(a)
-            if len(found) == limit:
-                break
-    return found
+    return list(islice(normal_elements(ctx, require_primitive), limit))

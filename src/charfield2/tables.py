@@ -331,10 +331,13 @@ def _column_counts(vectors, n):
     return [c.bit_count() for c in mat_transpose(vectors, n)]
 
 
+CLOSED_FORM_KINDS = ("as2", "k3", "asw4")  # the kinds expected_counts covers
+
+
 def expected_counts(nb: NormalBasisCtx, kind: str):
     """Per-table nonzero counts of the as2 (2n tables), k3 (3n) or asw4 (4n)
     extended basis over nb."""
-    if kind not in ("as2", "k3", "asw4"):
+    if kind not in CLOSED_FORM_KINDS:
         raise DomainError(f"no closed-form counts for kind {kind!r}")
     n, w, T = nb.n, nb.weight, nb.table
     u0 = basis_products(nb)

@@ -9,8 +9,8 @@ whether each of these two-step towers yields a field extension basis:
   as2 over k3: never possible — the cube-root generator has absolute
       trace 0, so y^2 + y = b is solvable inside F_{2^(3n)} and the
       quadratic is reducible; a preimage y is produced as a witness.
-  k3 over k3 (degree 9, bicubic): possible when the basis generator is
-      primitive and v3((2^(3n) - 1)/(2^n - 1)) = 1 (a sufficient
+  k3 over k3 (degree 9, bicubic): asked of a built cubic Kummer basis;
+      possible when v3((2^(3n) - 1)/(2^n - 1)) = 1 (a sufficient
       criterion; the valuation is computed with exact integers).
 """
 
@@ -18,7 +18,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from . import extbasis, field as gf, linalg
+from . import extbasis, linalg
 from .errors import (ConstructionContradictionError, DomainError,
                      NoKummerExtensionError, UnsupportedDegreeError)
 from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
@@ -60,27 +60,13 @@ def as2_over_k3_possible(ctx: ExtBasisCtx) -> bool:
     return False
 
 
-def bicubic_possible(n: int, nb: Optional[NormalBasisCtx] = None) -> bool:
-    """Whether a cubic Kummer extension basis of F_{2^n} admits a second
-    cube-root step: sufficient criterion v3((2^(3n)-1)/(2^n-1)) = 1.
-
-    When the normal basis is supplied its generator must be primitive
-    (the criterion is only proved under primitivity); a non-primitive
-    generator is refused rather than guessed about.
-    """
-    if n < 1:
-        raise DomainError("degree must be a positive integer")
-    if ((1 << n) - 1) % 3 != 0:
-        raise UnsupportedDegreeError(
-            f"no cubic Kummer step at all: 3 does not divide 2^{n} - 1")
-    if nb is not None:
-        if nb.n != n:
-            raise DomainError(f"basis degree {nb.n} does not match n={n}")
-        if not gf.is_primitive(nb.field, nb.alpha):
-            raise DomainError(
-                "bicubic criterion is only established for a primitive "
-                "basis generator; refusing to decide for a non-primitive one")
-    q = ((1 << (3 * n)) - 1) // ((1 << n) - 1)
+def bicubic_possible(ctx: ExtBasisCtx) -> bool:
+    """Whether a cubic Kummer extension basis admits a second cube-root step:
+    sufficient criterion v3((2^(3n)-1)/(2^n-1)) = 1, established for the
+    primitive generator that build_kummer3 demands."""
+    if ctx.kind != "k3":
+        raise DomainError("expected a cubic Kummer extension context")
+    q = ((1 << (3 * ctx.n)) - 1) // ((1 << ctx.n) - 1)
     return v3(q) == 1
 
 
@@ -162,7 +148,7 @@ def build_tower_report(nb: NormalBasisCtx) -> TowerReport:
         witnesses["as2_over_k3"] = (
             "trace(b) = 0; y with y^2 + y = b: "
             + extbasis.ext_to_hex(k3, gamma))
-        k3k3 = bicubic_possible(n, nb)
+        k3k3 = bicubic_possible(k3)
         q = ((1 << (3 * n)) - 1) // ((1 << n) - 1)
         witnesses["k3_over_k3"] = f"v3((2^{3 * n} - 1)/(2^{n} - 1)) = v3({q}) = {v3(q)}"
 

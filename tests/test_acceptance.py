@@ -177,7 +177,7 @@ def test_tower_predicates_match_oracle_evidence():
     assert tower.v3(((1 << 12) - 1) // 15) == tower.v3(273) == 1
     for n in (2, 4):
         k3 = _basis_for_kind("k3", n)
-        assert tower.bicubic_possible(n, k3.base) is True
+        assert tower.bicubic_possible(k3) is True
         emb = tables.build_embedding(k3)
         assert not gf.is_cube(emb.big, emb.gen_images["b"])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charfield2 import bitpoly
-from charfield2.errors import DomainError
+from charfield2.errors import DomainError, UnsupportedDegreeError
 
 polys = st.integers(min_value=0, max_value=(1 << 64) - 1)
 nonzero_polys = st.integers(min_value=1, max_value=(1 << 64) - 1)
@@ -243,3 +243,27 @@ def test_parse_rejects_garbage():
     for bad in ["", "y^2", "x^-1", "zz", "1++x"]:
         with pytest.raises(DomainError):
             bitpoly.parse(bad)
+
+
+@given(st.text(alphabet="x^+0123456789abcdef ", max_size=8))
+def test_parse_raises_only_typed_errors(s):
+    """A short string parses to a polynomial or raises DomainError; the one
+    other error is the degree cap's, for an exponent above it (x^999999
+    fits in eight characters)."""
+    try:
+        p = bitpoly.parse(s)
+    except DomainError:
+        return
+    except UnsupportedDegreeError as exc:
+        assert "exceeds cap" in str(exc)
+        return
+    assert isinstance(p, int) and p >= 0
+
+
+def test_parse_refuses_an_exponent_above_the_cap(monkeypatch):
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "8")
+    assert bitpoly.parse("1+x^8") == 0x101
+    with pytest.raises(UnsupportedDegreeError, match="degree 9 exceeds cap 8"):
+        bitpoly.parse("1+x^9")
+    with pytest.raises(DomainError, match="too long"):
+        bitpoly.parse("x^" + "9" * 5000)  # past int()'s digit limit

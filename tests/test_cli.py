@@ -1,10 +1,13 @@
 """Tests for the command-line interface (in-process, plus one console-script check)."""
 
 import csv
+import gc
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -306,6 +309,103 @@ def test_basis_for_kind_stops_at_a_refused_degree(kind, monkeypatch):
     assert len(builds) <= 1
 
 
+def test_refused_candidates_leave_no_cyclic_garbage():
+    """A scan past refused candidates frees their bases at once: a refusal
+    kept with its traceback would tie them into a reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, n in (("k3", 18), ("ka6", 4), ("ka6", 7)):
+            assert cli._basis_for_kind(kind, n) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# The first 16 hex digits of the sha256 of the stdout of `tables --kind K --n N
+# --modulus auto --alpha search`, as recorded before every command shared one
+# candidate loop; None where the builder refuses the degree (exit 2). k3 still
+# lands on the first primitive normal element: a primitive element is never a
+# cube when 3 | 2^n - 1, so build_kummer3 refuses every normal element before it.
+SEARCH_TABLES = {
+    "as2": {1: "712d56006c6017bd", 2: "33c2eedbb52d1a79", 3: "b048752f28f18afd",
+            4: "420172ac7c6db23e", 5: "a616916c94384c0e", 6: "2d5d39cd128a2236",
+            7: "0e87fc46f73e4d35", 8: "e29c03cd1d4518a3", 10: "1a393cc09589211f",
+            12: "cb0b7790327dea68", 14: "66d5e83ee992909b", 16: "58f2148684341d0d"},
+    "k3": {1: None, 2: "7e92405625e394a8", 3: None, 4: "1fc93b10f9b9ad12",
+           5: None, 6: "96e94fffb05b43c0", 7: None, 8: "40b625090e14f7fc",
+           10: "7a9f13877f6b166e", 12: "4dee482b3781d988", 14: "a914237d5f6262bc",
+           16: "359ad14b805eb4f3"},
+    "asw4": {1: None, 2: "c74d79d8362cc7fd", 3: None, 4: "86258a264da8f31d",
+             5: None, 6: "eaaae97987957cc6", 7: None, 8: "ad1149603cc2fa64",
+             10: "e7b901f6ddca7b0e", 12: "af67c91d50db8868", 14: "f4e203de9373b517",
+             16: "037e406a9292cd3d"},
+}
+REFUSALS = {"k3": "3 does not divide 2^{n} - 1", "asw4": "only for even n"}
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCH_TABLES))
+def test_tables_alpha_search_outputs_are_pinned(capsys, kind):
+    for n, want in SEARCH_TABLES[kind].items():
+        code, out, err = run_cli(capsys, "tables", "--kind", kind, "--n", str(n),
+                                 "--modulus", "auto", "--alpha", "search")
+        if want is None:
+            assert (code, out) == (2, ""), n
+            assert REFUSALS[kind].format(n=n) in err, n
+        else:
+            assert (code, _digest(out)) == (0, want), n
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("verify", "--n", "12", "--limit", "5"), "249e2772acedf005"),
+    (("cross-sums", "--n", "6", "--modulus", "auto", "--alpha", "search"),
+     "0de699aa9a56da29"),
+])
+def test_search_driven_outputs_are_pinned(capsys, argv, want):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, _digest(out)) == (0, want)
+
+
+@pytest.mark.parametrize("n, alpha", [(4, "1+x^3"), (7, "1+x+x^3")])
+def test_tables_ka6_search_takes_the_first_accepted_candidate(
+        capsys, monkeypatch, n, alpha):
+    """The least normal element at n = 4 and 7 makes the quadratic generator
+    a cube, so the search goes on to the element verify's ka6 case uses."""
+    built = []
+    embed = tables.build_embedding
+    monkeypatch.setattr(tables, "build_embedding",
+                        lambda ctx: built.append(ctx.base.alpha) or embed(ctx))
+    code, _, _ = run_cli(capsys, "tables", "--kind", "ka6", "--n", str(n),
+                         "--modulus", "auto", "--alpha", "search")
+    assert code == 0
+    assert built == [cli._basis_for_kind("ka6", n).base.alpha]
+    assert bitpoly.to_human(built[0]) == alpha
+
+
+def test_verify_scans_no_further_than_the_accepted_candidate(capsys, monkeypatch):
+    """Each case tests normal elements only until the builder accepts one:
+    verify --n 8 makes at most 66 normality tests (1,200 when each case first
+    listed 60 normal elements), and a fixture that admits the kind none."""
+    calls = {"is_normal_element": 0, "build_kind": 0}
+    for module, name in ((normal, "is_normal_element"), (extbasis, "build_kind")):
+        fn = getattr(module, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    code, _, _ = run_cli(capsys, "verify", "--n", "8", "--limit", "1")
+    assert code == 0
+    assert calls["is_normal_element"] <= 66 and calls["build_kind"] == 35
+    calls["is_normal_element"] = 0
+    assert cli._basis_for_kind("as2", 8) is not None
+    assert calls["is_normal_element"] == 0
+
+
 def test_wrong_expected_tally_fails_verify_and_bench(capsys, monkeypatch):
     """verify and bench check their tallies through one helper: a wrong
     expected as2 mul tally turns verify's mul_op_counts rows and bench's mul
@@ -426,6 +526,32 @@ def test_malformed_degree_cap_is_an_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "'bogus'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "4", "--modulus", "x^a"),
+    ("search", "--n", "4", "--modulus", "1+x+x^4x"),
+    ("cross-sums", "--n", "4", "--modulus", "1+x+x^4", "--alpha", "x^1.5"),
+])
+def test_malformed_polynomial_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad monomial") and err.count("\n") == 1
+
+
+def test_oversized_exponent_is_refused_before_it_is_built(capsys, monkeypatch):
+    """x^99999999 would be a 12.5 MB int; the cap refuses it first."""
+    monkeypatch.delenv("CHARFIELD2_MAX_N", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "search", "--n", "4",
+                                 "--modulus", "x^99999999")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: degree 99999999 exceeds cap 64 (set CHARFIELD2_MAX_N)\n"
+    assert peak < 1 << 20
 
 
 # --- generic plumbing ------------------------------------------------------

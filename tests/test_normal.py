@@ -174,7 +174,10 @@ def test_frobenius_shift_matches_field_frobenius():
         for p in range(min(1 << nb.n, 128)):
             v = nb.to_normal(p)
             assert nb.to_poly(normal.frobenius_shift(nb.n, v)) == gf.square(nb.field, p)
-            assert normal.frobenius_shift(nb.n, v, nb.n) == v
+            w = v
+            for _ in range(nb.n):
+                w = normal.frobenius_shift(nb.n, w)
+            assert w == v
 
 
 def test_alpha_mul_matches_field_product():
@@ -320,6 +323,22 @@ def test_search_normal_elements_ascending_and_limited():
     assert all(normal.is_normal_element(F16, a) for a in first)
     with pytest.raises(DomainError):
         normal.search_normal_elements(F16, limit=0)
+
+
+def test_normal_elements_stop_at_the_first_taken(monkeypatch):
+    """The generator tests a candidate only when the next element is asked
+    for, and yields what search_normal_elements lists."""
+    assert list(normal.normal_elements(F16)) == normal.search_normal_elements(F16)
+    assert (list(normal.normal_elements(F16, require_primitive=True))
+            == normal.search_normal_elements(F16, require_primitive=True))
+    tested = []
+    check = normal.is_normal_element
+    monkeypatch.setattr(normal, "is_normal_element",
+                        lambda ctx, a: tested.append(a) or check(ctx, a))
+    scan = normal.normal_elements(F16)
+    assert tested == []
+    first = next(scan)
+    assert tested[-1] == first and len(tested) <= first
 
 
 def test_search_primitive_filter():

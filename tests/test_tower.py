@@ -5,7 +5,8 @@ import json
 import pytest
 
 from charfield2 import extbasis as xb, field as gf, normal, tower
-from charfield2.errors import DomainError, UnsupportedDegreeError
+from charfield2.cli import _basis_for_kind
+from charfield2.errors import DomainError
 from charfield2.fixtures import get_fixture
 
 NB2 = get_fixture(2).basis()
@@ -71,6 +72,8 @@ def test_kind_guards():
         tower.kummer_over_as2_possible(xb.build_kummer3(NB2))
     with pytest.raises(DomainError):
         tower.as2_over_k3_possible(xb.build_as2(NB2))
+    with pytest.raises(DomainError):
+        tower.bicubic_possible(xb.build_as2(NB2))
 
 
 def test_as2_over_k3_is_never_possible():
@@ -89,25 +92,25 @@ def test_as2_over_k3_is_never_possible():
 
 
 def test_bicubic_known_values_and_refusals():
-    assert tower.bicubic_possible(2)          # v3(21) = 1
-    assert tower.bicubic_possible(4)          # v3(273) = 1
-    assert tower.bicubic_possible(2, NB2)
-    with pytest.raises(UnsupportedDegreeError):
-        tower.bicubic_possible(3)             # 3 does not divide 7
-    with pytest.raises(UnsupportedDegreeError):
-        tower.bicubic_possible(1)
-    with pytest.raises(DomainError):
-        tower.bicubic_possible(4, NB2)        # degree mismatch
-    nb22 = get_fixture(22).basis()            # non-primitive generator: refused
-    with pytest.raises(DomainError, match="primitive"):
-        tower.bicubic_possible(22, nb22)
+    """The criterion is asked of a built cubic Kummer basis. The degrees and
+    generators it does not hold for never get one: build_kummer3 refuses them
+    (test_extbasis::test_build_kummer3_requires_divisibility_first and
+    ::test_build_kummer3_rejects_non_primitive_non_cube)."""
+    assert tower.bicubic_possible(xb.build_kummer3(NB2))      # v3(21) = 1
+    assert tower.bicubic_possible(_basis_for_kind("k3", 4))   # v3(273) = 1
+    for n in (1, 3):                                        # 3 does not divide 2^n - 1
+        assert _basis_for_kind("k3", n) is None
+    for ctx in (xb.build_as2(NB4), xb.build_asw4(NB2), xb.build_ka6(NB2)):
+        with pytest.raises(DomainError):
+            tower.bicubic_possible(ctx)
 
 
 def test_bicubic_valuation_property_small_even_degrees():
     for n in range(2, 21, 2):
+        k3 = _basis_for_kind("k3", n)
         q = ((1 << (3 * n)) - 1) // ((1 << n) - 1)
-        assert tower.bicubic_possible(n) == (tower.v3(q) == 1)
-        assert tower.bicubic_possible(n)  # holds throughout this range
+        assert tower.bicubic_possible(k3) == (tower.v3(q) == 1)
+        assert tower.bicubic_possible(k3)  # holds throughout this range
 
 
 def test_ext_trace_values():
