@@ -22,6 +22,7 @@ import random
 import sys
 import time
 from itertools import chain, islice
+from math import prod
 
 from . import bitpoly, extbasis, field as gf, fixtures, normal, tables, tower
 from .errors import (CharField2Error, ConstructionContradictionError,
@@ -273,6 +274,8 @@ def cmd_densities(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    if args.kind is not None:  # refuse an over-cap oracle field before any scan
+        gf._check_cap(args.n * prod(r.degree for r in extbasis.RULES[args.kind]))
     basis = _resolve_basis(args.n, args.modulus, args.alpha, args.kind)
     if args.kind is None:
         width = (basis.n + 7) // 8
@@ -334,6 +337,11 @@ def _op_counts(ctx, op, pairs):
     return got, want, got == want and all(t % len(pairs) == 0 for t in total)
 
 
+def _random_elem(rng, ctx):
+    """A uniformly drawn element of the extension ctx, block by block."""
+    return extbasis.ExtElem(tuple(rng.randrange(1 << ctx.n) for _ in range(ctx.d)))
+
+
 def _verify_checks(args):
     """Yield (name, kind, n, ok, detail) rows for the verification suites.
     Each (kind, n) case is built once and its oracle embedding at most once."""
@@ -350,10 +358,7 @@ def _verify_checks(args):
                 rng = random.Random(f"{args.seed}:{kind}:{n}")
                 bad = 0
                 for _ in range(pairs):
-                    x = extbasis.ExtElem(tuple(rng.randrange(1 << n)
-                                               for _ in range(ctx.d)))
-                    y = extbasis.ExtElem(tuple(rng.randrange(1 << n)
-                                               for _ in range(ctx.d)))
+                    x, y = _random_elem(rng, ctx), _random_elem(rng, ctx)
                     z = extbasis.mul(ctx, x, y)
                     if emb.embed_ext(z) != gf.poly_mul_mod(
                             emb.big, emb.embed_ext(x), emb.embed_ext(y)):
@@ -442,10 +447,8 @@ def cmd_bench(args) -> int:
     ctx = _resolve_basis(args.n, args.modulus, args.alpha, args.kind)
     rng = random.Random(args.seed)
     iters = args.limit
-    xs = [extbasis.ExtElem(tuple(rng.randrange(1 << args.n)
-                                 for _ in range(ctx.d))) for _ in range(iters)]
-    ys = [extbasis.ExtElem(tuple(rng.randrange(1 << args.n)
-                                 for _ in range(ctx.d))) for _ in range(iters)]
+    xs = [_random_elem(rng, ctx) for _ in range(iters)]
+    ys = [_random_elem(rng, ctx) for _ in range(iters)]
     pairs = list(zip(xs, ys))
 
     results, failures = [], 0

@@ -130,48 +130,26 @@ def _trace_split(big, h, powers):
     raise ConstructionContradictionError("root splitting did not converge")
 
 
-def find_roots(big: gf.FieldCtx, coeffs) -> list:
-    """All roots in `big` of a squarefree polynomial that splits there (sorted)."""
+def find_root(big: gf.FieldCtx, coeffs) -> int:
+    """A root in `big` of the polynomial with coefficients `coeffs` (low to
+    high), which must be squarefree and split in `big`; DomainError otherwise.
+
+    Splits it down to a linear factor, keeping the smaller factor each time.
+    Which root comes out does not matter to the oracle: the automorphisms of
+    `big` carry any choice of roots to any other."""
     h = _fp_monic(big, coeffs)
     if len(h) < 2:
-        return []
+        raise DomainError("a constant polynomial has no root")
     powers = _frobenius_powers(big, h)
-    stack = [h]
-    roots = []
-    while stack:
-        h = stack.pop()
-        if len(h) == 2:  # monic X + c: root is c (char 2)
-            roots.append(h[0])
-            continue
-        g = _trace_split(big, h, powers)
-        stack.append(g)
-        stack.append(_fp_monic(big, _fp_divmod(big, h, g)[0]))
-    return sorted(roots)
-
-
-def least_conjugate_root(big: gf.FieldCtx, f: int) -> int:
-    """Least root in `big` of an irreducible f over F_2 whose degree divides big.n.
-
-    Splits f down to one root r, keeping the smaller factor each time.  The
-    roots of f are the Frobenius orbit r, r^2, ..., r^(2^(deg f - 1)), so the
-    least root is the orbit minimum, whichever root the splitting found."""
-    if not bitpoly.is_irreducible(f):
-        raise DomainError(f"{bitpoly.to_human(f)} is not irreducible over F_2")
-    n = bitpoly.degree(f)
-    if big.n % n:
-        raise DomainError(f"degree {n} does not divide the field degree {big.n}")
-    h = [(f >> i) & 1 for i in range(n + 1)]
-    powers = _frobenius_powers(big, h)
+    if _fp_sqmod(big, powers[-1], h) != powers[0]:  # X^(2^m) != X mod h
+        raise DomainError(
+            f"the polynomial is not squarefree or does not split in F_2^{big.n}")
     while len(h) > 2:
         g = _trace_split(big, h, powers)
         if 2 * len(g) > len(h) + 1:  # deg g > deg h / 2: keep the cofactor
-            g = _fp_monic(big, _fp_divmod(big, h, g)[0])
+            g = _fp_divmod(big, h, g)[0]
         h = g
-    r = least = h[0]
-    for _ in range(n - 1):
-        r = gf.square(big, r)
-        least = min(least, r)
-    return least
+    return h[0]  # monic X + c: the root is c (char 2)
 
 
 # --- oracle embedding ---------------------------------------------------
@@ -193,9 +171,10 @@ class OracleEmbedding:
         self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m), check_irreducible=False)
         big = self.big
 
-        # image of the base field: least root of its modulus in the big field
-        self.root = least_conjugate_root(big, nb.field.modulus)
-        self.alpha_img = self._eval_base(nb.alpha)
+        # image of the base field: a root of its modulus in the big field
+        f = nb.field.modulus
+        root = find_root(big, [(f >> i) & 1 for i in range(nb.n + 1)])
+        self.alpha_img = self._eval_base(nb.alpha, root)
         self.gen_images = self._solve_generators()
         conj = [self.alpha_img]
         for _ in range(nb.n - 1):
@@ -213,7 +192,7 @@ class OracleEmbedding:
             raise ConstructionContradictionError("basis images are linearly dependent")
         self._to_coords = inv
 
-    def _eval_base(self, elem: int) -> int:
+    def _eval_base(self, elem: int, root: int) -> int:
         """Image of a base-field element (poly coords) under x -> root."""
         big = self.big
         out = 0
@@ -221,18 +200,23 @@ class OracleEmbedding:
         for i in range(self.base.n):
             if (elem >> i) & 1:
                 out ^= power
-            power = gf.poly_mul_mod(big, power, self.root)
+            power = gf.poly_mul_mod(big, power, root)
         return out
 
     def _solve_generators(self):
-        """Least root in the big field of each rule, in adjunction order."""
+        """A root in the big field of each rule, in adjunction order."""
         big = self.big
         mul = partial(gf.poly_mul_mod, big)
         images = {}
         for gen, degree, rhs in self.rules:
             c = rhs(mul, self.alpha_img, *images.values())
-            roots = (gf.solve_artin_schreier(big, c) if degree == 2
-                     else find_roots(big, [c, 0, 0, 1]))
+            if degree == 2:
+                roots = gf.solve_artin_schreier(big, c)
+            else:
+                try:
+                    roots = [find_root(big, [c, 0, 0, 1])]
+                except DomainError:  # y^3 = c does not split in the big field
+                    roots = []
             if not roots:
                 raise ConstructionContradictionError(
                     f"the defining rule of {gen} has no root in the big field")

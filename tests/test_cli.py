@@ -386,6 +386,19 @@ def test_tables_ka6_search_takes_the_first_accepted_candidate(
     assert bitpoly.to_human(built[0]) == alpha
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_tables_refuses_an_over_cap_oracle_before_any_scan(capsys, monkeypatch, n):
+    """ka6 needs an oracle field of degree 6n: over the cap of 64 the command
+    exits 2 before it builds a single normal basis."""
+    monkeypatch.delenv("CHARFIELD2_MAX_N", raising=False)
+    built = []
+    monkeypatch.setattr(normal, "build_normal_basis", lambda *a: built.append(a))
+    code, out, err = run_cli(capsys, "tables", "--kind", "ka6", "--n", str(n),
+                             "--modulus", "auto", "--alpha", "search")
+    assert (code, out, built) == (2, "", [])
+    assert err == f"error: degree {6 * n} exceeds cap 64 (set CHARFIELD2_MAX_N)\n"
+
+
 def test_verify_scans_no_further_than_the_accepted_candidate(capsys, monkeypatch):
     """Each case tests normal elements only until the builder accepts one:
     verify --n 8 makes at most 66 normality tests (1,200 when each case first

@@ -17,26 +17,12 @@ NB4 = get_fixture(4).basis()
 NB6 = get_fixture(6).basis()
 
 
-def test_find_roots_returns_actual_roots():
-    big = gf.FieldCtx(0b1000011)  # F_64
-    # y^2 + y + c for a trace-zero c has two roots; check them directly
-    c = next(a for a in range(1, 64) if gf.trace(big, a) == 0)
-    roots = sorted(tables.find_roots(big, [c, 1, 1]))
-    assert len(roots) == 2
-    for y in roots:
-        assert gf.square(big, y) ^ y ^ c == 0
-    assert roots == gf.solve_artin_schreier(big, c)
-    # cubic y^3 + a with a a non-cube has no roots; with a = 1 it has the cube roots of 1
-    ones = tables.find_roots(big, [1, 0, 0, 1])
-    assert ones and all(gf.power(big, y, 3) == 1 for y in ones)
-    assert len(ones) == 3  # 3 | 63
-
-
-def test_find_roots_is_deterministic_and_sorted():
-    big = gf.FieldCtx(0b10011)
-    r1 = tables.find_roots(big, [1, 0, 0, 1])
-    r2 = tables.find_roots(big, [1, 0, 0, 1])
-    assert r1 == r2 == sorted(r1)
+def _value(big, coeffs, r):
+    """coeffs (low to high) evaluated at r by Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = gf.poly_mul_mod(big, value, r) ^ c
+    return value
 
 
 def _first_irreducibles(d, count=3):
@@ -50,34 +36,111 @@ def _first_irreducibles(d, count=3):
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])
-def test_least_conjugate_root_is_the_least_root(m):
+def test_find_root_returns_a_root_of_each_irreducible(m):
+    """The first irreducibles of each degree d | m, and y^3 = c for cubes c."""
     big = gf.FieldCtx(bitpoly.min_irreducible(m))
     for d in (d for d in range(1, m + 1) if m % d == 0):
         for f in _first_irreducibles(d):
             coeffs = [(f >> i) & 1 for i in range(d + 1)]
-            r = tables.least_conjugate_root(big, f)
-            assert r == tables.find_roots(big, coeffs)[0], (m, f)
-            value = 0
-            for c in reversed(coeffs):  # Horner's rule: f(r)
-                value = gf.poly_mul_mod(big, value, r) ^ c
-            assert value == 0
+            r = tables.find_root(big, coeffs)
+            assert _value(big, coeffs, r) == 0, (m, f)
+            assert tables.find_root(big, coeffs) == r
             assert len({gf.frobenius(big, r, i) for i in range(d)}) == d
+    for a in (2, 3, (1 << m) - 1):
+        c = gf.power(big, a, 3)
+        r = tables.find_root(big, [c, 0, 0, 1])
+        assert gf.power(big, r, 3) == c, (m, a)
+        assert tables.find_root(big, [c, 0, 0, 1]) == r
 
 
-def test_least_conjugate_root_refuses_a_degree_that_does_not_divide_m():
-    big = gf.FieldCtx(bitpoly.min_irreducible(8))
-    with pytest.raises(DomainError):
-        tables.least_conjugate_root(big, 0b1011)  # 1 + x + x^3: irreducible, 3 does not divide 8
+def test_find_root_solves_artin_schreier():
+    big = gf.FieldCtx(0b1000011)  # F_64
+    c = next(a for a in range(1, 64) if gf.trace(big, a) == 0)
+    assert tables.find_root(big, [c, 1, 1]) in gf.solve_artin_schreier(big, c)
 
 
 @pytest.mark.parametrize("f", [
-    0b10101,  # (1 + x + x^2)^2
-    0b10010,  # x (1 + x) (1 + x + x^2): squarefree, splits in F_256
+    0b10101,  # (1 + x + x^2)^2: not squarefree
+    0b1011,   # 1 + x + x^3: irreducible, 3 does not divide 8
+    0b1,      # a constant
 ])
-def test_least_conjugate_root_refuses_a_reducible_polynomial(f):
+def test_find_root_refuses_a_polynomial_that_does_not_split(f):
     big = gf.FieldCtx(bitpoly.min_irreducible(8))
     with pytest.raises(DomainError):
-        tables.least_conjugate_root(big, f)
+        tables.find_root(big, [(f >> i) & 1 for i in range(f.bit_length())])
+
+
+def test_find_root_refuses_a_cubic_with_no_root():
+    big = gf.FieldCtx(bitpoly.min_irreducible(8))
+    c = next(a for a in range(2, 256) if not gf.is_cube(big, a))
+    with pytest.raises(DomainError):
+        tables.find_root(big, [c, 0, 0, 1])
+
+
+def test_find_root_takes_a_reducible_polynomial_that_splits():
+    big = gf.FieldCtx(bitpoly.min_irreducible(8))
+    coeffs = [0, 1, 0, 0, 1]  # x (1 + x) (1 + x + x^2): squarefree, splits in F_256
+    assert _value(big, coeffs, tables.find_root(big, coeffs)) == 0
+
+
+@pytest.mark.parametrize("kind", ["as2", "k3"])
+def test_a_rule_with_no_root_in_the_big_field_is_a_contradiction(kind, monkeypatch):
+    """Quadratic and cubic rules alike: no root is a ConstructionContradictionError."""
+    ctx = xb.build_kind(NB2, kind)
+    find_root = tables.find_root
+
+    def refuse_cubics(big, coeffs):  # NB2's modulus is quadratic
+        if len(coeffs) == 4:
+            raise DomainError("no root")
+        return find_root(big, coeffs)
+
+    monkeypatch.setattr(tables, "find_root", refuse_cubics)
+    monkeypatch.setattr(gf, "solve_artin_schreier", lambda big, c: [])
+    with pytest.raises(ConstructionContradictionError, match="rule of b has no root"):
+        tables.build_embedding(ctx)
+
+
+def _fixture_sources(degrees):
+    """Every basis and extension kind that builds over the given fixtures."""
+    for n in degrees:
+        nb = get_fixture(n).basis()
+        yield f"normal-n{n}", nb
+        for kind in xb.KINDS:
+            try:
+                yield f"{kind}-n{n}", xb.build_kind(nb, kind)
+            except (NoKummerExtensionError, UnsupportedDegreeError):
+                continue
+
+
+def test_oracle_does_not_depend_on_the_roots_it_picks(monkeypatch):
+    """Another root for every modulus and cubic rule, and the other solution
+    of every quadratic rule, give other images but the same tables: the
+    automorphisms of the big field carry one choice of roots to the other."""
+    sources = dict(_fixture_sources((2, 4, 6, 8)))
+    assert len(sources) == 18
+    reference = {}
+    for label, source in sources.items():
+        emb = tables.build_embedding(source)
+        reference[label] = (emb.basis_images, tables.build_tables(emb).tables)
+
+    find_root = tables.find_root
+
+    def other_root(big, coeffs):
+        r = find_root(big, coeffs)
+        return find_root(big, tables._fp_divmod(big, tables._fp_monic(big, coeffs),
+                                                [r, 1])[0])
+
+    solve = gf.solve_artin_schreier
+    monkeypatch.setattr(tables, "find_root", other_root)
+    monkeypatch.setattr(gf, "solve_artin_schreier", lambda big, c: solve(big, c)[::-1])
+    moved = 0
+    for label, source in sources.items():
+        emb = tables.build_embedding(source)
+        assert emb.check_rules(), label
+        images, ts = reference[label]
+        assert tables.build_tables(emb).tables == ts, label
+        moved += emb.basis_images != images
+    assert moved == len(sources)
 
 
 F64 = gf.FieldCtx(0b1000011)
@@ -301,19 +364,8 @@ def _tables_by_full_loop(emb):
     return tables_
 
 
-def _sources_up_to_4():
-    """Every basis and extension kind that builds over the fixtures n <= 4."""
-    for n in (d for d in fixture_degrees() if d <= 4):
-        nb = get_fixture(n).basis()
-        yield f"normal-n{n}", nb
-        for kind in xb.KINDS:
-            try:
-                yield f"{kind}-n{n}", xb.build_kind(nb, kind)
-            except (NoKummerExtensionError, UnsupportedDegreeError):
-                continue
-
-
-@pytest.mark.parametrize("label,source", list(_sources_up_to_4()))
+@pytest.mark.parametrize("label,source", list(_fixture_sources(
+    d for d in fixture_degrees() if d <= 4)))
 def test_build_tables_matches_the_full_loop_and_is_symmetric(label, source):
     emb = tables.build_embedding(source)
     ts = tables.build_tables(emb)
