@@ -3,8 +3,9 @@
 Carry-less polynomial arithmetic over F_2, field contexts for F_{2^n},
 normal-basis construction with multiplication tables and cross-product
 sums, quadratic/cubic-Kummer/quartic/sextic extended bases with exactly
-counted arithmetic, the quartic rules derived from length-2 Witt vectors,
-tower existence predicates, an independent big-field oracle embedding for
+counted arithmetic, the quartic rules derived once from length-2 Witt
+vectors over F_2[a] (basis-free), tower existence predicates (three of the
+four are theorems), an independent big-field oracle embedding for
 verification, and a reproduction corpus of reference densities.
 """
 
@@ -24,9 +25,8 @@ from .fixtures import FIXTURES, Fixture, get_fixture
 from .tables import (OracleEmbedding, TableSet, build_embedding, build_tables,
                      expected_counts, expected_density, normal_table_set,
                      table_mul, verify_table_entries)
-from .tower import (TowerReport, as2_over_k3_possible, bicubic_possible,
-                    biquadratic_possible, build_tower_report,
-                    kummer_over_as2_possible)
+from .tower import (as2_over_k3_possible, bicubic_possible,
+                    biquadratic_possible, kummer_over_as2_possible)
 
 __version__ = "0.1.0"
 
@@ -43,8 +43,8 @@ __all__ = [
     "OracleEmbedding", "TableSet", "build_embedding", "build_tables",
     "expected_counts", "expected_density", "normal_table_set", "table_mul",
     "verify_table_entries",
-    "TowerReport", "as2_over_k3_possible", "bicubic_possible",
-    "biquadratic_possible", "build_tower_report", "kummer_over_as2_possible",
+    "as2_over_k3_possible", "bicubic_possible", "biquadratic_possible",
+    "kummer_over_as2_possible",
     "bitpoly", "field", "fixtures", "linalg", "normal", "tables", "tower",
     "witt", "__version__",
 ]

@@ -92,10 +92,6 @@ class NormalBasisCtx:
         """Coordinates of the field identity (all-ones for a normal basis)."""
         return self.to_normal(1)
 
-    def alpha_coords(self) -> NormalCoords:
-        """Coordinates of the basis generator itself (unit bit 0)."""
-        return 1
-
     @property
     def mul_rows(self):
         """Product tables T_k (k = 0..n-1), rows over i: bit j = t_{(j-i) mod n, (k-i) mod n}.

@@ -9,36 +9,24 @@ whether each of these two-step towers yields a field extension basis:
   as2 over k3: never possible — the cube-root generator has absolute
       trace 0, so y^2 + y = b is solvable inside F_{2^(3n)} and the
       quadratic is reducible; a preimage y is produced as a witness.
-  k3 over k3 (degree 9, bicubic): asked of a built cubic Kummer basis;
-      possible when v3((2^(3n) - 1)/(2^n - 1)) = 1 (a sufficient
-      criterion; the valuation is computed with exact integers).
+  k3 over k3 (degree 9, bicubic): always possible over a built cubic
+      Kummer basis, whose generator is primitive and whose n is even.
+
+The first, third and fourth are theorems, proved in the docstrings below;
+only the second depends on the basis and is computed.
 """
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Optional
-
 from . import extbasis, linalg
-from .errors import (ConstructionContradictionError, DomainError,
-                     NoKummerExtensionError, UnsupportedDegreeError)
+from .errors import DomainError
 from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
-from .normal import NormalBasisCtx
-
-
-def v3(q: int) -> int:
-    """3-adic valuation of a positive integer."""
-    if q <= 0:
-        raise DomainError("valuation needs a positive integer")
-    v = 0
-    while q % 3 == 0:
-        q //= 3
-        v += 1
-    return v
 
 
 def biquadratic_possible(n: int) -> bool:
     """Whether a quadratic extension basis of F_{2^n} admits a second
-    quadratic step (equivalently y^2 + y + b is irreducible over F_{2^(2n)})."""
+    quadratic step (equivalently y^2 + y + b is irreducible over F_{2^(2n)}).
+
+    That is Tr_2n(b) = 1, and Tr_2n(b) = Tr_n(b + b^(2^n)) = Tr_n(1) = n mod 2,
+    since b^(2^n) = b + 1 (the conjugate root of y^2 + y = a)."""
     if n < 1:
         raise DomainError("degree must be a positive integer")
     return n % 2 == 1
@@ -62,12 +50,14 @@ def as2_over_k3_possible(ctx: ExtBasisCtx) -> bool:
 
 def bicubic_possible(ctx: ExtBasisCtx) -> bool:
     """Whether a cubic Kummer extension basis admits a second cube-root step:
-    sufficient criterion v3((2^(3n)-1)/(2^n-1)) = 1, established for the
-    primitive generator that build_kummer3 demands."""
+    always. build_kummer3 demands a primitive generator a and 3 | 2^n - 1,
+    so n is even, and b (b^3 = a) has order 3(2^n - 1) in F_{2^(3n)}; b is a
+    cube there iff 9 divides q = (2^(3n) - 1)/(2^n - 1) = 1 + 2^n + 2^(2n).
+    Write 2^n = 1 + 3t: then q = 3 + 9t + 9t^2 = 3 (mod 9), so b is never a
+    cube and y^3 = b is irreducible."""
     if ctx.kind != "k3":
         raise DomainError("expected a cubic Kummer extension context")
-    q = ((1 << (3 * ctx.n)) - 1) // ((1 << ctx.n) - 1)
-    return v3(q) == 1
+    return True
 
 
 # --- constructive witnesses --------------------------------------------
@@ -96,61 +86,3 @@ def artin_schreier_preimage(ctx: ExtBasisCtx, x: ExtElem):
             rows.append(_pack(img.blocks, ctx.n) ^ (1 << i))
         sol = linalg.solve_linear(rows, ctx.m, _pack(x.blocks, ctx.n))
     return None if sol is None else ExtElem(_unpack(sol, ctx.n, ctx.d))
-
-
-# --- report -------------------------------------------------------------
-
-@dataclass
-class TowerReport:
-    """Verdicts for all four two-step towers over one base, with witnesses."""
-    base_n: int
-    as2_over_as2: bool
-    k3_over_as2: bool
-    as2_over_k3: bool
-    k3_over_k3: Optional[bool]
-    witnesses: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def build_tower_report(nb: NormalBasisCtx) -> TowerReport:
-    """Evaluate every two-step tower predicate over one normal basis.
-
-    k3_over_k3 is None when no cubic Kummer step exists to build upon.
-    """
-    n = nb.n
-    witnesses = {}
-
-    biq = biquadratic_possible(n)
-    witnesses["as2_over_as2"] = f"n = {n} is {'odd' if biq else 'even'}"
-
-    as2 = extbasis.build_as2(nb)
-    k3a = kummer_over_as2_possible(as2)
-    witnesses["k3_over_as2"] = (
-        f"quadratic generator is a {'non-cube' if k3a else 'cube'} in F_2^{2 * n}")
-
-    k3k3 = None
-    try:
-        k3 = extbasis.build_kummer3(nb)
-    except (NoKummerExtensionError, UnsupportedDegreeError) as exc:
-        witnesses["as2_over_k3"] = f"vacuous, no cubic step exists here: {exc}"
-        witnesses["k3_over_k3"] = f"no cubic step exists here: {exc}"
-    else:
-        beta = extbasis.generator_element(k3, "b")
-        if ext_trace(k3, beta) != extbasis.zero(k3):
-            raise ConstructionContradictionError(
-                "cube-root generator has nonzero absolute trace")
-        gamma = artin_schreier_preimage(k3, beta)
-        if gamma is None:
-            raise ConstructionContradictionError(
-                "no quadratic preimage despite zero trace")
-        witnesses["as2_over_k3"] = (
-            "trace(b) = 0; y with y^2 + y = b: "
-            + extbasis.ext_to_hex(k3, gamma))
-        k3k3 = bicubic_possible(k3)
-        q = ((1 << (3 * n)) - 1) // ((1 << n) - 1)
-        witnesses["k3_over_k3"] = f"v3((2^{3 * n} - 1)/(2^{n} - 1)) = v3({q}) = {v3(q)}"
-
-    return TowerReport(base_n=n, as2_over_as2=biq, k3_over_as2=k3a,
-                       as2_over_k3=False, k3_over_k3=k3k3, witnesses=witnesses)

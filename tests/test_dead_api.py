@@ -28,8 +28,6 @@ ALLOWED = {
     "field.frobenius": "the tests' reference for squaring and normal_mul",
     "tables.normal_table_set": "the tests' reference for the oracle's tables",
     "normal.NormalBasisCtx.to_poly": "README quick start",
-    "tower.build_tower_report": "README quick start",
-    "tower.TowerReport.to_json": "README quick start",
 }
 
 

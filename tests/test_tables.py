@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield2 import bitpoly, cli, extbasis as xb, field as gf, normal, tables, witt
+from charfield2 import bitpoly, cli, extbasis as xb, field as gf, normal, tables
 from charfield2.errors import (ConstructionContradictionError, DomainError,
                                NoKummerExtensionError, UnsupportedDegreeError)
 from charfield2.fixtures import fixture_degrees, get_fixture
@@ -197,27 +197,6 @@ def test_check_rules_rejects_a_broken_generator_image(kind):
         assert not emb.check_rules(), gen
         emb.gen_images[gen] = good
     assert emb.check_rules()
-
-
-def test_build_asw4_refuses_rules_that_differ_from_the_programs(monkeypatch):
-    """Negative control: a Witt derivation that disagrees with RULES["asw4"]
-    refuses construction."""
-    rule_b0, rule_b1 = witt.asw4_reduction_rules(NB2)
-    wrong_b1 = dict(rule_b1)
-    wrong_b1[(0, 0)] ^= 1
-    monkeypatch.setattr(xb, "asw4_reduction_rules", lambda nb: (rule_b0, wrong_b1))
-    with pytest.raises(ConstructionContradictionError):
-        xb.build_asw4(NB2)
-
-
-def test_build_asw4_refuses_a_wrong_stated_rule(monkeypatch):
-    """Negative control: RULES["asw4"] with b1's side missing its a^2 term
-    disagrees with the Witt derivation, which refuses construction."""
-    rule_b0, rule_b1 = xb.RULES["asw4"]
-    wrong_b1 = rule_b1._replace(rhs=lambda mul, a, b0: b0 ^ mul(a, b0))
-    monkeypatch.setitem(xb.RULES, "asw4", (rule_b0, wrong_b1))
-    with pytest.raises(ConstructionContradictionError):
-        xb.build_asw4(NB2)
 
 
 def test_oracle_solves_the_stated_rules(monkeypatch):

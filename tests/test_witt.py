@@ -1,18 +1,18 @@
 """Tests for the length-2 Witt vector formulas and the quartic reduction rules.
 
 The formulas `_w2_add`, `_w2_mul` and `_wp` take the component ring's
-operations as arguments; here they run on pairs of F_4 and F_8 elements.
+operations as arguments; here they run on pairs of F_4 and F_8 elements, and
+over polynomials with F_2[a] coefficients for the basis-free quartic rules.
 """
 
 import itertools
 
-import pytest
-
-from charfield2 import field as gf, normal, witt
+from charfield2 import extbasis as xb, field as gf, normal, witt
 from charfield2.witt import SymPoly, _w2_add, _w2_mul, _wp
 
 F4 = gf.FieldCtx(0b111)
 F8 = gf.FieldCtx(0b1011)
+A = 0b10  # the basis generator a as an element of F_2[a]
 
 
 def _ring(ctx):
@@ -84,33 +84,60 @@ def test_wp_map_component_formula():
         assert img[1] == gf.square(F4, x1) ^ x1 ^ cube
 
 
-@pytest.mark.parametrize("n,modulus,alpha", [
-    (2, 0b111, 0b10),
-    (4, 0b10011, 0b1000),
-    (6, 0b1000011, 0b111000),
-])
-def test_asw4_rules_plug_back_to_zero(n, modulus, alpha):
-    """Under the derived rules, wp((b0, b1)) + (alpha, alpha) reduces to (0, 0)."""
-    nb = normal.build_normal_basis(gf.FieldCtx(modulus), alpha)
-    rule_b0, rule_b1 = witt.asw4_reduction_rules(nb)
-    rules = {0: SymPoly(nb, rule_b0), 1: SymPoly(nb, rule_b1)}
-    gens = (SymPoly.gen(nb, 0), SymPoly.gen(nb, 1))
-    alpha_c = SymPoly.const(nb, nb.alpha_coords())
-    s = _wp(SymPoly.__add__, SymPoly.__mul__, SymPoly.square, gens)
-    t = _w2_add(SymPoly.__add__, SymPoly.__mul__, s, (alpha_c, alpha_c))
-    assert [c.reduce(rules).terms for c in t] == [{}, {}]
+def _stated_asw4_rules(rules):
+    """RULES["asw4"] evaluated over SymPoly: each y^2 = y + c as the dict of
+    y + c, the shape asw4_reduction_rules returns."""
+    a = SymPoly.const(A)
+    gens, stated = [], []
+    for k, rule in enumerate(rules):
+        y = SymPoly.gen(k)
+        stated.append((y + rule.rhs(SymPoly.__mul__, a, *gens)).terms)
+        gens.append(y)
+    return stated
 
 
 def test_asw4_rule_shapes():
-    nb = normal.build_normal_basis(F4, 0b10)
-    rule_b0, rule_b1 = witt.asw4_reduction_rules(nb)
-    # b0^2 rewrites to b0 + alpha
-    assert rule_b0 == {(1, 0): nb.one(), (0, 0): nb.alpha_coords()}
-    # b1^2 rewrites to b1 + (1+alpha) b0 + alpha^2
-    sq_alpha = normal.frobenius_shift(nb.n, nb.alpha_coords())
-    assert rule_b1 == {(0, 1): nb.one(),
-                       (1, 0): nb.one() ^ nb.alpha_coords(),
-                       (0, 0): sq_alpha}
+    """The derived rules as F_2[a] bitmasks (bit i: coefficient of a^i)."""
+    rule_b0, rule_b1 = witt.asw4_reduction_rules()
+    # b0^2 rewrites to b0 + a
+    assert rule_b0 == {(1, 0): 1, (0, 0): A}
+    # b1^2 rewrites to b1 + (1+a) b0 + a^2
+    assert rule_b1 == {(0, 1): 1, (1, 0): 1 ^ A, (0, 0): 0b100}
+
+
+def test_asw4_rules_plug_back_to_zero():
+    """Under the derived rules, wp((b0, b1)) + (a, a) reduces to (0, 0) over F_2[a]."""
+    rule_b0, rule_b1 = witt.asw4_reduction_rules()
+    rules = {0: SymPoly(rule_b0), 1: SymPoly(rule_b1)}
+    gens = (SymPoly.gen(0), SymPoly.gen(1))
+    a = SymPoly.const(A)
+    s = _wp(SymPoly.__add__, SymPoly.__mul__, SymPoly.square, gens)
+    t = _w2_add(SymPoly.__add__, SymPoly.__mul__, s, (a, a))
+    assert [c.reduce(rules).terms for c in t] == [{}, {}]
+
+
+def test_derived_rules_equal_the_stated_rules():
+    """The Witt derivation is RULES["asw4"], the rules the quartic programs
+    and the oracle read; both are polynomials in a, so this holds for every
+    basis and build_asw4 need not check it."""
+    assert list(witt.asw4_reduction_rules()) == _stated_asw4_rules(xb.RULES["asw4"])
+
+
+def test_flipped_derived_coefficient_fails_the_comparison():
+    """Negative control: a derivation with one coefficient flipped differs
+    from RULES["asw4"]."""
+    rule_b0, rule_b1 = witt.asw4_reduction_rules()
+    wrong_b1 = dict(rule_b1)
+    wrong_b1[(0, 0)] ^= 1
+    assert [rule_b0, wrong_b1] != _stated_asw4_rules(xb.RULES["asw4"])
+
+
+def test_stated_rule_without_its_a_squared_term_fails_the_comparison():
+    """Negative control: RULES["asw4"] with b1's side missing its a^2 term
+    differs from the Witt derivation."""
+    rule_b0, rule_b1 = xb.RULES["asw4"]
+    wrong_b1 = rule_b1._replace(rhs=lambda mul, a, b0: b0 ^ mul(a, b0))
+    assert list(witt.asw4_reduction_rules()) != _stated_asw4_rules((rule_b0, wrong_b1))
 
 
 def _wp_fiber_size(ctx, target):
