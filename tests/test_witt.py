@@ -7,6 +7,8 @@ over polynomials with F_2[a] coefficients for the basis-free quartic rules.
 
 import itertools
 
+import pytest
+
 from charfield2 import extbasis as xb, field as gf, normal, witt
 from charfield2.witt import SymPoly, _w2_add, _w2_mul, _wp
 
@@ -105,7 +107,7 @@ def test_asw4_rule_shapes():
     assert rule_b1 == {(0, 1): 1, (1, 0): 1 ^ A, (0, 0): 0b100}
 
 
-def test_asw4_rules_plug_back_to_zero():
+def test_derived_rules_plug_back_to_zero_over_f2_a():
     """Under the derived rules, wp((b0, b1)) + (a, a) reduces to (0, 0) over F_2[a]."""
     rule_b0, rule_b1 = witt.asw4_reduction_rules()
     rules = {0: SymPoly(rule_b0), 1: SymPoly(rule_b1)}
@@ -114,6 +116,42 @@ def test_asw4_rules_plug_back_to_zero():
     s = _wp(SymPoly.__add__, SymPoly.__mul__, SymPoly.square, gens)
     t = _w2_add(SymPoly.__add__, SymPoly.__mul__, s, (a, a))
     assert [c.reduce(rules).terms for c in t] == [{}, {}]
+
+
+@pytest.mark.parametrize("n,modulus,alpha", [
+    (2, 0b111, 0b10),
+    (4, 0b10011, 0b1000),
+    (6, 0b1000011, 0b111000),
+])
+def test_asw4_rules_plug_back_to_zero(n, modulus, alpha):
+    """On each built quartic basis, b0^2 and b1^2 are the derived rules at
+    a = alpha, and wp((b0, b1)) + (alpha, alpha) is (0, 0)."""
+    nb = normal.build_normal_basis(gf.FieldCtx(modulus), alpha)
+    ctx = xb.build_asw4(nb)
+    assert ctx.n == n
+    add = lambda x, y: xb.ExtElem(tuple(u ^ v for u, v in zip(x, y)))
+    mul = lambda x, y: xb.mul(ctx, x, y)
+    sq = lambda x: xb.square(ctx, x)
+    gens = (xb.generator_element(ctx, "b0"), xb.generator_element(ctx, "b1"))
+    a = xb.embed_base(ctx, nb.to_normal(alpha))
+
+    def at_alpha(rule):
+        """The F_2[a] polynomial rule evaluated at a = alpha in the extension."""
+        out = xb.zero(ctx)
+        for (e0, e1), coeff in rule.items():
+            c = xb.zero(ctx)
+            for i in range(coeff.bit_length()):
+                if coeff >> i & 1:
+                    c = add(c, xb.power(ctx, a, i))
+            out = add(out, mul(c, mul(xb.power(ctx, gens[0], e0),
+                                      xb.power(ctx, gens[1], e1))))
+        return out
+
+    rule_b0, rule_b1 = witt.asw4_reduction_rules()
+    assert sq(gens[0]) == at_alpha(rule_b0)
+    assert sq(gens[1]) == at_alpha(rule_b1)
+    t = _w2_add(add, mul, _wp(add, mul, sq, gens), (a, a))
+    assert list(t) == [xb.zero(ctx), xb.zero(ctx)]
 
 
 def test_derived_rules_equal_the_stated_rules():
