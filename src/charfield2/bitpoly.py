@@ -96,8 +96,19 @@ def is_irreducible(f: BitPoly) -> bool:
     return True
 
 
+_MIN_IRREDUCIBLE = {}  # degree -> min_irreducible(degree), filled on first use
+
+
 def min_irreducible(n: int) -> BitPoly:
-    """Deterministic irreducible of degree n: fewest terms, then least bit-packed value."""
+    """Deterministic irreducible of degree n: fewest terms, then least
+    bit-packed value.  Each degree is searched once per process."""
+    f = _MIN_IRREDUCIBLE.get(n)
+    if f is None:
+        f = _MIN_IRREDUCIBLE[n] = _search_min_irreducible(n)
+    return f
+
+
+def _search_min_irreducible(n: int) -> BitPoly:
     if n < 1:
         raise DomainError("degree must be positive")
     if n == 1:

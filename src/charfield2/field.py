@@ -277,10 +277,28 @@ def power(ctx: FieldCtx, a: int, e: int) -> int:
 
 
 def inverse(ctx: FieldCtx, a: int) -> int:
-    """Multiplicative inverse of nonzero a."""
+    """Multiplicative inverse of nonzero a, by the extended Euclidean algorithm
+    on (a, modulus) (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve
+    Cryptography, Alg. 2.48).
+
+    Throughout, u = g1 a and v = g2 a modulo f, and deg g1 + deg v <= n.
+    v is f or an earlier u, never 1, so once u = 1, g1 is the inverse
+    already reduced."""
+    validate(ctx, a)
     if a == 0:
         raise DomainError("zero has no inverse")
-    return power(ctx, a, ctx.order - 1)
+    u, v = a, ctx.modulus
+    g1, g2 = 1, 0
+    while u != 1:
+        if not u:  # the last nonzero u was gcd(a, f) != 1: f is reducible
+            raise DomainError(f"{a} is not invertible modulo "
+                              f"{bitpoly.to_human(ctx.modulus)}")
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 def frobenius(ctx: FieldCtx, a: int, k: int = 1) -> int:

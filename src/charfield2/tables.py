@@ -11,9 +11,9 @@ from functools import partial
 
 from . import bitpoly
 from . import field as gf
-from .errors import ConstructionContradictionError, DomainError
+from .errors import ConstructionContradictionError, DomainError, InvalidElementError
 from .extbasis import RULES, ExtBasisCtx, ExtElem, _monomials, _pack, _unpack
-from .linalg import mat_invert, mat_transpose, parity, row_apply
+from .linalg import PreparedMap, mat_invert, mat_transpose, parity, row_apply
 from .normal import NormalBasisCtx, basis_products
 
 
@@ -190,7 +190,7 @@ class OracleEmbedding:
         inv = mat_invert(images, self.m)
         if inv is None:
             raise ConstructionContradictionError("basis images are linearly dependent")
-        self._to_coords = inv
+        self.coord_map = PreparedMap(inv)  # big-field element -> flat coordinates
 
     def _eval_base(self, elem: int, root: int) -> int:
         """Image of a base-field element (poly coords) under x -> root."""
@@ -225,15 +225,21 @@ class OracleEmbedding:
 
     # conversions ------------------------------------------------------
     def embed_blocks(self, blocks) -> int:
-        """Blocks of normal coordinates -> big-field element."""
+        """Blocks of normal coordinates -> big-field element; InvalidElementError
+        unless there are d blocks, each of n bits."""
+        if len(blocks) != self.d:
+            raise InvalidElementError(f"expected {self.d} blocks, got {len(blocks)}")
+        for b in blocks:
+            gf.validate(self.base.field, b)
         return row_apply(self.basis_images, _pack(blocks, self.base.n))
 
     def embed_ext(self, x: ExtElem) -> int:
         return self.embed_blocks(x.blocks)
 
     def to_blocks(self, y: int):
-        """Big-field element -> blocks of coordinates over the basis."""
-        flat = row_apply(self._to_coords, y)
+        """Big-field element -> blocks of coordinates over the basis;
+        InvalidElementError when y is not an element of the big field."""
+        flat = self.coord_map.apply(gf.validate(self.big, y))
         return _unpack(flat, self.base.n, self.d)
 
     def check_rules(self) -> bool:
@@ -271,19 +277,31 @@ class TableSet:
 def build_tables(emb: OracleEmbedding) -> TableSet:
     """Brute-force tables: expand every basis product over the basis.  The
     big field commutes, so each product with j >= i fills entries (i, j) and
-    (j, i)."""
+    (j, i).
+
+    Row i takes one carry-less product of imgs[i] by imgs[i..m-1] packed in
+    lanes 2m bits apart: each lane's product has at most 2m - 1 bits, so no
+    lane spills into the next, and lane j - i is imgs[i] imgs[j] unreduced."""
     m = emb.m
     big = emb.big
     imgs = emb.basis_images
-    inv = emb._to_coords
+    to_coords = emb.coord_map.apply
+    lane = 2 * m
+    lane_mask = (1 << lane) - 1
     tables = [[0] * m for _ in range(m)]
-    for i in range(m):
+    packed = 0
+    for i in reversed(range(m)):
+        packed = packed << lane | imgs[i]  # imgs[j] in lane j - i
+        prods = bitpoly.poly_mul(imgs[i], packed)
+        bit_i = 1 << i
         for j in range(i, m):
-            coords = row_apply(inv, gf.poly_mul_mod(big, imgs[i], imgs[j]))
+            coords = to_coords(gf.reduce_product(big, prods & lane_mask))
+            prods >>= lane
+            bit_j = 1 << j
             while coords:
                 rows = tables[(coords & -coords).bit_length() - 1]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+                rows[i] |= bit_j
+                rows[j] |= bit_i
                 coords &= coords - 1
     nz = [sum(r.bit_count() for r in t) for t in tables]
     return TableSet(m, tables, nz, sum(nz))
@@ -355,7 +373,13 @@ def expected_density(nb: NormalBasisCtx, kind: str) -> int:
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     """Rebuild the tables from `emb`; return (k, i, j) witnesses of the
-    entries of `ts` that differ, in (i, j, k) order."""
+    entries of `ts` that differ, in (i, j, k) order.
+
+    The rebuild runs the same build_tables on the same embedding, so an
+    empty result proves only that `ts` is the table set build_tables makes
+    from `emb`: it catches a table set built from another embedding or
+    altered afterwards, not a fault of build_tables or of the embedding.
+    Closed-form tables derived from RULES would be an independent reference."""
     bad = []
     for k, (rows, fresh) in enumerate(zip(ts.tables, build_tables(emb).tables)):
         for i, (row, ref) in enumerate(zip(rows, fresh)):

@@ -183,6 +183,20 @@ def test_min_irreducible_pinned_pentanomials(n, f):
     assert bitpoly.to_human(bitpoly.min_irreducible(n)) == f
 
 
+def test_min_irreducible_searches_each_degree_once(monkeypatch):
+    monkeypatch.setattr(bitpoly, "_MIN_IRREDUCIBLE", {})
+    real, tested = bitpoly.is_irreducible, []
+    monkeypatch.setattr(bitpoly, "is_irreducible", lambda g: tested.append(g) or real(g))
+    f = bitpoly.min_irreducible(33)
+    assert tested[-1] == f
+
+    def searched(g):
+        raise AssertionError("min_irreducible searched a degree again")
+
+    monkeypatch.setattr(bitpoly, "is_irreducible", searched)
+    assert bitpoly.min_irreducible(33) == f
+
+
 def test_min_irreducible_rejects_nonpositive_degree():
     with pytest.raises(DomainError):
         bitpoly.min_irreducible(0)

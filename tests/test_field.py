@@ -279,6 +279,38 @@ def test_inverse_round_trip():
         gf.inverse(F16, 0)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_inverse_is_the_power_order_minus_one(n):
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+    for a in range(1, 1 << n):
+        assert gf.inverse(ctx, a) == gf.power(ctx, a, ctx.order - 1), a
+
+
+@pytest.mark.parametrize("f,folds", [(f, folds) for f, folds in REDUCTION_MODULI
+                                     if bitpoly.degree(f) in (33, 48, 64)
+                                     or not folds])
+def test_inverse_matches_the_power_at_large_degree(f, folds):
+    """200 random elements at n = 33, 48 and 64, and under the moduli that
+    reduce bit by bit."""
+    ctx = gf.FieldCtx(f)
+    rng = random.Random(f)
+    for _ in range(200):
+        a = rng.getrandbits(ctx.n) or 1
+        assert gf.inverse(ctx, a) == gf.power(ctx, a, ctx.order - 1), a
+    with pytest.raises(DomainError):
+        gf.inverse(ctx, 0)
+    for a in (1 << ctx.n, -1):
+        with pytest.raises(InvalidElementError):
+            gf.inverse(ctx, a)
+
+
+def test_inverse_refuses_a_factor_of_a_reducible_modulus():
+    ctx = gf.FieldCtx(0b101, check_irreducible=False)  # (1 + x)^2
+    assert gf.inverse(ctx, 0b10) == 0b10  # x^2 = 1
+    with pytest.raises(DomainError):
+        gf.inverse(ctx, 0b11)
+
+
 @given(elems256)
 def test_square_and_frobenius(a):
     assert gf.square(F256, a) == gf.poly_mul_mod(F256, a, a)

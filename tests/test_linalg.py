@@ -78,6 +78,21 @@ def test_row_apply_linear(w, data):
             == linalg.row_apply(rows, u) ^ linalg.row_apply(rows, v))
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 48, 64, 65, 127])
+def test_prepared_map_matches_row_apply(width):
+    """Square matrices of `width` rows, including a last window of fewer
+    than 8 rows; a vector past the last row is refused."""
+    rng = random.Random(width)
+    rows = _random_matrix(rng, width, width)
+    prepared = linalg.PreparedMap(rows)
+    ones = (1 << width) - 1
+    for v in [0, ones] + [rng.getrandbits(width) for _ in range(50)]:
+        assert prepared.apply(v) == linalg.row_apply(rows, v), v
+    for v in (1 << width, ones + 1 + rng.getrandbits(width), -1):
+        with pytest.raises(DomainError):
+            prepared.apply(v)
+
+
 def test_mat_transpose_involution_and_entries():
     rng = random.Random(20240803)
     for _ in range(30):

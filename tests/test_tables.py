@@ -1,5 +1,6 @@
 """Tests for the oracle embedding, brute-force tables, and closed-form counts."""
 
+import hashlib
 import random
 import sys
 
@@ -8,9 +9,10 @@ from hypothesis import given, strategies as st
 
 from charfield2 import bitpoly, cli, extbasis as xb, field as gf, normal, tables
 from charfield2.errors import (ConstructionContradictionError, DomainError,
-                               NoKummerExtensionError, UnsupportedDegreeError)
+                               InvalidElementError, NoKummerExtensionError,
+                               UnsupportedDegreeError)
 from charfield2.fixtures import fixture_degrees, get_fixture
-from charfield2.linalg import row_apply
+from charfield2.linalg import mat_invert, row_apply
 
 NB2 = get_fixture(2).basis()
 NB4 = get_fixture(4).basis()
@@ -285,6 +287,28 @@ def test_embedding_round_trip_and_homomorphism():
             assert emb.embed_ext(sq) == gf.square(emb.big, ix)
 
 
+def test_embedding_conversions_reject_out_of_range_input():
+    """A block of more than n bits does not spill into the next block, a bad
+    last block or block count is not an IndexError, and to_blocks takes only
+    elements of the big field."""
+    emb = tables.build_embedding(xb.build_as2(NB4))
+    n = emb.base.n
+    with pytest.raises(InvalidElementError):
+        emb.embed_blocks((1 << n, 0))  # unchecked, it is embed_blocks((0, 1))
+    with pytest.raises(InvalidElementError):
+        emb.embed_blocks((0, 1 << n))
+    with pytest.raises(InvalidElementError):
+        emb.embed_blocks((0, 0, 1))
+    with pytest.raises(InvalidElementError):
+        emb.embed_blocks((0, -1))
+    with pytest.raises(InvalidElementError):
+        emb.to_blocks(1 << emb.m)
+    with pytest.raises(InvalidElementError):
+        emb.to_blocks(-1)
+    top = (1 << emb.m) - 1
+    assert emb.embed_blocks(emb.to_blocks(top)) == top
+
+
 def test_embedding_rejects_other_sources():
     with pytest.raises(DomainError):
         tables.build_embedding("nope")
@@ -330,24 +354,56 @@ def test_ext_table_mul_matches_counted_mul():
 
 
 def _tables_by_full_loop(emb):
-    """Reference for build_tables: all m^2 products, one entry each."""
+    """Reference for build_tables: all m^2 products, one entry each, with
+    coordinates from the inverse of the basis images by row_apply."""
     m = emb.m
+    inv = mat_invert(emb.basis_images, m)
     tables_ = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            coords = row_apply(emb._to_coords,
-                               gf.poly_mul_mod(emb.big, emb.basis_images[i],
-                                               emb.basis_images[j]))
+            coords = row_apply(inv, gf.poly_mul_mod(emb.big, emb.basis_images[i],
+                                                    emb.basis_images[j]))
             for k in range(m):
                 tables_[k][i] |= (coords >> k & 1) << j
     return tables_
 
 
-@pytest.mark.parametrize("label,source", list(_fixture_sources(
-    d for d in fixture_degrees() if d <= 4)))
+def _wide_sources():
+    """The widest lanes: m = 48 twice, m = 64, and an odd m = 7."""
+    f7 = gf.FieldCtx(bitpoly.min_irreducible(7))
+    yield "normal-n7", normal.build_normal_basis(f7, next(normal.normal_elements(f7)))
+    yield "as2-n24", xb.build_as2(get_fixture(24).basis())
+    yield "k3-n16", xb.build_kummer3(get_fixture(16).basis())
+    yield "asw4-n16", xb.build_asw4(get_fixture(16).basis())
+
+
+# sha256 of repr(TableSet), recorded from the build that took one field
+# product per entry and row_apply for its coordinates.
+TABLE_SET_SHA256 = {
+    "normal-n1": "d010f6a7f5b66fdae4cf72abdd650f54f0e1b9a47e484352f70d649190cadee6",
+    "as2-n1": "1d9e40ee040436a34e05d6bd46a3bf5d45df68c89d8def6815dae91f746e096e",
+    "ka6-n1": "3d84afe1f181f681f9d686f7791c9f223831cf72be65517287272137ce4a848b",
+    "normal-n2": "d687c6a2feba6fdc6034f1581ae6fba2b47d1e26d7c1e7857ef3150e05cd8fc1",
+    "as2-n2": "2f091c5a6554176d47762e868782f8a2b44559327544419d9aa5f7b090eb2ef2",
+    "k3-n2": "5841fffdb5f9b40f01bc8da89f696020fd47a62a65c030b1db4ff3b4dbc80584",
+    "asw4-n2": "2d8626d33399b1266608b5bb1f6caf156a54950513e5def0fc75a34f35b63107",
+    "ka6-n2": "e179a67bc70e63b2c3ae50207e37977c5dfaaf03cee3b71de0f71ec336041a25",
+    "normal-n4": "91811135cd28aa4d5cef2d2c1afec2708ab59ca75244474fd0178c153e71053e",
+    "as2-n4": "8723b98ed711e87819918dc47a4c8e15279146e1a20fbb7756e623b9ca3eca8d",
+    "asw4-n4": "2a760352e75a32803994074fc28c6019598525ce55d6c696a96e39968d199ec6",
+    "normal-n7": "92062196bb7a2641f73d1cdaf3a222d42aa48bddeb0843aedff7f7a6580d1561",
+    "as2-n24": "65e416119768e86d04c274ce58482a4cf9e1f7655f65ac1331ab0a11d0ab28c3",
+    "k3-n16": "c2137652dd3bf7cb539c95fcf8a2cfee98bec413ca6bdc7b8d913e68865fd089",
+    "asw4-n16": "bfd1c2558570137daf8bb70cd2f17e742110ec54327af7558b55d35c5a8769d7",
+}
+
+
+@pytest.mark.parametrize("label,source", [
+    *_fixture_sources(d for d in fixture_degrees() if d <= 4), *_wide_sources()])
 def test_build_tables_matches_the_full_loop_and_is_symmetric(label, source):
     emb = tables.build_embedding(source)
     ts = tables.build_tables(emb)
+    assert hashlib.sha256(repr(ts).encode()).hexdigest() == TABLE_SET_SHA256[label]
     assert ts.tables == _tables_by_full_loop(emb)
     assert ts.per_table_nonzeros == [sum(r.bit_count() for r in t) for t in ts.tables]
     m = ts.m
