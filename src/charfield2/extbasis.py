@@ -90,20 +90,6 @@ class ExtElem:
         return iter(self.blocks)
 
 
-def _pack(blocks, n: int) -> int:
-    """Blocks of n-bit coordinates -> one flat int (block j at bits j*n...)."""
-    out = 0
-    for j, v in enumerate(blocks):
-        out |= v << (j * n)
-    return out
-
-
-def _unpack(flat: int, n: int, d: int) -> tuple:
-    """Inverse of _pack: a flat int -> d blocks of n-bit coordinates."""
-    mask = (1 << n) - 1
-    return tuple((flat >> (j * n)) & mask for j in range(d))
-
-
 class ExtBasisCtx:
     """An extended basis over a normal basis, with counted arithmetic."""
 

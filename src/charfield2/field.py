@@ -113,8 +113,9 @@ def mersenne_prime_factors(n: int) -> tuple:
 
     Checked against a table of known factorisations for n <= 128 (1.4 s for
     all of them together). Above that, rho's run time grows with the square
-    root of each prime it splits off: 2^137 - 1, whose smaller prime is about
-    3.2e19, is not factored in 3 minutes.
+    root of each prime it splits off, so each split gets _RHO_STEP_BUDGET
+    steps and UnsupportedDegreeError names n past it: 2^137 - 1, whose
+    smaller prime is about 3.2e19, is refused after a few seconds.
     """
     phi, primes = {}, set()
     for d in (d for d in range(1, n + 1) if n % d == 0):
@@ -132,6 +133,10 @@ def mersenne_prime_factors(n: int) -> tuple:
                 primes.add(m)
             else:
                 f = _rho_factor(m, d if d % 2 == 0 else 2 * d)
+                if f is None:
+                    raise UnsupportedDegreeError(
+                        f"cannot factor 2^n - 1 for n = {n}: Pollard rho did not "
+                        f"split {m} in {_RHO_STEP_BUDGET} steps")
                 stack += [f, m // f]
     return tuple(sorted(primes))
 
@@ -165,13 +170,25 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _rho_factor(m: int, k: int) -> int:
+# Map steps one _rho_factor call may take.  Its longest run for n <= 128
+# counts 524,286 (the split of 2^101 - 1, a 2^18-step cycle search), so the
+# budget admits one more doubling of the search; past it, at about 5 us a
+# step for 2^137 - 1, rho gives up after a few seconds.
+_RHO_STEP_BUDGET = 1 << 20
+
+
+def _rho_factor(m: int, k: int):
     """A proper factor of an odd composite m: Brent's variant of Pollard rho
     on x -> x^k + c from x = 3 (2^k + 1 is 2 again when m | 2^k - 1), with
-    gcds taken over batches of 128 steps."""
+    gcds taken over batches of 128 steps.  None once the steps, counted as
+    2r for each cycle search of length r, pass _RHO_STEP_BUDGET."""
+    steps = 0
     for c in count(1):
         y, r, q, g = 3, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEP_BUDGET:
+                return None
             x = y
             for _ in range(r):
                 y = (pow(y, k, m) + c) % m
@@ -255,6 +272,31 @@ def reduce_product(ctx: FieldCtx, prod: int) -> int:
         low = high & -high
         out ^= red[low.bit_length() - 1]
         high ^= low
+    return out
+
+
+def reduce_lanes(ctx: FieldCtx, prods: int, ones: int) -> int:
+    """reduce_product of every lane of prods at once, one shift per term of
+    ctx.fold_terms for all lanes; DomainError for a modulus without them.
+
+    Lane t starts at the t-th set bit of `ones` and holds a raw product of
+    up to 2n - 1 bits.  Lanes at least 2n bits apart keep each fold in its
+    own lane, and a shift by n brings no bit of the next lane into the low
+    n bits."""
+    terms = ctx.fold_terms
+    if terms is None:
+        raise DomainError(f"{bitpoly.to_human(ctx.modulus)} does not reduce by "
+                          "shifts of its terms")
+    n = ctx.n
+    low = ones * ctx.mask
+    out = prods & low
+    high = (prods >> n) & low
+    while high:
+        fold = 0
+        for e in terms:
+            fold ^= high << e
+        out ^= fold & low
+        high = (fold >> n) & low
     return out
 
 

@@ -110,14 +110,78 @@ class PreparedMap:
         return out
 
 
+def pack_lanes(values, width: int) -> int:
+    """Values of at most `width` bits each -> one int, value j at bits
+    j*width..(j+1)*width - 1."""
+    out = 0
+    for v in reversed(values):
+        out = out << width | v
+    return out
+
+
+def unpack_lanes(packed: int, width: int, count: int) -> tuple:
+    """Inverse of pack_lanes: the first `count` lanes of `width` bits."""
+    mask = (1 << width) - 1
+    return tuple([(packed >> (j * width)) & mask for j in range(count)])
+
+
+_TRANSPOSE_STEPS = {}  # size -> ((shift, mask), ...), built on first use
+
+
+def _transpose_steps(size: int):
+    """The swaps of transpose_packed at one size: for s = size/2, ..., 2, 1,
+    each entry (r, c) with bit s set in c and clear in r trades places with
+    (r + s, c - s), which sits s(size - 1) bits higher.  Doing this for
+    every s exchanges the bits of r and c, which is the transpose."""
+    steps = _TRANSPOSE_STEPS.get(size)
+    if steps is None:
+        if size < 1 or size & (size - 1):
+            raise DomainError(f"size {size} is not a power of two")
+        steps = []
+        s = size >> 1
+        while s:
+            row = sum(1 << c for c in range(size) if c & s)
+            mask = pack_lanes([0 if r & s else row for r in range(size)], size)
+            steps.append((s * (size - 1), mask))
+            s >>= 1
+        steps = _TRANSPOSE_STEPS[size] = tuple(steps)
+    return steps
+
+
+def transpose_packed(x: int, size: int) -> int:
+    """Transpose of the size x size bit matrix held in x as
+    pack_lanes(rows, size), for size a power of two (else DomainError):
+    log2(size) masked swaps on the whole int (Warren, Hacker's Delight,
+    2nd ed., section 7-3)."""
+    for shift, mask in _transpose_steps(size):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x
+
+
 def mat_transpose(rows, width: int):
-    """Transpose a bit matrix given as a list of row ints."""
+    """Transpose a bit matrix given as a list of row ints; DomainError when
+    a row has bits at or above width.
+
+    The matrix is cut into size x size tiles, size the power of two at or
+    above the smaller of its dimensions and of 64, so no tile's int or
+    masks grow past 4096 bits; each tile is packed into one int and
+    transposed by transpose_packed."""
+    if any(r >> width for r in rows):
+        raise DomainError(f"a row has bits at or above width {width}")
     cols = [0] * width
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
+    if not rows:
+        return cols
+    size = 1 << (min(width, len(rows), 64) - 1).bit_length()
+    mask = (1 << size) - 1
+    for base in range(0, len(rows), size):
+        block = rows[base:base + size]
+        for first in range(0, width, size):
+            tile = pack_lanes([r >> first & mask for r in block], size)
+            lanes = unpack_lanes(transpose_packed(tile, size), size,
+                                 min(size, width - first))
+            for c, v in enumerate(lanes, first):
+                cols[c] |= v << base
     return cols
 
 

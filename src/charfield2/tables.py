@@ -6,14 +6,15 @@ m^2 pairwise products are expanded back over the basis, and the resulting tables
 can be compared against the closed-form per-table counts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import bitpoly
 from . import field as gf
 from .errors import ConstructionContradictionError, DomainError, InvalidElementError
-from .extbasis import RULES, ExtBasisCtx, ExtElem, _monomials, _pack, _unpack
-from .linalg import PreparedMap, mat_invert, mat_transpose, parity, row_apply
+from .extbasis import RULES, ExtBasisCtx, ExtElem, _monomials
+from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, row_apply,
+                     transpose_packed, unpack_lanes)
 from .normal import NormalBasisCtx, basis_products
 
 
@@ -231,7 +232,7 @@ class OracleEmbedding:
             raise InvalidElementError(f"expected {self.d} blocks, got {len(blocks)}")
         for b in blocks:
             gf.validate(self.base.field, b)
-        return row_apply(self.basis_images, _pack(blocks, self.base.n))
+        return row_apply(self.basis_images, pack_lanes(blocks, self.base.n))
 
     def embed_ext(self, x: ExtElem) -> int:
         return self.embed_blocks(x.blocks)
@@ -240,7 +241,7 @@ class OracleEmbedding:
         """Big-field element -> blocks of coordinates over the basis;
         InvalidElementError when y is not an element of the big field."""
         flat = self.coord_map.apply(gf.validate(self.big, y))
-        return _unpack(flat, self.base.n, self.d)
+        return unpack_lanes(flat, self.base.n, self.d)
 
     def check_rules(self) -> bool:
         """Plug each generator image back into its rule with big-field products."""
@@ -265,62 +266,89 @@ def build_embedding(source) -> OracleEmbedding:
 
 # --- multiplication tables ----------------------------------------------
 
+def _lane_width(m: int) -> int:
+    """L, the power of two >= m: TableSet.products[i] is an L x L matrix."""
+    return 1 << (m - 1).bit_length()
+
+
 @dataclass
 class TableSet:
-    """All m multiplication tables of an m-element basis (rows as bit ints)."""
+    """All m multiplication tables of an m-element basis (rows as bit ints).
+
+    products[i] holds the same entries by basis product: its lane j, of
+    _lane_width(m) bits, is coord(b_i b_j), whose bit k is bit j of
+    tables[k][i].  It is left out of repr and ==, so both read the tables."""
     m: int
     tables: list          # tables[k][i] = row int over j
     per_table_nonzeros: list
     density: int
+    products: list = field(repr=False, compare=False)
 
 
 def build_tables(emb: OracleEmbedding) -> TableSet:
-    """Brute-force tables: expand every basis product over the basis.  The
-    big field commutes, so each product with j >= i fills entries (i, j) and
-    (j, i).
+    """Brute-force tables: expand every basis product over the basis.
 
     Row i takes one carry-less product of imgs[i] by imgs[i..m-1] packed in
     lanes 2m bits apart: each lane's product has at most 2m - 1 bits, so no
-    lane spills into the next, and lane j - i is imgs[i] imgs[j] unreduced."""
+    lane spills, and lane j - i is imgs[i] imgs[j] unreduced.  One
+    reduce_lanes reduces every lane, and the coordinate map takes each to
+    coord(b_i b_j).  The big field commutes, so that is lane j of
+    products[i] and lane i of products[j], and row i of every table is one
+    lane of the transpose of products[i]."""
     m = emb.m
-    big = emb.big
     imgs = emb.basis_images
     to_coords = emb.coord_map.apply
     lane = 2 * m
     lane_mask = (1 << lane) - 1
-    tables = [[0] * m for _ in range(m)]
-    packed = 0
+    coords = [[0] * m for _ in range(m)]
+    packed = ones = 0
     for i in reversed(range(m)):
         packed = packed << lane | imgs[i]  # imgs[j] in lane j - i
-        prods = bitpoly.poly_mul(imgs[i], packed)
-        bit_i = 1 << i
+        ones = ones << lane | 1
+        prods = gf.reduce_lanes(emb.big, bitpoly.poly_mul(imgs[i], packed), ones)
         for j in range(i, m):
-            coords = to_coords(gf.reduce_product(big, prods & lane_mask))
+            coords[i][j] = coords[j][i] = to_coords(prods & lane_mask)
             prods >>= lane
-            bit_j = 1 << j
-            while coords:
-                rows = tables[(coords & -coords).bit_length() - 1]
-                rows[i] |= bit_j
-                rows[j] |= bit_i
-                coords &= coords - 1
-    nz = [sum(r.bit_count() for r in t) for t in tables]
-    return TableSet(m, tables, nz, sum(nz))
+    size = _lane_width(m)
+    products = [pack_lanes(row, size) for row in coords]
+    tables = [[0] * m for _ in range(m)]
+    for i, p in enumerate(products):
+        for rows, row in zip(tables, unpack_lanes(transpose_packed(p, size), size, m)):
+            rows[i] = row
+    nz = [sum(map(int.bit_count, t)) for t in tables]
+    return TableSet(m, tables, nz, sum(nz), products)
 
 
 def table_mul(ts: TableSet, x: int, y: int) -> int:
-    """Product of coordinate vectors via z_k = x T_k y^t."""
-    z = 0
-    for k, rows in enumerate(ts.tables):
-        if parity(row_apply(rows, x) & y):
-            z |= 1 << k
+    """Product of coordinate vectors, z_k = x T_k y^t for every k at once;
+    InvalidElementError unless x and y are in [0, 2^m).
+
+    Lane j of row_apply(products, x) is the sum of coord(b_i b_j) over the
+    bits i of x.  y spread over the lanes (one transpose puts bit j at the
+    foot of lane j, a product by 2^m - 1 fills the lane) keeps the lanes j
+    in y, and folding the lanes onto each other sums them."""
+    m = ts.m
+    for v in (x, y):
+        if not isinstance(v, int) or v < 0 or v >> m:
+            raise InvalidElementError(f"vector {v!r} out of range for m={m}")
+    size = _lane_width(m)
+    z = row_apply(ts.products, x) & (transpose_packed(y, size) * ((1 << m) - 1))
+    width = size * size
+    while width > size:
+        width >>= 1
+        z = (z ^ z >> width) & ((1 << width) - 1)
     return z
 
 
 def normal_table_set(nb: NormalBasisCtx) -> TableSet:
-    """The n tables of the base normal basis itself (t^k_{i,j} = t_{j-i,k-i})."""
-    rows = nb.mul_rows
+    """The n tables of the base normal basis itself (t^k_{i,j} = t_{j-i,k-i}),
+    with products[i] the transpose of the rows i of the n tables."""
+    n, rows = nb.n, nb.mul_rows
+    size = _lane_width(n)
+    products = [transpose_packed(pack_lanes([t[i] for t in rows], size), size)
+                for i in range(n)]
     nz = [sum(r.bit_count() for r in t) for t in rows]
-    return TableSet(nb.n, [list(t) for t in rows], nz, sum(nz))
+    return TableSet(n, [list(t) for t in rows], nz, sum(nz), products)
 
 
 # --- closed-form per-table counts ----------------------------------------

@@ -18,7 +18,7 @@ only the second depends on the basis and is computed.
 
 from . import extbasis, linalg
 from .errors import DomainError
-from .extbasis import ExtBasisCtx, ExtElem, _pack, _unpack
+from .extbasis import ExtBasisCtx, ExtElem
 
 
 def biquadratic_possible(n: int) -> bool:
@@ -81,8 +81,8 @@ def artin_schreier_preimage(ctx: ExtBasisCtx, x: ExtElem):
     with ctx.counter.paused():
         rows = []
         for i in range(ctx.m):
-            e = ExtElem(_unpack(1 << i, ctx.n, ctx.d))
+            e = ExtElem(linalg.unpack_lanes(1 << i, ctx.n, ctx.d))
             img = extbasis.square(ctx, e)
-            rows.append(_pack(img.blocks, ctx.n) ^ (1 << i))
-        sol = linalg.solve_linear(rows, ctx.m, _pack(x.blocks, ctx.n))
-    return None if sol is None else ExtElem(_unpack(sol, ctx.n, ctx.d))
+            rows.append(linalg.pack_lanes(img.blocks, ctx.n) ^ (1 << i))
+        sol = linalg.solve_linear(rows, ctx.m, linalg.pack_lanes(x.blocks, ctx.n))
+    return None if sol is None else ExtElem(linalg.unpack_lanes(sol, ctx.n, ctx.d))

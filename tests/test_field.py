@@ -1,6 +1,7 @@
 """Tests for binary field contexts and element arithmetic."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +178,16 @@ def test_mersenne_prime_factors_match_the_frozen_table():
         assert gf.mersenne_prime_factors(n) == tuple(primes), n
 
 
+def test_mersenne_prime_factors_refuse_past_the_rho_budget():
+    """2^137 - 1 = 32032215596496435569 * 5439042183600204290159 needs
+    longer rho runs than any n <= 128: a typed refusal in seconds, where it
+    used to run for minutes."""
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedDegreeError, match="n = 137"):
+        gf.mersenne_prime_factors(137)
+    assert time.perf_counter() - start < 60
+
+
 def test_is_prime_against_a_sieve_and_pseudoprimes():
     limit = 20000
     sieve = [False, False] + [True] * (limit - 2)
@@ -260,6 +271,32 @@ def test_reduce_product_and_square_match_poly_mod(f, folds):
         assert gf.reduce_product(ctx, p) == bitpoly.poly_mod(p, f)
     for a in [0, ctx.mask] + [rng.getrandbits(n) for _ in range(40)]:
         assert gf.square(ctx, a) == bitpoly.poly_mod(bitpoly.poly_mul(a, a), f)
+
+
+@pytest.mark.parametrize("f,folds", REDUCTION_MODULI,
+                         ids=[bitpoly.to_human(f) for f, _ in REDUCTION_MODULI])
+def test_reduce_lanes_matches_reduce_product_per_lane(f, folds):
+    """Lanes 2n and 2n + 3 bits apart, each holding a raw product of up to
+    2n - 1 bits, the widest first and last; moduli that reduce bit by bit
+    are refused."""
+    ctx = gf.FieldCtx(f)
+    n = ctx.n
+    if not folds:
+        with pytest.raises(DomainError):
+            gf.reduce_lanes(ctx, 1 << 2 * n - 2, 1)
+        return
+    rng = random.Random(f)
+    prods = [(1 << 2 * n - 1) - 1, 0, 1 << 2 * n - 2]
+    prods += [rng.getrandbits(2 * n - 1) for _ in range(20)] + [(1 << 2 * n - 1) - 1]
+    for lane in (2 * n, 2 * n + 3):
+        packed = ones = 0
+        for p in reversed(prods):
+            packed = packed << lane | p
+            ones = ones << lane | 1
+        want = 0
+        for p in reversed(prods):
+            want = want << lane | gf.reduce_product(ctx, p)
+        assert gf.reduce_lanes(ctx, packed, ones) == want, lane
 
 
 @given(elems16, elems16, elems16)

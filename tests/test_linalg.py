@@ -106,6 +106,54 @@ def test_mat_transpose_involution_and_entries():
         assert linalg.mat_transpose(cols, m) == rows
 
 
+def _transpose_by_bits(rows, width):
+    """Reference for mat_transpose: one step per set bit."""
+    cols = [0] * width
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 31, 32, 33, 48, 63, 64, 65])
+def test_mat_transpose_matches_the_bit_loop(width):
+    """Row counts 0, 1, L - 1, L, L + 1 and width^2, L the power of two
+    >= width: partial, whole and several tiles; transposed back, the
+    columns are a matrix wider than it is tall."""
+    rng = random.Random(width)
+    size = 1 << (width - 1).bit_length()
+    ones = (1 << width) - 1
+    for count in (0, 1, size - 1, size, size + 1, width * width):
+        rows = _random_matrix(rng, count, width)
+        if rows:
+            rows[0] = ones
+            rows[-1] |= 1 << (width - 1)
+        cols = linalg.mat_transpose(rows, width)
+        assert cols == _transpose_by_bits(rows, width), count
+        assert linalg.mat_transpose(cols, count) == rows
+    with pytest.raises(DomainError):
+        linalg.mat_transpose([0, 1 << width], width)
+    with pytest.raises(DomainError):
+        linalg.mat_transpose([-1], width)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 64])
+def test_transpose_packed_moves_each_entry(size):
+    """Entry (r, c) of a packed size x size matrix lands at (c, r)."""
+    for r in range(size):
+        for c in range(size):
+            assert (linalg.transpose_packed(1 << (r * size + c), size)
+                    == 1 << (c * size + r)), (r, c)
+
+
+@pytest.mark.parametrize("size", [0, 3, 6, 48])
+def test_transpose_packed_refuses_a_size_that_is_not_a_power_of_two(size):
+    with pytest.raises(DomainError):
+        linalg.transpose_packed(1, size)
+
+
 def test_solve_linear_finds_solutions():
     rng = random.Random(20240804)
     for _ in range(60):

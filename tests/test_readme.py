@@ -44,6 +44,10 @@ def test_quick_start_values_match_its_comments():
     for expr, value in want.items():
         assert values[expr] == value, expr
         assert comments[expr].startswith(repr(value)), expr
+    got = values["tables.table_mul(ts, flat, flat)"]
+    prod = ns["extbasis"].mul(ns["ext"], ns["x"], ns["x"])
+    assert got == prod.blocks[0] | prod.blocks[1] << 4 == 0b11100110
+    assert comments["tables.table_mul(ts, flat, flat)"].startswith(bin(got))
     got = values["nb.to_poly(normal.normal_mul(nb, u, v))"]
     assert got == gf.poly_mul_mod(ns["ctx"], 0b0110, 0b1011) == 0b1111
     assert comments["nb.to_poly(normal.normal_mul(nb, u, v))"].startswith(bin(got))

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield2 import bitpoly, cli, extbasis as xb, field as gf, normal, tables
+from charfield2 import bitpoly, cli, extbasis as xb, field as gf, linalg, normal, tables
 from charfield2.errors import (ConstructionContradictionError, DomainError,
                                InvalidElementError, NoKummerExtensionError,
                                UnsupportedDegreeError)
@@ -319,6 +319,7 @@ def test_normal_table_set_matches_brute_force():
         ts_formula = tables.normal_table_set(nb)
         ts_brute = tables.build_tables(tables.build_embedding(nb))
         assert ts_formula.tables == ts_brute.tables
+        assert ts_formula.products == ts_brute.products
         assert ts_formula.density == ts_brute.density == nb.density
 
 
@@ -413,6 +414,111 @@ def test_build_tables_matches_the_full_loop_and_is_symmetric(label, source):
                 assert (ts.tables[k][i] >> j) & 1 == (ts.tables[k][j] >> i) & 1
     ts.tables[0][0] ^= 1  # the verify --corrupt-table control's flip
     assert tables.verify_table_entries(emb, ts) == [(0, 0, 0)]
+
+
+def _table_mul_by_tables(ts, x, y):
+    """Reference for table_mul: z_k = parity(row_apply(T_k, x) & y), one
+    table at a time."""
+    return sum(((row_apply(rows, x) & y).bit_count() & 1) << k
+               for k, rows in enumerate(ts.tables))
+
+
+def _table_mul_cases():
+    """Every normal_table_set with n <= 12, the tables of every kind at n = 2
+    and 4, and the wide sources: normal n = 7, as2 n = 24, k3 n = 16 and
+    asw4 n = 16 (m = 64)."""
+    for n in (n for n in fixture_degrees() if n <= 12):
+        yield f"normal-table-set-n{n}", tables.normal_table_set(get_fixture(n).basis())
+    for kind in xb.KINDS:
+        for n in (2, 4):
+            ctx = cli._basis_for_kind(kind, n)
+            if ctx is not None:
+                yield f"{kind}-n{n}", tables.build_tables(tables.build_embedding(ctx))
+    for label, source in _wide_sources():
+        yield label, tables.build_tables(tables.build_embedding(source))
+
+
+def test_table_mul_matches_the_per_table_reference():
+    """Every pair of 0, 1, all-ones, the top bit and six seeded vectors."""
+    rng = random.Random(20261018)
+    labels = []
+    for label, ts in _table_mul_cases():
+        m = ts.m
+        vecs = [0, 1, (1 << m) - 1, 1 << (m - 1)]
+        vecs += [rng.getrandbits(m) for _ in range(6)]
+        for x in vecs:
+            for y in vecs:
+                assert tables.table_mul(ts, x, y) == _table_mul_by_tables(ts, x, y), \
+                    (label, x, y)
+        labels.append(label)
+    assert {"as2-n24", "k3-n16", "asw4-n16"} <= set(labels)
+    assert sum(label.startswith(xb.KINDS) for label in labels) >= 10
+
+
+def test_table_mul_refuses_vectors_outside_the_space():
+    """A bit at or above m used to raise a bare IndexError (x) or be dropped
+    (y); in lanes it would spill into the next lane."""
+    ts = tables.build_tables(tables.build_embedding(xb.build_as2(NB2)))
+    m = ts.m
+    for x, y in ((1 << m, 5), (-1, 5), (3, 5 | 1 << m), (3, -1), (3, "5")):
+        with pytest.raises(InvalidElementError):
+            tables.table_mul(ts, x, y)
+    top = (1 << m) - 1
+    assert tables.table_mul(ts, top, top) == _table_mul_by_tables(ts, top, top)
+
+
+def test_oracle_table_operation_counts(monkeypatch):
+    """Deterministic cost guard at as2 n = 24 (m = 48): build_tables takes one
+    carry-less product per row and reduces its lanes together, and table_mul
+    takes one row_apply and no parity (it used to take m of each)."""
+    emb = tables.build_embedding(xb.build_as2(get_fixture(24).basis()))
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bitpoly, "poly_mul", counting("poly_mul", bitpoly.poly_mul))
+    monkeypatch.setattr(gf, "reduce_product", counting("reduce_product", gf.reduce_product))
+    counted = (linalg.row_apply, linalg.parity)
+    for mod in _charfield2_modules():
+        for attr, obj in list(vars(mod).items()):
+            if any(obj is fn for fn in counted):
+                monkeypatch.setattr(mod, attr, counting(obj.__name__, obj))
+    ts = tables.build_tables(emb)
+    assert calls == {"poly_mul": emb.m}
+    calls.clear()
+    rng = random.Random(48)
+    for _ in range(10):
+        tables.table_mul(ts, rng.getrandbits(emb.m), rng.getrandbits(emb.m))
+    assert calls == {"row_apply": 10}
+
+
+def test_programs_make_no_transpose(monkeypatch):
+    """The products and squares of every kind at n = 2 and 4 run with every
+    binding of the transposes made to raise: only the oracle transposes."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the arithmetic under test transposed")
+
+    transposes = (linalg.transpose_packed, linalg.mat_transpose)
+    for mod in _charfield2_modules():
+        for attr, obj in list(vars(mod).items()):
+            if any(obj is fn for fn in transposes):
+                monkeypatch.setattr(mod, attr, forbidden)
+    with pytest.raises(AssertionError):
+        tables.normal_table_set(NB2)
+    rng = random.Random(4)
+    for n in (2, 4):
+        nb = get_fixture(n).basis()
+        normal.normal_mul(nb, rng.getrandbits(n), rng.getrandbits(n))
+        for kind in xb.KINDS:
+            ctx = cli._basis_for_kind(kind, n)
+            if ctx is not None:
+                x = xb.ExtElem(tuple(rng.getrandbits(n) for _ in range(ctx.d)))
+                xb.mul(ctx, x, x)
+                xb.square(ctx, x)
 
 
 @pytest.mark.parametrize("kind", ["as2", "k3", "asw4"])
