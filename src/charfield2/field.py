@@ -1,6 +1,7 @@
 """Binary field contexts F_2[x]/(f) with elements packed into ints."""
 
 import os
+from functools import partial, reduce
 from itertools import count
 from math import gcd
 
@@ -366,14 +367,27 @@ def trace(ctx: FieldCtx, a: int) -> int:
 
 
 def multiplicative_order(ctx: FieldCtx, a: int) -> int:
-    """Order of a in the multiplicative group (a != 0)."""
+    """Order of a in the multiplicative group (a != 0).
+
+    From t = 2^n - 1, each prime p of t is divided out of t for as long as
+    a^(t/p) = 1. Every exponent e tested is below 2^n, so a^e is the
+    product of the conjugates a^(2^i) at the set bits of e: one chain of
+    n - 1 squarings serves every prime, where a power per prime would redo
+    it each time."""
     validate(ctx, a)
     if a == 0:
         raise DomainError("zero has no multiplicative order")
+    conj = [a]
+    for _ in range(ctx.n - 1):
+        conj.append(square(ctx, conj[-1]))
+    mul = partial(poly_mul_mod, ctx)
     t = ctx.order
     for p in ctx.order_factors:
-        while t % p == 0 and power(ctx, a, t // p) == 1:
-            t //= p
+        while t % p == 0:
+            e = t // p
+            if reduce(mul, [c for i, c in enumerate(conj) if e >> i & 1]) != 1:
+                break
+            t = e
     return t
 
 

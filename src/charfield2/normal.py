@@ -14,7 +14,7 @@ from itertools import islice
 
 from . import field as gf
 from .errors import DomainError, NotNormalError
-from .linalg import mat_invert, parity, row_apply
+from .linalg import PreparedMap, mat_invert, parity, row_apply
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
@@ -174,14 +174,44 @@ def cross_product_sum(nb: NormalBasisCtx) -> int:
 
 def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
     """Normal elements of F_{2^n} in ascending order (optionally only primitive
-    ones), tested only as the caller asks for the next. Normal elements have
-    trace 1, and every candidate below the least monomial of trace 1 has
-    trace 0, so the scan starts there."""
-    trace = ctx.normality_maps[0]
-    for a in range(trace & -trace, 1 << ctx.n):
-        if is_normal_element(ctx, a) and (
-                not require_primitive or gf.is_primitive(ctx, a)):
-            yield a
+    ones), found block by block as the caller asks for the next.
+
+    A block is the 2^min(n, 8) candidates a = base | lo sharing their high
+    bits. The trace and the other normality maps M are linear, so
+    Tr(a) = Tr(base) ^ Tr(lo) and M(a) = M(base) ^ M(lo): once per scan the
+    low values are sorted by trace bit and each map's image table of them
+    (its PreparedMap's first window) is inverted, and then a block costs one
+    parity and one PreparedMap.apply per map. Its normal elements are the
+    low values of the other trace bit, less those that some M sends to
+    M(base). The primitive test runs per element, only as it is drawn.
+    Every candidate below the least monomial of trace 1 has trace 0, so the
+    scan starts at the block holding it."""
+    trace, maps = ctx.normality_maps
+    low = min(ctx.n, 8)
+    # the trace bit of each low value: the table of the trace as 1-bit rows
+    trace_bits = PreparedMap([trace >> i & 1 for i in range(low)]).windows[0]
+    by_trace = ([], [])
+    for lo, bit in enumerate(trace_bits):
+        by_trace[bit].append(lo)
+    prepared = [PreparedMap(m) for m in maps]
+    fibres = []  # per map: image -> the low values it sends there
+    for pm in prepared:
+        fibre = {}
+        for lo, image in enumerate(pm.windows[0]):
+            fibre.setdefault(image, []).append(lo)
+        fibres.append(fibre)
+    start = (trace & -trace) >> low << low
+    for base in range(start, 1 << ctx.n, 1 << low):
+        lows = by_trace[parity(base & trace) ^ 1]
+        bad = set()
+        for pm, fibre in zip(prepared, fibres):
+            bad.update(fibre.get(pm.apply(base), ()))
+        if bad:
+            lows = [lo for lo in lows if lo not in bad]
+        block = map(base.__or__, lows)
+        if require_primitive:
+            block = (a for a in block if gf.is_primitive(ctx, a))
+        yield from block
 
 
 def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,

@@ -400,23 +400,28 @@ def test_tables_refuses_an_over_cap_oracle_before_any_scan(capsys, monkeypatch, 
 
 
 def test_verify_scans_no_further_than_the_accepted_candidate(capsys, monkeypatch):
-    """Each case tests normal elements only until the builder accepts one:
-    verify --n 8 makes at most 66 normality tests (1,200 when each case first
+    """Each case draws normal elements only until the builder accepts one:
+    verify --n 8 draws at most 66 from the scan (1,200 when each case first
     listed 60 normal elements), and a fixture that admits the kind none."""
-    calls = {"is_normal_element": 0, "build_kind": 0}
-    for module, name in ((normal, "is_normal_element"), (extbasis, "build_kind")):
-        fn = getattr(module, name)
+    calls = {"drawn": 0, "build_kind": 0}
+    scan, build = normal.normal_elements, extbasis.build_kind
 
-        def wrapper(*args, fn=fn, name=name):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
+    def drawing(*args):
+        for a in scan(*args):
+            calls["drawn"] += 1
+            yield a
+
+    def building(*args):
+        calls["build_kind"] += 1
+        return build(*args)
+    monkeypatch.setattr(normal, "normal_elements", drawing)
+    monkeypatch.setattr(extbasis, "build_kind", building)
     code, _, _ = run_cli(capsys, "verify", "--n", "8", "--limit", "1")
     assert code == 0
-    assert calls["is_normal_element"] <= 66 and calls["build_kind"] == 35
-    calls["is_normal_element"] = 0
+    assert 0 < calls["drawn"] <= 66 and calls["build_kind"] == 35
+    calls["drawn"] = 0
     assert cli._basis_for_kind("as2", 8) is not None
-    assert calls["is_normal_element"] == 0
+    assert calls["drawn"] == 0
 
 
 def test_wrong_expected_tally_fails_verify_and_bench(capsys, monkeypatch):

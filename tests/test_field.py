@@ -410,6 +410,47 @@ def test_is_primitive_counts():
     assert gf.is_primitive(F4, 0b10)
 
 
+def _order_by_powers(ctx, a):
+    """The reference order: one power call per prime tested."""
+    t = ctx.order
+    for p in ctx.order_factors:
+        while t % p == 0 and gf.power(ctx, a, t // p) == 1:
+            t //= p
+    return t
+
+
+def _euler_phi(ctx):
+    phi = ctx.order
+    for p in ctx.order_factors:
+        phi = phi // p * (p - 1)
+    return phi
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_multiplicative_order_matches_the_powers_everywhere(n):
+    """Every a != 0 has the reference order, and is_primitive accepts
+    phi(2^n - 1) elements."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+    orders = [gf.multiplicative_order(ctx, a) for a in range(1, 1 << n)]
+    assert orders == [_order_by_powers(ctx, a) for a in range(1, 1 << n)]
+    assert sum(gf.is_primitive(ctx, a) for a in range(1 << n)) == _euler_phi(ctx)
+
+
+@pytest.mark.parametrize("f,folds", [(f, folds) for f, folds in REDUCTION_MODULI
+                                     if bitpoly.degree(f) in (33, 48, 64)
+                                     or not folds])
+def test_multiplicative_order_matches_the_powers_at_large_degree(f, folds):
+    """200 seeded elements at n = 33, 48 and 64, and under the moduli that
+    reduce bit by bit: 100 random draws, each also raised to a prime factor
+    of 2^n - 1 so that lower orders come up."""
+    ctx = gf.FieldCtx(f)
+    rng = random.Random(f)
+    for _ in range(100):
+        a = rng.getrandbits(ctx.n) or 1
+        for x in (a, gf.power(ctx, a, rng.choice(ctx.order_factors))):
+            assert gf.multiplicative_order(ctx, x) == _order_by_powers(ctx, x), x
+
+
 def test_is_cube_counts():
     # 3 | 15: cubes of F_16 are 0 plus the 5 fifth roots of unity
     cubes = {gf.power(F16, a, 3) for a in range(16)}

@@ -1,12 +1,13 @@
 """Tests for normal bases, their structure tables, and cross-product sums."""
 
 import random
+import sys
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charfield2 import bitpoly, extbasis, field as gf, fixtures, normal
+from charfield2 import bitpoly, extbasis, field as gf, fixtures, linalg, normal
 from charfield2.errors import (DomainError, InvalidElementError, NoKummerExtensionError,
                                NotNormalError, UnsupportedDegreeError)
 from charfield2.linalg import mat_rank
@@ -325,20 +326,104 @@ def test_search_normal_elements_ascending_and_limited():
         normal.search_normal_elements(F16, limit=0)
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+    return wrapper
+
+
 def test_normal_elements_stop_at_the_first_taken(monkeypatch):
-    """The generator tests a candidate only when the next element is asked
-    for, and yields what search_normal_elements lists."""
+    """Making the generator does no work. Each next() examines blocks, one
+    parity and one PreparedMap.apply per map each, only up to the block
+    holding the element it returns, and tests primitivity only for the
+    normal elements it passes. Under 1+x^6+x^9+x^15+x^18 (two maps besides
+    the trace) the first normal element, 522, lies in the third block the
+    scan examines; under the degree-64 default modulus x^61 lies in the
+    first. The scan yields what search_normal_elements lists."""
     assert list(normal.normal_elements(F16)) == normal.search_normal_elements(F16)
     assert (list(normal.normal_elements(F16, require_primitive=True))
             == normal.search_normal_elements(F16, require_primitive=True))
-    tested = []
-    check = normal.is_normal_element
-    monkeypatch.setattr(normal, "is_normal_element",
-                        lambda ctx, a: tested.append(a) or check(ctx, a))
-    scan = normal.normal_elements(F16)
-    assert tested == []
-    first = next(scan)
-    assert tested[-1] == first and len(tested) <= first
+    f18 = gf.FieldCtx(bitpoly.parse("1+x^6+x^9+x^15+x^18"))
+    f64 = gf.FieldCtx(bitpoly.min_irreducible(64))
+    head = list(islice(normal.normal_elements(f18), 301))
+    prim_at = next(i for i, a in enumerate(head) if gf.is_primitive(f18, a))
+    calls = {}
+    monkeypatch.setattr(normal, "parity", _counting(calls, "parity", normal.parity))
+    monkeypatch.setattr(normal, "PreparedMap",
+                        _counting(calls, "PreparedMap", normal.PreparedMap))
+    monkeypatch.setattr(linalg.PreparedMap, "apply",
+                        _counting(calls, "apply", linalg.PreparedMap.apply))
+    monkeypatch.setattr(gf, "is_primitive", _counting(calls, "is_primitive", gf.is_primitive))
+    scan = normal.normal_elements(f18)
+    assert calls == {}
+    assert next(scan) == head[0] == 522
+    assert calls == {"PreparedMap": 3, "parity": 3, "apply": 6}
+    calls.clear()
+    assert list(islice(scan, 300)) == head[1:]
+    blocks = (head[-1] >> 8) - (head[0] >> 8)
+    assert calls == {"parity": blocks, "apply": 2 * blocks}
+    calls.clear()
+    assert next(normal.normal_elements(f18, require_primitive=True)) == head[prim_at]
+    assert calls["is_primitive"] == prim_at + 1 and calls["parity"] == 3
+    calls.clear()
+    assert next(normal.normal_elements(f64)) == 1 << 61
+    assert calls == {"PreparedMap": 1, "parity": 1}
+
+
+def _low_weight_irreducibles(n, count=3):
+    """The `count` least irreducibles of degree n among those of fewest
+    terms, then of the next fewest (fewer where fewer exist)."""
+    odd = sorted(range((1 << n) | 1, 1 << (n + 1), 2), key=lambda f: (f.bit_count(), f))
+    return list(islice(filter(bitpoly.is_irreducible, odd), count))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_block_scan_matches_the_predicate(n):
+    """Under three low-weight moduli per degree (every modulus there is at
+    n <= 3), the block scan lists exactly the candidates is_normal_element
+    accepts, and up to n = 12 its primitive path exactly those of them that
+    are primitive. Below n = 8 one block is the whole field."""
+    for f in _low_weight_irreducibles(n):
+        ctx = gf.FieldCtx(f)
+        normals = [a for a in range(1 << n) if normal.is_normal_element(ctx, a)]
+        assert list(normal.normal_elements(ctx)) == normals, f
+        if n <= 12:
+            assert (list(normal.normal_elements(ctx, require_primitive=True))
+                    == [a for a in normals if gf.is_primitive(ctx, a)]), f
+
+
+@pytest.mark.parametrize("n,maps", [(15, 4), (21, 5)])
+def test_block_scan_matches_the_predicate_under_many_maps(n, maps):
+    """At n = 15 and 21, with four and five maps besides the trace, the first
+    500 elements of the scan are the first 500 the predicate accepts."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+    assert len(ctx.normality_maps[1]) == maps
+    want = islice((a for a in range(1 << n) if normal.is_normal_element(ctx, a)), 500)
+    assert list(islice(normal.normal_elements(ctx), 500)) == list(want)
+
+
+def test_scan_and_order_operation_counts(monkeypatch):
+    """Deterministic cost guard: the exhaustive n = 16 scan calls neither
+    is_normal_element nor field.power, and each multiplicative_order call
+    squares n - 1 times and calls no field.power."""
+    f16 = gf.FieldCtx(bitpoly.min_irreducible(16))
+    f64 = gf.FieldCtx(bitpoly.min_irreducible(64))
+    calls = {}
+    counted = (normal.is_normal_element, gf.power, gf.square)
+    for mod in [m for name, m in sys.modules.items()
+                if name == "charfield2" or name.startswith("charfield2.")]:
+        for attr, obj in list(vars(mod).items()):
+            if any(obj is fn for fn in counted):
+                monkeypatch.setattr(mod, attr, _counting(calls, obj.__name__, obj))
+    assert len(normal.search_normal_elements(f16)) == 2 ** 15
+    assert calls == {}
+    rng = random.Random(64)
+    for ctx in (F64, f64):
+        for a in [1, ctx.mask] + [rng.getrandbits(ctx.n) or 1 for _ in range(5)]:
+            calls.clear()
+            gf.multiplicative_order(ctx, a)
+            assert calls == {"square": ctx.n - 1}, a
 
 
 def test_search_primitive_filter():
