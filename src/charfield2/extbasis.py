@@ -9,21 +9,23 @@ Four kinds of degree-d extension bases over a normal basis N = (a^(2^i)) of F_{2
   ka6  (d=6): sextic tower, b^2 = b + a and g^3 = b;
               blocks (1, b, g, g*b, g^2, g^2*b)
 
-Elements are tuples of d NormalCoords blocks. Every multiplication/squaring routine
-is a fixed straight-line program whose base-field multiplications, additions, and
-table-vector products (multiplications by a) are tallied in the context's OpCounter.
+Elements are tuples of d NormalCoords blocks. Each product is a fixed straight-line
+program; each square is read off the diagonal of structure_constants, the products
+of basis monomials reduced by RULES. Their base-field multiplications, additions,
+and table-vector products (multiplications by a) are tallied in the OpCounter.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from functools import cache, partial
+from itertools import accumulate, product
 from typing import Callable, NamedTuple
 
 from . import field as gf
 from .errors import (DomainError, InvalidElementError, NoKummerExtensionError,
                      UnsupportedDegreeError)
 from .normal import NormalBasisCtx, alpha_mul, frobenius_shift, normal_mul
+from .witt import SymPoly
 
 
 class Rule(NamedTuple):
@@ -37,8 +39,8 @@ class Rule(NamedTuple):
 
 
 # Each kind's generators in adjunction order: the one statement of the
-# defining rules, read by the contexts and the oracle, and checked against
-# the Witt derivation by the tests.
+# defining rules, read by the contexts, the structure constants and the
+# oracle, and checked against the Witt derivation by the tests.
 RULES = {
     "as2": (Rule("b", 2, lambda mul, a: a),),
     "k3": (Rule("b", 3, lambda mul, a: a),),
@@ -55,6 +57,47 @@ def _monomials(rules) -> tuple:
     exponent varying fastest; ((),) for no generators."""
     degrees = [r.degree for r in reversed(rules)]
     return tuple(e[::-1] for e in product(*map(range, degrees)))
+
+
+def rule_rewrites(rules) -> dict:
+    """The rules over F_2[a] as SymPoly.reduce rewrites {g: (degree, y^degree)}:
+    y^2 = y + c for an Artin-Schreier step, y^3 = c for a Kummer step."""
+    gens = [SymPoly.gen(g, len(rules)) for g in range(len(rules))]
+    a = SymPoly.const(0b10, len(rules))
+    return {g: (r.degree, r.rhs(SymPoly.__mul__, a, *gens[:g])
+                + (gens[g] if r.degree == 2 else SymPoly()))
+            for g, r in enumerate(rules)}
+
+
+@cache
+def structure_constants(kind: str) -> dict:
+    """(p, q) -> {r: c_pqr} with m_p m_q = sum_r c_pqr(a) m_r, each c_pqr an
+    F_2[a] bitmask: the product of basis monomials reduced by RULES[kind].
+    These are identities of polynomials in a, so they hold over every basis.
+    The result is cached per kind and shared: callers must not change it."""
+    if kind not in RULES:
+        raise DomainError(f"unknown kind {kind!r}")
+    monomials = _monomials(RULES[kind])
+    rewrites = rule_rewrites(RULES[kind])
+    out = {}
+    for (p, e), (q, f) in product(enumerate(monomials), repeat=2):
+        prod = SymPoly({tuple(map(int.__add__, e, f)): 1}).reduce(rewrites)
+        out[p, q] = {monomials.index(g): c for g, c in prod.terms.items()}
+    return out
+
+
+@cache
+def _square_plan(kind: str):
+    """Per input block p, the length of its chain of products by a (the top
+    power of a in the reduced m_p^2); per output block r, the indices of the
+    chain entries a^k x_p^2 it sums, in the chains laid end to end."""
+    diag = [cs for (p, q), cs in structure_constants(kind).items() if p == q]
+    tops = [max(cs.values()).bit_length() - 1 for cs in diag]
+    starts = list(accumulate(tops, lambda s, t: s + t + 1, initial=0))
+    sums = tuple(tuple(starts[p] + k for p, cs in enumerate(diag)
+                       for k in range(tops[p] + 1) if cs.get(r, 0) >> k & 1)
+                 for r in range(len(diag)))
+    return tuple(tops), sums
 
 
 @dataclass
@@ -120,9 +163,6 @@ class ExtBasisCtx:
     def _tvp(self, v):
         self.counter.table_vector_products += 1
         return alpha_mul(self.base, v)
-
-    def _shift(self, v):
-        return frobenius_shift(self.n, v)
 
     def validate(self, x: ExtElem) -> ExtElem:
         if not isinstance(x, ExtElem) or len(x.blocks) != self.d:
@@ -232,9 +272,23 @@ def ext_parse(ctx: ExtBasisCtx, s: str) -> ExtElem:
 # --- counted arithmetic -----------------------------------------------
 
 def square(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
-    """Squaring: coordinate shifts, table-vector products, and a few additions."""
+    """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules: each
+    block is shifted and run up its chain of table-vector products, and each
+    output block is one sum of chain entries."""
     ctx.validate(x)
-    return ExtElem(_SQUARE[ctx.kind](ctx, x.blocks))
+    tops, sums = _square_plan(ctx.kind)
+    chains = []
+    for v, top in zip(x.blocks, tops):
+        chains.append(frobenius_shift(ctx.n, v))
+        for _ in range(top):
+            chains.append(ctx._tvp(chains[-1]))
+    out = []
+    for s in sums:
+        z = chains[s[0]]
+        for i in s[1:]:
+            z = ctx._add(z, chains[i])
+        out.append(z)
+    return ExtElem(tuple(out))
 
 
 def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
@@ -245,7 +299,9 @@ def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
 
 
 def power(ctx: ExtBasisCtx, x: ExtElem, e: int) -> ExtElem:
-    """x^e by square-and-multiply (ops are counted like any other)."""
+    """x^e for e >= 0 by square-and-multiply (ops are counted like any other)."""
+    if e < 0:
+        raise DomainError(f"exponent must be nonnegative, got {e}")
     result = identity(ctx)
     base = x
     while e:
@@ -289,12 +345,6 @@ def element_is_cube(ctx: ExtBasisCtx, x: ExtElem) -> bool:
         return power(ctx, x, q1 // 3) == identity(ctx)
 
 
-def _as2_square(ctx, x):
-    C, D = x
-    Cs, Ds = ctx._shift(C), ctx._shift(D)
-    return (ctx._add(Cs, ctx._tvp(Ds)), Ds)
-
-
 def _as2_mul(ctx, x, y):
     C0, C1 = x
     D0, D1 = y
@@ -306,11 +356,6 @@ def _as2_mul(ctx, x, y):
     z0 = ctx._add(m0, ctx._tvp(m1))
     z1 = ctx._add(m01, m0)
     return (z0, z1)
-
-
-def _k3_square(ctx, x):
-    C, D, E = x
-    return (ctx._shift(C), ctx._tvp(ctx._shift(E)), ctx._shift(D))
 
 
 def _cubic_mul(add, mul, by_c, x, y):
@@ -342,21 +387,6 @@ def _cubic_mul(add, mul, by_c, x, y):
 def _k3_mul(ctx, x, y):
     """k3 over F_{2^n}: coefficients are blocks and c = a."""
     return _cubic_mul(ctx._add, ctx._mul, ctx._tvp, x, y)
-
-
-def _asw4_square(ctx, x):
-    A, B, C, D = (ctx._shift(b) for b in x)
-    tb = ctx._tvp(B)
-    tc1 = ctx._tvp(C)
-    tc2 = ctx._tvp(tc1)
-    td1 = ctx._tvp(D)
-    td2 = ctx._tvp(td1)
-    td3 = ctx._tvp(td2)
-    dpoly = ctx._add(ctx._add(td1, td2), td3)
-    z0 = ctx._add(ctx._add(ctx._add(A, tb), tc2), dpoly)
-    z1 = ctx._add(ctx._add(B, ctx._add(C, tc1)), D)
-    z2 = ctx._add(C, td1)
-    return (z0, z1, z2, D)
 
 
 def _asw4_mul(ctx, x, y):
@@ -415,17 +445,6 @@ def _ka6_bmul(ctx, p):
     return (ctx._tvp(v), ctx._add(u, v))
 
 
-def _ka6_square(ctx, x):
-    A, B, C, D, E, F = (ctx._shift(b) for b in x)
-    tb = ctx._tvp(B)
-    tf = ctx._tvp(F)
-    td = ctx._tvp(D)
-    z0 = ctx._add(A, tb)
-    z3 = ctx._add(ctx._add(E, F), tf)
-    z4 = ctx._add(C, td)
-    return (z0, B, tf, z3, z4, D)
-
-
 def _ka6_mul(ctx, x, y):
     """The k3 program over F_{2^(2n)}: coefficients are (u, v) pairs, c = b."""
     z0, z1, z2 = _cubic_mul(partial(_ka6_padd, ctx), partial(_as2_mul, ctx),
@@ -434,8 +453,6 @@ def _ka6_mul(ctx, x, y):
     return (*z0, *z1, *z2)
 
 
-_SQUARE = {"as2": _as2_square, "k3": _k3_square,
-           "asw4": _asw4_square, "ka6": _ka6_square}
 _MUL = {"as2": _as2_mul, "k3": _k3_mul, "asw4": _asw4_mul, "ka6": _ka6_mul}
 
 # frozen per-operation tallies (base_mults, base_adds, table_vector_products)

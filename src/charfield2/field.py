@@ -309,6 +309,8 @@ def square(ctx: FieldCtx, a: int) -> int:
 def power(ctx: FieldCtx, a: int, e: int) -> int:
     """a^e for e >= 0 (0^0 = 1)."""
     validate(ctx, a)
+    if e < 0:
+        raise DomainError(f"exponent must be nonnegative, got {e}")
     result = 1
     base = a
     while e:

@@ -7,6 +7,7 @@ The additive inverse of (a,b) is (a, b+a^2); the ring has characteristic 4.
 The formulas take the component ring's operations as arguments; the package
 evaluates them symbolically, over polynomials in the quartic generators with
 coefficients in F_2[a], where a stands for any normal basis generator.
+SymPoly also reduces by any kind's rules, for extbasis.structure_constants.
 """
 
 from .bitpoly import poly_mul
@@ -29,11 +30,11 @@ def _wp(add, mul, square, x):
     return _w2_add(add, mul, frob, x)
 
 
-# --- symbolic layer: polynomials in two generators over F_2[a] ---
+# --- symbolic layer: polynomials in generators over F_2[a] ---
 
 class SymPoly:
-    """Polynomial in generators (b0, b1) with coefficients in F_2[a], each an
-    int bitmask (bit i is the coefficient of a^i)."""
+    """Polynomial in some count of generators with coefficients in F_2[a]:
+    terms map exponent tuples to int bitmasks (bit i is the coefficient of a^i)."""
 
     __slots__ = ("terms",)
 
@@ -41,13 +42,12 @@ class SymPoly:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def const(cls, coeff):
-        return cls({(0, 0): coeff})
+    def const(cls, coeff, count):
+        return cls({(0,) * count: coeff})
 
     @classmethod
-    def gen(cls, which: int):
-        key = (1, 0) if which == 0 else (0, 1)
-        return cls({key: 1})
+    def gen(cls, which: int, count: int):
+        return cls({tuple(int(g == which) for g in range(count)): 1})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -59,34 +59,25 @@ class SymPoly:
 
     def __mul__(self, other):
         out = {}
-        for (a0, a1), u in self.terms.items():
-            for (b0, b1), v in other.terms.items():
-                k = (a0 + b0, a1 + b1)
+        for e, u in self.terms.items():
+            for f, v in other.terms.items():
+                k = tuple(map(int.__add__, e, f))
                 out[k] = out.get(k, 0) ^ poly_mul(u, v)
         return SymPoly(out)
 
     def square(self):
         return self * self
 
-    def reduce(self, rules):
-        """Rewrite generator powers >= 2 using rules[g] = SymPoly for gen g squared."""
-        cur = self
-        while True:
-            hit = None
-            for (e0, e1), coeff in cur.terms.items():
-                if e0 >= 2 and 0 in rules:
-                    hit = ((e0, e1), coeff, 0)
-                    break
-                if e1 >= 2 and 1 in rules:
-                    hit = ((e0, e1), coeff, 1)
-                    break
-            if hit is None:
-                return cur
-            (e0, e1), coeff, g = hit
-            rest = dict(cur.terms)
-            del rest[(e0, e1)]
-            lower = (e0 - 2, e1) if g == 0 else (e0, e1 - 2)
-            cur = SymPoly(rest) + SymPoly({lower: coeff}) * rules[g]
+    def reduce(self, rewrites):
+        """Rewrite every power g^e with e >= degree by rewrites[g] =
+        (degree, the SymPoly equal to g^degree) until none is left."""
+        for e in self.terms:
+            for g, (deg, poly) in rewrites.items():
+                if e[g] >= deg:
+                    rest = dict(self.terms)
+                    lower = SymPoly({e[:g] + (e[g] - deg,) + e[g + 1:]: rest.pop(e)})
+                    return (SymPoly(rest) + lower * poly).reduce(rewrites)
+        return self
 
 
 def asw4_reduction_rules():
@@ -101,9 +92,9 @@ def asw4_reduction_rules():
     (coefficients computed, not hard-coded). These are identities of
     polynomials in a, so they hold over every normal basis generator a.
     """
-    b0 = SymPoly.gen(0)
-    b1 = SymPoly.gen(1)
-    a = SymPoly.const(0b10)
+    b0 = SymPoly.gen(0, 2)
+    b1 = SymPoly.gen(1, 2)
+    a = SymPoly.const(0b10, 2)
     add = SymPoly.__add__
     mul = SymPoly.__mul__
 
@@ -113,7 +104,7 @@ def asw4_reduction_rules():
     # t[0] = b0^2 + b0 + a = 0  ->  b0^2 = b0 + a
     rule_b0 = _isolate(t[0], (2, 0))
     # eliminate b0 powers >= 2 from t[1], then isolate b1^2
-    t1 = t[1].reduce({0: rule_b0})
+    t1 = t[1].reduce({0: (2, rule_b0)})
     rule_b1 = _isolate(t1, (0, 2))
     return rule_b0.terms, rule_b1.terms
 

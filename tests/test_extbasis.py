@@ -5,6 +5,7 @@ import random
 import pytest
 
 from charfield2 import extbasis as xb, field as gf, normal
+from charfield2.witt import SymPoly
 from charfield2.errors import (DomainError, InvalidElementError,
                                NoKummerExtensionError, UnsupportedDegreeError)
 from charfield2.fixtures import get_fixture
@@ -201,6 +202,14 @@ def test_power_matches_repeated_mul():
         acc = xb.mul(ctx, acc, x)
 
 
+def test_power_refuses_a_negative_exponent():
+    """-1 >> 1 == -1, so square-and-multiply would never end on e < 0."""
+    ctx = xb.build_as2(NB2)
+    for e in (-1, -6):
+        with pytest.raises(DomainError):
+            xb.power(ctx, xb.identity(ctx), e)
+
+
 def test_defining_equation_as2():
     """b^2 = b + alpha."""
     for nb in (NB2, NB4, NB6):
@@ -313,3 +322,89 @@ def test_counter_accumulates_and_pauses():
         xb.mul(ctx, x, y)
         xb.square(ctx, x)
     assert ctx.counter.as_tuple() == (6, 8, 2)
+
+
+# --- structure constants and the programs over F_2[a] ----------------------
+
+A = 0b10  # a as an F_2[a] bitmask (bit i: coefficient of a^i)
+
+
+@pytest.mark.parametrize("kind,rows", [
+    ("as2", ((1, A), (0, 1))),
+    ("k3", ((1, 0, 0), (0, 0, A), (0, 1, 0))),
+    ("asw4", ((1, A, A * A, A | A * A | A ** 3),
+              (0, 1, 1 | A, 1),
+              (0, 0, 1, A),
+              (0, 0, 0, 1))),
+    ("ka6", ((1, A, 0, 0, 0, 0),
+             (0, 1, 0, 0, 0, 0),
+             (0, 0, 0, 0, 0, A),
+             (0, 0, 0, 0, 1, 1 | A),
+             (0, 0, 1, A, 0, 0),
+             (0, 0, 0, 1, 0, 0))),
+])
+def test_square_matrix_derived_from_the_rules(kind, rows):
+    """Column p is m_p^2 reduced by RULES: e.g. in asw4,
+    (b0 b1)^2 = (a + a^2 + a^3) + b0 + a b1 + b0 b1."""
+    sc = xb.structure_constants(kind)
+    d = len(rows)
+    assert tuple(tuple(sc[p, p].get(r, 0) for p in range(d))
+                 for r in range(d)) == rows
+
+
+def test_structure_constants_refuse_an_unknown_kind():
+    with pytest.raises(DomainError):
+        xb.structure_constants("k9")
+
+
+class _Symbolic:
+    """A stand-in context whose blocks are polynomials over F_2[a] in the
+    inputs' blocks: _mul is their product and _tvp the product by a.  The
+    call numbered `drop` among the _add and _tvp calls is a mutant: _add
+    returns its first operand and _tvp its operand unchanged."""
+
+    def __init__(self, count, drop=None):
+        self.a = SymPoly.const(A, count)
+        self.drop = drop
+        self.calls = 0
+
+    def _kept(self):
+        self.calls += 1
+        return self.calls - 1 != self.drop
+
+    def _add(self, u, v):
+        return u + v if self._kept() else u
+
+    def _mul(self, u, v):
+        return u * v
+
+    def _tvp(self, v):
+        return v * self.a if self._kept() else v
+
+
+def _symbolic_product(kind, drop=None):
+    """The kind's product program run on x_0..x_{d-1}, y_0..y_{d-1}."""
+    d = xb.ExtBasisCtx(NB2, kind).d
+    ctx = _Symbolic(2 * d, drop)
+    gens = [SymPoly.gen(g, 2 * d) for g in range(2 * d)]
+    out = xb._MUL[kind](ctx, gens[:d], gens[d:])
+    return ctx.calls, [z.terms for z in out]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_program_is_the_structure_constants_over_f2_a(kind):
+    """Output r of the program is sum c_pqr x_p y_q as a polynomial over
+    F_2[a]: so the product is right for every n, basis and input.  Each
+    mutant that drops one _add or one _tvp gives a different polynomial."""
+    d = xb.ExtBasisCtx(NB2, kind).d
+    gens = [SymPoly.gen(g, 2 * d) for g in range(2 * d)]
+    want = [SymPoly() for _ in range(d)]
+    for (p, q), cs in xb.structure_constants(kind).items():
+        for r, c in cs.items():
+            want[r] += SymPoly.const(c, 2 * d) * gens[p] * gens[d + q]
+    calls, got = _symbolic_product(kind)
+    assert got == [w.terms for w in want]
+    _, adds, tvps = MUL_EXPECT[kind]
+    assert calls == adds + tvps
+    for drop in range(calls):
+        assert _symbolic_product(kind, drop)[1] != got, drop

@@ -371,6 +371,13 @@ def test_power_matches_repeated_mul():
             acc = gf.poly_mul_mod(F16, acc, a)
 
 
+def test_power_refuses_a_negative_exponent():
+    """-1 >> 1 == -1, so square-and-multiply would never end on e < 0."""
+    for e in (-1, -6):
+        with pytest.raises(DomainError):
+            gf.power(F16, 0b10, e)
+
+
 def test_trace_properties():
     # additive, Frobenius-invariant, and balanced across the field
     for a in range(256):

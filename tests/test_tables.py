@@ -225,9 +225,10 @@ def _charfield2_modules():
 
 
 def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
-    """With the normal-basis products and the extended programs made to raise
-    at every binding, every kind at n = 2 and 4 still embeds, passes its rule
-    check, and yields tables that verify: the oracle reads only RULES."""
+    """With the normal-basis products, the extended programs and their
+    structure constants made to raise at every binding, every kind at n = 2
+    and 4 still embeds, passes its rule check, and yields tables that
+    verify: the oracle reads only RULES."""
     sources = [get_fixture(n).basis() for n in (2, 4)]
     for kind in xb.KINDS:
         for n in (2, 4):
@@ -240,7 +241,8 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the arithmetic under test")
 
-    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square)
+    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square,
+                  xb.structure_constants)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
@@ -521,32 +523,26 @@ def test_programs_make_no_transpose(monkeypatch):
                 xb.square(ctx, x)
 
 
-@pytest.mark.parametrize("kind", ["as2", "k3", "asw4"])
+@pytest.mark.parametrize("kind", ["as2", "k3", "asw4", "ka6"])
 def test_closed_form_counts_match_brute_force(kind):
-    """Every fixture n <= 12: as2 always, asw4 at even n, k3 where the
-    generator is a primitive non-cube (m = 4n = 48 at most)."""
+    """Every fixture n <= 12 with m = d n <= 64: as2 always, asw4 at even n,
+    k3 where the generator is a primitive non-cube, ka6 where the quadratic
+    generator is a non-cube."""
     checked = 0
     for n in (n for n in fixture_degrees() if n <= 12):
-        if kind == "asw4" and n % 2:
+        if kind == "asw4" and n % 2 or kind == "ka6" and 6 * n > 64:
             continue
         try:
             ext = xb.build_kind(get_fixture(n).basis(), kind)
         except (NoKummerExtensionError, UnsupportedDegreeError):
-            assert kind == "k3"
+            assert kind in ("k3", "ka6")
             continue
         ts = tables.build_tables(tables.build_embedding(ext))
         expected = tables.expected_counts(ext.base, kind)
         assert ts.per_table_nonzeros == expected, n
         assert ts.density == sum(expected)
         checked += 1
-    assert checked == {"as2": 7, "k3": 3, "asw4": 6}[kind]
-
-
-def test_no_closed_form_for_sextic_tower():
-    with pytest.raises(DomainError):
-        tables.expected_counts(NB2, "ka6")
-    with pytest.raises(DomainError):
-        tables.expected_density(NB2, "ka6")
+    assert checked == {"as2": 7, "k3": 3, "asw4": 6, "ka6": 4}[kind]
 
 
 def test_expected_density_formulas():
@@ -554,7 +550,7 @@ def test_expected_density_formulas():
         cs = normal.cross_product_sum(nb)
         assert tables.expected_density(nb, "as2") == 4 * nb.density + cs
         assert tables.expected_density(nb, "k3") == 6 * nb.density + 3 * cs
-        for kind in ("as2", "k3", "asw4"):
+        for kind in xb.KINDS:
             assert (tables.expected_density(nb, kind)
                     == sum(tables.expected_counts(nb, kind)))
 

@@ -86,16 +86,10 @@ def test_wp_map_component_formula():
         assert img[1] == gf.square(F4, x1) ^ x1 ^ cube
 
 
-def _stated_asw4_rules(rules):
-    """RULES["asw4"] evaluated over SymPoly: each y^2 = y + c as the dict of
-    y + c, the shape asw4_reduction_rules returns."""
-    a = SymPoly.const(A)
-    gens, stated = [], []
-    for k, rule in enumerate(rules):
-        y = SymPoly.gen(k)
-        stated.append((y + rule.rhs(SymPoly.__mul__, a, *gens)).terms)
-        gens.append(y)
-    return stated
+def _stated(rules):
+    """The package's reduction rules for `rules`, as dicts in the shape
+    asw4_reduction_rules returns: y^2 = y + c as the terms of y + c."""
+    return [poly.terms for _, poly in xb.rule_rewrites(rules).values()]
 
 
 def test_asw4_rule_shapes():
@@ -110,9 +104,9 @@ def test_asw4_rule_shapes():
 def test_derived_rules_plug_back_to_zero_over_f2_a():
     """Under the derived rules, wp((b0, b1)) + (a, a) reduces to (0, 0) over F_2[a]."""
     rule_b0, rule_b1 = witt.asw4_reduction_rules()
-    rules = {0: SymPoly(rule_b0), 1: SymPoly(rule_b1)}
-    gens = (SymPoly.gen(0), SymPoly.gen(1))
-    a = SymPoly.const(A)
+    rules = {0: (2, SymPoly(rule_b0)), 1: (2, SymPoly(rule_b1))}
+    gens = (SymPoly.gen(0, 2), SymPoly.gen(1, 2))
+    a = SymPoly.const(A, 2)
     s = _wp(SymPoly.__add__, SymPoly.__mul__, SymPoly.square, gens)
     t = _w2_add(SymPoly.__add__, SymPoly.__mul__, s, (a, a))
     assert [c.reduce(rules).terms for c in t] == [{}, {}]
@@ -155,10 +149,11 @@ def test_asw4_rules_plug_back_to_zero(n, modulus, alpha):
 
 
 def test_derived_rules_equal_the_stated_rules():
-    """The Witt derivation is RULES["asw4"], the rules the quartic programs
-    and the oracle read; both are polynomials in a, so this holds for every
+    """The Witt derivation is RULES["asw4"] as the package reduces by it, the
+    rewrite behind the squares and the closed-form counts (the oracle reads
+    the same RULES); both are polynomials in a, so this holds for every
     basis and build_asw4 need not check it."""
-    assert list(witt.asw4_reduction_rules()) == _stated_asw4_rules(xb.RULES["asw4"])
+    assert list(witt.asw4_reduction_rules()) == _stated(xb.RULES["asw4"])
 
 
 def test_flipped_derived_coefficient_fails_the_comparison():
@@ -167,7 +162,7 @@ def test_flipped_derived_coefficient_fails_the_comparison():
     rule_b0, rule_b1 = witt.asw4_reduction_rules()
     wrong_b1 = dict(rule_b1)
     wrong_b1[(0, 0)] ^= 1
-    assert [rule_b0, wrong_b1] != _stated_asw4_rules(xb.RULES["asw4"])
+    assert [rule_b0, wrong_b1] != _stated(xb.RULES["asw4"])
 
 
 def test_stated_rule_without_its_a_squared_term_fails_the_comparison():
@@ -175,7 +170,7 @@ def test_stated_rule_without_its_a_squared_term_fails_the_comparison():
     differs from the Witt derivation."""
     rule_b0, rule_b1 = xb.RULES["asw4"]
     wrong_b1 = rule_b1._replace(rhs=lambda mul, a, b0: b0 ^ mul(a, b0))
-    assert list(witt.asw4_reduction_rules()) != _stated_asw4_rules((rule_b0, wrong_b1))
+    assert list(witt.asw4_reduction_rules()) != _stated((rule_b0, wrong_b1))
 
 
 def _wp_fiber_size(ctx, target):
