@@ -277,20 +277,23 @@ def reduce_product(ctx: FieldCtx, prod: int) -> int:
 
 
 def reduce_lanes(ctx: FieldCtx, prods: int, ones: int) -> int:
-    """reduce_product of every lane of prods at once, one shift per term of
-    ctx.fold_terms for all lanes; DomainError for a modulus without them.
+    """reduce_product of every lane of prods at once.
 
     Lane t starts at the t-th set bit of `ones` and holds a raw product of
     up to 2n - 1 bits.  Lanes at least 2n bits apart keep each fold in its
     own lane, and a shift by n brings no bit of the next lane into the low
-    n bits."""
-    terms = ctx.fold_terms
-    if terms is None:
-        raise DomainError(f"{bitpoly.to_human(ctx.modulus)} does not reduce by "
-                          "shifts of its terms")
+    n bits.  With ctx.fold_terms each fold is one shift per term for all
+    lanes; otherwise each overflow bit n + i of every lane at once, one bit
+    per lane, is replaced by ctx.reduction[i] with one integer product,
+    which cannot carry."""
     n = ctx.n
     low = ones * ctx.mask
     out = prods & low
+    terms = ctx.fold_terms
+    if terms is None:
+        for i, r in enumerate(ctx.reduction):
+            out ^= ((prods >> (n + i)) & ones) * r
+        return out
     high = (prods >> n) & low
     while high:
         fold = 0

@@ -18,139 +18,128 @@ from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, row_app
 from .normal import NormalBasisCtx, basis_products
 
 
-# --- polynomial helpers with coefficients in a big field ----------------
+# --- polynomials over a big field, lane-packed --------------------------
 #
-# Products by 0 and 1 are skipped throughout: the base modulus and the
-# Frobenius powers X^(2^i) mod it have coefficients in F_2, so splitting it
-# needs field products only where coefficients leave F_2.
+# A polynomial over F_2^m is one int: coefficient k sits in lane k, of 2m
+# bits, as in build_tables.  A product c*p by a field element c is one
+# carry-less product, each lane unreduced, and one field.reduce_lanes
+# reduces every lane.  When p's coefficients are all 0 or 1, as for the base
+# modulus, its Frobenius powers X^(2^i) mod it and every division by it,
+# c*p is the plain integer product: one set bit per lane, lanes 2m bits
+# apart, so nothing carries.  `ones` has a set bit at the foot of every
+# lane in use.
 
-def _fp_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _mul(big, u, v):
-    """u*v in `big`, with no field product when either factor is 0 or 1."""
-    return u * v if u < 2 or v < 2 else gf.poly_mul_mod(big, u, v)
-
-
-def _sq(big, c):
-    """c^2 in `big`, with no field product when c is 0 or 1."""
-    return c if c < 2 else gf.square(big, c)
+def _deg(big, p):
+    """Degree of packed p; -1 for 0."""
+    return (p.bit_length() - 1) // (2 * big.n)
 
 
-def _fp_monic(big, p):
-    p = _fp_trim(list(p))
-    if not p or p[-1] == 1:
-        return p
-    inv = gf.inverse(big, p[-1])
-    return [_mul(big, inv, c) for c in p]
+def _clmul(c, p, ones):
+    """c times each coefficient of packed p, unreduced."""
+    return c * p if not p & ~ones else bitpoly.poly_mul(c, p)
 
 
-def _fp_divmod(big, a, b):
-    """Quotient and remainder of a by a nonzero b."""
-    a = _fp_trim(list(a))
-    b = _fp_trim(list(b))
-    db = len(b) - 1
-    binv = 1 if b[-1] == 1 else gf.inverse(big, b[-1])
-    q = [0] * max(len(a) - db, 0)
-    while len(a) > db:
-        shift = len(a) - 1 - db
-        factor = _mul(big, a.pop(), binv)  # cancels the leading term
-        q[shift] = factor
-        for i in range(db):
-            if b[i]:
-                a[shift + i] ^= _mul(big, factor, b[i])
-        _fp_trim(a)
+def _scale(big, c, p, ones):
+    """c times each coefficient of packed p, reduced."""
+    return c * p if not p & ~ones else gf.reduce_lanes(big, bitpoly.poly_mul(c, p), ones)
+
+
+def _fp_monic(big, p, ones):
+    lead = p and p >> _deg(big, p) * 2 * big.n
+    return p if lead < 2 else _scale(big, gf.inverse(big, lead), p, ones)
+
+
+def _fp_divmod(big, a, b, ones):
+    """Quotient and remainder of a by a nonzero b: each step cancels the
+    leading term of a by one product of the whole of b."""
+    lane = 2 * big.n
+    db = _deg(big, b)
+    lead = b >> db * lane
+    binv = 1 if lead == 1 else gf.inverse(big, lead)
+    q = 0
+    while (da := _deg(big, a)) >= db:
+        factor = a >> da * lane
+        if binv != 1:
+            factor = gf.poly_mul_mod(big, factor, binv)
+        shift = (da - db) * lane
+        q |= factor << shift
+        a ^= _scale(big, factor, b, ones) << shift
     return q, a
 
 
-def _fp_mod(big, a, b):
-    return _fp_divmod(big, a, b)[1]
+def _fp_mod(big, a, b, ones):
+    return _fp_divmod(big, a, b, ones)[1]
 
 
-def _fp_mulmod(big, a, b, mod):
-    """a*b mod `mod` by the schoolbook product (the reference for _fp_sqmod)."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, u in enumerate(a):
-        if not u:
-            continue
-        for j, v in enumerate(b):
-            if v:
-                out[i + j] ^= gf.poly_mul_mod(big, u, v)
-    return _fp_mod(big, out, mod)
+def _fp_sqmod(big, t, mod, ones):
+    """t^2 mod `mod`: in characteristic 2, (sum c_i X^i)^2 = sum c_i^2 X^(2i),
+    and poly_square moves lane i to lane 2i squaring its coefficient."""
+    return _fp_mod(big, gf.reduce_lanes(big, bitpoly.poly_square(t), ones), mod, ones)
 
 
-def _fp_sqmod(big, t, mod):
-    """t^2 mod `mod`: in characteristic 2, (sum c_i X^i)^2 = sum c_i^2 X^(2i)."""
-    out = [0] * (2 * len(t) - 1) if t else []
-    for i, c in enumerate(t):
-        out[2 * i] = _sq(big, c)
-    return _fp_mod(big, out, mod)
+def _fp_gcd(big, a, b, ones):
+    while b:
+        a, b = b, _fp_mod(big, a, b, ones)
+    return _fp_monic(big, a, ones)
 
 
-def _fp_gcd(big, a, b):
-    a, b = list(a), list(b)
-    while _fp_trim(b):
-        a, b = b, _fp_mod(big, a, b)
-    return _fp_monic(big, a)
-
-
-def _frobenius_powers(big, h):
+def _frobenius_powers(big, h, ones):
     """X^(2^i) mod h for i < big.n."""
-    t = _fp_mod(big, [0, 1], h)
+    t = _fp_mod(big, 1 << 2 * big.n, h, ones)
     powers = [t]
     for _ in range(big.n - 1):
-        t = _fp_sqmod(big, t, h)
+        t = _fp_sqmod(big, t, h, ones)
         powers.append(t)
     return powers
 
 
-def _trace_split(big, h, powers):
+def _trace_split(big, h, powers, ones):
     """A proper monic factor of a monic h of degree >= 2 that is squarefree and
     splits in `big`: gcd(h, T_c) for the first c = x^j that separates two roots.
 
     T_c(X) = sum_{i<m} (cX)^(2^i) maps each root r to the trace of cr, so the
     gcd collects the roots where that trace is 0; the x^j jointly separate any
     two roots.  T_c is built from powers[i] = X^(2^i) modulo h or any multiple
-    of it.  c = 1 comes last: it cannot split a factor of an irreducible
-    polynomial over F_2, whose roots are conjugate and so share one trace."""
-    width = max(map(len, powers))
+    of it, summed unreduced and reduced once.  c = 1 comes last: it cannot
+    split a factor of an irreducible polynomial over F_2, whose roots are
+    conjugate and so share one trace."""
     for j in (*range(1, big.n), 0):
         c = 1 << j
-        acc = [0] * width
+        acc = 0
         for p in powers:
-            for k, v in enumerate(p):
-                if v:
-                    acc[k] ^= _mul(big, c, v)
-            c = _sq(big, c)
-        g = _fp_gcd(big, h, _fp_mod(big, acc, h))
-        if 1 < len(g) < len(h):
+            acc ^= _clmul(c, p, ones)
+            c = gf.square(big, c)
+        g = _fp_gcd(big, h, _fp_mod(big, gf.reduce_lanes(big, acc, ones), h, ones), ones)
+        if 0 < _deg(big, g) < _deg(big, h):
             return g
     raise ConstructionContradictionError("root splitting did not converge")
 
 
 def find_root(big: gf.FieldCtx, coeffs) -> int:
     """A root in `big` of the polynomial with coefficients `coeffs` (low to
-    high), which must be squarefree and split in `big`; DomainError otherwise.
+    high), which must be squarefree and split in `big`; DomainError otherwise,
+    and InvalidElementError for a coefficient that is not an element of `big`.
 
     Splits it down to a linear factor, keeping the smaller factor each time.
     Which root comes out does not matter to the oracle: the automorphisms of
     `big` carry any choice of roots to any other."""
-    h = _fp_monic(big, coeffs)
-    if len(h) < 2:
+    lane = 2 * big.n
+    h = pack_lanes([gf.validate(big, c) for c in coeffs], lane)
+    deg = _deg(big, h)
+    if deg < 1:
         raise DomainError("a constant polynomial has no root")
-    powers = _frobenius_powers(big, h)
-    if _fp_sqmod(big, powers[-1], h) != powers[0]:  # X^(2^m) != X mod h
+    ones = pack_lanes([1] * 2 * deg, lane)  # room for the square of h
+    h = _fp_monic(big, h, ones)
+    powers = _frobenius_powers(big, h, ones)
+    if _fp_sqmod(big, powers[-1], h, ones) != powers[0]:  # X^(2^m) != X mod h
         raise DomainError(
             f"the polynomial is not squarefree or does not split in F_2^{big.n}")
-    while len(h) > 2:
-        g = _trace_split(big, h, powers)
-        if 2 * len(g) > len(h) + 1:  # deg g > deg h / 2: keep the cofactor
-            g = _fp_divmod(big, h, g)[0]
-        h = g
-    return h[0]  # monic X + c: the root is c (char 2)
+    while deg > 1:
+        g = _trace_split(big, h, powers, ones)
+        if 2 * _deg(big, g) > deg:  # keep the cofactor
+            g = _fp_divmod(big, h, g, ones)[0]
+        h, deg = g, _deg(big, g)
+    return h & big.mask  # monic X + c: the root is c (char 2)
 
 
 # --- oracle embedding ---------------------------------------------------

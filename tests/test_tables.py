@@ -55,6 +55,19 @@ def test_find_root_returns_a_root_of_each_irreducible(m):
         assert tables.find_root(big, [c, 0, 0, 1]) == r
 
 
+def test_find_root_over_a_modulus_without_fold_terms():
+    """reduce_lanes folds such a big field bit by bit, so root finding and
+    the tables need no modulus of few terms."""
+    big = gf.FieldCtx(bitpoly.parse("1+x^7+x^12"))
+    assert big.fold_terms is None
+    for d in (2, 3, 4, 6, 12):
+        for f in _first_irreducibles(d, 2):
+            coeffs = [(f >> i) & 1 for i in range(d + 1)]
+            assert _value(big, coeffs, tables.find_root(big, coeffs)) == 0, f
+    c = gf.power(big, 5, 3)
+    assert gf.power(big, tables.find_root(big, [c, 0, 0, 1]), 3) == c
+
+
 def test_find_root_solves_artin_schreier():
     big = gf.FieldCtx(0b1000011)  # F_64
     c = next(a for a in range(1, 64) if gf.trace(big, a) == 0)
@@ -129,8 +142,7 @@ def test_oracle_does_not_depend_on_the_roots_it_picks(monkeypatch):
 
     def other_root(big, coeffs):
         r = find_root(big, coeffs)
-        return find_root(big, tables._fp_divmod(big, tables._fp_monic(big, coeffs),
-                                                [r, 1])[0])
+        return find_root(big, _ref_divmod(big, _ref_monic(big, coeffs), [r, 1])[0])
 
     solve = gf.solve_artin_schreier
     monkeypatch.setattr(tables, "find_root", other_root)
@@ -145,32 +157,145 @@ def test_oracle_does_not_depend_on_the_roots_it_picks(monkeypatch):
     assert moved == len(sources)
 
 
+def test_find_root_validates_its_coefficients():
+    """A coefficient outside the big field is refused before packing, where
+    a negative one or one of more than m bits would spill into other lanes."""
+    big = gf.FieldCtx(bitpoly.min_irreducible(8))
+    for coeffs in ([-1, 1], [256, 1], [1, 0, 256], [0, -3, 1], [1.0, 1]):
+        with pytest.raises(InvalidElementError):
+            tables.find_root(big, coeffs)
+
+
+# --- a list-based schoolbook reference for the packed polynomial helpers ---
+
 F64 = gf.FieldCtx(0b1000011)
 
 
-@given(st.lists(st.integers(0, 63), max_size=10),
-       st.lists(st.integers(0, 63), max_size=6))
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_monic(big, p):
+    p = _ref_trim(list(p))
+    if not p:
+        return p
+    inv = gf.inverse(big, p[-1])
+    return [gf.poly_mul_mod(big, inv, c) for c in p]
+
+
+def _ref_divmod(big, a, b):
+    """Quotient and remainder of a by a nonzero b, one coefficient at a time."""
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    db = len(b) - 1
+    binv = gf.inverse(big, b[-1])
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        shift = len(a) - 1 - db
+        q[shift] = factor = gf.poly_mul_mod(big, a.pop(), binv)
+        for i in range(db):
+            a[shift + i] ^= gf.poly_mul_mod(big, factor, b[i])
+        _ref_trim(a)
+    return _ref_trim(q), a
+
+
+def _ref_mulmod(big, a, b, mod):
+    """a*b mod `mod` by the schoolbook product."""
+    out = [0] * (len(a) + len(b))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] ^= gf.poly_mul_mod(big, u, v)
+    return _ref_divmod(big, out, mod)[1]
+
+
+def _ref_gcd(big, a, b):
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    while b:
+        a, b = b, _ref_divmod(big, a, b)[1]
+    return _ref_monic(big, a)
+
+
+def _packed(big, p):
+    return linalg.pack_lanes(p, 2 * big.n)
+
+
+def _lists(big, p):
+    return _ref_trim(list(linalg.unpack_lanes(p, 2 * big.n, 24)))
+
+
+def _ones(lanes):
+    return linalg.pack_lanes([1] * lanes, 2 * F64.n)
+
+
+# Polynomials over F_64 of up to 10 coefficients: any coefficients, or only
+# 0 and 1 (the integer-product path); the empty list is the zero polynomial.
+_polys = (st.lists(st.integers(0, 63), max_size=10)
+          | st.lists(st.integers(0, 1), max_size=10))
+_divisors = _polys.filter(lambda p: any(p))
+
+
+@given(_polys, _divisors)
+def test_packed_divmod_matches_the_reference(a, b):
+    """Non-monic divisors and constants included."""
+    q, r = tables._fp_divmod(F64, _packed(F64, a), _packed(F64, b), _ones(20))
+    assert (_lists(F64, q), _lists(F64, r)) == _ref_divmod(F64, a, b)
+
+
+@given(_polys, _polys)
+def test_packed_gcd_matches_the_reference(a, b):
+    got = tables._fp_gcd(F64, _packed(F64, a), _packed(F64, b), _ones(20))
+    assert _lists(F64, got) == _ref_gcd(F64, a, b)
+
+
+@given(_polys, _divisors)
 def test_char2_polynomial_square_matches_the_schoolbook_product(t, h):
-    h = h + [1]  # monic
-    assert tables._fp_sqmod(F64, t, h) == tables._fp_mulmod(F64, t, t, h)
+    h = _ref_monic(F64, h)
+    got = tables._fp_sqmod(F64, _packed(F64, t), _packed(F64, h), _ones(20))
+    assert _lists(F64, got) == _ref_mulmod(F64, t, t, h)
 
 
-def test_embedding_field_product_budget(monkeypatch):
-    """Deterministic cost guard for the as2 embedding at n = 24 (m = 48):
-    splitting the modulus down to one root takes 3,837 field products,
-    splitting it into all 24 linear factors about 213,000."""
-    ctx = xb.build_as2(get_fixture(24).basis())
-    real = gf.poly_mul_mod
+# The trace-split gcds each oracle case's embedding takes: one per c = x^j
+# tried, summed over the splits of its modulus and of its cubic rules.
+ORACLE_GCDS = {("k3", 14): 9, ("k3", 16): 9, ("as2", 18): 5, ("as2", 24): 12,
+               ("asw4", 8): 8, ("ka6", 8): 4}
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_GCDS, ids=[f"{k}-n{n}" for k, n in ORACLE_GCDS])
+def test_trace_split_gcd_count_per_oracle_case(kind, n, monkeypatch):
+    """The gcds follow from the order in which the c = x^j are tried and
+    from keeping the smaller factor; changing either changes the root."""
+    ctx = xb.build_kind(get_fixture(n).basis(), kind)
+    real = tables._fp_gcd
     calls = 0
 
-    def counting(big, a, b):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return real(big, a, b)
+        return real(*args)
 
-    monkeypatch.setattr(gf, "poly_mul_mod", counting)
+    monkeypatch.setattr(tables, "_fp_gcd", counting)
     tables.build_embedding(ctx)
-    assert 0 < calls < 50_000
+    assert calls == ORACLE_GCDS[kind, n]
+
+
+def test_embedding_root_finding_budget(monkeypatch):
+    """Deterministic cost guard for the as2 embedding at n = 24 (m = 48):
+    360 carry-less products, of which 104 are inside field products; one
+    field product per coefficient took 1,361.  The 0/1 coefficients of the
+    modulus and of its Frobenius powers take integer products instead."""
+    ctx = xb.build_as2(get_fixture(24).basis())
+    real = bitpoly.poly_mul
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(bitpoly, "poly_mul", counting)
+    tables.build_embedding(ctx)
+    assert 0 < calls < 500
 
 
 @pytest.mark.parametrize("kind,nb", [
