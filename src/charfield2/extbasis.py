@@ -10,15 +10,16 @@ Four kinds of degree-d extension bases over a normal basis N = (a^(2^i)) of F_{2
               blocks (1, b, g, g*b, g^2, g^2*b)
 
 Elements are tuples of d NormalCoords blocks. Each product is a fixed straight-line
-program; each square is read off the diagonal of structure_constants, the products
-of basis monomials reduced by RULES. Their base-field multiplications, additions,
-and table-vector products (multiplications by a) are tallied in the OpCounter.
+program, one function of the base field's sum, product and product by a (tvp); each
+square is read off the diagonal of structure_constants (basis monomials multiplied
+and reduced by RULES). Each adds its fixed tally of those operations to the OpCounter.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, product
+from operator import xor
 from typing import Callable, NamedTuple
 
 from . import field as gf
@@ -90,25 +91,49 @@ def structure_constants(kind: str) -> dict:
 def _square_plan(kind: str):
     """Per input block p, the length of its chain of products by a (the top
     power of a in the reduced m_p^2); per output block r, the indices of the
-    chain entries a^k x_p^2 it sums, in the chains laid end to end."""
+    chain entries a^k x_p^2 it sums (chains laid end to end); the walk's tally."""
     diag = [cs for (p, q), cs in structure_constants(kind).items() if p == q]
     tops = [max(cs.values()).bit_length() - 1 for cs in diag]
     starts = list(accumulate(tops, lambda s, t: s + t + 1, initial=0))
     sums = tuple(tuple(starts[p] + k for p, cs in enumerate(diag)
                        for k in range(tops[p] + 1) if cs.get(r, 0) >> k & 1)
                  for r in range(len(diag)))
-    return tuple(tops), sums
+    return tuple(tops), sums, (0, sum(len(s) - 1 for s in sums), sum(tops))
+
+
+def _square_walk(add, tvp, kind, sq):
+    """The blocks of x^2 from sq, the squares x_p^2 of x's blocks: each runs up
+    its chain of products by a, and each output is one sum of chain entries."""
+    tops, sums, _ = _square_plan(kind)
+    chains = []
+    for v, top in zip(sq, tops):
+        chains.append(v)
+        for _ in range(top):
+            chains.append(tvp(chains[-1]))
+    out = []
+    for s in sums:
+        z = chains[s[0]]
+        for i in s[1:]:
+            z = add(z, chains[i])
+        out.append(z)
+    return tuple(out)
 
 
 @dataclass
 class OpCounter:
-    """Tally of base-field operations performed through an ExtBasisCtx."""
+    """Tally of base-field operations: each mul and square records its fixed one."""
     base_mults: int = 0
     base_adds: int = 0
     table_vector_products: int = 0
 
     def reset(self):
         self.base_mults = self.base_adds = self.table_vector_products = 0
+
+    def record(self, tally):
+        """Add one operation's (mults, adds, table-vector products)."""
+        self.base_mults += tally[0]
+        self.base_adds += tally[1]
+        self.table_vector_products += tally[2]
 
     def as_tuple(self):
         return (self.base_mults, self.base_adds, self.table_vector_products)
@@ -134,7 +159,7 @@ class ExtElem:
 
 
 class ExtBasisCtx:
-    """An extended basis over a normal basis, with counted arithmetic."""
+    """An extended basis over a normal basis, with an OpCounter."""
 
     def __init__(self, base: NormalBasisCtx, kind: str):
         if kind not in RULES:
@@ -150,19 +175,6 @@ class ExtBasisCtx:
 
     def __repr__(self):
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
-
-    # counted base-field primitives ------------------------------------
-    def _add(self, u, v):
-        self.counter.base_adds += 1
-        return u ^ v
-
-    def _mul(self, u, v):
-        self.counter.base_mults += 1
-        return normal_mul(self.base, u, v)
-
-    def _tvp(self, v):
-        self.counter.table_vector_products += 1
-        return alpha_mul(self.base, v)
 
     def validate(self, x: ExtElem) -> ExtElem:
         if not isinstance(x, ExtElem) or len(x.blocks) != self.d:
@@ -269,47 +281,31 @@ def ext_parse(ctx: ExtBasisCtx, s: str) -> ExtElem:
     return ctx.validate(ExtElem(blocks))
 
 
-# --- counted arithmetic -----------------------------------------------
+# --- arithmetic -------------------------------------------------------
 
 def square(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
-    """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules: each
-    block is shifted and run up its chain of table-vector products, and each
-    output block is one sum of chain entries."""
+    """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules."""
     ctx.validate(x)
-    tops, sums = _square_plan(ctx.kind)
-    chains = []
-    for v, top in zip(x.blocks, tops):
-        chains.append(frobenius_shift(ctx.n, v))
-        for _ in range(top):
-            chains.append(ctx._tvp(chains[-1]))
-    out = []
-    for s in sums:
-        z = chains[s[0]]
-        for i in s[1:]:
-            z = ctx._add(z, chains[i])
-        out.append(z)
-    return ExtElem(tuple(out))
+    ctx.counter.record(_square_plan(ctx.kind)[2])
+    return ExtElem(_square_walk(xor, partial(alpha_mul, ctx.base), ctx.kind,
+                                map(partial(frobenius_shift, ctx.n), x.blocks)))
 
 
 def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
     """Multiplication by the kind's fixed subquadratic straight-line program."""
     ctx.validate(x)
     ctx.validate(y)
-    return ExtElem(_MUL[ctx.kind](ctx, x.blocks, y.blocks))
+    ctx.counter.record(_tally(ctx.kind))
+    return ExtElem(_MUL[ctx.kind](xor, partial(normal_mul, ctx.base),
+                                  partial(alpha_mul, ctx.base), x.blocks, y.blocks))
 
 
 def power(ctx: ExtBasisCtx, x: ExtElem, e: int) -> ExtElem:
     """x^e for e >= 0 by square-and-multiply (ops are counted like any other)."""
     if e < 0:
         raise DomainError(f"exponent must be nonnegative, got {e}")
-    result = identity(ctx)
-    base = x
-    while e:
-        if e & 1:
-            result = mul(ctx, result, base)
-        base = square(ctx, base)
-        e >>= 1
-    return result
+    return gf._square_and_multiply(partial(mul, ctx), partial(square, ctx),
+                                   identity(ctx), x, e)
 
 
 def generator_element(ctx: ExtBasisCtx, name: str) -> ExtElem:
@@ -345,16 +341,16 @@ def element_is_cube(ctx: ExtBasisCtx, x: ExtElem) -> bool:
         return power(ctx, x, q1 // 3) == identity(ctx)
 
 
-def _as2_mul(ctx, x, y):
+def _as2_mul(add, mul, tvp, x, y):
     C0, C1 = x
     D0, D1 = y
-    c01 = ctx._add(C0, C1)
-    d01 = ctx._add(D0, D1)
-    m0 = ctx._mul(C0, D0)
-    m1 = ctx._mul(C1, D1)
-    m01 = ctx._mul(c01, d01)
-    z0 = ctx._add(m0, ctx._tvp(m1))
-    z1 = ctx._add(m01, m0)
+    c01 = add(C0, C1)
+    d01 = add(D0, D1)
+    m0 = mul(C0, D0)
+    m1 = mul(C1, D1)
+    m01 = mul(c01, d01)
+    z0 = add(m0, tvp(m1))
+    z1 = add(m01, m0)
     return (z0, z1)
 
 
@@ -384,76 +380,73 @@ def _cubic_mul(add, mul, by_c, x, y):
     return (z0, z1, z2)
 
 
-def _k3_mul(ctx, x, y):
-    """k3 over F_{2^n}: coefficients are blocks and c = a."""
-    return _cubic_mul(ctx._add, ctx._mul, ctx._tvp, x, y)
-
-
-def _asw4_mul(ctx, x, y):
+def _asw4_mul(add, mul, tvp, x, y):
     A1, B1, C1, D1 = x
     A2, B2, C2, D2 = y
-    a1 = ctx._add(A1, B1)
-    a2 = ctx._add(A2, B2)
-    c1 = ctx._add(C1, D1)
-    c2 = ctx._add(C2, D2)
-    e1 = ctx._add(A1, C1)
-    e2 = ctx._add(A2, C2)
-    f1 = ctx._add(B1, D1)
-    f2 = ctx._add(B2, D2)
-    g1 = ctx._add(ctx._add(a1, C1), D1)
-    g2 = ctx._add(ctx._add(a2, C2), D2)
-    m1 = ctx._mul(A1, A2)
-    m2 = ctx._mul(B1, B2)
-    m3 = ctx._mul(a1, a2)
-    m4 = ctx._mul(C1, C2)
-    m5 = ctx._mul(D1, D2)
-    m6 = ctx._mul(c1, c2)
-    m7 = ctx._mul(e1, e2)
-    m8 = ctx._mul(f1, f2)
-    m9 = ctx._mul(g1, g2)
-    u = ctx._add(ctx._add(m6, m4), m5)
-    t2 = ctx._tvp(m2)
-    t4a = ctx._tvp(m4)
-    t4b = ctx._tvp(t4a)
-    t5a = ctx._tvp(m5)
-    t5b = ctx._tvp(t5a)
-    t5c = ctx._tvp(t5b)
-    tua = ctx._tvp(u)
-    tub = ctx._tvp(tua)
-    t8 = ctx._tvp(m8)
-    poly5 = ctx._add(ctx._add(t5a, t5b), t5c)
-    pu = ctx._add(tua, tub)
-    uq = ctx._add(ctx._add(u, tua), tub)
-    m4x = ctx._add(m4, t4a)
-    j = ctx._add(m1, t2)
-    z0 = ctx._add(ctx._add(ctx._add(j, t4b), poly5), pu)
-    z1 = ctx._add(ctx._add(ctx._add(ctx._add(m1, m4x), m5), m3), uq)
-    z2 = ctx._add(ctx._add(j, m7), t8)
-    z3 = ctx._add(ctx._add(ctx._add(m1, m3), m7), m9)
+    a1 = add(A1, B1)
+    a2 = add(A2, B2)
+    c1 = add(C1, D1)
+    c2 = add(C2, D2)
+    e1 = add(A1, C1)
+    e2 = add(A2, C2)
+    f1 = add(B1, D1)
+    f2 = add(B2, D2)
+    g1 = add(add(a1, C1), D1)
+    g2 = add(add(a2, C2), D2)
+    m1 = mul(A1, A2)
+    m2 = mul(B1, B2)
+    m3 = mul(a1, a2)
+    m4 = mul(C1, C2)
+    m5 = mul(D1, D2)
+    m6 = mul(c1, c2)
+    m7 = mul(e1, e2)
+    m8 = mul(f1, f2)
+    m9 = mul(g1, g2)
+    u = add(add(m6, m4), m5)
+    t2 = tvp(m2)
+    t4a = tvp(m4)
+    t4b = tvp(t4a)
+    t5a = tvp(m5)
+    t5b = tvp(t5a)
+    t5c = tvp(t5b)
+    tua = tvp(u)
+    tub = tvp(tua)
+    t8 = tvp(m8)
+    poly5 = add(add(t5a, t5b), t5c)
+    pu = add(tua, tub)
+    uq = add(add(u, tua), tub)
+    m4x = add(m4, t4a)
+    j = add(m1, t2)
+    z0 = add(add(add(j, t4b), poly5), pu)
+    z1 = add(add(add(add(m1, m4x), m5), m3), uq)
+    z2 = add(add(j, m7), t8)
+    z3 = add(add(add(m1, m3), m7), m9)
     return (z0, z1, z2, z3)
 
 
-# ka6 helpers: elements of the quadratic subfield are (u, v) pairs of blocks
-
-def _ka6_padd(ctx, p, q):
-    return (ctx._add(p[0], q[0]), ctx._add(p[1], q[1]))
-
-
-def _ka6_bmul(ctx, p):
-    """Multiply (u + b*v) by b: b(u + bv) = a*v + b(u + v)."""
-    u, v = p
-    return (ctx._tvp(v), ctx._add(u, v))
-
-
-def _ka6_mul(ctx, x, y):
-    """The k3 program over F_{2^(2n)}: coefficients are (u, v) pairs, c = b."""
-    z0, z1, z2 = _cubic_mul(partial(_ka6_padd, ctx), partial(_as2_mul, ctx),
-                            partial(_ka6_bmul, ctx),
+def _ka6_mul(add, mul, tvp, x, y):
+    """The k3 program over F_{2^(2n)}: coefficients u + bv are pairs (u, v)
+    multiplied by the as2 program, and c = b, with b(u + bv) = av + b(u + v)."""
+    z0, z1, z2 = _cubic_mul(lambda p, q: (add(p[0], q[0]), add(p[1], q[1])),
+                            partial(_as2_mul, add, mul, tvp),
+                            lambda p: (tvp(p[1]), add(p[0], p[1])),
                             (x[0:2], x[2:4], x[4:6]), (y[0:2], y[2:4], y[4:6]))
     return (*z0, *z1, *z2)
 
 
-_MUL = {"as2": _as2_mul, "k3": _k3_mul, "asw4": _asw4_mul, "ka6": _ka6_mul}
+_MUL = {"as2": _as2_mul, "k3": _cubic_mul, "asw4": _asw4_mul, "ka6": _ka6_mul}
+
+
+@cache
+def _tally(kind: str) -> tuple:
+    """(mults, adds, table-vector products) of every run of the kind's product
+    program (add, mul, tvp, x, y), which has no branches: one run counted on
+    operations that only log their calls."""
+    log, zeros = [], (0,) * len(_monomials(RULES[kind]))
+    _MUL[kind](lambda u, v: log.append("add"), lambda u, v: log.append("mul"),
+               lambda v: log.append("tvp"), zeros, zeros)
+    return tuple(map(log.count, ("mul", "add", "tvp")))
+
 
 # frozen per-operation tallies (base_mults, base_adds, table_vector_products)
 EXPECTED_MUL_COUNTS = {"as2": (3, 4, 1), "k3": (6, 15, 2),

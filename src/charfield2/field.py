@@ -314,12 +314,16 @@ def power(ctx: FieldCtx, a: int, e: int) -> int:
     validate(ctx, a)
     if e < 0:
         raise DomainError(f"exponent must be nonnegative, got {e}")
-    result = 1
-    base = a
+    return _square_and_multiply(partial(poly_mul_mod, ctx), partial(square, ctx), 1, a, e)
+
+
+def _square_and_multiply(mul, square, one, x, e):
+    """x^e for e >= 0 in a ring with product mul, squaring and identity one."""
+    result = one
     while e:
         if e & 1:
-            result = poly_mul_mod(ctx, result, base)
-        base = square(ctx, base)
+            result = mul(result, x)
+        x = square(x)
         e >>= 1
     return result
 

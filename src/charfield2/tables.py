@@ -12,7 +12,8 @@ from functools import partial, reduce
 from . import bitpoly
 from . import field as gf
 from .errors import ConstructionContradictionError, DomainError, InvalidElementError
-from .extbasis import RULES, ExtBasisCtx, ExtElem, _monomials, structure_constants
+from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
+                       structure_constants)
 from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, row_apply,
                      transpose_packed, unpack_lanes)
 from .normal import NormalBasisCtx, basis_products
@@ -51,7 +52,7 @@ def _fp_monic(big, p, ones):
 
 def _fp_divmod(big, a, b, ones):
     """Quotient and remainder of a by a nonzero b: each step cancels the
-    leading term of a by one product of the whole of b."""
+    leading term of a by one product of the whole of b, or raises."""
     lane = 2 * big.n
     db = _deg(big, b)
     lead = b >> db * lane
@@ -64,6 +65,8 @@ def _fp_divmod(big, a, b, ones):
         shift = (da - db) * lane
         q |= factor << shift
         a ^= _scale(big, factor, b, ones) << shift
+        if a >> da * lane:  # the top coefficient did not cancel
+            raise ConstructionContradictionError("a division step kept the degree")
     return q, a
 
 
@@ -351,14 +354,15 @@ def expected_counts(nb: NormalBasisCtx, kind: str):
     """Per-table nonzero counts of the kind's extended basis over nb, from its
     structure constants: entry ((i, p), (j, q)) of table (r, k) is bit k of
     c_pqr(T) u with u = a^(2^i) a^(2^j) (basis_products), so table (r, k) sums
-    over every (p, q) one column count of the n^2 vectors c_pqr(T) u."""
-    n, sc = nb.n, structure_constants(kind)
+    over every (p, q) one column count of the n^2 vectors c_pqr(T) u.
+    A basis the kind's builder refuses raises the builder's error."""
+    n, d, sc = nb.n, build_kind(nb, kind).d, structure_constants(kind)
     powers = [basis_products(nb)]  # powers[e]: a^e u for every u
     top = max(c.bit_length() for cs in sc.values() for c in cs.values())
     while len(powers) < top:
         powers.append([row_apply(nb.table, u) for u in powers[-1]])
     columns = {}
-    counts = [0] * (len(_monomials(RULES[kind])) * n)
+    counts = [0] * (d * n)
     for cs in sc.values():
         for r, c in cs.items():
             if c not in columns:

@@ -7,6 +7,7 @@ reference data (see fixtures.py); nothing here is tuned to the code under test.
 
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -184,20 +185,42 @@ def test_tower_predicates_match_oracle_evidence():
 # ---------------------------------------------------------------------------
 # 8. multiplication cost is a fixed count, independent of the operands
 
+def _counting(log, add, mul, tvp):
+    """add, mul and tvp, each also appending its name to log per call."""
+    def counted(name, op):
+        def run(*args):
+            log.append(name)
+            return op(*args)
+        return run
+    return counted("add", add), counted("mul", mul), counted("tvp", tvp)
+
+
+def _tally(log):
+    return tuple(map(log.count, ("mul", "add", "tvp")))
+
+
 def test_mul_cost_is_operand_independent():
+    """The programs run on random operands with operations that count their
+    calls: every run makes the same count, the frozen one."""
     rng = random.Random("accept:flat-cost")
     bases = {"as2": 4, "k3": 6, "asw4": 4, "ka6": 2}  # a working degree per kind
     for kind, n in bases.items():
         ctx = xb.build_kind(fixtures.get_fixture(n).basis(), kind)
+        ops = (int.__xor__, partial(normal.normal_mul, ctx.base),
+               partial(normal.alpha_mul, ctx.base))
         seen_mul, seen_sq = set(), set()
         for _ in range(25):
             x = xb.ExtElem(tuple(rng.randrange(1 << ctx.n) for _ in range(ctx.d)))
             y = xb.ExtElem(tuple(rng.randrange(1 << ctx.n) for _ in range(ctx.d)))
-            ctx.counter.reset()
-            xb.mul(ctx, x, y)
-            seen_mul.add(ctx.counter.as_tuple())
-            ctx.counter.reset()
-            xb.square(ctx, x)
-            seen_sq.add(ctx.counter.as_tuple())
+            log = []
+            prod = xb._MUL[kind](*_counting(log, *ops), x.blocks, y.blocks)
+            assert prod == xb.mul(ctx, x, y).blocks
+            seen_mul.add(_tally(log))
+            log = []
+            add, _, tvp = _counting(log, *ops)
+            sq = xb._square_walk(add, tvp, kind,
+                                 [normal.frobenius_shift(n, v) for v in x.blocks])
+            assert sq == xb.square(ctx, x).blocks
+            seen_sq.add(_tally(log))
         assert seen_mul == {xb.EXPECTED_MUL_COUNTS[kind]}, kind
         assert seen_sq == {xb.EXPECTED_SQUARE_COUNTS[kind]}, kind

@@ -1,6 +1,10 @@
 """Tests for extended bases: builders, counted arithmetic, and op-count contracts."""
 
+import ast
+import inspect
 import random
+import textwrap
+from functools import partial
 
 import pytest
 
@@ -292,8 +296,38 @@ def test_frozen_count_tables_match_module_constants():
     assert xb.EXPECTED_SQUARE_COUNTS == SQ_EXPECT
 
 
+def _counting(log, add, mul, tvp):
+    """add, mul and tvp, each also appending its name to log per call."""
+    def counted(name, op):
+        def run(*args):
+            log.append(name)
+            return op(*args)
+        return run
+    return counted("add", add), counted("mul", mul), counted("tvp", tvp)
+
+
+def _tally(log):
+    return tuple(map(log.count, ("mul", "add", "tvp")))
+
+
+def _counted_runs(ctx, x, y):
+    """The product and square programs run on x, y with the base field's
+    operations, each counting its calls: (product, its tally, square, its
+    tally)."""
+    ops = (int.__xor__, partial(normal.normal_mul, ctx.base),
+           partial(normal.alpha_mul, ctx.base))
+    mul_log, sq_log = [], []
+    prod = xb._MUL[ctx.kind](*_counting(mul_log, *ops), x.blocks, y.blocks)
+    add, _, tvp = _counting(sq_log, *ops)
+    sq = xb._square_walk(add, tvp, ctx.kind,
+                         [normal.frobenius_shift(ctx.n, v) for v in x.blocks])
+    return prod, _tally(mul_log), sq, _tally(sq_log)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_mul_and_square_counts_exact_and_input_independent(kind):
+    """Counted on random operands, every run of the programs makes the frozen
+    count of operations, and mul and square add exactly that to the tally."""
     rng = random.Random(f"counts:{kind}")
     for nb in (NB2, NB4, NB6):
         try:
@@ -302,12 +336,34 @@ def test_mul_and_square_counts_exact_and_input_independent(kind):
             continue
         for _ in range(10):
             x, y = _rand_elem(rng, ctx), _rand_elem(rng, ctx)
+            prod, mul_tally, sq, sq_tally = _counted_runs(ctx, x, y)
+            assert (mul_tally, sq_tally) == (MUL_EXPECT[kind], SQ_EXPECT[kind])
             ctx.counter.reset()
-            xb.mul(ctx, x, y)
+            assert xb.mul(ctx, x, y).blocks == prod
             assert ctx.counter.as_tuple() == MUL_EXPECT[kind]
             ctx.counter.reset()
-            xb.square(ctx, x)
+            assert xb.square(ctx, x).blocks == sq
             assert ctx.counter.as_tuple() == SQ_EXPECT[kind]
+
+
+def test_product_programs_have_no_branches():
+    """_tally counts one run of each product program on zeros; that run
+    stands for every run only if no program, nor any function it calls, can
+    take another path on other operands."""
+    branches = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.ListComp,
+                ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.IfExp,
+                ast.Match, ast.BoolOp, ast.Try)
+    programs = {f.__name__ for f in xb._MUL.values()}
+    for program in set(xb._MUL.values()):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(program)))
+        nodes = list(ast.walk(tree))
+        assert [type(n).__name__ for n in nodes if isinstance(n, branches)] == [], \
+            program.__name__
+        names = [n for n in nodes if isinstance(n, ast.Name)]
+        bound = {n.arg for n in nodes if isinstance(n, ast.arg)}
+        bound |= {n.id for n in names if isinstance(n.ctx, ast.Store)}
+        free = {n.id for n in names if isinstance(n.ctx, ast.Load)} - bound
+        assert free <= programs | {"partial"}, (program.__name__, free)
 
 
 def test_counter_accumulates_and_pauses():
@@ -357,45 +413,42 @@ def test_structure_constants_refuse_an_unknown_kind():
         xb.structure_constants("k9")
 
 
-class _Symbolic:
-    """A stand-in context whose blocks are polynomials over F_2[a] in the
-    inputs' blocks: _mul is their product and _tvp the product by a.  The
-    call numbered `drop` among the _add and _tvp calls is a mutant: _add
-    returns its first operand and _tvp its operand unchanged."""
+def _dropping(count, drop=None):
+    """SymPoly's sum and product by a, over `count` generators, and a list
+    holding the number of their calls so far.  The call numbered `drop` is
+    a mutant: the sum returns its first operand and the product by a its
+    operand unchanged."""
+    a = SymPoly.const(A, count)
+    calls = [0]
 
-    def __init__(self, count, drop=None):
-        self.a = SymPoly.const(A, count)
-        self.drop = drop
-        self.calls = 0
+    def kept():
+        calls[0] += 1
+        return calls[0] - 1 != drop
 
-    def _kept(self):
-        self.calls += 1
-        return self.calls - 1 != self.drop
+    def add(u, v):
+        return u + v if kept() else u
 
-    def _add(self, u, v):
-        return u + v if self._kept() else u
+    def tvp(v):
+        return v * a if kept() else v
 
-    def _mul(self, u, v):
-        return u * v
-
-    def _tvp(self, v):
-        return v * self.a if self._kept() else v
+    return add, tvp, calls
 
 
 def _symbolic_product(kind, drop=None):
     """The kind's product program run on x_0..x_{d-1}, y_0..y_{d-1}."""
     d = xb.ExtBasisCtx(NB2, kind).d
-    ctx = _Symbolic(2 * d, drop)
+    add, tvp, calls = _dropping(2 * d, drop)
     gens = [SymPoly.gen(g, 2 * d) for g in range(2 * d)]
-    out = xb._MUL[kind](ctx, gens[:d], gens[d:])
-    return ctx.calls, [z.terms for z in out]
+    out = xb._MUL[kind](add, SymPoly.__mul__, tvp, gens[:d], gens[d:])
+    return calls[0], [z.terms for z in out]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_product_program_is_the_structure_constants_over_f2_a(kind):
     """Output r of the program is sum c_pqr x_p y_q as a polynomial over
     F_2[a]: so the product is right for every n, basis and input.  Each
-    mutant that drops one _add or one _tvp gives a different polynomial."""
+    mutant that drops one add or one product by a gives a different
+    polynomial."""
     d = xb.ExtBasisCtx(NB2, kind).d
     gens = [SymPoly.gen(g, 2 * d) for g in range(2 * d)]
     want = [SymPoly() for _ in range(d)]
@@ -408,3 +461,31 @@ def test_product_program_is_the_structure_constants_over_f2_a(kind):
     assert calls == adds + tvps
     for drop in range(calls):
         assert _symbolic_product(kind, drop)[1] != got, drop
+
+
+def _symbolic_square(kind, drop=None):
+    """square's walk run on X_0..X_{d-1}, where X_p stands for x_p^2."""
+    d = xb.ExtBasisCtx(NB2, kind).d
+    add, tvp, calls = _dropping(d, drop)
+    out = xb._square_walk(add, tvp, kind, [SymPoly.gen(p, d) for p in range(d)])
+    return calls[0], [z.terms for z in out]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_square_walk_is_the_diagonal_over_f2_a(kind):
+    """In characteristic 2, (sum_p x_p m_p)^2 = sum_p x_p^2 m_p^2, so output
+    r of the walk must be sum_p c_ppr X_p as a polynomial over F_2[a].  Each
+    mutant that drops one add or one product by a gives a different
+    polynomial."""
+    d = xb.ExtBasisCtx(NB2, kind).d
+    want = [SymPoly() for _ in range(d)]
+    for (p, q), cs in xb.structure_constants(kind).items():
+        for r, c in cs.items():
+            if p == q:
+                want[r] += SymPoly.const(c, d) * SymPoly.gen(p, d)
+    calls, got = _symbolic_square(kind)
+    assert got == [w.terms for w in want]
+    _, adds, tvps = SQ_EXPECT[kind]
+    assert calls == adds + tvps
+    for drop in range(calls):
+        assert _symbolic_square(kind, drop)[1] != got, drop

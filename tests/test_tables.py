@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +241,19 @@ def test_packed_divmod_matches_the_reference(a, b):
     """Non-monic divisors and constants included."""
     q, r = tables._fp_divmod(F64, _packed(F64, a), _packed(F64, b), _ones(20))
     assert (_lists(F64, q), _lists(F64, r)) == _ref_divmod(F64, a, b)
+
+
+def test_a_wrong_inverse_is_a_contradiction_not_a_hang(monkeypatch):
+    """With field.inverse off by one bit, the first division by a non-monic
+    polynomial does not cancel its leading term: build_embedding raises the
+    typed error at once (these three embeddings each divide by one)."""
+    inverse = gf.inverse
+    monkeypatch.setattr(gf, "inverse", lambda ctx, a: inverse(ctx, a) ^ 2)
+    t0 = time.perf_counter()
+    for kind, n in (("k3", 2), ("k3", 8), ("as2", 8)):
+        with pytest.raises(ConstructionContradictionError):
+            tables.build_embedding(xb.build_kind(get_fixture(n).basis(), kind))
+    assert time.perf_counter() - t0 < 0.5
 
 
 @given(_polys, _polys)
@@ -671,13 +685,38 @@ def test_closed_form_counts_match_brute_force(kind):
 
 
 def test_expected_density_formulas():
+    """4d(N) + CS for as2 and 6d(N) + 3CS for k3 on every (basis, kind) that
+    builds; the rest get no counts (NB4's generator is a cube)."""
+    refused = []
     for nb in (NB2, NB4, NB6):
         cs = normal.cross_product_sum(nb)
-        assert tables.expected_density(nb, "as2") == 4 * nb.density + cs
-        assert tables.expected_density(nb, "k3") == 6 * nb.density + 3 * cs
+        formulas = {"as2": 4 * nb.density + cs, "k3": 6 * nb.density + 3 * cs}
         for kind in xb.KINDS:
-            assert (tables.expected_density(nb, kind)
-                    == sum(tables.expected_counts(nb, kind)))
+            try:
+                xb.build_kind(nb, kind)
+            except NoKummerExtensionError:
+                refused.append((nb.n, kind))
+                for counts in (tables.expected_counts, tables.expected_density):
+                    with pytest.raises(NoKummerExtensionError):
+                        counts(nb, kind)
+                continue
+            density = tables.expected_density(nb, kind)
+            assert density == sum(tables.expected_counts(nb, kind))
+            assert density == formulas.get(kind, density)
+    assert refused == [(4, "k3"), (4, "ka6")]
+
+
+@pytest.mark.parametrize("n,kind,error", [
+    (1, "asw4", UnsupportedDegreeError), (1, "k3", UnsupportedDegreeError),
+    (22, "k3", NoKummerExtensionError)])
+def test_expected_counts_refuse_what_the_builder_refuses(n, kind, error):
+    """Odd n for asw4, 3 not dividing 2^n - 1 for k3, and a non-primitive
+    generator for k3 (NB4's cube generator: test_expected_density_formulas)."""
+    nb = get_fixture(n).basis()
+    with pytest.raises(error):
+        xb.build_kind(nb, kind)
+    with pytest.raises(error):
+        tables.expected_counts(nb, kind)
 
 
 def test_verify_table_entries_clean_and_corrupted():
