@@ -332,13 +332,9 @@ def element_is_cube(ctx: ExtBasisCtx, x: ExtElem) -> bool:
     """Whether x is a cube in F_{2^m}, decided with the extension's own
     arithmetic (x^((2^m - 1)/3) = 1); does not disturb the op tally."""
     ctx.validate(x)
-    if x == zero(ctx):
-        return True
-    q1 = (1 << ctx.m) - 1
-    if q1 % 3 != 0:
-        return True
     with ctx.counter.paused():
-        return power(ctx, x, q1 // 3) == identity(ctx)
+        return gf._is_cube(partial(power, ctx), zero(ctx), identity(ctx),
+                           (1 << ctx.m) - 1, x)
 
 
 def _as2_mul(add, mul, tvp, x, y):

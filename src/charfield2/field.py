@@ -410,11 +410,15 @@ def is_primitive(ctx: FieldCtx, a: int) -> bool:
 def is_cube(ctx: FieldCtx, a: int) -> bool:
     """True iff a = c^3 for some c; via a^((2^n-1)/3) when 3 divides 2^n - 1."""
     validate(ctx, a)
-    if a == 0:
-        return True
-    if ctx.order % 3 != 0:
-        return True  # cubing is a bijection on the multiplicative group
-    return power(ctx, a, ctx.order // 3) == 1
+    return _is_cube(partial(power, ctx), 0, 1, ctx.order, a)
+
+
+def _is_cube(power, zero, one, order, x):
+    """Whether x = c^3 in a field of order + 1 elements with the given power,
+    zero and identity: zero is a cube, every element is one when 3 does not
+    divide order (cubing is then a bijection on the multiplicative group),
+    and otherwise x is a cube iff x^(order/3) = 1."""
+    return x == zero or order % 3 != 0 or power(x, order // 3) == one
 
 
 def solve_artin_schreier(ctx: FieldCtx, c: int):

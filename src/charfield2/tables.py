@@ -1,9 +1,12 @@
-"""Multiplication tables of extended bases, oracle embeddings, and closed-form counts.
+"""Multiplication tables of extended bases, by the oracle and by the closed form.
 
-The ground truth for every table is an independent embedding into one big field
-F_2[x]/(g) of degree m: basis vectors are mapped to explicit elements there, all
-m^2 pairwise products are expanded back over the basis, and the resulting tables
-can be compared against the closed-form per-table counts.
+The oracle embeds a basis into one big field F_2[x]/(g) of degree m: it maps
+the basis vectors to explicit elements there by solving RULES, and
+build_tables expands all m^2 pairwise products back over the basis.  The
+closed form derives the same tables from the kind's structure constants and
+the base normal basis's table T alone (closed_form_tables; expected_counts
+are their per-table counts).  verify_table_entries compares the two, which
+start from disjoint data.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +19,7 @@ from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
                        structure_constants)
 from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, row_apply,
                      transpose_packed, unpack_lanes)
-from .normal import NormalBasisCtx, basis_products
+from .normal import NormalBasisCtx, rotl
 
 
 # --- polynomials over a big field, lane-packed --------------------------
@@ -103,15 +106,16 @@ def _trace_split(big, h, powers, ones):
     T_c(X) = sum_{i<m} (cX)^(2^i) maps each root r to the trace of cr, so the
     gcd collects the roots where that trace is 0; the x^j jointly separate any
     two roots.  T_c is built from powers[i] = X^(2^i) modulo h or any multiple
-    of it, summed unreduced and reduced once.  c = 1 comes last: it cannot
-    split a factor of an irreducible polynomial over F_2, whose roots are
-    conjugate and so share one trace."""
+    of it, summed unreduced and reduced once; each c^(2^i) is one
+    poly_square and reduce_product, without field.square's validation.
+    c = 1 comes last: it cannot split a factor of an irreducible polynomial
+    over F_2, whose roots are conjugate and so share one trace."""
     for j in (*range(1, big.n), 0):
         c = 1 << j
         acc = 0
         for p in powers:
             acc ^= _clmul(c, p, ones)
-            c = gf.square(big, c)
+            c = gf.reduce_product(big, bitpoly.poly_square(c))
         g = _fp_gcd(big, h, _fp_mod(big, gf.reduce_lanes(big, acc, ones), h, ones), ones)
         if 0 < _deg(big, g) < _deg(big, h):
             return g
@@ -152,9 +156,10 @@ class OracleEmbedding:
 
     def __init__(self, source):
         if isinstance(source, ExtBasisCtx):
-            nb, self.rules = source.base, RULES[source.kind]
+            nb, self.kind = source.base, source.kind
+            self.rules = RULES[self.kind]
         elif isinstance(source, NormalBasisCtx):  # the kind with no generators
-            nb, self.rules = source, ()
+            nb, self.kind, self.rules = source, None, ()
         else:
             raise DomainError("source must be a normal or extended basis context")
         monomials = _monomials(self.rules)
@@ -343,34 +348,80 @@ def normal_table_set(nb: NormalBasisCtx) -> TableSet:
     return TableSet(n, [list(t) for t in rows], nz, sum(nz), products)
 
 
-# --- closed-form per-table counts ----------------------------------------
+# --- closed-form tables and counts -----------------------------------------
 
 # The kinds whose closed-form column `tables` and `verify` print. ka6 stays out only
 # until a benchmark change re-records goldens/tables.ka6.n8.txt and verify.n8.txt.
 CLOSED_FORM_KINDS = ("as2", "k3", "asw4")
 
 
-def expected_counts(nb: NormalBasisCtx, kind: str):
-    """Per-table nonzero counts of the kind's extended basis over nb, from its
-    structure constants: entry ((i, p), (j, q)) of table (r, k) is bit k of
-    c_pqr(T) u with u = a^(2^i) a^(2^j) (basis_products), so table (r, k) sums
-    over every (p, q) one column count of the n^2 vectors c_pqr(T) u.
+def _structure_columns(nb: NormalBasisCtx, kind):
+    """(d, constants, columns) for the kind's extended basis over nb.
+
+    constants is structure_constants(kind), {(p, q): {r: c_pqr}}; kind None
+    is the plain normal basis, d = 1 with the one constant c_000 = 1.
+    columns[c], for each constant c, is the n columns of the n^2 vectors
+    c(T) u_ij with u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) and
+    T = nb.table: bit i n + j of column k is bit k of c(T) u_ij.
     A basis the kind's builder refuses raises the builder's error."""
-    n, d, sc = nb.n, build_kind(nb, kind).d, structure_constants(kind)
-    powers = [basis_products(nb)]  # powers[e]: a^e u for every u
+    n = nb.n
+    if kind is None:
+        d, sc = 1, {(0, 0): {0: 1}}
+    else:
+        d, sc = build_kind(nb, kind).d, structure_constants(kind)
+    t = nb.table  # t[n - i:] + t[:n - i] is T[(j - i) mod n] for j < n
+    powers = [[rotl(r, i, n) for i in range(n) for r in t[n - i:] + t[:n - i]]]
     top = max(c.bit_length() for cs in sc.values() for c in cs.values())
-    while len(powers) < top:
-        powers.append([row_apply(nb.table, u) for u in powers[-1]])
+    while len(powers) < top:  # powers[e]: a^e u_ij for every (i, j)
+        powers.append([row_apply(t, u) for u in powers[-1]])
     columns = {}
+    for cs in sc.values():
+        for c in cs.values():
+            if c not in columns:
+                vectors = reduce(partial(map, int.__xor__), (
+                    ue for e, ue in enumerate(powers) if c >> e & 1))
+                columns[c] = mat_transpose(list(vectors), n)
+    return d, sc, columns
+
+
+def closed_form_tables(nb: NormalBasisCtx, kind):
+    """The m tables of the kind's extended basis over nb (kind None: the
+    normal basis itself, which gives nb.mul_rows), from its structure
+    constants and nb.table alone, laid out as TableSet.tables.
+
+    Basis element (i, p) = a^(2^i) m_p is row and bit p n + i, as in
+    OracleEmbedding.basis_images.  Since m_p m_q = sum_r c_pqr(a) m_r,
+    entry ((i, p), (j, q)) of table (r, k) is bit k of c_pqr(T) u_ij: the
+    lane i of column k of _structure_columns, moved from bit i n to bit
+    (p n + i) m + q n of table (r, k) held as one int of m rows.  A basis
+    the kind's builder refuses raises the builder's error."""
+    d, sc, columns = _structure_columns(nb, kind)
+    n = nb.n
+    m = d * n
+    spread = {c: [pack_lanes(unpack_lanes(col, n, n), m) for col in cols]
+              for c, cols in columns.items()}
+    packed = [0] * m
+    for (p, q), cs in sc.items():
+        shift = p * n * m + q * n
+        for r, c in cs.items():
+            for k, lanes in enumerate(spread[c], r * n):
+                packed[k] |= lanes << shift
+    return [list(unpack_lanes(t, m, m)) for t in packed]
+
+
+def expected_counts(nb: NormalBasisCtx, kind):
+    """Per-table nonzero counts of closed_form_tables(nb, kind) without
+    laying them out: table (r, k) sums over every (p, q) the popcount of
+    column k of the vectors c_pqr(T) u_ij.  A basis the kind's builder
+    refuses raises the builder's error."""
+    d, sc, columns = _structure_columns(nb, kind)
+    n = nb.n
+    weights = {c: [col.bit_count() for col in cols] for c, cols in columns.items()}
     counts = [0] * (d * n)
     for cs in sc.values():
         for r, c in cs.items():
-            if c not in columns:
-                vectors = list(reduce(partial(map, int.__xor__), (
-                    ue for e, ue in enumerate(powers) if c >> e & 1)))
-                columns[c] = [col.bit_count() for col in mat_transpose(vectors, n)]
-            for k, s in enumerate(columns[c]):
-                counts[r * n + k] += s
+            for k, s in enumerate(weights[c], r * n):
+                counts[k] += s
     return counts
 
 
@@ -383,18 +434,20 @@ def expected_density(nb: NormalBasisCtx, kind: str) -> int:
 # --- verification -------------------------------------------------------
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
-    """Rebuild the tables from `emb`; return (k, i, j) witnesses of the
-    entries of `ts` that differ, in (i, j, k) order.
+    """Compare `ts` with closed_form_tables(emb.base, emb.kind); return (k, i, j)
+    witnesses of the entries that differ, in (i, j, k) order.
 
-    The rebuild runs the same build_tables on the same embedding, so an
-    empty result proves only that `ts` is the table set build_tables makes
-    from `emb`: it catches a table set built from another embedding or
-    altered afterwards, not a fault of build_tables or of the embedding.
-    Closed-form tables derived from RULES would be an independent reference."""
+    The two sides start from disjoint data: build_tables reads only the big
+    field (the images of the basis and their products), the closed form
+    only the structure constants and the base table nb.table.  So an empty
+    result checks the embedding, build_tables and the base table against
+    each other, not build_tables against itself."""
     bad = []
-    for k, (rows, fresh) in enumerate(zip(ts.tables, build_tables(emb).tables)):
-        for i, (row, ref) in enumerate(zip(rows, fresh)):
-            diff = row ^ ref
+    for k, (rows, ref) in enumerate(zip(ts.tables, closed_form_tables(emb.base, emb.kind))):
+        if rows == ref:
+            continue
+        for i, (row, want) in enumerate(zip(rows, ref)):
+            diff = row ^ want
             while diff:
                 low = diff & -diff
                 bad.append((k, i, low.bit_length() - 1))

@@ -1,5 +1,6 @@
 """Tests for the oracle embedding, brute-force tables, and closed-form counts."""
 
+import copy
 import hashlib
 import random
 import sys
@@ -367,7 +368,8 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     """With the normal-basis products, the extended programs and their
     structure constants made to raise at every binding, every kind at n = 2
     and 4 still embeds, passes its rule check, and yields tables that
-    verify: the oracle reads only RULES."""
+    verify against the closed form, which reads the structure constants and
+    so runs with the bindings restored: the oracle reads only RULES."""
     sources = [get_fixture(n).basis() for n in (2, 4)]
     for kind in xb.KINDS:
         for n in (2, 4):
@@ -388,10 +390,13 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
                 monkeypatch.setattr(mod, attr, forbidden)
     with pytest.raises(AssertionError):
         xb.mul(sources[2], xb.zero(sources[2]), xb.zero(sources[2]))
+    built = []
     for source in sources:
         emb = tables.build_embedding(source)
         assert emb.check_rules()
-        ts = tables.build_tables(emb)
+        built.append((emb, tables.build_tables(emb)))
+    monkeypatch.undo()
+    for emb, ts in built:
         assert tables.verify_table_entries(emb, ts) == []
 
 
@@ -717,6 +722,68 @@ def test_expected_counts_refuse_what_the_builder_refuses(n, kind, error):
         xb.build_kind(nb, kind)
     with pytest.raises(error):
         tables.expected_counts(nb, kind)
+    with pytest.raises(error):
+        tables.closed_form_tables(nb, kind)
+
+
+# Every fixture source with m <= 64 and the wide sources, by label.
+CLOSED_FORM_SOURCES = {
+    label: source
+    for label, source in (*_fixture_sources(fixture_degrees()), *_wide_sources())
+    if source.n * getattr(source, "d", 1) <= 64}
+
+
+@pytest.mark.parametrize("source", CLOSED_FORM_SOURCES.values(), ids=CLOSED_FORM_SOURCES)
+def test_closed_form_tables_match_brute_force(source):
+    """The tables from the structure constants and nb.table equal the big
+    field's entry for entry; a plain normal basis gives its mul_rows."""
+    kind = getattr(source, "kind", None)
+    nb = source if kind is None else source.base
+    closed = tables.closed_form_tables(nb, kind)
+    assert closed == tables.build_tables(tables.build_embedding(source)).tables
+    if kind is None:
+        assert closed == nb.mul_rows
+
+
+def test_closed_form_sources_cover_every_kind():
+    """The sources above are every kind's, up to m = 64 and n = 26."""
+    labels = set(CLOSED_FORM_SOURCES)
+    assert {label.split("-")[0] for label in labels} == {"normal", *xb.KINDS}
+    assert {"normal-n26", "as2-n26", "asw4-n16", "ka6-n8", "k3-n16", "normal-n7"} <= labels
+    assert len(labels) == 46
+
+
+def test_verify_table_entries_does_not_rebuild_the_tables(monkeypatch):
+    """Clean tables verify with build_tables made to raise."""
+    built = []
+    for source in (NB4, xb.build_as2(NB2), xb.build_kummer3(NB2), xb.build_ka6(NB2)):
+        emb = tables.build_embedding(source)
+        built.append((emb, tables.build_tables(emb)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_table_entries rebuilt the tables")
+
+    monkeypatch.setattr(tables, "build_tables", forbidden)
+    for emb, ts in built:
+        assert tables.verify_table_entries(emb, ts) == []
+
+
+@pytest.mark.parametrize("kind", [None, *xb.KINDS])
+def test_verify_table_entries_catches_a_corrupted_base_table(kind):
+    """Negative control: tables from the true embedding, checked against a
+    copy of the base with one bit of T[1] flipped, give witnesses, where a
+    rebuild from the same embedding agrees with them."""
+    nb = NB2 if kind in ("k3", "ka6") else NB4
+    emb = tables.build_embedding(nb if kind is None else xb.build_kind(nb, kind))
+    ts = tables.build_tables(emb)
+    bad = copy.copy(nb)
+    bad.table = list(nb.table)
+    bad.table[1] ^= 1
+    emb.base = bad
+    assert tables.build_tables(emb).tables == ts.tables
+    assert tables.verify_table_entries(emb, ts) != []
+    emb.base = nb
+    assert tables.verify_table_entries(emb, ts) == []
 
 
 def test_verify_table_entries_clean_and_corrupted():
