@@ -180,8 +180,7 @@ class ExtBasisCtx:
         if not isinstance(x, ExtElem) or len(x.blocks) != self.d:
             raise InvalidElementError(f"expected {self.d} blocks for kind {self.kind}")
         for b in x.blocks:
-            if not isinstance(b, int) or b < 0 or b > self.base.field.mask:
-                raise InvalidElementError(f"block {b!r} out of range for n={self.n}")
+            gf.validate(self.base.field, b)
         return x
 
 
@@ -251,7 +250,7 @@ def identity(ctx: ExtBasisCtx) -> ExtElem:
 
 def embed_base(ctx: ExtBasisCtx, v: int) -> ExtElem:
     """Inject base-field normal coordinates into the constant block."""
-    ctx.base._check(v)
+    gf.validate(ctx.base.field, v)
     return ExtElem((v,) + (0,) * (ctx.d - 1))
 
 

@@ -4,15 +4,13 @@ import os
 from functools import partial, reduce
 from itertools import count
 from math import gcd
+from operator import xor
 
 from . import bitpoly
 from .errors import DomainError, InvalidElementError, UnsupportedDegreeError
 from .linalg import row_apply, solve_linear
 
 DEFAULT_MAX_N = 64
-
-# An element of F_{2^n} is an int in [0, 2^n); bit i = coefficient of x^i.
-Gf2nElem = int
 
 
 def max_degree() -> int:
@@ -364,15 +362,19 @@ def frobenius(ctx: FieldCtx, a: int, k: int = 1) -> int:
 def trace(ctx: FieldCtx, a: int) -> int:
     """Absolute trace of a into F_2, returned as 0 or 1."""
     validate(ctx, a)
-    t = 0
-    cur = a
-    for _ in range(ctx.n):
-        t ^= cur
-        cur = square(ctx, cur)
+    t = reduce(xor, _frobenius_orbit(partial(square, ctx), a, ctx.n))
     if t not in (0, 1):
         raise DomainError(f"trace landed outside F_2: modulus "
                           f"{bitpoly.to_human(ctx.modulus)} is reducible")
     return t
+
+
+def _frobenius_orbit(square, x, count):
+    """[x, x^2, x^4, ...], count >= 1 entries, for a ring with squaring `square`."""
+    orbit = [x]
+    for _ in range(count - 1):
+        orbit.append(square(orbit[-1]))
+    return orbit
 
 
 def multiplicative_order(ctx: FieldCtx, a: int) -> int:
@@ -386,9 +388,7 @@ def multiplicative_order(ctx: FieldCtx, a: int) -> int:
     validate(ctx, a)
     if a == 0:
         raise DomainError("zero has no multiplicative order")
-    conj = [a]
-    for _ in range(ctx.n - 1):
-        conj.append(square(ctx, conj[-1]))
+    conj = _frobenius_orbit(partial(square, ctx), a, ctx.n)
     mul = partial(poly_mul_mod, ctx)
     t = ctx.order
     for p in ctx.order_factors:
@@ -424,11 +424,17 @@ def _is_cube(power, zero, one, order, x):
 def solve_artin_schreier(ctx: FieldCtx, c: int):
     """All y with y^2 + y = c, sorted ascending ([] when trace(c) = 1)."""
     validate(ctx, c)
-    rows = [reduce_product(ctx, 1 << 2 * i) ^ (1 << i) for i in range(ctx.n)]
-    y = solve_linear(rows, ctx.n, c)
+    y = _solve_artin_schreier(partial(square, ctx), ctx.n, c)
     if y is None:
         return []
     return sorted((y, y ^ 1))
+
+
+def _solve_artin_schreier(square, width, c):
+    """One y with square(y) ^ y = c, or None, for an F_2-linear squaring on
+    width-bit vectors: y -> y^2 + y is linear, with row i the image of 1 << i."""
+    rows = [square(1 << i) ^ (1 << i) for i in range(width)]
+    return solve_linear(rows, width, c)
 
 
 def elem_to_hex(ctx: FieldCtx, a: int) -> str:

@@ -10,6 +10,7 @@ XORs, so the density d(N) = n * w(N) is its cost. The paper's n product
 tables z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
 """
 
+from functools import partial
 from itertools import islice
 
 from . import field as gf
@@ -31,12 +32,7 @@ def rotl(x: int, s: int, n: int) -> int:
 
 def conjugates(ctx: gf.FieldCtx, a: int):
     """[a, a^2, a^4, ...] -- the Frobenius orbit, length n."""
-    out = []
-    cur = gf.validate(ctx, a)
-    for _ in range(ctx.n):
-        out.append(cur)
-        cur = gf.square(ctx, cur)
-    return out
+    return gf._frobenius_orbit(partial(gf.square, ctx), gf.validate(ctx, a), ctx.n)
 
 
 def is_normal_element(ctx: gf.FieldCtx, a: int) -> bool:
@@ -75,18 +71,12 @@ class NormalBasisCtx:
 
     def to_poly(self, v: NormalCoords) -> int:
         """Normal coordinates -> polynomial-basis element."""
-        self._check(v)
-        return row_apply(self.conj, v)
+        return row_apply(self.conj, gf.validate(self.field, v))
 
     def to_normal(self, p: int) -> NormalCoords:
         """Polynomial-basis element -> normal coordinates."""
         gf.validate(self.field, p)
         return row_apply(self._to_normal, p)
-
-    def _check(self, v: int) -> int:
-        if not isinstance(v, int) or v < 0 or v > self.field.mask:
-            raise DomainError(f"coordinate vector {v!r} out of range for n={self.n}")
-        return v
 
     def one(self) -> NormalCoords:
         """Coordinates of the field identity (all-ones for a normal basis)."""
@@ -132,8 +122,7 @@ def frobenius_shift(n: int, v: NormalCoords) -> NormalCoords:
 
 def alpha_mul(nb: NormalBasisCtx, v: NormalCoords) -> NormalCoords:
     """Multiply v by the basis generator: the table-vector product over T."""
-    nb._check(v)
-    return row_apply(nb.table, v)
+    return row_apply(nb.table, gf.validate(nb.field, v))
 
 
 def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCoords:
@@ -148,8 +137,8 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     over the stored set-bit positions of T[d].
     """
     n = nb.n
-    uu = nb._check(u) | u << n
-    vv = nb._check(v) | v << n
+    uu = gf.validate(nb.field, u) | u << n
+    vv = gf.validate(nb.field, v) | v << n
     acc = 0
     for d, bits in enumerate(nb._mul_terms):
         w = u & (vv >> d)

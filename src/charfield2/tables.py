@@ -89,16 +89,6 @@ def _fp_gcd(big, a, b, ones):
     return _fp_monic(big, a, ones)
 
 
-def _frobenius_powers(big, h, ones):
-    """X^(2^i) mod h for i < big.n."""
-    t = _fp_mod(big, 1 << 2 * big.n, h, ones)
-    powers = [t]
-    for _ in range(big.n - 1):
-        t = _fp_sqmod(big, t, h, ones)
-        powers.append(t)
-    return powers
-
-
 def _trace_split(big, h, powers, ones):
     """A proper monic factor of a monic h of degree >= 2 that is squarefree and
     splits in `big`: gcd(h, T_c) for the first c = x^j that separates two roots.
@@ -137,8 +127,10 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
         raise DomainError("a constant polynomial has no root")
     ones = pack_lanes([1] * 2 * deg, lane)  # room for the square of h
     h = _fp_monic(big, h, ones)
-    powers = _frobenius_powers(big, h, ones)
-    if _fp_sqmod(big, powers[-1], h, ones) != powers[0]:  # X^(2^m) != X mod h
+    # powers[i] = X^(2^i) mod h for i < m, and last = X^(2^m) mod h
+    *powers, last = gf._frobenius_orbit(partial(_fp_sqmod, big, mod=h, ones=ones),
+                                        _fp_mod(big, 1 << 2 * big.n, h, ones), big.n + 1)
+    if last != powers[0]:  # X^(2^m) != X mod h
         raise DomainError(
             f"the polynomial is not squarefree or does not split in F_2^{big.n}")
     while deg > 1:
@@ -174,9 +166,7 @@ class OracleEmbedding:
         root = find_root(big, [(f >> i) & 1 for i in range(nb.n + 1)])
         self.alpha_img = self._eval_base(nb.alpha, root)
         self.gen_images = self._solve_generators()
-        conj = [self.alpha_img]
-        for _ in range(nb.n - 1):
-            conj.append(gf.square(big, conj[-1]))
+        conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
         images = []
         for mono in monomials:
             img = 1

@@ -16,7 +16,10 @@ The first, third and fourth are theorems, proved in the docstrings below;
 only the second depends on the basis and is computed.
 """
 
-from . import extbasis, linalg
+from functools import partial, reduce
+from operator import xor
+
+from . import extbasis, field as gf, linalg
 from .errors import DomainError
 from .extbasis import ExtBasisCtx, ExtElem
 
@@ -63,26 +66,28 @@ def bicubic_possible(ctx: ExtBasisCtx) -> bool:
 # --- constructive witnesses --------------------------------------------
 
 def ext_trace(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
-    """Absolute trace of x down to F_2, summed with the extension's own
-    arithmetic; the result is the zero or the identity element."""
+    """Absolute trace of x down to F_2: the sum of the field's Frobenius
+    orbit of x (field._frobenius_orbit) under the extension's own squaring,
+    which the op tally does not count; the result is the zero or the
+    identity element."""
     ctx.validate(x)
     with ctx.counter.paused():
-        acc, t = x, x
-        for _ in range(ctx.m - 1):
-            t = extbasis.square(ctx, t)
-            acc = ExtElem(tuple(u ^ v for u, v in zip(acc.blocks, t.blocks)))
-    return acc
+        orbit = gf._frobenius_orbit(partial(extbasis.square, ctx), x, ctx.m)
+    return ExtElem(tuple(reduce(xor, blocks) for blocks in zip(*orbit)))
 
 
 def artin_schreier_preimage(ctx: ExtBasisCtx, x: ExtElem):
-    """Solve y^2 + y = x inside the extension; None when no solution exists
-    (i.e. when the absolute trace of x is 1)."""
+    """Solve y^2 + y = x inside the extension with the field's Artin-Schreier
+    solve (field._solve_artin_schreier) on the extension's own squaring of
+    blocks packed into m-bit vectors, which the op tally does not count;
+    None when no solution exists (i.e. when the absolute trace of x is 1)."""
     ctx.validate(x)
+
+    def packed_square(v):
+        y = extbasis.square(ctx, ExtElem(linalg.unpack_lanes(v, ctx.n, ctx.d)))
+        return linalg.pack_lanes(y.blocks, ctx.n)
+
     with ctx.counter.paused():
-        rows = []
-        for i in range(ctx.m):
-            e = ExtElem(linalg.unpack_lanes(1 << i, ctx.n, ctx.d))
-            img = extbasis.square(ctx, e)
-            rows.append(linalg.pack_lanes(img.blocks, ctx.n) ^ (1 << i))
-        sol = linalg.solve_linear(rows, ctx.m, linalg.pack_lanes(x.blocks, ctx.n))
+        sol = gf._solve_artin_schreier(packed_square, ctx.m,
+                                       linalg.pack_lanes(x.blocks, ctx.n))
     return None if sol is None else ExtElem(linalg.unpack_lanes(sol, ctx.n, ctx.d))

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -243,6 +244,21 @@ def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
     assert code == 1
     assert [(r[2], r[3]) for r in tower] == [("1", "no"), ("2", "no")]
     assert {r[4] for r in tower} == {"predicate vs sextic builder outcome"}
+
+
+def test_tower_quadratic_row_fails_without_a_preimage(capsys, monkeypatch):
+    """A k3 generator with no Artin-Schreier preimage turns its witness row to
+    "no" and the run to exit 1, with every other row still printed."""
+    argv = ("verify", "--n", "2", "--kind", "k3", "--limit", "2", "--format", "csv")
+    _, good, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli.tower, "artin_schreier_preimage", lambda ctx, x: None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "error" not in err
+    witness = "tower_no_quadratic_over_cubic"
+    _, rows = parse_csv(out)
+    _, want = parse_csv(good)
+    assert [r for r in rows if r[0] != witness] == [r for r in want if r[0] != witness]
+    assert [(r[2], r[3]) for r in rows if r[0] == witness] == [("2", "no")]
 
 
 def test_verify_builds_each_case_once(capsys, monkeypatch):
@@ -642,10 +658,11 @@ def test_repeated_runs_are_byte_identical(capsys):
 
 def test_console_script_entry_point():
     """The `charfield2` script declared in pyproject.toml runs the same
-    command as `python -m charfield2.cli` (checked without installing)."""
-    import tomllib
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["charfield2"]
+    command as `python -m charfield2.cli` (checked without installing).
+    The entry is read without tomllib, which Python 3.10 lacks."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^charfield2\s*=\s*"([^"]+)"', scripts, re.M).group(1)
     module, func = target.split(":")
     argv = ["cross-sums", "--n", "2"]
     proc = subprocess.run([sys.executable, "-m", "charfield2.cli", *argv],

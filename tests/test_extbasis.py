@@ -142,6 +142,21 @@ def test_validate_rejects_malformed_elements():
         ctx.validate((0, 0))
 
 
+@pytest.mark.parametrize("value", [-1, 1 << NB4.n])
+@pytest.mark.parametrize("call", [
+    lambda v: normal.normal_mul(NB4, v, 1),
+    lambda v: normal.normal_mul(NB4, 1, v),
+    lambda v: normal.alpha_mul(NB4, v),
+    lambda v: NB4.to_poly(v),
+    lambda v: xb.embed_base(xb.build_as2(NB4), v),
+    lambda v: xb.build_as2(NB4).validate(xb.ExtElem((0, v))),
+], ids=["normal_mul_u", "normal_mul_v", "alpha_mul", "to_poly", "embed_base", "validate"])
+def test_out_of_range_coordinates_raise_invalid_element_error(call, value):
+    """Every layer refuses a normal coordinate outside [0, 2^n) with one error type."""
+    with pytest.raises(InvalidElementError):
+        call(value)
+
+
 def test_hex_round_trip():
     rng = random.Random(20240810)
     for ctx in _contexts():
