@@ -4,9 +4,10 @@ The oracle embeds a basis into one big field F_2[x]/(g) of degree m: it maps
 the basis vectors to explicit elements there by solving RULES, and
 build_tables expands all m^2 pairwise products back over the basis.  The
 closed form derives the same tables from the kind's structure constants and
-the base normal basis's table T alone (closed_form_tables; expected_counts
-are their per-table counts).  verify_table_entries compares the two, which
-start from disjoint data.
+the base normal basis's table T alone: _structure_columns holds the n^2
+products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
+which closed_form_tables shifts into place and expected_counts counts.
+verify_table_entries compares the two, which start from disjoint data.
 """
 
 from dataclasses import dataclass, field
@@ -127,12 +128,16 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
         raise DomainError("a constant polynomial has no root")
     ones = pack_lanes([1] * 2 * deg, lane)  # room for the square of h
     h = _fp_monic(big, h, ones)
-    # powers[i] = X^(2^i) mod h for i < m, and last = X^(2^m) mod h
-    *powers, last = gf._frobenius_orbit(partial(_fp_sqmod, big, mod=h, ones=ones),
-                                        _fp_mod(big, 1 << 2 * big.n, h, ones), big.n + 1)
-    if last != powers[0]:  # X^(2^m) != X mod h
+    # X^(2^i) mod h until X^(2^p) = X, p <= m: the least such p divides m iff
+    # h is squarefree and splits, and then the powers repeat with period p
+    x = _fp_mod(big, 1 << lane, h, ones)
+    powers = [x]
+    while (last := _fp_sqmod(big, powers[-1], h, ones)) != x and len(powers) < big.n:
+        powers.append(last)
+    if last != x or big.n % len(powers):
         raise DomainError(
             f"the polynomial is not squarefree or does not split in F_2^{big.n}")
+    powers *= big.n // len(powers)
     while deg > 1:
         g = _trace_split(big, h, powers, ones)
         if 2 * _deg(big, g) > deg:  # keep the cofactor
@@ -175,6 +180,7 @@ class OracleEmbedding:
                     img = gf.poly_mul_mod(big, img, y)
             images += [gf.poly_mul_mod(big, c, img) for c in conj]
         self.basis_images = images
+        self.embed_map = PreparedMap(images)  # flat coordinates -> big-field element
         inv = mat_invert(images, self.m)
         if inv is None:
             raise ConstructionContradictionError("basis images are linearly dependent")
@@ -219,7 +225,7 @@ class OracleEmbedding:
             raise InvalidElementError(f"expected {self.d} blocks, got {len(blocks)}")
         for b in blocks:
             gf.validate(self.base.field, b)
-        return row_apply(self.basis_images, pack_lanes(blocks, self.base.n))
+        return self.embed_map.apply(pack_lanes(blocks, self.base.n))
 
     def embed_ext(self, x: ExtElem) -> int:
         return self.embed_blocks(x.blocks)
@@ -350,27 +356,41 @@ def _structure_columns(nb: NormalBasisCtx, kind):
 
     constants is structure_constants(kind), {(p, q): {r: c_pqr}}; kind None
     is the plain normal basis, d = 1 with the one constant c_000 = 1.
-    columns[c], for each constant c, is the n columns of the n^2 vectors
+    columns[c], for each constant c, is the n bit-planes of the n^2 vectors
     c(T) u_ij with u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) and
-    T = nb.table: bit i n + j of column k is bit k of c(T) u_ij.
-    A basis the kind's builder refuses raises the builder's error."""
+    T = nb.table: bit i m + j of column k, m = d n, is bit k of c(T) u_ij.
+    A basis the kind's builder refuses raises the builder's error.
+
+    Lane i of column b is rotl(T'[(b - i) mod n], i), T' the transpose of T,
+    so column b + 1 is column b moved up one lane (the top lane wrapping to
+    lane 0) with each lane rotated by one.  Column k of a u is the xor of
+    the columns b of u with bit k of T[b] set."""
     n = nb.n
     if kind is None:
         d, sc = 1, {(0, 0): {0: 1}}
     else:
         d, sc = build_kind(nb, kind).d, structure_constants(kind)
-    t = nb.table  # t[n - i:] + t[:n - i] is T[(j - i) mod n] for j < n
-    powers = [[rotl(r, i, n) for i in range(n) for r in t[n - i:] + t[:n - i]]]
+    m = d * n
+    everything = (1 << n * m) - 1
+    feet = pack_lanes([1] * n, m)  # bit 0 of every lane
+    rest = feet * ((1 << n) - 1) ^ feet  # bits 1 .. n - 1 of every lane
+    tt = mat_transpose(nb.table, n)
+    col = pack_lanes([rotl(tt[-i % n], i, n) for i in range(n)], m)
+    cols = [col]
+    for _ in range(n - 1):
+        col = (col << m & everything) | col >> (n - 1) * m
+        col = (col << 1 & rest) | (col >> n - 1 & feet)
+        cols.append(col)
+    powers = [cols]  # powers[e][k]: column k of a^e u
     top = max(c.bit_length() for cs in sc.values() for c in cs.values())
-    while len(powers) < top:  # powers[e]: a^e u_ij for every (i, j)
-        powers.append([row_apply(t, u) for u in powers[-1]])
+    while len(powers) < top:
+        powers.append([row_apply(powers[-1], r) for r in tt])
     columns = {}
     for cs in sc.values():
         for c in cs.values():
             if c not in columns:
-                vectors = reduce(partial(map, int.__xor__), (
-                    ue for e, ue in enumerate(powers) if c >> e & 1))
-                columns[c] = mat_transpose(list(vectors), n)
+                columns[c] = list(reduce(partial(map, int.__xor__), (
+                    pe for e, pe in enumerate(powers) if c >> e & 1)))
     return d, sc, columns
 
 
@@ -381,21 +401,20 @@ def closed_form_tables(nb: NormalBasisCtx, kind):
 
     Basis element (i, p) = a^(2^i) m_p is row and bit p n + i, as in
     OracleEmbedding.basis_images.  Since m_p m_q = sum_r c_pqr(a) m_r,
-    entry ((i, p), (j, q)) of table (r, k) is bit k of c_pqr(T) u_ij: the
-    lane i of column k of _structure_columns, moved from bit i n to bit
-    (p n + i) m + q n of table (r, k) held as one int of m rows.  A basis
-    the kind's builder refuses raises the builder's error."""
+    entry ((i, p), (j, q)) of table (r, k) is bit k of c_pqr(T) u_ij: bit
+    i m + j of column k of _structure_columns, which a shift by
+    p n m + q n moves to bit (p n + i) m + q n + j of table (r, k) held as
+    one int of m rows.  A basis the kind's builder refuses raises the
+    builder's error."""
     d, sc, columns = _structure_columns(nb, kind)
     n = nb.n
     m = d * n
-    spread = {c: [pack_lanes(unpack_lanes(col, n, n), m) for col in cols]
-              for c, cols in columns.items()}
     packed = [0] * m
     for (p, q), cs in sc.items():
         shift = p * n * m + q * n
         for r, c in cs.items():
-            for k, lanes in enumerate(spread[c], r * n):
-                packed[k] |= lanes << shift
+            for k, col in enumerate(columns[c], r * n):
+                packed[k] |= col << shift
     return [list(unpack_lanes(t, m, m)) for t in packed]
 
 

@@ -294,6 +294,26 @@ def test_trace_split_gcd_count_per_oracle_case(kind, n, monkeypatch):
     assert calls == ORACLE_GCDS[kind, n]
 
 
+def test_base_modulus_orbit_stops_at_its_period(monkeypatch):
+    """X^(2^i) modulo the base modulus of the as2 case at n = 24 (m = 48)
+    repeats with period n, so find_root squares 24 times, not m = 48."""
+    f = get_fixture(24).basis().field.modulus
+    big = gf.FieldCtx(bitpoly.min_irreducible(48), check_irreducible=False)
+    coeffs = [(f >> i) & 1 for i in range(25)]
+    real = tables._fp_sqmod
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(tables, "_fp_sqmod", counting)
+    root = tables.find_root(big, coeffs)
+    assert calls == 24
+    assert _value(big, coeffs, root) == 0
+
+
 def test_embedding_root_finding_budget(monkeypatch):
     """Deterministic cost guard for the as2 embedding at n = 24 (m = 48):
     360 carry-less products, of which 104 are inside field products; one
@@ -743,6 +763,63 @@ def test_closed_form_tables_match_brute_force(source):
     assert closed == tables.build_tables(tables.build_embedding(source)).tables
     if kind is None:
         assert closed == nb.mul_rows
+
+
+def _structure_columns_by_vectors(nb, kind):
+    """Reference for tables._structure_columns: the powers of a one vector
+    u_ij at a time by row_apply, then one mat_transpose per constant, whose
+    lanes of n bits are spread to m = d n bits."""
+    n = nb.n
+    if kind is None:
+        d, sc = 1, {(0, 0): {0: 1}}
+    else:
+        d, sc = xb.build_kind(nb, kind).d, xb.structure_constants(kind)
+    t = nb.table  # t[n - i:] + t[:n - i] is T[(j - i) mod n] for j < n
+    powers = [[normal.rotl(r, i, n) for i in range(n) for r in t[n - i:] + t[:n - i]]]
+    top = max(c.bit_length() for cs in sc.values() for c in cs.values())
+    while len(powers) < top:  # powers[e]: a^e u_ij for every (i, j)
+        powers.append([row_apply(t, u) for u in powers[-1]])
+    columns = {}
+    for cs in sc.values():
+        for c in cs.values():
+            vectors = [0] * (n * n)
+            for e, ue in enumerate(powers):
+                if c >> e & 1:
+                    vectors = [v ^ w for v, w in zip(vectors, ue)]
+            columns[c] = [linalg.pack_lanes(linalg.unpack_lanes(col, n, n), d * n)
+                          for col in linalg.mat_transpose(vectors, n)]
+    return d, sc, columns
+
+
+def _column_bases():
+    """The fixtures (n = 1, 2, 4, ..., 26) and odd n = 3, 5, 7 over the least
+    irreducible modulus and its first normal element: n = 1 and odd n are
+    the edge cases of the lane rotation."""
+    for n in fixture_degrees():
+        yield f"n{n}", get_fixture(n).basis()
+    for n in (3, 5, 7):
+        f = gf.FieldCtx(bitpoly.min_irreducible(n))
+        yield f"odd-n{n}", normal.build_normal_basis(f, next(normal.normal_elements(f)))
+
+
+COLUMN_BASES = dict(_column_bases())
+
+
+@pytest.mark.parametrize("nb", COLUMN_BASES.values(), ids=COLUMN_BASES)
+def test_structure_columns_match_the_per_vector_reference(nb):
+    """The bit-plane columns equal the per-vector reference for the plain
+    basis and every kind the builder accepts, and refuse the others."""
+    built = []
+    for kind in (None, *xb.KINDS):
+        try:
+            want = _structure_columns_by_vectors(nb, kind)
+        except (NoKummerExtensionError, UnsupportedDegreeError) as refusal:
+            with pytest.raises(type(refusal)):
+                tables._structure_columns(nb, kind)
+            continue
+        assert tables._structure_columns(nb, kind) == want, kind
+        built.append(kind)
+    assert built[:2] == [None, "as2"]
 
 
 def test_closed_form_sources_cover_every_kind():
