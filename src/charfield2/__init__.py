@@ -9,7 +9,7 @@ four are theorems), an independent big-field oracle embedding for
 verification, and a reproduction corpus of reference densities.
 """
 
-from . import bitpoly, field, fixtures, linalg, normal, tables, tower, witt
+from . import bitpoly, errors, extbasis, field, fixtures, linalg, normal, tables, tower, witt
 from .errors import (CharField2Error, ConstructionContradictionError,
                      DomainError, InvalidElementError, MissingFixtureError,
                      NoKummerExtensionError, NotNormalError,
@@ -18,8 +18,7 @@ from .field import FieldCtx
 from .normal import (NormalBasisCtx, build_normal_basis, cross_product_sum,
                      is_normal_element, search_normal_elements)
 from .extbasis import (EXPECTED_MUL_COUNTS, EXPECTED_SQUARE_COUNTS,
-                       ExtBasisCtx, ExtElem, OpCounter, build_as2,
-                       build_asw4, build_ka6, build_kind, build_kummer3,
+                       ExtBasisCtx, ExtElem, OpCounter, build_kind,
                        element_is_cube, mul, power, square)
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .tables import (OracleEmbedding, TableSet, build_embedding, build_tables,
@@ -37,14 +36,13 @@ __all__ = [
     "FieldCtx", "NormalBasisCtx", "build_normal_basis", "cross_product_sum",
     "is_normal_element", "search_normal_elements",
     "EXPECTED_MUL_COUNTS", "EXPECTED_SQUARE_COUNTS", "ExtBasisCtx", "ExtElem",
-    "OpCounter", "build_as2", "build_asw4", "build_ka6", "build_kind",
-    "build_kummer3", "element_is_cube", "mul", "power", "square",
+    "OpCounter", "build_kind", "element_is_cube", "mul", "power", "square",
     "FIXTURES", "Fixture", "get_fixture",
     "OracleEmbedding", "TableSet", "build_embedding", "build_tables",
     "expected_counts", "expected_density", "normal_table_set", "table_mul",
     "verify_table_entries",
     "as2_over_k3_possible", "bicubic_possible", "biquadratic_possible",
     "kummer_over_as2_possible",
-    "bitpoly", "field", "fixtures", "linalg", "normal", "tables", "tower",
-    "witt", "__version__",
+    "bitpoly", "errors", "extbasis", "field", "fixtures", "linalg", "normal",
+    "tables", "tower", "witt", "__version__",
 ]

@@ -17,7 +17,7 @@ and reduced by RULES). Each adds its fixed tally of those operations to the OpCo
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import accumulate, product
 from operator import xor
 from typing import Callable, NamedTuple
@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 from . import field as gf
 from .errors import (DomainError, InvalidElementError, NoKummerExtensionError,
                      UnsupportedDegreeError)
+from .linalg import pack_lanes, unpack_lanes
 from .normal import NormalBasisCtx, alpha_mul, frobenius_shift, normal_mul
 from .witt import SymPoly
 
@@ -184,57 +185,59 @@ class ExtBasisCtx:
         return x
 
 
-# --- builders ---------------------------------------------------------
+# --- builder ----------------------------------------------------------
 
-def build_as2(nb: NormalBasisCtx) -> ExtBasisCtx:
-    """Quadratic extension basis: b^2 = b + a (always defined; trace(a) = 1)."""
-    return ExtBasisCtx(nb, "as2")
-
-
-def build_kummer3(nb: NormalBasisCtx) -> ExtBasisCtx:
-    """Cubic Kummer extension basis: b^3 = a (needs 3 | 2^n - 1 and a primitive)."""
-    ctx = nb.field
-    if ctx.order % 3 != 0:
-        raise UnsupportedDegreeError(
-            f"no cubic Kummer extension: 3 does not divide 2^{ctx.n} - 1")
-    if gf.is_cube(ctx, nb.alpha):
-        raise NoKummerExtensionError(
-            "basis generator is a cube; x^3 - a is reducible")
-    if not gf.is_primitive(ctx, nb.alpha):
-        raise NoKummerExtensionError(
-            "cubic Kummer construction requires a primitive basis generator; "
-            "this one is a non-cube but does not generate the multiplicative group")
-    return ExtBasisCtx(nb, "k3")
+@cache
+def _prefix_kind(kind: str, g: int):
+    """The kind whose rules reduce as RULES[kind][:g] do, names aside; None for g = 0."""
+    def rewrites(rules):
+        return [(deg, poly.terms) for deg, poly in rule_rewrites(rules).values()]
+    return next((k for k in RULES if rewrites(RULES[k]) == rewrites(RULES[kind][:g])), None)
 
 
-def build_asw4(nb: NormalBasisCtx) -> ExtBasisCtx:
-    """Quartic tower basis from length-2 Witt vectors: b0^2 = b0 + a,
-    b1^2 = b1 + (1+a)b0 + a^2 (defined for even n only). These are the
-    rules witt.asw4_reduction_rules derives over F_2[a], for every a."""
-    if nb.n % 2 != 0:
-        raise UnsupportedDegreeError(
-            "quartic tower rules define a field only for even n "
-            "(the defining quadratic for b1 becomes reducible for odd n)")
-    return ExtBasisCtx(nb, "asw4")
-
-
-def build_ka6(nb: NormalBasisCtx) -> ExtBasisCtx:
-    """Sextic tower basis: b^2 = b + a, then g^3 = b (needs b a non-cube
-    in F_{2^(2n)}, tested with the quadratic extension's own arithmetic)."""
-    as2 = build_as2(nb)
-    if element_is_cube(as2, quad_generator(as2)):
-        raise NoKummerExtensionError(
-            "quadratic generator is a cube in F_{2^(2n)}; x^3 - b is reducible")
-    return ExtBasisCtx(nb, "ka6")
+def _prefix_field(nb: NormalBasisCtx, kind):
+    """Product and squaring of the field `kind` (None: no rules) builds over nb.field, on
+    d lanes of n polynomial coordinates: its own program and square walk on poly_mul_mod."""
+    n, mul, sq = nb.n, partial(gf.poly_mul_mod, nb.field), partial(gf.square, nb.field)
+    if kind is None:
+        return mul, sq
+    tvp, blocks = partial(mul, nb.alpha), partial(unpack_lanes, width=n,
+                                                  count=len(_monomials(RULES[kind])))
+    return (lambda x, y: pack_lanes(_MUL[kind](xor, mul, tvp, blocks(x), blocks(y)), n),
+            lambda x: pack_lanes(_square_walk(xor, tvp, kind, map(sq, blocks(x))), n))
 
 
 def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:
-    """Dispatch to the builder for `kind`."""
-    builders = {"as2": build_as2, "k3": build_kummer3,
-                "asw4": build_asw4, "ka6": build_ka6}
-    if kind not in builders:
-        raise DomainError(f"unknown kind {kind!r}")
-    return builders[kind](nb)
+    """The extended basis of `kind` over nb, once each rule of RULES[kind] is
+    irreducible over the field of degree k the rules before it build:
+    y^2 + y = c iff Tr_k(c) = 1, y^3 = c iff 3 | 2^k - 1 and c is not a cube
+    (Lidl-Niederreiter, Finite Fields, Thms 3.78 and 3.75).  k3 also needs a
+    primitive a, the paper's condition.  Reads only nb.field and nb.alpha.
+
+    A cube c or a non-primitive a raises NoKummerExtensionError, any other
+    refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
+    times the earlier degrees, and each Artin-Schreier trace in RULES is
+    fixed by n.  Tr_n(a) = 1, the sum of the normal basis: in F_2, nonzero.
+    Over F_{2^n}(b0), b0^(2^n) = b0 + 1, so Tr_2n(u + v b0) = Tr_n(v) and
+    Tr_2n(b0 + a b0 + a^2) = Tr_n(1 + a) = n + 1 (mod 2)."""
+    ctx = ExtBasisCtx(nb, kind)
+    for g, (y, degree, rhs) in enumerate(RULES[kind]):
+        mul, sq = _prefix_field(nb, _prefix_kind(kind, g))
+        monomials = _monomials(RULES[kind][:g])
+        k = nb.n * len(monomials)
+        c = rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1))
+        if degree == 2 and reduce(xor, gf._frobenius_orbit(sq, c, k)) != 1:
+            raise UnsupportedDegreeError(f"no Artin-Schreier extension: {y}^2 + {y} = c "
+                                         f"is reducible over F_{{2^{k}}}, as Tr(c) = 0")
+        if degree == 3 and ((1 << k) - 1) % 3:
+            raise UnsupportedDegreeError(f"no cubic Kummer extension: 3 does not divide 2^{k} - 1")
+        if degree == 3 and gf._is_cube(partial(gf._square_and_multiply, mul, sq, 1), 0, 1,
+                                       (1 << k) - 1, c):
+            raise NoKummerExtensionError(f"no cubic Kummer extension: {y}^3 = c is "
+                                         f"reducible over F_{{2^{k}}}, as c is a cube")
+    if kind == "k3" and not gf.is_primitive(nb.field, nb.alpha):
+        raise NoKummerExtensionError("no cubic Kummer extension: a is not primitive")
+    return ctx
 
 
 # --- element utilities ------------------------------------------------

@@ -359,7 +359,7 @@ def _structure_columns(nb: NormalBasisCtx, kind):
     columns[c], for each constant c, is the n bit-planes of the n^2 vectors
     c(T) u_ij with u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) and
     T = nb.table: bit i m + j of column k, m = d n, is bit k of c(T) u_ij.
-    A basis the kind's builder refuses raises the builder's error.
+    A basis build_kind refuses raises its error.
 
     Lane i of column b is rotl(T'[(b - i) mod n], i), T' the transpose of T,
     so column b + 1 is column b moved up one lane (the top lane wrapping to
@@ -404,8 +404,7 @@ def closed_form_tables(nb: NormalBasisCtx, kind):
     entry ((i, p), (j, q)) of table (r, k) is bit k of c_pqr(T) u_ij: bit
     i m + j of column k of _structure_columns, which a shift by
     p n m + q n moves to bit (p n + i) m + q n + j of table (r, k) held as
-    one int of m rows.  A basis the kind's builder refuses raises the
-    builder's error."""
+    one int of m rows.  A basis build_kind refuses raises its error."""
     d, sc, columns = _structure_columns(nb, kind)
     n = nb.n
     m = d * n
@@ -421,8 +420,8 @@ def closed_form_tables(nb: NormalBasisCtx, kind):
 def expected_counts(nb: NormalBasisCtx, kind):
     """Per-table nonzero counts of closed_form_tables(nb, kind) without
     laying them out: table (r, k) sums over every (p, q) the popcount of
-    column k of the vectors c_pqr(T) u_ij.  A basis the kind's builder
-    refuses raises the builder's error."""
+    column k of the vectors c_pqr(T) u_ij.  A basis build_kind refuses
+    raises its error."""
     d, sc, columns = _structure_columns(nb, kind)
     n = nb.n
     weights = {c: [col.bit_count() for col in cols] for c, cols in columns.items()}

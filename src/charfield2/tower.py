@@ -53,7 +53,7 @@ def as2_over_k3_possible(ctx: ExtBasisCtx) -> bool:
 
 def bicubic_possible(ctx: ExtBasisCtx) -> bool:
     """Whether a cubic Kummer extension basis admits a second cube-root step:
-    always. build_kummer3 demands a primitive generator a and 3 | 2^n - 1,
+    always. build_kind demands for k3 a primitive a and 3 | 2^n - 1,
     so n is even, and b (b^3 = a) has order 3(2^n - 1) in F_{2^(3n)}; b is a
     cube there iff 9 divides q = (2^(3n) - 1)/(2^n - 1) = 1 + 2^n + 2^(2n).
     Write 2^n = 1 + 3t: then q = 3 + 9t + 9t^2 = 3 (mod 9), so b is never a

@@ -58,21 +58,21 @@ def test_kummer_density_records_by_formula_and_brute_force(monkeypatch):
     # closed-form path covers every record
     for m, expected in KUMMER_DENSITY.items():
         nb = fixtures.get_fixture(m // 3).basis()
-        xb.build_kummer3(nb)  # must construct
+        xb.build_kind(nb, "k3")  # must construct
         assert tables.expected_density(nb, "k3") == expected
     # brute-force table counting confirms every record; the oracle field for
     # m = 78 is above the default degree cap of 64
     monkeypatch.setenv("CHARFIELD2_MAX_N", "80")
     for m in KUMMER_DENSITY:
         nb = fixtures.get_fixture(m // 3).basis()
-        ts = tables.build_tables(tables.build_embedding(xb.build_kummer3(nb)))
+        ts = tables.build_tables(tables.build_embedding(xb.build_kind(nb, "k3")))
         assert ts.m == m
         assert ts.density == KUMMER_DENSITY[m]
     # the refused degrees raise, and only those
     for m in KUMMER_REFUSED:
         nb = fixtures.get_fixture(m // 3).basis()
         with pytest.raises(NoKummerExtensionError):
-            xb.build_kummer3(nb)
+            xb.build_kind(nb, "k3")
     # m = 24 is the one remaining constructible degree; its record is pinned too
     nb8 = fixtures.get_fixture(8).basis()
     assert tables.expected_density(nb8, "k3") == fixtures.EXPECTED_KUMMER_DENSITY[24] == 1707

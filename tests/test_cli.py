@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,9 +232,9 @@ def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypat
 
 
 def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
-    """The predicate and the sextic builder share extbasis.element_is_cube;
-    the row also checks the predicate against the oracle's cube test, so a
-    wrong cube test turns the row to "no"."""
+    """The predicate reads extbasis.element_is_cube and build_kind does not;
+    the row checks the predicate against build_kind's ka6 verdict and the
+    oracle's cube test, so a wrong cube test turns the row to "no"."""
     cube = extbasis.element_is_cube
     monkeypatch.setattr(extbasis, "element_is_cube",
                         lambda ctx, x: not cube(ctx, x))
@@ -264,25 +265,27 @@ def test_tower_quadratic_row_fails_without_a_preimage(capsys, monkeypatch):
 def test_verify_builds_each_case_once(capsys, monkeypatch):
     """verify --n 8 asks for each of its 32 (kind, n) cases once and embeds
     each of the 24 that exist once; the closed-form and tower rows read
-    those builds, so the sextic builder runs only for the ka6 cases' own
-    candidates (10 calls; a throwaway build per tower row made it 16)."""
-    calls = {"_basis_for_kind": 0, "build_embedding": 0, "build_ka6": 0}
+    those builds, so ka6 is built only for the ka6 cases' own candidates
+    (10 calls; a throwaway build per tower row made it 16)."""
+    calls = Counter()
 
-    def counted(module, name):
+    def counted(module, name, key=None):
+        """Count the calls through every binding of module.name."""
         fn = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[key(args) if key else name] += 1
             return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
+        for mod in [m for k, m in sys.modules.items() if k.startswith("charfield2")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
 
     counted(cli, "_basis_for_kind")
     counted(tables, "build_embedding")
-    counted(extbasis, "build_ka6")
+    counted(extbasis, "build_kind", lambda args: args[1])
     code, _, _ = run_cli(capsys, "verify", "--n", "8", "--limit", "1")
     assert code == 0
-    assert calls == {"_basis_for_kind": 32, "build_embedding": 24,
-                     "build_ka6": 10}
+    assert (calls["_basis_for_kind"], calls["build_embedding"], calls["ka6"]) == (32, 24, 10)
 
 
 # The least irreducible modulus of each degree 1..20, the one verify's cases
@@ -346,7 +349,7 @@ def _digest(text):
 # --modulus auto --alpha search`, as recorded before every command shared one
 # candidate loop; None where the builder refuses the degree (exit 2). k3 still
 # lands on the first primitive normal element: a primitive element is never a
-# cube when 3 | 2^n - 1, so build_kummer3 refuses every normal element before it.
+# cube when 3 | 2^n - 1, so build_kind refuses k3 on every normal element before it.
 SEARCH_TABLES = {
     "as2": {1: "712d56006c6017bd", 2: "33c2eedbb52d1a79", 3: "b048752f28f18afd",
             4: "420172ac7c6db23e", 5: "a616916c94384c0e", 6: "2d5d39cd128a2236",
@@ -361,7 +364,8 @@ SEARCH_TABLES = {
              10: "e7b901f6ddca7b0e", 12: "af67c91d50db8868", 14: "f4e203de9373b517",
              16: "037e406a9292cd3d"},
 }
-REFUSALS = {"k3": "3 does not divide 2^{n} - 1", "asw4": "only for even n"}
+REFUSALS = {"k3": "3 does not divide 2^{n} - 1",
+            "asw4": "b1^2 + b1 = c is reducible over F_{{2^{twice_n}}}, as Tr(c) = 0"}
 
 
 @pytest.mark.parametrize("kind", sorted(SEARCH_TABLES))
@@ -371,7 +375,7 @@ def test_tables_alpha_search_outputs_are_pinned(capsys, kind):
                                  "--modulus", "auto", "--alpha", "search")
         if want is None:
             assert (code, out) == (2, ""), n
-            assert REFUSALS[kind].format(n=n) in err, n
+            assert REFUSALS[kind].format(n=n, twice_n=2 * n) in err, n
         else:
             assert (code, _digest(out)) == (0, want), n
 

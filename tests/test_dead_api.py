@@ -12,6 +12,7 @@ reason.  Likewise every option of every CLI subcommand is read by cli.py.
 import argparse
 import inspect
 import io
+import pkgutil
 import re
 import tokenize
 from collections import Counter
@@ -106,3 +107,12 @@ def test_every_cli_option_is_read():
                     for name, p in sub.choices.items() for action in p._actions
                     if action.dest != "help" and action.dest not in read)
     assert unread == []
+
+
+def test_all_resolves_and_lists_every_library_submodule():
+    """Each __all__ entry is an attribute of the package, and each submodule
+    is listed except cli, the command's entry point, which importing the
+    package does not load."""
+    assert [name for name in charfield2.__all__ if not hasattr(charfield2, name)] == []
+    submodules = {m.name for m in pkgutil.iter_modules(charfield2.__path__)}
+    assert sorted(submodules - set(charfield2.__all__)) == ["cli"]

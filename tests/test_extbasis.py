@@ -1,18 +1,19 @@
-"""Tests for extended bases: builders, counted arithmetic, and op-count contracts."""
+"""Tests for extended bases: build_kind, counted arithmetic, and op-count contracts."""
 
 import ast
 import inspect
 import random
 import textwrap
 from functools import partial
+from itertools import islice, product
 
 import pytest
 
-from charfield2 import extbasis as xb, field as gf, normal
+from charfield2 import bitpoly, extbasis as xb, field as gf, normal
 from charfield2.witt import SymPoly
 from charfield2.errors import (DomainError, InvalidElementError,
                                NoKummerExtensionError, UnsupportedDegreeError)
-from charfield2.fixtures import get_fixture
+from charfield2.fixtures import fixture_degrees, get_fixture
 
 NB1 = get_fixture(1).basis()
 NB2 = get_fixture(2).basis()
@@ -24,9 +25,8 @@ KINDS = ("as2", "k3", "asw4", "ka6")
 
 def _contexts():
     """One working context per kind, at small n."""
-    out = [xb.build_as2(NB2), xb.build_kummer3(NB2), xb.build_asw4(NB2),
-           xb.build_ka6(NB2), xb.build_as2(NB4), xb.build_asw4(NB4)]
-    return out
+    return [xb.build_kind(nb, kind) for nb, kind in (
+        (NB2, "as2"), (NB2, "k3"), (NB2, "asw4"), (NB2, "ka6"), (NB4, "as2"), (NB4, "asw4"))]
 
 
 def _rand_elem(rng, ctx):
@@ -41,31 +41,31 @@ def _xor(x, y):
 
 def test_build_as2_works_for_any_normal_basis():
     for nb in (NB1, NB2, NB4, NB6):
-        ctx = xb.build_as2(nb)
+        ctx = xb.build_kind(nb, "as2")
         assert (ctx.kind, ctx.d, ctx.m) == ("as2", 2, 2 * nb.n)
 
 
 def test_build_kummer3_requires_divisibility_first():
     # 3 does not divide 2^1 - 1: degree refusal wins over any generator test
     with pytest.raises(UnsupportedDegreeError):
-        xb.build_kummer3(NB1)
+        xb.build_kind(NB1, "k3")
 
 
 def test_build_kummer3_rejects_cube_generator():
     # x^3 in F_16 has order 5: a cube
     with pytest.raises(NoKummerExtensionError, match="cube"):
-        xb.build_kummer3(NB4)
+        xb.build_kind(NB4, "k3")
 
 
 def test_build_kummer3_rejects_non_primitive_non_cube():
     nb22 = get_fixture(22).basis()
     assert not gf.is_cube(nb22.field, nb22.alpha)
     with pytest.raises(NoKummerExtensionError, match="primitive"):
-        xb.build_kummer3(nb22)
+        xb.build_kind(nb22, "k3")
 
 
 def test_build_kummer3_accepts_primitive_generator():
-    ctx = xb.build_kummer3(NB2)
+    ctx = xb.build_kind(NB2, "k3")
     assert (ctx.kind, ctx.d, ctx.m) == ("k3", 3, 6)
 
 
@@ -73,16 +73,16 @@ def test_build_asw4_rejects_odd_degree():
     f8 = gf.FieldCtx(0b1011)
     nb3 = normal.build_normal_basis(f8, 0b11)
     with pytest.raises(UnsupportedDegreeError):
-        xb.build_asw4(nb3)
-    assert xb.build_asw4(NB2).m == 8
+        xb.build_kind(nb3, "asw4")
+    assert xb.build_kind(NB2, "asw4").m == 8
 
 
 def test_build_ka6_rejects_cube_quadratic_generator():
     with pytest.raises(NoKummerExtensionError):
-        xb.build_ka6(NB4)
+        xb.build_kind(NB4, "ka6")
     # a sibling normal element of F_16 does admit the sextic tower
     nb_alt = normal.build_normal_basis(NB4.field, 0b1001)  # 1 + x^3
-    assert xb.build_ka6(nb_alt).m == 24
+    assert xb.build_kind(nb_alt, "ka6").m == 24
 
 
 @pytest.mark.parametrize("kind,gens,monomials", [
@@ -103,6 +103,48 @@ def test_kinds_are_the_rule_table_keys():
     assert xb.KINDS == tuple(xb.RULES) == KINDS
     with pytest.raises(DomainError):
         xb.ExtBasisCtx(NB2, "k9")
+
+
+def _hand_written_verdict(nb, kind):
+    """The error type the four hand-written builders that build_kind replaced
+    raised for (nb, kind), None where they built: the reference for its
+    verdicts."""
+    ctx = nb.field
+    if kind == "k3":
+        if ctx.order % 3 != 0:
+            return UnsupportedDegreeError
+        if gf.is_cube(ctx, nb.alpha) or not gf.is_primitive(ctx, nb.alpha):
+            return NoKummerExtensionError
+    if kind == "asw4" and nb.n % 2 != 0:
+        return UnsupportedDegreeError
+    if kind == "ka6":
+        as2 = xb.ExtBasisCtx(nb, "as2")
+        if xb.element_is_cube(as2, xb.generator_element(as2, "b")):
+            return NoKummerExtensionError
+    return None
+
+
+def test_build_kind_refuses_what_the_hand_written_builders_refused():
+    """Every fixture and the first 60 normal elements under min_irreducible(n)
+    for n = 1 ... 12, every kind: the same refusals with the same error
+    types.  A degree refusal depends on (kind, n) alone, which lets
+    cli._first_basis stop its scan at the first one."""
+    bases = [get_fixture(n).basis() for n in fixture_degrees()]
+    for n in range(1, 13):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        bases += [normal.build_normal_basis(ctx, a)
+                  for a in islice(normal.normal_elements(ctx), 60)]
+    degree_refused = {}
+    for nb, kind in product(bases, KINDS):
+        try:
+            xb.build_kind(nb, kind)
+            got = None
+        except (UnsupportedDegreeError, NoKummerExtensionError) as exc:
+            got = type(exc)
+        assert got is _hand_written_verdict(nb, kind), (kind, nb.field, nb.alpha)
+        degree_refused.setdefault((kind, nb.n), set()).add(got is UnsupportedDegreeError)
+    assert len(bases) * len(KINDS) == 1664
+    assert all(len(seen) == 1 for seen in degree_refused.values())
 
 
 def test_build_kind_dispatch():
@@ -127,13 +169,13 @@ def test_identity_zero_and_embedding():
 
 
 def test_project_rejects_elements_outside_base():
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     with pytest.raises(DomainError):
         xb.project_base(ctx, xb.ExtElem((0, 1)))
 
 
 def test_validate_rejects_malformed_elements():
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     with pytest.raises(InvalidElementError):
         ctx.validate(xb.ExtElem((0, 0, 0)))
     with pytest.raises(InvalidElementError):
@@ -148,8 +190,8 @@ def test_validate_rejects_malformed_elements():
     lambda v: normal.normal_mul(NB4, 1, v),
     lambda v: normal.alpha_mul(NB4, v),
     lambda v: NB4.to_poly(v),
-    lambda v: xb.embed_base(xb.build_as2(NB4), v),
-    lambda v: xb.build_as2(NB4).validate(xb.ExtElem((0, v))),
+    lambda v: xb.embed_base(xb.build_kind(NB4, "as2"), v),
+    lambda v: xb.build_kind(NB4, "as2").validate(xb.ExtElem((0, v))),
 ], ids=["normal_mul_u", "normal_mul_v", "alpha_mul", "to_poly", "embed_base", "validate"])
 def test_out_of_range_coordinates_raise_invalid_element_error(call, value):
     """Every layer refuses a normal coordinate outside [0, 2^n) with one error type."""
@@ -165,7 +207,7 @@ def test_hex_round_trip():
             s = xb.ext_to_hex(ctx, x)
             assert s.count(":") == ctx.d - 1
             assert xb.ext_parse(ctx, s) == x
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     assert xb.ext_to_hex(ctx, xb.identity(ctx)) == "03:00"
     with pytest.raises(InvalidElementError):
         xb.ext_parse(ctx, "03")
@@ -213,7 +255,7 @@ def test_nonzero_elements_are_invertible():
 
 def test_power_matches_repeated_mul():
     rng = random.Random(20240814)
-    ctx = xb.build_kummer3(NB2)
+    ctx = xb.build_kind(NB2, "k3")
     x = _rand_elem(rng, ctx)
     acc = xb.identity(ctx)
     for e in range(12):
@@ -223,7 +265,7 @@ def test_power_matches_repeated_mul():
 
 def test_power_refuses_a_negative_exponent():
     """-1 >> 1 == -1, so square-and-multiply would never end on e < 0."""
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     for e in (-1, -6):
         with pytest.raises(DomainError):
             xb.power(ctx, xb.identity(ctx), e)
@@ -232,7 +274,7 @@ def test_power_refuses_a_negative_exponent():
 def test_defining_equation_as2():
     """b^2 = b + alpha."""
     for nb in (NB2, NB4, NB6):
-        ctx = xb.build_as2(nb)
+        ctx = xb.build_kind(nb, "as2")
         b = xb.quad_generator(ctx)
         expected = _xor(b, xb.embed_base(ctx, 1))
         assert xb.square(ctx, b) == expected
@@ -240,7 +282,7 @@ def test_defining_equation_as2():
 
 def test_defining_equation_k3():
     """b^3 = alpha."""
-    ctx = xb.build_kummer3(NB2)
+    ctx = xb.build_kind(NB2, "k3")
     b = xb.generator_element(ctx, "b")
     cube = xb.mul(ctx, xb.mul(ctx, b, b), b)
     assert cube == xb.embed_base(ctx, 1)
@@ -249,7 +291,7 @@ def test_defining_equation_k3():
 def test_defining_equation_asw4():
     """b0^2 = b0 + alpha and b1^2 = b1 + (1 + alpha) b0 + alpha^2."""
     for nb in (NB2, NB4):
-        ctx = xb.build_asw4(nb)
+        ctx = xb.build_kind(nb, "asw4")
         b0 = xb.generator_element(ctx, "b0")
         b1 = xb.generator_element(ctx, "b1")
         a = 1  # alpha's normal coordinates
@@ -263,7 +305,7 @@ def test_defining_equation_asw4():
 
 def test_defining_equation_ka6():
     """g^3 = b and b^2 = b + alpha inside the sextic tower."""
-    ctx = xb.build_ka6(NB2)
+    ctx = xb.build_kind(NB2, "ka6")
     g = xb.generator_element(ctx, "g")
     b = xb.generator_element(ctx, "b")
     cube = xb.mul(ctx, xb.mul(ctx, g, g), g)
@@ -272,16 +314,16 @@ def test_defining_equation_ka6():
 
 
 def test_generator_element_errors():
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     with pytest.raises(DomainError):
         xb.generator_element(ctx, "g")
     with pytest.raises(DomainError):
-        xb.quad_generator(xb.build_kummer3(NB2))
+        xb.quad_generator(xb.build_kind(NB2, "k3"))
 
 
 def test_element_is_cube_basic_facts():
     rng = random.Random(20240815)
-    ctx = xb.build_as2(NB2)  # m = 4: 3 | 15
+    ctx = xb.build_kind(NB2, "as2")  # m = 4: 3 | 15
     assert xb.element_is_cube(ctx, xb.zero(ctx))
     assert xb.element_is_cube(ctx, xb.identity(ctx))
     for _ in range(20):
@@ -289,12 +331,12 @@ def test_element_is_cube_basic_facts():
         cube = xb.mul(ctx, xb.mul(ctx, x, x), x)
         assert xb.element_is_cube(ctx, cube)
     # m = 8 has 3 | 255 as well; over m with 3 coprime everything is a cube
-    ctx8 = xb.build_asw4(NB2)
+    ctx8 = xb.build_kind(NB2, "asw4")
     assert ctx8.m == 8
 
 
 def test_element_is_cube_does_not_disturb_tally():
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     ctx.counter.reset()
     xb.element_is_cube(ctx, xb.generator_element(ctx, "b"))
     assert ctx.counter.as_tuple() == (0, 0, 0)
@@ -382,7 +424,7 @@ def test_product_programs_have_no_branches():
 
 
 def test_counter_accumulates_and_pauses():
-    ctx = xb.build_as2(NB2)
+    ctx = xb.build_kind(NB2, "as2")
     rng = random.Random(20240816)
     x, y = _rand_elem(rng, ctx), _rand_elem(rng, ctx)
     ctx.counter.reset()

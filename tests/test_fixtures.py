@@ -88,7 +88,7 @@ def test_quadratic_density_records_match_formula(m):
 @pytest.mark.parametrize("m", sorted(fixtures.EXPECTED_KUMMER_DENSITY))
 def test_kummer_density_records_match_formula(m):
     nb = fixtures.get_fixture(m // 3).basis()
-    xb.build_kummer3(nb)  # must be constructible
+    xb.build_kind(nb, "k3")  # must be constructible
     cs = normal.cross_product_sum(nb)
     assert 6 * nb.density + 3 * cs == fixtures.EXPECTED_KUMMER_DENSITY[m]
 
@@ -97,7 +97,7 @@ def test_kummer_density_records_match_formula(m):
 def test_kummer_refusal_degrees_really_refuse(m):
     nb = fixtures.get_fixture(m // 3).basis()
     with pytest.raises(NoKummerExtensionError):
-        xb.build_kummer3(nb)
+        xb.build_kind(nb, "k3")
 
 
 def test_annotated_fixtures_explain_their_adjudication():

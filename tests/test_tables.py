@@ -5,6 +5,7 @@ import hashlib
 import random
 import sys
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -319,7 +320,7 @@ def test_embedding_root_finding_budget(monkeypatch):
     360 carry-less products, of which 104 are inside field products; one
     field product per coefficient took 1,361.  The 0/1 coefficients of the
     modulus and of its Frobenius powers take integer products instead."""
-    ctx = xb.build_as2(get_fixture(24).basis())
+    ctx = xb.build_kind(get_fixture(24).basis(), "as2")
     real = bitpoly.poly_mul
     calls = 0
 
@@ -366,7 +367,7 @@ def test_oracle_solves_the_stated_rules(monkeypatch):
     b^2 + b = a^2 moves the oracle's b to a root of the new rule, so the big
     field's b*b = b + a^2 disagrees with the as2 program's b + a."""
     for nb in (NB2, NB4):
-        ctx = xb.build_as2(nb)
+        ctx = xb.build_kind(nb, "as2")
         monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
         emb = tables.build_embedding(ctx)
         assert emb.check_rules()
@@ -420,6 +421,42 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
         assert tables.verify_table_entries(emb, ts) == []
 
 
+def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
+    """Every kind at n = 2, 4, 6 and 8, over the fixture and the first eight
+    normal elements, is built or refused the same with the normal-basis
+    products and the extended mul and square made to raise at every
+    binding: build_kind reads nb.field and nb.alpha alone, so the closed
+    form's rebuild in the oracle makes no normal product."""
+    bases = [get_fixture(n).basis() for n in (2, 4, 6, 8)]
+    for n in (2, 4, 6, 8):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        bases += [normal.build_normal_basis(ctx, a)
+                  for a in islice(normal.normal_elements(ctx), 8)]
+
+    def verdicts():
+        out = []
+        for nb in bases:
+            for kind in xb.KINDS:
+                try:
+                    out.append(xb.build_kind(nb, kind).m)
+                except (UnsupportedDegreeError, NoKummerExtensionError) as exc:
+                    out.append(type(exc))
+        return out
+
+    want = verdicts()
+    assert NoKummerExtensionError in want and len(set(want)) > 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_kind used the arithmetic under test")
+
+    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square)
+    for mod in _charfield2_modules():
+        for attr, obj in list(vars(mod).items()):
+            if any(obj is fn for fn in under_test):
+                monkeypatch.setattr(mod, attr, forbidden)
+    assert verdicts() == want
+
+
 def test_embedding_of_plain_normal_basis_has_no_generators():
     """A plain normal basis is the kind with no generators."""
     for nb in (NB2, NB4):
@@ -439,7 +476,7 @@ def test_embedding_of_plain_normal_basis():
 
 def test_embedding_round_trip_and_homomorphism():
     rng = random.Random(20240820)
-    for ctx in (xb.build_as2(NB2), xb.build_kummer3(NB2), xb.build_asw4(NB2)):
+    for ctx in (xb.build_kind(NB2, kind) for kind in ("as2", "k3", "asw4")):
         emb = tables.build_embedding(ctx)
         for _ in range(20):
             x = xb.ExtElem(tuple(rng.getrandbits(ctx.n) for _ in range(ctx.d)))
@@ -457,7 +494,7 @@ def test_embedding_conversions_reject_out_of_range_input():
     """A block of more than n bits does not spill into the next block, a bad
     last block or block count is not an IndexError, and to_blocks takes only
     elements of the big field."""
-    emb = tables.build_embedding(xb.build_as2(NB4))
+    emb = tables.build_embedding(xb.build_kind(NB4, "as2"))
     n = emb.base.n
     with pytest.raises(InvalidElementError):
         emb.embed_blocks((1 << n, 0))  # unchecked, it is embed_blocks((0, 1))
@@ -506,7 +543,7 @@ def test_normal_table_mul_matches_normal_mul():
 
 def test_ext_table_mul_matches_counted_mul():
     rng = random.Random(20240821)
-    for ctx in (xb.build_as2(NB2), xb.build_kummer3(NB2), xb.build_ka6(NB2)):
+    for ctx in (xb.build_kind(NB2, kind) for kind in ("as2", "k3", "ka6")):
         emb = tables.build_embedding(ctx)
         ts = tables.build_tables(emb)
         n = ctx.n
@@ -539,9 +576,9 @@ def _wide_sources():
     """The widest lanes: m = 48 twice, m = 64, and an odd m = 7."""
     f7 = gf.FieldCtx(bitpoly.min_irreducible(7))
     yield "normal-n7", normal.build_normal_basis(f7, next(normal.normal_elements(f7)))
-    yield "as2-n24", xb.build_as2(get_fixture(24).basis())
-    yield "k3-n16", xb.build_kummer3(get_fixture(16).basis())
-    yield "asw4-n16", xb.build_asw4(get_fixture(16).basis())
+    yield "as2-n24", xb.build_kind(get_fixture(24).basis(), "as2")
+    yield "k3-n16", xb.build_kind(get_fixture(16).basis(), "k3")
+    yield "asw4-n16", xb.build_kind(get_fixture(16).basis(), "asw4")
 
 
 # sha256 of repr(TableSet), recorded from the build that took one field
@@ -624,7 +661,7 @@ def test_table_mul_matches_the_per_table_reference():
 def test_table_mul_refuses_vectors_outside_the_space():
     """A bit at or above m used to raise a bare IndexError (x) or be dropped
     (y); in lanes it would spill into the next lane."""
-    ts = tables.build_tables(tables.build_embedding(xb.build_as2(NB2)))
+    ts = tables.build_tables(tables.build_embedding(xb.build_kind(NB2, "as2")))
     m = ts.m
     for x, y in ((1 << m, 5), (-1, 5), (3, 5 | 1 << m), (3, -1), (3, "5")):
         with pytest.raises(InvalidElementError):
@@ -637,7 +674,7 @@ def test_oracle_table_operation_counts(monkeypatch):
     """Deterministic cost guard at as2 n = 24 (m = 48): build_tables takes one
     carry-less product per row and reduces its lanes together, and table_mul
     takes one row_apply and no parity (it used to take m of each)."""
-    emb = tables.build_embedding(xb.build_as2(get_fixture(24).basis()))
+    emb = tables.build_embedding(xb.build_kind(get_fixture(24).basis(), "as2"))
     calls = {}
 
     def counting(name, fn):
@@ -833,7 +870,7 @@ def test_closed_form_sources_cover_every_kind():
 def test_verify_table_entries_does_not_rebuild_the_tables(monkeypatch):
     """Clean tables verify with build_tables made to raise."""
     built = []
-    for source in (NB4, xb.build_as2(NB2), xb.build_kummer3(NB2), xb.build_ka6(NB2)):
+    for source in (NB4, *(xb.build_kind(NB2, kind) for kind in ("as2", "k3", "ka6"))):
         emb = tables.build_embedding(source)
         built.append((emb, tables.build_tables(emb)))
 
@@ -864,7 +901,7 @@ def test_verify_table_entries_catches_a_corrupted_base_table(kind):
 
 
 def test_verify_table_entries_clean_and_corrupted():
-    emb = tables.build_embedding(xb.build_as2(NB2))
+    emb = tables.build_embedding(xb.build_kind(NB2, "as2"))
     ts = tables.build_tables(emb)
     assert tables.verify_table_entries(emb, ts) == []
     ts.tables[0][0] ^= 1  # flip one bit

@@ -28,7 +28,7 @@ def test_biquadratic_matches_big_field_trace(n):
     ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
     alpha = normal.search_normal_elements(ctx, limit=1)[0]
     nb = normal.build_normal_basis(ctx, alpha)
-    emb = tables.build_embedding(xb.build_as2(nb))
+    emb = tables.build_embedding(xb.build_kind(nb, "as2"))
     b_img = emb.gen_images["b"]
     assert tower.biquadratic_possible(n) == (gf.trace(emb.big, b_img) == 1)
 
@@ -39,9 +39,9 @@ def test_kummer_over_as2_matches_sextic_builder(n):
     ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
     alpha = normal.search_normal_elements(ctx, limit=1)[0]
     nb = normal.build_normal_basis(ctx, alpha)
-    verdict = tower.kummer_over_as2_possible(xb.build_as2(nb))
+    verdict = tower.kummer_over_as2_possible(xb.build_kind(nb, "as2"))
     try:
-        xb.build_ka6(nb)
+        xb.build_kind(nb, "ka6")
         built = True
     except NoKummerExtensionError:
         built = False
@@ -50,16 +50,16 @@ def test_kummer_over_as2_matches_sextic_builder(n):
 
 def test_kind_guards():
     with pytest.raises(DomainError):
-        tower.kummer_over_as2_possible(xb.build_kummer3(NB2))
+        tower.kummer_over_as2_possible(xb.build_kind(NB2, "k3"))
     with pytest.raises(DomainError):
-        tower.as2_over_k3_possible(xb.build_as2(NB2))
+        tower.as2_over_k3_possible(xb.build_kind(NB2, "as2"))
     with pytest.raises(DomainError):
-        tower.bicubic_possible(xb.build_as2(NB2))
+        tower.bicubic_possible(xb.build_kind(NB2, "as2"))
 
 
 def test_as2_over_k3_is_never_possible():
     for nb in (NB2, NB6):
-        k3 = xb.build_kummer3(nb)
+        k3 = xb.build_kind(nb, "k3")
         assert tower.as2_over_k3_possible(k3) is False
         # constructive reason: the generator's trace is 0, so a preimage exists
         beta = xb.generator_element(k3, "b")
@@ -74,14 +74,15 @@ def test_as2_over_k3_is_never_possible():
 
 def test_bicubic_known_values_and_refusals():
     """The criterion is asked of a built cubic Kummer basis. The degrees and
-    generators it does not hold for never get one: build_kummer3 refuses them
-    (test_extbasis::test_build_kummer3_requires_divisibility_first and
+    generators it does not hold for never get one: build_kind refuses k3 on
+    them (test_extbasis::test_build_kummer3_requires_divisibility_first and
     ::test_build_kummer3_rejects_non_primitive_non_cube)."""
-    assert tower.bicubic_possible(xb.build_kummer3(NB2))      # q = 21 = 3 (mod 9)
+    assert tower.bicubic_possible(xb.build_kind(NB2, "k3"))   # q = 21 = 3 (mod 9)
     assert tower.bicubic_possible(_basis_for_kind("k3", 4))   # q = 273 = 3 (mod 9)
     for n in (1, 3):                                        # 3 does not divide 2^n - 1
         assert _basis_for_kind("k3", n) is None
-    for ctx in (xb.build_as2(NB4), xb.build_asw4(NB2), xb.build_ka6(NB2)):
+    for ctx in (xb.build_kind(NB4, "as2"), xb.build_kind(NB2, "asw4"),
+                xb.build_kind(NB2, "ka6")):
         with pytest.raises(DomainError):
             tower.bicubic_possible(ctx)
 
@@ -95,8 +96,8 @@ def test_bicubic_q_is_3_mod_9_at_every_even_degree():
 
 
 def test_no_odd_degree_has_a_cubic_step():
-    """3 never divides 2^n - 1 for odd n, so build_kummer3 refuses every odd
-    n and bicubic_possible is only asked at even n."""
+    """3 never divides 2^n - 1 for odd n, so build_kind refuses k3 at every
+    odd n and bicubic_possible is only asked at even n."""
     for n in range(1, 3000, 2):
         assert ((1 << n) - 1) % 3 != 0, n
 
@@ -109,14 +110,14 @@ def test_bicubic_possible_on_every_built_k3_basis():
 
 
 def test_ext_trace_values():
-    for ctx in (xb.build_as2(NB2), xb.build_kummer3(NB2), xb.build_asw4(NB2)):
+    for ctx in (xb.build_kind(NB2, kind) for kind in ("as2", "k3", "asw4")):
         assert tower.ext_trace(ctx, xb.zero(ctx)) == xb.zero(ctx)
         # m is even here, so the identity sums to zero over its orbit
         assert tower.ext_trace(ctx, xb.identity(ctx)) == xb.zero(ctx)
 
 
 def test_ext_trace_and_preimage_leave_tally_alone():
-    ctx = xb.build_kummer3(NB2)
+    ctx = xb.build_kind(NB2, "k3")
     ctx.counter.reset()
     beta = xb.generator_element(ctx, "b")
     tower.ext_trace(ctx, beta)
@@ -125,7 +126,7 @@ def test_ext_trace_and_preimage_leave_tally_alone():
 
 
 def test_preimage_none_when_trace_one():
-    ctx = xb.build_as2(get_fixture(1).basis())  # m = 2
+    ctx = xb.build_kind(get_fixture(1).basis(), "as2")  # m = 2
     b = xb.quad_generator(ctx)
     assert tower.ext_trace(ctx, b) == xb.identity(ctx)
     assert tower.artin_schreier_preimage(ctx, b) is None

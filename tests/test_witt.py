@@ -121,7 +121,7 @@ def test_asw4_rules_plug_back_to_zero(n, modulus, alpha):
     """On each built quartic basis, b0^2 and b1^2 are the derived rules at
     a = alpha, and wp((b0, b1)) + (alpha, alpha) is (0, 0)."""
     nb = normal.build_normal_basis(gf.FieldCtx(modulus), alpha)
-    ctx = xb.build_asw4(nb)
+    ctx = xb.build_kind(nb, "asw4")
     assert ctx.n == n
     add = lambda x, y: xb.ExtElem(tuple(u ^ v for u, v in zip(x, y)))
     mul = lambda x, y: xb.mul(ctx, x, y)
@@ -152,7 +152,7 @@ def test_derived_rules_equal_the_stated_rules():
     """The Witt derivation is RULES["asw4"] as the package reduces by it, the
     rewrite behind the squares and the closed-form counts (the oracle reads
     the same RULES); both are polynomials in a, so this holds for every
-    basis and build_asw4 need not check it."""
+    basis and build_kind need not check it."""
     assert list(witt.asw4_reduction_rules()) == _stated(xb.RULES["asw4"])
 
 
