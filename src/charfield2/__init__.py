@@ -18,8 +18,8 @@ from .field import FieldCtx
 from .normal import (NormalBasisCtx, build_normal_basis, cross_product_sum,
                      is_normal_element, search_normal_elements)
 from .extbasis import (EXPECTED_MUL_COUNTS, EXPECTED_SQUARE_COUNTS,
-                       ExtBasisCtx, ExtElem, OpCounter, build_kind,
-                       element_is_cube, mul, power, square)
+                       ExtBasisCtx, ExtElem, OpCounter, build_kind, mul,
+                       power, square)
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .tables import (OracleEmbedding, TableSet, build_embedding, build_tables,
                      expected_counts, expected_density, normal_table_set,
@@ -36,7 +36,7 @@ __all__ = [
     "FieldCtx", "NormalBasisCtx", "build_normal_basis", "cross_product_sum",
     "is_normal_element", "search_normal_elements",
     "EXPECTED_MUL_COUNTS", "EXPECTED_SQUARE_COUNTS", "ExtBasisCtx", "ExtElem",
-    "OpCounter", "build_kind", "element_is_cube", "mul", "power", "square",
+    "OpCounter", "build_kind", "mul", "power", "square",
     "FIXTURES", "Fixture", "get_fixture",
     "OracleEmbedding", "TableSet", "build_embedding", "build_tables",
     "expected_counts", "expected_density", "normal_table_set", "table_mul",

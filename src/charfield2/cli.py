@@ -400,22 +400,23 @@ def _verify_checks(args):
         yield ("tower_kummer_over_quadratic", "as2", n, ok,
                "predicate vs sextic builder outcome")
         k3 = case("k3", n)
-        if k3 is not None:
-            beta = extbasis.generator_element(k3, "b")
-            gamma = tower.artin_schreier_preimage(k3, beta)
+        embk = None if k3 is None else (yield from _oracle(k3, oracles))
+        if embk is not None:
+            # The oracle solves y^2 + y = b in the big field and maps a root
+            # back to coordinates; the program's square must send it to b.
+            b_img = embk.gen_images["b"]
+            roots = gf.solve_artin_schreier(embk.big, b_img)
             ok = (tower.as2_over_k3_possible(k3) is False
-                  and gamma is not None
-                  and beta.blocks == tuple(
-                      map(int.__xor__, extbasis.square(k3, gamma), gamma))
-                  and tower.ext_trace(k3, beta) == extbasis.zero(k3))
+                  and gf.trace(embk.big, b_img) == 0 and roots != [])
+            if ok:
+                gamma = extbasis.ExtElem(embk.to_blocks(roots[0]))
+                ok = extbasis.generator_element(k3, "b").blocks == tuple(
+                    map(int.__xor__, extbasis.square(k3, gamma), gamma))
             yield ("tower_no_quadratic_over_cubic", "k3", n, ok,
                    "trace 0 and a solved quadratic preimage")
-            embk = yield from _oracle(k3, oracles)
-            if embk is not None:
-                direct = not gf.is_cube(embk.big, embk.gen_images["b"])
-                ok = tower.bicubic_possible(k3) == direct
-                yield ("tower_bicubic", "k3", n, ok,
-                       "valuation criterion vs direct cube test in the big field")
+            ok = tower.bicubic_possible(k3) == (not gf.is_cube(embk.big, b_img))
+            yield ("tower_bicubic", "k3", n, ok,
+                   "valuation criterion vs direct cube test in the big field")
 
 
 def cmd_verify(args) -> int:
@@ -423,6 +424,7 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--n must be at least 1, got {args.n}")
     if args.limit < 0:
         raise DomainError(f"--limit must be at least 0, got {args.limit}")
+    gf._check_cap(args.n)  # every case's field has degree at most --n
     args.kind = list(dict.fromkeys(args.kind))
     checks = [
         {"name": name, "kind": kind, "n": n, "ok": ok, "detail": detail}

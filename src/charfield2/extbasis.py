@@ -15,7 +15,6 @@ square is read off the diagonal of structure_constants (basis monomials multipli
 and reduced by RULES). Each adds its fixed tally of those operations to the OpCounter.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate, product
@@ -139,16 +138,6 @@ class OpCounter:
     def as_tuple(self):
         return (self.base_mults, self.base_adds, self.table_vector_products)
 
-    @contextmanager
-    def paused(self):
-        """Run a block without letting it disturb the tally."""
-        saved = self.as_tuple()
-        try:
-            yield
-        finally:
-            (self.base_mults, self.base_adds,
-             self.table_vector_products) = saved
-
 
 @dataclass(frozen=True)
 class ExtElem:
@@ -207,12 +196,33 @@ def _prefix_field(nb: NormalBasisCtx, kind):
             lambda x: pack_lanes(_square_walk(xor, tvp, kind, map(sq, blocks(x))), n))
 
 
+def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
+    """Raise unless rule g of RULES[kind] is irreducible over the field of
+    degree k that the rules before it build over nb: y^2 + y = c iff
+    Tr_k(c) = 1, y^3 = c iff 3 | 2^k - 1 and c is not a cube
+    (Lidl-Niederreiter, Finite Fields, Thms 3.78 and 3.75).  A cube c raises
+    NoKummerExtensionError, any other refusal UnsupportedDegreeError.  Reads
+    only nb.field and nb.alpha."""
+    y, degree, rhs = RULES[kind][g]
+    mul, sq = _prefix_field(nb, _prefix_kind(kind, g))
+    monomials = _monomials(RULES[kind][:g])
+    k = nb.n * len(monomials)
+    c = rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1))
+    if degree == 2 and reduce(xor, gf._frobenius_orbit(sq, c, k)) != 1:
+        raise UnsupportedDegreeError(f"no Artin-Schreier extension: {y}^2 + {y} = c "
+                                     f"is reducible over F_{{2^{k}}}, as Tr(c) = 0")
+    if degree == 3 and ((1 << k) - 1) % 3:
+        raise UnsupportedDegreeError(f"no cubic Kummer extension: 3 does not divide 2^{k} - 1")
+    if degree == 3 and gf._is_cube(partial(gf._square_and_multiply, mul, sq, 1), 0, 1,
+                                   (1 << k) - 1, c):
+        raise NoKummerExtensionError(f"no cubic Kummer extension: {y}^3 = c is "
+                                     f"reducible over F_{{2^{k}}}, as c is a cube")
+
+
 def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:
-    """The extended basis of `kind` over nb, once each rule of RULES[kind] is
-    irreducible over the field of degree k the rules before it build:
-    y^2 + y = c iff Tr_k(c) = 1, y^3 = c iff 3 | 2^k - 1 and c is not a cube
-    (Lidl-Niederreiter, Finite Fields, Thms 3.78 and 3.75).  k3 also needs a
-    primitive a, the paper's condition.  Reads only nb.field and nb.alpha.
+    """The extended basis of `kind` over nb, once _check_rule passes each rule
+    of RULES[kind] in turn.  k3 also needs a primitive a, the paper's
+    condition.  Reads only nb.field and nb.alpha.
 
     A cube c or a non-primitive a raises NoKummerExtensionError, any other
     refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
@@ -221,20 +231,8 @@ def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:
     Over F_{2^n}(b0), b0^(2^n) = b0 + 1, so Tr_2n(u + v b0) = Tr_n(v) and
     Tr_2n(b0 + a b0 + a^2) = Tr_n(1 + a) = n + 1 (mod 2)."""
     ctx = ExtBasisCtx(nb, kind)
-    for g, (y, degree, rhs) in enumerate(RULES[kind]):
-        mul, sq = _prefix_field(nb, _prefix_kind(kind, g))
-        monomials = _monomials(RULES[kind][:g])
-        k = nb.n * len(monomials)
-        c = rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1))
-        if degree == 2 and reduce(xor, gf._frobenius_orbit(sq, c, k)) != 1:
-            raise UnsupportedDegreeError(f"no Artin-Schreier extension: {y}^2 + {y} = c "
-                                         f"is reducible over F_{{2^{k}}}, as Tr(c) = 0")
-        if degree == 3 and ((1 << k) - 1) % 3:
-            raise UnsupportedDegreeError(f"no cubic Kummer extension: 3 does not divide 2^{k} - 1")
-        if degree == 3 and gf._is_cube(partial(gf._square_and_multiply, mul, sq, 1), 0, 1,
-                                       (1 << k) - 1, c):
-            raise NoKummerExtensionError(f"no cubic Kummer extension: {y}^3 = c is "
-                                         f"reducible over F_{{2^{k}}}, as c is a cube")
+    for g in range(len(RULES[kind])):
+        _check_rule(nb, kind, g)
     if kind == "k3" and not gf.is_primitive(nb.field, nb.alpha):
         raise NoKummerExtensionError("no cubic Kummer extension: a is not primitive")
     return ctx
@@ -328,15 +326,6 @@ def quad_generator(ctx: ExtBasisCtx) -> ExtElem:
     if ctx.kind != "as2":
         raise DomainError("quad_generator needs a quadratic extension context")
     return generator_element(ctx, "b")
-
-
-def element_is_cube(ctx: ExtBasisCtx, x: ExtElem) -> bool:
-    """Whether x is a cube in F_{2^m}, decided with the extension's own
-    arithmetic (x^((2^m - 1)/3) = 1); does not disturb the op tally."""
-    ctx.validate(x)
-    with ctx.counter.paused():
-        return gf._is_cube(partial(power, ctx), zero(ctx), identity(ctx),
-                           (1 << ctx.m) - 1, x)
 
 
 def _as2_mul(add, mul, tvp, x, y):

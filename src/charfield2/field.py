@@ -424,17 +424,12 @@ def _is_cube(power, zero, one, order, x):
 def solve_artin_schreier(ctx: FieldCtx, c: int):
     """All y with y^2 + y = c, sorted ascending ([] when trace(c) = 1)."""
     validate(ctx, c)
-    y = _solve_artin_schreier(partial(square, ctx), ctx.n, c)
+    # y -> y^2 + y is F_2-linear, with row i the image of x^i
+    rows = [square(ctx, 1 << i) ^ (1 << i) for i in range(ctx.n)]
+    y = solve_linear(rows, ctx.n, c)
     if y is None:
         return []
     return sorted((y, y ^ 1))
-
-
-def _solve_artin_schreier(square, width, c):
-    """One y with square(y) ^ y = c, or None, for an F_2-linear squaring on
-    width-bit vectors: y -> y^2 + y is linear, with row i the image of 1 << i."""
-    rows = [square(1 << i) ^ (1 << i) for i in range(width)]
-    return solve_linear(rows, width, c)
 
 
 def elem_to_hex(ctx: FieldCtx, a: int) -> str:

@@ -173,8 +173,9 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
     parity and one PreparedMap.apply per map. Its normal elements are the
     low values of the other trace bit, less those that some M sends to
     M(base). The primitive test runs per element, only as it is drawn.
-    Every candidate below the least monomial of trace 1 has trace 0, so the
-    scan starts at the block holding it."""
+    A map that sends x^0 ... x^(j-1) to 0 sends every candidate below x^j
+    to 0, so the scan starts at the block holding the highest of the least
+    monomials that the trace and each map do not kill."""
     trace, maps = ctx.normality_maps
     low = min(ctx.n, 8)
     # the trace bit of each low value: the table of the trace as 1-bit rows
@@ -189,7 +190,9 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
         for lo, image in enumerate(pm.windows[0]):
             fibre.setdefault(image, []).append(lo)
         fibres.append(fibre)
-    start = (trace & -trace) >> low << low
+    first = max([(trace & -trace).bit_length() - 1]
+                + [next(j for j, row in enumerate(m) if row) for m in maps])
+    start = (1 << first) >> low << low
     for base in range(start, 1 << ctx.n, 1 << low):
         lows = by_trace[parity(base & trace) ^ 1]
         bad = set()

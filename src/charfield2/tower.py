@@ -8,20 +8,19 @@ whether each of these two-step towers yields a field extension basis:
       generator b is a non-cube in F_{2^(2n)}.
   as2 over k3: never possible — the cube-root generator has absolute
       trace 0, so y^2 + y = b is solvable inside F_{2^(3n)} and the
-      quadratic is reducible; a preimage y is produced as a witness.
+      quadratic is reducible.
   k3 over k3 (degree 9, bicubic): always possible over a built cubic
       Kummer basis, whose generator is primitive and whose n is even.
 
 The first, third and fourth are theorems, proved in the docstrings below;
-only the second depends on the basis and is computed.
+only the second depends on the basis, and build_kind's own test of the
+sextic's cube-root rule decides it. `charfield2 verify` checks each answer
+against the oracle's big field.
 """
 
-from functools import partial, reduce
-from operator import xor
-
-from . import extbasis, field as gf, linalg
-from .errors import DomainError
-from .extbasis import ExtBasisCtx, ExtElem
+from . import extbasis
+from .errors import DomainError, NoKummerExtensionError
+from .extbasis import ExtBasisCtx
 
 
 def biquadratic_possible(n: int) -> bool:
@@ -37,10 +36,15 @@ def biquadratic_possible(n: int) -> bool:
 
 def kummer_over_as2_possible(ctx: ExtBasisCtx) -> bool:
     """Whether a quadratic extension basis admits a degree-3 Kummer step:
-    true iff its generator b is a non-cube in F_{2^(2n)}."""
+    true iff its generator b is a non-cube in F_{2^(2n)}, which is the test
+    build_kind makes of the second rule of ka6 (g^3 = b) over the same base."""
     if ctx.kind != "as2":
         raise DomainError("expected a quadratic extension context")
-    return not extbasis.element_is_cube(ctx, extbasis.quad_generator(ctx))
+    try:
+        extbasis._check_rule(ctx.base, "ka6", 1)
+    except NoKummerExtensionError:
+        return False
+    return True
 
 
 def as2_over_k3_possible(ctx: ExtBasisCtx) -> bool:
@@ -61,33 +65,3 @@ def bicubic_possible(ctx: ExtBasisCtx) -> bool:
     if ctx.kind != "k3":
         raise DomainError("expected a cubic Kummer extension context")
     return True
-
-
-# --- constructive witnesses --------------------------------------------
-
-def ext_trace(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
-    """Absolute trace of x down to F_2: the sum of the field's Frobenius
-    orbit of x (field._frobenius_orbit) under the extension's own squaring,
-    which the op tally does not count; the result is the zero or the
-    identity element."""
-    ctx.validate(x)
-    with ctx.counter.paused():
-        orbit = gf._frobenius_orbit(partial(extbasis.square, ctx), x, ctx.m)
-    return ExtElem(tuple(reduce(xor, blocks) for blocks in zip(*orbit)))
-
-
-def artin_schreier_preimage(ctx: ExtBasisCtx, x: ExtElem):
-    """Solve y^2 + y = x inside the extension with the field's Artin-Schreier
-    solve (field._solve_artin_schreier) on the extension's own squaring of
-    blocks packed into m-bit vectors, which the op tally does not count;
-    None when no solution exists (i.e. when the absolute trace of x is 1)."""
-    ctx.validate(x)
-
-    def packed_square(v):
-        y = extbasis.square(ctx, ExtElem(linalg.unpack_lanes(v, ctx.n, ctx.d)))
-        return linalg.pack_lanes(y.blocks, ctx.n)
-
-    with ctx.counter.paused():
-        sol = gf._solve_artin_schreier(packed_square, ctx.m,
-                                       linalg.pack_lanes(x.blocks, ctx.n))
-    return None if sol is None else ExtElem(linalg.unpack_lanes(sol, ctx.n, ctx.d))

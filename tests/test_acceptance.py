@@ -161,17 +161,24 @@ def test_tower_predicates_match_oracle_evidence():
         oracle = gf.trace(emb.big, emb.gen_images["b"]) == 1
         assert tower.biquadratic_possible(n) == oracle == (n % 2 == 1)
 
-    # quadratic over cubic: impossible, witnessed by a solved preimage
+    # quadratic over cubic: impossible, witnessed by the oracle's root of
+    # y^2 + y = b, which the program's square sends back to b
     for n in (2, 4, 6):
         k3 = _basis_for_kind("k3", n)
         assert k3 is not None
         assert tower.as2_over_k3_possible(k3) is False
-        beta = xb.generator_element(k3, "b")
-        assert tower.ext_trace(k3, beta) == xb.zero(k3)
-        gamma = tower.artin_schreier_preimage(k3, beta)
+        emb = tables.build_embedding(k3)
+        b_img = emb.gen_images["b"]
+        assert gf.trace(emb.big, b_img) == 0
+        gamma = xb.ExtElem(emb.to_blocks(gf.solve_artin_schreier(emb.big, b_img)[0]))
         sq = xb.square(k3, gamma)
         recovered = xb.ExtElem(tuple(u ^ v for u, v in zip(sq.blocks, gamma.blocks)))
-        assert recovered == beta
+        assert recovered == xb.generator_element(k3, "b")
+
+    # over as2 at n = 1 the generator's image has trace 1 and no root
+    emb = tables.build_embedding(_basis_for_kind("as2", 1))
+    assert gf.trace(emb.big, emb.gen_images["b"]) == 1
+    assert gf.solve_artin_schreier(emb.big, emb.gen_images["b"]) == []
 
     # second cube-root step at n = 2 and 4: the theorem says always, and the
     # direct cube test in the big field agrees

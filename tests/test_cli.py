@@ -16,6 +16,7 @@ import pytest
 
 from charfield2 import bitpoly, cli, extbasis, field as gf, normal, tables
 from charfield2.cli import main
+from charfield2.errors import NoKummerExtensionError
 from charfield2.linalg import mat_rank
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -203,8 +204,9 @@ def test_verify_skips_the_oracle_over_the_degree_cap(capsys, monkeypatch):
 
 def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypatch):
     """The tower rows build a k3 embedding of degree 3n: over a cap of 12,
-    n = 6 gets an oracle_skipped row in place of tower_bicubic, and every row
-    for n <= 5 is unchanged."""
+    n = 6 gets one oracle_skipped row in place of both k3 rows, the witness
+    and tower_bicubic, which read that embedding, and every row for n <= 5
+    is unchanged."""
     argv = ("verify", "--n", "6", "--kind", "as2", "--limit", "5")
     _, uncapped, _ = run_cli(capsys, *argv)
     monkeypatch.setenv("CHARFIELD2_MAX_N", "12")
@@ -215,8 +217,9 @@ def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypat
     assert [c for c in checks if c["n"] <= 5] == [c for c in before if c["n"] <= 5]
     names = [(c["name"], c["kind"]) for c in checks if c["n"] == 6]
     want = [(c["name"], c["kind"]) for c in before if c["n"] == 6]
-    assert want[-1] == ("tower_bicubic", "k3")
-    assert names == want[:-1] + [("oracle_skipped", "k3")]
+    assert want[-2:] == [("tower_no_quadratic_over_cubic", "k3"),
+                         ("tower_bicubic", "k3")]
+    assert names == want[:-2] + [("oracle_skipped", "k3")]
     assert checks[-1]["ok"]
     assert checks[-1]["detail"].startswith("degree 18 exceeds cap 12")
 
@@ -232,27 +235,46 @@ def test_verify_tower_rows_skip_the_oracle_over_the_degree_cap(capsys, monkeypat
 
 
 def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
-    """The predicate reads extbasis.element_is_cube and build_kind does not;
-    the row checks the predicate against build_kind's ka6 verdict and the
-    oracle's cube test, so a wrong cube test turns the row to "no"."""
-    cube = extbasis.element_is_cube
-    monkeypatch.setattr(extbasis, "element_is_cube",
-                        lambda ctx, x: not cube(ctx, x))
-    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--kind", "as2",
-                           "--limit", "2", "--format", "csv")
+    """The predicate and build_kind read the same rule test, so a cube test
+    that lies about g^3 = b fools both alike; the row also checks the
+    predicate against the oracle's cube test in the big field, so it turns
+    to "no", while every other row is printed unchanged."""
+    check_rule = extbasis._check_rule
+
+    def lying(nb, kind, g):
+        if (kind, g) != ("ka6", 1):
+            return check_rule(nb, kind, g)
+        try:
+            check_rule(nb, kind, g)
+        except NoKummerExtensionError:
+            return None
+        raise NoKummerExtensionError("no cubic Kummer extension: a lie")
+
+    argv = ("verify", "--n", "2", "--kind", "as2", "--limit", "2", "--format", "csv")
+    _, good, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(extbasis, "_check_rule", lying)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and "error" not in err
+    name = "tower_kummer_over_quadratic"
     _, rows = parse_csv(out)
-    tower = [r for r in rows if r[0] == "tower_kummer_over_quadratic"]
-    assert code == 1
+    _, want = parse_csv(good)
+    assert [r for r in rows if r[0] != name] == [r for r in want if r[0] != name]
+    tower = [r for r in rows if r[0] == name]
     assert [(r[2], r[3]) for r in tower] == [("1", "no"), ("2", "no")]
     assert {r[4] for r in tower} == {"predicate vs sextic builder outcome"}
 
 
-def test_tower_quadratic_row_fails_without_a_preimage(capsys, monkeypatch):
-    """A k3 generator with no Artin-Schreier preimage turns its witness row to
-    "no" and the run to exit 1, with every other row still printed."""
+def _witness_row_with_a_lying_solve(capsys, monkeypatch, lie):
+    """verify --n 2 --kind k3 with the oracle's Artin-Schreier solve replaced
+    by lie(roots) in the degree-6 big field of k3 at n = 2 only (the as2
+    embeddings the run also builds, of degrees 2 and 4, solve their rules
+    truly): the witness row turns to "no" and the run to exit 1, with every
+    other row printed unchanged."""
     argv = ("verify", "--n", "2", "--kind", "k3", "--limit", "2", "--format", "csv")
     _, good, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli.tower, "artin_schreier_preimage", lambda ctx, x: None)
+    solve = gf.solve_artin_schreier
+    monkeypatch.setattr(gf, "solve_artin_schreier", lambda big, c: (
+        lie(solve(big, c)) if big.n == 6 else solve(big, c)))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and "error" not in err
     witness = "tower_no_quadratic_over_cubic"
@@ -260,6 +282,33 @@ def test_tower_quadratic_row_fails_without_a_preimage(capsys, monkeypatch):
     _, want = parse_csv(good)
     assert [r for r in rows if r[0] != witness] == [r for r in want if r[0] != witness]
     assert [(r[2], r[3]) for r in rows if r[0] == witness] == [("2", "no")]
+
+
+def test_tower_quadratic_row_fails_without_a_preimage(capsys, monkeypatch):
+    _witness_row_with_a_lying_solve(capsys, monkeypatch, lambda roots: [])
+
+
+def test_tower_quadratic_row_fails_on_a_wrong_preimage(capsys, monkeypatch):
+    """x is not in F_2, so y + x is no root when y is one: with gamma = y + x,
+    gamma^2 + gamma = b + x^2 + x, not b."""
+    _witness_row_with_a_lying_solve(capsys, monkeypatch,
+                                    lambda roots: [y ^ 0b10 for y in roots])
+
+
+def test_verify_refuses_a_degree_over_the_cap_before_any_work(capsys, monkeypatch):
+    """--n over the degree cap exits 2 with the cap error at once: no case
+    is built and nothing is printed."""
+    def refuse(kind, n):
+        raise AssertionError("verify built a case")
+
+    monkeypatch.setattr(cli, "_basis_for_kind", refuse)
+    code, out, err = run_cli(capsys, "verify", "--n", "65")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: degree 65 exceeds cap 64")
+    monkeypatch.setenv("CHARFIELD2_MAX_N", "12")
+    code, out, err = run_cli(capsys, "verify", "--n", "13", "--kind", "as2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: degree 13 exceeds cap 12")
 
 
 def test_verify_builds_each_case_once(capsys, monkeypatch):

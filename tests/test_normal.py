@@ -338,8 +338,9 @@ def test_normal_elements_stop_at_the_first_taken(monkeypatch):
     parity and one PreparedMap.apply per map each, only up to the block
     holding the element it returns, and tests primitivity only for the
     normal elements it passes. Under 1+x^6+x^9+x^15+x^18 (two maps besides
-    the trace) the first normal element, 522, lies in the third block the
-    scan examines; under the degree-64 default modulus x^61 lies in the
+    the trace) one map sends x^0 ... x^8 to 0, so the scan starts at the
+    block of x^9 = 512, and the first normal element, 522, lies in the first
+    block it examines; under the degree-64 default modulus x^61 lies in the
     first. The scan yields what search_normal_elements lists."""
     assert list(normal.normal_elements(F16)) == normal.search_normal_elements(F16)
     assert (list(normal.normal_elements(F16, require_primitive=True))
@@ -358,17 +359,41 @@ def test_normal_elements_stop_at_the_first_taken(monkeypatch):
     scan = normal.normal_elements(f18)
     assert calls == {}
     assert next(scan) == head[0] == 522
-    assert calls == {"PreparedMap": 3, "parity": 3, "apply": 6}
+    assert calls == {"PreparedMap": 3, "parity": 1, "apply": 2}
     calls.clear()
     assert list(islice(scan, 300)) == head[1:]
     blocks = (head[-1] >> 8) - (head[0] >> 8)
     assert calls == {"parity": blocks, "apply": 2 * blocks}
     calls.clear()
     assert next(normal.normal_elements(f18, require_primitive=True)) == head[prim_at]
-    assert calls["is_primitive"] == prim_at + 1 and calls["parity"] == 3
+    assert calls["is_primitive"] == prim_at + 1 and calls["parity"] == 1
     calls.clear()
     assert next(normal.normal_elements(f64)) == 1 << 61
     assert calls == {"PreparedMap": 1, "parity": 1}
+
+
+def test_normal_elements_start_past_the_prefix_any_map_kills(monkeypatch):
+    """Under 1+x+x^63 a map sends x^0 ... x^30 to 0, so no element below 2^31
+    is normal, though the trace keeps x^0; the scan starts at the block of
+    x^31 and its first element is 1 + x^31. Under min_irreducible(n) for
+    every n <= 64, the first normal element lies in the first block the
+    scan examines: one parity and one PreparedMap.apply per map."""
+    f63 = gf.FieldCtx(bitpoly.min_irreducible(63))
+    trace, maps = f63.normality_maps
+    assert f63.modulus == 1 | 1 << 1 | 1 << 63 and trace & 1
+    assert max(next(j for j, row in enumerate(m) if row) for m in maps) == 31
+    assert next(normal.normal_elements(f63)) == 1 | 1 << 31
+    calls = {}
+    monkeypatch.setattr(normal, "parity", _counting(calls, "parity", normal.parity))
+    monkeypatch.setattr(linalg.PreparedMap, "apply",
+                        _counting(calls, "apply", linalg.PreparedMap.apply))
+    for n in range(1, 65):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        maps = len(ctx.normality_maps[1])
+        calls.clear()
+        first = next(normal.normal_elements(ctx))
+        assert calls == ({"parity": 1, "apply": maps} if maps else {"parity": 1}), n
+        assert normal.is_normal_element(ctx, first), n
 
 
 def _low_weight_irreducibles(n, count=3):

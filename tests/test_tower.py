@@ -1,8 +1,8 @@
-"""Tests for the two-step tower predicates and their constructive witnesses."""
+"""Tests for the two-step tower predicates and their witnesses in the oracle."""
 
 import pytest
 
-from charfield2 import extbasis as xb, field as gf, normal, tower
+from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, tower
 from charfield2.cli import _basis_for_kind
 from charfield2.errors import DomainError, NoKummerExtensionError
 from charfield2.fixtures import get_fixture
@@ -24,7 +24,6 @@ def test_biquadratic_parity_rule():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_biquadratic_matches_big_field_trace(n):
     """Second quadratic step exists iff the embedded generator has trace 1 in F_2^(2n)."""
-    from charfield2 import bitpoly, tables
     ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
     alpha = normal.search_normal_elements(ctx, limit=1)[0]
     nb = normal.build_normal_basis(ctx, alpha)
@@ -35,7 +34,6 @@ def test_biquadratic_matches_big_field_trace(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_kummer_over_as2_matches_sextic_builder(n):
-    from charfield2 import bitpoly
     ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
     alpha = normal.search_normal_elements(ctx, limit=1)[0]
     nb = normal.build_normal_basis(ctx, alpha)
@@ -58,18 +56,71 @@ def test_kind_guards():
 
 
 def test_as2_over_k3_is_never_possible():
-    for nb in (NB2, NB6):
-        k3 = xb.build_kind(nb, "k3")
+    """At n = 2, 4 and 6 the generator's image has trace 0 in the big field,
+    and the program's square sends the oracle's root gamma of y^2 + y = b,
+    mapped back to coordinates, to gamma^2 = beta + gamma."""
+    for n in (2, 4, 6):
+        k3 = _basis_for_kind("k3", n)
         assert tower.as2_over_k3_possible(k3) is False
-        # constructive reason: the generator's trace is 0, so a preimage exists
-        beta = xb.generator_element(k3, "b")
-        assert tower.ext_trace(k3, beta) == xb.zero(k3)
-        gamma = tower.artin_schreier_preimage(k3, beta)
-        assert gamma is not None
-        assert tower.ext_trace(k3, gamma) in (xb.zero(k3), xb.identity(k3))
+        emb = tables.build_embedding(k3)
+        b_img = emb.gen_images["b"]
+        assert gf.trace(emb.big, b_img) == 0
+        roots = gf.solve_artin_schreier(emb.big, b_img)
+        assert len(roots) == 2
+        gamma = xb.ExtElem(emb.to_blocks(roots[0]))
         recovered = xb.ExtElem(tuple(u ^ v for u, v in
                                      zip(xb.square(k3, gamma).blocks, gamma.blocks)))
-        assert recovered == beta
+        assert recovered == xb.generator_element(k3, "b")
+
+
+def test_preimage_none_when_trace_one():
+    """as2 at n = 1 (m = 2): b^2 + b = a = 1 in F_4, so y^2 + y = b has
+    trace 1 in the big field and no root there."""
+    as2 = xb.build_kind(get_fixture(1).basis(), "as2")
+    emb = tables.build_embedding(as2)
+    b_img = emb.gen_images["b"]
+    assert gf.trace(emb.big, b_img) == 1
+    assert gf.solve_artin_schreier(emb.big, b_img) == []
+
+
+def test_kummer_over_as2_possible_agrees_with_the_power_cube_test():
+    """Over the first 20 normal elements for n = 1 ... 8, the predicate is
+    true exactly when b^((2^m - 1)/3) != 1 under the program's own power
+    (m = 2n, so 3 | 2^m - 1), and the oracle's cube test of b's image
+    agrees with that power test."""
+    for n in range(1, 9):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        for a in normal.search_normal_elements(ctx, limit=20):
+            as2 = xb.build_kind(normal.build_normal_basis(ctx, a), "as2")
+            b = xb.quad_generator(as2)
+            cube = xb.power(as2, b, ((1 << as2.m) - 1) // 3) == xb.identity(as2)
+            emb = tables.build_embedding(as2)
+            assert gf.is_cube(emb.big, emb.gen_images["b"]) == cube, (n, a)
+            assert tower.kummer_over_as2_possible(as2) is not cube, (n, a)
+
+
+def test_tower_predicates_leave_the_tally_alone():
+    """The predicates run on polynomial coordinates, not on the programs,
+    so they add nothing to the extension's operation tally."""
+    as2, k3 = xb.build_kind(NB2, "as2"), xb.build_kind(NB2, "k3")
+    for ctx in (as2, k3):
+        ctx.counter.reset()
+    tower.kummer_over_as2_possible(as2)
+    tower.as2_over_k3_possible(k3)
+    tower.bicubic_possible(k3)
+    assert as2.counter.as_tuple() == k3.counter.as_tuple() == (0, 0, 0)
+
+
+def test_ext_trace_and_preimage_leave_tally_alone():
+    """The witness's trace and Artin-Schreier preimage are taken in the
+    oracle's big field, so they add nothing to the k3 tally."""
+    ctx = xb.build_kind(NB2, "k3")
+    ctx.counter.reset()
+    emb = tables.build_embedding(ctx)
+    beta = emb.gen_images["b"]
+    gf.trace(emb.big, beta)
+    emb.to_blocks(gf.solve_artin_schreier(emb.big, beta)[0])
+    assert ctx.counter.as_tuple() == (0, 0, 0)
 
 
 def test_bicubic_known_values_and_refusals():
@@ -107,26 +158,3 @@ def test_bicubic_possible_on_every_built_k3_basis():
         k3 = _basis_for_kind("k3", n)
         assert k3 is not None, n
         assert tower.bicubic_possible(k3) is True
-
-
-def test_ext_trace_values():
-    for ctx in (xb.build_kind(NB2, kind) for kind in ("as2", "k3", "asw4")):
-        assert tower.ext_trace(ctx, xb.zero(ctx)) == xb.zero(ctx)
-        # m is even here, so the identity sums to zero over its orbit
-        assert tower.ext_trace(ctx, xb.identity(ctx)) == xb.zero(ctx)
-
-
-def test_ext_trace_and_preimage_leave_tally_alone():
-    ctx = xb.build_kind(NB2, "k3")
-    ctx.counter.reset()
-    beta = xb.generator_element(ctx, "b")
-    tower.ext_trace(ctx, beta)
-    tower.artin_schreier_preimage(ctx, beta)
-    assert ctx.counter.as_tuple() == (0, 0, 0)
-
-
-def test_preimage_none_when_trace_one():
-    ctx = xb.build_kind(get_fixture(1).basis(), "as2")  # m = 2
-    b = xb.quad_generator(ctx)
-    assert tower.ext_trace(ctx, b) == xb.identity(ctx)
-    assert tower.artin_schreier_preimage(ctx, b) is None

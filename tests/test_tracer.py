@@ -72,6 +72,8 @@ def test_tracer_installs_over_every_target_and_uninstall_restores_them():
 STALE_SPAN_NAMES = {
     "tables.find_roots": "replaced by tables.find_root; the benchmark keeps "
                          "the old name until its next upkeep",
+    "extbasis.element_is_cube": "deleted; the benchmark keeps the name until "
+                                "its next upkeep",
 }
 
 
