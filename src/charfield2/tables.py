@@ -3,6 +3,9 @@
 The oracle embeds a basis into one big field F_2[x]/(g) of degree m: it maps
 the basis vectors to explicit elements there by solving RULES, and
 build_tables expands all m^2 pairwise products back over the basis.  The
+base modulus f is rooted in the subfield of degree n, built as F_2[z]/(p)
+from a generator beta and mapped in by the powers of beta; find_root splits
+by trace maps, trying each c = x^j once per call.  The
 closed form derives the same tables from the kind's structure constants and
 the base normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
@@ -12,14 +15,15 @@ verify_table_entries compares the two, which start from disjoint data.
 
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from operator import xor
 
 from . import bitpoly
 from . import field as gf
 from .errors import ConstructionContradictionError, DomainError, InvalidElementError
 from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
                        structure_constants)
-from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, row_apply,
-                     transpose_packed, unpack_lanes)
+from .linalg import (PreparedMap, mat_invert, mat_transpose, null_space, pack_lanes,
+                     row_apply, transpose_packed, unpack_lanes)
 from .normal import NormalBasisCtx, rotl
 
 
@@ -90,19 +94,19 @@ def _fp_gcd(big, a, b, ones):
     return _fp_monic(big, a, ones)
 
 
-def _trace_split(big, h, powers, ones):
+def _trace_split(big, h, powers, ones, cs):
     """A proper monic factor of a monic h of degree >= 2 that is squarefree and
-    splits in `big`: gcd(h, T_c) for the first c = x^j that separates two roots.
+    splits in `big`: gcd(h, T_c) for the next c from the iterator cs that
+    separates two roots.
 
     T_c(X) = sum_{i<m} (cX)^(2^i) maps each root r to the trace of cr, so the
-    gcd collects the roots where that trace is 0; the x^j jointly separate any
-    two roots.  T_c is built from powers[i] = X^(2^i) modulo h or any multiple
-    of it, summed unreduced and reduced once; each c^(2^i) is one
-    poly_square and reduce_product, without field.square's validation.
-    c = 1 comes last: it cannot split a factor of an irreducible polynomial
-    over F_2, whose roots are conjugate and so share one trace."""
-    for j in (*range(1, big.n), 0):
-        c = 1 << j
+    gcd collects the roots where that trace is 0.  T_c is built from
+    powers[i] = X^(2^i) modulo h or any multiple of it, summed unreduced and
+    reduced once; each c^(2^i) is one poly_square and reduce_product,
+    without field.square's validation.  A c taken from cs is not put back:
+    whether it failed on h or split it, the roots of each factor of h share
+    one value of Tr(cr), so it can split no factor of h."""
+    for c in cs:
         acc = 0
         for p in powers:
             acc ^= _clmul(c, p, ones)
@@ -118,9 +122,14 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
     high), which must be squarefree and split in `big`; DomainError otherwise,
     and InvalidElementError for a coefficient that is not an element of `big`.
 
-    Splits it down to a linear factor, keeping the smaller factor each time.
-    Which root comes out does not matter to the oracle: the automorphisms of
-    `big` carry any choice of roots to any other."""
+    Splits it down to a linear factor, keeping the smaller factor each time,
+    by the trace maps of c = x, x^2, ..., x^(m-1), 1 taken in turn through
+    every split: the x^j jointly separate any two roots, and each c is tried
+    once in all (see _trace_split).  c = 1 comes last: it cannot split a
+    factor of a polynomial irreducible over F_2, such as a base modulus,
+    whose roots are conjugate and so share one trace.  Which root comes out
+    does not matter to the oracle: the automorphisms of `big` carry any
+    choice of roots to any other."""
     lane = 2 * big.n
     h = pack_lanes([gf.validate(big, c) for c in coeffs], lane)
     deg = _deg(big, h)
@@ -138,8 +147,9 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
         raise DomainError(
             f"the polynomial is not squarefree or does not split in F_2^{big.n}")
     powers *= big.n // len(powers)
+    cs = (1 << j for j in (*range(1, big.n), 0))
     while deg > 1:
-        g = _trace_split(big, h, powers, ones)
+        g = _trace_split(big, h, powers, ones, cs)
         if 2 * _deg(big, g) > deg:  # keep the cofactor
             g = _fp_divmod(big, h, g, ones)[0]
         h, deg = g, _deg(big, g)
@@ -147,6 +157,30 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
 
 
 # --- oracle embedding ---------------------------------------------------
+
+def _subfield(big: gf.FieldCtx, n: int):
+    """The subfield K of degree n < m of `big` (L) as a field of its own:
+    (F_2[z]/(p), powers), where powers[i] = beta^i in `big` for i < n, so
+    z -> beta maps y in F_2[z]/(p) to row_apply(powers, y) in K.
+
+    beta = Tr_{L/K}(x^j) = sum_{i < m/n} (x^j)^(2^(n i)) for the first j >= 1
+    whose powers 1, ..., beta^(n-1) are independent, that is, for the first
+    beta that lies in no proper subfield of K.  One exists: the trace maps L
+    onto K and the x^j span L, while the proper subfields of K together
+    span a proper subspace of it.  Only odd j are tried, since
+    Tr(x^(2j)) = Tr(x^j)^2 lies in the same subfields as Tr(x^j).  Then
+    1, ..., beta^n satisfy exactly one linear relation, whose coefficients
+    are those of p, beta's minimal polynomial; a beta of lower degree e
+    leaves n + 1 - e > 1 of them."""
+    m = big.n
+    for j in range(1, m, 2):
+        beta = reduce(xor, gf._frobenius_orbit(partial(gf.square, big), 1 << j, m)[::n])
+        powers = gf._frobenius_orbit(partial(gf.poly_mul_mod, big, beta), 1, n + 1)
+        relations = null_space(powers, m)
+        if len(relations) == 1:
+            return gf.FieldCtx(relations[0], check_irreducible=False), powers[:n]
+    raise ConstructionContradictionError(f"no generator of the subfield of degree {n}")
+
 
 class OracleEmbedding:
     """Deterministic embedding of a (possibly extended) basis into one big field."""
@@ -166,9 +200,15 @@ class OracleEmbedding:
         self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m), check_irreducible=False)
         big = self.big
 
-        # image of the base field: a root of its modulus in the big field
+        # image of the base field: a root of its modulus f, which lies in the
+        # subfield K of degree n, so for n < m it is found in K on its own
         f = nb.field.modulus
-        root = find_root(big, [(f >> i) & 1 for i in range(nb.n + 1)])
+        coeffs = [(f >> i) & 1 for i in range(nb.n + 1)]
+        if self.d == 1:
+            root = find_root(big, coeffs)
+        else:
+            small, powers = _subfield(big, nb.n)
+            root = row_apply(powers, find_root(small, coeffs))
         self.alpha_img = self._eval_base(nb.alpha, root)
         self.gen_images = self._solve_generators()
         conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
@@ -351,25 +391,28 @@ def normal_table_set(nb: NormalBasisCtx) -> TableSet:
 CLOSED_FORM_KINDS = ("as2", "k3", "asw4")
 
 
-def _structure_columns(nb: NormalBasisCtx, kind):
-    """(d, constants, columns) for the kind's extended basis over nb.
+def _kind_degree(nb: NormalBasisCtx, kind) -> int:
+    """d of the kind's extended basis over nb, 1 for kind None (the plain
+    normal basis).  A basis build_kind refuses raises its error."""
+    return 1 if kind is None else build_kind(nb, kind).d
+
+
+def _structure_columns(nb: NormalBasisCtx, kind, d: int):
+    """(constants, columns) for the kind's extended basis of degree d over
+    nb, which the caller has built or checked with _kind_degree.
 
     constants is structure_constants(kind), {(p, q): {r: c_pqr}}; kind None
-    is the plain normal basis, d = 1 with the one constant c_000 = 1.
+    is the plain normal basis, with the one constant c_000 = 1.
     columns[c], for each constant c, is the n bit-planes of the n^2 vectors
     c(T) u_ij with u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) and
     T = nb.table: bit i m + j of column k, m = d n, is bit k of c(T) u_ij.
-    A basis build_kind refuses raises its error.
 
     Lane i of column b is rotl(T'[(b - i) mod n], i), T' the transpose of T,
     so column b + 1 is column b moved up one lane (the top lane wrapping to
     lane 0) with each lane rotated by one.  Column k of a u is the xor of
     the columns b of u with bit k of T[b] set."""
     n = nb.n
-    if kind is None:
-        d, sc = 1, {(0, 0): {0: 1}}
-    else:
-        d, sc = build_kind(nb, kind).d, structure_constants(kind)
+    sc = {(0, 0): {0: 1}} if kind is None else structure_constants(kind)
     m = d * n
     everything = (1 << n * m) - 1
     feet = pack_lanes([1] * n, m)  # bit 0 of every lane
@@ -391,7 +434,7 @@ def _structure_columns(nb: NormalBasisCtx, kind):
             if c not in columns:
                 columns[c] = list(reduce(partial(map, int.__xor__), (
                     pe for e, pe in enumerate(powers) if c >> e & 1)))
-    return d, sc, columns
+    return sc, columns
 
 
 def closed_form_tables(nb: NormalBasisCtx, kind):
@@ -405,7 +448,11 @@ def closed_form_tables(nb: NormalBasisCtx, kind):
     i m + j of column k of _structure_columns, which a shift by
     p n m + q n moves to bit (p n + i) m + q n + j of table (r, k) held as
     one int of m rows.  A basis build_kind refuses raises its error."""
-    d, sc, columns = _structure_columns(nb, kind)
+    return _closed_form_tables(nb, kind, _kind_degree(nb, kind))
+
+
+def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
+    sc, columns = _structure_columns(nb, kind, d)
     n = nb.n
     m = d * n
     packed = [0] * m
@@ -422,8 +469,8 @@ def expected_counts(nb: NormalBasisCtx, kind):
     laying them out: table (r, k) sums over every (p, q) the popcount of
     column k of the vectors c_pqr(T) u_ij.  A basis build_kind refuses
     raises its error."""
-    d, sc, columns = _structure_columns(nb, kind)
-    n = nb.n
+    n, d = nb.n, _kind_degree(nb, kind)
+    sc, columns = _structure_columns(nb, kind, d)
     weights = {c: [col.bit_count() for col in cols] for c, cols in columns.items()}
     counts = [0] * (d * n)
     for cs in sc.values():
@@ -443,7 +490,9 @@ def expected_density(nb: NormalBasisCtx, kind: str) -> int:
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     """Compare `ts` with closed_form_tables(emb.base, emb.kind); return (k, i, j)
-    witnesses of the entries that differ, in (i, j, k) order.
+    witnesses of the entries that differ, in (i, j, k) order.  The degree d
+    comes from the embedding, built from a plain basis or from a context
+    build_kind accepted, so the kind is not built again.
 
     The two sides start from disjoint data: build_tables reads only the big
     field (the images of the basis and their products), the closed form
@@ -451,7 +500,8 @@ def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     result checks the embedding, build_tables and the base table against
     each other, not build_tables against itself."""
     bad = []
-    for k, (rows, ref) in enumerate(zip(ts.tables, closed_form_tables(emb.base, emb.kind))):
+    closed = _closed_form_tables(emb.base, emb.kind, emb.d)
+    for k, (rows, ref) in enumerate(zip(ts.tables, closed)):
         if rows == ref:
             continue
         for i, (row, want) in enumerate(zip(rows, ref)):

@@ -5,7 +5,9 @@ import hashlib
 import random
 import sys
 import time
+from functools import reduce
 from itertools import islice
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -272,15 +274,17 @@ def test_char2_polynomial_square_matches_the_schoolbook_product(t, h):
 
 
 # The trace-split gcds each oracle case's embedding takes: one per c = x^j
-# tried, summed over the splits of its modulus and of its cubic rules.
-ORACLE_GCDS = {("k3", 14): 9, ("k3", 16): 9, ("as2", 18): 5, ("as2", 24): 12,
-               ("asw4", 8): 8, ("ka6", 8): 4}
+# tried, summed over the splits of its modulus (in the subfield of degree n)
+# and of its cubic rules.
+ORACLE_GCDS = {("k3", 14): 6, ("k3", 16): 5, ("as2", 18): 4, ("as2", 24): 5,
+               ("asw4", 8): 5, ("ka6", 8): 3}
 
 
 @pytest.mark.parametrize("kind,n", ORACLE_GCDS, ids=[f"{k}-n{n}" for k, n in ORACLE_GCDS])
 def test_trace_split_gcd_count_per_oracle_case(kind, n, monkeypatch):
-    """The gcds follow from the order in which the c = x^j are tried and
-    from keeping the smaller factor; changing either changes the root."""
+    """The gcds follow from the order in which the c = x^j are tried, each
+    once per find_root call, and from keeping the smaller factor; changing
+    either changes the root."""
     ctx = xb.build_kind(get_fixture(n).basis(), kind)
     real = tables._fp_gcd
     calls = 0
@@ -317,9 +321,10 @@ def test_base_modulus_orbit_stops_at_its_period(monkeypatch):
 
 def test_embedding_root_finding_budget(monkeypatch):
     """Deterministic cost guard for the as2 embedding at n = 24 (m = 48):
-    360 carry-less products, of which 104 are inside field products; one
-    field product per coefficient took 1,361.  The 0/1 coefficients of the
-    modulus and of its Frobenius powers take integer products instead."""
+    270 carry-less products, of which 152 are inside field products; one
+    field product per coefficient took 1,361, and the modulus rooted in the
+    whole big field 384.  The 0/1 coefficients of the modulus and of its
+    Frobenius powers take integer products instead."""
     ctx = xb.build_kind(get_fixture(24).basis(), "as2")
     real = bitpoly.poly_mul
     calls = 0
@@ -331,7 +336,109 @@ def test_embedding_root_finding_budget(monkeypatch):
 
     monkeypatch.setattr(bitpoly, "poly_mul", counting)
     tables.build_embedding(ctx)
-    assert 0 < calls < 500
+    assert 0 < calls < 300
+
+
+def test_find_root_tries_each_c_once(monkeypatch):
+    """One find_root call over several split levels never retries a c: a c
+    that failed on h, or split it, cannot split a factor of h."""
+    f = get_fixture(24).basis().field.modulus
+    big = gf.FieldCtx(bitpoly.min_irreducible(48), check_irreducible=False)
+    coeffs = [(f >> i) & 1 for i in range(25)]
+    real = tables._trace_split
+    levels = []  # the c's each split level takes
+
+    def recording(big, h, powers, ones, cs):
+        levels.append([])
+
+        def record():
+            for c in cs:
+                levels[-1].append(c)
+                yield c
+        return real(big, h, powers, ones, record())
+
+    monkeypatch.setattr(tables, "_trace_split", recording)
+    root = tables.find_root(big, coeffs)
+    assert _value(big, coeffs, root) == 0
+    cs = [c for level in levels for c in level]
+    assert len(levels) > 1 and all(levels)
+    assert len(set(cs)) == len(cs)
+    assert cs == sorted(cs) and 1 not in cs  # x, x^2, ... in turn, 1 last
+
+
+SUBFIELD_SOURCES = {label: source for label, source in _fixture_sources(fixture_degrees())
+                    if source.n * getattr(source, "d", 1) <= gf.max_degree()}
+
+
+@pytest.mark.parametrize("source", SUBFIELD_SOURCES.values(), ids=SUBFIELD_SOURCES)
+def test_base_modulus_root_lies_in_its_subfield(source, monkeypatch):
+    """The powers of beta map K = F_2[z]/(p) into the subfield of degree n of
+    the big field, products included; the root of the base modulus f found
+    in K and mapped there is a root of f by the schoolbook evaluation, and
+    the embedding sends alpha to alpha(root).  n = 1 < m makes K = F_2.  For
+    the plain basis (m = n, n = 1 included, where no j >= 1 below m exists)
+    the root comes from the big field itself, without _subfield."""
+    kind = getattr(source, "kind", None)
+    nb = source if kind is None else source.base
+    with monkeypatch.context() as patch:
+        if kind is None:
+            patch.setattr(tables, "_subfield", None)
+        emb = tables.build_embedding(source)
+    f = nb.field.modulus
+    coeffs = [(f >> i) & 1 for i in range(nb.n + 1)]
+    if kind is None:
+        root = tables.find_root(emb.big, coeffs)
+    else:
+        small, powers = tables._subfield(emb.big, nb.n)
+        assert small.n == nb.n and bitpoly.is_irreducible(small.modulus)
+        assert linalg.mat_rank(powers, emb.m) == nb.n
+        assert all(gf.frobenius(emb.big, b, nb.n) == b for b in powers)
+        for a in range(nb.n):  # z -> beta respects products
+            for b in range(nb.n):
+                assert (row_apply(powers, gf.poly_mul_mod(small, 1 << a, 1 << b))
+                        == gf.poly_mul_mod(emb.big, powers[a], powers[b])), (a, b)
+        root = row_apply(powers, tables.find_root(small, coeffs))
+    assert _value(emb.big, coeffs, root) == 0
+    alpha = [(nb.alpha >> i) & 1 for i in range(nb.n)]
+    assert emb.alpha_img == _value(emb.big, alpha, root)
+
+
+def _relative_trace(big, y, n):
+    """Tr_{L/K}(y) for the subfield K of degree n, by Frobenius powers."""
+    return reduce(xor, (gf.frobenius(big, y, n * i) for i in range(big.n // n)))
+
+
+@pytest.mark.parametrize("m,n,j,sub", [(18, 6, 3, 1), (12, 2, 9, 1), (24, 4, 9, 2)])
+def test_subfield_generator_skips_traces_in_proper_subfields(m, n, j, sub):
+    """Under min_irreducible(m) the trace of x to K lies in the subfield of
+    degree sub < n, so beta is the trace of the first x^j, j odd, that
+    generates K: the k3 field at n = 6, the ka6 field at n = 2, and one
+    where Tr(x) lies in F_4, neither in F_2 nor a generator."""
+    big = gf.FieldCtx(bitpoly.min_irreducible(m))
+    t = _relative_trace(big, 2, n)
+    assert gf.frobenius(big, t, sub) == t and (sub == 1 or gf.frobenius(big, t, 1) != t)
+    small, powers = tables._subfield(big, n)
+    beta = powers[1]
+    assert beta == _relative_trace(big, 1 << j, n)
+    assert all(gf.frobenius(big, beta, e) != beta for e in range(1, n))
+    p = small.modulus
+    assert _value(big, [(p >> i) & 1 for i in range(n + 1)], beta) == 0
+
+
+IRREDUCIBLES = {m: _first_irreducibles(m) for m in range(1, 11)}
+
+
+@given(st.data())
+def test_find_root_returns_one_of_distinct_linear_factors(data):
+    """Over a random field of degree m <= 10, find_root on the product of
+    X + r over a set of distinct r returns one of the r."""
+    m = data.draw(st.integers(1, 10))
+    big = gf.FieldCtx(data.draw(st.sampled_from(IRREDUCIBLES[m])))
+    roots = data.draw(st.sets(st.integers(0, big.mask), min_size=1, max_size=6))
+    coeffs = [1]
+    for r in roots:  # times X + r
+        coeffs = [a ^ gf.poly_mul_mod(big, r, b) for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    assert tables.find_root(big, coeffs) in roots
 
 
 @pytest.mark.parametrize("kind,nb", [
@@ -803,9 +910,10 @@ def test_closed_form_tables_match_brute_force(source):
 
 
 def _structure_columns_by_vectors(nb, kind):
-    """Reference for tables._structure_columns: the powers of a one vector
-    u_ij at a time by row_apply, then one mat_transpose per constant, whose
-    lanes of n bits are spread to m = d n bits."""
+    """Reference for tables._structure_columns, with d from build_kind: the
+    powers of a one vector u_ij at a time by row_apply, then one
+    mat_transpose per constant, whose lanes of n bits are spread to m = d n
+    bits."""
     n = nb.n
     if kind is None:
         d, sc = 1, {(0, 0): {0: 1}}
@@ -825,7 +933,7 @@ def _structure_columns_by_vectors(nb, kind):
                     vectors = [v ^ w for v, w in zip(vectors, ue)]
             columns[c] = [linalg.pack_lanes(linalg.unpack_lanes(col, n, n), d * n)
                           for col in linalg.mat_transpose(vectors, n)]
-    return d, sc, columns
+    return d, (sc, columns)
 
 
 def _column_bases():
@@ -849,12 +957,13 @@ def test_structure_columns_match_the_per_vector_reference(nb):
     built = []
     for kind in (None, *xb.KINDS):
         try:
-            want = _structure_columns_by_vectors(nb, kind)
+            d, want = _structure_columns_by_vectors(nb, kind)
         except (NoKummerExtensionError, UnsupportedDegreeError) as refusal:
             with pytest.raises(type(refusal)):
-                tables._structure_columns(nb, kind)
+                tables._kind_degree(nb, kind)
             continue
-        assert tables._structure_columns(nb, kind) == want, kind
+        assert tables._kind_degree(nb, kind) == d, kind
+        assert tables._structure_columns(nb, kind, d) == want, kind
         built.append(kind)
     assert built[:2] == [None, "as2"]
 
@@ -880,6 +989,25 @@ def test_verify_table_entries_does_not_rebuild_the_tables(monkeypatch):
     monkeypatch.setattr(tables, "build_tables", forbidden)
     for emb, ts in built:
         assert tables.verify_table_entries(emb, ts) == []
+
+
+def test_verify_table_entries_does_not_rebuild_the_kind(monkeypatch):
+    """Clean tables of every kind verify with build_kind made to raise: the
+    degree comes from the embedding.  The public closed form still builds
+    the kind, so it still refuses what build_kind refuses."""
+    built = []
+    for kind in xb.KINDS:
+        emb = tables.build_embedding(xb.build_kind(NB2, kind))
+        built.append((emb, tables.build_tables(emb)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_table_entries rebuilt the kind")
+
+    monkeypatch.setattr(tables, "build_kind", forbidden)
+    for emb, ts in built:
+        assert tables.verify_table_entries(emb, ts) == [], emb.kind
+    with pytest.raises(AssertionError):
+        tables.closed_form_tables(NB2, "as2")
 
 
 @pytest.mark.parametrize("kind", [None, *xb.KINDS])
