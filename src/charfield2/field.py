@@ -377,34 +377,42 @@ def _frobenius_orbit(square, x, count):
     return orbit
 
 
+def _conjugate_power(ctx: FieldCtx, conj, e: int) -> int:
+    """a^e for 0 < e < 2^n, from conj = [a, a^2, a^4, ...]: the product of
+    the conjugates a^(2^i) at the set bits of e.  One chain of n - 1
+    squarings serves every exponent, where a power per exponent would redo
+    it each time."""
+    return reduce(partial(poly_mul_mod, ctx), [c for i, c in enumerate(conj) if e >> i & 1])
+
+
 def multiplicative_order(ctx: FieldCtx, a: int) -> int:
     """Order of a in the multiplicative group (a != 0).
 
     From t = 2^n - 1, each prime p of t is divided out of t for as long as
-    a^(t/p) = 1. Every exponent e tested is below 2^n, so a^e is the
-    product of the conjugates a^(2^i) at the set bits of e: one chain of
-    n - 1 squarings serves every prime, where a power per prime would redo
-    it each time."""
+    a^(t/p) = 1, each power a _conjugate_power of one Frobenius orbit."""
     validate(ctx, a)
     if a == 0:
         raise DomainError("zero has no multiplicative order")
     conj = _frobenius_orbit(partial(square, ctx), a, ctx.n)
-    mul = partial(poly_mul_mod, ctx)
     t = ctx.order
     for p in ctx.order_factors:
         while t % p == 0:
             e = t // p
-            if reduce(mul, [c for i, c in enumerate(conj) if e >> i & 1]) != 1:
+            if _conjugate_power(ctx, conj, e) != 1:
                 break
             t = e
     return t
 
 
 def is_primitive(ctx: FieldCtx, a: int) -> bool:
-    """True iff a generates the multiplicative group."""
+    """True iff a generates the multiplicative group: a != 0 and
+    a^((2^n - 1)/p) != 1 for every prime p of 2^n - 1, tested in ascending
+    order up to the first p that fails, each power a _conjugate_power of
+    one Frobenius orbit."""
     if a == 0:
         return False
-    return multiplicative_order(ctx, a) == ctx.order
+    conj = _frobenius_orbit(partial(square, ctx), validate(ctx, a), ctx.n)
+    return all(_conjugate_power(ctx, conj, ctx.order // p) != 1 for p in ctx.order_factors)
 
 
 def is_cube(ctx: FieldCtx, a: int) -> bool:

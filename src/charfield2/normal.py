@@ -5,9 +5,18 @@ Coordinates relative to it are packed into ints (bit i = coefficient of a^(2^i))
 The structure table T = (t_{i,j}) is defined by a * a^(2^i) = sum_j t_{i,j} a^(2^j);
 row i of T is stored as an int with bit j = t_{i,j}.
 
+Only rows 0 .. n//2 of T are formed by field products; the others are
+their rotations T[n - d] = rotl(T[d], -d).
+
 normal_mul reads T alone: a product costs n ANDs plus at most w(N) shifted
 XORs, so the density d(N) = n * w(N) is its cost. The paper's n product
 tables z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
+
+product_planes holds the n^2 basis products a^(2^i) a^(2^j) as n bit-planes,
+one int per normal coordinate, built by lane shifts and masks. A linear map
+acts on all n^2 products at once through them: the cross-product sum is the
+popcount of the planes of a times them, and tables' closed form starts from
+them.
 """
 
 from functools import partial
@@ -15,7 +24,8 @@ from itertools import islice
 
 from . import field as gf
 from .errors import DomainError, NotNormalError
-from .linalg import PreparedMap, mat_invert, parity, row_apply
+from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, parity,
+                     row_apply)
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
@@ -57,10 +67,12 @@ class NormalBasisCtx:
         self.field = ctx
         self.alpha = alpha
         self.n = ctx.n
-        table = []
-        for i in range(ctx.n):
-            prod = gf.poly_mul_mod(ctx, alpha, self.conj[i])
-            table.append(row_apply(self._to_normal, prod))
+        # rows 0 .. n//2 by field products; a a^(2^(n-d)) = (a a^(2^d))^(2^(n-d))
+        # gives the rest as T[n - d] = rotl(T[d], -d), as normal_mul reads them
+        n = ctx.n
+        table = [row_apply(self._to_normal, gf.poly_mul_mod(ctx, alpha, c))
+                 for c in self.conj[:n // 2 + 1]]
+        table += [rotl(table[n - e], e, n) for e in range(n // 2 + 1, n)]
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
@@ -149,16 +161,37 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     return (acc & nb.field.mask) ^ (acc >> n)
 
 
-def basis_products(nb: NormalBasisCtx):
-    """The n^2 products a^(2^i) * a^(2^j) in normal coordinates, as
-    rotl(T[d], i) = (a * a^(2^d))^(2^i) for j = i + d, d-major."""
+def product_planes(nb: NormalBasisCtx, m: int):
+    """The n^2 products u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) in
+    normal coordinates as n bit-planes in lanes of m >= n bits: bit i m + j
+    of plane k is bit k of u_ij.
+
+    Lane i of plane b is rotl(T'[(b - i) mod n], i), T' the transpose of T,
+    so plane b + 1 is plane b moved up one lane (the top lane wrapping to
+    lane 0) with each lane rotated by one: masked shifts of the whole int
+    (Warren, Hacker's Delight, 2nd ed., section 7-3).  A linear map M on
+    normal coordinates acts on every lane at once: plane k of M u is the xor
+    of the planes b with bit b of row k of M set."""
     n = nb.n
-    return [rotl(row, i, n) for row in nb.table for i in range(n)]
+    everything = (1 << n * m) - 1
+    feet = pack_lanes([1] * n, m)  # bit 0 of every lane
+    rest = feet * ((1 << n) - 1) ^ feet  # bits 1 .. n - 1 of every lane
+    tt = mat_transpose(nb.table, n)
+    plane = pack_lanes([rotl(tt[-i % n], i, n) for i in range(n)], m)
+    planes = [plane]
+    for _ in range(n - 1):
+        plane = (plane << m & everything) | plane >> (n - 1) * m
+        plane = (plane << 1 & rest) | (plane >> n - 1 & feet)
+        planes.append(plane)
+    return planes
 
 
 def cross_product_sum(nb: NormalBasisCtx) -> int:
-    """CS = sum over i, j of the weight of a * a^(2^i) * a^(2^j)."""
-    return sum(row_apply(nb.table, u).bit_count() for u in basis_products(nb))
+    """CS = sum over i, j of the weight of a * a^(2^i) * a^(2^j): the
+    popcount of the planes of a u_ij, each one row_apply of product_planes
+    by a row of T', since a v = sum_b v_b T[b]."""
+    planes = product_planes(nb, nb.n)
+    return sum(row_apply(planes, r).bit_count() for r in mat_transpose(nb.table, nb.n))
 
 
 def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):

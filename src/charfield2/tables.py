@@ -9,7 +9,9 @@ by trace maps, trying each c = x^j once per call.  The
 closed form derives the same tables from the kind's structure constants and
 the base normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
-which closed_form_tables shifts into place and expected_counts counts.
+formed from normal.product_planes (the planes of u_ij) by table-vector
+products, which closed_form_tables shifts into place and expected_counts
+counts.  The oracle does not read the planes.
 verify_table_entries compares the two, which start from disjoint data.
 """
 
@@ -24,7 +26,7 @@ from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
                        structure_constants)
 from .linalg import (PreparedMap, mat_invert, mat_transpose, null_space, pack_lanes,
                      row_apply, transpose_packed, unpack_lanes)
-from .normal import NormalBasisCtx, rotl
+from .normal import NormalBasisCtx, product_planes
 
 
 # --- polynomials over a big field, lane-packed --------------------------
@@ -407,24 +409,11 @@ def _structure_columns(nb: NormalBasisCtx, kind, d: int):
     c(T) u_ij with u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) and
     T = nb.table: bit i m + j of column k, m = d n, is bit k of c(T) u_ij.
 
-    Lane i of column b is rotl(T'[(b - i) mod n], i), T' the transpose of T,
-    so column b + 1 is column b moved up one lane (the top lane wrapping to
-    lane 0) with each lane rotated by one.  Column k of a u is the xor of
-    the columns b of u with bit k of T[b] set."""
-    n = nb.n
+    The columns of u itself are normal.product_planes(nb, d n).  Column k
+    of a u is the xor of the columns b of u with bit k of T[b] set."""
     sc = {(0, 0): {0: 1}} if kind is None else structure_constants(kind)
-    m = d * n
-    everything = (1 << n * m) - 1
-    feet = pack_lanes([1] * n, m)  # bit 0 of every lane
-    rest = feet * ((1 << n) - 1) ^ feet  # bits 1 .. n - 1 of every lane
-    tt = mat_transpose(nb.table, n)
-    col = pack_lanes([rotl(tt[-i % n], i, n) for i in range(n)], m)
-    cols = [col]
-    for _ in range(n - 1):
-        col = (col << m & everything) | col >> (n - 1) * m
-        col = (col << 1 & rest) | (col >> n - 1 & feet)
-        cols.append(col)
-    powers = [cols]  # powers[e][k]: column k of a^e u
+    tt = mat_transpose(nb.table, nb.n)
+    powers = [product_planes(nb, d * nb.n)]  # powers[e][k]: column k of a^e u
     top = max(c.bit_length() for cs in sc.values() for c in cs.values())
     while len(powers) < top:
         powers.append([row_apply(powers[-1], r) for r in tt])

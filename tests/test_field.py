@@ -455,6 +455,67 @@ def test_multiplicative_order_matches_the_powers_at_large_degree(f, folds):
             assert gf.multiplicative_order(ctx, x) == _order_by_powers(ctx, x), x
 
 
+def _least_irreducibles(n, count=2):
+    """The `count` least irreducibles of degree n (fewer where fewer exist)."""
+    return [f for f in range((1 << n) | 1, 1 << (n + 1), 2)
+            if bitpoly.is_irreducible(f)][:count]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_is_primitive_matches_the_order_everywhere(n):
+    """is_primitive, which stops at the first prime p with a^((2^n - 1)/p)
+    = 1, accepts exactly the elements of full order, under two moduli per
+    degree (one where only one exists)."""
+    for f in _least_irreducibles(n):
+        ctx = gf.FieldCtx(f)
+        assert not gf.is_primitive(ctx, 0)
+        for a in range(1, 1 << n):
+            assert gf.is_primitive(ctx, a) == (gf.multiplicative_order(ctx, a) == ctx.order), (f, a)
+
+
+@pytest.mark.parametrize("n", range(13, 65))
+def test_is_primitive_matches_the_order_at_large_degree(n):
+    """200 seeded draws under min_irreducible(n)."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+    rng = random.Random(n)
+    for _ in range(200):
+        a = rng.getrandbits(n) or 1
+        assert gf.is_primitive(ctx, a) == (gf.multiplicative_order(ctx, a) == ctx.order), a
+
+
+def test_is_primitive_operation_counts(monkeypatch):
+    """Deterministic cost guard: each call squares n - 1 times, and forms one
+    conjugate product chain per prime up to the first that fails. A cube in
+    F_2^12 fails at the first prime, 3, after one chain; a primitive element
+    takes one chain for each of the four primes of 2^12 - 1."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gf, "square", counting("square", gf.square))
+    monkeypatch.setattr(gf, "_conjugate_power", counting("chain", gf._conjugate_power))
+    f12 = gf.FieldCtx(bitpoly.min_irreducible(12))
+    assert f12.order_factors == (3, 5, 7, 13)
+    cube = gf.power(f12, 0b10, 3)
+    prim = next(a for a in range(2, 1 << 12) if gf.is_primitive(f12, a))
+    for a, chains in ((cube, 1), (prim, 4)):
+        calls.clear()
+        gf.is_primitive(f12, a)
+        assert calls == {"square": 11, "chain": chains}, a
+    f64 = gf.FieldCtx(bitpoly.min_irreducible(64))
+    rng = random.Random(64)
+    for ctx in (F256, f64):
+        for a in [1, ctx.mask] + [rng.getrandbits(ctx.n) or 1 for _ in range(5)]:
+            calls.clear()
+            gf.is_primitive(ctx, a)
+            assert calls["square"] == ctx.n - 1, a
+            assert 1 <= calls["chain"] <= len(ctx.order_factors), a
+
+
 def test_is_cube_counts():
     # 3 | 15: cubes of F_16 are 0 plus the 5 fifth roots of unity
     cubes = {gf.power(F16, a, 3) for a in range(16)}

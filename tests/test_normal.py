@@ -305,13 +305,32 @@ def test_cross_product_sum_matches_field_arithmetic():
         assert normal.cross_product_sum(nb) == _cross_sum_by_field_products(nb), nb
 
 
-def test_basis_products_are_the_products_of_two_conjugates():
-    """Entry d*n + i is alpha^(2^i) * alpha^(2^(i+d))."""
-    for nb in (NB2, NB4, NB6):
+def test_product_planes_are_the_products_of_two_conjugates():
+    """Bit i m + j of plane k is bit k of alpha^(2^i) * alpha^(2^j), and no
+    other bit is set, in lanes of m = n, 2n, 3n, 4n and 6n bits, on the
+    n = 1 basis, NB2, NB4, NB6 and every fixture with n <= 12."""
+    bases = [normal.build_normal_basis(gf.FieldCtx(0b11), 1), NB2, NB4, NB6]
+    bases += [fixtures.get_fixture(n).basis() for n in fixtures.fixture_degrees() if n <= 12]
+    for nb in bases:
         n, conj = nb.n, nb.conj
-        want = [nb.to_normal(gf.poly_mul_mod(nb.field, conj[i], conj[(i + d) % n]))
-                for d in range(n) for i in range(n)]
-        assert normal.basis_products(nb) == want
+        products = [[nb.to_normal(gf.poly_mul_mod(nb.field, ci, cj)) for cj in conj]
+                    for ci in conj]
+        for m in (n, 2 * n, 3 * n, 4 * n, 6 * n):
+            want = [sum((products[i][j] >> k & 1) << (i * m + j)
+                        for i in range(n) for j in range(n)) for k in range(n)]
+            assert normal.product_planes(nb, m) == want, (nb, m)
+
+
+def test_table_is_the_full_product_table():
+    """Only rows 0 .. n//2 of T are field products, yet row i is alpha *
+    alpha^(2^i) for every i: on every fixture (n = 1 and 2, where the
+    products cover every row), the searched bases (n = 3, where one row is
+    rotated) and the dense n = 64 basis of the arith benchmark."""
+    bases = [fixtures.get_fixture(n).basis() for n in fixtures.fixture_degrees()]
+    for nb in bases + _searched_bases() + [_arith_basis_64()]:
+        want = [nb.to_normal(gf.poly_mul_mod(nb.field, nb.alpha, c)) for c in nb.conj]
+        assert nb.table == want, nb
+    assert {nb.n for nb in bases} >= {1, 2} and 3 in {nb.n for nb in _searched_bases()}
 
 
 def test_search_normal_elements_ascending_and_limited():

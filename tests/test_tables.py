@@ -855,7 +855,12 @@ def test_closed_form_counts_match_brute_force(kind):
 
 def test_expected_density_formulas():
     """4d(N) + CS for as2 and 6d(N) + 3CS for k3 on every (basis, kind) that
-    builds; the rest get no counts (NB4's generator is a cube)."""
+    builds; the rest get no counts (NB4's generator is a cube).
+
+    cross_product_sum and the closed-form counts both read
+    normal.product_planes, so this checks how the counts lay out the
+    planes, not the arithmetic behind them; the field-product reference
+    for CS is test_cross_product_sum_matches_field_arithmetic."""
     refused = []
     for nb in (NB2, NB4, NB6):
         cs = normal.cross_product_sum(nb)
