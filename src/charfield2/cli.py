@@ -136,7 +136,8 @@ def _emit(args, header, rows, json_obj) -> None:
 
 def _field_for(n, modulus):
     """The field of degree n modulo --modulus (None or 'auto': the least
-    irreducible of degree n)."""
+    irreducible of degree n); a degree over the cap is refused first."""
+    gf._check_cap(n)
     mod = (bitpoly.min_irreducible(n) if modulus in (None, "auto")
            else bitpoly.parse(modulus))
     ctx = gf.FieldCtx(mod)
@@ -226,6 +227,15 @@ def cmd_cross_sums(args) -> int:
     return 1 if failures else 0
 
 
+# (divisor, kind, records): a column's closed form is over fixture m / divisor.
+_DENSITY_COLUMNS = (
+    (1, None, fixtures.EXPECTED_NORMAL_DENSITY),
+    (2, "as2", fixtures.EXPECTED_QUAD_DENSITY),
+    (3, "k3", {**fixtures.EXPECTED_KUMMER_DENSITY,
+               **dict.fromkeys(fixtures.KUMMER_NONE, "-")}),
+)
+
+
 def cmd_densities(args) -> int:
     degrees = args.m if args.m is not None else list(fixtures.DENSITY_DEGREES)
     if min(degrees) < 1:
@@ -233,41 +243,23 @@ def cmd_densities(args) -> int:
     header = ("m", "d_n", "d_n_expected", "d_a", "d_a_expected",
               "d_k", "d_k_expected")
     rows, failures = [], 0
-
-    def check(computed, expected):
-        nonlocal failures
-        if computed != "" and expected != "" and computed != expected:
-            failures += 1
-
     for m in degrees:
-        d_n = ""
-        if m in fixtures.FIXTURES:
-            d_n = fixtures.get_fixture(m).basis().density
-        d_n_exp = fixtures.EXPECTED_NORMAL_DENSITY.get(m, "")
-        check(d_n, d_n_exp)
-
-        d_a = ""
-        if m % 2 == 0 and m // 2 in fixtures.FIXTURES:
-            d_a = tables.expected_density(
-                fixtures.get_fixture(m // 2).basis(), "as2")
-        d_a_exp = fixtures.EXPECTED_QUAD_DENSITY.get(m, "")
-        check(d_a, d_a_exp)
-
-        d_k = ""
-        if m % 3 == 0 and m // 3 in fixtures.FIXTURES:
-            try:
-                d_k = tables.expected_density(
-                    fixtures.get_fixture(m // 3).basis(), "k3")
-            except (UnsupportedDegreeError, NoKummerExtensionError):
-                d_k = "-"
-        d_k_exp = ("-" if m in fixtures.KUMMER_NONE
-                   else fixtures.EXPECTED_KUMMER_DENSITY.get(m, ""))
-        check(d_k, d_k_exp)
-
-        if d_n == d_n_exp == d_a == d_a_exp == d_k == d_k_exp == "":
+        row = [m]
+        for divisor, kind, records in _DENSITY_COLUMNS:
+            computed = ""
+            if m % divisor == 0 and m // divisor in fixtures.FIXTURES:
+                try:
+                    computed = tables.expected_density(
+                        fixtures.get_fixture(m // divisor).basis(), kind)
+                except (UnsupportedDegreeError, NoKummerExtensionError):
+                    computed = "-"
+            expected = records.get(m, "")
+            failures += "" not in (computed, expected) and computed != expected
+            row += (computed, expected)
+        if all(v == "" for v in row[1:]):
             raise DomainError(
                 f"no density is computable or recorded for m = {m}")
-        rows.append((m, d_n, d_n_exp, d_a, d_a_exp, d_k, d_k_exp))
+        rows.append(row)
     _emit(args, header, rows, [dict(zip(header, r)) for r in rows])
     return 1 if failures else 0
 

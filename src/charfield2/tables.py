@@ -10,9 +10,10 @@ closed form derives the same tables from the kind's structure constants and
 the base normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
-products, which closed_form_tables shifts into place and expected_counts
-counts.  The oracle does not read the planes.
-verify_table_entries compares the two, which start from disjoint data.
+products, shifted into place as m tables of one int each: the closed form's
+one output, whose popcounts are expected_counts and whose rows are
+closed_form_tables.  verify_table_entries xors the oracle's tables against
+it; the two start from disjoint data, and the oracle does not read the planes.
 """
 
 from dataclasses import dataclass, field
@@ -211,7 +212,8 @@ class OracleEmbedding:
         else:
             small, powers = _subfield(big, nb.n)
             root = row_apply(powers, find_root(small, coeffs))
-        self.alpha_img = self._eval_base(nb.alpha, root)
+        self.alpha_img = row_apply(gf._frobenius_orbit(
+            partial(gf.poly_mul_mod, big, root), 1, nb.n), nb.alpha)
         self.gen_images = self._solve_generators()
         conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
         images = []
@@ -227,17 +229,6 @@ class OracleEmbedding:
         if inv is None:
             raise ConstructionContradictionError("basis images are linearly dependent")
         self.coord_map = PreparedMap(inv)  # big-field element -> flat coordinates
-
-    def _eval_base(self, elem: int, root: int) -> int:
-        """Image of a base-field element (poly coords) under x -> root."""
-        big = self.big
-        out = 0
-        power = 1
-        for i in range(self.base.n):
-            if (elem >> i) & 1:
-                out ^= power
-            power = gf.poly_mul_mod(big, power, root)
-        return out
 
     def _solve_generators(self):
         """A root in the big field of each rule, in adjunction order."""
@@ -312,12 +303,17 @@ class TableSet:
 
     products[i] holds the same entries by basis product: its lane j, of
     _lane_width(m) bits, is coord(b_i b_j), whose bit k is bit j of
-    tables[k][i].  It is left out of repr and ==, so both read the tables."""
+    tables[k][i].  It is left out of repr and ==, so both read the tables,
+    and the counts are taken from the tables as given."""
     m: int
     tables: list          # tables[k][i] = row int over j
-    per_table_nonzeros: list
-    density: int
+    per_table_nonzeros: list = field(init=False)
+    density: int = field(init=False)
     products: list = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.per_table_nonzeros = [sum(map(int.bit_count, t)) for t in self.tables]
+        self.density = sum(self.per_table_nonzeros)
 
 
 def build_tables(emb: OracleEmbedding) -> TableSet:
@@ -350,8 +346,7 @@ def build_tables(emb: OracleEmbedding) -> TableSet:
     for i, p in enumerate(products):
         for rows, row in zip(tables, unpack_lanes(transpose_packed(p, size), size, m)):
             rows[i] = row
-    nz = [sum(map(int.bit_count, t)) for t in tables]
-    return TableSet(m, tables, nz, sum(nz), products)
+    return TableSet(m, tables, products)
 
 
 def table_mul(ts: TableSet, x: int, y: int) -> int:
@@ -382,8 +377,7 @@ def normal_table_set(nb: NormalBasisCtx) -> TableSet:
     size = _lane_width(n)
     products = [transpose_packed(pack_lanes([t[i] for t in rows], size), size)
                 for i in range(n)]
-    nz = [sum(r.bit_count() for r in t) for t in rows]
-    return TableSet(n, [list(t) for t in rows], nz, sum(nz), products)
+    return TableSet(n, [list(t) for t in rows], products)
 
 
 # --- closed-form tables and counts -----------------------------------------
@@ -429,18 +423,22 @@ def _structure_columns(nb: NormalBasisCtx, kind, d: int):
 def closed_form_tables(nb: NormalBasisCtx, kind):
     """The m tables of the kind's extended basis over nb (kind None: the
     normal basis itself, which gives nb.mul_rows), from its structure
-    constants and nb.table alone, laid out as TableSet.tables.
+    constants and nb.table alone, laid out as TableSet.tables: the rows of
+    _closed_form_tables.  A basis build_kind refuses raises its error."""
+    d = _kind_degree(nb, kind)
+    m = d * nb.n
+    return [list(unpack_lanes(t, m, m)) for t in _closed_form_tables(nb, kind, d)]
+
+
+def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
+    """The m tables of the kind's extended basis of degree d over nb, each
+    one int of m rows of m bits: entry (i, j) of table k is bit i m + j.
 
     Basis element (i, p) = a^(2^i) m_p is row and bit p n + i, as in
     OracleEmbedding.basis_images.  Since m_p m_q = sum_r c_pqr(a) m_r,
     entry ((i, p), (j, q)) of table (r, k) is bit k of c_pqr(T) u_ij: bit
     i m + j of column k of _structure_columns, which a shift by
-    p n m + q n moves to bit (p n + i) m + q n + j of table (r, k) held as
-    one int of m rows.  A basis build_kind refuses raises its error."""
-    return _closed_form_tables(nb, kind, _kind_degree(nb, kind))
-
-
-def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
+    p n m + q n moves to bit (p n + i) m + q n + j of table (r, k)."""
     sc, columns = _structure_columns(nb, kind, d)
     n = nb.n
     m = d * n
@@ -450,28 +448,19 @@ def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
         for r, c in cs.items():
             for k, col in enumerate(columns[c], r * n):
                 packed[k] |= col << shift
-    return [list(unpack_lanes(t, m, m)) for t in packed]
+    return packed
 
 
 def expected_counts(nb: NormalBasisCtx, kind):
-    """Per-table nonzero counts of closed_form_tables(nb, kind) without
-    laying them out: table (r, k) sums over every (p, q) the popcount of
-    column k of the vectors c_pqr(T) u_ij.  A basis build_kind refuses
-    raises its error."""
-    n, d = nb.n, _kind_degree(nb, kind)
-    sc, columns = _structure_columns(nb, kind, d)
-    weights = {c: [col.bit_count() for col in cols] for c, cols in columns.items()}
-    counts = [0] * (d * n)
-    for cs in sc.values():
-        for r, c in cs.items():
-            for k, s in enumerate(weights[c], r * n):
-                counts[k] += s
-    return counts
+    """Per-table nonzero counts of closed_form_tables(nb, kind): the
+    popcount of each packed table.  A basis build_kind refuses raises its
+    error."""
+    return [t.bit_count() for t in _closed_form_tables(nb, kind, _kind_degree(nb, kind))]
 
 
-def expected_density(nb: NormalBasisCtx, kind: str) -> int:
-    """Closed-form density, the sum of the counts: 4d(N)+CS for as2 and
-    6d(N)+3CS for k3."""
+def expected_density(nb: NormalBasisCtx, kind) -> int:
+    """Closed-form density, the sum of the counts: n w(N) for kind None,
+    4d(N)+CS for as2 and 6d(N)+3CS for k3."""
     return sum(expected_counts(nb, kind))
 
 
@@ -488,15 +477,12 @@ def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     only the structure constants and the base table nb.table.  So an empty
     result checks the embedding, build_tables and the base table against
     each other, not build_tables against itself."""
+    m = emb.m
     bad = []
-    closed = _closed_form_tables(emb.base, emb.kind, emb.d)
-    for k, (rows, ref) in enumerate(zip(ts.tables, closed)):
-        if rows == ref:
-            continue
-        for i, (row, want) in enumerate(zip(rows, ref)):
-            diff = row ^ want
-            while diff:
-                low = diff & -diff
-                bad.append((k, i, low.bit_length() - 1))
-                diff ^= low
+    for k, ref in enumerate(_closed_form_tables(emb.base, emb.kind, emb.d)):
+        diff = pack_lanes(ts.tables[k], m) ^ ref
+        while diff:
+            low = diff & -diff
+            bad.append((k, *divmod(low.bit_length() - 1, m)))
+            diff ^= low
     return sorted(bad, key=lambda kij: (kij[1], kij[2], kij[0]))

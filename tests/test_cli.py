@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from charfield2 import bitpoly, cli, extbasis, field as gf, normal, tables
+from charfield2 import bitpoly, cli, extbasis, field as gf, fixtures, normal, tables
 from charfield2.cli import main
-from charfield2.errors import NoKummerExtensionError
+from charfield2.errors import NoKummerExtensionError, UnsupportedDegreeError
 from charfield2.linalg import mat_rank
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +108,35 @@ def test_densities_selected_degrees(capsys):
     _, rows = parse_csv(out)
     assert code == 0
     assert rows == [["24", "2520", "2520", "1369", "1369", "1707", "1707"]]
+
+
+def test_densities_at_every_fixture_degree(capsys):
+    """At every fixture degree m = 1 ... 26, d_n is the density n w(N) of
+    the pinned basis, which the closed form for the plain basis reproduces,
+    and d_a and d_k are the closed forms over the m/2 and m/3 fixtures, "-"
+    where build_kind refuses k3.  The golden covers only multiples of 6."""
+    degrees = fixtures.fixture_degrees()
+    code, out, _ = run_cli(capsys, "densities", "--m", *map(str, degrees))
+    _, rows = parse_csv(out)
+    assert code == 0
+    assert [int(r[0]) for r in rows] == list(degrees)
+
+    def closed_form(m, divisor, kind):
+        if m % divisor or m // divisor not in fixtures.FIXTURES:
+            return ""
+        nb = fixtures.get_fixture(m // divisor).basis()
+        try:
+            extbasis.build_kind(nb, kind)
+        except (UnsupportedDegreeError, NoKummerExtensionError):
+            return "-"
+        return str(tables.expected_density(nb, kind))
+
+    for r in rows:
+        m = int(r[0])
+        assert r[1] == str(fixtures.get_fixture(m).basis().density), m
+        assert r[3] == closed_form(m, 2, "as2"), m
+        assert r[5] == closed_form(m, 3, "k3"), m
+    assert [r[5] for r in rows].count("-") == 1  # m = 12: NB4's generator is a cube
 
 
 # --- tables ----------------------------------------------------------------
@@ -605,6 +634,28 @@ def test_search_n64_first_hit_after_trace_zero_prefix(capsys):
     # every skipped candidate a < hit has a & t == 0, so trace 0: not normal
     assert (hit - 1) & trace == 0 and hit & trace
     assert hit == 1 << 61
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "1000"),
+    ("tables", "--n", "1000", "--modulus", "auto", "--alpha", "x"),
+    ("cross-sums", "--n", "1000", "--modulus", "auto", "--alpha", "search"),
+    ("bench", "--kind", "as2", "--n", "1000", "--modulus", "auto", "--alpha", "x"),
+])
+def test_an_over_cap_degree_is_refused_before_its_modulus_is_sought(
+        capsys, monkeypatch, argv):
+    """An --n over the cap exits 2 with the cap error before the search for
+    the least irreducible of that degree, which takes over a minute at
+    n = 1000."""
+    monkeypatch.delenv("CHARFIELD2_MAX_N", raising=False)
+
+    def refuse(n):
+        raise AssertionError("min_irreducible was called")
+
+    monkeypatch.setattr(bitpoly, "min_irreducible", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: degree 1000 exceeds cap 64 (set CHARFIELD2_MAX_N)\n"
 
 
 def test_malformed_degree_cap_is_an_error(capsys, monkeypatch):

@@ -1044,3 +1044,17 @@ def test_verify_table_entries_clean_and_corrupted():
     ts.tables[3][0] ^= 1 << 1    # (k, i, j) = (3, 0, 1)
     ts.tables[1][1] ^= 1 << 0    # (k, i, j) = (1, 1, 0)
     assert tables.verify_table_entries(emb, ts) == [(0, 0, 0), (3, 0, 1), (1, 1, 0)]
+
+
+def test_verify_table_entries_decodes_witnesses_at_the_edges():
+    """At m = 48 (as2, n = 24), flips at entries (m - 1, m - 1), (0, m - 1)
+    and (m - 1, 0) of the first and last tables come back as exactly those
+    witnesses, in (i, j, k) order: bit i m + j of a packed table is (i, j)."""
+    emb = tables.build_embedding(xb.build_kind(get_fixture(24).basis(), "as2"))
+    ts = tables.build_tables(emb)
+    assert ts.m == 48
+    for k in (0, 47):
+        for i, j in ((47, 47), (0, 47), (47, 0)):
+            ts.tables[k][i] ^= 1 << j
+    assert tables.verify_table_entries(emb, ts) == [
+        (0, 0, 47), (47, 0, 47), (0, 47, 0), (47, 47, 0), (0, 47, 47), (47, 47, 47)]
