@@ -243,14 +243,14 @@ def cmd_densities(args) -> int:
     header = ("m", "d_n", "d_n_expected", "d_a", "d_a_expected",
               "d_k", "d_k_expected")
     rows, failures = [], 0
+    basis = functools.cache(lambda n: fixtures.get_fixture(n).basis())  # one build per degree
     for m in degrees:
         row = [m]
         for divisor, kind, records in _DENSITY_COLUMNS:
             computed = ""
             if m % divisor == 0 and m // divisor in fixtures.FIXTURES:
                 try:
-                    computed = tables.expected_density(
-                        fixtures.get_fixture(m // divisor).basis(), kind)
+                    computed = tables.expected_density(basis(m // divisor), kind)
                 except (UnsupportedDegreeError, NoKummerExtensionError):
                     computed = "-"
             expected = records.get(m, "")
@@ -328,8 +328,15 @@ def _op_counts(ctx, op, pairs):
 
 
 def _random_elem(rng, ctx):
-    """A uniformly drawn element of the extension ctx, block by block."""
-    return extbasis.ExtElem(tuple(rng.randrange(1 << ctx.n) for _ in range(ctx.d)))
+    """A uniformly drawn element of the extension ctx, block by block: each
+    block the draw randrange(1 << n) makes, n + 1 random bits until the top
+    one is clear, without randrange's frames."""
+    draw, n, blocks = rng.getrandbits, ctx.n, []
+    for _ in range(ctx.d):
+        while (r := draw(n + 1)) >> n:
+            pass
+        blocks.append(r)
+    return extbasis.ExtElem(tuple(blocks))
 
 
 def _verify_checks(args):

@@ -13,6 +13,11 @@ Elements are tuples of d NormalCoords blocks. Each product is a fixed straight-l
 program, one function of the base field's sum, product and product by a (tvp); each
 square is read off the diagonal of structure_constants (basis monomials multiplied
 and reduced by RULES). Each adds its fixed tally of those operations to the OpCounter.
+
+The source functions (_MUL, _square_walk) are the statement, the proof over F_2[a]
+and the tally: one recording run compiles each, once per kind on first use, into
+straight-line Python whose sums are inline ^ and whose base products are calls to
+kernels passed in by name, which mul and square look up at each call.
 """
 
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from . import field as gf
 from .errors import (DomainError, InvalidElementError, NoKummerExtensionError,
                      UnsupportedDegreeError)
 from .linalg import pack_lanes, unpack_lanes
-from .normal import NormalBasisCtx, alpha_mul, frobenius_shift, normal_mul
+from .normal import NormalBasisCtx, alpha_mul, normal_mul
 from .witt import SymPoly
 
 
@@ -91,20 +96,20 @@ def structure_constants(kind: str) -> dict:
 def _square_plan(kind: str):
     """Per input block p, the length of its chain of products by a (the top
     power of a in the reduced m_p^2); per output block r, the indices of the
-    chain entries a^k x_p^2 it sums (chains laid end to end); the walk's tally."""
+    chain entries a^k x_p^2 it sums (chains laid end to end)."""
     diag = [cs for (p, q), cs in structure_constants(kind).items() if p == q]
     tops = [max(cs.values()).bit_length() - 1 for cs in diag]
     starts = list(accumulate(tops, lambda s, t: s + t + 1, initial=0))
     sums = tuple(tuple(starts[p] + k for p, cs in enumerate(diag)
                        for k in range(tops[p] + 1) if cs.get(r, 0) >> k & 1)
                  for r in range(len(diag)))
-    return tuple(tops), sums, (0, sum(len(s) - 1 for s in sums), sum(tops))
+    return tuple(tops), sums
 
 
 def _square_walk(add, tvp, kind, sq):
     """The blocks of x^2 from sq, the squares x_p^2 of x's blocks: each runs up
     its chain of products by a, and each output is one sum of chain entries."""
-    tops, sums, _ = _square_plan(kind)
+    tops, sums = _square_plan(kind)
     chains = []
     for v, top in zip(sq, tops):
         chains.append(v)
@@ -186,14 +191,21 @@ def _prefix_kind(kind: str, g: int):
 
 def _prefix_field(nb: NormalBasisCtx, kind):
     """Product and squaring of the field `kind` (None: no rules) builds over nb.field, on
-    d lanes of n polynomial coordinates: its own program and square walk on poly_mul_mod."""
-    n, mul, sq = nb.n, partial(gf.poly_mul_mod, nb.field), partial(gf.square, nb.field)
+    d lanes of n polynomial coordinates: its own compiled program and square walk on
+    poly_mul_mod."""
+    n, field, alpha = nb.n, nb.field, nb.alpha
+    mul, sq = partial(gf.poly_mul_mod, field), partial(gf.square, field)
     if kind is None:
         return mul, sq
-    tvp, blocks = partial(mul, nb.alpha), partial(unpack_lanes, width=n,
-                                                  count=len(_monomials(RULES[kind])))
-    return (lambda x, y: pack_lanes(_MUL[kind](xor, mul, tvp, blocks(x), blocks(y)), n),
-            lambda x: pack_lanes(_square_walk(xor, tvp, kind, map(sq, blocks(x))), n))
+    program, poly_mul_mod = _compiled(kind), gf.poly_mul_mod
+    blocks = partial(unpack_lanes, width=n, count=len(_monomials(RULES[kind])))
+
+    def tvp(ctx, v):
+        return poly_mul_mod(ctx, alpha, v)
+
+    return (lambda x, y: pack_lanes(program.product(poly_mul_mod, tvp, field,
+                                                    *blocks(x), *blocks(y)), n),
+            lambda x: pack_lanes(program.walk(tvp, field, *map(sq, blocks(x))), n))
 
 
 def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
@@ -284,20 +296,23 @@ def ext_parse(ctx: ExtBasisCtx, s: str) -> ExtElem:
 # --- arithmetic -------------------------------------------------------
 
 def square(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
-    """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules."""
+    """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules: the
+    compiled walk, each x_p^2 a rotation and each product by a alpha_mul."""
     ctx.validate(x)
-    ctx.counter.record(_square_plan(ctx.kind)[2])
-    return ExtElem(_square_walk(xor, partial(alpha_mul, ctx.base), ctx.kind,
-                                map(partial(frobenius_shift, ctx.n), x.blocks)))
+    program = _compiled(ctx.kind)
+    ctx.counter.record(program.square_tally)
+    return ExtElem(program.square(alpha_mul, ctx.base, ctx.n - 1, ctx.base.field.mask,
+                                  *x.blocks))
 
 
 def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
-    """Multiplication by the kind's fixed subquadratic straight-line program."""
+    """Multiplication by the kind's fixed subquadratic straight-line program,
+    compiled, on normal_mul and alpha_mul."""
     ctx.validate(x)
     ctx.validate(y)
-    ctx.counter.record(_tally(ctx.kind))
-    return ExtElem(_MUL[ctx.kind](xor, partial(normal_mul, ctx.base),
-                                  partial(alpha_mul, ctx.base), x.blocks, y.blocks))
+    program = _compiled(ctx.kind)
+    ctx.counter.record(program.mul_tally)
+    return ExtElem(program.product(normal_mul, alpha_mul, ctx.base, *x.blocks, *y.blocks))
 
 
 def power(ctx: ExtBasisCtx, x: ExtElem, e: int) -> ExtElem:
@@ -424,15 +439,60 @@ def _ka6_mul(add, mul, tvp, x, y):
 _MUL = {"as2": _as2_mul, "k3": _cubic_mul, "asw4": _asw4_mul, "ka6": _ka6_mul}
 
 
+def _record(program):
+    """Run program(add, mul, tvp) once on operations that each write one line
+    of Python: a sum is an inline ^, a product mul(ctx, u, v), a product by a
+    tvp(ctx, v), each into a new local.  Values are the names of locals, so the
+    program gets and returns names.  The lines, the returned names and the
+    (mults, adds, table-vector products) tally of the run."""
+    lines, tally = [], [0, 0, 0]
+
+    def step(op, expr):
+        tally[op] += 1
+        lines.append(f"    t{len(lines)} = {expr}")
+        return f"t{len(lines) - 1}"
+
+    out = program(lambda u, v: step(1, f"{u} ^ {v}"),
+                  lambda u, v: step(0, f"mul(ctx, {u}, {v})"),
+                  lambda v: step(2, f"tvp(ctx, {v})"))
+    return lines, out, tuple(tally)
+
+
+class _Compiled(NamedTuple):
+    """A kind's product and square as straight-line Python: the base kernels
+    are arguments, so a caller names them at each call.  The tallies are
+    those of the recorded runs, which every run repeats as the source
+    programs have no branches."""
+    product: Callable      # (mul, tvp, ctx, *x, *y) -> blocks of x y
+    walk: Callable         # (tvp, ctx, *sq) -> _square_walk on the squared blocks sq
+    square: Callable       # (tvp, ctx, n - 1, mask, *x) -> blocks of x^2, each
+                           # x_p^2 the rotation of x_p's normal coordinates
+    mul_tally: tuple
+    square_tally: tuple
+
+
 @cache
-def _tally(kind: str) -> tuple:
-    """(mults, adds, table-vector products) of every run of the kind's product
-    program (add, mul, tvp, x, y), which has no branches: one run counted on
-    operations that only log their calls."""
-    log, zeros = [], (0,) * len(_monomials(RULES[kind]))
-    _MUL[kind](lambda u, v: log.append("add"), lambda u, v: log.append("mul"),
-               lambda v: log.append("tvp"), zeros, zeros)
-    return tuple(map(log.count, ("mul", "add", "tvp")))
+def _compiled(kind: str) -> _Compiled:
+    """_MUL[kind] and _square_walk for the kind, each recorded once and
+    compiled into one Python function."""
+    d = len(_monomials(RULES[kind]))
+    x, y, sq = ([f"{v}{p}" for p in range(d)] for v in "xys")
+    mul_lines, mul_out, mul_tally = _record(
+        lambda add, mul, tvp: _MUL[kind](add, mul, tvp, x, y))
+    walk_lines, walk_out, square_tally = _record(
+        lambda add, mul, tvp: _square_walk(add, tvp, kind, sq))
+    source = "\n".join((
+        f"def product(mul, tvp, ctx, {', '.join(x + y)}):", *mul_lines,
+        f"    return ({', '.join(mul_out)},)",
+        f"def walk(tvp, ctx, {', '.join(sq)}):", *walk_lines,
+        f"    return ({', '.join(walk_out)},)",
+        f"def square(tvp, ctx, hi, mask, {', '.join(x)}):",
+        *(f"    {s} = ({v} << 1 | {v} >> hi) & mask" for s, v in zip(sq, x)),
+        *walk_lines, f"    return ({', '.join(walk_out)},)", ""))
+    namespace = {}
+    exec(compile(source, f"<{kind} program>", "exec"), namespace)
+    return _Compiled(namespace["product"], namespace["walk"], namespace["square"],
+                     mul_tally, square_tally)
 
 
 # frozen per-operation tallies (base_mults, base_adds, table_vector_products)

@@ -5,12 +5,15 @@ import gc
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,6 +140,25 @@ def test_densities_at_every_fixture_degree(capsys):
         assert r[3] == closed_form(m, 2, "as2"), m
         assert r[5] == closed_form(m, 3, "k3"), m
     assert [r[5] for r in rows].count("-") == 1  # m = 12: NB4's generator is a cube
+
+
+def test_densities_builds_each_fixture_basis_once(capsys, monkeypatch):
+    """The default table reads the fixtures at n = 6, 12, 18 and 24 in up to
+    three columns each, and builds each of the 13 bases it reads once."""
+    calls = Counter()
+    build = fixtures.Fixture.basis
+
+    def counted(fixture):
+        calls[fixture.n] += 1
+        return build(fixture)
+    monkeypatch.setattr(fixtures.Fixture, "basis", counted)
+    code, out, _ = run_cli(capsys, "densities")
+    assert code == 0
+    assert out == (ROOT / "perfbench" / "goldens" / "densities.txt").read_text(encoding="utf-8")
+    read = {m // divisor for m in fixtures.DENSITY_DEGREES for divisor in (1, 2, 3)
+            if m % divisor == 0 and m // divisor in fixtures.FIXTURES}
+    assert len(read) == 13
+    assert calls == Counter(read)
 
 
 # --- tables ----------------------------------------------------------------
@@ -790,6 +812,21 @@ def test_import_starts_no_process_machinery():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# --- random operands ----------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 7, "verify:ka6:8"])
+def test_random_elem_draws_what_randrange_draws(seed):
+    """Each block of _random_elem is the value randrange(1 << n) draws from
+    the same stream, for every degree d of the kinds."""
+    degrees = sorted({len(extbasis._monomials(rules)) for rules in extbasis.RULES.values()})
+    for n, d in product((1, 8, 26, 64), degrees):
+        ctx = SimpleNamespace(n=n, d=d)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert cli._random_elem(rng, ctx).blocks == tuple(
+                ref.randrange(1 << n) for _ in range(d)), (n, d)
 
 
 # --- byte identity with the benchmark goldens ------------------------------

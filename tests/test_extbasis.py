@@ -4,6 +4,7 @@ import ast
 import inspect
 import random
 import textwrap
+from collections import Counter
 from functools import partial
 from itertools import islice, product
 
@@ -395,8 +396,72 @@ def test_mul_and_square_counts_exact_and_input_independent(kind):
             assert ctx.counter.as_tuple() == SQ_EXPECT[kind]
 
 
+def _edge_and_random_elems(rng, ctx):
+    """Zero, one, all-ones, every element with a single set bit, and eight
+    seeded elements of ctx."""
+    mask = ctx.base.field.mask
+    return [xb.zero(ctx), xb.identity(ctx), xb.ExtElem((mask,) * ctx.d),
+            *(xb.ExtElem(tuple(1 << i if q == p else 0 for q in range(ctx.d)))
+              for p in range(ctx.d) for i in range(ctx.n)),
+            *(_rand_elem(rng, ctx) for _ in range(8))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compiled_programs_are_the_source_programs(kind):
+    """Over every fixture of degree at most 26 that admits the kind, mul and
+    square give what the source program and walk give when run on xor,
+    normal_mul and alpha_mul."""
+    rng = random.Random(f"compiled:{kind}")
+    built = 0
+    for n in fixture_degrees():
+        if n > 26:
+            continue
+        try:
+            ctx = xb.build_kind(get_fixture(n).basis(), kind)
+        except (NoKummerExtensionError, UnsupportedDegreeError):
+            continue
+        built += 1
+        mul, tvp = partial(normal.normal_mul, ctx.base), partial(normal.alpha_mul, ctx.base)
+        elems = _edge_and_random_elems(rng, ctx)
+        for x in elems:
+            for y in (x, elems[2], _rand_elem(rng, ctx)):
+                assert xb.mul(ctx, x, y).blocks == xb._MUL[kind](
+                    int.__xor__, mul, tvp, x.blocks, y.blocks), (n, x, y)
+            assert xb.square(ctx, x).blocks == xb._square_walk(
+                int.__xor__, tvp, kind,
+                [normal.frobenius_shift(n, v) for v in x.blocks]), (n, x)
+    assert built >= 3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compiled_programs_call_the_kernels_by_name(kind, monkeypatch):
+    """mul and square look up normal_mul and alpha_mul in extbasis at each
+    call, as a tracer that rebinds them there needs, and call them as often
+    as the frozen tally says: so the tally is what runs."""
+    ctx = next(ctx for ctx in _contexts() if ctx.kind == kind)
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(xb, name)
+
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(xb, name, run)
+    counted("normal_mul")
+    counted("alpha_mul")
+    x, y = _rand_elem(random.Random(kind), ctx), xb.identity(ctx)
+    assert xb.mul(ctx, x, y) == x
+    assert (calls["normal_mul"], calls["alpha_mul"]) == \
+        (xb.EXPECTED_MUL_COUNTS[kind][0], xb.EXPECTED_MUL_COUNTS[kind][2])
+    calls.clear()
+    xb.square(ctx, x)
+    assert (calls["normal_mul"], calls["alpha_mul"]) == \
+        (0, xb.EXPECTED_SQUARE_COUNTS[kind][2])
+
+
 def test_product_programs_have_no_branches():
-    """_tally counts one run of each product program on zeros; that run
+    """_compiled records and counts one run of each product program; that run
     stands for every run only if no program, nor any function it calls, can
     take another path on other operands."""
     branches = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.ListComp,

@@ -493,11 +493,12 @@ def _charfield2_modules():
 
 
 def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
-    """With the normal-basis products, the extended programs and their
-    structure constants made to raise at every binding, every kind at n = 2
-    and 4 still embeds, passes its rule check, and yields tables that
-    verify against the closed form, which reads the structure constants and
-    so runs with the bindings restored: the oracle reads only RULES."""
+    """With the normal-basis products, the extended programs, their
+    compiler and the functions it compiled, and their structure constants
+    made to raise at every binding, every kind at n = 2 and 4 still embeds,
+    passes its rule check, and yields tables that verify against the closed
+    form, which reads the structure constants and so runs with the bindings
+    restored: the oracle reads only RULES."""
     sources = [get_fixture(n).basis() for n in (2, 4)]
     for kind in xb.KINDS:
         for n in (2, 4):
@@ -511,7 +512,8 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
         raise AssertionError("the oracle used the arithmetic under test")
 
     under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square,
-                  xb.structure_constants)
+                  xb.structure_constants, xb._compiled,
+                  *(fn for kind in xb.KINDS for fn in xb._compiled(kind)[:3]))
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
