@@ -3,11 +3,15 @@
 The oracle embeds a basis into one big field F_2[x]/(g) of degree m: it maps
 the basis vectors to explicit elements there by solving RULES, and
 build_tables expands all m^2 pairwise products back over the basis.  The
-base modulus f is rooted in the subfield of degree n, built as F_2[z]/(p)
-from a generator beta and mapped in by the powers of beta; find_root splits
-by trace maps, trying each c = x^j once per call.  The
-closed form derives the same tables from the kind's structure constants and
-the base normal basis's table T alone: _structure_columns holds the n^2
+base modulus f has its roots in the subfield of degree n, generated by
+beta: find_root roots beta's minimal polynomial p in the base field
+F_2[x]/(f), whose modulus is sparse, x is written in the powers of that
+root, and the same powers of beta give the image of x, checked as a root of
+f in the big field.  find_root splits by trace maps, trying each c = x^j
+once per call.  The oracle's big-field products, of m-bit operands, take
+bitpoly.poly_mul's 4-bit comb from m = 16 on.  The closed form
+derives the same tables from the kind's structure constants and the base
+normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
 products, shifted into place as m tables of one int each: the closed form's
@@ -26,7 +30,7 @@ from .errors import ConstructionContradictionError, DomainError, InvalidElementE
 from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
                        structure_constants)
 from .linalg import (PreparedMap, mat_invert, mat_transpose, null_space, pack_lanes,
-                     row_apply, transpose_packed, unpack_lanes)
+                     row_apply, solve_linear, transpose_packed, unpack_lanes)
 from .normal import NormalBasisCtx, product_planes
 
 
@@ -35,10 +39,10 @@ from .normal import NormalBasisCtx, product_planes
 # A polynomial over F_2^m is one int: coefficient k sits in lane k, of 2m
 # bits, as in build_tables.  A product c*p by a field element c is one
 # carry-less product, each lane unreduced, and one field.reduce_lanes
-# reduces every lane.  When p's coefficients are all 0 or 1, as for the base
-# modulus, its Frobenius powers X^(2^i) mod it and every division by it,
-# c*p is the plain integer product: one set bit per lane, lanes 2m bits
-# apart, so nothing carries.  `ones` has a set bit at the foot of every
+# reduces every lane.  When p's coefficients are all 0 or 1, as for a
+# polynomial over F_2, its Frobenius powers X^(2^i) mod it and every
+# division by it, c*p is the plain integer product: one set bit per lane,
+# lanes 2m bits apart, so nothing carries.  `ones` has a set bit at the foot of every
 # lane in use.
 
 def _deg(big, p):
@@ -129,8 +133,12 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
     by the trace maps of c = x, x^2, ..., x^(m-1), 1 taken in turn through
     every split: the x^j jointly separate any two roots, and each c is tried
     once in all (see _trace_split).  c = 1 comes last: it cannot split a
-    factor of a polynomial irreducible over F_2, such as a base modulus,
-    whose roots are conjugate and so share one trace.  Which root comes out
+    factor of a polynomial irreducible over F_2, such as a base modulus or
+    the minimal polynomial of a subfield's generator, whose roots are
+    conjugate and so share one trace.  Each reduction in `big` takes one
+    shift per term of its modulus when big.fold_terms is set, and one
+    overflow bit at a time otherwise, so the oracle calls it only over
+    fields with fold_terms (see _base_root).  Which root comes out
     does not matter to the oracle: the automorphisms of `big` carry any
     choice of roots to any other."""
     lane = 2 * big.n
@@ -162,9 +170,9 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
 # --- oracle embedding ---------------------------------------------------
 
 def _subfield(big: gf.FieldCtx, n: int):
-    """The subfield K of degree n < m of `big` (L) as a field of its own:
-    (F_2[z]/(p), powers), where powers[i] = beta^i in `big` for i < n, so
-    z -> beta maps y in F_2[z]/(p) to row_apply(powers, y) in K.
+    """The subfield K of degree n < m of `big` (L), by a generator beta:
+    (p, powers), where p is beta's minimal polynomial, irreducible of degree
+    n, and powers[i] = beta^i in `big` for i < n.
 
     beta = Tr_{L/K}(x^j) = sum_{i < m/n} (x^j)^(2^(n i)) for the first j >= 1
     whose powers 1, ..., beta^(n-1) are independent, that is, for the first
@@ -173,16 +181,38 @@ def _subfield(big: gf.FieldCtx, n: int):
     span a proper subspace of it.  Only odd j are tried, since
     Tr(x^(2j)) = Tr(x^j)^2 lies in the same subfields as Tr(x^j).  Then
     1, ..., beta^n satisfy exactly one linear relation, whose coefficients
-    are those of p, beta's minimal polynomial; a beta of lower degree e
-    leaves n + 1 - e > 1 of them."""
+    are those of p; a beta of lower degree e leaves n + 1 - e > 1 of them."""
     m = big.n
     for j in range(1, m, 2):
         beta = reduce(xor, gf._frobenius_orbit(partial(gf.square, big), 1 << j, m)[::n])
         powers = gf._frobenius_orbit(partial(gf.poly_mul_mod, big, beta), 1, n + 1)
         relations = null_space(powers, m)
         if len(relations) == 1:
-            return gf.FieldCtx(relations[0], check_irreducible=False), powers[:n]
+            return relations[0], powers[:n]
     raise ConstructionContradictionError(f"no generator of the subfield of degree {n}")
+
+
+def _base_root(big: gf.FieldCtx, base: gf.FieldCtx) -> int:
+    """A root in `big` (L, of degree m) of the modulus f of `base`,
+    F = F_2[x]/(f) of degree n | m.
+
+    For n = m, find_root roots f in L.  For n < m the roots of f lie in the
+    subfield K of degree n, and K = F_2(beta) with beta's minimal
+    polynomial p (_subfield).  p is rooted in F instead: a root s there
+    gives the isomorphism F -> K that sends sum c_i s^i to sum c_i beta^i,
+    and x = sum c_i s^i, one n x n solve, goes to a root of f.  The split
+    then reduces modulo f, a trinomial or pentanomial for every fixture,
+    whereas p is dense (11 terms at as2 n = 24)."""
+    f, n = base.modulus, base.n
+    if n == big.n:
+        return find_root(big, [(f >> i) & 1 for i in range(n + 1)])
+    p, powers = _subfield(big, n)
+    s = find_root(base, [(p >> i) & 1 for i in range(n + 1)])
+    c = solve_linear(gf._frobenius_orbit(partial(gf.poly_mul_mod, base, s), 1, n),
+                     n, gf.reduce_product(base, 2))
+    if c is None:
+        raise ConstructionContradictionError("the root of p does not generate the base field")
+    return row_apply(powers, c)
 
 
 class OracleEmbedding:
@@ -203,17 +233,14 @@ class OracleEmbedding:
         self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m), check_irreducible=False)
         big = self.big
 
-        # image of the base field: a root of its modulus f, which lies in the
-        # subfield K of degree n, so for n < m it is found in K on its own
-        f = nb.field.modulus
-        coeffs = [(f >> i) & 1 for i in range(nb.n + 1)]
-        if self.d == 1:
-            root = find_root(big, coeffs)
-        else:
-            small, powers = _subfield(big, nb.n)
-            root = row_apply(powers, find_root(small, coeffs))
-        self.alpha_img = row_apply(gf._frobenius_orbit(
-            partial(gf.poly_mul_mod, big, root), 1, nb.n), nb.alpha)
+        # image of the base field: a root of its modulus f, checked in the
+        # big field alone as f(root) = root^n + (f - x^n)(root) = 0
+        base = nb.field
+        root = _base_root(big, base)
+        powers = gf._frobenius_orbit(partial(gf.poly_mul_mod, big, root), 1, nb.n)
+        if gf.poly_mul_mod(big, powers[-1], root) != row_apply(powers, base.modulus & base.mask):
+            raise ConstructionContradictionError("the base modulus does not vanish at its root")
+        self.alpha_img = row_apply(powers, nb.alpha)
         self.gen_images = self._solve_generators()
         conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
         images = []

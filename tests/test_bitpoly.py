@@ -61,6 +61,63 @@ def test_poly_mul_degree_adds(a, b):
         assert prod == 0
 
 
+def _schoolbook(a, b):
+    """The carry-less product one bit pair at a time."""
+    out = 0
+    for i in range(a.bit_length()):
+        for j in range(b.bit_length()):
+            out ^= (a >> i & b >> j & 1) << (i + j)
+    return out
+
+
+# Operands of exactly `length` bits, 0 to 130, so lengths on each side of
+# bitpoly.COMB_BITS and unequal lengths are drawn.
+_by_length = st.integers(0, 130).flatmap(
+    lambda k: st.integers(1 << k >> 1, (1 << k) - 1))
+
+
+@given(_by_length, _by_length)
+def test_poly_mul_matches_the_schoolbook_product(a, b):
+    assert bitpoly.poly_mul(a, b) == _schoolbook(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 4, bitpoly.COMB_BITS - 1, bitpoly.COMB_BITS, 64, 130])
+def test_poly_mul_of_zero_one_and_all_ones(k):
+    ones = (1 << k) - 1
+    dense = random.Random(k).getrandbits(k)
+    for a in (0, 1, ones, dense):
+        for b in (0, 1, ones):
+            assert bitpoly.poly_mul(a, b) == _schoolbook(a, b), (a, b)
+            assert bitpoly.poly_mul(b, a) == _schoolbook(a, b), (a, b)
+
+
+@pytest.mark.parametrize("m", [32, 48, 64])
+def test_poly_mul_of_an_element_by_packed_lanes(m):
+    """The shape build_tables passes: an m-bit element times m elements
+    packed in lanes 2m bits apart."""
+    rng = random.Random(m)
+    packed = sum(rng.getrandbits(m) << 2 * m * j for j in range(m)) | 1 << 2 * m * (m - 1)
+    for a in (rng.getrandbits(m) | 1 << (m - 1), (1 << m) - 1):
+        assert bitpoly.poly_mul(a, packed) == _schoolbook(a, packed)
+        assert bitpoly.poly_mul(packed, a) == _schoolbook(a, packed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bitpoly.poly_mul(-1, 3), lambda: bitpoly.poly_mul(3, -1),
+    lambda: bitpoly.poly_mul(-1 << 40, 1 << 40),
+    lambda: bitpoly.poly_square(-3), lambda: bitpoly.poly_divmod(-5, 3),
+    lambda: bitpoly.poly_divmod(5, -3), lambda: bitpoly.poly_mod(-5, 3),
+    lambda: bitpoly.poly_gcd(-5, 3), lambda: bitpoly.poly_gcd(-5, 0),
+    lambda: bitpoly.is_irreducible(-7)],
+    ids=["mul", "mul-right", "mul-comb", "square", "divmod", "divmod-divisor", "mod",
+         "gcd", "gcd-by-zero", "is_irreducible"])
+def test_a_negative_operand_is_a_domain_error(call):
+    """A negative int is no polynomial: every function refuses it at once,
+    where a loop on it would never end."""
+    with pytest.raises(DomainError, match="non-negative"):
+        call()
+
+
 @given(polys)
 def test_poly_square_matches_poly_mul(a):
     assert bitpoly.poly_square(a) == bitpoly.poly_mul(a, a)

@@ -274,10 +274,10 @@ def test_char2_polynomial_square_matches_the_schoolbook_product(t, h):
 
 
 # The trace-split gcds each oracle case's embedding takes: one per c = x^j
-# tried, summed over the splits of its modulus (in the subfield of degree n)
-# and of its cubic rules.
-ORACLE_GCDS = {("k3", 14): 6, ("k3", 16): 5, ("as2", 18): 4, ("as2", 24): 5,
-               ("asw4", 8): 5, ("ka6", 8): 3}
+# tried, summed over the splits of the minimal polynomial p of its subfield's
+# generator (in the base field) and of its cubic rules.
+ORACLE_GCDS = {("k3", 14): 6, ("k3", 16): 5, ("as2", 18): 4, ("as2", 24): 3,
+               ("asw4", 8): 3, ("ka6", 8): 3}
 
 
 @pytest.mark.parametrize("kind,n", ORACLE_GCDS, ids=[f"{k}-n{n}" for k, n in ORACLE_GCDS])
@@ -321,9 +321,10 @@ def test_base_modulus_orbit_stops_at_its_period(monkeypatch):
 
 def test_embedding_root_finding_budget(monkeypatch):
     """Deterministic cost guard for the as2 embedding at n = 24 (m = 48):
-    270 carry-less products, of which 152 are inside field products; one
-    field product per coefficient took 1,361, and the modulus rooted in the
-    whole big field 384.  The 0/1 coefficients of the modulus and of its
+    239 carry-less products, of which 160 are inside field products (270
+    and 152 with the modulus rooted in F_2[z]/(p)); one field product per
+    coefficient took 1,361, and the modulus rooted in the whole big field
+    384.  The 0/1 coefficients of the modulus and of its
     Frobenius powers take integer products instead."""
     ctx = xb.build_kind(get_fixture(24).basis(), "as2")
     real = bitpoly.poly_mul
@@ -373,34 +374,83 @@ SUBFIELD_SOURCES = {label: source for label, source in _fixture_sources(fixture_
 @pytest.mark.parametrize("source", SUBFIELD_SOURCES.values(), ids=SUBFIELD_SOURCES)
 def test_base_modulus_root_lies_in_its_subfield(source, monkeypatch):
     """The powers of beta map K = F_2[z]/(p) into the subfield of degree n of
-    the big field, products included; the root of the base modulus f found
-    in K and mapped there is a root of f by the schoolbook evaluation, and
-    the embedding sends alpha to alpha(root).  n = 1 < m makes K = F_2.  For
-    the plain basis (m = n, n = 1 included, where no j >= 1 below m exists)
-    the root comes from the big field itself, without _subfield."""
+    the big field, products included.  A root s of p in the base field F
+    writes x = sum c_i s^i, and sum c_i beta^i is a root of the base
+    modulus f by the schoolbook evaluation; the embedding sends alpha to
+    alpha(root).  n = 1 < m makes K = F_2.  For the plain basis (m = n,
+    n = 1 included, where no j >= 1 below m exists) the root comes from the
+    big field itself, without _subfield."""
     kind = getattr(source, "kind", None)
     nb = source if kind is None else source.base
     with monkeypatch.context() as patch:
         if kind is None:
             patch.setattr(tables, "_subfield", None)
         emb = tables.build_embedding(source)
-    f = nb.field.modulus
-    coeffs = [(f >> i) & 1 for i in range(nb.n + 1)]
+    n, base, f = nb.n, nb.field, nb.field.modulus
+    coeffs = [(f >> i) & 1 for i in range(n + 1)]
     if kind is None:
         root = tables.find_root(emb.big, coeffs)
     else:
-        small, powers = tables._subfield(emb.big, nb.n)
-        assert small.n == nb.n and bitpoly.is_irreducible(small.modulus)
-        assert linalg.mat_rank(powers, emb.m) == nb.n
-        assert all(gf.frobenius(emb.big, b, nb.n) == b for b in powers)
-        for a in range(nb.n):  # z -> beta respects products
-            for b in range(nb.n):
+        p, powers = tables._subfield(emb.big, n)
+        assert bitpoly.degree(p) == n and bitpoly.is_irreducible(p)
+        small = gf.FieldCtx(p)
+        assert linalg.mat_rank(powers, emb.m) == n
+        assert all(gf.frobenius(emb.big, b, n) == b for b in powers)
+        for a in range(n):  # z -> beta respects products
+            for b in range(n):
                 assert (row_apply(powers, gf.poly_mul_mod(small, 1 << a, 1 << b))
                         == gf.poly_mul_mod(emb.big, powers[a], powers[b])), (a, b)
-        root = row_apply(powers, tables.find_root(small, coeffs))
+        p_coeffs = [(p >> i) & 1 for i in range(n + 1)]
+        s = tables.find_root(base, p_coeffs)
+        assert _value(base, p_coeffs, s) == 0  # p(s) = 0 in F
+        x = bitpoly.poly_mod(2, f)
+        c = linalg.solve_linear([gf.power(base, s, i) for i in range(n)], n, x)
+        assert _value(base, [(c >> i) & 1 for i in range(n)], s) == x
+        root = row_apply(powers, c)
     assert _value(emb.big, coeffs, root) == 0
-    alpha = [(nb.alpha >> i) & 1 for i in range(nb.n)]
+    alpha = [(nb.alpha >> i) & 1 for i in range(n)]
     assert emb.alpha_img == _value(emb.big, alpha, root)
+
+
+def test_embedding_roots_only_over_moduli_with_fold_terms(monkeypatch):
+    """No find_root call made while embedding a fixture case reduces bit by
+    bit through ctx.reduction: the base modulus f is rooted by way of the
+    minimal polynomial p of its subfield's generator, split in F_2[x]/(f),
+    and not in F_2[z]/(p), whose p is dense (fold_terms None at as2 n = 24)."""
+    find_root = tables.find_root
+    fields = []
+
+    def recording(big, coeffs):
+        fields.append(big)
+        return find_root(big, coeffs)
+
+    monkeypatch.setattr(tables, "find_root", recording)
+    for source in SUBFIELD_SOURCES.values():
+        tables.build_embedding(source)
+    assert len(fields) >= len(SUBFIELD_SOURCES)
+    assert [big for big in fields if big.fold_terms is None] == []
+
+
+@pytest.mark.parametrize("wrong,match", [(lambda s: 0, "does not generate"),
+                                         (lambda s: s ^ 1, "does not vanish")],
+                         ids=["zero", "plus-one"])
+def test_a_wrong_root_in_the_base_field_is_a_contradiction(wrong, match, monkeypatch):
+    """The base modulus's image is checked in the big field alone: with the
+    root s of p in the base field replaced by 0, x has no coordinates in its
+    powers, and with s + 1, not a root of p, the image of x is no root of f."""
+    nb = get_fixture(24).basis()
+    find_root = tables.find_root
+
+    def wrong_in_base(big, coeffs):
+        r = find_root(big, coeffs)
+        if big != nb.field:
+            return r
+        assert _value(big, coeffs, wrong(r)) != 0
+        return wrong(r)
+
+    monkeypatch.setattr(tables, "find_root", wrong_in_base)
+    with pytest.raises(ConstructionContradictionError, match=match):
+        tables.build_embedding(xb.build_kind(nb, "as2"))
 
 
 def _relative_trace(big, y, n):
@@ -417,11 +467,10 @@ def test_subfield_generator_skips_traces_in_proper_subfields(m, n, j, sub):
     big = gf.FieldCtx(bitpoly.min_irreducible(m))
     t = _relative_trace(big, 2, n)
     assert gf.frobenius(big, t, sub) == t and (sub == 1 or gf.frobenius(big, t, 1) != t)
-    small, powers = tables._subfield(big, n)
+    p, powers = tables._subfield(big, n)
     beta = powers[1]
     assert beta == _relative_trace(big, 1 << j, n)
     assert all(gf.frobenius(big, beta, e) != beta for e in range(1, n))
-    p = small.modulus
     assert _value(big, [(p >> i) & 1 for i in range(n + 1)], beta) == 0
 
 
