@@ -17,7 +17,9 @@ and reduced by RULES). Each adds its fixed tally of those operations to the OpCo
 The source functions (_MUL, _square_walk) are the statement, the proof over F_2[a]
 and the tally: one recording run compiles each, once per kind on first use, into
 straight-line Python whose sums are inline ^ and whose base products are calls to
-kernels passed in by name, which mul and square look up at each call.
+kernels passed in by name, which mul and square look up at each call.  Only mul and
+square run compiled code: build_kind's rule test runs the source functions
+themselves, on poly_mul_mod.
 """
 
 from dataclasses import dataclass
@@ -191,21 +193,16 @@ def _prefix_kind(kind: str, g: int):
 
 def _prefix_field(nb: NormalBasisCtx, kind):
     """Product and squaring of the field `kind` (None: no rules) builds over nb.field, on
-    d lanes of n polynomial coordinates: its own compiled program and square walk on
-    poly_mul_mod."""
-    n, field, alpha = nb.n, nb.field, nb.alpha
-    mul, sq = partial(gf.poly_mul_mod, field), partial(gf.square, field)
+    d lanes of n polynomial coordinates: its source program and square walk on
+    poly_mul_mod, the code the F_2[a] proof checks."""
+    n = nb.n
+    mul, sq = partial(gf.poly_mul_mod, nb.field), partial(gf.square, nb.field)
     if kind is None:
         return mul, sq
-    program, poly_mul_mod = _compiled(kind), gf.poly_mul_mod
+    tvp = partial(mul, nb.alpha)
     blocks = partial(unpack_lanes, width=n, count=len(_monomials(RULES[kind])))
-
-    def tvp(ctx, v):
-        return poly_mul_mod(ctx, alpha, v)
-
-    return (lambda x, y: pack_lanes(program.product(poly_mul_mod, tvp, field,
-                                                    *blocks(x), *blocks(y)), n),
-            lambda x: pack_lanes(program.walk(tvp, field, *map(sq, blocks(x))), n))
+    return (lambda x, y: pack_lanes(_MUL[kind](xor, mul, tvp, blocks(x), blocks(y)), n),
+            lambda x: pack_lanes(_square_walk(xor, tvp, kind, [sq(b) for b in blocks(x)]), n))
 
 
 def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
@@ -459,12 +456,11 @@ def _record(program):
 
 
 class _Compiled(NamedTuple):
-    """A kind's product and square as straight-line Python: the base kernels
-    are arguments, so a caller names them at each call.  The tallies are
-    those of the recorded runs, which every run repeats as the source
-    programs have no branches."""
+    """A kind's product and square as straight-line Python, read by mul and
+    square alone: the base kernels are arguments, so a caller names them at
+    each call.  The tallies are those of the recorded runs, which every run
+    repeats as the source programs have no branches."""
     product: Callable      # (mul, tvp, ctx, *x, *y) -> blocks of x y
-    walk: Callable         # (tvp, ctx, *sq) -> _square_walk on the squared blocks sq
     square: Callable       # (tvp, ctx, n - 1, mask, *x) -> blocks of x^2, each
                            # x_p^2 the rotation of x_p's normal coordinates
     mul_tally: tuple
@@ -474,7 +470,7 @@ class _Compiled(NamedTuple):
 @cache
 def _compiled(kind: str) -> _Compiled:
     """_MUL[kind] and _square_walk for the kind, each recorded once and
-    compiled into one Python function."""
+    compiled into the one Python function that mul or square runs."""
     d = len(_monomials(RULES[kind]))
     x, y, sq = ([f"{v}{p}" for p in range(d)] for v in "xys")
     mul_lines, mul_out, mul_tally = _record(
@@ -484,15 +480,12 @@ def _compiled(kind: str) -> _Compiled:
     source = "\n".join((
         f"def product(mul, tvp, ctx, {', '.join(x + y)}):", *mul_lines,
         f"    return ({', '.join(mul_out)},)",
-        f"def walk(tvp, ctx, {', '.join(sq)}):", *walk_lines,
-        f"    return ({', '.join(walk_out)},)",
         f"def square(tvp, ctx, hi, mask, {', '.join(x)}):",
         *(f"    {s} = ({v} << 1 | {v} >> hi) & mask" for s, v in zip(sq, x)),
         *walk_lines, f"    return ({', '.join(walk_out)},)", ""))
     namespace = {}
     exec(compile(source, f"<{kind} program>", "exec"), namespace)
-    return _Compiled(namespace["product"], namespace["walk"], namespace["square"],
-                     mul_tally, square_tally)
+    return _Compiled(namespace["product"], namespace["square"], mul_tally, square_tally)
 
 
 # frozen per-operation tallies (base_mults, base_adds, table_vector_products)

@@ -5,13 +5,13 @@ the basis vectors to explicit elements there by solving RULES, and
 build_tables expands all m^2 pairwise products back over the basis.  The
 base modulus f has its roots in the subfield of degree n, generated by
 beta: find_root roots beta's minimal polynomial p in the base field
-F_2[x]/(f), whose modulus is sparse, x is written in the powers of that
-root, and the same powers of beta give the image of x, checked as a root of
-f in the big field.  find_root splits by trace maps, trying each c = x^j
-once per call.  The oracle's big-field products, of m-bit operands, take
-bitpoly.poly_mul's 4-bit comb from m = 16 on.  The closed form
-derives the same tables from the kind's structure constants and the base
-normal basis's table T alone: _structure_columns holds the n^2
+F_2[x]/(f), whose modulus is sparse for every fixture while p is dense, x is
+written in the powers of that root, and the same powers of beta give the
+image of x, checked as a root of f in the big field.  find_root splits by
+trace maps, trying each c = x^j once per call.  The oracle's big-field
+products, of m-bit operands, take bitpoly.poly_mul's 4-bit comb from m = 16
+on.  The closed form derives the same tables from the kind's structure
+constants and the base normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
 products, shifted into place as m tables of one int each: the closed form's
@@ -137,8 +137,9 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
     the minimal polynomial of a subfield's generator, whose roots are
     conjugate and so share one trace.  Each reduction in `big` takes one
     shift per term of its modulus when big.fold_terms is set, and one
-    overflow bit at a time otherwise, so the oracle calls it only over
-    fields with fold_terms (see _base_root).  Which root comes out
+    overflow bit at a time otherwise, as over a dense base modulus given by
+    the user; over the fixtures the oracle calls it only over fields with
+    fold_terms (see _base_root).  Which root comes out
     does not matter to the oracle: the automorphisms of `big` carry any
     choice of roots to any other."""
     lane = 2 * big.n

@@ -431,6 +431,33 @@ def test_embedding_roots_only_over_moduli_with_fold_terms(monkeypatch):
     assert [big for big in fields if big.fold_terms is None] == []
 
 
+@pytest.mark.parametrize("modulus,kinds", [("1+x^3+x^4", xb.KINDS),
+                                           ("1+x+x^2+x^3+x^4", ("as2", "asw4"))])
+def test_oracle_over_a_dense_base_modulus(modulus, kinds, monkeypatch):
+    """A base modulus given by the user need not have fold_terms.  Over the
+    first normal element of such a field, the oracle still roots p in it,
+    reducing bit by bit through ctx.reduction, and every kind that builds
+    gives tables that verify against the closed form."""
+    base = gf.FieldCtx(bitpoly.parse(modulus))
+    assert base.fold_terms is None
+    nb = normal.build_normal_basis(base, next(normal.normal_elements(base)))
+    find_root = tables.find_root
+    fields = []
+
+    def recording(big, coeffs):
+        fields.append(big)
+        return find_root(big, coeffs)
+
+    monkeypatch.setattr(tables, "find_root", recording)
+    for kind in kinds:
+        emb = tables.build_embedding(xb.build_kind(nb, kind))
+        ts = tables.build_tables(emb)
+        assert tables.verify_table_entries(emb, ts) == [], kind
+        if kind in tables.CLOSED_FORM_KINDS:
+            assert ts.per_table_nonzeros == tables.expected_counts(nb, kind), kind
+    assert base in fields
+
+
 @pytest.mark.parametrize("wrong,match", [(lambda s: 0, "does not generate"),
                                          (lambda s: s ^ 1, "does not vanish")],
                          ids=["zero", "plus-one"])
@@ -563,7 +590,7 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square,
                   xb.structure_constants, xb._compiled,
                   *(fn for kind in xb.KINDS for program in [xb._compiled(kind)]
-                    for fn in (program.product, program.walk, program.square)))
+                    for fn in (program.product, program.square)))
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
@@ -583,9 +610,10 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
 def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
     """Every kind at n = 2, 4, 6 and 8, over the fixture and the first eight
     normal elements, is built or refused the same with the normal-basis
-    products and the extended mul and square made to raise at every
-    binding: build_kind reads nb.field and nb.alpha alone, so the closed
-    form's rebuild in the oracle makes no normal product."""
+    products, the extended mul and square and the program compiler made to
+    raise at every binding: build_kind reads nb.field and nb.alpha alone and
+    runs the source programs, so the closed form's rebuild in the oracle
+    makes no normal product and no generated code moves a verdict."""
     bases = [get_fixture(n).basis() for n in (2, 4, 6, 8)]
     for n in (2, 4, 6, 8):
         ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
@@ -608,7 +636,7 @@ def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("build_kind used the arithmetic under test")
 
-    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square)
+    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square, xb._compiled)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
