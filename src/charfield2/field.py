@@ -406,13 +406,20 @@ def multiplicative_order(ctx: FieldCtx, a: int) -> int:
 
 def is_primitive(ctx: FieldCtx, a: int) -> bool:
     """True iff a generates the multiplicative group: a != 0 and
-    a^((2^n - 1)/p) != 1 for every prime p of 2^n - 1, tested in ascending
-    order up to the first p that fails, each power a _conjugate_power of
-    one Frobenius orbit."""
-    if a == 0:
-        return False
-    conj = _frobenius_orbit(partial(square, ctx), validate(ctx, a), ctx.n)
-    return all(_conjugate_power(ctx, conj, ctx.order // p) != 1 for p in ctx.order_factors)
+    _primitive_orbit finds it primitive."""
+    return a != 0 and _primitive_orbit(ctx, validate(ctx, a))[1]
+
+
+def _primitive_orbit(ctx: FieldCtx, a: int):
+    """(conj, verdict) for nonzero a: conj = [a, a^2, a^4, ...], n entries,
+    and whether a is primitive, that is whether a^((2^n - 1)/p) != 1 for
+    every prime p of 2^n - 1, tested in ascending order up to the first p
+    that fails, each power a _conjugate_power of conj.  Conjugates share
+    their multiplicative order (Lidl-Niederreiter, Finite Fields, Thm 2.18),
+    so the verdict holds for every entry of conj."""
+    conj = _frobenius_orbit(partial(square, ctx), a, ctx.n)
+    return conj, all(_conjugate_power(ctx, conj, ctx.order // p) != 1
+                     for p in ctx.order_factors)
 
 
 def is_cube(ctx: FieldCtx, a: int) -> bool:

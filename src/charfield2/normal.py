@@ -20,7 +20,7 @@ them.
 """
 
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 from . import field as gf
 from .errors import DomainError, NotNormalError
@@ -76,9 +76,9 @@ class NormalBasisCtx:
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
-        # set-bit positions of T[d] for d = 0..n//2: the terms of normal_mul
-        self._mul_terms = [tuple(j for j in range(ctx.n) if r >> j & 1)
-                           for r in table[:ctx.n // 2 + 1]]
+        # set-bit positions of T[d] for d = 0..n//2: the terms of normal_mul,
+        # listed by its first call, as most bases never multiply
+        self._mul_terms = None
         self._mul_rows = None
 
     def to_poly(self, v: NormalCoords) -> int:
@@ -151,8 +151,12 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     n = nb.n
     uu = gf.validate(nb.field, u) | u << n
     vv = gf.validate(nb.field, v) | v << n
+    terms = nb._mul_terms
+    if terms is None:
+        terms = nb._mul_terms = [tuple(j for j in range(n) if r >> j & 1)
+                                 for r in nb.table[:n // 2 + 1]]
     acc = 0
-    for d, bits in enumerate(nb._mul_terms):
+    for d, bits in enumerate(terms):
         w = u & (vv >> d)
         if 0 < d and 2 * d != n:
             w ^= v & (uu >> d)
@@ -161,22 +165,22 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     return (acc & nb.field.mask) ^ (acc >> n)
 
 
-def product_planes(nb: NormalBasisCtx, m: int):
+def product_planes(tt, m: int):
     """The n^2 products u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) in
     normal coordinates as n bit-planes in lanes of m >= n bits: bit i m + j
-    of plane k is bit k of u_ij.
+    of plane k is bit k of u_ij.  tt is T' = mat_transpose(nb.table, n),
+    the transpose of T, which the callers read as well and form once.
 
-    Lane i of plane b is rotl(T'[(b - i) mod n], i), T' the transpose of T,
-    so plane b + 1 is plane b moved up one lane (the top lane wrapping to
-    lane 0) with each lane rotated by one: masked shifts of the whole int
+    Lane i of plane b is rotl(T'[(b - i) mod n], i), so plane b + 1 is
+    plane b moved up one lane (the top lane wrapping to lane 0) with each
+    lane rotated by one: masked shifts of the whole int
     (Warren, Hacker's Delight, 2nd ed., section 7-3).  A linear map M on
     normal coordinates acts on every lane at once: plane k of M u is the xor
     of the planes b with bit b of row k of M set."""
-    n = nb.n
+    n = len(tt)
     everything = (1 << n * m) - 1
     feet = pack_lanes([1] * n, m)  # bit 0 of every lane
     rest = feet * ((1 << n) - 1) ^ feet  # bits 1 .. n - 1 of every lane
-    tt = mat_transpose(nb.table, n)
     plane = pack_lanes([rotl(tt[-i % n], i, n) for i in range(n)], m)
     planes = [plane]
     for _ in range(n - 1):
@@ -190,13 +194,16 @@ def cross_product_sum(nb: NormalBasisCtx) -> int:
     """CS = sum over i, j of the weight of a * a^(2^i) * a^(2^j): the
     popcount of the planes of a u_ij, each one row_apply of product_planes
     by a row of T', since a v = sum_b v_b T[b]."""
-    planes = product_planes(nb, nb.n)
-    return sum(row_apply(planes, r).bit_count() for r in mat_transpose(nb.table, nb.n))
+    tt = mat_transpose(nb.table, nb.n)
+    planes = product_planes(tt, nb.n)
+    return sum(row_apply(planes, r).bit_count() for r in tt)
 
 
 def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
     """Normal elements of F_{2^n} in ascending order (optionally only primitive
-    ones), found block by block as the caller asks for the next.
+    ones), found block by block as the caller asks for the next: the chain
+    of the per-block iterators of _normal_blocks, so making the scan does
+    no work and no Python frame runs per element on the plain path.
 
     A block is the 2^min(n, 8) candidates a = base | lo sharing their high
     bits. The trace and the other normality maps M are linear, so
@@ -205,10 +212,24 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
     (its PreparedMap's first window) is inverted, and then a block costs one
     parity and one PreparedMap.apply per map. Its normal elements are the
     low values of the other trace bit, less those that some M sends to
-    M(base). The primitive test runs per element, only as it is drawn.
-    A map that sends x^0 ... x^(j-1) to 0 sends every candidate below x^j
-    to 0, so the scan starts at the block holding the highest of the least
-    monomials that the trace and each map do not kill."""
+    M(base). A map that sends x^0 ... x^(j-1) to 0 sends every candidate
+    below x^j to 0, so the scan starts at the block holding the highest of
+    the least monomials that the trace and each map do not kill.
+
+    The primitive filter runs one test per Frobenius orbit. The n conjugates
+    of a normal element are distinct and normal, and conjugates share their
+    order, so the first member of an orbit the ascending scan reaches is its
+    least: that one takes its orbit and verdict from field._primitive_orbit
+    and leaves the verdict for the other n - 1, which each pop it when the
+    scan reaches them. The pending verdicts are those of conjugates still
+    ahead of the scan: at most n - 1 per orbit tested so far, and never more
+    than the normal elements left above the scan."""
+    return chain.from_iterable(_normal_blocks(ctx, require_primitive))
+
+
+def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
+    """One iterator per block of normal_elements, each block examined only
+    when the next iterator is asked for."""
     trace, maps = ctx.normality_maps
     low = min(ctx.n, 8)
     # the trace bit of each low value: the table of the trace as 1-bit rows
@@ -223,6 +244,15 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
         for lo, image in enumerate(pm.windows[0]):
             fibre.setdefault(image, []).append(lo)
         fibres.append(fibre)
+    pending = {}  # conjugate ahead of the scan -> its orbit's verdict
+
+    def primitive(a):
+        verdict = pending.pop(a, None)
+        if verdict is None:
+            conj, verdict = gf._primitive_orbit(ctx, a)
+            pending.update(dict.fromkeys(conj[1:], verdict))
+        return verdict
+
     first = max([(trace & -trace).bit_length() - 1]
                 + [next(j for j, row in enumerate(m) if row) for m in maps])
     start = (1 << first) >> low << low
@@ -234,9 +264,7 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
         if bad:
             lows = [lo for lo in lows if lo not in bad]
         block = map(base.__or__, lows)
-        if require_primitive:
-            block = (a for a in block if gf.is_primitive(ctx, a))
-        yield from block
+        yield filter(primitive, block) if require_primitive else block
 
 
 def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,

@@ -431,11 +431,12 @@ def _structure_columns(nb: NormalBasisCtx, kind, d: int):
     c(T) u_ij with u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) and
     T = nb.table: bit i m + j of column k, m = d n, is bit k of c(T) u_ij.
 
-    The columns of u itself are normal.product_planes(nb, d n).  Column k
-    of a u is the xor of the columns b of u with bit k of T[b] set."""
+    The columns of u itself are normal.product_planes(T', d n), T' the
+    transpose of T.  Column k of a u is the xor of the columns b of u with
+    bit k of T[b] set, that is row_apply of them by row k of T'."""
     sc = {(0, 0): {0: 1}} if kind is None else structure_constants(kind)
     tt = mat_transpose(nb.table, nb.n)
-    powers = [product_planes(nb, d * nb.n)]  # powers[e][k]: column k of a^e u
+    powers = [product_planes(tt, d * nb.n)]  # powers[e][k]: column k of a^e u
     top = max(c.bit_length() for cs in sc.values() for c in cs.values())
     while len(powers) < top:
         powers.append([row_apply(powers[-1], r) for r in tt])

@@ -484,6 +484,9 @@ def test_tables_alpha_search_outputs_are_pinned(capsys, kind):
     (("verify", "--n", "12", "--limit", "5"), "249e2772acedf005"),
     (("cross-sums", "--n", "6", "--modulus", "auto", "--alpha", "search"),
      "0de699aa9a56da29"),
+    (("search", "--n", "12", "--limit", "50"), "c2f1140fce66eee0"),
+    (("search", "--n", "16", "--require-primitive", "--limit", "200"),
+     "8ba0b757bb985d55"),
 ])
 def test_search_driven_outputs_are_pinned(capsys, argv, want):
     code, out, _ = run_cli(capsys, *argv)

@@ -268,6 +268,20 @@ def test_normal_mul_never_builds_the_product_tables(monkeypatch):
             assert normal.normal_mul(nb, u, v) == _field_product(nb, u, v)
 
 
+def test_product_terms_are_built_on_the_first_product():
+    """A basis lists no product terms until its first normal_mul: building
+    it, its cross sum and its coordinate maps leave them unbuilt. The terms
+    are then the set-bit positions of T[0] .. T[n // 2]."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(12))
+    nb = normal.build_normal_basis(ctx, next(normal.normal_elements(ctx)))
+    normal.cross_product_sum(nb)
+    u, v = nb.to_normal(0b101), nb.one()
+    assert nb._mul_terms is None
+    assert normal.normal_mul(nb, u, v) == _field_product(nb, u, v) == u
+    assert nb._mul_terms == [tuple(j for j in range(12) if r >> j & 1)
+                             for r in nb.table[:7]]
+
+
 def test_mul_rows_shift_structure():
     """Entry (i, j) of table k equals entry ((j-i) mod n, (k-i) mod n) of the base table."""
     for nb in (NB2, NB4, NB6):
@@ -318,7 +332,7 @@ def test_product_planes_are_the_products_of_two_conjugates():
         for m in (n, 2 * n, 3 * n, 4 * n, 6 * n):
             want = [sum((products[i][j] >> k & 1) << (i * m + j)
                         for i in range(n) for j in range(n)) for k in range(n)]
-            assert normal.product_planes(nb, m) == want, (nb, m)
+            assert normal.product_planes(linalg.mat_transpose(nb.table, n), m) == want, (nb, m)
 
 
 def test_table_is_the_full_product_table():
@@ -355,12 +369,13 @@ def _counting(calls, name, fn):
 def test_normal_elements_stop_at_the_first_taken(monkeypatch):
     """Making the generator does no work. Each next() examines blocks, one
     parity and one PreparedMap.apply per map each, only up to the block
-    holding the element it returns, and tests primitivity only for the
-    normal elements it passes. Under 1+x^6+x^9+x^15+x^18 (two maps besides
-    the trace) one map sends x^0 ... x^8 to 0, so the scan starts at the
-    block of x^9 = 512, and the first normal element, 522, lies in the first
-    block it examines; under the degree-64 default modulus x^61 lies in the
-    first. The scan yields what search_normal_elements lists."""
+    holding the element it returns, and runs one primitivity test for each
+    orbit among the normal elements it passes. Under 1+x^6+x^9+x^15+x^18
+    (two maps besides the trace) one map sends x^0 ... x^8 to 0, so the scan
+    starts at the block of x^9 = 512, and the first normal element, 522,
+    lies in the first block it examines; under the degree-64 default modulus
+    x^61 lies in the first. The scan yields what search_normal_elements
+    lists."""
     assert list(normal.normal_elements(F16)) == normal.search_normal_elements(F16)
     assert (list(normal.normal_elements(F16, require_primitive=True))
             == normal.search_normal_elements(F16, require_primitive=True))
@@ -374,7 +389,8 @@ def test_normal_elements_stop_at_the_first_taken(monkeypatch):
                         _counting(calls, "PreparedMap", normal.PreparedMap))
     monkeypatch.setattr(linalg.PreparedMap, "apply",
                         _counting(calls, "apply", linalg.PreparedMap.apply))
-    monkeypatch.setattr(gf, "is_primitive", _counting(calls, "is_primitive", gf.is_primitive))
+    monkeypatch.setattr(gf, "_primitive_orbit",
+                        _counting(calls, "orbit", gf._primitive_orbit))
     scan = normal.normal_elements(f18)
     assert calls == {}
     assert next(scan) == head[0] == 522
@@ -385,7 +401,8 @@ def test_normal_elements_stop_at_the_first_taken(monkeypatch):
     assert calls == {"parity": blocks, "apply": 2 * blocks}
     calls.clear()
     assert next(normal.normal_elements(f18, require_primitive=True)) == head[prim_at]
-    assert calls["is_primitive"] == prim_at + 1 and calls["parity"] == 1
+    orbits = {min(normal.conjugates(f18, a)) for a in head[:prim_at + 1]}
+    assert calls["orbit"] == len(orbits) and calls["parity"] == 1
     calls.clear()
     assert next(normal.normal_elements(f64)) == 1 << 61
     assert calls == {"PreparedMap": 1, "parity": 1}
@@ -423,18 +440,24 @@ def _low_weight_irreducibles(n, count=3):
 
 
 @pytest.mark.parametrize("n", range(1, 15))
-def test_block_scan_matches_the_predicate(n):
+def test_block_scan_matches_the_predicate(monkeypatch, n):
     """Under three low-weight moduli per degree (every modulus there is at
     n <= 3), the block scan lists exactly the candidates is_normal_element
     accepts, and up to n = 12 its primitive path exactly those of them that
-    are primitive. Below n = 8 one block is the whole field."""
+    are primitive, with one orbit test per n normal elements. Below n = 8
+    one block is the whole field."""
+    calls = {}
+    monkeypatch.setattr(gf, "_primitive_orbit",
+                        _counting(calls, "orbit", gf._primitive_orbit))
     for f in _low_weight_irreducibles(n):
         ctx = gf.FieldCtx(f)
         normals = [a for a in range(1 << n) if normal.is_normal_element(ctx, a)]
         assert list(normal.normal_elements(ctx)) == normals, f
         if n <= 12:
-            assert (list(normal.normal_elements(ctx, require_primitive=True))
-                    == [a for a in normals if gf.is_primitive(ctx, a)]), f
+            want = [a for a in normals if gf.is_primitive(ctx, a)]
+            calls.clear()
+            assert list(normal.normal_elements(ctx, require_primitive=True)) == want, f
+            assert len(normals) % n == 0 and calls == {"orbit": len(normals) // n}, f
 
 
 @pytest.mark.parametrize("n,maps", [(15, 4), (21, 5)])
@@ -468,6 +491,21 @@ def test_scan_and_order_operation_counts(monkeypatch):
             calls.clear()
             gf.multiplicative_order(ctx, a)
             assert calls == {"square": ctx.n - 1}, a
+
+
+def test_primitive_scan_operation_counts(monkeypatch):
+    """Deterministic cost guard: the first 50 primitive normal elements under
+    1+x^3+x^12 lie among 143 normal elements in 87 orbits, and take 87 orbit
+    tests and 227 conjugate product chains."""
+    ctx = gf.FieldCtx(bitpoly.parse("1+x^3+x^12"))
+    calls = {}
+    monkeypatch.setattr(gf, "_primitive_orbit",
+                        _counting(calls, "orbit", gf._primitive_orbit))
+    monkeypatch.setattr(gf, "_conjugate_power",
+                        _counting(calls, "chain", gf._conjugate_power))
+    hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
+    assert len(hits) == 50
+    assert calls == {"orbit": 87, "chain": 227}
 
 
 def test_search_primitive_filter():
