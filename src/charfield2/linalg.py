@@ -1,5 +1,7 @@
 """GF(2) linear algebra on bit-packed rows (row = int, bit j = entry j, j < width)."""
 
+from functools import cache
+
 from .errors import DomainError
 
 
@@ -125,27 +127,22 @@ def unpack_lanes(packed: int, width: int, count: int) -> tuple:
     return tuple([(packed >> (j * width)) & mask for j in range(count)])
 
 
-_TRANSPOSE_STEPS = {}  # size -> ((shift, mask), ...), built on first use
-
-
+@cache
 def _transpose_steps(size: int):
     """The swaps of transpose_packed at one size: for s = size/2, ..., 2, 1,
     each entry (r, c) with bit s set in c and clear in r trades places with
     (r + s, c - s), which sits s(size - 1) bits higher.  Doing this for
     every s exchanges the bits of r and c, which is the transpose."""
-    steps = _TRANSPOSE_STEPS.get(size)
-    if steps is None:
-        if size < 1 or size & (size - 1):
-            raise DomainError(f"size {size} is not a power of two")
-        steps = []
-        s = size >> 1
-        while s:
-            row = sum(1 << c for c in range(size) if c & s)
-            mask = pack_lanes([0 if r & s else row for r in range(size)], size)
-            steps.append((s * (size - 1), mask))
-            s >>= 1
-        steps = _TRANSPOSE_STEPS[size] = tuple(steps)
-    return steps
+    if size < 1 or size & (size - 1):
+        raise DomainError(f"size {size} is not a power of two")
+    steps = []
+    s = size >> 1
+    while s:
+        row = sum(1 << c for c in range(size) if c & s)
+        mask = pack_lanes([0 if r & s else row for r in range(size)], size)
+        steps.append((s * (size - 1), mask))
+        s >>= 1
+    return tuple(steps)
 
 
 def transpose_packed(x: int, size: int) -> int:

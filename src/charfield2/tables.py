@@ -14,10 +14,10 @@ on.  The closed form derives the same tables from the kind's structure
 constants and the base normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
-products, shifted into place as m tables of one int each: the closed form's
-one output, whose popcounts are expected_counts and whose rows are
-closed_form_tables.  verify_table_entries xors the oracle's tables against
-it; the two start from disjoint data, and the oracle does not read the planes.
+products, shifted into place as m tables of one int each: closed_form_tables,
+whose popcounts are expected_counts.  build_tables lays out the oracle's
+tables alike, and verify_table_entries xors them against the closed form's;
+the two start from disjoint data, and the oracle does not read the planes.
 """
 
 from dataclasses import dataclass, field
@@ -327,20 +327,21 @@ def _lane_width(m: int) -> int:
 
 @dataclass
 class TableSet:
-    """All m multiplication tables of an m-element basis (rows as bit ints).
+    """All m multiplication tables of an m-element basis, each one int:
+    entry (i, j) of table k is bit i m + j of tables[k].
 
     products[i] holds the same entries by basis product: its lane j, of
-    _lane_width(m) bits, is coord(b_i b_j), whose bit k is bit j of
-    tables[k][i].  It is left out of repr and ==, so both read the tables,
+    _lane_width(m) bits, is coord(b_i b_j), whose bit k is entry (i, j) of
+    table k.  It is left out of repr and ==, so both read the tables,
     and the counts are taken from the tables as given."""
     m: int
-    tables: list          # tables[k][i] = row int over j
+    tables: list
     per_table_nonzeros: list = field(init=False)
     density: int = field(init=False)
     products: list = field(repr=False, compare=False)
 
     def __post_init__(self):
-        self.per_table_nonzeros = [sum(map(int.bit_count, t)) for t in self.tables]
+        self.per_table_nonzeros = [t.bit_count() for t in self.tables]
         self.density = sum(self.per_table_nonzeros)
 
 
@@ -353,27 +354,28 @@ def build_tables(emb: OracleEmbedding) -> TableSet:
     reduce_lanes reduces every lane, and the coordinate map takes each to
     coord(b_i b_j).  The big field commutes, so that is lane j of
     products[i] and lane i of products[j], and row i of every table is one
-    lane of the transpose of products[i]."""
+    lane of the transpose of products[i], put into place by a shift of i m."""
     m = emb.m
     imgs = emb.basis_images
     to_coords = emb.coord_map.apply
     lane = 2 * m
     lane_mask = (1 << lane) - 1
-    coords = [[0] * m for _ in range(m)]
+    size = _lane_width(m)
+    products = [0] * m
     packed = ones = 0
     for i in reversed(range(m)):
         packed = packed << lane | imgs[i]  # imgs[j] in lane j - i
         ones = ones << lane | 1
         prods = gf.reduce_lanes(emb.big, bitpoly.poly_mul(imgs[i], packed), ones)
         for j in range(i, m):
-            coords[i][j] = coords[j][i] = to_coords(prods & lane_mask)
+            c = to_coords(prods & lane_mask)
+            products[i] |= c << j * size
+            products[j] |= c << i * size
             prods >>= lane
-    size = _lane_width(m)
-    products = [pack_lanes(row, size) for row in coords]
-    tables = [[0] * m for _ in range(m)]
+    tables = [0] * m
     for i, p in enumerate(products):
-        for rows, row in zip(tables, unpack_lanes(transpose_packed(p, size), size, m)):
-            rows[i] = row
+        for k, row in enumerate(unpack_lanes(transpose_packed(p, size), size, m)):
+            tables[k] |= row << i * m
     return TableSet(m, tables, products)
 
 
@@ -405,7 +407,7 @@ def normal_table_set(nb: NormalBasisCtx) -> TableSet:
     size = _lane_width(n)
     products = [transpose_packed(pack_lanes([t[i] for t in rows], size), size)
                 for i in range(n)]
-    return TableSet(n, [list(t) for t in rows], products)
+    return TableSet(n, [pack_lanes(t, n) for t in rows], products)
 
 
 # --- closed-form tables and counts -----------------------------------------
@@ -450,18 +452,14 @@ def _structure_columns(nb: NormalBasisCtx, kind, d: int):
 
 
 def closed_form_tables(nb: NormalBasisCtx, kind):
-    """The m tables of the kind's extended basis over nb (kind None: the
-    normal basis itself, which gives nb.mul_rows), from its structure
-    constants and nb.table alone, laid out as TableSet.tables: the rows of
-    _closed_form_tables.  A basis build_kind refuses raises its error."""
-    d = _kind_degree(nb, kind)
-    m = d * nb.n
-    return [list(unpack_lanes(t, m, m)) for t in _closed_form_tables(nb, kind, d)]
+    """The m tables of the kind's extended basis over nb (kind None: nb itself),
+    laid out as TableSet.tables, from its structure constants and nb.table
+    alone.  A basis build_kind refuses raises its error."""
+    return _closed_form_tables(nb, kind, _kind_degree(nb, kind))
 
 
 def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
-    """The m tables of the kind's extended basis of degree d over nb, each
-    one int of m rows of m bits: entry (i, j) of table k is bit i m + j.
+    """closed_form_tables for the kind's extended basis of degree d over nb.
 
     Basis element (i, p) = a^(2^i) m_p is row and bit p n + i, as in
     OracleEmbedding.basis_images.  Since m_p m_q = sum_r c_pqr(a) m_r,
@@ -482,9 +480,8 @@ def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
 
 def expected_counts(nb: NormalBasisCtx, kind):
     """Per-table nonzero counts of closed_form_tables(nb, kind): the
-    popcount of each packed table.  A basis build_kind refuses raises its
-    error."""
-    return [t.bit_count() for t in _closed_form_tables(nb, kind, _kind_degree(nb, kind))]
+    popcount of each table.  A basis build_kind refuses raises its error."""
+    return [t.bit_count() for t in closed_form_tables(nb, kind)]
 
 
 def expected_density(nb: NormalBasisCtx, kind) -> int:
@@ -497,9 +494,10 @@ def expected_density(nb: NormalBasisCtx, kind) -> int:
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     """Compare `ts` with closed_form_tables(emb.base, emb.kind); return (k, i, j)
-    witnesses of the entries that differ, in (i, j, k) order.  The degree d
-    comes from the embedding, built from a plain basis or from a context
-    build_kind accepted, so the kind is not built again.
+    witnesses of the entries that differ, in (i, j, k) order, or DomainError
+    unless ts has emb.m tables of that m.  The degree d comes from the
+    embedding, built from a plain basis or from a context build_kind
+    accepted, so the kind is not built again.
 
     The two sides start from disjoint data: build_tables reads only the big
     field (the images of the basis and their products), the closed form
@@ -507,9 +505,10 @@ def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     result checks the embedding, build_tables and the base table against
     each other, not build_tables against itself."""
     m = emb.m
+    if ts.m != m or len(ts.tables) != m:
+        raise DomainError(f"tables of m = {ts.m} checked against an embedding of m = {m}")
     bad = []
-    for k, ref in enumerate(_closed_form_tables(emb.base, emb.kind, emb.d)):
-        diff = pack_lanes(ts.tables[k], m) ^ ref
+    for k, diff in enumerate(map(xor, ts.tables, _closed_form_tables(emb.base, emb.kind, emb.d))):
         while diff:
             low = diff & -diff
             bad.append((k, *divmod(low.bit_length() - 1, m)))

@@ -28,9 +28,6 @@ MODULES = ("bitpoly", "linalg", "field", "normal", "witt", "extbasis", "tables",
 ALLOWED = {
     "field.frobenius": "the tests' reference for squaring and normal_mul",
     "tables.normal_table_set": "the tests' reference for the oracle's tables",
-    "tables.closed_form_tables": "the tests' closed form of whole tables; "
-                                 "verify_table_entries lays out the same tables "
-                                 "with d from the embedding",
     "normal.NormalBasisCtx.to_poly": "README quick start",
 }
 

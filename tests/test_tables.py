@@ -17,7 +17,7 @@ from charfield2.errors import (ConstructionContradictionError, DomainError,
                                InvalidElementError, NoKummerExtensionError,
                                UnsupportedDegreeError)
 from charfield2.fixtures import fixture_degrees, get_fixture
-from charfield2.linalg import mat_invert, row_apply
+from charfield2.linalg import mat_invert, pack_lanes, row_apply, unpack_lanes
 
 NB2 = get_fixture(2).basis()
 NB4 = get_fixture(4).basis()
@@ -749,14 +749,25 @@ def _tables_by_full_loop(emb):
     coordinates from the inverse of the basis images by row_apply."""
     m = emb.m
     inv = mat_invert(emb.basis_images, m)
-    tables_ = [[0] * m for _ in range(m)]
+    tables_ = [0] * m
     for i in range(m):
         for j in range(m):
             coords = row_apply(inv, gf.poly_mul_mod(emb.big, emb.basis_images[i],
                                                     emb.basis_images[j]))
             for k in range(m):
-                tables_[k][i] |= (coords >> k & 1) << j
+                tables_[k] |= (coords >> k & 1) << (i * m + j)
     return tables_
+
+
+def _rows(ts):
+    """Each packed table as its m rows of m bits."""
+    return [list(unpack_lanes(t, ts.m, ts.m)) for t in ts.tables]
+
+
+def _row_repr(ts):
+    """repr(TableSet) with each table an m-list of row ints."""
+    return (f"TableSet(m={ts.m}, tables={_rows(ts)!r}, per_table_nonzeros="
+            f"{ts.per_table_nonzeros!r}, density={ts.density!r})")
 
 
 def _wide_sources():
@@ -768,8 +779,9 @@ def _wide_sources():
     yield "asw4-n16", xb.build_kind(get_fixture(16).basis(), "asw4")
 
 
-# sha256 of repr(TableSet), recorded from the build that took one field
-# product per entry and row_apply for its coordinates.
+# sha256 of repr(TableSet) as it read with each table an m-list of row ints,
+# recorded from the build that took one field product per entry and
+# row_apply for its coordinates; _row_repr renders the packed tables so.
 TABLE_SET_SHA256 = {
     "normal-n1": "d010f6a7f5b66fdae4cf72abdd650f54f0e1b9a47e484352f70d649190cadee6",
     "as2-n1": "1d9e40ee040436a34e05d6bd46a3bf5d45df68c89d8def6815dae91f746e096e",
@@ -794,15 +806,15 @@ TABLE_SET_SHA256 = {
 def test_build_tables_matches_the_full_loop_and_is_symmetric(label, source):
     emb = tables.build_embedding(source)
     ts = tables.build_tables(emb)
-    assert hashlib.sha256(repr(ts).encode()).hexdigest() == TABLE_SET_SHA256[label]
+    assert hashlib.sha256(_row_repr(ts).encode()).hexdigest() == TABLE_SET_SHA256[label]
     assert ts.tables == _tables_by_full_loop(emb)
-    assert ts.per_table_nonzeros == [sum(r.bit_count() for r in t) for t in ts.tables]
+    assert ts.per_table_nonzeros == [sum(r.bit_count() for r in t) for t in _rows(ts)]
     m = ts.m
     for k in range(m):
         for i in range(m):
             for j in range(m):
-                assert (ts.tables[k][i] >> j) & 1 == (ts.tables[k][j] >> i) & 1
-    ts.tables[0][0] ^= 1  # the verify --corrupt-table control's flip
+                assert (ts.tables[k] >> (i * m + j)) & 1 == (ts.tables[k] >> (j * m + i)) & 1
+    ts.tables[0] ^= 1  # flip entry (0, 0) of table 0
     assert tables.verify_table_entries(emb, ts) == [(0, 0, 0)]
 
 
@@ -810,7 +822,7 @@ def _table_mul_by_tables(ts, x, y):
     """Reference for table_mul: z_k = parity(row_apply(T_k, x) & y), one
     table at a time."""
     return sum(((row_apply(rows, x) & y).bit_count() & 1) << k
-               for k, rows in enumerate(ts.tables))
+               for k, rows in enumerate(_rows(ts)))
 
 
 def _table_mul_cases():
@@ -991,7 +1003,7 @@ def test_closed_form_tables_match_brute_force(source):
     closed = tables.closed_form_tables(nb, kind)
     assert closed == tables.build_tables(tables.build_embedding(source)).tables
     if kind is None:
-        assert closed == nb.mul_rows
+        assert closed == [pack_lanes(t, nb.n) for t in nb.mul_rows]
 
 
 def _structure_columns_by_vectors(nb, kind):
@@ -1117,13 +1129,31 @@ def test_verify_table_entries_clean_and_corrupted():
     emb = tables.build_embedding(xb.build_kind(NB2, "as2"))
     ts = tables.build_tables(emb)
     assert tables.verify_table_entries(emb, ts) == []
-    ts.tables[0][0] ^= 1  # flip one bit
+    m = ts.m
+    ts.tables[0] ^= 1  # flip one bit
     witnesses = tables.verify_table_entries(emb, ts)
     assert witnesses == [(0, 0, 0)]
     # two more flips in other tables: witnesses come in (i, j, k) order
-    ts.tables[3][0] ^= 1 << 1    # (k, i, j) = (3, 0, 1)
-    ts.tables[1][1] ^= 1 << 0    # (k, i, j) = (1, 1, 0)
+    ts.tables[3] ^= 1 << (0 * m + 1)    # (k, i, j) = (3, 0, 1)
+    ts.tables[1] ^= 1 << (1 * m + 0)    # (k, i, j) = (1, 1, 0)
     assert tables.verify_table_entries(emb, ts) == [(0, 0, 0), (3, 0, 1), (1, 1, 0)]
+
+
+def test_verify_table_entries_refuses_tables_of_another_size():
+    """Four tables checked against an embedding of m = 8 used to raise a bare
+    IndexError, and eight against one of m = 4 gave witnesses (k, i, j) with
+    i >= 4.  A set of m = 4 that lacks a table is refused too."""
+    small = tables.build_embedding(NB4)
+    large = tables.build_embedding(xb.build_kind(NB4, "as2"))
+    assert large.m == 8
+    ts = tables.normal_table_set(NB4)
+    with pytest.raises(DomainError):
+        tables.verify_table_entries(large, ts)
+    with pytest.raises(DomainError):
+        tables.verify_table_entries(small, tables.build_tables(large))
+    with pytest.raises(DomainError):
+        tables.verify_table_entries(small, tables.TableSet(4, ts.tables[:3], ts.products))
+    assert tables.verify_table_entries(small, ts) == []
 
 
 def test_verify_table_entries_decodes_witnesses_at_the_edges():
@@ -1135,6 +1165,6 @@ def test_verify_table_entries_decodes_witnesses_at_the_edges():
     assert ts.m == 48
     for k in (0, 47):
         for i, j in ((47, 47), (0, 47), (47, 0)):
-            ts.tables[k][i] ^= 1 << j
+            ts.tables[k] ^= 1 << (i * 48 + j)
     assert tables.verify_table_entries(emb, ts) == [
         (0, 0, 47), (47, 0, 47), (0, 47, 0), (47, 47, 0), (0, 47, 47), (47, 47, 47)]
