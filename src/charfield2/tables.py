@@ -16,12 +16,13 @@ products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
 products, shifted into place as m tables of one int each: closed_form_tables,
 whose popcounts are expected_counts.  build_tables lays out the oracle's
-tables alike, and verify_table_entries xors them against the closed form's;
-the two start from disjoint data, and the oracle does not read the planes.
+tables alike, by one row_apply per table on bit-planes of the big-field
+products, and verify_table_entries xors them against the closed form's;
+the two start from disjoint data, and the oracle reads no product_planes.
 """
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import xor
 
 from . import bitpoly
@@ -257,6 +258,7 @@ class OracleEmbedding:
         if inv is None:
             raise ConstructionContradictionError("basis images are linearly dependent")
         self.coord_map = PreparedMap(inv)  # big-field element -> flat coordinates
+        self.coord_cols = mat_transpose(inv, self.m)  # bit t of [k]: bit k of inv[t]
 
     def _solve_generators(self):
         """A root in the big field of each rule, in adjunction order."""
@@ -320,27 +322,22 @@ def build_embedding(source) -> OracleEmbedding:
 
 # --- multiplication tables ----------------------------------------------
 
-def _lane_width(m: int) -> int:
-    """L, the power of two >= m: TableSet.products[i] is an L x L matrix."""
-    return 1 << (m - 1).bit_length()
-
-
 @dataclass
 class TableSet:
     """All m multiplication tables of an m-element basis, each one int:
-    entry (i, j) of table k is bit i m + j of tables[k].
-
-    products[i] holds the same entries by basis product: its lane j, of
-    _lane_width(m) bits, is coord(b_i b_j), whose bit k is entry (i, j) of
-    table k.  It is left out of repr and ==, so both read the tables,
-    and the counts are taken from the tables as given."""
+    entry (i, j) of table k is bit i m + j of tables[k].  DomainError
+    unless there are m tables, each in [0, 2^(m^2)); the counts are taken
+    from the tables as given."""
     m: int
     tables: list
     per_table_nonzeros: list = field(init=False)
     density: int = field(init=False)
-    products: list = field(repr=False, compare=False)
 
     def __post_init__(self):
+        m = self.m
+        if len(self.tables) != m or any(
+                not isinstance(t, int) or t < 0 or t >> m * m for t in self.tables):
+            raise DomainError(f"a table set of m = {m} needs {m} tables of {m * m} bits")
         self.per_table_nonzeros = [t.bit_count() for t in self.tables]
         self.density = sum(self.per_table_nonzeros)
 
@@ -351,63 +348,65 @@ def build_tables(emb: OracleEmbedding) -> TableSet:
     Row i takes one carry-less product of imgs[i] by imgs[i..m-1] packed in
     lanes 2m bits apart: each lane's product has at most 2m - 1 bits, so no
     lane spills, and lane j - i is imgs[i] imgs[j] unreduced.  One
-    reduce_lanes reduces every lane, and the coordinate map takes each to
-    coord(b_i b_j).  The big field commutes, so that is lane j of
-    products[i] and lane i of products[j], and row i of every table is one
-    lane of the transpose of products[i], put into place by a shift of i m."""
+    reduce_lanes reduces every lane.  The big field commutes, so b_i b_j
+    is lane j of rows[i] and lane i of rows[j], of L bits (L the power of
+    two >= m), and one transpose of rows[i] gives row i of every bit-plane:
+    bit i m + j of planes[t] is bit t of b_i b_j.  Coordinates are linear,
+    so table k is the xor of the planes emb.coord_cols[k] names."""
     m = emb.m
     imgs = emb.basis_images
-    to_coords = emb.coord_map.apply
     lane = 2 * m
     lane_mask = (1 << lane) - 1
-    size = _lane_width(m)
-    products = [0] * m
+    size = 1 << (m - 1).bit_length()
+    rows = [0] * m
     packed = ones = 0
     for i in reversed(range(m)):
         packed = packed << lane | imgs[i]  # imgs[j] in lane j - i
         ones = ones << lane | 1
         prods = gf.reduce_lanes(emb.big, bitpoly.poly_mul(imgs[i], packed), ones)
         for j in range(i, m):
-            c = to_coords(prods & lane_mask)
-            products[i] |= c << j * size
-            products[j] |= c << i * size
+            c = prods & lane_mask
+            rows[i] |= c << j * size
+            rows[j] |= c << i * size
             prods >>= lane
-    tables = [0] * m
-    for i, p in enumerate(products):
-        for k, row in enumerate(unpack_lanes(transpose_packed(p, size), size, m)):
-            tables[k] |= row << i * m
-    return TableSet(m, tables, products)
+    planes = [0] * m
+    for i, r in enumerate(rows):
+        for t, col in enumerate(unpack_lanes(transpose_packed(r, size), size, m)):
+            planes[t] |= col << i * m
+    return TableSet(m, [row_apply(planes, c) for c in emb.coord_cols])
+
+
+@cache
+def _spread_nibbles(m: int):
+    """Entry b < 16: bit i of b moved to bit i m (a byte table cost memory)."""
+    return tuple(sum(1 << i * m for i in range(4) if b >> i & 1) for b in range(16))
 
 
 def table_mul(ts: TableSet, x: int, y: int) -> int:
     """Product of coordinate vectors, z_k = x T_k y^t for every k at once;
     InvalidElementError unless x and y are in [0, 2^m).
 
-    Lane j of row_apply(products, x) is the sum of coord(b_i b_j) over the
-    bits i of x.  y spread over the lanes (one transpose puts bit j at the
-    foot of lane j, a product by 2^m - 1 fills the lane) keeps the lanes j
-    in y, and folding the lanes onto each other sums them."""
+    The outer product x^t y, bit i m + j = x_i y_j, is y times x spread to
+    bits i m, one table lookup per 4 bits of x; y < 2^m, so nothing carries.
+    Then z_k is the parity of tables[k] AND it."""
     m = ts.m
     for v in (x, y):
         if not isinstance(v, int) or v < 0 or v >> m:
             raise InvalidElementError(f"vector {v!r} out of range for m={m}")
-    size = _lane_width(m)
-    z = row_apply(ts.products, x) & (transpose_packed(y, size) * ((1 << m) - 1))
-    width = size * size
-    while width > size:
-        width >>= 1
-        z = (z ^ z >> width) & ((1 << width) - 1)
+    spread, sx = _spread_nibbles(m), 0
+    for shift in range(0, m * m, 4 * m):
+        sx |= spread[x & 0xF] << shift
+        x >>= 4
+    outer = y * sx
+    z = 0
+    for t in reversed(ts.tables):
+        z = z << 1 | (t & outer).bit_count() & 1
     return z
 
 
 def normal_table_set(nb: NormalBasisCtx) -> TableSet:
-    """The n tables of the base normal basis itself (t^k_{i,j} = t_{j-i,k-i}),
-    with products[i] the transpose of the rows i of the n tables."""
-    n, rows = nb.n, nb.mul_rows
-    size = _lane_width(n)
-    products = [transpose_packed(pack_lanes([t[i] for t in rows], size), size)
-                for i in range(n)]
-    return TableSet(n, [pack_lanes(t, n) for t in rows], products)
+    """The n tables of the base normal basis itself (t^k_{i,j} = t_{j-i,k-i})."""
+    return TableSet(nb.n, [pack_lanes(t, nb.n) for t in nb.mul_rows])
 
 
 # --- closed-form tables and counts -----------------------------------------
@@ -495,9 +494,9 @@ def expected_density(nb: NormalBasisCtx, kind) -> int:
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     """Compare `ts` with closed_form_tables(emb.base, emb.kind); return (k, i, j)
     witnesses of the entries that differ, in (i, j, k) order, or DomainError
-    unless ts has emb.m tables of that m.  The degree d comes from the
-    embedding, built from a plain basis or from a context build_kind
-    accepted, so the kind is not built again.
+    unless ts.m is emb.m.  The degree d comes from the embedding, built from
+    a plain basis or from a context build_kind accepted, so the kind is not
+    built again.
 
     The two sides start from disjoint data: build_tables reads only the big
     field (the images of the basis and their products), the closed form
@@ -505,7 +504,7 @@ def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     result checks the embedding, build_tables and the base table against
     each other, not build_tables against itself."""
     m = emb.m
-    if ts.m != m or len(ts.tables) != m:
+    if ts.m != m:
         raise DomainError(f"tables of m = {ts.m} checked against an embedding of m = {m}")
     bad = []
     for k, diff in enumerate(map(xor, ts.tables, _closed_form_tables(emb.base, emb.kind, emb.d))):

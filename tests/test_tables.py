@@ -709,7 +709,6 @@ def test_normal_table_set_matches_brute_force():
         ts_formula = tables.normal_table_set(nb)
         ts_brute = tables.build_tables(tables.build_embedding(nb))
         assert ts_formula.tables == ts_brute.tables
-        assert ts_formula.products == ts_brute.products
         assert ts_formula.density == ts_brute.density == nb.density
 
 
@@ -726,6 +725,39 @@ def test_normal_table_mul_matches_normal_mul():
             pairs = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(300)]
         for u, v in pairs:
             assert tables.table_mul(ts, u, v) == normal.normal_mul(nb, u, v), (n, u, v)
+
+
+def _flat(blocks, n):
+    return sum(b << (i * n) for i, b in enumerate(blocks))
+
+
+@pytest.mark.parametrize("kind", ["k3", "asw4"])
+def test_closed_form_table_mul_above_the_oracle_cap(kind):
+    """At n = 26, k3 (m = 78, not a multiple of 8) and asw4 (m = 104) lie
+    above the oracle's degree cap of 64: a TableSet of the closed form's
+    tables alone is complete there, and its table_mul agrees with the
+    extended product on seeded pairs."""
+    nb = get_fixture(26).basis()
+    ctx = xb.build_kind(nb, kind)
+    ts = tables.TableSet(ctx.m, tables.closed_form_tables(nb, kind))
+    assert ts.m == {"k3": 78, "asw4": 104}[kind]
+    rng = random.Random(f"closed-form-table-mul:{kind}")
+    for _ in range(12):
+        x = xb.ExtElem(tuple(rng.getrandbits(ctx.n) for _ in range(ctx.d)))
+        y = xb.ExtElem(tuple(rng.getrandbits(ctx.n) for _ in range(ctx.d)))
+        assert (tables.table_mul(ts, _flat(x.blocks, ctx.n), _flat(y.blocks, ctx.n))
+                == _flat(xb.mul(ctx, x, y).blocks, ctx.n))
+
+
+def test_table_set_refuses_a_malformed_set():
+    """A set of m = 4 needs four tables of at most 16 bits: three tables
+    used to make a set whose table_mul gave 3-bit products."""
+    ts = tables.normal_table_set(NB4)
+    for bad in (ts.tables[:3], ts.tables + [0], [*ts.tables[:3], 1 << 16],
+                [*ts.tables[:3], -1], [*ts.tables[:3], "7"]):
+        with pytest.raises(DomainError):
+            tables.TableSet(4, bad)
+    assert tables.TableSet(4, list(ts.tables)) == ts
 
 
 def test_ext_table_mul_matches_counted_mul():
@@ -871,8 +903,9 @@ def test_table_mul_refuses_vectors_outside_the_space():
 
 def test_oracle_table_operation_counts(monkeypatch):
     """Deterministic cost guard at as2 n = 24 (m = 48): build_tables takes one
-    carry-less product per row and reduces its lanes together, and table_mul
-    takes one row_apply and no parity (it used to take m of each)."""
+    carry-less product per row, reduces its lanes together and takes one
+    row_apply per table on the bit-planes, and table_mul takes no row_apply
+    and no parity."""
     emb = tables.build_embedding(xb.build_kind(get_fixture(24).basis(), "as2"))
     calls = {}
 
@@ -890,12 +923,12 @@ def test_oracle_table_operation_counts(monkeypatch):
             if any(obj is fn for fn in counted):
                 monkeypatch.setattr(mod, attr, counting(obj.__name__, obj))
     ts = tables.build_tables(emb)
-    assert calls == {"poly_mul": emb.m}
+    assert calls == {"poly_mul": emb.m, "row_apply": emb.m}
     calls.clear()
     rng = random.Random(48)
     for _ in range(10):
         tables.table_mul(ts, rng.getrandbits(emb.m), rng.getrandbits(emb.m))
-    assert calls == {"row_apply": 10}
+    assert calls == {}
 
 
 def test_programs_make_no_transpose(monkeypatch):
@@ -904,13 +937,14 @@ def test_programs_make_no_transpose(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the arithmetic under test transposed")
 
+    emb = tables.build_embedding(NB2)
     transposes = (linalg.transpose_packed, linalg.mat_transpose)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in transposes):
                 monkeypatch.setattr(mod, attr, forbidden)
     with pytest.raises(AssertionError):
-        tables.normal_table_set(NB2)
+        tables.build_tables(emb)
     rng = random.Random(4)
     for n in (2, 4):
         nb = get_fixture(n).basis()
@@ -1152,7 +1186,7 @@ def test_verify_table_entries_refuses_tables_of_another_size():
     with pytest.raises(DomainError):
         tables.verify_table_entries(small, tables.build_tables(large))
     with pytest.raises(DomainError):
-        tables.verify_table_entries(small, tables.TableSet(4, ts.tables[:3], ts.products))
+        tables.verify_table_entries(small, tables.TableSet(4, ts.tables[:3]))
     assert tables.verify_table_entries(small, ts) == []
 
 
