@@ -22,7 +22,7 @@ from .extbasis import (EXPECTED_MUL_COUNTS, EXPECTED_SQUARE_COUNTS,
                        power, square)
 from .fixtures import FIXTURES, Fixture, get_fixture
 from .tables import (OracleEmbedding, TableSet, build_embedding, build_tables,
-                     expected_counts, expected_density, normal_table_set,
+                     closed_form_tables, expected_counts, normal_table_set,
                      table_mul, verify_table_entries)
 from .tower import (as2_over_k3_possible, bicubic_possible,
                     biquadratic_possible, kummer_over_as2_possible)
@@ -39,7 +39,7 @@ __all__ = [
     "OpCounter", "build_kind", "mul", "power", "square",
     "FIXTURES", "Fixture", "get_fixture",
     "OracleEmbedding", "TableSet", "build_embedding", "build_tables",
-    "expected_counts", "expected_density", "normal_table_set", "table_mul",
+    "closed_form_tables", "expected_counts", "normal_table_set", "table_mul",
     "verify_table_entries",
     "as2_over_k3_possible", "bicubic_possible", "biquadratic_possible",
     "kummer_over_as2_possible",

@@ -250,7 +250,7 @@ def cmd_densities(args) -> int:
             computed = ""
             if m % divisor == 0 and m // divisor in fixtures.FIXTURES:
                 try:
-                    computed = tables.expected_density(basis(m // divisor), kind)
+                    computed = sum(tables.expected_counts(basis(m // divisor), kind))
                 except (UnsupportedDegreeError, NoKummerExtensionError):
                     computed = "-"
             expected = records.get(m, "")
@@ -279,7 +279,7 @@ def cmd_tables(args) -> int:
         return 0
 
     ts = tables.build_tables(tables.build_embedding(basis))
-    expected = (tables.expected_counts(basis.base, args.kind)
+    expected = (tables.closed_form_tables(basis).per_table_nonzeros
                 if args.kind in tables.CLOSED_FORM_KINDS else None)
     header = ("table_index", "nonzeros", "closed_form", "match")
     rows, failures = [], 0
@@ -376,7 +376,7 @@ def _verify_checks(args):
                 continue
 
             if kind in tables.CLOSED_FORM_KINDS and (kind != "asw4" or n <= 4):
-                want = tables.expected_counts(ctx.base, kind)
+                want = tables.closed_form_tables(ctx).per_table_nonzeros
                 got = tables.build_tables(emb).per_table_nonzeros
                 yield ("closed_form_counts", kind, n, got == want,
                        f"expected {want}, actual {got}")

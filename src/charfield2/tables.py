@@ -14,11 +14,11 @@ on.  The closed form derives the same tables from the kind's structure
 constants and the base normal basis's table T alone: _structure_columns holds the n^2
 products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
-products, shifted into place as m tables of one int each: closed_form_tables,
-whose popcounts are expected_counts.  build_tables lays out the oracle's
-tables alike, by one row_apply per table on bit-planes of the big-field
-products, and verify_table_entries xors them against the closed form's;
-the two start from disjoint data, and the oracle reads no product_planes.
+products, shifted into place as m tables of one int each.  Both checkers
+read the built basis through _basis_parts and give a TableSet: the oracle
+by build_tables, one row_apply per table on bit-planes of the big-field
+products, and closed_form_tables; verify_table_entries xors the two.  They
+start from disjoint data, and the oracle reads no product_planes.
 """
 
 from dataclasses import dataclass, field
@@ -217,20 +217,26 @@ def _base_root(big: gf.FieldCtx, base: gf.FieldCtx) -> int:
     return row_apply(powers, c)
 
 
+def _basis_parts(source):
+    """(nb, kind, d) of a basis context: its base normal basis, its kind and
+    the degree d of the extension; (source, None, 1) for a plain normal
+    basis, the kind with no generators.  DomainError for anything else."""
+    if isinstance(source, ExtBasisCtx):
+        return source.base, source.kind, source.d
+    if isinstance(source, NormalBasisCtx):
+        return source, None, 1
+    raise DomainError("source must be a normal or extended basis context")
+
+
 class OracleEmbedding:
-    """Deterministic embedding of a (possibly extended) basis into one big field."""
+    """Deterministic embedding of a built basis, a NormalBasisCtx or an
+    ExtBasisCtx, into one big field; the basis is kept as `source`."""
 
     def __init__(self, source):
-        if isinstance(source, ExtBasisCtx):
-            nb, self.kind = source.base, source.kind
-            self.rules = RULES[self.kind]
-        elif isinstance(source, NormalBasisCtx):  # the kind with no generators
-            nb, self.kind, self.rules = source, None, ()
-        else:
-            raise DomainError("source must be a normal or extended basis context")
-        monomials = _monomials(self.rules)
+        nb, self.kind, self.d = _basis_parts(source)
+        self.source = source
+        self.rules = RULES[self.kind] if self.kind else ()
         self.base = nb
-        self.d = len(monomials)
         self.m = nb.n * self.d
         self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m), check_irreducible=False)
         big = self.big
@@ -246,7 +252,7 @@ class OracleEmbedding:
         self.gen_images = self._solve_generators()
         conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
         images = []
-        for mono in monomials:
+        for mono in _monomials(self.rules):
             img = 1
             for y, e in zip(self.gen_images.values(), mono):
                 for _ in range(e):
@@ -416,15 +422,9 @@ def normal_table_set(nb: NormalBasisCtx) -> TableSet:
 CLOSED_FORM_KINDS = ("as2", "k3", "asw4")
 
 
-def _kind_degree(nb: NormalBasisCtx, kind) -> int:
-    """d of the kind's extended basis over nb, 1 for kind None (the plain
-    normal basis).  A basis build_kind refuses raises its error."""
-    return 1 if kind is None else build_kind(nb, kind).d
-
-
 def _structure_columns(nb: NormalBasisCtx, kind, d: int):
     """(constants, columns) for the kind's extended basis of degree d over
-    nb, which the caller has built or checked with _kind_degree.
+    nb, which the caller has built.
 
     constants is structure_constants(kind), {(p, q): {r: c_pqr}}; kind None
     is the plain normal basis, with the one constant c_000 = 1.
@@ -450,21 +450,17 @@ def _structure_columns(nb: NormalBasisCtx, kind, d: int):
     return sc, columns
 
 
-def closed_form_tables(nb: NormalBasisCtx, kind):
-    """The m tables of the kind's extended basis over nb (kind None: nb itself),
-    laid out as TableSet.tables, from its structure constants and nb.table
-    alone.  A basis build_kind refuses raises its error."""
-    return _closed_form_tables(nb, kind, _kind_degree(nb, kind))
-
-
-def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
-    """closed_form_tables for the kind's extended basis of degree d over nb.
+def closed_form_tables(source) -> TableSet:
+    """The m tables of a built basis context (see _basis_parts) from its
+    structure constants and nb.table alone; nothing is built again.  The
+    density is n w(N) for a plain basis, 4d(N)+CS for as2 and 6d(N)+3CS for k3.
 
     Basis element (i, p) = a^(2^i) m_p is row and bit p n + i, as in
     OracleEmbedding.basis_images.  Since m_p m_q = sum_r c_pqr(a) m_r,
     entry ((i, p), (j, q)) of table (r, k) is bit k of c_pqr(T) u_ij: bit
     i m + j of column k of _structure_columns, which a shift by
     p n m + q n moves to bit (p n + i) m + q n + j of table (r, k)."""
+    nb, kind, d = _basis_parts(source)
     sc, columns = _structure_columns(nb, kind, d)
     n = nb.n
     m = d * n
@@ -474,29 +470,22 @@ def _closed_form_tables(nb: NormalBasisCtx, kind, d: int):
         for r, c in cs.items():
             for k, col in enumerate(columns[c], r * n):
                 packed[k] |= col << shift
-    return packed
+    return TableSet(m, packed)
 
 
 def expected_counts(nb: NormalBasisCtx, kind):
-    """Per-table nonzero counts of closed_form_tables(nb, kind): the
-    popcount of each table.  A basis build_kind refuses raises its error."""
-    return [t.bit_count() for t in closed_form_tables(nb, kind)]
-
-
-def expected_density(nb: NormalBasisCtx, kind) -> int:
-    """Closed-form density, the sum of the counts: n w(N) for kind None,
-    4d(N)+CS for as2 and 6d(N)+3CS for k3."""
-    return sum(expected_counts(nb, kind))
+    """Per-table nonzero counts of the closed form of the kind's extended
+    basis over nb (kind None: nb itself).  The one build_kind call in this
+    module: a basis build_kind refuses raises its error."""
+    return closed_form_tables(nb if kind is None else build_kind(nb, kind)).per_table_nonzeros
 
 
 # --- verification -------------------------------------------------------
 
 def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
-    """Compare `ts` with closed_form_tables(emb.base, emb.kind); return (k, i, j)
+    """Compare `ts` with closed_form_tables(emb.source); return (k, i, j)
     witnesses of the entries that differ, in (i, j, k) order, or DomainError
-    unless ts.m is emb.m.  The degree d comes from the embedding, built from
-    a plain basis or from a context build_kind accepted, so the kind is not
-    built again.
+    unless ts.m is emb.m.  Nothing is built again.
 
     The two sides start from disjoint data: build_tables reads only the big
     field (the images of the basis and their products), the closed form
@@ -507,7 +496,7 @@ def verify_table_entries(emb: OracleEmbedding, ts: TableSet):
     if ts.m != m:
         raise DomainError(f"tables of m = {ts.m} checked against an embedding of m = {m}")
     bad = []
-    for k, diff in enumerate(map(xor, ts.tables, _closed_form_tables(emb.base, emb.kind, emb.d))):
+    for k, diff in enumerate(map(xor, ts.tables, closed_form_tables(emb.source).tables)):
         while diff:
             low = diff & -diff
             bad.append((k, *divmod(low.bit_length() - 1, m)))

@@ -58,8 +58,8 @@ def test_kummer_density_records_by_formula_and_brute_force(monkeypatch):
     # closed-form path covers every record
     for m, expected in KUMMER_DENSITY.items():
         nb = fixtures.get_fixture(m // 3).basis()
-        xb.build_kind(nb, "k3")  # must construct
-        assert tables.expected_density(nb, "k3") == expected
+        ctx = xb.build_kind(nb, "k3")  # must construct
+        assert tables.closed_form_tables(ctx).density == expected
     # brute-force table counting confirms every record; the oracle field for
     # m = 78 is above the default degree cap of 64
     monkeypatch.setenv("CHARFIELD2_MAX_N", "80")
@@ -75,7 +75,8 @@ def test_kummer_density_records_by_formula_and_brute_force(monkeypatch):
             xb.build_kind(nb, "k3")
     # m = 24 is the one remaining constructible degree; its record is pinned too
     nb8 = fixtures.get_fixture(8).basis()
-    assert tables.expected_density(nb8, "k3") == fixtures.EXPECTED_KUMMER_DENSITY[24] == 1707
+    density = tables.closed_form_tables(xb.build_kind(nb8, "k3")).density
+    assert density == fixtures.EXPECTED_KUMMER_DENSITY[24] == 1707
     elapsed = time.perf_counter() - t0
     assert (set(KUMMER_DENSITY) | set(KUMMER_REFUSED) | {24}
             == set(fixtures.DENSITY_DEGREES))

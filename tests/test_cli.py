@@ -129,10 +129,10 @@ def test_densities_at_every_fixture_degree(capsys):
             return ""
         nb = fixtures.get_fixture(m // divisor).basis()
         try:
-            extbasis.build_kind(nb, kind)
+            ctx = extbasis.build_kind(nb, kind)
         except (UnsupportedDegreeError, NoKummerExtensionError):
             return "-"
-        return str(tables.expected_density(nb, kind))
+        return str(tables.closed_form_tables(ctx).density)
 
     for r in rows:
         m = int(r[0])
@@ -386,6 +386,36 @@ def test_verify_builds_each_case_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--n", "8", "--limit", "1")
     assert code == 0
     assert (calls["_basis_for_kind"], calls["build_embedding"], calls["ka6"]) == (32, 24, 10)
+
+
+def test_closed_form_columns_read_the_built_case(capsys, monkeypatch):
+    """verify and tables take their closed-form counts from the context they
+    built: with tables.build_kind made to raise, each run exits 0 with the
+    same output.  With build_kind made to raise at every binding, the closed
+    form of a built context of every kind is unchanged."""
+    runs = (("verify", "--n", "8", "--format", "csv", "--seed", "1"),
+            ("tables", "--kind", "asw4", "--n", "8"),
+            ("tables", "--kind", "k3", "--n", "8"))
+    want = [run_cli(capsys, *argv)[:2] for argv in runs]
+    assert [code for code, _ in want] == [0, 0, 0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a built case was built again")
+
+    monkeypatch.setattr(tables, "build_kind", forbidden)
+    for argv, out in zip(runs, want):
+        assert run_cli(capsys, *argv)[:2] == out, argv
+    build_kind = extbasis.build_kind
+    sources = [fixtures.get_fixture(2).basis()]
+    sources += [build_kind(sources[0], kind) for kind in extbasis.KINDS]
+    closed = [tables.closed_form_tables(s).tables for s in sources]
+    for mod in [m for k, m in sys.modules.items() if k.startswith("charfield2")]:
+        for attr, obj in list(vars(mod).items()):
+            if obj is build_kind:
+                monkeypatch.setattr(mod, attr, forbidden)
+    with pytest.raises(AssertionError):
+        cli._basis_for_kind("as2", 2)
+    assert [tables.closed_form_tables(s).tables for s in sources] == closed
 
 
 # The least irreducible modulus of each degree 1..20, the one verify's cases

@@ -702,6 +702,8 @@ def test_embedding_conversions_reject_out_of_range_input():
 def test_embedding_rejects_other_sources():
     with pytest.raises(DomainError):
         tables.build_embedding("nope")
+    with pytest.raises(DomainError):
+        tables.closed_form_tables("nope")
 
 
 def test_normal_table_set_matches_brute_force():
@@ -739,7 +741,7 @@ def test_closed_form_table_mul_above_the_oracle_cap(kind):
     extended product on seeded pairs."""
     nb = get_fixture(26).basis()
     ctx = xb.build_kind(nb, kind)
-    ts = tables.TableSet(ctx.m, tables.closed_form_tables(nb, kind))
+    ts = tables.closed_form_tables(ctx)
     assert ts.m == {"k3": 78, "asw4": 104}[kind]
     rng = random.Random(f"closed-form-table-mul:{kind}")
     for _ in range(12):
@@ -993,14 +995,13 @@ def test_expected_density_formulas():
         formulas = {"as2": 4 * nb.density + cs, "k3": 6 * nb.density + 3 * cs}
         for kind in xb.KINDS:
             try:
-                xb.build_kind(nb, kind)
+                ctx = xb.build_kind(nb, kind)
             except NoKummerExtensionError:
                 refused.append((nb.n, kind))
-                for counts in (tables.expected_counts, tables.expected_density):
-                    with pytest.raises(NoKummerExtensionError):
-                        counts(nb, kind)
+                with pytest.raises(NoKummerExtensionError):
+                    tables.expected_counts(nb, kind)
                 continue
-            density = tables.expected_density(nb, kind)
+            density = tables.closed_form_tables(ctx).density
             assert density == sum(tables.expected_counts(nb, kind))
             assert density == formulas.get(kind, density)
     assert refused == [(4, "k3"), (4, "ka6")]
@@ -1017,8 +1018,6 @@ def test_expected_counts_refuse_what_the_builder_refuses(n, kind, error):
         xb.build_kind(nb, kind)
     with pytest.raises(error):
         tables.expected_counts(nb, kind)
-    with pytest.raises(error):
-        tables.closed_form_tables(nb, kind)
 
 
 # Every fixture source with m <= 64 and the wide sources, by label.
@@ -1034,7 +1033,7 @@ def test_closed_form_tables_match_brute_force(source):
     field's entry for entry; a plain normal basis gives its mul_rows."""
     kind = getattr(source, "kind", None)
     nb = source if kind is None else source.base
-    closed = tables.closed_form_tables(nb, kind)
+    closed = tables.closed_form_tables(source).tables
     assert closed == tables.build_tables(tables.build_embedding(source)).tables
     if kind is None:
         assert closed == [pack_lanes(t, nb.n) for t in nb.mul_rows]
@@ -1091,9 +1090,10 @@ def test_structure_columns_match_the_per_vector_reference(nb):
             d, want = _structure_columns_by_vectors(nb, kind)
         except (NoKummerExtensionError, UnsupportedDegreeError) as refusal:
             with pytest.raises(type(refusal)):
-                tables._kind_degree(nb, kind)
+                tables.expected_counts(nb, kind)
             continue
-        assert tables._kind_degree(nb, kind) == d, kind
+        source = nb if kind is None else xb.build_kind(nb, kind)
+        assert tables._basis_parts(source) == (nb, kind, d), kind
         assert tables._structure_columns(nb, kind, d) == want, kind
         built.append(kind)
     assert built[:2] == [None, "as2"]
@@ -1124,7 +1124,7 @@ def test_verify_table_entries_does_not_rebuild_the_tables(monkeypatch):
 
 def test_verify_table_entries_does_not_rebuild_the_kind(monkeypatch):
     """Clean tables of every kind verify with build_kind made to raise: the
-    degree comes from the embedding.  The public closed form still builds
+    closed form reads the embedding's source.  expected_counts still builds
     the kind, so it still refuses what build_kind refuses."""
     built = []
     for kind in xb.KINDS:
@@ -1138,7 +1138,7 @@ def test_verify_table_entries_does_not_rebuild_the_kind(monkeypatch):
     for emb, ts in built:
         assert tables.verify_table_entries(emb, ts) == [], emb.kind
     with pytest.raises(AssertionError):
-        tables.closed_form_tables(NB2, "as2")
+        tables.expected_counts(NB2, "as2")
 
 
 @pytest.mark.parametrize("kind", [None, *xb.KINDS])
@@ -1147,15 +1147,20 @@ def test_verify_table_entries_catches_a_corrupted_base_table(kind):
     copy of the base with one bit of T[1] flipped, give witnesses, where a
     rebuild from the same embedding agrees with them."""
     nb = NB2 if kind in ("k3", "ka6") else NB4
-    emb = tables.build_embedding(nb if kind is None else xb.build_kind(nb, kind))
+    source = nb if kind is None else xb.build_kind(nb, kind)
+    emb = tables.build_embedding(source)
     ts = tables.build_tables(emb)
     bad = copy.copy(nb)
     bad.table = list(nb.table)
     bad.table[1] ^= 1
-    emb.base = bad
+    if kind is None:
+        emb.source = bad
+    else:
+        emb.source = copy.copy(source)
+        emb.source.base = bad
     assert tables.build_tables(emb).tables == ts.tables
     assert tables.verify_table_entries(emb, ts) != []
-    emb.base = nb
+    emb.source = source
     assert tables.verify_table_entries(emb, ts) == []
 
 
