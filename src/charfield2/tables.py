@@ -5,7 +5,8 @@ the basis vectors to explicit elements there by solving RULES, and
 build_tables expands all m^2 pairwise products back over the basis.  The
 base modulus f has its roots in the subfield of degree n, generated by
 beta: find_root roots beta's minimal polynomial p in the base field
-F_2[x]/(f), whose modulus is sparse for every fixture while p is dense, x is
+F_2[x]/(f), whose modulus is sparse for every fixture while p is dense for
+n < m (at n = m, p is the big modulus), x is
 written in the powers of that root, and the same powers of beta give the
 image of x, checked as a root of f in the big field.  find_root splits by
 trace maps, trying each c = x^j once per call.  The oracle's big-field
@@ -51,11 +52,6 @@ def _deg(big, p):
     return (p.bit_length() - 1) // (2 * big.n)
 
 
-def _clmul(c, p, ones):
-    """c times each coefficient of packed p, unreduced."""
-    return c * p if not p & ~ones else bitpoly.poly_mul(c, p)
-
-
 def _scale(big, c, p, ones):
     """c times each coefficient of packed p, reduced."""
     return c * p if not p & ~ones else gf.reduce_lanes(big, bitpoly.poly_mul(c, p), ones)
@@ -67,17 +63,14 @@ def _fp_monic(big, p, ones):
 
 
 def _fp_divmod(big, a, b, ones):
-    """Quotient and remainder of a by a nonzero b: each step cancels the
-    leading term of a by one product of the whole of b, or raises."""
+    """Quotient and remainder of a by a monic b: each step cancels the
+    leading term of a by one product of the whole of b, or raises, as any
+    step by a b that is not monic does."""
     lane = 2 * big.n
     db = _deg(big, b)
-    lead = b >> db * lane
-    binv = 1 if lead == 1 else gf.inverse(big, lead)
     q = 0
     while (da := _deg(big, a)) >= db:
         factor = a >> da * lane
-        if binv != 1:
-            factor = gf.poly_mul_mod(big, factor, binv)
         shift = (da - db) * lane
         q |= factor << shift
         a ^= _scale(big, factor, b, ones) << shift
@@ -86,19 +79,18 @@ def _fp_divmod(big, a, b, ones):
     return q, a
 
 
-def _fp_mod(big, a, b, ones):
-    return _fp_divmod(big, a, b, ones)[1]
-
-
 def _fp_sqmod(big, t, mod, ones):
     """t^2 mod `mod`: in characteristic 2, (sum c_i X^i)^2 = sum c_i^2 X^(2i),
     and poly_square moves lane i to lane 2i squaring its coefficient."""
-    return _fp_mod(big, gf.reduce_lanes(big, bitpoly.poly_square(t), ones), mod, ones)
+    return _fp_divmod(big, gf.reduce_lanes(big, bitpoly.poly_square(t), ones), mod, ones)[1]
 
 
 def _fp_gcd(big, a, b, ones):
+    """The monic gcd of a and b; each remainder is made monic before it
+    divides."""
     while b:
-        a, b = b, _fp_mod(big, a, b, ones)
+        b = _fp_monic(big, b, ones)
+        a, b = b, _fp_divmod(big, a, b, ones)[1]
     return _fp_monic(big, a, ones)
 
 
@@ -117,9 +109,9 @@ def _trace_split(big, h, powers, ones, cs):
     for c in cs:
         acc = 0
         for p in powers:
-            acc ^= _clmul(c, p, ones)
+            acc ^= c * p if not p & ~ones else bitpoly.poly_mul(c, p)
             c = gf.reduce_product(big, bitpoly.poly_square(c))
-        g = _fp_gcd(big, h, _fp_mod(big, gf.reduce_lanes(big, acc, ones), h, ones), ones)
+        g = _fp_gcd(big, h, _fp_divmod(big, gf.reduce_lanes(big, acc, ones), h, ones)[1], ones)
         if 0 < _deg(big, g) < _deg(big, h):
             return g
     raise ConstructionContradictionError("root splitting did not converge")
@@ -130,7 +122,8 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
     high), which must be squarefree and split in `big`; DomainError otherwise,
     and InvalidElementError for a coefficient that is not an element of `big`.
 
-    Splits it down to a linear factor, keeping the smaller factor each time,
+    Splits it, made monic, down to a linear factor, keeping the smaller
+    factor each time (a monic gcd or cofactor: _fp_divmod divides by these),
     by the trace maps of c = x, x^2, ..., x^(m-1), 1 taken in turn through
     every split: the x^j jointly separate any two roots, and each c is tried
     once in all (see _trace_split).  c = 1 comes last: it cannot split a
@@ -140,9 +133,9 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
     shift per term of its modulus when big.fold_terms is set, and one
     overflow bit at a time otherwise, as over a dense base modulus given by
     the user; over the fixtures the oracle calls it only over fields with
-    fold_terms (see _base_root).  Which root comes out
-    does not matter to the oracle: the automorphisms of `big` carry any
-    choice of roots to any other."""
+    fold_terms (see _base_root).  Which root comes out does not matter to
+    the oracle: the automorphisms of `big` carry any choice of roots to any
+    other."""
     lane = 2 * big.n
     h = pack_lanes([gf.validate(big, c) for c in coeffs], lane)
     deg = _deg(big, h)
@@ -152,7 +145,7 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
     h = _fp_monic(big, h, ones)
     # X^(2^i) mod h until X^(2^p) = X, p <= m: the least such p divides m iff
     # h is squarefree and splits, and then the powers repeat with period p
-    x = _fp_mod(big, 1 << lane, h, ones)
+    x = _fp_divmod(big, 1 << lane, h, ones)[1]
     powers = [x]
     while (last := _fp_sqmod(big, powers[-1], h, ones)) != x and len(powers) < big.n:
         powers.append(last)
@@ -172,21 +165,24 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
 # --- oracle embedding ---------------------------------------------------
 
 def _subfield(big: gf.FieldCtx, n: int):
-    """The subfield K of degree n < m of `big` (L), by a generator beta:
+    """The subfield K of degree n | m of `big` (L), by a generator beta:
     (p, powers), where p is beta's minimal polynomial, irreducible of degree
     n, and powers[i] = beta^i in `big` for i < n.
 
-    beta = Tr_{L/K}(x^j) = sum_{i < m/n} (x^j)^(2^(n i)) for the first j >= 1
-    whose powers 1, ..., beta^(n-1) are independent, that is, for the first
-    beta that lies in no proper subfield of K.  One exists: the trace maps L
-    onto K and the x^j span L, while the proper subfields of K together
-    span a proper subspace of it.  Only odd j are tried, since
-    Tr(x^(2j)) = Tr(x^j)^2 lies in the same subfields as Tr(x^j).  Then
-    1, ..., beta^n satisfy exactly one linear relation, whose coefficients
-    are those of p; a beta of lower degree e leaves n + 1 - e > 1 of them."""
+    beta = Tr_{L/K}(x^j) = sum_{i < m/n} (x^j)^(2^(n i)), x^j reduced in L,
+    for the first odd j <= m whose powers 1, ..., beta^(n-1) are
+    independent, that is, for the first beta that lies in no proper
+    subfield of K.  One exists: the trace maps L onto K and the x^j span L,
+    while the proper subfields of K together span a proper subspace of it,
+    and Tr(x^(2j)) = Tr(x^j)^2 lies in the same subfields as Tr(x^j).  At
+    n = m, j = 1 gives beta = x and p the modulus of L; at m = 1, where
+    x = 1, it gives beta = 1 and p = 1 + X.  Then 1, ..., beta^n satisfy
+    exactly one linear relation, whose coefficients are those of p; a beta
+    of lower degree e leaves n + 1 - e > 1 of them."""
     m = big.n
-    for j in range(1, m, 2):
-        beta = reduce(xor, gf._frobenius_orbit(partial(gf.square, big), 1 << j, m)[::n])
+    for j in range(1, m + 1, 2):
+        xj = gf.reduce_product(big, 1 << j)
+        beta = reduce(xor, gf._frobenius_orbit(partial(gf.square, big), xj, m)[::n])
         powers = gf._frobenius_orbit(partial(gf.poly_mul_mod, big, beta), 1, n + 1)
         relations = null_space(powers, m)
         if len(relations) == 1:
@@ -198,16 +194,13 @@ def _base_root(big: gf.FieldCtx, base: gf.FieldCtx) -> int:
     """A root in `big` (L, of degree m) of the modulus f of `base`,
     F = F_2[x]/(f) of degree n | m.
 
-    For n = m, find_root roots f in L.  For n < m the roots of f lie in the
-    subfield K of degree n, and K = F_2(beta) with beta's minimal
-    polynomial p (_subfield).  p is rooted in F instead: a root s there
-    gives the isomorphism F -> K that sends sum c_i s^i to sum c_i beta^i,
-    and x = sum c_i s^i, one n x n solve, goes to a root of f.  The split
-    then reduces modulo f, a trinomial or pentanomial for every fixture,
-    whereas p is dense (11 terms at as2 n = 24)."""
-    f, n = base.modulus, base.n
-    if n == big.n:
-        return find_root(big, [(f >> i) & 1 for i in range(n + 1)])
+    The roots of f lie in the subfield K of degree n, and K = F_2(beta)
+    with beta's minimal polynomial p (_subfield).  p is rooted in F: a root
+    s there gives the isomorphism F -> K that sends sum c_i s^i to
+    sum c_i beta^i, and x = sum c_i s^i, one n x n solve, goes to a root of
+    f.  The split then reduces modulo f, a trinomial or pentanomial for
+    every fixture, whereas p is dense for n < m (11 terms at as2 n = 24)."""
+    n = base.n
     p, powers = _subfield(big, n)
     s = find_root(base, [(p >> i) & 1 for i in range(n + 1)])
     c = solve_linear(gf._frobenius_orbit(partial(gf.poly_mul_mod, base, s), 1, n),

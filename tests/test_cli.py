@@ -629,6 +629,23 @@ def test_bench_counts_exact(capsys):
     assert "mean" in err  # timing goes to stderr by default
 
 
+def test_bench_compiles_the_kind_before_timing(capsys, monkeypatch):
+    """The first mul compiles the kind's programs; bench makes it before its
+    first clock read, so the stderr mean holds no one-time compile."""
+    clock = cli.time.perf_counter
+    cached = []
+
+    def spy():
+        cached.append(extbasis._compiled.cache_info().currsize)
+        return clock()
+
+    extbasis._compiled.cache_clear()
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=spy))
+    code, _, _ = run_cli(capsys, "bench", "--kind", "ka6", "--n", "8", "--limit", "3")
+    assert code == 0
+    assert cached[0] == 1
+
+
 def test_bench_output_is_deterministic(capsys):
     args = ("bench", "--kind", "asw4", "--n", "2", "--limit", "5")
     _, out1, _ = run_cli(capsys, *args)

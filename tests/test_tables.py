@@ -240,11 +240,30 @@ _polys = (st.lists(st.integers(0, 63), max_size=10)
 _divisors = _polys.filter(lambda p: any(p))
 
 
-@given(_polys, _divisors)
+@given(_polys, _divisors.map(lambda p: _ref_monic(F64, p)))
 def test_packed_divmod_matches_the_reference(a, b):
-    """Non-monic divisors and constants included."""
+    """Monic divisors, constants included."""
     q, r = tables._fp_divmod(F64, _packed(F64, a), _packed(F64, b), _ones(20))
     assert (_lists(F64, q), _lists(F64, r)) == _ref_divmod(F64, a, b)
+
+
+@pytest.mark.parametrize("a,b", [([0, 0, 0, 5], [1, 2]), ([1] * 10, [3, 0, 7]),
+                                 ([9, 1], [2]), ([0] * 9 + [1], [5, 1, 0, 1, 63])])
+def test_a_non_monic_divisor_is_a_contradiction(a, b, monkeypatch):
+    """_fp_divmod divides only by monic polynomials: a divisor that is not
+    fails the first step, after one product, with no quotient returned."""
+    scale = tables._scale
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return scale(*args)
+
+    monkeypatch.setattr(tables, "_scale", counting)
+    with pytest.raises(ConstructionContradictionError, match="kept the degree"):
+        tables._fp_divmod(F64, _packed(F64, a), _packed(F64, b), _ones(20))
+    assert calls == 1
 
 
 def test_a_wrong_inverse_is_a_contradiction_not_a_hang(monkeypatch):
@@ -372,41 +391,36 @@ SUBFIELD_SOURCES = {label: source for label, source in _fixture_sources(fixture_
 
 
 @pytest.mark.parametrize("source", SUBFIELD_SOURCES.values(), ids=SUBFIELD_SOURCES)
-def test_base_modulus_root_lies_in_its_subfield(source, monkeypatch):
+def test_base_modulus_root_lies_in_its_subfield(source):
     """The powers of beta map K = F_2[z]/(p) into the subfield of degree n of
     the big field, products included.  A root s of p in the base field F
     writes x = sum c_i s^i, and sum c_i beta^i is a root of the base
     modulus f by the schoolbook evaluation; the embedding sends alpha to
-    alpha(root).  n = 1 < m makes K = F_2.  For the plain basis (m = n,
-    n = 1 included, where no j >= 1 below m exists) the root comes from the
-    big field itself, without _subfield."""
+    alpha(root).  n = 1 < m makes K = F_2.  For the plain basis (m = n),
+    beta = x and p is the big modulus, n = m = 1 included, where x = 1 and
+    p = 1 + X."""
     kind = getattr(source, "kind", None)
     nb = source if kind is None else source.base
-    with monkeypatch.context() as patch:
-        if kind is None:
-            patch.setattr(tables, "_subfield", None)
-        emb = tables.build_embedding(source)
+    emb = tables.build_embedding(source)
     n, base, f = nb.n, nb.field, nb.field.modulus
     coeffs = [(f >> i) & 1 for i in range(n + 1)]
-    if kind is None:
-        root = tables.find_root(emb.big, coeffs)
-    else:
-        p, powers = tables._subfield(emb.big, n)
-        assert bitpoly.degree(p) == n and bitpoly.is_irreducible(p)
-        small = gf.FieldCtx(p)
-        assert linalg.mat_rank(powers, emb.m) == n
-        assert all(gf.frobenius(emb.big, b, n) == b for b in powers)
-        for a in range(n):  # z -> beta respects products
-            for b in range(n):
-                assert (row_apply(powers, gf.poly_mul_mod(small, 1 << a, 1 << b))
-                        == gf.poly_mul_mod(emb.big, powers[a], powers[b])), (a, b)
-        p_coeffs = [(p >> i) & 1 for i in range(n + 1)]
-        s = tables.find_root(base, p_coeffs)
-        assert _value(base, p_coeffs, s) == 0  # p(s) = 0 in F
-        x = bitpoly.poly_mod(2, f)
-        c = linalg.solve_linear([gf.power(base, s, i) for i in range(n)], n, x)
-        assert _value(base, [(c >> i) & 1 for i in range(n)], s) == x
-        root = row_apply(powers, c)
+    p, powers = tables._subfield(emb.big, n)
+    assert bitpoly.degree(p) == n and bitpoly.is_irreducible(p)
+    assert kind is not None or p == emb.big.modulus
+    small = gf.FieldCtx(p)
+    assert linalg.mat_rank(powers, emb.m) == n
+    assert all(gf.frobenius(emb.big, b, n) == b for b in powers)
+    for a in range(n):  # z -> beta respects products
+        for b in range(n):
+            assert (row_apply(powers, gf.poly_mul_mod(small, 1 << a, 1 << b))
+                    == gf.poly_mul_mod(emb.big, powers[a], powers[b])), (a, b)
+    p_coeffs = [(p >> i) & 1 for i in range(n + 1)]
+    s = tables.find_root(base, p_coeffs)
+    assert _value(base, p_coeffs, s) == 0  # p(s) = 0 in F
+    x = bitpoly.poly_mod(2, f)
+    c = linalg.solve_linear([gf.power(base, s, i) for i in range(n)], n, x)
+    assert _value(base, [(c >> i) & 1 for i in range(n)], s) == x
+    root = row_apply(powers, c)
     assert _value(emb.big, coeffs, root) == 0
     alpha = [(nb.alpha >> i) & 1 for i in range(n)]
     assert emb.alpha_img == _value(emb.big, alpha, root)
@@ -431,13 +445,14 @@ def test_embedding_roots_only_over_moduli_with_fold_terms(monkeypatch):
     assert [big for big in fields if big.fold_terms is None] == []
 
 
-@pytest.mark.parametrize("modulus,kinds", [("1+x^3+x^4", xb.KINDS),
+@pytest.mark.parametrize("modulus,kinds", [("1+x^3+x^4", (None, *xb.KINDS)),
                                            ("1+x+x^2+x^3+x^4", ("as2", "asw4"))])
 def test_oracle_over_a_dense_base_modulus(modulus, kinds, monkeypatch):
     """A base modulus given by the user need not have fold_terms.  Over the
     first normal element of such a field, the oracle still roots p in it,
-    reducing bit by bit through ctx.reduction, and every kind that builds
-    gives tables that verify against the closed form."""
+    reducing bit by bit through ctx.reduction, and the plain basis (kind
+    None, whose p is the big modulus) and every kind that builds give
+    tables that verify against the closed form."""
     base = gf.FieldCtx(bitpoly.parse(modulus))
     assert base.fold_terms is None
     nb = normal.build_normal_basis(base, next(normal.normal_elements(base)))
@@ -450,10 +465,10 @@ def test_oracle_over_a_dense_base_modulus(modulus, kinds, monkeypatch):
 
     monkeypatch.setattr(tables, "find_root", recording)
     for kind in kinds:
-        emb = tables.build_embedding(xb.build_kind(nb, kind))
+        emb = tables.build_embedding(nb if kind is None else xb.build_kind(nb, kind))
         ts = tables.build_tables(emb)
         assert tables.verify_table_entries(emb, ts) == [], kind
-        if kind in tables.CLOSED_FORM_KINDS:
+        if kind in (None, *tables.CLOSED_FORM_KINDS):
             assert ts.per_table_nonzeros == tables.expected_counts(nb, kind), kind
     assert base in fields
 
