@@ -106,8 +106,11 @@ def poly_gcd(a: BitPoly, b: BitPoly) -> BitPoly:
 
 
 def is_irreducible(f: BitPoly) -> bool:
-    """Rabin test: x^(2^n) == x mod f and gcd(x^(2^(n/q)) - x, f) = 1 for
-    prime q | n.  DomainError for a negative f."""
+    """Rabin test (Rabin, SIAM J. Comput. 9(2), 1980): x^(2^n) == x mod f and
+    gcd(x^(2^(n/q)) - x, f) = 1 for prime q | n.  Each of the n squarings is
+    reduced by field.reduce_product, which folds by the terms of f, or by
+    its table of x^(n+i) mod f when f is dense.  Any degree is accepted.
+    DomainError for a negative f."""
     if f < 0:
         raise _negative(f)
     n = degree(f)
@@ -116,13 +119,14 @@ def is_irreducible(f: BitPoly) -> bool:
     if n == 1:
         return True
     x = 2
+    red, reduce_product = field.Reducer(f), field.reduce_product
     # x^(2^k) mod f by repeated squaring, saving intermediate stages.
     stages = [x]
     t = x
     for _ in range(n):
-        t = poly_mod(poly_square(t), f)
+        t = reduce_product(red, poly_square(t))
         stages.append(t)
-    if stages[n] != poly_mod(x, f):
+    if stages[n] != x:  # x mod f = x, as n >= 2
         return False
     k = n
     primes = []
@@ -239,7 +243,6 @@ def parse(s: str) -> BitPoly:
 
 
 def _parse_human(s: str) -> BitPoly:
-    from .field import _check_cap  # late: field imports this module
     p = 0
     for term in s.replace(" ", "").split("+"):
         if term == "0":
@@ -253,8 +256,13 @@ def _parse_human(s: str) -> BitPoly:
                 i = int(term[2:])
             except ValueError:  # past int()'s digit limit
                 raise DomainError(f"exponent too long in {s!r}") from None
-            _check_cap(i)  # before 1 << i allocates an oversized int
+            field._check_cap(i)  # before 1 << i allocates an oversized int
         else:
             raise DomainError(f"bad monomial {term!r} in {s!r}")
         p ^= 1 << i
     return p
+
+
+# Last, because field imports this module: by the time is_irreducible or
+# _parse_human reaches into field, both modules are complete.
+from . import field  # noqa: E402

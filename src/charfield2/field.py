@@ -34,27 +34,24 @@ def _check_cap(deg: int) -> None:
             f"degree {deg} exceeds cap {max_degree()} (set CHARFIELD2_MAX_N)")
 
 
-class FieldCtx:
-    """Arithmetic context for F_2[x]/(modulus), modulus irreducible of degree n."""
+class Reducer:
+    """Reduction modulo f = x^n + r, deg f = n >= 1: what reduce_product reads.
 
-    def __init__(self, modulus: int, check_irreducible: bool = True):
-        deg = bitpoly.degree(modulus)
-        if deg is None or deg == 0:
-            raise DomainError("modulus must be non-constant")
-        _check_cap(deg)
-        if check_irreducible and not bitpoly.is_irreducible(modulus):
-            raise DomainError(f"modulus {bitpoly.to_human(modulus)} is not irreducible")
+    When r's degree k has 2k <= n + 1, fold_terms holds the set-bit
+    positions of r, and the overflow folds by one shift per term in at most
+    two passes; otherwise reduction[i] = x^(n+i) mod f, enough to fold a
+    (2n - 1)-bit product bit by bit. Only the path in use is built."""
+
+    def __init__(self, modulus: int):
+        deg = modulus.bit_length() - 1
         self.n = deg
         self.modulus = modulus
         self.mask = (1 << deg) - 1
         xn = modulus & self.mask  # x^n mod f = f - x^n, of degree k
         if 2 * xn.bit_length() <= deg + 3:  # 2k <= n + 1
-            # the set-bit positions of f - x^n: reduce_product folds the
-            # overflow by one shift per term, in at most two passes
-            self.fold_terms = tuple(i for i in range(deg) if xn >> i & 1)
+            self.fold_terms = [i for i in range(xn.bit_length()) if xn >> i & 1]
             self.reduction = None
         else:
-            # reduction[i] = x^(n+i) mod f, enough to fold a (2n-1)-bit product
             self.fold_terms = None
             red = []
             t = xn
@@ -64,6 +61,19 @@ class FieldCtx:
                 if t >> deg:
                     t = (t & self.mask) ^ xn
             self.reduction = red
+
+
+class FieldCtx(Reducer):
+    """Arithmetic context for F_2[x]/(modulus), modulus irreducible of degree n."""
+
+    def __init__(self, modulus: int, check_irreducible: bool = True):
+        deg = bitpoly.degree(modulus)
+        if deg is None or deg == 0:
+            raise DomainError("modulus must be non-constant")
+        _check_cap(deg)
+        if check_irreducible and not bitpoly.is_irreducible(modulus):
+            raise DomainError(f"modulus {bitpoly.to_human(modulus)} is not irreducible")
+        super().__init__(modulus)
         self._order_factors = None
         self._normality_maps = None
 
@@ -83,9 +93,11 @@ class FieldCtx:
     def normality_maps(self):
         """(t, maps), built once on demand: for each irreducible phi dividing
         x^n - 1, the linear map ((x^n - 1)/phi)(Frobenius). For phi = x + 1
-        it is the trace, given as the functional t (bit i = Tr(x^i)); the
-        others are matrices. a is normal iff Tr(a) = 1 and no matrix sends
-        a to 0."""
+        it is the trace, given as the functional t (bit i = Tr(x^i)), read
+        off the modulus's coefficients by Newton's identities; the others
+        are matrices, sums of the squaring matrix's powers up to the degree
+        of their quotient, and there are none when n is a power of two. a
+        is normal iff Tr(a) = 1 and no matrix sends a to 0."""
         if self._normality_maps is None:
             self._normality_maps = _normality_maps(self)
         return self._normality_maps
@@ -210,25 +222,41 @@ def _rho_factor(m: int, k: int):
 
 
 def _normality_maps(ctx: FieldCtx):
-    """See FieldCtx.normality_maps (Lidl-Niederreiter, Finite Fields, Thm 2.39)."""
-    n = ctx.n
-    sq = [reduce_product(ctx, 1 << 2 * i) for i in range(n)]  # row i = x^(2i)
+    """See FieldCtx.normality_maps (Lidl-Niederreiter, Finite Fields, Thm 2.39).
+
+    The trace needs no matrix: Tr(x^k) is the power sum s_k of the roots of
+    the modulus x^n + c_(n-1) x^(n-1) + ... + c_0, and Newton's identities
+    (ibid., Thm 1.75) over F_2 give s_0 = n mod 2 and
+    s_k = sum_(0<j<k) c_(n-j) s_(k-j) + k c_(n-k). The other maps need the
+    powers S^j of the squaring matrix S only up to the highest degree of
+    their quotients (x^n - 1)/phi; when n is a power of two, x^n - 1 =
+    (x + 1)^n and there is no other map."""
+    n, f = ctx.n, ctx.modulus
+    rev = int(bin(f)[:1:-1], 2)  # bit j = c_(n-j)
+    coeffs = rev >> 1  # bit j - 1 = c_(n-j), beside s_(k-j) in past
+    trace = n & 1
+    past = 0  # bit i = s_(k-1-i) for 0 <= i < k - 1
+    for k in range(1, n):
+        s = ((past & coeffs).bit_count() + (k & 1 & rev >> k)) & 1
+        past = past << 1 | s
+        trace |= s << k
+    quots = [bitpoly.poly_divmod((1 << n) | 1, phi)[0]
+             for phi in bitpoly.xn_minus_1_factors(n)[0][1:]]  # x + 1 sorts first
+    if not quots:
+        return trace, ()
     # powers[j] = S^j, S the squaring matrix: row i = (x^i)^(2^j)
-    powers = [[1 << i for i in range(n)]]
-    for _ in range(n - 1):
-        powers.append([row_apply(sq, r) for r in powers[-1]])
-    factors, _ = bitpoly.xn_minus_1_factors(n)
+    powers = [[1 << i for i in range(n)], [reduce_product(ctx, 1 << 2 * i) for i in range(n)]]
+    for _ in range(max(quots).bit_length() - 2):
+        powers.append([row_apply(powers[1], r) for r in powers[-1]])
     maps = []
-    for phi in factors:
+    for quot in quots:
         rows = [0] * n
-        quot = bitpoly.poly_divmod((1 << n) | 1, phi)[0]
         while quot:
             low = quot & -quot
             rows = [r ^ p for r, p in zip(rows, powers[low.bit_length() - 1])]
             quot ^= low
         maps.append(tuple(rows))
-    trace = sum(r << i for i, r in enumerate(maps[0]))  # phi = x + 1 sorts first
-    return trace, tuple(maps[1:])
+    return trace, tuple(maps)
 
 
 def validate(ctx: FieldCtx, a: int) -> int:
@@ -246,8 +274,9 @@ def poly_mul_mod(ctx: FieldCtx, a: int, b: int) -> int:
     return reduce_product(ctx, prod)
 
 
-def reduce_product(ctx: FieldCtx, prod: int) -> int:
-    """Reduce a raw carry-less product (up to 2n-1 bits) modulo the field modulus.
+def reduce_product(ctx: Reducer, prod: int) -> int:
+    """Reduce a raw carry-less product (up to 2n-1 bits) modulo the modulus
+    of ctx, a FieldCtx or a bare Reducer.
 
     With f = x^n + r and k = deg r, the overflow h = prod >> n has degree at
     most n - 2, and x^n h = r h. When 2k <= n + 1 (ctx.fold_terms) r h is

@@ -23,7 +23,7 @@ start from disjoint data, and the oracle reads no product_planes.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from operator import xor
 
 from . import bitpoly
@@ -256,7 +256,7 @@ class OracleEmbedding:
         inv = mat_invert(images, self.m)
         if inv is None:
             raise ConstructionContradictionError("basis images are linearly dependent")
-        self.coord_map = PreparedMap(inv)  # big-field element -> flat coordinates
+        self._coord_rows = inv  # big-field element -> flat coordinates
         self.coord_cols = mat_transpose(inv, self.m)  # bit t of [k]: bit k of inv[t]
 
     def _solve_generators(self):
@@ -280,6 +280,13 @@ class OracleEmbedding:
         return images
 
     # conversions ------------------------------------------------------
+    @cached_property
+    def coord_map(self):
+        """Big-field element -> flat coordinates, prepared on the first
+        to_blocks: build_tables reads coord_cols instead, so most embeddings
+        never need it."""
+        return PreparedMap(self._coord_rows)
+
     def embed_blocks(self, blocks) -> int:
         """Blocks of normal coordinates -> big-field element; InvalidElementError
         unless there are d blocks, each of n bits."""

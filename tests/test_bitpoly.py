@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield2 import bitpoly
+from charfield2 import bitpoly, field as gf
 from charfield2.errors import DomainError, UnsupportedDegreeError
 
 polys = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -173,11 +173,12 @@ def test_poly_gcd_common_factor(a, b):
 
 
 def _brute_irreducible(f):
-    """Trial division by every lower-degree polynomial of degree >= 1."""
+    """Trial division by every polynomial of degree 1 to d/2: a reducible f
+    of degree d has a factor of at most half its degree."""
     d = bitpoly.degree(f)
     if d is None or d < 1:
         return False
-    for g in range(2, 1 << d):
+    for g in range(2, 1 << d // 2 + 1):
         if bitpoly.poly_mod(f, g) == 0:
             return False
     return True
@@ -186,6 +187,30 @@ def _brute_irreducible(f):
 def test_is_irreducible_matches_trial_division_through_degree_8():
     for f in range(2, 1 << 9):
         assert bitpoly.is_irreducible(f) == _brute_irreducible(f), bitpoly.to_human(f)
+
+
+def test_is_irreducible_matches_trial_division_on_both_reduction_paths():
+    """Seeded polynomials of degree 9 to 16: random ones, mostly reduced
+    through the table of x^(n+i) mod f, and sparse ones whose second-highest
+    degree k has 2k <= n + 1, reduced by folding their terms. Rabin's
+    verdict is trial division's, and each path meets both verdicts."""
+    rng = random.Random(41)
+    seen = set()
+    for n in range(9, 17):
+        for _ in range(30):
+            sparse = sum(1 << e for e in rng.sample(range(1, (n + 3) // 2), rng.choice((1, 3))))
+            for f in (1 << n | rng.getrandbits(n), 1 << n | sparse | 1):
+                want = _brute_irreducible(f)
+                assert bitpoly.is_irreducible(f) == want, bitpoly.to_human(f)
+                seen.add((gf.Reducer(f).fold_terms is not None, want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_no_trinomial_of_degree_64_is_irreducible():
+    """Swan's theorem: no trinomial of degree 8m is irreducible, so Rabin
+    rejects all 63 at the degree cap, dense ones (2k > n + 1) included;
+    min_irreducible(64) is a pentanomial (pinned below)."""
+    assert not any(bitpoly.is_irreducible(1 | 1 << k | 1 << 64) for k in range(1, 64))
 
 
 def test_is_irreducible_known_values():

@@ -2,11 +2,13 @@
 
 import random
 import time
+from functools import partial, reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield2 import bitpoly, field as gf
+from charfield2 import bitpoly, field as gf, linalg
 from charfield2.errors import DomainError, InvalidElementError, UnsupportedDegreeError
 
 F4 = gf.FieldCtx(0b111)          # 1+x+x^2
@@ -294,6 +296,64 @@ def test_reduce_lanes_matches_reduce_product_per_lane(f, folds):
         for p in reversed(prods):
             want = want << lane | gf.reduce_product(ctx, p)
         assert gf.reduce_lanes(ctx, packed, ones) == want, lane
+
+
+def _dense_irreducible(n, rng):
+    """The first irreducible of degree n among seeded random draws."""
+    while True:
+        f = 1 << n | rng.getrandbits(n) | 1
+        if bitpoly.is_irreducible(f):
+            return f
+
+
+# The irreducible moduli of REDUCTION_MODULI, and a dense one of about n/2
+# terms at each of n = 12, 26, 48 and 64.
+MAPS_MODULI = ([f for f, _ in REDUCTION_MODULI if bitpoly.is_irreducible(f)]
+               + [_dense_irreducible(n, random.Random(n)) for n in (12, 26, 48, 64)])
+
+
+@pytest.mark.parametrize("f", MAPS_MODULI, ids=bitpoly.to_human)
+def test_normality_maps_match_their_definition(f):
+    """The trace functional, read off the modulus by Newton's identities, is
+    Tr on each monomial by gf.trace; each matrix sends x^i to
+    ((x^n - 1)/phi)(Frobenius)(x^i), one per factor phi != x + 1 of x^n - 1
+    in ascending order."""
+    ctx = gf.FieldCtx(f)
+    n = ctx.n
+    trace, maps = ctx.normality_maps
+    assert trace == sum(gf.trace(ctx, 1 << i) << i for i in range(n))
+    orbits = [gf._frobenius_orbit(partial(gf.square, ctx), 1 << i, n) for i in range(n)]
+    want = []
+    for phi in bitpoly.xn_minus_1_factors(n)[0][1:]:
+        quot = bitpoly.poly_divmod((1 << n) | 1, phi)[0]
+        want.append(tuple(reduce(xor, (c for j, c in enumerate(orbit) if quot >> j & 1))
+                          for orbit in orbits))
+    assert maps == tuple(want)
+
+
+def test_normality_maps_form_only_the_powers_their_quotients_need(monkeypatch):
+    """No row_apply at n = 2^k <= 64, where x^n - 1 = (x + 1)^n leaves the
+    trace as the only map; at n = 26 at most (D - 1) n, with D = 14 the top
+    degree of the quotients (x^26 - 1)/phi, phi != x + 1, where forming
+    every power of the squaring matrix took (n - 1) n."""
+    calls = []
+
+    def counting(rows, v):
+        calls.append(v)
+        return linalg.row_apply(rows, v)
+
+    monkeypatch.setattr(gf, "row_apply", counting)
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        calls.clear()
+        assert gf._normality_maps(ctx)[1] == (), n
+        assert calls == [], n
+    top = max(bitpoly.degree(bitpoly.poly_divmod((1 << 26) | 1, phi)[0])
+              for phi in bitpoly.xn_minus_1_factors(26)[0][1:])
+    assert top == 14
+    calls.clear()
+    gf._normality_maps(gf.FieldCtx(bitpoly.min_irreducible(26)))
+    assert 0 < len(calls) <= (top - 1) * 26
 
 
 @given(elems16, elems16, elems16)

@@ -677,9 +677,13 @@ def test_embedding_of_plain_normal_basis():
 
 
 def test_embedding_round_trip_and_homomorphism():
+    """Round trips and products; the coordinate map to_blocks applies is
+    prepared on its first call, and building the tables does not need it."""
     rng = random.Random(20240820)
     for ctx in (xb.build_kind(NB2, kind) for kind in ("as2", "k3", "asw4")):
         emb = tables.build_embedding(ctx)
+        tables.build_tables(emb)
+        assert "coord_map" not in vars(emb)
         for _ in range(20):
             x = xb.ExtElem(tuple(rng.getrandbits(ctx.n) for _ in range(ctx.d)))
             y = xb.ExtElem(tuple(rng.getrandbits(ctx.n) for _ in range(ctx.d)))
@@ -690,6 +694,7 @@ def test_embedding_round_trip_and_homomorphism():
             assert emb.embed_ext(prod) == gf.poly_mul_mod(emb.big, ix, iy)
             sq = xb.square(ctx, x)
             assert emb.embed_ext(sq) == gf.square(emb.big, ix)
+        assert "coord_map" in vars(emb)
 
 
 def test_embedding_conversions_reject_out_of_range_input():
