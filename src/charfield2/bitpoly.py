@@ -158,12 +158,16 @@ def min_irreducible(n: int) -> BitPoly:
 
 
 def _search_min_irreducible(n: int) -> BitPoly:
+    """The least irreducible of degree n by fewest terms, then value: term
+    counts 3, 5, 7, ..., each scanned in ascending value.  When 8 | n the
+    scan starts at 5 terms, as no trinomial of degree 8k is irreducible
+    (Swan, Pacific J. Math. 12, 1962)."""
     if n < 1:
         raise DomainError("degree must be positive")
     if n == 1:
         return 0b11  # 1 + x
     top = (1 << n) | 1
-    for extra in range(1, n, 2):  # term counts 3, 5, 7, ...
+    for extra in range(3 if n % 8 == 0 else 1, n, 2):  # term counts 3, 5, 7, ...
         for middle in _ascending_sums(extra, n - 1):
             if is_irreducible(middle | top):
                 return middle | top

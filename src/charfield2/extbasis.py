@@ -22,8 +22,7 @@ square run compiled code: build_kind's rule test runs the source functions
 themselves, on poly_mul_mod.
 """
 
-from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import accumulate, product
 from operator import xor
 from typing import Callable, NamedTuple
@@ -126,12 +125,13 @@ def _square_walk(add, tvp, kind, sq):
     return tuple(out)
 
 
-@dataclass
 class OpCounter:
     """Tally of base-field operations: each mul and square records its fixed one."""
-    base_mults: int = 0
-    base_adds: int = 0
-    table_vector_products: int = 0
+
+    def __init__(self, base_mults=0, base_adds=0, table_vector_products=0):
+        self.base_mults = base_mults
+        self.base_adds = base_adds
+        self.table_vector_products = table_vector_products
 
     def reset(self):
         self.base_mults = self.base_adds = self.table_vector_products = 0
@@ -145,14 +145,40 @@ class OpCounter:
     def as_tuple(self):
         return (self.base_mults, self.base_adds, self.table_vector_products)
 
+    def __eq__(self, other):
+        return isinstance(other, OpCounter) and self.as_tuple() == other.as_tuple()
 
-@dataclass(frozen=True)
+    def __repr__(self):
+        return f"OpCounter{self.as_tuple()}"
+
+
 class ExtElem:
-    """An element of the extended field as d blocks of normal coordinates."""
-    blocks: tuple
+    """An element of the extended field as d blocks of normal coordinates:
+    immutable, equal and hashed by its blocks."""
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple):
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"ExtElem is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __iter__(self):
         return iter(self.blocks)
+
+    def __eq__(self, other):
+        return isinstance(other, ExtElem) and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"ExtElem(blocks={self.blocks!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return ExtElem, (self.blocks,)
 
 
 class ExtBasisCtx:
@@ -206,18 +232,27 @@ def _prefix_field(nb: NormalBasisCtx, kind):
 
 
 def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
-    """Raise unless rule g of RULES[kind] is irreducible over the field of
+    """Raise unless rule g of RULES[kind] is irreducible over the field E of
     degree k that the rules before it build over nb: y^2 + y = c iff
-    Tr_k(c) = 1, y^3 = c iff 3 | 2^k - 1 and c is not a cube
+    Tr_E(c) = 1, y^3 = c iff 3 | 2^k - 1 and c is not a cube
     (Lidl-Niederreiter, Finite Fields, Thms 3.78 and 3.75).  A cube c raises
     NoKummerExtensionError, any other refusal UnsupportedDegreeError.  Reads
-    only nb.field and nb.alpha."""
+    only nb.field and nb.alpha.
+
+    Tr_E is the trace through the tower (ibid., Thm 2.26): over a field K, a
+    step y^2 + y = c' has Tr(u + v y) = v, as y's conjugate is y + 1, and a
+    step y^3 = c' has Tr(u + v y + w y^2) = 3u = u, as y's conjugates are y,
+    z y and z^2 y with 1 + z + z^2 = 0.  So Tr_E(c) = Tr_n(c_e*), the
+    absolute trace of c's coordinate on the monomial e* whose exponent is 1
+    at each earlier Artin-Schreier step and 0 at each Kummer step."""
     y, degree, rhs = RULES[kind][g]
+    rules = RULES[kind][:g]
     mul, sq = _prefix_field(nb, _prefix_kind(kind, g))
-    monomials = _monomials(RULES[kind][:g])
+    monomials = _monomials(rules)
     k = nb.n * len(monomials)
     c = rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1))
-    if degree == 2 and reduce(xor, gf._frobenius_orbit(sq, c, k)) != 1:
+    star = monomials.index(tuple(int(r.degree == 2) for r in rules))
+    if degree == 2 and gf.trace(nb.field, c >> nb.n * star & nb.field.mask) != 1:
         raise UnsupportedDegreeError(f"no Artin-Schreier extension: {y}^2 + {y} = c "
                                      f"is reducible over F_{{2^{k}}}, as Tr(c) = 0")
     if degree == 3 and ((1 << k) - 1) % 3:
@@ -236,9 +271,12 @@ def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:
     A cube c or a non-primitive a raises NoKummerExtensionError, any other
     refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
     times the earlier degrees, and each Artin-Schreier trace in RULES is
-    fixed by n.  Tr_n(a) = 1, the sum of the normal basis: in F_2, nonzero.
-    Over F_{2^n}(b0), b0^(2^n) = b0 + 1, so Tr_2n(u + v b0) = Tr_n(v) and
-    Tr_2n(b0 + a b0 + a^2) = Tr_n(1 + a) = n + 1 (mod 2)."""
+    fixed by n.  _check_rule reads Tr_E(c) as Tr_n of c's coordinate on e*,
+    the monomial with exponent 1 at each earlier Artin-Schreier step and 0
+    at each Kummer step.  With no earlier step that is c itself, and
+    Tr_n(a) = 1, the sum of the normal basis: in F_2, nonzero.  Over
+    F_{2^n}(b0), e* = b0, so Tr_2n(b0 + a b0 + a^2) = Tr_n(1 + a) = n + 1
+    (mod 2)."""
     ctx = ExtBasisCtx(nb, kind)
     for g in range(len(RULES[kind])):
         _check_rule(nb, kind, g)

@@ -13,14 +13,13 @@ in their comment fields; everything stored here has been recomputed from
 scratch by this package and cross-checked against the density records.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bitpoly, field as gf, normal
 from .errors import DomainError, MissingFixtureError
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """One pinned normal basis with its verified invariants."""
     n: int
     modulus: str

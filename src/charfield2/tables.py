@@ -22,7 +22,6 @@ products, and closed_form_tables; verify_table_entries xors the two.  They
 start from disjoint data, and the oracle reads no product_planes.
 """
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
 from operator import xor
 
@@ -328,24 +327,24 @@ def build_embedding(source) -> OracleEmbedding:
 
 # --- multiplication tables ----------------------------------------------
 
-@dataclass
 class TableSet:
     """All m multiplication tables of an m-element basis, each one int:
     entry (i, j) of table k is bit i m + j of tables[k].  DomainError
     unless there are m tables, each in [0, 2^(m^2)); the counts are taken
-    from the tables as given."""
-    m: int
-    tables: list
-    per_table_nonzeros: list = field(init=False)
-    density: int = field(init=False)
+    from the tables as given.  Two sets are equal when their m and tables
+    are."""
 
-    def __post_init__(self):
-        m = self.m
-        if len(self.tables) != m or any(
-                not isinstance(t, int) or t < 0 or t >> m * m for t in self.tables):
+    def __init__(self, m: int, tables: list):
+        if len(tables) != m or any(
+                not isinstance(t, int) or t < 0 or t >> m * m for t in tables):
             raise DomainError(f"a table set of m = {m} needs {m} tables of {m * m} bits")
-        self.per_table_nonzeros = [t.bit_count() for t in self.tables]
+        self.m = m
+        self.tables = tables
+        self.per_table_nonzeros = [t.bit_count() for t in tables]
         self.density = sum(self.per_table_nonzeros)
+
+    def __eq__(self, other):
+        return isinstance(other, TableSet) and (self.m, self.tables) == (other.m, other.tables)
 
 
 def build_tables(emb: OracleEmbedding) -> TableSet:

@@ -279,6 +279,31 @@ def test_min_irreducible_searches_each_degree_once(monkeypatch):
     assert bitpoly.min_irreducible(33) == f
 
 
+def _unskipped_scan(n):
+    """The least irreducible of degree n > 1 by fewest terms, then value, with
+    every term count scanned from the trinomials up: the reference for the
+    search that skips trinomials when 8 | n."""
+    top = 1 << n | 1
+    return next(middle | top for extra in range(1, n, 2)
+                for middle in bitpoly._ascending_sums(extra, n - 1)
+                if bitpoly.is_irreducible(middle | top))
+
+
+@pytest.mark.parametrize("n", range(8, 129, 8))
+def test_skipping_trinomials_at_8_dividing_n_keeps_the_least_irreducible(n):
+    """Swan's theorem rules out every trinomial of degree 8k, so starting at
+    the pentanomials finds what the full scan finds."""
+    assert bitpoly._search_min_irreducible(n) == _unskipped_scan(n)
+
+
+def test_min_irreducible_64_rabin_tests_no_trinomial(monkeypatch):
+    monkeypatch.setattr(bitpoly, "_MIN_IRREDUCIBLE", {})
+    real, tested = bitpoly.is_irreducible, []
+    monkeypatch.setattr(bitpoly, "is_irreducible", lambda g: tested.append(g) or real(g))
+    assert bitpoly.to_human(bitpoly.min_irreducible(64)) == "1+x+x^3+x^4+x^64"
+    assert tested and all(g.bit_count() == 5 for g in tested)
+
+
 def test_min_irreducible_rejects_nonpositive_degree():
     with pytest.raises(DomainError):
         bitpoly.min_irreducible(0)

@@ -458,6 +458,41 @@ def test_basis_for_kind_stops_at_a_refused_degree(kind, monkeypatch):
     assert len(builds) <= 1
 
 
+# (lines, sha256 of the lines joined by newlines) of _build_kind_outcomes
+BUILD_KIND_OUTCOMES = (379, "eed495ba3444915f8345cb844f6056185d5513d7302de229b4a1e6b55d96fb33")
+
+
+def _build_kind_outcomes(monkeypatch):
+    """Every build_kind call _basis_for_kind makes for each kind and n <= 64,
+    one line each: the basis it was given and the context's kind, n and
+    generators, or the error's type and message."""
+    lines, build = [], extbasis.build_kind
+
+    def recorded(nb, kind):
+        head = f"{kind} {nb.n} {nb.field.modulus:x} {nb.alpha:x}"
+        try:
+            ctx = build(nb, kind)
+        except (UnsupportedDegreeError, NoKummerExtensionError) as exc:
+            lines.append(f"{head} {type(exc).__name__}: {exc}")
+            raise
+        lines.append(f"{head} {ctx.kind} {ctx.n} {ctx.gens}")
+        return ctx
+
+    monkeypatch.setattr(extbasis, "build_kind", recorded)
+    for kind, n in product(extbasis.KINDS, range(1, 65)):
+        cli._basis_for_kind(kind, n)
+    return lines
+
+
+def test_build_kind_outcomes_along_the_cli_scan_are_pinned(monkeypatch):
+    """The contexts and refusals, messages included, that build_kind gives
+    the CLI's case scan are pinned: a change to the rule tests that moves
+    any verdict or message, or the basis the scan settles on, shows here."""
+    lines = _build_kind_outcomes(monkeypatch)
+    assert len(lines) == BUILD_KIND_OUTCOMES[0]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BUILD_KIND_OUTCOMES[1]
+
+
 def test_refused_candidates_leave_no_cyclic_garbage():
     """A scan past refused candidates frees their bases at once: a refusal
     kept with its traceback would tie them into a reference cycle."""
@@ -858,6 +893,19 @@ def test_import_starts_no_process_machinery():
     code = ("import charfield2, charfield2.cli, sys; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Importing the package and its CLI loads no dataclasses and no inspect,
+    which bring ast, dis and tokenize along.  The check is against the
+    modules loaded before the import, as site may load inspect itself."""
+    code = ("import sys; before = set(sys.modules); "
+            "import charfield2, charfield2.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,15 @@
 """Tests for extended bases: build_kind, counted arithmetic, and op-count contracts."""
 
 import ast
+import copy
 import inspect
+import pickle
 import random
 import textwrap
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, product
+from operator import xor
 
 import pytest
 
@@ -148,6 +151,70 @@ def test_build_kind_refuses_what_the_hand_written_builders_refused():
         degree_refused.setdefault((kind, nb.n), set()).add(got is UnsupportedDegreeError)
     assert len(bases) * len(KINDS) == 1664
     assert all(len(seen) == 1 for seen in degree_refused.values())
+
+
+def _trace_by_squarings(nb, kind, g):
+    """Tr_E(c) for rule g of RULES[kind] by its definition: the sum of c's k
+    conjugates c^(2^i), by k squarings in the field E the earlier rules build
+    over nb.  The reference for _check_rule's tower trace."""
+    mul, sq = xb._prefix_field(nb, xb._prefix_kind(kind, g))
+    monomials = xb._monomials(xb.RULES[kind][:g])
+    c = xb.RULES[kind][g].rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials)
+                                               if sum(e) == 1))
+    return reduce(xor, gf._frobenius_orbit(sq, c, nb.n * len(monomials)))
+
+
+def _tower_trace_bases():
+    """Every fixture with n <= 26, and the first three normal elements under
+    min_irreducible(n) for n = 1 ... 32, 40, 48 and 64."""
+    bases = [get_fixture(n).basis() for n in fixture_degrees() if n <= 26]
+    for n in (*range(1, 33), 40, 48, 64):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        bases += [normal.build_normal_basis(ctx, a)
+                  for a in islice(normal.normal_elements(ctx), 3)]
+    return bases
+
+
+def _artin_schreier_disagreements(check_rule):
+    """Run check_rule on every rule of every kind whose earlier rules hold, over
+    _tower_trace_bases; (count of degree-2 rules checked, those whose verdict
+    differs from _trace_by_squarings)."""
+    checked, differ = 0, []
+    for nb, kind in product(_tower_trace_bases(), KINDS):
+        for g, rule in enumerate(xb.RULES[kind]):
+            try:
+                check_rule(nb, kind, g)
+                holds = True
+            except (UnsupportedDegreeError, NoKummerExtensionError):
+                holds = False
+            if rule.degree == 2:
+                checked += 1
+                if holds != (_trace_by_squarings(nb, kind, g) == 1):
+                    differ.append((kind, g, nb.n, nb.alpha))
+            if not holds:
+                break
+    return checked, differ
+
+
+def test_tower_trace_agrees_with_the_trace_by_squarings():
+    """_check_rule reads Tr_E(c) as Tr_n of c's coordinate on e*; the sum of
+    c's conjugates in E gives the same verdict on every Artin-Schreier rule."""
+    assert _artin_schreier_disagreements(xb._check_rule) == (464, [])
+
+
+def test_the_tower_trace_reading_lane_0_is_caught():
+    """Negative control: _check_rule with lane 0 read in place of lane e*
+    accepts asw4's rule b1 at odd n, where c's lane 0 is a^2 (trace 1) but
+    Tr_2n(c) = Tr_n(1 + a) = 0, and the comparison with the definition finds
+    it.  Lane 0 is e* for every other Artin-Schreier rule in RULES."""
+    source = textwrap.dedent(inspect.getsource(xb._check_rule))
+    assert source.count("nb.n * star") == 1
+    namespace = dict(vars(xb))
+    exec(source.replace("nb.n * star", "nb.n * 0"), namespace)
+    _, differ = _artin_schreier_disagreements(namespace["_check_rule"])
+    assert differ and {(kind, g) for kind, g, _, _ in differ} == {("asw4", 1)}
+    assert all(n % 2 for _, _, n, _ in differ)
+    assert {n for _, _, n, _ in differ} >= {1, 3, 5, 25, 31}
 
 
 def test_build_kind_dispatch():
@@ -488,6 +555,28 @@ def test_counter_accumulates():
     xb.mul(ctx, x, y)
     xb.mul(ctx, x, y)
     assert ctx.counter.as_tuple() == (6, 8, 2)
+
+
+def test_ext_elem_and_op_counter_are_values():
+    """ExtElem is immutable and equal and hashed by its blocks; OpCounter
+    records, resets and compares by its tally."""
+    x, y = xb.ExtElem((1, 2)), xb.ExtElem((1, 2))
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1 and x is not y
+    assert x != xb.ExtElem((2, 1)) and x != (1, 2) and list(x) == [1, 2]
+    assert copy.copy(x) == pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(AttributeError):
+        x.blocks = (3, 4)
+    with pytest.raises(AttributeError):
+        del x.blocks
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    assert x.blocks == (1, 2)
+    counter = xb.OpCounter()
+    counter.record((3, 4, 1))
+    counter.record((0, 1, 1))
+    assert counter == xb.OpCounter(3, 5, 2) and counter.as_tuple() == (3, 5, 2)
+    counter.reset()
+    assert counter == xb.OpCounter() and counter.as_tuple() == (0, 0, 0)
 
 
 # --- structure constants and the programs over F_2[a] ----------------------

@@ -20,6 +20,16 @@ def test_get_fixture_rejects_unknown_degree():
         fixtures.get_fixture(28)
 
 
+def test_fixture_is_an_immutable_hashable_value():
+    fx = fixtures.get_fixture(8)
+    same = fixtures.Fixture(8, fx.modulus, fx.alpha, fx.cross_sum, fx.table_weight)
+    assert same == fx and hash(same) == hash(fx) and len({fx, same}) == 1
+    assert fx.comment == "" and fx != fixtures.get_fixture(6)
+    with pytest.raises(AttributeError):
+        fx.cross_sum = 0
+    assert fx.cross_sum == 233
+
+
 @pytest.mark.parametrize("n", fixtures.fixture_degrees())
 def test_fixture_rebuilds_and_matches_frozen_invariants(n):
     fx = fixtures.get_fixture(n)

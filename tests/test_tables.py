@@ -782,6 +782,13 @@ def test_table_set_refuses_a_malformed_set():
     assert tables.TableSet(4, list(ts.tables)) == ts
 
 
+def test_table_sets_compare_by_m_and_tables():
+    ts = tables.normal_table_set(NB4)
+    assert ts.density == sum(ts.per_table_nonzeros) == NB4.density
+    assert tables.TableSet(4, [0] * 4) != ts and tables.TableSet(1, [1]) != ts
+    assert ts != (ts.m, ts.tables)
+
+
 def test_ext_table_mul_matches_counted_mul():
     rng = random.Random(20240821)
     for ctx in (xb.build_kind(NB2, kind) for kind in ("as2", "k3", "ka6")):
