@@ -257,10 +257,24 @@ def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
                                      f"is reducible over F_{{2^{k}}}, as Tr(c) = 0")
     if degree == 3 and ((1 << k) - 1) % 3:
         raise UnsupportedDegreeError(f"no cubic Kummer extension: 3 does not divide 2^{k} - 1")
-    if degree == 3 and gf._is_cube(partial(gf._square_and_multiply, mul, sq, 1), 0, 1,
-                                   (1 << k) - 1, c):
+    if degree == 3 and _is_cube_in_prefix(nb, rules, k, mul, sq, c):
         raise NoKummerExtensionError(f"no cubic Kummer extension: {y}^3 = c is "
                                      f"reducible over F_{{2^{k}}}, as c is a cube")
+
+
+def _is_cube_in_prefix(nb: NormalBasisCtx, rules, k: int, mul, sq, c: int) -> bool:
+    """Whether c is a cube in the field E of degree k that `rules` build over
+    K = nb.field, given E's product and squaring on lanes.
+
+    When E = K(y) with y^2 + y = c' and n is even, 3 | 2^n - 1 and
+    (2^k - 1)/3 = (2^n + 1)(2^n - 1)/3, so c^((2^k - 1)/3) = N(c)^((2^n - 1)/3)
+    for the norm N(c) = c^(2^n + 1) = c c^(2^n) to K: c is a cube in E iff
+    N(c) is one in K, one power in K. The conjugate of c = u + v y is
+    u + v + v y, as y^(2^n) is the other root y + 1 (y is not in K: its own
+    rule passed _check_rule). Otherwise c is raised to (2^k - 1)/3 in E."""
+    if [r.degree for r in rules] == [2] and nb.n % 2 == 0:
+        return gf.is_cube(nb.field, mul(c, c ^ c >> nb.n))
+    return gf._is_cube(partial(gf._square_and_multiply, mul, sq, 1), 0, 1, (1 << k) - 1, c)
 
 
 def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:

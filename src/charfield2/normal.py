@@ -8,9 +8,14 @@ row i of T is stored as an int with bit j = t_{i,j}.
 Only rows 0 .. n//2 of T are formed by field products; the others are
 their rotations T[n - d] = rotl(T[d], -d).
 
-normal_mul reads T alone: a product costs n ANDs plus at most w(N) shifted
-XORs, so the density d(N) = n * w(N) is its cost. The paper's n product
-tables z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
+Above n = LOG_TABLE_MAX_N = 8, normal_mul reads T alone: a product costs
+n ANDs plus at most w(N) shifted XORs, so the density d(N) = n * w(N), the
+paper's hardware (Massey-Omura) cost, also predicts its time. At n <= 8 the
+field has at most 256 elements, and a product is two lookups in tables of
+indices (discrete logarithms) to a generator, built from T on the basis's
+first product (Lidl and Niederreiter, Finite Fields, on tables of indices);
+there w(N) does not predict normal_mul's time. The paper's n product tables
+z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
 
 product_planes holds the n^2 basis products a^(2^i) a^(2^j) as n bit-planes,
 one int per normal coordinate, built by lane shifts and masks. A linear map
@@ -29,6 +34,11 @@ from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, parity,
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
+
+# The largest n at which normal_mul multiplies by logarithm tables: they
+# hold about 3 * 2^n entries and take about 2^n map steps to build, so they
+# pay only while the field is small.
+LOG_TABLE_MAX_N = 8
 
 
 def rotl(x: int, s: int, n: int) -> int:
@@ -76,9 +86,11 @@ class NormalBasisCtx:
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
-        # set-bit positions of T[d] for d = 0..n//2: the terms of normal_mul,
-        # listed by its first call, as most bases never multiply
+        # normal_mul's data, made by its first call, as most bases never
+        # multiply: the set-bit positions of T[d] for d = 0..n//2 above
+        # LOG_TABLE_MAX_N, the (log, exp) tables of _log_tables at or below
         self._mul_terms = None
+        self._log_exp = None
         self._mul_rows = None
 
     def to_poly(self, v: NormalCoords) -> int:
@@ -140,15 +152,28 @@ def alpha_mul(nb: NormalBasisCtx, v: NormalCoords) -> NormalCoords:
 def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCoords:
     """Full product in normal coordinates from the base table alone.
 
-    a^(2^i) a^(2^(i+d)) = rotl(T[d], i), so u v is the sum over d of
+    At n <= LOG_TABLE_MAX_N it is exp[log[u] + log[v]] (0 when u or v is 0)
+    over the tables of _log_tables; the operands are validated first, as a
+    negative index would wrap silently.
+
+    Above it, a^(2^i) a^(2^(i+d)) = rotl(T[d], i), so u v is the sum over d of
     w_d (*) T[d], where bit i of w_d = u & rotl(v, -d) is u_i v_(i+d) and (*)
     is the cyclic carry-less product mod x^n - 1. Since T[n-d] = rotl(T[d], -d),
     the terms d and n - d are one product by T[d] with
     w = (u & rotl(v, -d)) ^ (v & rotl(u, -d)). The non-cyclic products go
     into one 2n-bit accumulator, folded once at the end. Each product loops
-    over the stored set-bit positions of T[d].
+    over the stored set-bit positions of T[d], so it costs n ANDs and at most
+    w(N) shifted XORs.
     """
     n = nb.n
+    if n <= LOG_TABLE_MAX_N:
+        gf.validate(nb.field, u)
+        gf.validate(nb.field, v)
+        tables = nb._log_exp
+        if tables is None:
+            tables = nb._log_exp = _log_tables(nb)
+        log, exp = tables
+        return exp[log[u] + log[v]] if u and v else 0
     uu = gf.validate(nb.field, u) | u << n
     vv = gf.validate(nb.field, v) | v << n
     terms = nb._mul_terms
@@ -163,6 +188,36 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
         for j in bits:
             acc ^= w << j
     return (acc & nb.field.mask) ^ (acc >> n)
+
+
+def _log_tables(nb: NormalBasisCtx):
+    """(log, exp) for the least g in normal coordinates whose powers run
+    through all 2^n - 1 nonzero elements: exp[k] = g^k for k < 2 (2^n - 1),
+    doubled so that a sum of two logs needs no reduction, and log[x] the k
+    < 2^n - 1 with g^k = x (log[0] is unused).
+
+    Multiplication by a candidate g is a PreparedMap whose row i is
+    a^(2^i) g = (a g^(2^(n-i)))^(2^i): a rotation, one product by a over T
+    and a rotation back. Walking the powers of g from the identity (the
+    all-ones vector, as Tr(a) = 1) back to it gives g's order; the first g
+    of order 2^n - 1 gives the tables."""
+    n = nb.n
+    order = (1 << n) - 1
+    one = nb.field.mask
+    for g in range(1, order + 1):
+        times_g = PreparedMap([rotl(row_apply(nb.table, rotl(g, -i, n)), i, n)
+                               for i in range(n)])
+        exp = [one]
+        x = g
+        while x != one:
+            exp.append(x)
+            x = times_g.apply(x)
+        if len(exp) == order:
+            break
+    log = [0] * (order + 1)
+    for k, x in enumerate(exp):
+        log[x] = k
+    return log, exp + exp
 
 
 def product_planes(tt, m: int):

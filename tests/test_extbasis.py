@@ -23,6 +23,7 @@ NB1 = get_fixture(1).basis()
 NB2 = get_fixture(2).basis()
 NB4 = get_fixture(4).basis()
 NB6 = get_fixture(6).basis()
+NB8 = get_fixture(8).basis()
 
 KINDS = ("as2", "k3", "asw4", "ka6")
 
@@ -217,6 +218,54 @@ def test_the_tower_trace_reading_lane_0_is_caught():
     assert {n for _, _, n, _ in differ} >= {1, 3, 5, 25, 31}
 
 
+def _ka6_cube_verdict(nb):
+    """Whether _check_rule finds b a cube in F_{2^(2n)} (ka6's rule g^3 = b)."""
+    try:
+        xb._check_rule(nb, "ka6", 1)
+    except NoKummerExtensionError:
+        return True
+    return False
+
+
+def test_ka6_cube_test_by_the_norm_agrees_with_the_as2_power():
+    """At even n, ka6's rule g^3 = b is tested by one power in the base field
+    of the norm b^(2^n + 1) = b (b + 1) = a. Its verdict equals that of the
+    as2-field power b^((4^n - 1)/3) = 1, which odd n still takes, on the
+    first eight normal elements under min_irreducible(n) for every even
+    n <= 40: 154 bases, both verdicts present."""
+    verdicts = []
+    for n in range(2, 41, 2):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        for a in islice(normal.normal_elements(ctx), 8):
+            nb = normal.build_normal_basis(ctx, a)
+            mul, sq = xb._prefix_field(nb, "as2")
+            b = 1 << n
+            assert mul(b, b ^ b >> n) == a
+            want = gf._square_and_multiply(mul, sq, 1, b, ((1 << 2 * n) - 1) // 3) == 1
+            verdicts.append(_ka6_cube_verdict(nb))
+            assert verdicts[-1] == want, (n, a)
+    assert len(verdicts) == 154 and set(verdicts) == {True, False}
+
+
+def test_ka6_cube_test_squares_in_the_as2_field_only_at_odd_n(monkeypatch):
+    """The as2-field squaring is the mark of the power in F_{2^(2n)}: with it
+    refusing, the ka6 verdict still comes out at even n, and only odd n
+    reaches it."""
+    prefix_field = xb._prefix_field
+
+    def no_as2_squares(nb, kind):
+        mul, _ = prefix_field(nb, kind)
+        return mul, lambda x: pytest.fail(f"as2-field squaring at n = {nb.n}")
+
+    bases = [get_fixture(n).basis() for n in (2, 4, 6, 8, 10, 12)]
+    want = [_ka6_cube_verdict(nb) for nb in bases]
+    monkeypatch.setattr(xb, "_prefix_field", no_as2_squares)
+    assert [_ka6_cube_verdict(nb) for nb in bases] == want
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(5))
+    with pytest.raises(pytest.fail.Exception, match="n = 5"):
+        _ka6_cube_verdict(normal.build_normal_basis(ctx, next(normal.normal_elements(ctx))))
+
+
 def test_build_kind_dispatch():
     assert xb.build_kind(NB2, "as2").kind == "as2"
     assert xb.build_kind(NB2, "ka6").kind == "ka6"
@@ -254,19 +303,28 @@ def test_validate_rejects_malformed_elements():
         ctx.validate((0, 0))
 
 
-@pytest.mark.parametrize("value", [-1, 1 << NB4.n])
+@pytest.mark.parametrize("nb, value", [
+    pytest.param(NB4, -1, id="-1"),
+    pytest.param(NB4, 1 << NB4.n, id="16"),
+    pytest.param(NB8, -1, id="n8--1"),
+    pytest.param(NB8, 1 << NB8.n, id="n8-256"),
+    pytest.param(NB8, 1.0, id="n8-float"),
+])
 @pytest.mark.parametrize("call", [
-    lambda v: normal.normal_mul(NB4, v, 1),
-    lambda v: normal.normal_mul(NB4, 1, v),
-    lambda v: normal.alpha_mul(NB4, v),
-    lambda v: NB4.to_poly(v),
-    lambda v: xb.embed_base(xb.build_kind(NB4, "as2"), v),
-    lambda v: xb.build_kind(NB4, "as2").validate(xb.ExtElem((0, v))),
+    lambda nb, v: normal.normal_mul(nb, v, 1),
+    lambda nb, v: normal.normal_mul(nb, 1, v),
+    lambda nb, v: normal.alpha_mul(nb, v),
+    lambda nb, v: nb.to_poly(v),
+    lambda nb, v: xb.embed_base(xb.build_kind(nb, "as2"), v),
+    lambda nb, v: xb.build_kind(nb, "as2").validate(xb.ExtElem((0, v))),
 ], ids=["normal_mul_u", "normal_mul_v", "alpha_mul", "to_poly", "embed_base", "validate"])
-def test_out_of_range_coordinates_raise_invalid_element_error(call, value):
-    """Every layer refuses a normal coordinate outside [0, 2^n) with one error type."""
+def test_out_of_range_coordinates_raise_invalid_element_error(call, nb, value):
+    """Every layer refuses a normal coordinate that is not an int in [0, 2^n)
+    with one error type. At n <= 8 normal_mul indexes its logarithm tables
+    by the operands, where -1 would wrap silently and 2^8 and 1.0 would
+    raise IndexError and TypeError."""
     with pytest.raises(InvalidElementError):
-        call(value)
+        call(nb, value)
 
 
 def test_hex_round_trip():

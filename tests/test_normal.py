@@ -282,6 +282,83 @@ def test_product_terms_are_built_on_the_first_product():
                              for r in nb.table[:7]]
 
 
+def _log_route_bases():
+    """At each n = 1 .. LOG_TABLE_MAX_N, a basis over min_irreducible(n) and
+    one over the densest irreducible of degree n (the greatest of most
+    terms), each on its modulus's least normal element."""
+    bases = []
+    for n in range(1, normal.LOG_TABLE_MAX_N + 1):
+        dense = max((f for f in range(1 << n, 2 << n) if bitpoly.is_irreducible(f)),
+                    key=lambda f: (bitpoly.weight(f), f))
+        for modulus in (bitpoly.min_irreducible(n), dense):
+            ctx = gf.FieldCtx(modulus)
+            bases.append(normal.build_normal_basis(ctx, next(normal.normal_elements(ctx))))
+    return bases
+
+
+def test_log_route_matches_field_product_at_every_small_degree():
+    """At n = 1 .. 8 normal_mul is two table lookups; it equals the field
+    product on every pair of operands up to n = 6 and on 3000 seeded pairs
+    and the edge pairs at n = 7 and 8, over both moduli of each degree."""
+    bases = _log_route_bases()
+    assert [nb.n for nb in bases] == [n for n in range(1, 9) for _ in range(2)]
+    assert {nb.field.modulus for nb in bases[:4]} == {0b11, 0b111}
+    rng = random.Random(20261020)
+    for nb in bases:
+        n = nb.n
+        if n <= 6:
+            pairs = [(u, v) for u in range(1 << n) for v in range(1 << n)]
+        else:
+            pairs = _operand_pairs(nb, rng, 3000)
+        for u, v in pairs:
+            assert normal.normal_mul(nb, u, v) == _field_product(nb, u, v), (nb, u, v)
+        assert nb._log_exp is not None and nb._mul_terms is None
+
+
+def test_log_tables_are_built_on_the_first_product():
+    """A basis at n <= 8 builds no logarithm tables until its first
+    normal_mul: building it, its cross sum, its coordinate maps and alpha_mul
+    leave them unbuilt. exp is doubled, log inverts its first half, and
+    exp[1] is the least element in normal coordinates of order 2^n - 1."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(8))
+    nb = normal.build_normal_basis(ctx, next(normal.normal_elements(ctx)))
+    normal.cross_product_sum(nb)
+    u = nb.to_normal(0b101)
+    assert nb.to_poly(normal.alpha_mul(nb, u)) == gf.poly_mul_mod(ctx, nb.alpha, 0b101)
+    assert nb._log_exp is None
+    assert normal.normal_mul(nb, u, nb.one()) == _field_product(nb, u, nb.one()) == u
+    log, exp = nb._log_exp
+    assert len(log) == 256 and exp[:255] == exp[255:] and len(exp) == 510
+    assert sorted(exp[:255]) == list(range(1, 256)) and exp[0] == nb.one()
+    assert all(log[x] == k for k, x in enumerate(exp[:255]))
+    g = exp[1]
+    assert gf.is_primitive(ctx, nb.to_poly(g))
+    assert not any(gf.is_primitive(ctx, nb.to_poly(x)) for x in range(1, g))
+    assert nb._mul_terms is None
+
+
+def test_log_tables_are_never_built_above_degree_8(monkeypatch):
+    """From n = 9 up normal_mul walks T: with the table builder refusing to
+    run, products at n = 9 .. 12 (the least normal element under
+    min_irreducible(n)), on the fixtures at 10, 12 and 26 and on the arith
+    benchmark's n = 64 basis still come out right and list their T walk's
+    terms."""
+    def refuse(nb):
+        raise AssertionError("normal_mul built logarithm tables above n = 8")
+
+    monkeypatch.setattr(normal, "_log_tables", refuse)
+    bases = [fixtures.get_fixture(n).basis() for n in (10, 12, 26)]
+    for n in range(9, 13):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        bases.append(normal.build_normal_basis(ctx, next(normal.normal_elements(ctx))))
+    bases.append(_arith_basis_64())
+    rng = random.Random(20261021)
+    for nb in bases:
+        for u, v in _operand_pairs(nb, rng, 20):
+            assert normal.normal_mul(nb, u, v) == _field_product(nb, u, v)
+        assert nb._log_exp is None and nb._mul_terms is not None
+
+
 def test_mul_rows_shift_structure():
     """Entry (i, j) of table k equals entry ((j-i) mod n, (k-i) mod n) of the base table."""
     for nb in (NB2, NB4, NB6):

@@ -584,8 +584,8 @@ def _charfield2_modules():
 
 
 def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
-    """With the normal-basis products, the extended programs, their
-    compiler and the functions it compiled, and their structure constants
+    """With the normal-basis products and their logarithm-table builder,
+    the extended programs, their compiler and the functions it compiled, and their structure constants
     made to raise at every binding, every kind at n = 2 and 4 still embeds,
     passes its rule check, and yields tables that verify against the closed
     form, which reads the structure constants and so runs with the bindings
@@ -602,8 +602,8 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the arithmetic under test")
 
-    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square,
-                  xb.structure_constants, xb._compiled,
+    under_test = (normal.normal_mul, normal._log_tables, normal.alpha_mul, xb.mul,
+                  xb.square, xb.structure_constants, xb._compiled,
                   *(fn for kind in xb.KINDS for program in [xb._compiled(kind)]
                     for fn in (program.product, program.square)))
     for mod in _charfield2_modules():
@@ -625,8 +625,8 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
 def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
     """Every kind at n = 2, 4, 6 and 8, over the fixture and the first eight
     normal elements, is built or refused the same with the normal-basis
-    products, the extended mul and square and the program compiler made to
-    raise at every binding: build_kind reads nb.field and nb.alpha alone and
+    products and their logarithm-table builder, the extended mul and square
+    and the program compiler made to raise at every binding: build_kind reads nb.field and nb.alpha alone and
     runs the source programs, so the closed form's rebuild in the oracle
     makes no normal product and no generated code moves a verdict."""
     bases = [get_fixture(n).basis() for n in (2, 4, 6, 8)]
@@ -651,7 +651,8 @@ def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("build_kind used the arithmetic under test")
 
-    under_test = (normal.normal_mul, normal.alpha_mul, xb.mul, xb.square, xb._compiled)
+    under_test = (normal.normal_mul, normal._log_tables, normal.alpha_mul, xb.mul,
+                  xb.square, xb._compiled)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
