@@ -10,9 +10,14 @@ Four kinds of degree-d extension bases over a normal basis N = (a^(2^i)) of F_{2
               blocks (1, b, g, g*b, g^2, g^2*b)
 
 Elements are tuples of d NormalCoords blocks. Each product is a fixed straight-line
-program, one function of the base field's sum, product and product by a (tvp); each
-square is read off the diagonal of structure_constants (basis monomials multiplied
-and reduced by RULES). Each adds its fixed tally of those operations to the OpCounter.
+program, one function of the base field's sum, product and product by a (tvp). For
+as2, k3 and ka6 it is _fold over the kind's RULES: each rule's step template
+(Karatsuba for y^2 = y + c, six products for y^3 = c) runs over the field the earlier
+rules build, on runs of its blocks, with that field's sum, its product (the fold again)
+and the product by c. asw4 keeps its hand-written program, whose tally is frozen. The
+product by c and each square are linear maps read off structure_constants (basis
+monomials multiplied and reduced by RULES) and walked as chains of products by a.
+Each operation adds its fixed tally of base operations to the OpCounter.
 
 The source functions (_MUL, _square_walk) are the statement, the proof over F_2[a]
 and the tally: one recording run compiles each, once per kind on first use, into
@@ -76,16 +81,22 @@ def rule_rewrites(rules) -> dict:
             for g, r in enumerate(rules)}
 
 
-@cache
 def structure_constants(kind: str) -> dict:
     """(p, q) -> {r: c_pqr} with m_p m_q = sum_r c_pqr(a) m_r, each c_pqr an
     F_2[a] bitmask: the product of basis monomials reduced by RULES[kind].
     These are identities of polynomials in a, so they hold over every basis.
-    The result is cached per kind and shared: callers must not change it."""
+    The result is cached per tuple of rules and shared: callers must not
+    change it."""
     if kind not in RULES:
         raise DomainError(f"unknown kind {kind!r}")
-    monomials = _monomials(RULES[kind])
-    rewrites = rule_rewrites(RULES[kind])
+    return _structure_constants(RULES[kind])
+
+
+@cache
+def _structure_constants(rules) -> dict:
+    """structure_constants of the field a tuple of rules builds."""
+    monomials = _monomials(rules)
+    rewrites = rule_rewrites(rules)
     out = {}
     for (p, e), (q, f) in product(enumerate(monomials), repeat=2):
         prod = SymPoly({tuple(map(int.__add__, e, f)): 1}).reduce(rewrites)
@@ -94,25 +105,41 @@ def structure_constants(kind: str) -> dict:
 
 
 @cache
-def _square_plan(kind: str):
-    """Per input block p, the length of its chain of products by a (the top
-    power of a in the reduced m_p^2); per output block r, the indices of the
-    chain entries a^k x_p^2 it sums (chains laid end to end)."""
-    diag = [cs for (p, q), cs in structure_constants(kind).items() if p == q]
-    tops = [max(cs.values()).bit_length() - 1 for cs in diag]
+def _plan(rules, by_c=False):
+    """The walk of an F_2[a]-linear map on the blocks of a field, read off the
+    structure constants of `rules`, column p being the image of m_p: per
+    input block p, the length of its chain of products by a (the top power
+    of a in column p); per output block r, the indices of the chain entries
+    a^k x_p it sums (chains laid end to end).
+
+    Without by_c the map takes the squares x_p^2 of x's blocks to x^2, and
+    column p is m_p^2.  With by_c it is the product by the last rule's c in
+    the field E of rules[:-1], whose d monomials come first.  For the last
+    generator y, of degree k, y^(k-1) (y m_p) = y^k m_p: that is
+    y m_p + c m_p for a degree-2 step and c m_p for a degree-3 one, so
+    column p is its part on E's monomials."""
+    sc = _structure_constants(rules)
+    if by_c:
+        d, k = len(_monomials(rules[:-1])), rules[-1].degree
+        columns = [{r: c for r, c in sc[(k - 1) * d, d + p].items() if r < d}
+                   for p in range(d)]
+    else:
+        columns = [cs for (p, q), cs in sc.items() if p == q]
+    tops = [max(cs.values()).bit_length() - 1 for cs in columns]
     starts = list(accumulate(tops, lambda s, t: s + t + 1, initial=0))
-    sums = tuple(tuple(starts[p] + k for p, cs in enumerate(diag)
-                       for k in range(tops[p] + 1) if cs.get(r, 0) >> k & 1)
-                 for r in range(len(diag)))
+    sums = tuple(tuple(starts[p] + i for p, cs in enumerate(columns)
+                       for i in range(tops[p] + 1) if cs.get(r, 0) >> i & 1)
+                 for r in range(len(columns)))
     return tuple(tops), sums
 
 
-def _square_walk(add, tvp, kind, sq):
-    """The blocks of x^2 from sq, the squares x_p^2 of x's blocks: each runs up
-    its chain of products by a, and each output is one sum of chain entries."""
-    tops, sums = _square_plan(kind)
+def _walk(add, tvp, plan, x):
+    """The blocks of the image of x under the map of a _plan: each block runs
+    up its chain of products by a, and each output is one sum of chain
+    entries."""
+    tops, sums = plan
     chains = []
-    for v, top in zip(sq, tops):
+    for v, top in zip(x, tops):
         chains.append(v)
         for _ in range(top):
             chains.append(tvp(chains[-1]))
@@ -123,6 +150,12 @@ def _square_walk(add, tvp, kind, sq):
             z = add(z, chains[i])
         out.append(z)
     return tuple(out)
+
+
+def _square_walk(add, tvp, rules, sq):
+    """The blocks of x^2 in the field `rules` build, from sq, the squares
+    x_p^2 of x's blocks."""
+    return _walk(add, tvp, _plan(rules), sq)
 
 
 class OpCounter:
@@ -209,26 +242,18 @@ class ExtBasisCtx:
 
 # --- builder ----------------------------------------------------------
 
-@cache
-def _prefix_kind(kind: str, g: int):
-    """The kind whose rules reduce as RULES[kind][:g] do, names aside; None for g = 0."""
-    def rewrites(rules):
-        return [(deg, poly.terms) for deg, poly in rule_rewrites(rules).values()]
-    return next((k for k in RULES if rewrites(RULES[k]) == rewrites(RULES[kind][:g])), None)
-
-
-def _prefix_field(nb: NormalBasisCtx, kind):
-    """Product and squaring of the field `kind` (None: no rules) builds over nb.field, on
-    d lanes of n polynomial coordinates: its source program and square walk on
+def _prefix_field(nb: NormalBasisCtx, rules):
+    """Product and squaring of the field `rules` build over nb.field, on d
+    lanes of n polynomial coordinates: the fold and the square walk on
     poly_mul_mod, the code the F_2[a] proof checks."""
     n = nb.n
     mul, sq = partial(gf.poly_mul_mod, nb.field), partial(gf.square, nb.field)
-    if kind is None:
+    if not rules:
         return mul, sq
     tvp = partial(mul, nb.alpha)
-    blocks = partial(unpack_lanes, width=n, count=len(_monomials(RULES[kind])))
-    return (lambda x, y: pack_lanes(_MUL[kind](xor, mul, tvp, blocks(x), blocks(y)), n),
-            lambda x: pack_lanes(_square_walk(xor, tvp, kind, [sq(b) for b in blocks(x)]), n))
+    blocks = partial(unpack_lanes, width=n, count=len(_monomials(rules)))
+    return (lambda x, y: pack_lanes(_fold(rules, xor, mul, tvp, blocks(x), blocks(y)), n),
+            lambda x: pack_lanes(_square_walk(xor, tvp, rules, [sq(b) for b in blocks(x)]), n))
 
 
 def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
@@ -247,7 +272,7 @@ def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
     at each earlier Artin-Schreier step and 0 at each Kummer step."""
     y, degree, rhs = RULES[kind][g]
     rules = RULES[kind][:g]
-    mul, sq = _prefix_field(nb, _prefix_kind(kind, g))
+    mul, sq = _prefix_field(nb, rules)
     monomials = _monomials(rules)
     k = nb.n * len(monomials)
     c = rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1))
@@ -366,6 +391,7 @@ def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
 
 def power(ctx: ExtBasisCtx, x: ExtElem, e: int) -> ExtElem:
     """x^e for e >= 0 by square-and-multiply (ops are counted like any other)."""
+    ctx.validate(x)
     if e < 0:
         raise DomainError(f"exponent must be nonnegative, got {e}")
     return gf._square_and_multiply(partial(mul, ctx), partial(square, ctx),
@@ -392,7 +418,10 @@ def quad_generator(ctx: ExtBasisCtx) -> ExtElem:
     return generator_element(ctx, "b")
 
 
-def _as2_mul(add, mul, tvp, x, y):
+def _as2_mul(add, mul, by_c, x, y):
+    """Product in an Artin-Schreier basis (1, y) with y^2 = y + c, by three
+    coefficient products (Karatsuba); add, mul and by_c are the coefficient
+    ring's sum, product and product by c."""
     C0, C1 = x
     D0, D1 = y
     c01 = add(C0, C1)
@@ -400,7 +429,7 @@ def _as2_mul(add, mul, tvp, x, y):
     m0 = mul(C0, D0)
     m1 = mul(C1, D1)
     m01 = mul(c01, d01)
-    z0 = add(m0, tvp(m1))
+    z0 = add(m0, by_c(m1))
     z1 = add(m01, m0)
     return (z0, z1)
 
@@ -475,17 +504,33 @@ def _asw4_mul(add, mul, tvp, x, y):
     return (z0, z1, z2, z3)
 
 
-def _ka6_mul(add, mul, tvp, x, y):
-    """The k3 program over F_{2^(2n)}: coefficients u + bv are pairs (u, v)
-    multiplied by the as2 program, and c = b, with b(u + bv) = av + b(u + v)."""
-    z0, z1, z2 = _cubic_mul(lambda p, q: (add(p[0], q[0]), add(p[1], q[1])),
-                            partial(_as2_mul, add, mul, tvp),
-                            lambda p: (tvp(p[1]), add(p[0], p[1])),
-                            (x[0:2], x[2:4], x[4:6]), (y[0:2], y[2:4], y[4:6]))
-    return (*z0, *z1, *z2)
+_STEP = {2: _as2_mul, 3: _cubic_mul}
 
 
-_MUL = {"as2": _as2_mul, "k3": _cubic_mul, "asw4": _asw4_mul, "ka6": _ka6_mul}
+def _fold(rules, add, mul, tvp, x, y):
+    """The product of x and y, blocks of the field `rules` build over the base
+    field with sum add, product mul and product by a tvp: the last rule's
+    step template over the field E of the rules before it, run on runs of
+    E's blocks with E's blockwise sum, E's product (the fold again) and the
+    product by c, the walk of _plan(rules, by_c=True).  With no rules, the
+    base product."""
+    if not rules:
+        return (mul(x[0], y[0]),)
+    degree = rules[-1].degree
+    d = len(x) // degree
+
+    def runs(v):
+        return [tuple(v[j * d:(j + 1) * d]) for j in range(degree)]
+    z = _STEP[degree](lambda u, v: tuple(map(add, u, v)),
+                      partial(_fold, rules[:-1], add, mul, tvp),
+                      partial(_walk, add, tvp, _plan(rules, by_c=True)),
+                      runs(x), runs(y))
+    return tuple(b for run in z for b in run)
+
+
+# asw4 keeps its hand-written program while its tally (9, 33, 9) is frozen:
+# the fold over its rules takes (9, 26, 7).
+_MUL = {**{kind: partial(_fold, rules) for kind, rules in RULES.items()}, "asw4": _asw4_mul}
 
 
 def _record(program):
@@ -528,7 +573,7 @@ def _compiled(kind: str) -> _Compiled:
     mul_lines, mul_out, mul_tally = _record(
         lambda add, mul, tvp: _MUL[kind](add, mul, tvp, x, y))
     walk_lines, walk_out, square_tally = _record(
-        lambda add, mul, tvp: _square_walk(add, tvp, kind, sq))
+        lambda add, mul, tvp: _square_walk(add, tvp, RULES[kind], sq))
     source = "\n".join((
         f"def product(mul, tvp, ctx, {', '.join(x + y)}):", *mul_lines,
         f"    return ({', '.join(mul_out)},)",

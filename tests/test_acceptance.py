@@ -226,7 +226,7 @@ def test_mul_cost_is_operand_independent():
             seen_mul.add(_tally(log))
             log = []
             add, _, tvp = _counting(log, *ops)
-            sq = xb._square_walk(add, tvp, kind,
+            sq = xb._square_walk(add, tvp, xb.RULES[kind],
                                  [normal.frobenius_shift(n, v) for v in x.blocks])
             assert sq == xb.square(ctx, x).blocks
             seen_sq.add(_tally(log))

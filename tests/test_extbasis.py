@@ -158,7 +158,7 @@ def _trace_by_squarings(nb, kind, g):
     """Tr_E(c) for rule g of RULES[kind] by its definition: the sum of c's k
     conjugates c^(2^i), by k squarings in the field E the earlier rules build
     over nb.  The reference for _check_rule's tower trace."""
-    mul, sq = xb._prefix_field(nb, xb._prefix_kind(kind, g))
+    mul, sq = xb._prefix_field(nb, xb.RULES[kind][:g])
     monomials = xb._monomials(xb.RULES[kind][:g])
     c = xb.RULES[kind][g].rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials)
                                                if sum(e) == 1))
@@ -238,7 +238,7 @@ def test_ka6_cube_test_by_the_norm_agrees_with_the_as2_power():
         ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
         for a in islice(normal.normal_elements(ctx), 8):
             nb = normal.build_normal_basis(ctx, a)
-            mul, sq = xb._prefix_field(nb, "as2")
+            mul, sq = xb._prefix_field(nb, xb.RULES["ka6"][:1])
             b = 1 << n
             assert mul(b, b ^ b >> n) == a
             want = gf._square_and_multiply(mul, sq, 1, b, ((1 << 2 * n) - 1) // 3) == 1
@@ -253,8 +253,8 @@ def test_ka6_cube_test_squares_in_the_as2_field_only_at_odd_n(monkeypatch):
     reaches it."""
     prefix_field = xb._prefix_field
 
-    def no_as2_squares(nb, kind):
-        mul, _ = prefix_field(nb, kind)
+    def no_as2_squares(nb, rules):
+        mul, _ = prefix_field(nb, rules)
         return mul, lambda x: pytest.fail(f"as2-field squaring at n = {nb.n}")
 
     bases = [get_fixture(n).basis() for n in (2, 4, 6, 8, 10, 12)]
@@ -399,6 +399,21 @@ def test_power_refuses_a_negative_exponent():
             xb.power(ctx, xb.identity(ctx), e)
 
 
+def test_power_validates_its_base_at_every_exponent():
+    """At e = 0 square-and-multiply calls no mul, so power validates x itself:
+    a block out of range, a wrong block count and a non-element raise at
+    e = 0 as at e = 1, and a valid x at e = 0 gives the identity with a zero
+    tally."""
+    ctx = xb.build_kind(NB4, "as2")
+    for bad in (xb.ExtElem((999, 0)), xb.ExtElem((1,)), "junk"):
+        for e in (0, 1):
+            with pytest.raises(InvalidElementError):
+                xb.power(ctx, bad, e)
+    ctx.counter.reset()
+    assert xb.power(ctx, _rand_elem(random.Random(0), ctx), 0) == xb.identity(ctx)
+    assert ctx.counter.as_tuple() == (0, 0, 0)
+
+
 def test_defining_equation_as2():
     """b^2 = b + alpha."""
     for nb in (NB2, NB4, NB6):
@@ -465,6 +480,11 @@ def test_element_is_cube_does_not_disturb_tally():
 MUL_EXPECT = {"as2": (3, 4, 1), "k3": (6, 15, 2), "asw4": (9, 33, 9), "ka6": (18, 56, 8)}
 SQ_EXPECT = {"as2": (0, 1, 1), "k3": (0, 0, 1), "asw4": (0, 9, 6), "ka6": (0, 4, 3)}
 
+# Every product program with its (program, kind, tally): each kind's, and the
+# fold over asw4's rules, which asw4 does not run while its tally is frozen.
+PROGRAMS = [pytest.param(xb._MUL[kind], kind, MUL_EXPECT[kind], id=kind) for kind in KINDS] + [
+    pytest.param(partial(xb._fold, xb.RULES["asw4"]), "asw4", (9, 26, 7), id="asw4-fold")]
+
 
 def test_frozen_count_tables_match_module_constants():
     assert xb.EXPECTED_MUL_COUNTS == MUL_EXPECT
@@ -494,7 +514,7 @@ def _counted_runs(ctx, x, y):
     mul_log, sq_log = [], []
     prod = xb._MUL[ctx.kind](*_counting(mul_log, *ops), x.blocks, y.blocks)
     add, _, tvp = _counting(sq_log, *ops)
-    sq = xb._square_walk(add, tvp, ctx.kind,
+    sq = xb._square_walk(add, tvp, xb.RULES[ctx.kind],
                          [normal.frobenius_shift(ctx.n, v) for v in x.blocks])
     return prod, _tally(mul_log), sq, _tally(sq_log)
 
@@ -553,7 +573,7 @@ def test_compiled_programs_are_the_source_programs(kind):
                 assert xb.mul(ctx, x, y).blocks == xb._MUL[kind](
                     int.__xor__, mul, tvp, x.blocks, y.blocks), (n, x, y)
             assert xb.square(ctx, x).blocks == xb._square_walk(
-                int.__xor__, tvp, kind,
+                int.__xor__, tvp, xb.RULES[kind],
                 [normal.frobenius_shift(n, v) for v in x.blocks]), (n, x)
     assert built >= 3
 
@@ -586,14 +606,14 @@ def test_compiled_programs_call_the_kernels_by_name(kind, monkeypatch):
 
 
 def test_product_programs_have_no_branches():
-    """_compiled records and counts one run of each product program; that run
-    stands for every run only if no program, nor any function it calls, can
-    take another path on other operands."""
+    """The hand-written programs (the fold's two step templates and asw4's
+    program) have no branch and call nothing but their arguments."""
     branches = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.ListComp,
                 ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.IfExp,
                 ast.Match, ast.BoolOp, ast.Try)
-    programs = {f.__name__ for f in xb._MUL.values()}
-    for program in set(xb._MUL.values()):
+    templates = {*xb._STEP.values(), *(f for f in xb._MUL.values() if not isinstance(f, partial))}
+    assert {f.__name__ for f in templates} == {"_as2_mul", "_cubic_mul", "_asw4_mul"}
+    for program in templates:
         tree = ast.parse(textwrap.dedent(inspect.getsource(program)))
         nodes = list(ast.walk(tree))
         assert [type(n).__name__ for n in nodes if isinstance(n, branches)] == [], \
@@ -602,7 +622,77 @@ def test_product_programs_have_no_branches():
         bound = {n.arg for n in nodes if isinstance(n, ast.arg)}
         bound |= {n.id for n in names if isinstance(n.ctx, ast.Store)}
         free = {n.id for n in names if isinstance(n.ctx, ast.Load)} - bound
-        assert free <= programs | {"partial"}, (program.__name__, free)
+        assert free == set(), (program.__name__, free)
+
+
+class _ValueRead(Exception):
+    """Code read the value of an _Opaque operand."""
+
+
+class _Opaque:
+    """An operand whose value cannot be read: a truth test, comparison, hash,
+    conversion to int, length or iteration raises _ValueRead."""
+
+    def _read(self, *args):
+        raise _ValueRead
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _read
+    __hash__ = __index__ = __int__ = __len__ = __iter__ = _read
+
+
+def _opaque(*args):
+    """A new _Opaque from _Opaque operands: the sum, product and product by a
+    of opaque operands alike."""
+    assert all(isinstance(v, _Opaque) for v in args)
+    return _Opaque()
+
+
+def _opaque_tallies(program, kind):
+    """The tallies of program and of the kind's square walk, each run on
+    opaque blocks."""
+    d = len(xb._monomials(xb.RULES[kind]))
+    x, y = [_Opaque() for _ in range(d)], [_Opaque() for _ in range(d)]
+    mul_log, sq_log = [], []
+    prod = program(*_counting(mul_log, _opaque, _opaque, _opaque), x, y)
+    add, _, tvp = _counting(sq_log, _opaque, _opaque, _opaque)
+    sq = xb._square_walk(add, tvp, xb.RULES[kind], x)
+    assert len(prod) == len(sq) == d
+    assert all(isinstance(v, _Opaque) for v in prod + sq)
+    return _tally(mul_log), _tally(sq_log)
+
+
+@pytest.mark.parametrize("program, kind, tally", PROGRAMS)
+def test_programs_run_on_operands_whose_value_cannot_be_read(program, kind, tally):
+    """_compiled records and counts one run of each product program and
+    square walk; that run stands for every run only if nothing in their call
+    tree, the fold, the plans and the walk included, branches on an
+    operand.  On opaque operands both run to the end with their tallies."""
+    assert _opaque_tallies(program, kind) == (tally, SQ_EXPECT[kind])
+
+
+def _zero_skipping_step(add, mul, by_c, x, y):
+    """The degree-2 step with a branch on an operand: when C1 = 0 it makes
+    only C0 D0 and C0 D1, a right product with another tally."""
+    C0, C1 = x
+    if all(v == 0 for v in C1):
+        return (mul(C0, y[0]), mul(C0, y[1]))
+    return xb._as2_mul(add, mul, by_c, x, y)
+
+
+def test_a_branch_on_an_operand_fails_the_opaque_run(monkeypatch):
+    """Negative control: with the zero-skipping step as the fold's degree-2
+    step, the as2 and ka6 programs still multiply right, but their opaque
+    runs fail, in ka6 two folds down."""
+    ctx = xb.build_kind(NB2, "ka6")
+    ops = (int.__xor__, partial(normal.normal_mul, NB2), partial(normal.alpha_mul, NB2))
+    elems = _edge_and_random_elems(random.Random("zero-skipping"), ctx)
+    want = [xb.mul(ctx, x, y).blocks for x, y in product(elems, repeat=2)]
+    monkeypatch.setitem(xb._STEP, 2, _zero_skipping_step)
+    assert [xb._MUL["ka6"](*ops, x.blocks, y.blocks)
+            for x, y in product(elems, repeat=2)] == want
+    for kind in ("as2", "ka6"):
+        with pytest.raises(_ValueRead):
+            _opaque_tallies(xb._MUL[kind], kind)
 
 
 def test_counter_accumulates():
@@ -691,17 +781,16 @@ def _dropping(count, drop=None):
     return add, tvp, calls
 
 
-def _symbolic_product(kind, drop=None):
-    """The kind's product program run on x_0..x_{d-1}, y_0..y_{d-1}."""
-    d = xb.ExtBasisCtx(NB2, kind).d
+def _symbolic_product(program, d, drop=None):
+    """A product program run on x_0..x_{d-1}, y_0..y_{d-1}."""
     add, tvp, calls = _dropping(2 * d, drop)
     gens = [SymPoly.gen(g, 2 * d) for g in range(2 * d)]
-    out = xb._MUL[kind](add, SymPoly.__mul__, tvp, gens[:d], gens[d:])
+    out = program(add, SymPoly.__mul__, tvp, gens[:d], gens[d:])
     return calls[0], [z.terms for z in out]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_product_program_is_the_structure_constants_over_f2_a(kind):
+@pytest.mark.parametrize("program, kind, tally", PROGRAMS)
+def test_product_program_is_the_structure_constants_over_f2_a(program, kind, tally):
     """Output r of the program is sum c_pqr x_p y_q as a polynomial over
     F_2[a]: so the product is right for every n, basis and input.  Each
     mutant that drops one add or one product by a gives a different
@@ -712,19 +801,19 @@ def test_product_program_is_the_structure_constants_over_f2_a(kind):
     for (p, q), cs in xb.structure_constants(kind).items():
         for r, c in cs.items():
             want[r] += SymPoly.const(c, 2 * d) * gens[p] * gens[d + q]
-    calls, got = _symbolic_product(kind)
+    calls, got = _symbolic_product(program, d)
     assert got == [w.terms for w in want]
-    _, adds, tvps = MUL_EXPECT[kind]
+    _, adds, tvps = tally
     assert calls == adds + tvps
     for drop in range(calls):
-        assert _symbolic_product(kind, drop)[1] != got, drop
+        assert _symbolic_product(program, d, drop)[1] != got, drop
 
 
 def _symbolic_square(kind, drop=None):
     """square's walk run on X_0..X_{d-1}, where X_p stands for x_p^2."""
     d = xb.ExtBasisCtx(NB2, kind).d
     add, tvp, calls = _dropping(d, drop)
-    out = xb._square_walk(add, tvp, kind, [SymPoly.gen(p, d) for p in range(d)])
+    out = xb._square_walk(add, tvp, xb.RULES[kind], [SymPoly.gen(p, d) for p in range(d)])
     return calls[0], [z.terms for z in out]
 
 
@@ -746,3 +835,27 @@ def test_square_walk_is_the_diagonal_over_f2_a(kind):
     assert calls == adds + tvps
     for drop in range(calls):
         assert _symbolic_square(kind, drop)[1] != got, drop
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_product_by_c_is_read_off_the_structure_constants(kind):
+    """For every rule of the kind, over the field E of the rules before it,
+    the fold's product by c takes blocks X_p to sum_p (c m_p)_r X_p: c m_p
+    computed here from the rule's rhs and E's rewrites alone.  This covers
+    asw4's b1, c = b0 + a b0 + a^2, and ka6's g, c = b."""
+    for g, rule in enumerate(xb.RULES[kind]):
+        lower = xb.RULES[kind][:g]
+        monomials = xb._monomials(lower)
+        rewrites = xb.rule_rewrites(lower)
+        c = rule.rhs(SymPoly.__mul__, SymPoly.const(A, g),
+                     *(SymPoly.gen(i, g) for i in range(g))).reduce(rewrites)
+        d = len(monomials)
+        xs = [SymPoly.gen(p, d) for p in range(d)]
+        want = [SymPoly() for _ in range(d)]
+        for p, e in enumerate(monomials):
+            for mono, coeff in (c * SymPoly({e: 1})).reduce(rewrites).terms.items():
+                want[monomials.index(mono)] += SymPoly.const(coeff, d) * xs[p]
+        a = SymPoly.const(A, d)
+        got = xb._walk(SymPoly.__add__, lambda v: v * a,
+                       xb._plan(xb.RULES[kind][:g + 1], by_c=True), xs)
+        assert [z.terms for z in got] == [w.terms for w in want], (kind, rule.gen)

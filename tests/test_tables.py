@@ -585,8 +585,9 @@ def _charfield2_modules():
 
 def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     """With the normal-basis products and their logarithm-table builder,
-    the extended programs, their compiler and the functions it compiled, and their structure constants
-    made to raise at every binding, every kind at n = 2 and 4 still embeds,
+    the extended programs, their compiler and the functions it compiled, the
+    fold, its step templates, the walk and its plans, and the structure
+    constants made to raise at every binding, every kind at n = 2 and 4 still embeds,
     passes its rule check, and yields tables that verify against the closed
     form, which reads the structure constants and so runs with the bindings
     restored: the oracle reads only RULES."""
@@ -603,13 +604,18 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
         raise AssertionError("the oracle used the arithmetic under test")
 
     under_test = (normal.normal_mul, normal._log_tables, normal.alpha_mul, xb.mul,
-                  xb.square, xb.structure_constants, xb._compiled,
+                  xb.square, xb.structure_constants, xb._structure_constants,
+                  xb._compiled, xb._fold, *xb._STEP.values(), xb._asw4_mul, xb._walk,
+                  xb._square_walk, xb._plan,
                   *(fn for kind in xb.KINDS for program in [xb._compiled(kind)]
                     for fn in (program.product, program.square)))
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
                 monkeypatch.setattr(mod, attr, forbidden)
+    for table in (xb._STEP, xb._MUL):
+        for key in table:
+            monkeypatch.setitem(table, key, forbidden)
     with pytest.raises(AssertionError):
         xb.mul(sources[2], xb.zero(sources[2]), xb.zero(sources[2]))
     built = []
