@@ -110,13 +110,16 @@ def is_irreducible(f: BitPoly) -> bool:
     gcd(x^(2^(n/q)) - x, f) = 1 for prime q | n.  Each of the n squarings is
     reduced by field.reduce_product, which folds by the terms of f, or by
     its table of x^(n+i) mod f when f is dense.  Any degree is accepted.
-    DomainError for a negative f."""
+    DomainError for a negative f.
+
+    f = min_irreducible(n), once found, is True at once: the search that
+    recorded it in _MIN_IRREDUCIBLE ran this test on it."""
     if f < 0:
         raise _negative(f)
     n = degree(f)
     if n is None or n == 0:
         return False
-    if n == 1:
+    if n == 1 or _MIN_IRREDUCIBLE.get(n) == f:
         return True
     x = 2
     red, reduce_product = field.Reducer(f), field.reduce_product
@@ -150,7 +153,10 @@ _MIN_IRREDUCIBLE = {}  # degree -> min_irreducible(degree), filled on first use
 
 def min_irreducible(n: int) -> BitPoly:
     """Deterministic irreducible of degree n: fewest terms, then least
-    bit-packed value.  Each degree is searched once per process."""
+    bit-packed value.  Each degree is searched once per process.
+    DomainError unless n is a positive int."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"degree must be a positive integer, got {n!r}")
     f = _MIN_IRREDUCIBLE.get(n)
     if f is None:
         f = _MIN_IRREDUCIBLE[n] = _search_min_irreducible(n)
@@ -162,8 +168,6 @@ def _search_min_irreducible(n: int) -> BitPoly:
     counts 3, 5, 7, ..., each scanned in ascending value.  When 8 | n the
     scan starts at 5 terms, as no trinomial of degree 8k is irreducible
     (Swan, Pacific J. Math. 12, 1962)."""
-    if n < 1:
-        raise DomainError("degree must be positive")
     if n == 1:
         return 0b11  # 1 + x
     top = (1 << n) | 1

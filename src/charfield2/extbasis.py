@@ -23,8 +23,8 @@ The source functions (_MUL, _square_walk) are the statement, the proof over F_2[
 and the tally: one recording run compiles each, once per kind on first use, into
 straight-line Python whose sums are inline ^ and whose base products are calls to
 kernels passed in by name, which mul and square look up at each call.  Only mul and
-square run compiled code: build_kind's rule test runs the source functions
-themselves, on poly_mul_mod.
+square run compiled code: the rule test that every ExtBasisCtx runs when
+constructed runs the source functions themselves, on poly_mul_mod.
 """
 
 from functools import cache, partial
@@ -215,11 +215,28 @@ class ExtElem:
 
 
 class ExtBasisCtx:
-    """An extended basis over a normal basis, with an OpCounter."""
+    """The extended basis of `kind` over the normal basis `base`, with an
+    OpCounter.  It is built only once _check_rule passes each rule of
+    RULES[kind] in turn; k3 also needs a primitive a, the paper's
+    condition.  Reads only base.field and base.alpha.
+
+    A cube c or a non-primitive a raises NoKummerExtensionError, any other
+    refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
+    times the earlier degrees, and each Artin-Schreier trace in RULES is
+    fixed by n.  _check_rule reads Tr_E(c) as Tr_n of c's coordinate on e*,
+    the monomial with exponent 1 at each earlier Artin-Schreier step and 0
+    at each Kummer step.  With no earlier step that is c itself, and
+    Tr_n(a) = 1, the sum of the normal basis: in F_2, nonzero.  Over
+    F_{2^n}(b0), e* = b0, so Tr_2n(b0 + a b0 + a^2) = Tr_n(1 + a) = n + 1
+    (mod 2).  An unknown kind is a DomainError."""
 
     def __init__(self, base: NormalBasisCtx, kind: str):
         if kind not in RULES:
             raise DomainError(f"unknown kind {kind!r}")
+        for g in range(len(RULES[kind])):
+            _check_rule(base, kind, g)
+        if kind == "k3" and not gf.is_primitive(base.field, base.alpha):
+            raise NoKummerExtensionError("no cubic Kummer extension: a is not primitive")
         self.base = base
         self.kind = kind
         self.n = base.n
@@ -303,25 +320,9 @@ def _is_cube_in_prefix(nb: NormalBasisCtx, rules, k: int, mul, sq, c: int) -> bo
 
 
 def build_kind(nb: NormalBasisCtx, kind: str) -> ExtBasisCtx:
-    """The extended basis of `kind` over nb, once _check_rule passes each rule
-    of RULES[kind] in turn.  k3 also needs a primitive a, the paper's
-    condition.  Reads only nb.field and nb.alpha.
-
-    A cube c or a non-primitive a raises NoKummerExtensionError, any other
-    refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
-    times the earlier degrees, and each Artin-Schreier trace in RULES is
-    fixed by n.  _check_rule reads Tr_E(c) as Tr_n of c's coordinate on e*,
-    the monomial with exponent 1 at each earlier Artin-Schreier step and 0
-    at each Kummer step.  With no earlier step that is c itself, and
-    Tr_n(a) = 1, the sum of the normal basis: in F_2, nonzero.  Over
-    F_{2^n}(b0), e* = b0, so Tr_2n(b0 + a b0 + a^2) = Tr_n(1 + a) = n + 1
-    (mod 2)."""
-    ctx = ExtBasisCtx(nb, kind)
-    for g in range(len(RULES[kind])):
-        _check_rule(nb, kind, g)
-    if kind == "k3" and not gf.is_primitive(nb.field, nb.alpha):
-        raise NoKummerExtensionError("no cubic Kummer extension: a is not primitive")
-    return ctx
+    """The extended basis of `kind` over nb: ExtBasisCtx(nb, kind), which
+    tests each rule and refuses with the errors it names."""
+    return ExtBasisCtx(nb, kind)
 
 
 # --- element utilities ------------------------------------------------
@@ -390,10 +391,9 @@ def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
 
 
 def power(ctx: ExtBasisCtx, x: ExtElem, e: int) -> ExtElem:
-    """x^e for e >= 0 by square-and-multiply (ops are counted like any other)."""
+    """x^e for an int e >= 0 by square-and-multiply (ops are counted like any
+    other); DomainError for any other e."""
     ctx.validate(x)
-    if e < 0:
-        raise DomainError(f"exponent must be nonnegative, got {e}")
     return gf._square_and_multiply(partial(mul, ctx), partial(square, ctx),
                                    identity(ctx), x, e)
 

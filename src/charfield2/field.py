@@ -64,14 +64,19 @@ class Reducer:
 
 
 class FieldCtx(Reducer):
-    """Arithmetic context for F_2[x]/(modulus), modulus irreducible of degree n."""
+    """Arithmetic context for F_2[x]/(modulus), modulus irreducible of degree n.
 
-    def __init__(self, modulus: int, check_irreducible: bool = True):
+    A constant or reducible modulus is a DomainError and a degree above the
+    cap an UnsupportedDegreeError, so every FieldCtx is a field.  The
+    modulus is Rabin-tested by bitpoly.is_irreducible, which passes
+    min_irreducible(n) without a second test."""
+
+    def __init__(self, modulus: int):
         deg = bitpoly.degree(modulus)
         if deg is None or deg == 0:
             raise DomainError("modulus must be non-constant")
         _check_cap(deg)
-        if check_irreducible and not bitpoly.is_irreducible(modulus):
+        if not bitpoly.is_irreducible(modulus):
             raise DomainError(f"modulus {bitpoly.to_human(modulus)} is not irreducible")
         super().__init__(modulus)
         self._order_factors = None
@@ -337,15 +342,17 @@ def square(ctx: FieldCtx, a: int) -> int:
 
 
 def power(ctx: FieldCtx, a: int, e: int) -> int:
-    """a^e for e >= 0 (0^0 = 1)."""
+    """a^e for an int e >= 0 (0^0 = 1)."""
     validate(ctx, a)
-    if e < 0:
-        raise DomainError(f"exponent must be nonnegative, got {e}")
     return _square_and_multiply(partial(poly_mul_mod, ctx), partial(square, ctx), 1, a, e)
 
 
 def _square_and_multiply(mul, square, one, x, e):
-    """x^e for e >= 0 in a ring with product mul, squaring and identity one."""
+    """x^e in a ring with product mul, squaring and identity one; DomainError
+    unless e is an int >= 0 (a bool counts as one).  -1 >> 1 == -1, so the
+    loop would never end on e < 0."""
+    if not isinstance(e, int) or e < 0:
+        raise DomainError(f"exponent must be a nonnegative integer, got {e!r}")
     result = one
     while e:
         if e & 1:
@@ -362,16 +369,14 @@ def inverse(ctx: FieldCtx, a: int) -> int:
 
     Throughout, u = g1 a and v = g2 a modulo f, and deg g1 + deg v <= n.
     v is f or an earlier u, never 1, so once u = 1, g1 is the inverse
-    already reduced."""
+    already reduced.  The modulus is irreducible (FieldCtx tests it), so
+    gcd(a, f) = 1 and u reaches 1 before 0."""
     validate(ctx, a)
     if a == 0:
         raise DomainError("zero has no inverse")
     u, v = a, ctx.modulus
     g1, g2 = 1, 0
     while u != 1:
-        if not u:  # the last nonzero u was gcd(a, f) != 1: f is reducible
-            raise DomainError(f"{a} is not invertible modulo "
-                              f"{bitpoly.to_human(ctx.modulus)}")
         j = u.bit_length() - v.bit_length()
         if j < 0:
             u, v, g1, g2, j = v, u, g2, g1, -j
@@ -381,21 +386,21 @@ def inverse(ctx: FieldCtx, a: int) -> int:
 
 
 def frobenius(ctx: FieldCtx, a: int, k: int = 1) -> int:
-    """a^(2^k); the Frobenius automorphism applied k times (k mod n)."""
+    """a^(2^k); the Frobenius automorphism applied k times (k mod n).
+    DomainError unless k is an int."""
     validate(ctx, a)
+    if not isinstance(k, int):
+        raise DomainError(f"Frobenius count must be an integer, got {k!r}")
     for _ in range(k % ctx.n):
         a = square(ctx, a)
     return a
 
 
 def trace(ctx: FieldCtx, a: int) -> int:
-    """Absolute trace of a into F_2, returned as 0 or 1."""
+    """Absolute trace of a into F_2, returned as 0 or 1: the sum of a's n
+    conjugates, which lies in F_2 as the modulus is irreducible."""
     validate(ctx, a)
-    t = reduce(xor, _frobenius_orbit(partial(square, ctx), a, ctx.n))
-    if t not in (0, 1):
-        raise DomainError(f"trace landed outside F_2: modulus "
-                          f"{bitpoly.to_human(ctx.modulus)} is reducible")
-    return t
+    return reduce(xor, _frobenius_orbit(partial(square, ctx), a, ctx.n))
 
 
 def _frobenius_orbit(square, x, count):

@@ -325,7 +325,8 @@ def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
 def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,
                            limit: int = None):
     """The first `limit` of normal_elements(ctx, require_primitive); `limit`
-    None takes them all, and a `limit` below 1 is a DomainError."""
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be at least 1, got {limit}")
+    None takes them all, and a `limit` that is not an int of at least 1 is a
+    DomainError."""
+    if limit is not None and (not isinstance(limit, int) or limit < 1):
+        raise DomainError(f"limit must be an integer of at least 1, got {limit!r}")
     return list(islice(normal_elements(ctx, require_primitive), limit))

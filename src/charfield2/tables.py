@@ -222,7 +222,13 @@ def _basis_parts(source):
 
 class OracleEmbedding:
     """Deterministic embedding of a built basis, a NormalBasisCtx or an
-    ExtBasisCtx, into one big field; the basis is kept as `source`."""
+    ExtBasisCtx, into one big field; the basis is kept as `source`.
+
+    The big field's modulus is min_irreducible(m), which FieldCtx takes
+    without a second Rabin test.  ConstructionContradictionError when the
+    base modulus does not vanish at its root, a rule has no root, the basis
+    images are dependent, or check_rules finds a generator image that
+    breaks its rule."""
 
     def __init__(self, source):
         nb, self.kind, self.d = _basis_parts(source)
@@ -230,7 +236,7 @@ class OracleEmbedding:
         self.rules = RULES[self.kind] if self.kind else ()
         self.base = nb
         self.m = nb.n * self.d
-        self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m), check_irreducible=False)
+        self.big = gf.FieldCtx(bitpoly.min_irreducible(self.m))
         big = self.big
 
         # image of the base field: a root of its modulus f, checked in the
@@ -257,6 +263,8 @@ class OracleEmbedding:
             raise ConstructionContradictionError("basis images are linearly dependent")
         self._coord_rows = inv  # big-field element -> flat coordinates
         self.coord_cols = mat_transpose(inv, self.m)  # bit t of [k]: bit k of inv[t]
+        if not self.check_rules():
+            raise ConstructionContradictionError("generator images violate their rules")
 
     def _solve_generators(self):
         """A root in the big field of each rule, in adjunction order."""
@@ -318,11 +326,9 @@ class OracleEmbedding:
 
 
 def build_embedding(source) -> OracleEmbedding:
-    """Construct the deterministic oracle embedding for a basis context."""
-    emb = OracleEmbedding(source)
-    if not emb.check_rules():
-        raise ConstructionContradictionError("generator images violate their rules")
-    return emb
+    """The deterministic oracle embedding of a basis context:
+    OracleEmbedding(source), which checks itself."""
+    return OracleEmbedding(source)
 
 
 # --- multiplication tables ----------------------------------------------

@@ -234,7 +234,7 @@ def test_min_irreducible_properties(n):
     """Result is irreducible of the right degree and is stable across calls."""
     f = bitpoly.min_irreducible(n)
     assert bitpoly.degree(f) == n
-    assert bitpoly.is_irreducible(f)
+    assert _brute_irreducible(f)  # is_irreducible passes a recorded f untested
     if n >= 2:
         assert bitpoly.weight(f) % 2 == 1  # degree >= 2 irreducible => odd term count
     assert bitpoly.min_irreducible(n) == f
@@ -307,6 +307,30 @@ def test_min_irreducible_64_rabin_tests_no_trinomial(monkeypatch):
 def test_min_irreducible_rejects_nonpositive_degree():
     with pytest.raises(DomainError):
         bitpoly.min_irreducible(0)
+
+
+def test_min_irreducible_refuses_a_non_integer_degree():
+    """2.0 hashes as 2, so it would find degree 2's record, and 1.5 would
+    reach 1 << n; each is a DomainError, and a bool is an int."""
+    bitpoly.min_irreducible(2)
+    for n in (2.0, 1.5, "2", None):
+        with pytest.raises(DomainError):
+            bitpoly.min_irreducible(n)
+    assert bitpoly.min_irreducible(True) == 0b11
+
+
+def test_a_recorded_least_irreducible_skips_a_second_rabin_test(monkeypatch):
+    """The search that recorded min_irreducible(n) proved it irreducible, so
+    is_irreducible takes it without one reduction; any other irreducible of
+    degree n still takes Rabin's n squarings, each one reduce_product."""
+    n = 12
+    f = bitpoly.min_irreducible(n)
+    other = next(g for g in range(f + 2, 2 << n, 2) if _brute_irreducible(g))
+    real, reduced = gf.reduce_product, []
+    monkeypatch.setattr(gf, "reduce_product",
+                        lambda ctx, prod: reduced.append(prod) or real(ctx, prod))
+    assert bitpoly.is_irreducible(f) and reduced == []
+    assert bitpoly.is_irreducible(other) and len(reduced) == n
 
 
 def _cyclotomic_cosets(m):

@@ -131,11 +131,22 @@ def _hand_written_verdict(nb, kind):
     return None
 
 
+def _outcome(build, nb, kind):
+    """What build(nb, kind) gives: the refusal's error type, or the built
+    context's kind, base, generators, monomials and sizes."""
+    try:
+        ctx = build(nb, kind)
+    except (UnsupportedDegreeError, NoKummerExtensionError) as exc:
+        return type(exc)
+    return ctx.kind, ctx.base, ctx.gens, ctx.monomials, ctx.d, ctx.m
+
+
 def test_build_kind_refuses_what_the_hand_written_builders_refused():
     """Every fixture and the first 60 normal elements under min_irreducible(n)
     for n = 1 ... 12, every kind: the same refusals with the same error
-    types.  A degree refusal depends on (kind, n) alone, which lets
-    cli._first_basis stop its scan at the first one."""
+    types, and ExtBasisCtx(nb, kind) itself gives the same context or the
+    same error type as build_kind.  A degree refusal depends on (kind, n)
+    alone, which lets cli._first_basis stop its scan at the first one."""
     bases = [get_fixture(n).basis() for n in fixture_degrees()]
     for n in range(1, 13):
         ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
@@ -143,15 +154,23 @@ def test_build_kind_refuses_what_the_hand_written_builders_refused():
                   for a in islice(normal.normal_elements(ctx), 60)]
     degree_refused = {}
     for nb, kind in product(bases, KINDS):
-        try:
-            xb.build_kind(nb, kind)
-            got = None
-        except (UnsupportedDegreeError, NoKummerExtensionError) as exc:
-            got = type(exc)
+        outcome = _outcome(xb.build_kind, nb, kind)
+        assert _outcome(xb.ExtBasisCtx, nb, kind) == outcome, (kind, nb.field, nb.alpha)
+        got = outcome if isinstance(outcome, type) else None
         assert got is _hand_written_verdict(nb, kind), (kind, nb.field, nb.alpha)
         degree_refused.setdefault((kind, nb.n), set()).add(got is UnsupportedDegreeError)
     assert len(bases) * len(KINDS) == 1664
     assert all(len(seen) == 1 for seen in degree_refused.values())
+
+
+def test_the_context_refuses_a_cube_rule_itself():
+    """Over fixture 4, a is a cube in F_16, so b^3 = a is reducible and the
+    k3 program has zero divisors there: (0, 1, 3) (1, 3, 9) = 0.
+    ExtBasisCtx refuses to build that ring."""
+    assert xb._fold(xb.RULES["k3"], xor, partial(normal.normal_mul, NB4),
+                    partial(normal.alpha_mul, NB4), (0, 1, 3), (1, 3, 9)) == (0, 0, 0)
+    with pytest.raises(NoKummerExtensionError, match="cube"):
+        xb.ExtBasisCtx(NB4, "k3")
 
 
 def _trace_by_squarings(nb, kind, g):
@@ -392,11 +411,15 @@ def test_power_matches_repeated_mul():
 
 
 def test_power_refuses_a_negative_exponent():
-    """-1 >> 1 == -1, so square-and-multiply would never end on e < 0."""
+    """-1 >> 1 == -1, so square-and-multiply would never end on e < 0; an
+    exponent that is not an int is refused too, and a bool is an int."""
     ctx = xb.build_kind(NB2, "as2")
-    for e in (-1, -6):
+    for e in (-1, -6, 1.5, 2.0, "3", None):
         with pytest.raises(DomainError):
             xb.power(ctx, xb.identity(ctx), e)
+    b = xb.generator_element(ctx, "b")
+    assert xb.power(ctx, b, True) == b
+    assert xb.power(ctx, b, False) == xb.identity(ctx)
 
 
 def test_power_validates_its_base_at_every_exponent():

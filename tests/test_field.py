@@ -29,8 +29,6 @@ def test_ctx_construction_and_validation():
         gf.FieldCtx(1)
     with pytest.raises(DomainError):
         gf.FieldCtx(0b101)  # (1+x)^2 is reducible
-    # the check can be bypassed for internal callers that already know
-    assert gf.FieldCtx(0b101, check_irreducible=False).n == 2
 
 
 # The distinct primes of 2^n - 1 for n <= 128, frozen from an independent
@@ -216,11 +214,12 @@ def test_ctx_equality_and_repr():
 def test_degree_cap_env(monkeypatch):
     monkeypatch.delenv("CHARFIELD2_MAX_N", raising=False)
     assert gf.max_degree() == 64
+    f65 = bitpoly.min_irreducible(65)
     with pytest.raises(UnsupportedDegreeError):
-        gf.FieldCtx((1 << 65) | 3, check_irreducible=False)
+        gf.FieldCtx(f65)
     monkeypatch.setenv("CHARFIELD2_MAX_N", "100")
     assert gf.max_degree() == 100
-    assert gf.FieldCtx((1 << 65) | 3, check_irreducible=False).n == 65
+    assert gf.FieldCtx(f65).n == 65
     monkeypatch.setenv("CHARFIELD2_MAX_N", "4")
     with pytest.raises(UnsupportedDegreeError):
         gf.FieldCtx(0b100101)
@@ -398,13 +397,6 @@ def test_inverse_matches_the_power_at_large_degree(f, folds):
             gf.inverse(ctx, a)
 
 
-def test_inverse_refuses_a_factor_of_a_reducible_modulus():
-    ctx = gf.FieldCtx(0b101, check_irreducible=False)  # (1 + x)^2
-    assert gf.inverse(ctx, 0b10) == 0b10  # x^2 = 1
-    with pytest.raises(DomainError):
-        gf.inverse(ctx, 0b11)
-
-
 @given(elems256)
 def test_square_and_frobenius(a):
     assert gf.square(F256, a) == gf.poly_mul_mod(F256, a, a)
@@ -429,10 +421,22 @@ def test_power_matches_repeated_mul():
 
 
 def test_power_refuses_a_negative_exponent():
-    """-1 >> 1 == -1, so square-and-multiply would never end on e < 0."""
-    for e in (-1, -6):
+    """-1 >> 1 == -1, so square-and-multiply would never end on e < 0; an
+    exponent that is not an int is refused too, and a bool is an int."""
+    for e in (-1, -6, 2.0, 1.5, "3", None):
         with pytest.raises(DomainError):
             gf.power(F16, 0b10, e)
+    assert gf.power(F16, 0b11, True) == 0b11
+    assert gf.power(F16, 0b11, False) == 1
+
+
+def test_frobenius_refuses_a_non_integer_count():
+    """k is taken mod n, so any int counts, a negative or a bool too; a
+    float or a string is a DomainError, not a TypeError from range."""
+    for k in (1.5, 2.0, "1", None):
+        with pytest.raises(DomainError):
+            gf.frobenius(F16, 3, k)
+    assert gf.frobenius(F16, 3, True) == gf.frobenius(F16, 3, -3) == gf.square(F16, 3)
 
 
 def test_trace_properties():
@@ -444,13 +448,6 @@ def test_trace_properties():
             assert gf.trace(F16, a ^ b) == gf.trace(F16, a) ^ gf.trace(F16, b)
     assert sum(gf.trace(F256, a) for a in range(256)) == 128
     assert gf.trace(F16, 0) == 0
-
-
-def test_trace_over_a_reducible_modulus_is_a_domain_error():
-    # x in F_2[x]/(x^2 + 1) has "trace" x + x^2 = x + 1, outside F_2
-    ctx = gf.FieldCtx(0b101, check_irreducible=False)
-    with pytest.raises(DomainError, match=r"modulus 1\+x\^2 is reducible"):
-        gf.trace(ctx, 0b10)
 
 
 def test_multiplicative_order_divides_group_order():

@@ -432,8 +432,10 @@ def test_search_normal_elements_ascending_and_limited():
     assert len(first) == 3
     assert first == normal.search_normal_elements(F16)[:3]
     assert all(normal.is_normal_element(F16, a) for a in first)
-    with pytest.raises(DomainError):
-        normal.search_normal_elements(F16, limit=0)
+    for bad in (0, 2.5, 2.0, "3"):
+        with pytest.raises(DomainError):
+            normal.search_normal_elements(F16, limit=bad)
+    assert normal.search_normal_elements(F16, limit=True) == first[:1]
 
 
 def _counting(calls, name, fn):

@@ -322,7 +322,7 @@ def test_base_modulus_orbit_stops_at_its_period(monkeypatch):
     """X^(2^i) modulo the base modulus of the as2 case at n = 24 (m = 48)
     repeats with period n, so find_root squares 24 times, not m = 48."""
     f = get_fixture(24).basis().field.modulus
-    big = gf.FieldCtx(bitpoly.min_irreducible(48), check_irreducible=False)
+    big = gf.FieldCtx(bitpoly.min_irreducible(48))
     coeffs = [(f >> i) & 1 for i in range(25)]
     real = tables._fp_sqmod
     calls = 0
@@ -363,7 +363,7 @@ def test_find_root_tries_each_c_once(monkeypatch):
     """One find_root call over several split levels never retries a c: a c
     that failed on h, or split it, cannot split a factor of h."""
     f = get_fixture(24).basis().field.modulus
-    big = gf.FieldCtx(bitpoly.min_irreducible(48), check_irreducible=False)
+    big = gf.FieldCtx(bitpoly.min_irreducible(48))
     coeffs = [(f >> i) & 1 for i in range(25)]
     real = tables._trace_split
     levels = []  # the c's each split level takes
@@ -558,6 +558,46 @@ def test_check_rules_rejects_a_broken_generator_image(kind):
         assert not emb.check_rules(), gen
         emb.gen_images[gen] = good
     assert emb.check_rules()
+
+
+def test_the_embedding_refuses_a_generator_image_off_its_rule(monkeypatch):
+    """OracleEmbedding runs check_rules itself.  With _solve_generators giving
+    b + a for as2's b, which is no root of y^2 + y = a but lies outside the
+    base field, so the basis images stay independent, the constructor gets
+    past every earlier check and raises with check_rules' message."""
+    solve = tables.OracleEmbedding._solve_generators
+
+    def off_rule(emb):
+        images = solve(emb)
+        images["b"] ^= emb.alpha_img
+        return images
+
+    ctx = xb.build_kind(NB4, "as2")
+    monkeypatch.setattr(tables.OracleEmbedding, "_solve_generators", off_rule)
+    with pytest.raises(ConstructionContradictionError, match="violate their rules"):
+        tables.OracleEmbedding(ctx)
+
+
+def test_ka6_cube_rule_at_odd_n_agrees_with_the_oracle():
+    """At odd n, ka6's rule g^3 = b is decided by a power in the as2 field on
+    the package's own programs.  The oracle's image of b in its big field,
+    F_{2^(2n)} under min_irreducible(2n), is a cube exactly when the rule is
+    refused: n = 1, 3, ..., 11 and the first four normal elements under
+    min_irreducible(n), 20 bases, both verdicts present."""
+    verdicts = []
+    for n in range(1, 12, 2):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        for a in islice(normal.normal_elements(ctx), 4):
+            nb = normal.build_normal_basis(ctx, a)
+            emb = tables.build_embedding(xb.build_kind(nb, "as2"))
+            try:
+                xb._check_rule(nb, "ka6", 1)
+                refused = False
+            except NoKummerExtensionError:
+                refused = True
+            assert refused == gf.is_cube(emb.big, emb.gen_images["b"]), (n, a)
+            verdicts.append(refused)
+    assert len(verdicts) == 20 and set(verdicts) == {True, False}
 
 
 def test_oracle_solves_the_stated_rules(monkeypatch):
