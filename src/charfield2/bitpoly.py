@@ -110,11 +110,11 @@ def is_irreducible(f: BitPoly) -> bool:
     gcd(x^(2^(n/q)) - x, f) = 1 for prime q | n.  Each of the n squarings is
     reduced by field.reduce_product, which folds by the terms of f, or by
     its table of x^(n+i) mod f when f is dense.  Any degree is accepted.
-    DomainError for a negative f.
+    DomainError unless f is a non-negative int.
 
     f = min_irreducible(n), once found, is True at once: the search that
     recorded it in _MIN_IRREDUCIBLE ran this test on it."""
-    if f < 0:
+    if not isinstance(f, int) or f < 0:
         raise _negative(f)
     n = degree(f)
     if n is None or n == 0:
@@ -198,9 +198,10 @@ def xn_minus_1_factors(n: int):
     splits it: the g with g^2 = g mod x^m - 1 form the null space of Q - I,
     where row i of Q is x^(2i) mod x^m - 1 = x^(2i mod m), and every pair of
     factors is separated by gcd with one g of a basis of that space.
+    DomainError unless n is a positive int.
     """
-    if n < 1:
-        raise DomainError("degree must be positive")
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"degree must be a positive integer, got {n!r}")
     e = (n & -n).bit_length() - 1
     m = n >> e
     basis = null_space([(1 << 2 * i % m) ^ (1 << i) for i in range(m)], m)

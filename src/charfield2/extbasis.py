@@ -191,7 +191,7 @@ class ExtElem:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks: tuple):
-        object.__setattr__(self, "blocks", blocks)
+        _set_blocks(self, blocks)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"ExtElem is immutable: cannot set or delete {name!r}")
@@ -212,6 +212,11 @@ class ExtElem:
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return ExtElem, (self.blocks,)
+
+
+# The slot's own setter, past the __setattr__ that refuses every other
+# write: ExtElem.__init__ and mul and square set blocks through it.
+_set_blocks = ExtElem.blocks.__set__
 
 
 class ExtBasisCtx:
@@ -250,10 +255,16 @@ class ExtBasisCtx:
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
 
     def validate(self, x: ExtElem) -> ExtElem:
+        """x, unless it is not an ExtElem of d blocks, each an int in
+        [0, 2^n): then InvalidElementError.  One pass tests each block's
+        exact type and one shift; field.validate runs only for a block that
+        fails them, to raise its error or to pass a bool or an int subclass."""
         if not isinstance(x, ExtElem) or len(x.blocks) != self.d:
             raise InvalidElementError(f"expected {self.d} blocks for kind {self.kind}")
+        n = self.n
         for b in x.blocks:
-            gf.validate(self.base.field, b)
+            if b.__class__ is not int or b >> n:  # also every negative b
+                gf.validate(self.base.field, b)
         return x
 
 
@@ -370,14 +381,21 @@ def ext_parse(ctx: ExtBasisCtx, s: str) -> ExtElem:
 
 # --- arithmetic -------------------------------------------------------
 
+# mul and square make their results by object.__new__ and the slot's
+# setter, without the frame of ExtElem.__init__.
+_new_elem = object.__new__
+
+
 def square(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
     """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules: the
     compiled walk, each x_p^2 a rotation and each product by a alpha_mul."""
     ctx.validate(x)
     program = _compiled(ctx.kind)
     ctx.counter.record(program.square_tally)
-    return ExtElem(program.square(alpha_mul, ctx.base, ctx.n - 1, ctx.base.field.mask,
-                                  *x.blocks))
+    z = _new_elem(ExtElem)
+    _set_blocks(z, program.square(alpha_mul, ctx.base, ctx.n - 1, ctx.base.field.mask,
+                                 *x.blocks))
+    return z
 
 
 def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
@@ -387,7 +405,9 @@ def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
     ctx.validate(y)
     program = _compiled(ctx.kind)
     ctx.counter.record(program.mul_tally)
-    return ExtElem(program.product(normal_mul, alpha_mul, ctx.base, *x.blocks, *y.blocks))
+    z = _new_elem(ExtElem)
+    _set_blocks(z, program.product(normal_mul, alpha_mul, ctx.base, *x.blocks, *y.blocks))
+    return z
 
 
 def power(ctx: ExtBasisCtx, x: ExtElem, e: int) -> ExtElem:

@@ -66,12 +66,15 @@ class Reducer:
 class FieldCtx(Reducer):
     """Arithmetic context for F_2[x]/(modulus), modulus irreducible of degree n.
 
-    A constant or reducible modulus is a DomainError and a degree above the
-    cap an UnsupportedDegreeError, so every FieldCtx is a field.  The
-    modulus is Rabin-tested by bitpoly.is_irreducible, which passes
-    min_irreducible(n) without a second test."""
+    A modulus that is not an int, or is constant or reducible, is a
+    DomainError and a degree above the cap an UnsupportedDegreeError, so
+    every FieldCtx is a field.  The modulus is Rabin-tested by
+    bitpoly.is_irreducible, which passes min_irreducible(n) without a
+    second test."""
 
     def __init__(self, modulus: int):
+        if not isinstance(modulus, int):
+            raise DomainError(f"modulus must be an integer, got {modulus!r}")
         deg = bitpoly.degree(modulus)
         if deg is None or deg == 0:
             raise DomainError("modulus must be non-constant")
@@ -132,7 +135,10 @@ def mersenne_prime_factors(n: int) -> tuple:
     root of each prime it splits off, so each split gets _RHO_STEP_BUDGET
     steps and UnsupportedDegreeError names n past it: 2^137 - 1, whose
     smaller prime is about 3.2e19, is refused after a few seconds.
+    DomainError unless n is an int.
     """
+    if not isinstance(n, int):
+        raise DomainError(f"n must be an integer, got {n!r}")
     phi, primes = {}, set()
     for d in (d for d in range(1, n + 1) if n % d == 0):
         m = (1 << d) - 1

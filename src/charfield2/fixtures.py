@@ -98,9 +98,9 @@ KUMMER_NONE = frozenset((12, 30, 36, 54, 60, 66, 72))
 
 def get_fixture(n: int) -> Fixture:
     """The pinned fixture for degree n, or a missing-fixture error; a
-    degree below 1 is a domain error."""
-    if n < 1:
-        raise DomainError("degree must be positive")
+    degree that is not an int of at least 1 is a domain error."""
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"degree must be a positive integer, got {n!r}")
     try:
         return FIXTURES[n]
     except KeyError:

@@ -17,6 +17,13 @@ first product (Lidl and Niederreiter, Finite Fields, on tables of indices);
 there w(N) does not predict normal_mul's time. The paper's n product tables
 z_k = u T_k v^t (mul_rows, n^3 bits) are built only on request.
 
+alpha_mul, the table-vector product v T, applies T as a PreparedMap built on
+the basis's first product by a: one lookup per 8 bits of v (the method of
+Four Russians: Arlazarov, Dinic, Kronrod and Faradzev, 1970), where
+row_apply takes one step per set bit. Both kernels check their operands by
+exact type and one shift, and call field.validate only to raise its error,
+so the check costs no call on valid input.
+
 product_planes holds the n^2 basis products a^(2^i) a^(2^j) as n bit-planes,
 one int per normal coordinate, built by lane shifts and masks. A linear map
 acts on all n^2 products at once through them: the cross-product sum is the
@@ -86,11 +93,13 @@ class NormalBasisCtx:
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight
-        # normal_mul's data, made by its first call, as most bases never
-        # multiply: the set-bit positions of T[d] for d = 0..n//2 above
-        # LOG_TABLE_MAX_N, the (log, exp) tables of _log_tables at or below
+        # the kernels' data, made by their first calls, as most bases never
+        # multiply: for normal_mul the set-bit positions of T[d] for
+        # d = 0..n//2 above LOG_TABLE_MAX_N, the (log, exp) tables of
+        # _log_tables at or below; for alpha_mul the windows of PreparedMap(T)
         self._mul_terms = None
         self._log_exp = None
+        self._alpha_windows = None
         self._mul_rows = None
 
     def to_poly(self, v: NormalCoords) -> int:
@@ -145,16 +154,34 @@ def frobenius_shift(n: int, v: NormalCoords) -> NormalCoords:
 
 
 def alpha_mul(nb: NormalBasisCtx, v: NormalCoords) -> NormalCoords:
-    """Multiply v by the basis generator: the table-vector product over T."""
-    return row_apply(nb.table, gf.validate(nb.field, v))
+    """Multiply v by the basis generator: the table-vector product v T, by
+    the byte windows of PreparedMap(nb.table), built on the first call and
+    kept on the basis. It takes n/8 lookups, rounded up, where row_apply
+    takes one step per set bit of v. InvalidElementError unless v is an int
+    in [0, 2^n)."""
+    windows = nb._alpha_windows
+    if windows is None:
+        windows = nb._alpha_windows = PreparedMap(nb.table).windows
+    if v.__class__ is not int or v >> nb.n:  # also every negative v
+        gf.validate(nb.field, v)  # raises, or passes a bool or an int subclass
+    out = 0
+    for table in windows:
+        out ^= table[v & 0xFF]
+        v >>= 8
+    return out
 
 
 def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCoords:
-    """Full product in normal coordinates from the base table alone.
+    """Full product in normal coordinates from the base table alone;
+    InvalidElementError unless u and v are ints in [0, 2^n).
+
+    The operands are checked first, as a negative index would wrap
+    silently: an exact int type and one shift of u | v, with field.validate
+    called only when that test fails, to raise its error (or to pass a bool
+    or an int subclass), so valid operands cost no call.
 
     At n <= LOG_TABLE_MAX_N it is exp[log[u] + log[v]] (0 when u or v is 0)
-    over the tables of _log_tables; the operands are validated first, as a
-    negative index would wrap silently.
+    over the tables of _log_tables.
 
     Above it, a^(2^i) a^(2^(i+d)) = rotl(T[d], i), so u v is the sum over d of
     w_d (*) T[d], where bit i of w_d = u & rotl(v, -d) is u_i v_(i+d) and (*)
@@ -166,16 +193,17 @@ def normal_mul(nb: NormalBasisCtx, u: NormalCoords, v: NormalCoords) -> NormalCo
     w(N) shifted XORs.
     """
     n = nb.n
-    if n <= LOG_TABLE_MAX_N:
+    if u.__class__ is not int or v.__class__ is not int or (u | v) >> n:
         gf.validate(nb.field, u)
         gf.validate(nb.field, v)
+    if n <= LOG_TABLE_MAX_N:
         tables = nb._log_exp
         if tables is None:
             tables = nb._log_exp = _log_tables(nb)
         log, exp = tables
         return exp[log[u] + log[v]] if u and v else 0
-    uu = gf.validate(nb.field, u) | u << n
-    vv = gf.validate(nb.field, v) | v << n
+    uu = u | u << n
+    vv = v | v << n
     terms = nb._mul_terms
     if terms is None:
         terms = nb._mul_terms = [tuple(j for j in range(n) if r >> j & 1)

@@ -296,12 +296,18 @@ class OracleEmbedding:
 
     def embed_blocks(self, blocks) -> int:
         """Blocks of normal coordinates -> big-field element; InvalidElementError
-        unless there are d blocks, each of n bits."""
+        unless there are d blocks, each an int in [0, 2^n).  One loop checks
+        and packs the blocks as pack_lanes would, field.validate running
+        only for a block whose exact type or one shift fails."""
         if len(blocks) != self.d:
             raise InvalidElementError(f"expected {self.d} blocks, got {len(blocks)}")
-        for b in blocks:
-            gf.validate(self.base.field, b)
-        return self.embed_map.apply(pack_lanes(blocks, self.base.n))
+        n = self.base.n
+        flat = 0
+        for b in reversed(blocks):
+            if b.__class__ is not int or b >> n:  # also every negative b
+                gf.validate(self.base.field, b)
+            flat = flat << n | b
+        return self.embed_map.apply(flat)
 
     def embed_ext(self, x: ExtElem) -> int:
         return self.embed_blocks(x.blocks)

@@ -7,13 +7,13 @@ import pickle
 import random
 import textwrap
 from collections import Counter
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import islice, product
 from operator import xor
 
 import pytest
 
-from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tower
+from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, tower
 from charfield2.witt import SymPoly
 from charfield2.errors import (DomainError, InvalidElementError,
                                NoKummerExtensionError, UnsupportedDegreeError)
@@ -24,6 +24,7 @@ NB2 = get_fixture(2).basis()
 NB4 = get_fixture(4).basis()
 NB6 = get_fixture(6).basis()
 NB8 = get_fixture(8).basis()
+NB10 = get_fixture(10).basis()
 
 KINDS = ("as2", "k3", "asw4", "ka6")
 
@@ -322,28 +323,60 @@ def test_validate_rejects_malformed_elements():
         ctx.validate((0, 0))
 
 
+@cache
+def _as2(nb):
+    return xb.build_kind(nb, "as2")
+
+
+@cache
+def _as2_embedding(nb):
+    return tables.build_embedding(_as2(nb))
+
+
+# Each call passes v as one normal coordinate to a layer that must check it.
+COORDINATE_CALLS = [
+    pytest.param(lambda nb, v: normal.normal_mul(nb, v, 1), id="normal_mul_u"),
+    pytest.param(lambda nb, v: normal.normal_mul(nb, 1, v), id="normal_mul_v"),
+    pytest.param(lambda nb, v: normal.alpha_mul(nb, v), id="alpha_mul"),
+    pytest.param(lambda nb, v: nb.to_poly(v), id="to_poly"),
+    pytest.param(lambda nb, v: xb.embed_base(xb.build_kind(nb, "as2"), v), id="embed_base"),
+    pytest.param(lambda nb, v: xb.build_kind(nb, "as2").validate(xb.ExtElem((0, v))),
+                 id="validate"),
+    pytest.param(lambda nb, v: xb.mul(_as2(nb), xb.ExtElem((1, 0)), xb.ExtElem((0, v))),
+                 id="mul"),
+    pytest.param(lambda nb, v: xb.square(_as2(nb), xb.ExtElem((v, 0))), id="square"),
+    pytest.param(lambda nb, v: _as2_embedding(nb).embed_blocks((0, v)), id="embed_blocks"),
+]
+
+
 @pytest.mark.parametrize("nb, value", [
     pytest.param(NB4, -1, id="-1"),
     pytest.param(NB4, 1 << NB4.n, id="16"),
     pytest.param(NB8, -1, id="n8--1"),
     pytest.param(NB8, 1 << NB8.n, id="n8-256"),
     pytest.param(NB8, 1.0, id="n8-float"),
+    pytest.param(NB10, -1, id="n10--1"),
+    pytest.param(NB10, 1 << NB10.n, id="n10-1024"),
+    pytest.param(NB10, 1.0, id="n10-float"),
 ])
-@pytest.mark.parametrize("call", [
-    lambda nb, v: normal.normal_mul(nb, v, 1),
-    lambda nb, v: normal.normal_mul(nb, 1, v),
-    lambda nb, v: normal.alpha_mul(nb, v),
-    lambda nb, v: nb.to_poly(v),
-    lambda nb, v: xb.embed_base(xb.build_kind(nb, "as2"), v),
-    lambda nb, v: xb.build_kind(nb, "as2").validate(xb.ExtElem((0, v))),
-], ids=["normal_mul_u", "normal_mul_v", "alpha_mul", "to_poly", "embed_base", "validate"])
+@pytest.mark.parametrize("call", COORDINATE_CALLS)
 def test_out_of_range_coordinates_raise_invalid_element_error(call, nb, value):
     """Every layer refuses a normal coordinate that is not an int in [0, 2^n)
     with one error type. At n <= 8 normal_mul indexes its logarithm tables
     by the operands, where -1 would wrap silently and 2^8 and 1.0 would
-    raise IndexError and TypeError."""
+    raise IndexError and TypeError; at n = 10 it walks T, and alpha_mul's
+    prepared map has two windows, where 2^10 would index past the second."""
     with pytest.raises(InvalidElementError):
         call(nb, value)
+
+
+@pytest.mark.parametrize("nb", [NB4, NB8, NB10], ids=["n4", "n8", "n10"])
+@pytest.mark.parametrize("call", COORDINATE_CALLS)
+def test_a_bool_coordinate_is_accepted_as_an_int(call, nb):
+    """bool is an int, as field.validate has it: True passes every layer's
+    check, including the ones that test the exact type first, and gives the
+    result of 1."""
+    assert call(nb, True) == call(nb, 1)
 
 
 def test_hex_round_trip():

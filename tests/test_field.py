@@ -8,7 +8,7 @@ from operator import xor
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield2 import bitpoly, field as gf, linalg
+from charfield2 import bitpoly, field as gf, fixtures, linalg
 from charfield2.errors import DomainError, InvalidElementError, UnsupportedDegreeError
 
 F4 = gf.FieldCtx(0b111)          # 1+x+x^2
@@ -437,6 +437,23 @@ def test_frobenius_refuses_a_non_integer_count():
         with pytest.raises(DomainError):
             gf.frobenius(F16, 3, k)
     assert gf.frobenius(F16, 3, True) == gf.frobenius(F16, 3, -3) == gf.square(F16, 3)
+
+
+@pytest.mark.parametrize("call, arg", [
+    (gf.FieldCtx, 19), (bitpoly.is_irreducible, 7), (bitpoly.xn_minus_1_factors, 4),
+    (gf.mersenne_prime_factors, 4), (fixtures.get_fixture, 4)],
+    ids=["FieldCtx", "is_irreducible", "xn_minus_1_factors", "mersenne_prime_factors",
+         "get_fixture"])
+def test_a_non_integer_polynomial_or_degree_is_a_domain_error(call, arg):
+    """A polynomial, modulus or degree that is not an int is a DomainError,
+    not an AttributeError or TypeError from int methods, nor taken as the
+    int it equals; the int itself is accepted, and a bool is an int."""
+    call(arg)
+    for bad in (float(arg), str(arg), None):
+        with pytest.raises(DomainError):
+            call(bad)
+    if call is not gf.FieldCtx:  # True is a constant, so no modulus
+        assert call(True) == call(1)
 
 
 def test_trace_properties():

@@ -189,6 +189,47 @@ def test_alpha_mul_matches_field_product():
             assert nb.to_poly(normal.alpha_mul(nb, v)) == expected
 
 
+def test_alpha_mul_is_the_table_vector_product():
+    """alpha_mul's prepared map gives row_apply(T, v), one step per set bit:
+    for every v at each fixture n <= 10, and for 200 seeded v at n = 26 and
+    at n = 64 (the first normal element under min_irreducible(64)), where
+    the map has 4 and 8 byte windows."""
+    for n in (n for n in fixtures.fixture_degrees() if n <= 10):
+        nb = fixtures.get_fixture(n).basis()
+        for v in range(1 << n):
+            assert normal.alpha_mul(nb, v) == linalg.row_apply(nb.table, v), (n, v)
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(64))
+    rng = random.Random(20261020)
+    for nb in (fixtures.get_fixture(26).basis(),
+               normal.build_normal_basis(ctx, next(normal.normal_elements(ctx)))):
+        for v in [rng.getrandbits(nb.n) for _ in range(200)] + [nb.field.mask]:
+            assert normal.alpha_mul(nb, v) == linalg.row_apply(nb.table, v), (nb, v)
+
+
+def test_alpha_mul_prepares_its_map_on_the_first_call(monkeypatch):
+    """Building a basis and every kind that builds over it leaves alpha_mul's
+    map unbuilt; the first alpha_mul prepares it from T, once, and keeps it
+    on the basis for the later calls."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(8))
+    nb = normal.build_normal_basis(ctx, next(normal.normal_elements(ctx)))
+    for kind in extbasis.KINDS:
+        try:
+            extbasis.build_kind(nb, kind)
+        except (UnsupportedDegreeError, NoKummerExtensionError):
+            pass
+    assert nb._alpha_windows is None
+    built = []
+
+    def spy(rows):
+        built.append(list(rows))
+        return linalg.PreparedMap(rows)
+    monkeypatch.setattr(normal, "PreparedMap", spy)
+    for v in range(1 << nb.n):
+        assert normal.alpha_mul(nb, v) == linalg.row_apply(nb.table, v)
+    assert built == [nb.table]
+    assert nb._alpha_windows == linalg.PreparedMap(nb.table).windows
+
+
 @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
 def test_normal_mul_matches_field_product(u, v):
     pu, pv = NB6.to_poly(u), NB6.to_poly(v)
