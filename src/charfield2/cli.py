@@ -32,7 +32,11 @@ from .errors import (CharField2Error, ConstructionContradictionError,
 _KIND_CHOICES = extbasis.KINDS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process. Each parse_args call
+    makes a new namespace, and no default is a mutable object, so one
+    parse leaves nothing behind for the next."""
     parser = argparse.ArgumentParser(
         prog="charfield2",
         description="Normal bases of F_2^n and their quadratic, cubic Kummer, "
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8,
                    help="largest base degree exercised (default %(default)s)")
     p.add_argument("--kind", choices=_KIND_CHOICES, nargs="+",
-                   default=list(_KIND_CHOICES),
+                   default=_KIND_CHOICES,
                    help="kinds to exercise (default: all)")
     p.add_argument("--limit", type=int, default=50,
                    help="random pairs per equivalence check (default %(default)s)")

@@ -250,9 +250,13 @@ class ExtBasisCtx:
         self.d = len(self.monomials)
         self.m = self.n * self.d
         self.counter = OpCounter()
+        self._program = None  # _compiled(kind), kept by the first mul or square
 
     def __repr__(self):
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
+
+    def __getstate__(self):  # exec'd code does not pickle; the copy recompiles
+        return {**self.__dict__, "_program": None}
 
     def validate(self, x: ExtElem) -> ExtElem:
         """x, unless it is not an ExtElem of d blocks, each an int in
@@ -390,7 +394,9 @@ def square(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
     """x^2 = sum_p x_p^2 m_p^2, with m_p^2 reduced by the kind's rules: the
     compiled walk, each x_p^2 a rotation and each product by a alpha_mul."""
     ctx.validate(x)
-    program = _compiled(ctx.kind)
+    program = ctx._program
+    if program is None:
+        program = ctx._program = _compiled(ctx.kind)
     ctx.counter.record(program.square_tally)
     z = _new_elem(ExtElem)
     _set_blocks(z, program.square(alpha_mul, ctx.base, ctx.n - 1, ctx.base.field.mask,
@@ -403,7 +409,9 @@ def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
     compiled, on normal_mul and alpha_mul."""
     ctx.validate(x)
     ctx.validate(y)
-    program = _compiled(ctx.kind)
+    program = ctx._program
+    if program is None:
+        program = ctx._program = _compiled(ctx.kind)
     ctx.counter.record(program.mul_tally)
     z = _new_elem(ExtElem)
     _set_blocks(z, program.product(normal_mul, alpha_mul, ctx.base, *x.blocks, *y.blocks))

@@ -2,15 +2,20 @@
 
 import os
 from functools import partial, reduce
-from itertools import count
+from itertools import compress, count
 from math import gcd
 from operator import xor
 
 from . import bitpoly
 from .errors import DomainError, InvalidElementError, UnsupportedDegreeError
-from .linalg import row_apply, solve_linear
+from .linalg import PreparedMap, row_apply, solve_linear
 
 DEFAULT_MAX_N = 64
+
+# The largest n at which FieldCtx.primitive_flags is built: a table of 2^n
+# bytes, filled by a walk of 2^n - 1 steps that costs about as much as 30
+# orbit tests of _primitive_orbit at n = 12, so it pays only in small fields.
+PRIMITIVE_FLAGS_MAX_N = 12
 
 
 def max_degree() -> int:
@@ -70,7 +75,11 @@ class FieldCtx(Reducer):
     DomainError and a degree above the cap an UnsupportedDegreeError, so
     every FieldCtx is a field.  The modulus is Rabin-tested by
     bitpoly.is_irreducible, which passes min_irreducible(n) without a
-    second test."""
+    second test.
+
+    Tables that only some callers read are built on their first read and
+    kept: order_factors, normality_maps (the normality test and scan) and,
+    at n <= PRIMITIVE_FLAGS_MAX_N, primitive_flags (the primitive scan)."""
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int):
@@ -84,6 +93,7 @@ class FieldCtx(Reducer):
         super().__init__(modulus)
         self._order_factors = None
         self._normality_maps = None
+        self._primitive_flags = None
 
     @property
     def order(self) -> int:
@@ -109,6 +119,15 @@ class FieldCtx(Reducer):
         if self._normality_maps is None:
             self._normality_maps = _normality_maps(self)
         return self._normality_maps
+
+    @property
+    def primitive_flags(self):
+        """Bytes of 2^n entries, entry a 1 iff a is primitive, built once on
+        demand by _primitive_flags; None above PRIMITIVE_FLAGS_MAX_N.
+        is_primitive does not read them, so it stays an independent test."""
+        if self._primitive_flags is None and self.n <= PRIMITIVE_FLAGS_MAX_N:
+            self._primitive_flags = _primitive_flags(self)
+        return self._primitive_flags
 
     def __repr__(self):
         return f"FieldCtx(n={self.n}, modulus={bitpoly.to_human(self.modulus)})"
@@ -270,6 +289,27 @@ def _normality_maps(ctx: FieldCtx):
     return trace, tuple(maps)
 
 
+def _primitive_flags(ctx: FieldCtx) -> bytes:
+    """See FieldCtx.primitive_flags: the table of indices to the least
+    primitive g (Lidl-Niederreiter, Finite Fields, on tables of indices),
+    read for primitivity alone. g^k has order (2^n - 1)/gcd(k, 2^n - 1), so
+    it is primitive iff no prime of 2^n - 1 divides k. One walk of the
+    PreparedMap of the rows g x^i lists g^k for k < 2^n - 1, and a sieve
+    zeroes the k that are multiples of a prime of 2^n - 1 (k = 0 among
+    them, unless n = 1). g is the first candidate that _primitive_orbit
+    finds primitive."""
+    order = ctx.order
+    g = next(a for a in range(1, order + 1) if _primitive_orbit(ctx, a)[1])
+    times_g = PreparedMap([poly_mul_mod(ctx, g, 1 << i) for i in range(ctx.n)])
+    coprime = bytearray([1]) * order
+    for p in ctx.order_factors:
+        coprime[::p] = bytes(order // p)
+    flags = bytearray(order + 1)
+    for x in compress(times_g.cycle(1), coprime):
+        flags[x] = 1
+    return bytes(flags)
+
+
 def validate(ctx: FieldCtx, a: int) -> int:
     """Check a is a valid coordinate vector for ctx, return it."""
     if not isinstance(a, int) or a < 0 or a > ctx.mask:
@@ -278,11 +318,15 @@ def validate(ctx: FieldCtx, a: int) -> int:
 
 
 def poly_mul_mod(ctx: FieldCtx, a: int, b: int) -> int:
-    """Field product of a and b."""
-    validate(ctx, a)
-    validate(ctx, b)
-    prod = bitpoly.poly_mul(a, b)
-    return reduce_product(ctx, prod)
+    """Field product of a and b; InvalidElementError unless both are ints in
+    [0, 2^n). The check is an exact int type and one shift of a | b, which
+    fails for every negative or too large operand; validate runs only then,
+    to raise its error or to pass a bool or an int subclass, so valid
+    operands cost no call."""
+    if a.__class__ is not int or b.__class__ is not int or (a | b) >> ctx.n:
+        validate(ctx, a)
+        validate(ctx, b)
+    return reduce_product(ctx, bitpoly.poly_mul(a, b))
 
 
 def reduce_product(ctx: Reducer, prod: int) -> int:
@@ -343,8 +387,11 @@ def reduce_lanes(ctx: FieldCtx, prods: int, ones: int) -> int:
 
 
 def square(ctx: FieldCtx, a: int) -> int:
-    """Field square of a: the spread bits of a, reduced."""
-    return reduce_product(ctx, bitpoly.poly_square(validate(ctx, a)))
+    """Field square of a: the spread bits of a, reduced. a is checked as in
+    poly_mul_mod, by its exact type and one shift."""
+    if a.__class__ is not int or a >> ctx.n:  # also every negative a
+        validate(ctx, a)
+    return reduce_product(ctx, bitpoly.poly_square(a))
 
 
 def power(ctx: FieldCtx, a: int, e: int) -> int:

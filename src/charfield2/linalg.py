@@ -111,6 +111,26 @@ class PreparedMap:
             v >>= 8
         return out
 
+    def cycle(self, v: int) -> list:
+        """[v, M v, M^2 v, ...] up to the last vector before the walk is back
+        at v, where M v is apply(v): for an invertible M, the cycle of v.
+        DomainError when v has a bit at or above the row count, or when the
+        walk is not back at v within 2^nrows steps, as for a singular M."""
+        if v >> self.nrows:
+            raise DomainError(f"vector has bits outside {self.nrows} rows")
+        start, out = v, []
+        for _ in range(1 << self.nrows):
+            out.append(v)
+            w = 0
+            for table in self.windows:
+                w ^= table[v & 0xFF]
+                v >>= 8
+            v = w
+            if v == start:
+                return out
+        raise DomainError(f"the map does not bring {start} back in "
+                          f"{1 << self.nrows} steps")
+
 
 def pack_lanes(values, width: int) -> int:
     """Values of at most `width` bits each -> one int, value j at bits

@@ -226,20 +226,17 @@ def _log_tables(nb: NormalBasisCtx):
 
     Multiplication by a candidate g is a PreparedMap whose row i is
     a^(2^i) g = (a g^(2^(n-i)))^(2^i): a rotation, one product by a over T
-    and a rotation back. Walking the powers of g from the identity (the
-    all-ones vector, as Tr(a) = 1) back to it gives g's order; the first g
-    of order 2^n - 1 gives the tables."""
+    and a rotation back. Its cycle through the identity (the all-ones
+    vector, as Tr(a) = 1) lists the powers of g, as many as g's order; the
+    first g of order 2^n - 1 gives the tables. field.FieldCtx.primitive_flags
+    walks the powers of its generator by the same PreparedMap.cycle."""
     n = nb.n
     order = (1 << n) - 1
     one = nb.field.mask
     for g in range(1, order + 1):
         times_g = PreparedMap([rotl(row_apply(nb.table, rotl(g, -i, n)), i, n)
                                for i in range(n)])
-        exp = [one]
-        x = g
-        while x != one:
-            exp.append(x)
-            x = times_g.apply(x)
+        exp = times_g.cycle(one)
         if len(exp) == order:
             break
     log = [0] * (order + 1)
@@ -299,20 +296,26 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
     below x^j to 0, so the scan starts at the block holding the highest of
     the least monomials that the trace and each map do not kill.
 
-    The primitive filter runs one test per Frobenius orbit. The n conjugates
-    of a normal element are distinct and normal, and conjugates share their
-    order, so the first member of an orbit the ascending scan reaches is its
-    least: that one takes its orbit and verdict from field._primitive_orbit
-    and leaves the verdict for the other n - 1, which each pop it when the
-    scan reaches them. The pending verdicts are those of conjugates still
-    ahead of the scan: at most n - 1 per orbit tested so far, and never more
-    than the normal elements left above the scan."""
+    At n <= field.PRIMITIVE_FLAGS_MAX_N the primitive filter reads
+    ctx.primitive_flags, one byte per element, built by the scan's first
+    block when the field has not built it yet, and each block is filtered
+    by a lookup with no Python frame per element. Above that it runs one
+    test per Frobenius orbit. The n conjugates of a normal element are
+    distinct and normal, and conjugates share their order, so the first
+    member of an orbit the ascending scan reaches is its least: that one
+    takes its orbit and verdict from field._primitive_orbit and leaves the
+    verdict for the other n - 1, which each pop it when the scan reaches
+    them. The pending verdicts are those of conjugates still ahead of the
+    scan: at most n - 1 per orbit tested so far, and never more than the
+    normal elements left above the scan."""
     return chain.from_iterable(_normal_blocks(ctx, require_primitive))
 
 
 def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
     """One iterator per block of normal_elements, each block examined only
-    when the next iterator is asked for."""
+    when the next iterator is asked for. With require_primitive each block
+    is filtered by ctx.primitive_flags where the field has them, else by
+    the orbit test."""
     trace, maps = ctx.normality_maps
     low = min(ctx.n, 8)
     # the trace bit of each low value: the table of the trace as 1-bit rows
@@ -336,6 +339,8 @@ def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
             pending.update(dict.fromkeys(conj[1:], verdict))
         return verdict
 
+    flags = ctx.primitive_flags if require_primitive else None
+    keep = primitive if flags is None else flags.__getitem__
     first = max([(trace & -trace).bit_length() - 1]
                 + [next(j for j, row in enumerate(m) if row) for m in maps])
     start = (1 << first) >> low << low
@@ -347,7 +352,7 @@ def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
         if bad:
             lows = [lo for lo in lows if lo not in bad]
         block = map(base.__or__, lows)
-        yield filter(primitive, block) if require_primitive else block
+        yield filter(keep, block) if require_primitive else block
 
 
 def search_normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False,

@@ -867,6 +867,29 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_consecutive_runs_do_not_leak_options(tmp_path, capsys):
+    """main parses with one parser per process, yet each run sees only its
+    own options: a verify naming one kind and then one naming none, which
+    takes every kind; a primitive search and then a plain one, which equals
+    the plain one run first; and a run with --out and then one without,
+    which writes to stdout. verify's default kinds are a tuple, which no
+    run can change."""
+    assert cli.build_parser() is cli.build_parser()
+    defaults = cli.build_parser().parse_args(["verify"]).kind
+    assert defaults == extbasis.KINDS and isinstance(defaults, tuple)
+    _, one, _ = run_cli(capsys, "verify", "--n", "2", "--kind", "k3", "--limit", "1")
+    _, every, _ = run_cli(capsys, "verify", "--n", "2", "--limit", "1")
+    assert json.loads(one)["kinds"] == ["k3"]
+    assert json.loads(every)["kinds"] == list(extbasis.KINDS)
+    _, plain, _ = run_cli(capsys, "search", "--n", "6")
+    _, primitive, _ = run_cli(capsys, "search", "--n", "6", "--require-primitive")
+    assert run_cli(capsys, "search", "--n", "6") == (0, plain, "") != (0, primitive, "")
+    target = tmp_path / "sums.csv"
+    assert run_cli(capsys, "cross-sums", "--n", "2", "--out", str(target))[1] == ""
+    _, out, _ = run_cli(capsys, "cross-sums", "--n", "2")
+    assert out == target.read_text() != ""
+
+
 def test_console_script_entry_point():
     """The `charfield2` script declared in pyproject.toml runs the same
     command as `python -m charfield2.cli` (checked without installing).

@@ -346,6 +346,9 @@ COORDINATE_CALLS = [
                  id="mul"),
     pytest.param(lambda nb, v: xb.square(_as2(nb), xb.ExtElem((v, 0))), id="square"),
     pytest.param(lambda nb, v: _as2_embedding(nb).embed_blocks((0, v)), id="embed_blocks"),
+    pytest.param(lambda nb, v: gf.poly_mul_mod(nb.field, v, 1), id="poly_mul_mod_a"),
+    pytest.param(lambda nb, v: gf.poly_mul_mod(nb.field, 1, v), id="poly_mul_mod_b"),
+    pytest.param(lambda nb, v: gf.square(nb.field, v), id="field_square"),
 ]
 
 
@@ -377,6 +380,18 @@ def test_a_bool_coordinate_is_accepted_as_an_int(call, nb):
     check, including the ones that test the exact type first, and gives the
     result of 1."""
     assert call(nb, True) == call(nb, 1)
+
+
+@pytest.mark.parametrize("nb", [NB8, NB10], ids=["n8", "n10"])
+@pytest.mark.parametrize("call", COORDINATE_CALLS)
+def test_a_numpy_int_coordinate_is_refused(call, nb):
+    """A numpy integer is not an int, as field.validate has it: every
+    layer refuses it, in range or not, including the ones that test the
+    exact type first."""
+    np = pytest.importorskip("numpy")
+    for value in (np.int64(1), np.uint8(3)):
+        with pytest.raises(InvalidElementError):
+            call(nb, value)
 
 
 def test_hex_round_trip():
@@ -759,6 +774,32 @@ def test_counter_accumulates():
     xb.mul(ctx, x, y)
     xb.mul(ctx, x, y)
     assert ctx.counter.as_tuple() == (6, 8, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_context_keeps_its_compiled_program(kind, monkeypatch):
+    """Building a context compiles nothing; its first mul or square reads
+    the kind's program from _compiled once and keeps it, so later products
+    make no lookup. A pickled or copied context, used or not, multiplies
+    the same and compiles on its own first use."""
+    calls = Counter()
+    compiled = xb._compiled
+
+    def counted(k):
+        calls[k] += 1
+        return compiled(k)
+    monkeypatch.setattr(xb, "_compiled", counted)
+    base = next(ctx for ctx in _contexts() if ctx.kind == kind).base
+    ctx = xb.build_kind(base, kind)
+    assert ctx._program is None and calls == {}
+    x, y = (_rand_elem(random.Random(kind), ctx) for _ in range(2))
+    want = xb.mul(ctx, x, y)
+    for _ in range(3):
+        assert xb.mul(ctx, x, y) == want and xb.square(ctx, x) == xb.mul(ctx, x, x)
+    assert calls == {kind: 1} and ctx._program is compiled(kind)
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
+        assert xb.mul(twin, x, y) == want
+    assert xb.square(xb.build_kind(base, kind), x) == xb.mul(ctx, x, x)
 
 
 def test_ext_elem_and_op_counter_are_values():

@@ -93,6 +93,38 @@ def test_prepared_map_matches_row_apply(width):
             prepared.apply(v)
 
 
+@pytest.mark.parametrize("width", [1, 5, 8, 9, 12])
+def test_prepared_map_cycle_walks_to_the_start(width):
+    """cycle lists v, M v, M^2 v, ... until the walk is back at v, as
+    repeated apply gives them: under the cyclic shift every v has a period
+    dividing width, and a random invertible matrix's cycles partition the
+    vectors. A vector past the last row is refused, and so
+    is a walk that does not come back, as under a singular map."""
+    rng = random.Random(f"cycle:{width}")
+    shift = [1 << (i + 1) % width for i in range(width)]
+    for v in range(1 << width):
+        walk = linalg.PreparedMap(shift).cycle(v)
+        assert walk[0] == v and width % len(walk) == 0, v
+        assert all(linalg.row_apply(shift, a) == b for a, b in zip(walk, walk[1:] + walk[:1]))
+    while True:
+        rows = _random_matrix(rng, width, width)
+        if linalg.mat_invert(rows, width) is not None:
+            break
+    prepared, seen = linalg.PreparedMap(rows), set()
+    for v in range(1 << width):
+        if v not in seen:
+            walk = prepared.cycle(v)
+            assert len(set(walk)) == len(walk) and seen.isdisjoint(walk), v
+            assert all(prepared.apply(a) == b for a, b in zip(walk, walk[1:] + walk[:1]))
+            seen.update(walk)
+    assert len(seen) == 1 << width
+    for v in (1 << width, -1):
+        with pytest.raises(DomainError):
+            prepared.cycle(v)
+    with pytest.raises(DomainError):  # 1 -> 0 -> 0 -> ...
+        linalg.PreparedMap([0] * width).cycle(1)
+
+
 def test_mat_transpose_involution_and_entries():
     rng = random.Random(20240803)
     for _ in range(30):

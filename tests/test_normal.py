@@ -2,6 +2,7 @@
 
 import random
 import sys
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -559,25 +560,120 @@ def _low_weight_irreducibles(n, count=3):
     return list(islice(filter(bitpoly.is_irreducible, odd), count))
 
 
+def _counting_walks(monkeypatch):
+    """The length of each PreparedMap.cycle walk from now on, in order."""
+    walks = []
+    cycle = linalg.PreparedMap.cycle
+
+    def counted(pm, v):
+        out = cycle(pm, v)
+        walks.append(len(out))
+        return out
+    monkeypatch.setattr(linalg.PreparedMap, "cycle", counted)
+    return walks
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_block_scan_matches_the_predicate(monkeypatch, n):
     """Under three low-weight moduli per degree (every modulus there is at
     n <= 3), the block scan lists exactly the candidates is_normal_element
-    accepts, and up to n = 12 its primitive path exactly those of them that
-    are primitive, with one orbit test per n normal elements. Below n = 8
+    accepts, and its primitive path exactly those of them that are
+    primitive. Up to n = 12 that path reads the field's primitive flags:
+    one walk of 2^n - 1 steps, and no orbit test past the search for the
+    least primitive element, which the walk starts from. At n = 13 and 14
+    it makes no walk and one orbit test per n normal elements. Below n = 8
     one block is the whole field."""
     calls = {}
     monkeypatch.setattr(gf, "_primitive_orbit",
                         _counting(calls, "orbit", gf._primitive_orbit))
+    walks = _counting_walks(monkeypatch)
     for f in _low_weight_irreducibles(n):
         ctx = gf.FieldCtx(f)
         normals = [a for a in range(1 << n) if normal.is_normal_element(ctx, a)]
         assert list(normal.normal_elements(ctx)) == normals, f
-        if n <= 12:
-            want = [a for a in normals if gf.is_primitive(ctx, a)]
-            calls.clear()
-            assert list(normal.normal_elements(ctx, require_primitive=True)) == want, f
+        want = [a for a in normals if gf.is_primitive(ctx, a)]
+        least = next(a for a in range(1, 1 << n) if gf.is_primitive(ctx, a))
+        calls.clear()
+        assert list(normal.normal_elements(ctx, require_primitive=True)) == want, f
+        if n <= gf.PRIMITIVE_FLAGS_MAX_N:
+            assert calls == {"orbit": least} and walks == [(1 << n) - 1], f
+        else:
             assert len(normals) % n == 0 and calls == {"orbit": len(normals) // n}, f
+            assert walks == [] and ctx._primitive_flags is None, f
+        walks.clear()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_primitive_flags_are_the_primitive_elements(n):
+    """Entry a of the flags is 1 iff is_primitive(a), over the whole field
+    under min_irreducible(n) and under the least trinomial or pentanomial
+    of degree n, for every n <= 12; above 12 there are no flags."""
+    for f in {bitpoly.min_irreducible(n), _low_weight_irreducibles(n, 1)[0]}:
+        ctx = gf.FieldCtx(f)
+        flags = ctx.primitive_flags
+        assert len(flags) == 1 << n and set(flags) <= {0, 1}, f
+        assert [a for a in range(1 << n) if flags[a]] == \
+            [a for a in range(1 << n) if gf.is_primitive(ctx, a)], f
+    assert gf.FieldCtx(bitpoly.min_irreducible(13)).primitive_flags is None
+
+
+def test_primitive_scans_by_flags_equal_the_orbit_path(monkeypatch):
+    """At n = 12, under the four irreducible trinomials (the moduli the
+    search benchmark draws from) and the four least pentanomials, the scans
+    at limits 1, 50 and None list the same elements whether they read the
+    primitive flags or, with the flags bound set to 0, run the orbit test."""
+    moduli = _low_weight_irreducibles(12, 8)
+    assert [f.bit_count() for f in moduli] == [3] * 4 + [5] * 4
+    for f in moduli:
+        by_flags = [normal.search_normal_elements(gf.FieldCtx(f), True, limit)
+                    for limit in (1, 50, None)]
+        with monkeypatch.context() as m:
+            m.setattr(gf, "PRIMITIVE_FLAGS_MAX_N", 0)
+            ctx = gf.FieldCtx(f)
+            by_orbits = [normal.search_normal_elements(ctx, True, limit)
+                         for limit in (1, 50, None)]
+            assert ctx._primitive_flags is None
+        assert by_flags == by_orbits, f
+        assert [len(hits) for hits in by_flags[:2]] == [1, 50], f
+
+
+def test_primitive_flags_are_built_once_per_field(monkeypatch):
+    """The first primitive scan of a field builds its flags by one walk; a
+    second scan of the same FieldCtx, and a read of the flags, walk no more
+    and run no orbit test. A plain scan builds no flags, and the scan's
+    generator builds them only when its first element is asked for."""
+    calls = {}
+    monkeypatch.setattr(gf, "_primitive_orbit",
+                        _counting(calls, "orbit", gf._primitive_orbit))
+    walks = _counting_walks(monkeypatch)
+    ctx = gf.FieldCtx(bitpoly.parse("1+x^3+x^12"))
+    normal.search_normal_elements(ctx, limit=50)
+    scan = normal.normal_elements(ctx, require_primitive=True)
+    assert ctx._primitive_flags is None and walks == [] and calls == {}
+    first = next(scan)
+    flags = ctx._primitive_flags
+    assert flags is not None and walks == [4095] and calls == {"orbit": 3}
+    calls.clear()
+    hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
+    assert hits[0] == first and ctx.primitive_flags is flags
+    assert walks == [4095] and calls == {}
+
+
+def test_is_primitive_never_reads_the_primitive_flags(monkeypatch):
+    """is_primitive, multiplicative_order and k3's primitivity check stay
+    on the orbit test, independent of the flags the scan reads: with the
+    flags made to raise, they still decide every element of F_2^12 and
+    build a k3 basis over it (on 515, its first normal element that k3
+    accepts), and no field's flags get built."""
+    def refuse(ctx):
+        raise AssertionError("read the primitive flags")
+
+    monkeypatch.setattr(gf.FieldCtx, "primitive_flags", property(refuse))
+    ctx = gf.FieldCtx(bitpoly.parse("1+x^3+x^12"))
+    assert sum(map(partial(gf.is_primitive, ctx), range(1 << 12))) == 1728  # phi(4095)
+    assert gf.multiplicative_order(ctx, 0b11) == ctx.order  # 1 + x, the least primitive
+    assert extbasis.build_kind(normal.build_normal_basis(ctx, 515), "k3").kind == "k3"
+    assert ctx._primitive_flags is None
 
 
 @pytest.mark.parametrize("n,maps", [(15, 4), (21, 5)])
@@ -614,18 +710,28 @@ def test_scan_and_order_operation_counts(monkeypatch):
 
 
 def test_primitive_scan_operation_counts(monkeypatch):
-    """Deterministic cost guard: the first 50 primitive normal elements under
-    1+x^3+x^12 lie among 143 normal elements in 87 orbits, and take 87 orbit
-    tests and 227 conjugate product chains."""
-    ctx = gf.FieldCtx(bitpoly.parse("1+x^3+x^12"))
+    """Deterministic cost guard of the orbit path, above the flags bound:
+    the first 50 primitive normal elements under 1+x+x^3+x^4+x^13 lie among
+    50 normal elements (2^13 - 1 is prime, so every element but 0 and 1 is
+    primitive) in 41 orbits, and under 1+x^5+x^14 among 83 in 71 orbits;
+    they take one orbit test per orbit, with 41 and 170 conjugate product
+    chains, and no walk."""
     calls = {}
     monkeypatch.setattr(gf, "_primitive_orbit",
                         _counting(calls, "orbit", gf._primitive_orbit))
     monkeypatch.setattr(gf, "_conjugate_power",
                         _counting(calls, "chain", gf._conjugate_power))
-    hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
-    assert len(hits) == 50
-    assert calls == {"orbit": 87, "chain": 227}
+    walks = _counting_walks(monkeypatch)
+    for modulus, normals, orbits, chains in (("1+x+x^3+x^4+x^13", 50, 41, 41),
+                                             ("1+x^5+x^14", 83, 71, 170)):
+        ctx = gf.FieldCtx(bitpoly.parse(modulus))
+        calls.clear()
+        hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
+        assert len(hits) == 50 and walks == [], modulus
+        assert calls == {"orbit": orbits, "chain": chains}, modulus
+        scanned = list(islice(normal.normal_elements(ctx), normals))
+        assert scanned[-1] == hits[-1], modulus
+        assert len({min(normal.conjugates(ctx, a)) for a in scanned}) == orbits, modulus
 
 
 def test_search_primitive_filter():
