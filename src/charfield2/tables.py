@@ -17,9 +17,11 @@ products c(T) u_ij of the base basis as bit-planes, (i, j) at bit i m + j,
 formed from normal.product_planes (the planes of u_ij) by table-vector
 products, shifted into place as m tables of one int each.  Both checkers
 read the built basis through _basis_parts and give a TableSet: the oracle
-by build_tables, one row_apply per table on bit-planes of the big-field
-products, and closed_form_tables; verify_table_entries xors the two.  They
-start from disjoint data, and the oracle reads no product_planes.
+by build_tables, one lane-packed product per row, the bit-planes of the
+big-field products read off the rows' bit string by one stride slice each,
+and one row_apply per table on them; and closed_form_tables.
+verify_table_entries xors the two.  They start from disjoint data, and
+the oracle reads no product_planes.
 """
 
 from functools import cache, cached_property, partial, reduce
@@ -31,7 +33,7 @@ from .errors import ConstructionContradictionError, DomainError, InvalidElementE
 from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
                        structure_constants)
 from .linalg import (PreparedMap, mat_invert, mat_transpose, null_space, pack_lanes,
-                     row_apply, solve_linear, transpose_packed, unpack_lanes)
+                     row_apply, solve_linear, unpack_lanes)
 from .normal import NormalBasisCtx, product_planes
 
 
@@ -362,34 +364,24 @@ class TableSet:
 def build_tables(emb: OracleEmbedding) -> TableSet:
     """Brute-force tables: expand every basis product over the basis.
 
-    Row i takes one carry-less product of imgs[i] by imgs[i..m-1] packed in
-    lanes 2m bits apart: each lane's product has at most 2m - 1 bits, so no
-    lane spills, and lane j - i is imgs[i] imgs[j] unreduced.  One
-    reduce_lanes reduces every lane.  The big field commutes, so b_i b_j
-    is lane j of rows[i] and lane i of rows[j], of L bits (L the power of
-    two >= m), and one transpose of rows[i] gives row i of every bit-plane:
-    bit i m + j of planes[t] is bit t of b_i b_j.  Coordinates are linear,
-    so table k is the xor of the planes emb.coord_cols[k] names."""
+    packed holds every image, imgs[j] in lane j of 2m bits.  Row i takes
+    one carry-less product of imgs[i] by packed: each lane's product has at
+    most 2m - 1 bits, so no lane spills, and one reduce_lanes leaves
+    b_i b_j, of m bits, in lane j.  The rows, row m - 1 first, written as
+    one bit string hold b_i b_j in lane i m + j, and bit t of every lane
+    sits 2m characters apart, so one stride slice reads bit-plane t (bit
+    slicing, Biham 1997): bit i m + j of planes[t] is bit t of b_i b_j.
+    Coordinates are linear, so table k is the xor of the planes
+    emb.coord_cols[k] names."""
     m = emb.m
     imgs = emb.basis_images
     lane = 2 * m
-    lane_mask = (1 << lane) - 1
-    size = 1 << (m - 1).bit_length()
-    rows = [0] * m
-    packed = ones = 0
-    for i in reversed(range(m)):
-        packed = packed << lane | imgs[i]  # imgs[j] in lane j - i
-        ones = ones << lane | 1
-        prods = gf.reduce_lanes(emb.big, bitpoly.poly_mul(imgs[i], packed), ones)
-        for j in range(i, m):
-            c = prods & lane_mask
-            rows[i] |= c << j * size
-            rows[j] |= c << i * size
-            prods >>= lane
-    planes = [0] * m
-    for i, r in enumerate(rows):
-        for t, col in enumerate(unpack_lanes(transpose_packed(r, size), size, m)):
-            planes[t] |= col << i * m
+    packed = pack_lanes(imgs, lane)
+    ones = pack_lanes([1] * m, lane)
+    width = f"0{lane * m}b"
+    bits = "".join([format(gf.reduce_lanes(emb.big, bitpoly.poly_mul(imgs[i], packed), ones),
+                           width) for i in reversed(range(m))])
+    planes = [int(bits[lane - 1 - t::lane], 2) for t in range(m)]
     return TableSet(m, [row_apply(planes, c) for c in emb.coord_cols])
 
 

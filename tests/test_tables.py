@@ -5,7 +5,7 @@ import hashlib
 import random
 import sys
 import time
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from operator import xor
 
@@ -603,9 +603,12 @@ def test_ka6_cube_rule_at_odd_n_agrees_with_the_oracle():
 def test_oracle_solves_the_stated_rules(monkeypatch):
     """Negative control: RULES["as2"] changed after the context is built to
     b^2 + b = a^2 moves the oracle's b to a root of the new rule, so the big
-    field's b*b = b + a^2 disagrees with the as2 program's b + a."""
+    field's b*b = b + a^2 disagrees with the as2 program's b + a.  The
+    programs compiled meanwhile go to a private cache, so afterwards a new
+    as2 context still squares as the big field does."""
     for nb in (NB2, NB4):
         ctx = xb.build_kind(nb, "as2")
+        monkeypatch.setattr(xb, "_compiled", cache(xb._compiled.__wrapped__))
         monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
         emb = tables.build_embedding(ctx)
         assert emb.check_rules()
@@ -616,6 +619,10 @@ def test_oracle_solves_the_stated_rules(monkeypatch):
         monkeypatch.undo()
         emb = tables.build_embedding(ctx)
         assert emb.embed_ext(b_squared) == gf.square(emb.big, emb.gen_images["b"])
+        fresh = xb.build_kind(nb, "as2")
+        for x in (xb.generator_element(fresh, "b"), xb.ExtElem((1, nb.n - 1))):
+            assert (emb.embed_ext(xb.square(fresh, x))
+                    == gf.square(emb.big, emb.embed_ext(x))), (nb, x)
 
 
 def _charfield2_modules():
@@ -979,9 +986,9 @@ def test_table_mul_refuses_vectors_outside_the_space():
 
 def test_oracle_table_operation_counts(monkeypatch):
     """Deterministic cost guard at as2 n = 24 (m = 48): build_tables takes one
-    carry-less product per row, reduces its lanes together and takes one
-    row_apply per table on the bit-planes, and table_mul takes no row_apply
-    and no parity."""
+    carry-less product per row, reduces its lanes together by one
+    reduce_lanes, transposes nothing and takes one row_apply per table on
+    the bit-planes, and table_mul takes no row_apply and no parity."""
     emb = tables.build_embedding(xb.build_kind(get_fixture(24).basis(), "as2"))
     calls = {}
 
@@ -993,13 +1000,14 @@ def test_oracle_table_operation_counts(monkeypatch):
 
     monkeypatch.setattr(bitpoly, "poly_mul", counting("poly_mul", bitpoly.poly_mul))
     monkeypatch.setattr(gf, "reduce_product", counting("reduce_product", gf.reduce_product))
-    counted = (linalg.row_apply, linalg.parity)
+    monkeypatch.setattr(gf, "reduce_lanes", counting("reduce_lanes", gf.reduce_lanes))
+    counted = (linalg.row_apply, linalg.parity, linalg.transpose_packed, linalg.mat_transpose)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in counted):
                 monkeypatch.setattr(mod, attr, counting(obj.__name__, obj))
     ts = tables.build_tables(emb)
-    assert calls == {"poly_mul": emb.m, "row_apply": emb.m}
+    assert calls == {"poly_mul": emb.m, "reduce_lanes": emb.m, "row_apply": emb.m}
     calls.clear()
     rng = random.Random(48)
     for _ in range(10):
@@ -1009,18 +1017,18 @@ def test_oracle_table_operation_counts(monkeypatch):
 
 def test_programs_make_no_transpose(monkeypatch):
     """The products and squares of every kind at n = 2 and 4 run with every
-    binding of the transposes made to raise: only the oracle transposes."""
+    binding of the transposes made to raise: only the oracle transposes,
+    when build_embedding forms coord_cols."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the arithmetic under test transposed")
 
-    emb = tables.build_embedding(NB2)
     transposes = (linalg.transpose_packed, linalg.mat_transpose)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in transposes):
                 monkeypatch.setattr(mod, attr, forbidden)
     with pytest.raises(AssertionError):
-        tables.build_tables(emb)
+        tables.build_embedding(NB2)
     rng = random.Random(4)
     for n in (2, 4):
         nb = get_fixture(n).basis()
