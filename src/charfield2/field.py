@@ -78,8 +78,9 @@ class FieldCtx(Reducer):
     second test.
 
     Tables that only some callers read are built on their first read and
-    kept: order_factors, normality_maps (the normality test and scan) and,
-    at n <= PRIMITIVE_FLAGS_MAX_N, primitive_flags (the primitive scan)."""
+    kept: order_factors, normality_maps (the normality test and scan),
+    squaring_map (normal.conjugates) and, at n <= PRIMITIVE_FLAGS_MAX_N,
+    primitive_flags (the primitive scan)."""
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int):
@@ -93,6 +94,7 @@ class FieldCtx(Reducer):
         super().__init__(modulus)
         self._order_factors = None
         self._normality_maps = None
+        self._squaring_map = None
         self._primitive_flags = None
 
     @property
@@ -119,6 +121,15 @@ class FieldCtx(Reducer):
         if self._normality_maps is None:
             self._normality_maps = _normality_maps(self)
         return self._normality_maps
+
+    @property
+    def squaring_map(self):
+        """The Frobenius a -> a^2 as a PreparedMap of the rows x^(2i) mod f,
+        built once on demand: one lookup per 8 bits of a."""
+        if self._squaring_map is None:
+            rows = [reduce_product(self, 1 << 2 * i) for i in range(self.n)]
+            self._squaring_map = PreparedMap(rows)
+        return self._squaring_map
 
     @property
     def primitive_flags(self):

@@ -1,4 +1,8 @@
-"""GF(2) linear algebra on bit-packed rows (row = int, bit j = entry j, j < width)."""
+"""GF(2) linear algebra on bit-packed rows (row = int, bit j = entry j, j < width).
+
+Rank, inverse, null space and solve share one Gauss-Jordan elimination,
+_eliminate, which holds every row in a lane of one int and clears a column
+in all lanes by one integer product."""
 
 from functools import cache
 
@@ -10,68 +14,67 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _echelon(rows, width: int):
-    """Column-by-column elimination: (pivot bit, pivot row) pairs, by column.
+def _eliminate(rows, width: int):
+    """Gauss-Jordan elimination on packed lanes: (lanes, pivots).
 
-    Each column below `width` takes as pivot the first remaining row with
-    that bit set and clears the bit from the rows after it. Bits at or
-    above `width` ride along without being eliminated.
+    Row i, carrying its index as bit width + i, sits in lane i of one int
+    whose lanes are width + len(rows) bits wide. For each column below
+    `width` the lowest free lane with that bit set becomes the column's
+    pivot, and one integer product by the pivot row clears the column in
+    every other lane, pivot lanes included; each lane is wider than the
+    row, so the product cannot carry. lanes are the rows so reduced and
+    pivots maps each pivot column to its lane, in column order. A free
+    lane keeps no bit below `width`, and its index bits name rows that sum
+    to 0. DomainError when a row has bits at or above `width`.
     """
-    pivots = []
-    work = list(rows)
-    for col in range(width):
-        bit = 1 << col
-        for row in work:
-            if row & bit:
-                work.remove(row)
-                pivots.append((bit, row))
-                work = [r ^ row if r & bit else r for r in work]
-                break
-    return pivots
-
-
-def _reduce(pivots, t: int) -> int:
-    """Clear t's pivot columns by xoring in pivot rows, in column order."""
-    for bit, row in pivots:
-        if t & bit:
-            t ^= row
-    return t
-
-
-def _pivots_with_index(rows, width: int):
-    """Pivots of the rows, each carrying its index i as bit width + i."""
     if any(r >> width for r in rows):
         raise DomainError(f"a row has bits at or above width {width}")
-    return _echelon([r | 1 << (width + i) for i, r in enumerate(rows)], width)
+    count = len(rows)
+    lane = width + count
+    mask = (1 << lane) - 1
+    # bit 0 of every lane, and the index bits: bit width + i of lane i, a
+    # step of lane + 1 bits
+    ones = free = ((1 << lane * count) - 1) // mask if count else 0
+    x = pack_lanes(rows, lane) | ((1 << (lane + 1) * count) - 1) // (2 * mask + 1) << width
+    pivots = {}
+    for col in range(width):
+        bits = x >> col & ones
+        low = bits & free
+        if low:
+            low &= -low
+            at = low.bit_length() - 1
+            x ^= (bits ^ low) * (x >> at & mask)
+            free ^= low
+            pivots[col] = at // lane
+    return unpack_lanes(x, lane, count), pivots
 
 
 def mat_rank(rows, width: int) -> int:
-    """Rank of the matrix whose rows are the given ints."""
-    return len(_echelon(rows, width))
+    """Rank of the matrix whose rows are the given ints; DomainError when a
+    row has bits at or above width."""
+    return len(_eliminate(rows, width)[1])
 
 
 def mat_invert(rows, width: int):
-    """Inverse of a square bit matrix (rows as ints), or None if singular."""
+    """Inverse of a square bit matrix (rows as ints), or None if singular:
+    row k is the index bits of column k's pivot lane, whose row bits the
+    elimination has brought down to 1 << k."""
     n = len(rows)
     if n != width:
         raise DomainError("matrix must be square")
-    pivots = _pivots_with_index(rows, n)
+    lanes, pivots = _eliminate(rows, n)
     if len(pivots) < n:
         return None
-    return [_reduce(pivots, 1 << k) >> n for k in range(n)]
+    return [lanes[i] >> n for i in pivots.values()]
 
 
 def null_space(rows, width: int):
-    """A basis of {v : row_apply(rows, v) == 0}, as ints over the row index space.
-
-    Row i with its index bit, reduced against the pivots, keeps no bit below
-    `width`, so its index bits name rows that sum to 0. That is 0 for a row
-    the elimination took as a pivot; any other row keeps its own index bit,
-    which no pivot carries, so the nonzero results are independent.
-    """
-    pivots = _pivots_with_index(rows, width)
-    vecs = (_reduce(pivots, r | 1 << (width + i)) >> width for i, r in enumerate(rows))
-    return [v for v in vecs if v]
+    """A basis of {v : row_apply(rows, v) == 0}, as ints over the row index space:
+    the index bits of the free lanes, in row order. Each carries its own
+    index bit, which no other free lane does, so they are independent."""
+    lanes, pivots = _eliminate(rows, width)
+    taken = set(pivots.values())
+    return [v >> width for i, v in enumerate(lanes) if i not in taken]
 
 
 def row_apply(rows, v: int) -> int:
@@ -205,10 +208,14 @@ def mat_transpose(rows, width: int):
 def solve_linear(rows, width: int, target: int):
     """One solution v of v x M = target for row-matrix M, or None.
 
-    Returns a vector over the row index space (len(rows) bits).
+    Returns a vector over the row index space (len(rows) bits): the target
+    reduced by the pivot rows, whose index bits then name the solution.
     """
-    pivots = _pivots_with_index(rows, width)
-    t = _reduce(pivots, target)
+    lanes, pivots = _eliminate(rows, width)
+    t = target
+    for col, i in pivots.items():
+        if target >> col & 1:
+            t ^= lanes[i]
     if t & ((1 << width) - 1) or target >> width:
         return None
     return t >> width

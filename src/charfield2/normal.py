@@ -5,8 +5,11 @@ Coordinates relative to it are packed into ints (bit i = coefficient of a^(2^i))
 The structure table T = (t_{i,j}) is defined by a * a^(2^i) = sum_j t_{i,j} a^(2^j);
 row i of T is stored as an int with bit j = t_{i,j}.
 
-Only rows 0 .. n//2 of T are formed by field products; the others are
-their rotations T[n - d] = rotl(T[d], -d).
+Building a basis takes the conjugates by one walk of the field's prepared
+squaring map, the map to normal coordinates by one elimination
+(linalg.mat_invert), and rows 0 .. n//2 of T by one carry-less product of a
+by those conjugates in 2n-bit lanes, reduced in every lane at once; the
+other rows are their rotations T[n - d] = rotl(T[d], -d).
 
 Above n = LOG_TABLE_MAX_N = 8, normal_mul reads T alone: a product costs
 n ANDs plus at most w(N) shifted XORs, so the density d(N) = n * w(N), the
@@ -31,13 +34,12 @@ popcount of the planes of a times them, and tables' closed form starts from
 them.
 """
 
-from functools import partial
 from itertools import chain, islice
 
-from . import field as gf
+from . import bitpoly, field as gf
 from .errors import DomainError, NotNormalError
 from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, parity,
-                     row_apply)
+                     row_apply, unpack_lanes)
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
@@ -58,8 +60,11 @@ def rotl(x: int, s: int, n: int) -> int:
 
 
 def conjugates(ctx: gf.FieldCtx, a: int):
-    """[a, a^2, a^4, ...] -- the Frobenius orbit, length n."""
-    return gf._frobenius_orbit(partial(gf.square, ctx), gf.validate(ctx, a), ctx.n)
+    """[a, a^2, a^4, ...] -- the Frobenius orbit, length n: the cycle of a
+    under ctx.squaring_map, n/8 lookups a step, repeated n/d times when a
+    lies in the subfield of 2^d elements."""
+    orbit = ctx.squaring_map.cycle(gf.validate(ctx, a))
+    return orbit * (ctx.n // len(orbit))
 
 
 def is_normal_element(ctx: gf.FieldCtx, a: int) -> bool:
@@ -84,12 +89,14 @@ class NormalBasisCtx:
         self.field = ctx
         self.alpha = alpha
         self.n = ctx.n
-        # rows 0 .. n//2 by field products; a a^(2^(n-d)) = (a a^(2^d))^(2^(n-d))
+        # rows 0 .. n//2 by one packed product; a a^(2^(n-d)) = (a a^(2^d))^(2^(n-d))
         # gives the rest as T[n - d] = rotl(T[d], -d), as normal_mul reads them
         n = ctx.n
-        table = [row_apply(self._to_normal, gf.poly_mul_mod(ctx, alpha, c))
-                 for c in self.conj[:n // 2 + 1]]
-        table += [rotl(table[n - e], e, n) for e in range(n // 2 + 1, n)]
+        half, lane = n // 2 + 1, 2 * n
+        prods = bitpoly.poly_mul(alpha, pack_lanes(self.conj[:half], lane))
+        prods = gf.reduce_lanes(ctx, prods, pack_lanes([1] * half, lane))
+        table = [row_apply(self._to_normal, c) for c in unpack_lanes(prods, lane, half)]
+        table += [rotl(table[n - e], e, n) for e in range(half, n)]
         self.table = table
         self.weight = sum(r.bit_count() for r in table)
         self.density = ctx.n * self.weight

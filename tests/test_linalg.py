@@ -214,6 +214,93 @@ def test_rows_wider_than_width_are_refused():
         linalg.solve_linear([0b11], 1, 0b1)
     with pytest.raises(DomainError):
         linalg.mat_invert([0b10], 1)
+    for rows, width in (([0b100], 2), ([0b1, 0b10], 1), ([1], 0), ([-1], 4)):
+        with pytest.raises(DomainError):
+            linalg.mat_rank(rows, width)
+        with pytest.raises(DomainError):
+            linalg.null_space(rows, width)
+
+
+def _echelon(rows, width):
+    """Reference elimination, column by column: (pivot bit, pivot row)
+    pairs, by column. Each column below `width` takes as pivot the first
+    remaining row with that bit set and clears the bit from the rows after
+    it; bits at or above `width` ride along."""
+    pivots = []
+    work = list(rows)
+    for col in range(width):
+        bit = 1 << col
+        for row in work:
+            if row & bit:
+                work.remove(row)
+                pivots.append((bit, row))
+                work = [r ^ row if r & bit else r for r in work]
+                break
+    return pivots
+
+
+def _reduce(pivots, t):
+    """Clear t's pivot columns by xoring in pivot rows, in column order."""
+    for bit, row in pivots:
+        if t & bit:
+            t ^= row
+    return t
+
+
+def _reference(rows, width, targets):
+    """rank, inverse (for a square matrix), null space and the solution of
+    each target by the reference elimination, with each row carrying its
+    index i as bit width + i."""
+    pivots = _echelon([r | 1 << (width + i) for i, r in enumerate(rows)], width)
+    inverse = None
+    if len(rows) == width == len(pivots):
+        inverse = [_reduce(pivots, 1 << k) >> width for k in range(width)]
+    kernel = (_reduce(pivots, r | 1 << (width + i)) >> width for i, r in enumerate(rows))
+    solutions = []
+    for t in targets:
+        reduced = _reduce(pivots, t)
+        solved = not (reduced & ((1 << width) - 1) or t >> width)
+        solutions.append(reduced >> width if solved else None)
+    return len(_echelon(rows, width)), inverse, [v for v in kernel if v], solutions
+
+
+def _shapes(rng):
+    """Seeded (rows, width) pairs up to 72 columns: random, rank-deficient,
+    wide, tall and square (invertible or not), empty, and of width 0."""
+    for _ in range(150):
+        m, w = rng.randint(0, 72), rng.randint(0, 72)
+        yield _random_matrix(rng, m, w), w
+        rank = rng.randint(0, min(m, w))
+        basis = _random_matrix(rng, rank, w)
+        yield [linalg.row_apply(basis, rng.getrandbits(rank)) for _ in range(m)], w
+        small, big = sorted((m, w))
+        yield _random_matrix(rng, small, big), big
+        yield _random_matrix(rng, big, small), small
+        yield _random_matrix(rng, w, w), w
+        yield [], w
+        yield [0] * m, 0
+
+
+def test_elimination_matches_the_reference_elimination():
+    """mat_rank, mat_invert and null_space equal the column-by-column
+    reference exactly, lists in the same order; solve_linear returns the
+    reference's solution, and None exactly where it does, on targets in
+    the row span, random targets and targets with a bit past the width."""
+    rng = random.Random(20241021)
+    invertible = 0
+    for rows, w in _shapes(rng):
+        m = len(rows)
+        targets = [linalg.row_apply(rows, rng.getrandbits(m)), rng.getrandbits(w),
+                   rng.getrandbits(w) | 1 << w]
+        rank, inverse, kernel, solutions = _reference(rows, w, targets)
+        assert linalg.mat_rank(rows, w) == rank, (rows, w)
+        assert linalg.null_space(rows, w) == kernel, (rows, w)
+        assert [linalg.solve_linear(rows, w, t) for t in targets] == solutions, (rows, w)
+        assert solutions[0] is not None and solutions[2] is None
+        if m == w:
+            assert linalg.mat_invert(rows, w) == inverse, rows
+            invertible += inverse is not None
+    assert invertible >= 40
 
 
 def test_elimination_matches_exhaustive_enumeration():

@@ -31,13 +31,70 @@ def test_rotl_cycles_bits():
 
 
 def test_conjugates_are_frobenius_orbit():
-    orbit = normal.conjugates(F16, 0b1000)
-    assert len(orbit) == 4
-    assert orbit[0] == 0b1000
-    for i in range(3):
-        assert orbit[i + 1] == gf.square(F16, orbit[i])
-    # one more squaring wraps around
-    assert gf.square(F16, orbit[-1]) == orbit[0]
+    """conjugates equals repeated field.square, and one more squaring wraps
+    around: on every fixture field, for 0, 1, the fixture's normal element,
+    random elements (most of them not normal) and elements of each proper
+    subfield F_(2^d), d | n (the powers b^((2^n - 1)/(2^d - 1)), whose
+    orbits are shorter than n), and under the n = 64 modulus."""
+    rng = random.Random(20261021)
+    fields = [fixtures.get_fixture(n).basis() for n in fixtures.fixture_degrees()]
+    fields = [(nb.field, nb.alpha) for nb in fields]
+    fields.append((gf.FieldCtx(bitpoly.min_irreducible(64)), 1 << 61))
+    for ctx, alpha in fields:
+        n = ctx.n
+        elements = [0, 1, alpha] + [rng.getrandbits(n) for _ in range(20)]
+        for d in (d for d in range(1, n) if n % d == 0):
+            e = ((1 << n) - 1) // ((1 << d) - 1)
+            elements += [gf.power(ctx, rng.getrandbits(n) or 1, e) for _ in range(3)]
+        assert any(not normal.is_normal_element(ctx, a) for a in elements)
+        for a in elements:
+            orbit = normal.conjugates(ctx, a)
+            assert orbit == gf._frobenius_orbit(partial(gf.square, ctx), a, n), (ctx, a)
+            assert gf.square(ctx, orbit[-1]) == a
+
+
+def test_squaring_map_is_built_on_first_read():
+    """A field builds no squaring map for a normality test or a scan; the
+    first conjugates call builds it, and later calls and reads keep it."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(12))
+    hits = normal.search_normal_elements(ctx, limit=5)
+    assert normal.is_normal_element(ctx, hits[0])
+    assert ctx._squaring_map is None
+    normal.conjugates(ctx, hits[0])
+    built = ctx._squaring_map
+    assert built is not None and ctx.squaring_map is built
+    normal.build_normal_basis(ctx, hits[1])
+    assert ctx.squaring_map is built
+
+
+def test_basis_construction_operation_counts(monkeypatch):
+    """Deterministic cost guard: building a basis, on a fresh field or on
+    one whose squaring map is built, makes one bitpoly.poly_mul and one
+    field.reduce_lanes for rows 0 .. n//2 of T, and no field.poly_mul_mod
+    and no field.square."""
+    counted = (bitpoly.poly_mul, gf.reduce_lanes, gf.poly_mul_mod, gf.square)
+    calls = {}
+    for mod in [m for name, m in sys.modules.items()
+                if name == "charfield2" or name.startswith("charfield2.")]:
+        for attr, obj in list(vars(mod).items()):
+            if any(obj is fn for fn in counted):
+                monkeypatch.setattr(mod, attr, _counting(calls, obj.__name__, obj))
+    for n in (1, 2, 3, 8, 12, 26, 64):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        alpha = next(normal.normal_elements(ctx))
+        for _ in range(2):
+            calls.clear()
+            normal.build_normal_basis(ctx, alpha)
+            assert calls == {"poly_mul": 1, "reduce_lanes": 1}, n
+
+
+def test_cross_sum_at_n64_is_pinned():
+    """The cross sum of x^61, the first normal element under
+    min_irreducible(64): a 64 x 64 elimination, the eight-window squaring
+    map and T from one packed product together."""
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(64))
+    nb = normal.build_normal_basis(ctx, 1 << 61)
+    assert normal.cross_product_sum(nb) == 130517
 
 
 def test_is_normal_element_known_cases():
@@ -726,6 +783,7 @@ def test_primitive_scan_operation_counts(monkeypatch):
                                              ("1+x^5+x^14", 83, 71, 170)):
         ctx = gf.FieldCtx(bitpoly.parse(modulus))
         calls.clear()
+        walks.clear()  # normal.conjugates below walks the squaring map
         hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
         assert len(hits) == 50 and walks == [], modulus
         assert calls == {"orbit": orbits, "chain": chains}, modulus
