@@ -19,17 +19,18 @@ product by c and each square are linear maps read off structure_constants (basis
 monomials multiplied and reduced by RULES) and walked as chains of products by a.
 Each operation adds its fixed tally of base operations to the OpCounter.
 
-The source functions (_MUL, _square_walk) are the statement, the proof over F_2[a]
-and the tally: one recording run compiles each, once per kind on first use, into
-straight-line Python whose sums are inline ^ and whose base products are calls to
-kernels passed in by name, which mul and square look up at each call.  Only mul and
-square run compiled code: the rule test that every ExtBasisCtx runs when
-constructed runs the source functions themselves, on poly_mul_mod.
+The source functions (_fold or asw4's program, and _square_walk) are the statement,
+the proof over F_2[a] and the tally: one recording run compiles each, once per tuple
+of rules on first use, into straight-line Python whose sums are inline ^ and whose
+base products are calls to kernels passed in by name at each call.  That compiled
+code is the one runtime path: mul and square run it on normal_mul and alpha_mul, and
+the rule test that every ExtBasisCtx runs when constructed runs the compiled code of
+the rules before each rule on poly_mul_mod.  The tests run the source functions as
+the reference for both.
 """
 
 from functools import cache, partial
 from itertools import accumulate, product
-from operator import xor
 from typing import Callable, NamedTuple
 
 from . import field as gf
@@ -58,9 +59,10 @@ RULES = {
     "k3": (Rule("b", 3, lambda mul, a: a),),
     "asw4": (Rule("b0", 2, lambda mul, a: a),
              Rule("b1", 2, lambda mul, a, b0: b0 ^ mul(a, b0) ^ mul(a, a))),
-    "ka6": (Rule("b", 2, lambda mul, a: a),
-            Rule("g", 3, lambda mul, a, b: b)),
 }
+# ka6 is as2's tower with g^3 = b on top: its prefix is as2's own tuple, so
+# the two share one compiled program and one table of structure constants.
+RULES["ka6"] = RULES["as2"] + (Rule("g", 3, lambda mul, a, b: b),)
 KINDS = tuple(RULES)
 
 
@@ -223,7 +225,9 @@ class ExtBasisCtx:
     """The extended basis of `kind` over the normal basis `base`, with an
     OpCounter.  It is built only once _check_rule passes each rule of
     RULES[kind] in turn; k3 also needs a primitive a, the paper's
-    condition.  Reads only base.field and base.alpha.
+    condition.  Reads only base.field and base.alpha.  It keeps that tuple
+    as self.rules, and its generators, monomials and compiled program all
+    come from it, so a later change to RULES cannot split them.
 
     A cube c or a non-primitive a raises NoKummerExtensionError, any other
     refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
@@ -238,25 +242,32 @@ class ExtBasisCtx:
     def __init__(self, base: NormalBasisCtx, kind: str):
         if kind not in RULES:
             raise DomainError(f"unknown kind {kind!r}")
-        for g in range(len(RULES[kind])):
-            _check_rule(base, kind, g)
+        rules = RULES[kind]
+        for g in range(len(rules)):
+            _check_rule(base, rules, g)
         if kind == "k3" and not gf.is_primitive(base.field, base.alpha):
             raise NoKummerExtensionError("no cubic Kummer extension: a is not primitive")
         self.base = base
         self.kind = kind
         self.n = base.n
-        self.gens = tuple(r.gen for r in RULES[kind])
-        self.monomials = _monomials(RULES[kind])
+        self.rules = rules
+        self.gens = tuple(r.gen for r in rules)
+        self.monomials = _monomials(rules)
         self.d = len(self.monomials)
         self.m = self.n * self.d
         self.counter = OpCounter()
-        self._program = None  # _compiled(kind), kept by the first mul or square
+        self._program = None  # _compiled(rules), kept by the first mul or square
 
     def __repr__(self):
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
 
-    def __getstate__(self):  # exec'd code does not pickle; the copy recompiles
-        return {**self.__dict__, "_program": None}
+    # Neither the rules' lambdas nor exec'd code pickle: a copy takes its
+    # kind's rules by name, as a function pickles, and compiles on first use.
+    def __getstate__(self):
+        return {**self.__dict__, "rules": None, "_program": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, rules=RULES[state["kind"]])
 
     def validate(self, x: ExtElem) -> ExtElem:
         """x, unless it is not an ExtElem of d blocks, each an int in
@@ -276,21 +287,26 @@ class ExtBasisCtx:
 
 def _prefix_field(nb: NormalBasisCtx, rules):
     """Product and squaring of the field `rules` build over nb.field, on d
-    lanes of n polynomial coordinates: the fold and the square walk on
-    poly_mul_mod, the code the F_2[a] proof checks."""
-    n = nb.n
-    mul, sq = partial(gf.poly_mul_mod, nb.field), partial(gf.square, nb.field)
+    lanes of n polynomial coordinates: the compiled product and walk of
+    _compiled(rules), the code mul and square run and the F_2[a] proof
+    checks, on poly_mul_mod and its product by a, with nb.field as ctx."""
+    n, field, alpha = nb.n, nb.field, nb.alpha
+    sq = partial(gf.square, field)
     if not rules:
-        return mul, sq
-    tvp = partial(mul, nb.alpha)
+        return partial(gf.poly_mul_mod, field), sq
+    program = _compiled(rules)
     blocks = partial(unpack_lanes, width=n, count=len(_monomials(rules)))
-    return (lambda x, y: pack_lanes(_fold(rules, xor, mul, tvp, blocks(x), blocks(y)), n),
-            lambda x: pack_lanes(_square_walk(xor, tvp, rules, [sq(b) for b in blocks(x)]), n))
+
+    def tvp(ctx, v):
+        return gf.poly_mul_mod(ctx, alpha, v)
+    return (lambda x, y: pack_lanes(program.product(gf.poly_mul_mod, tvp, field,
+                                                    *blocks(x), *blocks(y)), n),
+            lambda x: pack_lanes(program.walk(tvp, field, *map(sq, blocks(x))), n))
 
 
-def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
-    """Raise unless rule g of RULES[kind] is irreducible over the field E of
-    degree k that the rules before it build over nb: y^2 + y = c iff
+def _check_rule(nb: NormalBasisCtx, rules, g: int) -> None:
+    """Raise unless rule g of the tuple `rules` is irreducible over the field
+    E of degree k that the rules before it build over nb: y^2 + y = c iff
     Tr_E(c) = 1, y^3 = c iff 3 | 2^k - 1 and c is not a cube
     (Lidl-Niederreiter, Finite Fields, Thms 3.78 and 3.75).  A cube c raises
     NoKummerExtensionError, any other refusal UnsupportedDegreeError.  Reads
@@ -302,8 +318,8 @@ def _check_rule(nb: NormalBasisCtx, kind: str, g: int) -> None:
     z y and z^2 y with 1 + z + z^2 = 0.  So Tr_E(c) = Tr_n(c_e*), the
     absolute trace of c's coordinate on the monomial e* whose exponent is 1
     at each earlier Artin-Schreier step and 0 at each Kummer step."""
-    y, degree, rhs = RULES[kind][g]
-    rules = RULES[kind][:g]
+    y, degree, rhs = rules[g]
+    rules = rules[:g]
     mul, sq = _prefix_field(nb, rules)
     monomials = _monomials(rules)
     k = nb.n * len(monomials)
@@ -396,7 +412,7 @@ def square(ctx: ExtBasisCtx, x: ExtElem) -> ExtElem:
     ctx.validate(x)
     program = ctx._program
     if program is None:
-        program = ctx._program = _compiled(ctx.kind)
+        program = ctx._program = _compiled(ctx.rules)
     ctx.counter.record(program.square_tally)
     z = _new_elem(ExtElem)
     _set_blocks(z, program.square(alpha_mul, ctx.base, ctx.n - 1, ctx.base.field.mask,
@@ -411,7 +427,7 @@ def mul(ctx: ExtBasisCtx, x: ExtElem, y: ExtElem) -> ExtElem:
     ctx.validate(y)
     program = ctx._program
     if program is None:
-        program = ctx._program = _compiled(ctx.kind)
+        program = ctx._program = _compiled(ctx.rules)
     ctx.counter.record(program.mul_tally)
     z = _new_elem(ExtElem)
     _set_blocks(z, program.product(normal_mul, alpha_mul, ctx.base, *x.blocks, *y.blocks))
@@ -557,8 +573,8 @@ def _fold(rules, add, mul, tvp, x, y):
 
 
 # asw4 keeps its hand-written program while its tally (9, 33, 9) is frozen:
-# the fold over its rules takes (9, 26, 7).
-_MUL = {**{kind: partial(_fold, rules) for kind, rules in RULES.items()}, "asw4": _asw4_mul}
+# the fold over its rules takes (9, 26, 7).  Every other tuple runs the fold.
+_HAND_WRITTEN = {RULES["asw4"]: _asw4_mul}
 
 
 def _record(program):
@@ -581,36 +597,42 @@ def _record(program):
 
 
 class _Compiled(NamedTuple):
-    """A kind's product and square as straight-line Python, read by mul and
-    square alone: the base kernels are arguments, so a caller names them at
-    each call.  The tallies are those of the recorded runs, which every run
-    repeats as the source programs have no branches."""
+    """The product and square of the field a tuple of rules builds, as
+    straight-line Python, run by mul and square on normal_mul and alpha_mul
+    and by _prefix_field on poly_mul_mod: the base kernels and their ctx are
+    arguments, so a caller names them at each call.  The tallies are those
+    of the recorded runs, which every run repeats as the source programs
+    have no branches."""
     product: Callable      # (mul, tvp, ctx, *x, *y) -> blocks of x y
     square: Callable       # (tvp, ctx, n - 1, mask, *x) -> blocks of x^2, each
                            # x_p^2 the rotation of x_p's normal coordinates
+    walk: Callable         # (tvp, ctx, *sq) -> blocks of x^2 from the x_p^2
     mul_tally: tuple
     square_tally: tuple
 
 
 @cache
-def _compiled(kind: str) -> _Compiled:
-    """_MUL[kind] and _square_walk for the kind, each recorded once and
-    compiled into the one Python function that mul or square runs."""
-    d = len(_monomials(RULES[kind]))
+def _compiled(rules) -> _Compiled:
+    """The product program of the field `rules` build (_HAND_WRITTEN's, or
+    the fold over them) and their square walk, each recorded once and
+    compiled into the one Python function that every caller runs."""
+    d = len(_monomials(rules))
     x, y, sq = ([f"{v}{p}" for p in range(d)] for v in "xys")
-    mul_lines, mul_out, mul_tally = _record(
-        lambda add, mul, tvp: _MUL[kind](add, mul, tvp, x, y))
+    program = _HAND_WRITTEN.get(rules, partial(_fold, rules))
+    mul_lines, mul_out, mul_tally = _record(lambda add, mul, tvp: program(add, mul, tvp, x, y))
     walk_lines, walk_out, square_tally = _record(
-        lambda add, mul, tvp: _square_walk(add, tvp, RULES[kind], sq))
+        lambda add, mul, tvp: _square_walk(add, tvp, rules, sq))
+    walk = [*walk_lines, f"    return ({', '.join(walk_out)},)"]
     source = "\n".join((
         f"def product(mul, tvp, ctx, {', '.join(x + y)}):", *mul_lines,
         f"    return ({', '.join(mul_out)},)",
         f"def square(tvp, ctx, hi, mask, {', '.join(x)}):",
-        *(f"    {s} = ({v} << 1 | {v} >> hi) & mask" for s, v in zip(sq, x)),
-        *walk_lines, f"    return ({', '.join(walk_out)},)", ""))
+        *(f"    {s} = ({v} << 1 | {v} >> hi) & mask" for s, v in zip(sq, x)), *walk,
+        f"def walk(tvp, ctx, {', '.join(sq)}):", *walk, ""))
     namespace = {}
-    exec(compile(source, f"<{kind} program>", "exec"), namespace)
-    return _Compiled(namespace["product"], namespace["square"], mul_tally, square_tally)
+    exec(compile(source, f"<{' '.join(r.gen for r in rules)} program>", "exec"), namespace)
+    return _Compiled(namespace["product"], namespace["square"], namespace["walk"],
+                     mul_tally, square_tally)
 
 
 # frozen per-operation tallies (base_mults, base_adds, table_vector_products)

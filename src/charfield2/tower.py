@@ -41,7 +41,7 @@ def kummer_over_as2_possible(ctx: ExtBasisCtx) -> bool:
     if ctx.kind != "as2":
         raise DomainError("expected a quadratic extension context")
     try:
-        extbasis._check_rule(ctx.base, "ka6", 1)
+        extbasis._check_rule(ctx.base, extbasis.RULES["ka6"], 1)
     except NoKummerExtensionError:
         return False
     return True

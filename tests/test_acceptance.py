@@ -221,12 +221,13 @@ def test_mul_cost_is_operand_independent():
             x = xb.ExtElem(tuple(rng.randrange(1 << ctx.n) for _ in range(ctx.d)))
             y = xb.ExtElem(tuple(rng.randrange(1 << ctx.n) for _ in range(ctx.d)))
             log = []
-            prod = xb._MUL[kind](*_counting(log, *ops), x.blocks, y.blocks)
+            prod = xb._HAND_WRITTEN.get(ctx.rules, partial(xb._fold, ctx.rules))(
+                *_counting(log, *ops), x.blocks, y.blocks)
             assert prod == xb.mul(ctx, x, y).blocks
             seen_mul.add(_tally(log))
             log = []
             add, _, tvp = _counting(log, *ops)
-            sq = xb._square_walk(add, tvp, xb.RULES[kind],
+            sq = xb._square_walk(add, tvp, ctx.rules,
                                  [normal.frobenius_shift(n, v) for v in x.blocks])
             assert sq == xb.square(ctx, x).blocks
             seen_sq.add(_tally(log))

@@ -292,11 +292,11 @@ def test_tower_kummer_row_fails_when_the_cube_test_lies(capsys, monkeypatch):
     to "no", while every other row is printed unchanged."""
     check_rule = extbasis._check_rule
 
-    def lying(nb, kind, g):
-        if (kind, g) != ("ka6", 1):
-            return check_rule(nb, kind, g)
+    def lying(nb, rules, g):
+        if (rules, g) != (extbasis.RULES["ka6"], 1):
+            return check_rule(nb, rules, g)
         try:
-            check_rule(nb, kind, g)
+            check_rule(nb, rules, g)
         except NoKummerExtensionError:
             return None
         raise NoKummerExtensionError("no cubic Kummer extension: a lie")
@@ -666,19 +666,26 @@ def test_bench_counts_exact(capsys):
 
 def test_bench_compiles_the_kind_before_timing(capsys, monkeypatch):
     """The first mul compiles the kind's programs; bench makes it before its
-    first clock read, so the stderr mean holds no one-time compile."""
-    clock = cli.time.perf_counter
-    cached = []
+    first clock read, so the stderr mean holds no one-time compile: on an
+    empty compile cache, ka6's tuple is compiled before the first clock
+    read."""
+    clock, compiled = cli.time.perf_counter, extbasis._compiled
+    compiles, at_clock = [], []
 
     def spy():
-        cached.append(extbasis._compiled.cache_info().currsize)
+        at_clock.append(list(compiles))
         return clock()
 
+    def counted(rules):
+        compiles.append(rules)
+        return compiled(rules)
+
     extbasis._compiled.cache_clear()
+    monkeypatch.setattr(extbasis, "_compiled", counted)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=spy))
     code, _, _ = run_cli(capsys, "bench", "--kind", "ka6", "--n", "8", "--limit", "3")
     assert code == 0
-    assert cached[0] == 1
+    assert extbasis.RULES["ka6"] in at_clock[0]
 
 
 def test_bench_output_is_deterministic(capsys):

@@ -14,6 +14,7 @@ from operator import xor
 import pytest
 
 from charfield2 import bitpoly, extbasis as xb, field as gf, normal, tables, tower
+from charfield2.linalg import unpack_lanes
 from charfield2.witt import SymPoly
 from charfield2.errors import (DomainError, InvalidElementError,
                                NoKummerExtensionError, UnsupportedDegreeError)
@@ -204,7 +205,7 @@ def _artin_schreier_disagreements(check_rule):
     for nb, kind in product(_tower_trace_bases(), KINDS):
         for g, rule in enumerate(xb.RULES[kind]):
             try:
-                check_rule(nb, kind, g)
+                check_rule(nb, xb.RULES[kind], g)
                 holds = True
             except (UnsupportedDegreeError, NoKummerExtensionError):
                 holds = False
@@ -241,7 +242,7 @@ def test_the_tower_trace_reading_lane_0_is_caught():
 def _ka6_cube_verdict(nb):
     """Whether _check_rule finds b a cube in F_{2^(2n)} (ka6's rule g^3 = b)."""
     try:
-        xb._check_rule(nb, "ka6", 1)
+        xb._check_rule(nb, xb.RULES["ka6"], 1)
     except NoKummerExtensionError:
         return True
     return False
@@ -551,10 +552,23 @@ def test_element_is_cube_does_not_disturb_tally():
 MUL_EXPECT = {"as2": (3, 4, 1), "k3": (6, 15, 2), "asw4": (9, 33, 9), "ka6": (18, 56, 8)}
 SQ_EXPECT = {"as2": (0, 1, 1), "k3": (0, 0, 1), "asw4": (0, 9, 6), "ka6": (0, 4, 3)}
 
+
+def _source_program(rules):
+    """The source product program that _compiled(rules) records: asw4's
+    hand-written one, else the fold over the rules."""
+    return xb._HAND_WRITTEN.get(rules, partial(xb._fold, rules))
+
+
 # Every product program with its (program, kind, tally): each kind's, and the
 # fold over asw4's rules, which asw4 does not run while its tally is frozen.
-PROGRAMS = [pytest.param(xb._MUL[kind], kind, MUL_EXPECT[kind], id=kind) for kind in KINDS] + [
+PROGRAMS = [pytest.param(_source_program(xb.RULES[kind]), kind, MUL_EXPECT[kind], id=kind)
+            for kind in KINDS] + [
     pytest.param(partial(xb._fold, xb.RULES["asw4"]), "asw4", (9, 26, 7), id="asw4-fold")]
+
+# Every tuple of rules a kind compiles: its own and each prefix rules[:g],
+# g >= 1, which its rule test multiplies in.  ka6's first is as2's tuple.
+COMPILED_TUPLES = [pytest.param(rules[:g], id=f"{kind}-{g}")
+                   for kind, rules in xb.RULES.items() for g in range(1, len(rules) + 1)]
 
 
 def test_frozen_count_tables_match_module_constants():
@@ -583,9 +597,9 @@ def _counted_runs(ctx, x, y):
     ops = (int.__xor__, partial(normal.normal_mul, ctx.base),
            partial(normal.alpha_mul, ctx.base))
     mul_log, sq_log = [], []
-    prod = xb._MUL[ctx.kind](*_counting(mul_log, *ops), x.blocks, y.blocks)
+    prod = _source_program(ctx.rules)(*_counting(mul_log, *ops), x.blocks, y.blocks)
     add, _, tvp = _counting(sq_log, *ops)
-    sq = xb._square_walk(add, tvp, xb.RULES[ctx.kind],
+    sq = xb._square_walk(add, tvp, ctx.rules,
                          [normal.frobenius_shift(ctx.n, v) for v in x.blocks])
     return prod, _tally(mul_log), sq, _tally(sq_log)
 
@@ -622,16 +636,41 @@ def _edge_and_random_elems(rng, ctx):
             *(_rand_elem(rng, ctx) for _ in range(8))]
 
 
+def _assert_prefix_fields_run_the_source(rng, nb, rules):
+    """For each tuple rules[:g], g >= 1: _prefix_field's product and square,
+    on lanes of polynomial coordinates, give what the source program and
+    walk give on poly_mul_mod and its product by a, for zero, one, all-ones,
+    each single set bit and eight seeded elements."""
+    field, n = nb.field, nb.n
+    mul, tvp = partial(gf.poly_mul_mod, field), partial(gf.poly_mul_mod, field, nb.alpha)
+    for g in range(1, len(rules) + 1):
+        prefix = rules[:g]
+        d = len(xb._monomials(prefix))
+        lanes = partial(unpack_lanes, width=n, count=d)
+        prefix_mul, prefix_square = xb._prefix_field(nb, prefix)
+        elems = [0, 1, (1 << n * d) - 1, *(1 << i for i in range(n * d)),
+                 *(rng.getrandbits(n * d) for _ in range(8))]
+        for x in elems:
+            for y in (x, elems[2], rng.getrandbits(n * d)):
+                assert lanes(prefix_mul(x, y)) == _source_program(prefix)(
+                    xor, mul, tvp, lanes(x), lanes(y)), (n, g, x, y)
+            assert lanes(prefix_square(x)) == xb._square_walk(
+                xor, tvp, prefix, [gf.square(field, v) for v in lanes(x)]), (n, g, x)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_compiled_programs_are_the_source_programs(kind):
     """Over every fixture of degree at most 26 that admits the kind, mul and
     square give what the source program and walk give when run on xor,
-    normal_mul and alpha_mul."""
+    normal_mul and alpha_mul.  Over every fixture of degree at most 26,
+    _prefix_field of each of the kind's tuples, the compiled code the rule
+    test runs, gives what they give on poly_mul_mod."""
     rng = random.Random(f"compiled:{kind}")
     built = 0
     for n in fixture_degrees():
         if n > 26:
             continue
+        _assert_prefix_fields_run_the_source(rng, get_fixture(n).basis(), xb.RULES[kind])
         try:
             ctx = xb.build_kind(get_fixture(n).basis(), kind)
         except (NoKummerExtensionError, UnsupportedDegreeError):
@@ -641,12 +680,38 @@ def test_compiled_programs_are_the_source_programs(kind):
         elems = _edge_and_random_elems(rng, ctx)
         for x in elems:
             for y in (x, elems[2], _rand_elem(rng, ctx)):
-                assert xb.mul(ctx, x, y).blocks == xb._MUL[kind](
+                assert xb.mul(ctx, x, y).blocks == _source_program(ctx.rules)(
                     int.__xor__, mul, tvp, x.blocks, y.blocks), (n, x, y)
             assert xb.square(ctx, x).blocks == xb._square_walk(
-                int.__xor__, tvp, xb.RULES[kind],
+                int.__xor__, tvp, ctx.rules,
                 [normal.frobenius_shift(n, v) for v in x.blocks]), (n, x)
     assert built >= 3
+
+
+def test_building_runs_no_source_program_once_compiled(monkeypatch):
+    """Extended products have one runtime path: with every tuple compiled,
+    building every kind over every fixture of degree at most 26 calls
+    _fold, _walk and _square_walk not once.  The same counters see the
+    calls that compiling a tuple makes."""
+    bases = [get_fixture(n).basis() for n in fixture_degrees() if n <= 26]
+
+    def build_all():
+        for nb, kind in product(bases, KINDS):
+            try:
+                xb.build_kind(nb, kind)
+            except (NoKummerExtensionError, UnsupportedDegreeError):
+                pass
+    build_all()
+    calls = Counter()
+    for name in ("_fold", "_walk", "_square_walk"):
+        def counted(*args, _name=name, _fn=getattr(xb, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(xb, name, counted)
+    build_all()
+    assert calls == {}
+    xb._compiled.__wrapped__(xb.RULES["ka6"])
+    assert calls["_fold"] and calls["_walk"] and calls["_square_walk"] == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -682,7 +747,7 @@ def test_product_programs_have_no_branches():
     branches = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.ListComp,
                 ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.IfExp,
                 ast.Match, ast.BoolOp, ast.Try)
-    templates = {*xb._STEP.values(), *(f for f in xb._MUL.values() if not isinstance(f, partial))}
+    templates = {*xb._STEP.values(), *xb._HAND_WRITTEN.values()}
     assert {f.__name__ for f in templates} == {"_as2_mul", "_cubic_mul", "_asw4_mul"}
     for program in templates:
         tree = ast.parse(textwrap.dedent(inspect.getsource(program)))
@@ -759,11 +824,11 @@ def test_a_branch_on_an_operand_fails_the_opaque_run(monkeypatch):
     elems = _edge_and_random_elems(random.Random("zero-skipping"), ctx)
     want = [xb.mul(ctx, x, y).blocks for x, y in product(elems, repeat=2)]
     monkeypatch.setitem(xb._STEP, 2, _zero_skipping_step)
-    assert [xb._MUL["ka6"](*ops, x.blocks, y.blocks)
+    assert [_source_program(ctx.rules)(*ops, x.blocks, y.blocks)
             for x, y in product(elems, repeat=2)] == want
     for kind in ("as2", "ka6"):
         with pytest.raises(_ValueRead):
-            _opaque_tallies(xb._MUL[kind], kind)
+            _opaque_tallies(_source_program(xb.RULES[kind]), kind)
 
 
 def test_counter_accumulates():
@@ -778,28 +843,49 @@ def test_counter_accumulates():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_context_keeps_its_compiled_program(kind, monkeypatch):
-    """Building a context compiles nothing; its first mul or square reads
-    the kind's program from _compiled once and keeps it, so later products
-    make no lookup. A pickled or copied context, used or not, multiplies
-    the same and compiles on its own first use."""
+    """Building a context reads the compiled code of its prefix tuples at
+    most, never its own tuple's; its first mul or square reads
+    _compiled(ctx.rules) once and keeps it, so later products make no
+    lookup. A pickled or copied context, used or not, has the same rules,
+    multiplies the same and compiles on its own first use."""
+    base = next(ctx for ctx in _contexts() if ctx.kind == kind).base
     calls = Counter()
     compiled = xb._compiled
 
-    def counted(k):
-        calls[k] += 1
-        return compiled(k)
+    def counted(rules):
+        calls[rules] += 1
+        return compiled(rules)
     monkeypatch.setattr(xb, "_compiled", counted)
-    base = next(ctx for ctx in _contexts() if ctx.kind == kind).base
     ctx = xb.build_kind(base, kind)
-    assert ctx._program is None and calls == {}
+    assert ctx.rules is xb.RULES[kind]
+    assert ctx._program is None and set(calls) <= {ctx.rules[:g] for g in range(1, len(ctx.rules))}
+    calls.clear()
     x, y = (_rand_elem(random.Random(kind), ctx) for _ in range(2))
     want = xb.mul(ctx, x, y)
     for _ in range(3):
         assert xb.mul(ctx, x, y) == want and xb.square(ctx, x) == xb.mul(ctx, x, x)
-    assert calls == {kind: 1} and ctx._program is compiled(kind)
+    assert calls == {ctx.rules: 1} and ctx._program is compiled(ctx.rules)
     for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
-        assert xb.mul(twin, x, y) == want
+        assert twin.rules is ctx.rules and xb.mul(twin, x, y) == want
     assert xb.square(xb.build_kind(base, kind), x) == xb.mul(ctx, x, x)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_a_context_squares_and_multiplies_by_its_own_rules(n, monkeypatch):
+    """A context built before RULES["as2"] changes, here to b^2 + b = a^2,
+    and first used after it, on a fresh compile cache, still multiplies
+    and squares by the rules it was built and checked with: square(x) is
+    mul(x, x), and both are what they were before the change."""
+    nb = get_fixture(n).basis()
+    ctx, twin = xb.build_kind(nb, "as2"), xb.build_kind(nb, "as2")
+    rng = random.Random(f"rules-split:{n}")
+    elems = [xb.generator_element(ctx, "b"), *(_rand_elem(rng, ctx) for _ in range(4))]
+    want = [xb.mul(twin, x, x) for x in elems]
+    assert want[0] == _xor(elems[0], xb.embed_base(ctx, 1))  # b^2 = b + a
+    monkeypatch.setattr(xb, "_compiled", cache(xb._compiled.__wrapped__))
+    monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
+    got = [(xb.square(ctx, x), xb.mul(ctx, x, x)) for x in elems]
+    assert got == [(w, w) for w in want]
 
 
 def test_ext_elem_and_op_counter_are_values():
@@ -956,3 +1042,27 @@ def test_product_by_c_is_read_off_the_structure_constants(kind):
         got = xb._walk(SymPoly.__add__, lambda v: v * a,
                        xb._plan(xb.RULES[kind][:g + 1], by_c=True), xs)
         assert [z.terms for z in got] == [w.terms for w in want], (kind, rule.gen)
+
+
+@pytest.mark.parametrize("rules", COMPILED_TUPLES)
+def test_compiled_code_is_the_structure_constants_over_f2_a(rules):
+    """The compiled product of every tuple a kind compiles, its prefixes
+    included, run on SymPoly generators (a compiled sum is an inline ^,
+    which SymPoly takes as its sum), gives sum c_pqr x_p y_q in output r,
+    and its compiled walk on X_0..X_{d-1} gives the diagonal sum_p c_ppr X_p:
+    so the code that runs, not only its source, is right for every n,
+    basis and input."""
+    d = len(xb._monomials(rules))
+    gens = [SymPoly.gen(g, 2 * d) for g in range(2 * d)]
+    a = SymPoly.const(A, 2 * d)
+    product_want, walk_want = [SymPoly() for _ in range(d)], [SymPoly() for _ in range(d)]
+    for (p, q), cs in xb._structure_constants(rules).items():
+        for r, c in cs.items():
+            product_want[r] += SymPoly.const(c, 2 * d) * gens[p] * gens[d + q]
+            if p == q:
+                walk_want[r] += SymPoly.const(c, 2 * d) * gens[p]
+    program = xb._compiled(rules)
+    got = program.product(lambda ctx, u, v: u * v, lambda ctx, v: v * a, None, *gens)
+    assert [z.terms for z in got] == [w.terms for w in product_want]
+    got = program.walk(lambda ctx, v: v * a, None, *gens[:d])
+    assert [z.terms for z in got] == [w.terms for w in walk_want]

@@ -5,7 +5,7 @@ import hashlib
 import random
 import sys
 import time
-from functools import cache, reduce
+from functools import partial, reduce
 from itertools import islice
 from operator import xor
 
@@ -591,7 +591,7 @@ def test_ka6_cube_rule_at_odd_n_agrees_with_the_oracle():
             nb = normal.build_normal_basis(ctx, a)
             emb = tables.build_embedding(xb.build_kind(nb, "as2"))
             try:
-                xb._check_rule(nb, "ka6", 1)
+                xb._check_rule(nb, xb.RULES["ka6"], 1)
                 refused = False
             except NoKummerExtensionError:
                 refused = True
@@ -604,11 +604,11 @@ def test_oracle_solves_the_stated_rules(monkeypatch):
     """Negative control: RULES["as2"] changed after the context is built to
     b^2 + b = a^2 moves the oracle's b to a root of the new rule, so the big
     field's b*b = b + a^2 disagrees with the as2 program's b + a.  The
-    programs compiled meanwhile go to a private cache, so afterwards a new
-    as2 context still squares as the big field does."""
+    context multiplies by the rules it was built with, and the compile cache
+    is keyed by the rules, so afterwards a new as2 context still squares as
+    the big field does."""
     for nb in (NB2, NB4):
         ctx = xb.build_kind(nb, "as2")
-        monkeypatch.setattr(xb, "_compiled", cache(xb._compiled.__wrapped__))
         monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
         emb = tables.build_embedding(ctx)
         assert emb.check_rules()
@@ -632,9 +632,10 @@ def _charfield2_modules():
 
 def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     """With the normal-basis products and their logarithm-table builder,
-    the extended programs, their compiler and the functions it compiled, the
-    fold, its step templates, the walk and its plans, and the structure
-    constants made to raise at every binding, every kind at n = 2 and 4 still embeds,
+    the extended programs, their compiler and the product, square and walk
+    it compiled for every tuple of rules, prefixes included, the fold, its
+    step templates, the walk and its plans, and the structure constants
+    made to raise at every binding, every kind at n = 2 and 4 still embeds,
     passes its rule check, and yields tables that verify against the closed
     form, which reads the structure constants and so runs with the bindings
     restored: the oracle reads only RULES."""
@@ -654,13 +655,14 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
                   xb.square, xb.structure_constants, xb._structure_constants,
                   xb._compiled, xb._fold, *xb._STEP.values(), xb._asw4_mul, xb._walk,
                   xb._square_walk, xb._plan,
-                  *(fn for kind in xb.KINDS for program in [xb._compiled(kind)]
-                    for fn in (program.product, program.square)))
+                  *(fn for rules in xb.RULES.values() for g in range(1, len(rules) + 1)
+                    for program in [xb._compiled(rules[:g])]
+                    for fn in (program.product, program.square, program.walk)))
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
                 monkeypatch.setattr(mod, attr, forbidden)
-    for table in (xb._STEP, xb._MUL):
+    for table in (xb._STEP, xb._HAND_WRITTEN):
         for key in table:
             monkeypatch.setitem(table, key, forbidden)
     with pytest.raises(AssertionError):
@@ -675,13 +677,29 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
         assert tables.verify_table_entries(emb, ts) == []
 
 
+def _source_prefix_field(nb, rules):
+    """_prefix_field as the source functions: the fold and the square walk
+    run as Python on poly_mul_mod, no compiled code.  The reference for the
+    build verdicts of the compiled prefix code."""
+    n = nb.n
+    mul, sq = partial(gf.poly_mul_mod, nb.field), partial(gf.square, nb.field)
+    if not rules:
+        return mul, sq
+    tvp = partial(mul, nb.alpha)
+    blocks = partial(unpack_lanes, width=n, count=len(xb._monomials(rules)))
+    return (lambda x, y: pack_lanes(xb._fold(rules, xor, mul, tvp, blocks(x), blocks(y)), n),
+            lambda x: pack_lanes(xb._square_walk(xor, tvp, rules, [sq(b) for b in blocks(x)]), n))
+
+
 def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
     """Every kind at n = 2, 4, 6 and 8, over the fixture and the first eight
     normal elements, is built or refused the same with the normal-basis
-    products and their logarithm-table builder, the extended mul and square
-    and the program compiler made to raise at every binding: build_kind reads nb.field and nb.alpha alone and
-    runs the source programs, so the closed form's rebuild in the oracle
-    makes no normal product and no generated code moves a verdict."""
+    products and their logarithm-table builder and the extended mul and
+    square made to raise at every binding: build_kind reads nb.field and
+    nb.alpha alone, so the closed form's rebuild in the oracle makes no
+    normal product.  Its rule test runs compiled code on poly_mul_mod, and
+    every verdict is also the one that _source_prefix_field, the fold and
+    walk run as source, gives: no fault in code generation moves one."""
     bases = [get_fixture(n).basis() for n in (2, 4, 6, 8)]
     for n in (2, 4, 6, 8):
         ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
@@ -705,12 +723,20 @@ def test_build_kind_shares_no_arithmetic_with_the_programs(monkeypatch):
         raise AssertionError("build_kind used the arithmetic under test")
 
     under_test = (normal.normal_mul, normal._log_tables, normal.alpha_mul, xb.mul,
-                  xb.square, xb._compiled)
+                  xb.square)
     for mod in _charfield2_modules():
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in under_test):
                 monkeypatch.setattr(mod, attr, forbidden)
     assert verdicts() == want
+    sources = []
+
+    def source_prefix_field(nb, rules):
+        sources.append(rules)
+        return _source_prefix_field(nb, rules)
+    monkeypatch.setattr(xb, "_prefix_field", source_prefix_field)
+    assert verdicts() == want
+    assert any(sources)
 
 
 def test_embedding_of_plain_normal_basis_has_no_generators():
