@@ -227,7 +227,10 @@ class ExtBasisCtx:
     RULES[kind] in turn; k3 also needs a primitive a, the paper's
     condition.  Reads only base.field and base.alpha.  It keeps that tuple
     as self.rules, and its generators, monomials and compiled program all
-    come from it, so a later change to RULES cannot split them.
+    come from it, so a later change to RULES cannot split them.  A copy or
+    deep copy keeps self.rules; a pickle names the kind instead, as the
+    rules' lambdas do not pickle, so unpickling takes RULES[kind] as it
+    reads then.
 
     A cube c or a non-primitive a raises NoKummerExtensionError, any other
     refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
@@ -261,13 +264,25 @@ class ExtBasisCtx:
     def __repr__(self):
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
 
-    # Neither the rules' lambdas nor exec'd code pickle: a copy takes its
+    # Neither the rules' lambdas nor exec'd code pickle: a pickle takes its
     # kind's rules by name, as a function pickles, and compiles on first use.
+    # A copy or deep copy keeps the original's rules tuple.
     def __getstate__(self):
         return {**self.__dict__, "rules": None, "_program": None}
 
     def __setstate__(self, state):
         self.__dict__.update(state, rules=RULES[state["kind"]])
+
+    def __copy__(self):
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
+    def __deepcopy__(self, memo):
+        from copy import deepcopy  # imported by deepcopy's caller; the package need not
+        twin = memo[id(self)] = object.__new__(type(self))
+        twin.__dict__.update(deepcopy(self.__getstate__(), memo), rules=self.rules)
+        return twin
 
     def validate(self, x: ExtElem) -> ExtElem:
         """x, unless it is not an ExtElem of d blocks, each an int in

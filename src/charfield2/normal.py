@@ -27,19 +27,22 @@ row_apply takes one step per set bit. Both kernels check their operands by
 exact type and one shift, and call field.validate only to raise its error,
 so the check costs no call on valid input.
 
-product_planes holds the n^2 basis products a^(2^i) a^(2^j) as n bit-planes,
-one int per normal coordinate, built by lane shifts and masks. A linear map
-acts on all n^2 products at once through them: the cross-product sum is the
-popcount of the planes of a times them, and tables' closed form starts from
-them.
+The n^2 basis products u_ij = a^(2^i) a^(2^j) are rotated rows of T, and
+squaring sends u_ij to u_(i+1)(j+1), so every product is reached from one
+packed int by one lane step (_lane_steps: a lane move and a rotation of
+every lane, by shifts and masks). product_planes holds them as n
+bit-planes, one int per normal coordinate, through which a linear map acts
+on all n^2 products at once; tables' closed form starts from them. The
+cross-product sum needs no planes and no transpose: from T's rows packed as
+lanes, the lane step gives u_kj in lane j of the k-th int, and a u_ij is
+the xor of these ints at the set bits of T[i].
 """
 
 from itertools import chain, islice
 
 from . import bitpoly, field as gf
 from .errors import DomainError, NotNormalError
-from .linalg import (PreparedMap, mat_invert, mat_transpose, pack_lanes, parity,
-                     row_apply, unpack_lanes)
+from .linalg import PreparedMap, mat_invert, pack_lanes, parity, row_apply, unpack_lanes
 
 # Coordinates w.r.t. a normal basis: n-bit int, bit i = coefficient of a^(2^i).
 NormalCoords = int
@@ -252,38 +255,50 @@ def _log_tables(nb: NormalBasisCtx):
     return log, exp + exp
 
 
+def _lane_steps(r: int, n: int, m: int):
+    """[R_0, ..., R_(n-1)] for R_0 = r, n lanes of m >= n bits each
+    holding n bits: R_(k+1) is R_k moved up one lane (the top lane wrapping
+    to lane 0) with each lane rotated by one, by masked shifts of the whole
+    int (Warren, Hacker's Delight, 2nd ed., section 7-3).  Squaring sends
+    u_ij = a^(2^i) a^(2^j) to u_(i+1)(j+1) = rotl(u_ij, 1), so a lane
+    holding u_ij in R_k holds u_(i+1)(j+1) in R_(k+1)."""
+    everything = (1 << n * m) - 1
+    feet = pack_lanes([1] * n, m)  # bit 0 of every lane
+    rest = feet * ((1 << n) - 1) ^ feet  # bits 1 .. n - 1 of every lane
+    steps = [r]
+    for _ in range(n - 1):
+        r = (r << m & everything) | r >> (n - 1) * m
+        r = (r << 1 & rest) | (r >> n - 1 & feet)
+        steps.append(r)
+    return steps
+
+
 def product_planes(tt, m: int):
     """The n^2 products u_ij = a^(2^i) a^(2^j) = rotl(T[(j - i) mod n], i) in
     normal coordinates as n bit-planes in lanes of m >= n bits: bit i m + j
     of plane k is bit k of u_ij.  tt is T' = mat_transpose(nb.table, n),
-    the transpose of T, which the callers read as well and form once.
+    the transpose of T, which the caller (tables' closed form) reads as
+    well and forms once.
 
     Lane i of plane b is rotl(T'[(b - i) mod n], i), so plane b + 1 is
-    plane b moved up one lane (the top lane wrapping to lane 0) with each
-    lane rotated by one: masked shifts of the whole int
-    (Warren, Hacker's Delight, 2nd ed., section 7-3).  A linear map M on
-    normal coordinates acts on every lane at once: plane k of M u is the xor
-    of the planes b with bit b of row k of M set."""
+    plane b moved up one lane with each lane rotated by one: the lane step
+    of _lane_steps.  A linear map M on normal coordinates acts on every
+    lane at once: plane k of M u is the xor of the planes b with bit b of
+    row k of M set."""
     n = len(tt)
-    everything = (1 << n * m) - 1
-    feet = pack_lanes([1] * n, m)  # bit 0 of every lane
-    rest = feet * ((1 << n) - 1) ^ feet  # bits 1 .. n - 1 of every lane
-    plane = pack_lanes([rotl(tt[-i % n], i, n) for i in range(n)], m)
-    planes = [plane]
-    for _ in range(n - 1):
-        plane = (plane << m & everything) | plane >> (n - 1) * m
-        plane = (plane << 1 & rest) | (plane >> n - 1 & feet)
-        planes.append(plane)
-    return planes
+    return _lane_steps(pack_lanes([rotl(tt[-i % n], i, n) for i in range(n)], m), n, m)
 
 
 def cross_product_sum(nb: NormalBasisCtx) -> int:
-    """CS = sum over i, j of the weight of a * a^(2^i) * a^(2^j): the
-    popcount of the planes of a u_ij, each one row_apply of product_planes
-    by a row of T', since a v = sum_b v_b T[b]."""
-    tt = mat_transpose(nb.table, nb.n)
-    planes = product_planes(tt, nb.n)
-    return sum(row_apply(planes, r).bit_count() for r in tt)
+    """CS = sum over i, j of the weight of a u_ij, u_ij = a^(2^i) a^(2^j),
+    from T's rows as lanes, with no transpose: R_0 = pack_lanes(T, n)
+    holds u_0j = T[j] in lane j, and the lane step of _lane_steps gives
+    R_k, whose lane j is u_kj.  Since a a^(2^i) = sum_k T[i]_k a^(2^k),
+    a u_ij = sum_k T[i]_k u_kj, so lane j of row_apply(R, T[i]) is a u_ij,
+    and CS is the total popcount of these n vectors of lanes."""
+    n, table = nb.n, nb.table
+    lanes = _lane_steps(pack_lanes(table, n), n, n)
+    return sum(row_apply(lanes, r).bit_count() for r in table)
 
 
 def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
@@ -299,9 +314,15 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
     (its PreparedMap's first window) is inverted, and then a block costs one
     parity and one PreparedMap.apply per map. Its normal elements are the
     low values of the other trace bit, less those that some M sends to
-    M(base). A map that sends x^0 ... x^(j-1) to 0 sends every candidate
-    below x^j to 0, so the scan starts at the block holding the highest of
-    the least monomials that the trace and each map do not kill.
+    M(base). A block they fill, as when the trace kills every low value
+    and no map removes any, is the range of its candidates, with no call
+    per element; the other blocks are map(base.__or__, lows). Every
+    non-empty block is full when n is a power of two (there are no maps)
+    and the trace kills x^0 ... x^7, as under the eight least pentanomials
+    of degree 16, whose least trace monomial is x^9, x^11 or x^15. A map
+    that sends x^0 ... x^(j-1) to 0 sends every candidate below x^j to 0,
+    so the scan starts at the block holding the highest of the least
+    monomials that the trace and each map do not kill.
 
     At n <= field.PRIMITIVE_FLAGS_MAX_N the primitive filter reads
     ctx.primitive_flags, one byte per element, built by the scan's first
@@ -320,7 +341,8 @@ def normal_elements(ctx: gf.FieldCtx, require_primitive: bool = False):
 
 def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
     """One iterator per block of normal_elements, each block examined only
-    when the next iterator is asked for. With require_primitive each block
+    when the next iterator is asked for: a range when the block is full,
+    else a map over its low values. With require_primitive each block
     is filtered by ctx.primitive_flags where the field has them, else by
     the orbit test."""
     trace, maps = ctx.normality_maps
@@ -350,15 +372,19 @@ def _normal_blocks(ctx: gf.FieldCtx, require_primitive: bool):
     keep = primitive if flags is None else flags.__getitem__
     first = max([(trace & -trace).bit_length() - 1]
                 + [next(j for j, row in enumerate(m) if row) for m in maps])
+    size = 1 << low
     start = (1 << first) >> low << low
-    for base in range(start, 1 << ctx.n, 1 << low):
+    for base in range(start, 1 << ctx.n, size):
         lows = by_trace[parity(base & trace) ^ 1]
         bad = set()
         for pm, fibre in zip(prepared, fibres):
             bad.update(fibre.get(pm.apply(base), ()))
         if bad:
             lows = [lo for lo in lows if lo not in bad]
-        block = map(base.__or__, lows)
+        if len(lows) == size:
+            block = range(base, base + size)
+        else:
+            block = map(base.__or__, lows)
         yield filter(keep, block) if require_primitive else block
 
 

@@ -888,6 +888,19 @@ def test_a_context_squares_and_multiplies_by_its_own_rules(n, monkeypatch):
     assert got == [(w, w) for w in want]
 
 
+def test_copies_keep_their_rules(monkeypatch):
+    """A copy and a deep copy of an as2 context keep the rules tuple it was
+    built with, and multiply as it does, after RULES["as2"] is rebound."""
+    ctx = xb.build_kind(get_fixture(4).basis(), "as2")
+    rng = random.Random("copies")
+    x, y = (_rand_elem(rng, ctx) for _ in range(2))
+    want = xb.mul(ctx, x, y)
+    monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
+    for twin in (copy.copy(ctx), copy.deepcopy(ctx)):
+        assert twin.rules is ctx.rules and twin.kind == "as2"
+        assert xb.mul(twin, x, y) == want and xb.square(twin, x) == xb.mul(ctx, x, x)
+
+
 def test_ext_elem_and_op_counter_are_values():
     """ExtElem is immutable and equal and hashed by its blocks; OpCounter
     records, resets and compares by its tally."""

@@ -488,10 +488,25 @@ def _cross_sum_by_field_products(nb):
                for ci in conj for cj in conj)
 
 
+def _random_bases(degrees):
+    """Two seeded random normal elements under min_irreducible(n) for each
+    n in `degrees`, as bases."""
+    rng = random.Random(20261022)
+    bases = []
+    for n in degrees:
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        draws = iter(partial(rng.getrandbits, n), None)
+        bases += [normal.build_normal_basis(ctx, a)
+                  for a in islice(filter(partial(normal.is_normal_element, ctx), draws), 2)]
+    return bases
+
+
 def test_cross_product_sum_matches_field_arithmetic():
+    """Every fixture with n <= 12, the searched bases and two seeded random
+    bases at each n = 1..20."""
     bases = [fixtures.get_fixture(n).basis()
              for n in fixtures.fixture_degrees() if n <= 12]
-    for nb in bases + _searched_bases():
+    for nb in bases + _searched_bases() + _random_bases(range(1, 21)):
         assert normal.cross_product_sum(nb) == _cross_sum_by_field_products(nb), nb
 
 
@@ -658,6 +673,41 @@ def test_block_scan_matches_the_predicate(monkeypatch, n):
             assert len(normals) % n == 0 and calls == {"orbit": len(normals) // n}, f
             assert walks == [] and ctx._primitive_flags is None, f
         walks.clear()
+
+
+def test_block_scan_matches_the_predicate_at_degree_16():
+    """Under the eight least pentanomials of degree 16 (there is no
+    irreducible trinomial of that degree), the moduli the search benchmark
+    draws its n = 16 scan from, the block scan lists exactly the candidates
+    is_normal_element accepts among all 2^16: the 2^15 whose trace is 1."""
+    moduli = _low_weight_irreducibles(16, 8)
+    assert [f.bit_count() for f in moduli] == [5] * 8
+    for f in moduli:
+        ctx = gf.FieldCtx(f)
+        normals = [a for a in range(1 << 16) if normal.is_normal_element(ctx, a)]
+        assert len(normals) == 2 ** 15, f
+        assert list(normal.normal_elements(ctx)) == normals, f
+
+
+def test_full_blocks_come_out_as_ranges():
+    """A block that holds all 2^min(n, 8) of its candidates is a range, and
+    every other block is not. n = 16 is a power of two, so there are no maps
+    besides the trace, and under each of the eight least pentanomials the
+    trace kills x^0 ... x^8: every non-empty block is full, 128 of them
+    holding the 2^15 normal elements. Under 1+x^3+x^12, 1+x^9+x^18 and
+    1+x^3+x^20 a map removes some low values from every non-empty block
+    among the first 64 the scan examines, and at n = 8 one block is the
+    whole field, 0 included."""
+    for f in _low_weight_irreducibles(16, 8):
+        sizes = [(isinstance(block, range), len(list(block)))
+                 for block in normal._normal_blocks(gf.FieldCtx(f), False)]
+        assert all(is_range == (size == 256) for is_range, size in sizes), f
+        assert sizes.count((True, 256)) == 128 and set(sizes) <= {(True, 256), (False, 0)}, f
+    for modulus in ("1+x^3+x^12", "1+x^9+x^18", "1+x^3+x^20", "1+x^2+x^3+x^4+x^8"):
+        ctx = gf.FieldCtx(bitpoly.parse(modulus))
+        size = 1 << min(ctx.n, 8)
+        for block in islice(normal._normal_blocks(ctx, False), 64):
+            assert not isinstance(block, range) and len(list(block)) < size, modulus
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1041,10 +1041,8 @@ def test_oracle_table_operation_counts(monkeypatch):
     assert calls == {}
 
 
-def test_programs_make_no_transpose(monkeypatch):
-    """The products and squares of every kind at n = 2 and 4 run with every
-    binding of the transposes made to raise: only the oracle transposes,
-    when build_embedding forms coord_cols."""
+def _forbid_transposes(monkeypatch):
+    """Make every binding of the transposes in the package raise."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the arithmetic under test transposed")
 
@@ -1053,6 +1051,13 @@ def test_programs_make_no_transpose(monkeypatch):
         for attr, obj in list(vars(mod).items()):
             if any(obj is fn for fn in transposes):
                 monkeypatch.setattr(mod, attr, forbidden)
+
+
+def test_programs_make_no_transpose(monkeypatch):
+    """The products and squares of every kind at n = 2 and 4 run with every
+    binding of the transposes made to raise: only the oracle transposes,
+    when build_embedding forms coord_cols."""
+    _forbid_transposes(monkeypatch)
     with pytest.raises(AssertionError):
         tables.build_embedding(NB2)
     rng = random.Random(4)
@@ -1065,6 +1070,18 @@ def test_programs_make_no_transpose(monkeypatch):
                 x = xb.ExtElem(tuple(rng.getrandbits(n) for _ in range(ctx.d)))
                 xb.mul(ctx, x, x)
                 xb.square(ctx, x)
+
+
+def test_cross_sum_makes_no_transpose(monkeypatch):
+    """The cross sum reads T's rows as lanes: with every binding of the
+    transposes made to raise, it still gives the pinned sums of the fixtures
+    and of the n = 64 basis on x^61, the first normal element under
+    min_irreducible(64)."""
+    _forbid_transposes(monkeypatch)
+    for n in fixture_degrees():
+        assert normal.cross_product_sum(get_fixture(n).basis()) == get_fixture(n).cross_sum, n
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(64))
+    assert normal.cross_product_sum(normal.build_normal_basis(ctx, 1 << 61)) == 130517
 
 
 @pytest.mark.parametrize("kind", ["as2", "k3", "asw4", "ka6"])
@@ -1093,10 +1110,11 @@ def test_expected_density_formulas():
     """4d(N) + CS for as2 and 6d(N) + 3CS for k3 on every (basis, kind) that
     builds; the rest get no counts (NB4's generator is a cube).
 
-    cross_product_sum and the closed-form counts both read
-    normal.product_planes, so this checks how the counts lay out the
-    planes, not the arithmetic behind them; the field-product reference
-    for CS is test_cross_product_sum_matches_field_arithmetic."""
+    cross_product_sum reads T's rows as lanes and the closed-form counts
+    read normal.product_planes, built from T's transpose; they share only
+    the lane step, so this compares two separately computed quantities.
+    The field-product reference for CS is
+    test_cross_product_sum_matches_field_arithmetic."""
     refused = []
     for nb in (NB2, NB4, NB6):
         cs = normal.cross_product_sum(nb)
