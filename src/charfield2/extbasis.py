@@ -9,6 +9,11 @@ Four kinds of degree-d extension bases over a normal basis N = (a^(2^i)) of F_{2
   ka6  (d=6): sextic tower, b^2 = b + a and g^3 = b;
               blocks (1, b, g, g*b, g^2, g^2*b)
 
+Each rule's c is data, a polynomial in a and the earlier generators (Rule), read two
+ways: rule_rewrites turns it into SymPoly rewrites over F_2[a], and rule_value
+evaluates it in a ring on ints with sum ^ and identity 1, for the rule test and the
+oracle.
+
 Elements are tuples of d NormalCoords blocks. Each product is a fixed straight-line
 program, one function of the base field's sum, product and product by a (tvp). For
 as2, k3 and ka6 it is _fold over the kind's RULES: each rule's step template
@@ -29,7 +34,7 @@ the rules before each rule on poly_mul_mod.  The tests run the source functions 
 the reference for both.
 """
 
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import accumulate, product
 from typing import Callable, NamedTuple
 
@@ -43,27 +48,49 @@ from .witt import SymPoly
 
 class Rule(NamedTuple):
     """One adjoined generator y: a root of y^2 + y = c (degree 2, an
-    Artin-Schreier step) or of y^3 = c (degree 3, a Kummer step), where
-    c = rhs(mul, a, *earlier generators) for a product `mul` and the base
-    generator a."""
+    Artin-Schreier step) or of y^3 = c (degree 3, a Kummer step).  rhs is c,
+    a polynomial in the earlier generators over F_2[a], a the base
+    generator, as SymPoly.terms holds one: (exponents over the earlier
+    generators, F_2[a] bitmask) pairs.  A Rule is plain data, so it hashes,
+    compares and pickles by value."""
     gen: str
     degree: int
-    rhs: Callable
+    rhs: tuple
 
 
 # Each kind's generators in adjunction order: the one statement of the
 # defining rules, read by the contexts, the structure constants and the
 # oracle, and checked against the Witt derivation by the tests.
 RULES = {
-    "as2": (Rule("b", 2, lambda mul, a: a),),
-    "k3": (Rule("b", 3, lambda mul, a: a),),
-    "asw4": (Rule("b0", 2, lambda mul, a: a),
-             Rule("b1", 2, lambda mul, a, b0: b0 ^ mul(a, b0) ^ mul(a, a))),
+    "as2": (Rule("b", 2, (((), 0b10),)),),                       # c = a
+    "k3": (Rule("b", 3, (((), 0b10),)),),                        # c = a
+    "asw4": (Rule("b0", 2, (((), 0b10),)),                       # c = a
+             Rule("b1", 2, (((1,), 0b11), ((0,), 0b100)))),      # c = (1 + a) b0 + a^2
 }
 # ka6 is as2's tower with g^3 = b on top: its prefix is as2's own tuple, so
 # the two share one compiled program and one table of structure constants.
-RULES["ka6"] = RULES["as2"] + (Rule("g", 3, lambda mul, a, b: b),)
+RULES["ka6"] = RULES["as2"] + (Rule("g", 3, (((1,), 1),)),)     # c = b
 KINDS = tuple(RULES)
+
+
+def rule_value(rhs, mul, a: int, gens) -> int:
+    """The value of a rule's rhs in a ring of ints with sum ^, identity 1 and
+    product mul, at base generator a and earlier generators gens: the sum of
+    mask(a) times each monomial, by Horner in a from the top power.  Each
+    monomial starts from its first factor, and the Horner sum from its top
+    term, taken times a with no product while it is 0 or 1: so no product
+    has a factor 0 or 1."""
+    terms = []
+    for exps, mask in rhs:
+        factors = [g for g, e in zip(gens, exps) for _ in range(e)]
+        terms.append((reduce(mul, factors) if factors else 1, mask))
+    z = 0
+    for i in reversed(range(max((mask for _, mask in terms), default=0).bit_length())):
+        z = mul(z, a) if z > 1 else z * a
+        for v, mask in terms:
+            if mask >> i & 1:
+                z ^= v
+    return z
 
 
 def _monomials(rules) -> tuple:
@@ -75,11 +102,11 @@ def _monomials(rules) -> tuple:
 
 def rule_rewrites(rules) -> dict:
     """The rules over F_2[a] as SymPoly.reduce rewrites {g: (degree, y^degree)}:
-    y^2 = y + c for an Artin-Schreier step, y^3 = c for a Kummer step."""
-    gens = [SymPoly.gen(g, len(rules)) for g in range(len(rules))]
-    a = SymPoly.const(0b10, len(rules))
-    return {g: (r.degree, r.rhs(SymPoly.__mul__, a, *gens[:g])
-                + (gens[g] if r.degree == 2 else SymPoly()))
+    y^2 = y + c for an Artin-Schreier step, y^3 = c for a Kummer step, each
+    c's exponents padded with zeros to one per generator."""
+    count = len(rules)
+    return {g: (r.degree, SymPoly({e + (0,) * (count - len(e)): mask for e, mask in r.rhs})
+                + (SymPoly.gen(g, count) if r.degree == 2 else SymPoly()))
             for g, r in enumerate(rules)}
 
 
@@ -227,10 +254,8 @@ class ExtBasisCtx:
     RULES[kind] in turn; k3 also needs a primitive a, the paper's
     condition.  Reads only base.field and base.alpha.  It keeps that tuple
     as self.rules, and its generators, monomials and compiled program all
-    come from it, so a later change to RULES cannot split them.  A copy or
-    deep copy keeps self.rules; a pickle names the kind instead, as the
-    rules' lambdas do not pickle, so unpickling takes RULES[kind] as it
-    reads then.
+    come from it, so a later change to RULES cannot split them: copies and
+    pickles carry the tuple by value.
 
     A cube c or a non-primitive a raises NoKummerExtensionError, any other
     refusal UnsupportedDegreeError, which depends on (kind, n) alone: k is n
@@ -264,25 +289,9 @@ class ExtBasisCtx:
     def __repr__(self):
         return f"ExtBasisCtx(kind={self.kind}, n={self.n}, m={self.m})"
 
-    # Neither the rules' lambdas nor exec'd code pickle: a pickle takes its
-    # kind's rules by name, as a function pickles, and compiles on first use.
-    # A copy or deep copy keeps the original's rules tuple.
+    # exec'd code does not pickle: a copy or pickle compiles on first use
     def __getstate__(self):
-        return {**self.__dict__, "rules": None, "_program": None}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, rules=RULES[state["kind"]])
-
-    def __copy__(self):
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        return twin
-
-    def __deepcopy__(self, memo):
-        from copy import deepcopy  # imported by deepcopy's caller; the package need not
-        twin = memo[id(self)] = object.__new__(type(self))
-        twin.__dict__.update(deepcopy(self.__getstate__(), memo), rules=self.rules)
-        return twin
+        return {**self.__dict__, "_program": None}
 
     def validate(self, x: ExtElem) -> ExtElem:
         """x, unless it is not an ExtElem of d blocks, each an int in
@@ -338,7 +347,8 @@ def _check_rule(nb: NormalBasisCtx, rules, g: int) -> None:
     mul, sq = _prefix_field(nb, rules)
     monomials = _monomials(rules)
     k = nb.n * len(monomials)
-    c = rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1))
+    c = rule_value(rhs, mul, nb.alpha, [1 << nb.n * i for i, e in enumerate(monomials)
+                                        if sum(e) == 1])
     star = monomials.index(tuple(int(r.degree == 2) for r in rules))
     if degree == 2 and gf.trace(nb.field, c >> nb.n * star & nb.field.mask) != 1:
         raise UnsupportedDegreeError(f"no Artin-Schreier extension: {y}^2 + {y} = c "

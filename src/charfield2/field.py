@@ -4,11 +4,10 @@ import os
 from functools import partial, reduce
 from itertools import compress, count
 from math import gcd
-from operator import xor
 
 from . import bitpoly
 from .errors import DomainError, InvalidElementError, UnsupportedDegreeError
-from .linalg import PreparedMap, row_apply, solve_linear
+from .linalg import PreparedMap, parity, row_apply, solve_linear
 
 DEFAULT_MAX_N = 64
 
@@ -78,9 +77,9 @@ class FieldCtx(Reducer):
     second test.
 
     Tables that only some callers read are built on their first read and
-    kept: order_factors, normality_maps (the normality test and scan),
-    squaring_map (normal.conjugates) and, at n <= PRIMITIVE_FLAGS_MAX_N,
-    primitive_flags (the primitive scan)."""
+    kept: order_factors, trace_functional (trace), normality_maps (the
+    normality test and scan), squaring_map (normal.conjugates) and, at
+    n <= PRIMITIVE_FLAGS_MAX_N, primitive_flags (the primitive scan)."""
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int):
@@ -93,6 +92,7 @@ class FieldCtx(Reducer):
             raise DomainError(f"modulus {bitpoly.to_human(modulus)} is not irreducible")
         super().__init__(modulus)
         self._order_factors = None
+        self._trace_functional = None
         self._normality_maps = None
         self._squaring_map = None
         self._primitive_flags = None
@@ -110,14 +110,21 @@ class FieldCtx(Reducer):
         return self._order_factors
 
     @property
+    def trace_functional(self):
+        """The trace as the functional t, bit i = Tr(x^i), built once on
+        demand by _trace_functional: Tr(a) is the parity of a & t."""
+        if self._trace_functional is None:
+            self._trace_functional = _trace_functional(self)
+        return self._trace_functional
+
+    @property
     def normality_maps(self):
         """(t, maps), built once on demand: for each irreducible phi dividing
         x^n - 1, the linear map ((x^n - 1)/phi)(Frobenius). For phi = x + 1
-        it is the trace, given as the functional t (bit i = Tr(x^i)), read
-        off the modulus's coefficients by Newton's identities; the others
-        are matrices, sums of the squaring matrix's powers up to the degree
-        of their quotient, and there are none when n is a power of two. a
-        is normal iff Tr(a) = 1 and no matrix sends a to 0."""
+        it is the trace, given as trace_functional; the others are matrices,
+        sums of the squaring matrix's powers up to the degree of their
+        quotient, and there are none when n is a power of two. a is normal
+        iff Tr(a) = 1 and no matrix sends a to 0."""
         if self._normality_maps is None:
             self._normality_maps = _normality_maps(self)
         return self._normality_maps
@@ -262,16 +269,11 @@ def _rho_factor(m: int, k: int):
             return g
 
 
-def _normality_maps(ctx: FieldCtx):
-    """See FieldCtx.normality_maps (Lidl-Niederreiter, Finite Fields, Thm 2.39).
-
-    The trace needs no matrix: Tr(x^k) is the power sum s_k of the roots of
-    the modulus x^n + c_(n-1) x^(n-1) + ... + c_0, and Newton's identities
-    (ibid., Thm 1.75) over F_2 give s_0 = n mod 2 and
-    s_k = sum_(0<j<k) c_(n-j) s_(k-j) + k c_(n-k). The other maps need the
-    powers S^j of the squaring matrix S only up to the highest degree of
-    their quotients (x^n - 1)/phi; when n is a power of two, x^n - 1 =
-    (x + 1)^n and there is no other map."""
+def _trace_functional(ctx: FieldCtx) -> int:
+    """See FieldCtx.trace_functional.  Tr(x^k) is the power sum s_k of the
+    roots of the modulus x^n + c_(n-1) x^(n-1) + ... + c_0, and Newton's
+    identities (Lidl-Niederreiter, Finite Fields, Thm 1.75) over F_2 give
+    s_0 = n mod 2 and s_k = sum_(0<j<k) c_(n-j) s_(k-j) + k c_(n-k)."""
     n, f = ctx.n, ctx.modulus
     rev = int(bin(f)[:1:-1], 2)  # bit j = c_(n-j)
     coeffs = rev >> 1  # bit j - 1 = c_(n-j), beside s_(k-j) in past
@@ -281,6 +283,15 @@ def _normality_maps(ctx: FieldCtx):
         s = ((past & coeffs).bit_count() + (k & 1 & rev >> k)) & 1
         past = past << 1 | s
         trace |= s << k
+    return trace
+
+
+def _normality_maps(ctx: FieldCtx):
+    """See FieldCtx.normality_maps (ibid., Thm 2.39).  The maps other than
+    the trace need the powers S^j of the squaring matrix S only up to the
+    highest degree of their quotients (x^n - 1)/phi; when n is a power of
+    two, x^n - 1 = (x + 1)^n and there is no other map."""
+    n, trace = ctx.n, ctx.trace_functional
     quots = [bitpoly.poly_divmod((1 << n) | 1, phi)[0]
              for phi in bitpoly.xn_minus_1_factors(n)[0][1:]]  # x + 1 sorts first
     if not quots:
@@ -462,9 +473,9 @@ def frobenius(ctx: FieldCtx, a: int, k: int = 1) -> int:
 
 def trace(ctx: FieldCtx, a: int) -> int:
     """Absolute trace of a into F_2, returned as 0 or 1: the sum of a's n
-    conjugates, which lies in F_2 as the modulus is irreducible."""
-    validate(ctx, a)
-    return reduce(xor, _frobenius_orbit(partial(square, ctx), a, ctx.n))
+    conjugates, which lies in F_2 as the modulus is irreducible.  It is
+    linear, so it is the parity of a & t for t = ctx.trace_functional."""
+    return parity(validate(ctx, a) & ctx.trace_functional)
 
 
 def _frobenius_orbit(square, x, count):

@@ -1,7 +1,8 @@
 """Multiplication tables of extended bases, by the oracle and by the closed form.
 
 The oracle embeds a basis into one big field F_2[x]/(g) of degree m: it maps
-the basis vectors to explicit elements there by solving RULES, and
+the basis vectors to explicit elements there by solving RULES, each c and
+each basis monomial evaluated by rule_value on big-field products, and
 build_tables expands all m^2 pairwise products back over the basis.  The
 base modulus f has its roots in the subfield of degree n, generated by
 beta: find_root roots beta's minimal polynomial p in the base field
@@ -30,7 +31,7 @@ from operator import xor
 from . import bitpoly
 from . import field as gf
 from .errors import ConstructionContradictionError, DomainError, InvalidElementError
-from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind,
+from .extbasis import (RULES, ExtBasisCtx, ExtElem, _monomials, build_kind, rule_value,
                        structure_constants)
 from .linalg import (PreparedMap, mat_invert, mat_transpose, null_space, pack_lanes,
                      row_apply, solve_linear, unpack_lanes)
@@ -251,14 +252,10 @@ class OracleEmbedding:
         self.alpha_img = row_apply(powers, nb.alpha)
         self.gen_images = self._solve_generators()
         conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
-        images = []
-        for mono in _monomials(self.rules):
-            img = 1
-            for y, e in zip(self.gen_images.values(), mono):
-                for _ in range(e):
-                    img = gf.poly_mul_mod(big, img, y)
-            images += [gf.poly_mul_mod(big, c, img) for c in conj]
-        self.basis_images = images
+        mul, gens = partial(gf.poly_mul_mod, big), list(self.gen_images.values())
+        monos = [rule_value(((e, 1),), mul, self.alpha_img, gens) for e in _monomials(self.rules)]
+        self.basis_images = images = [c if mono == 1 else mul(c, mono)
+                                      for mono in monos for c in conj]
         self.embed_map = PreparedMap(images)  # flat coordinates -> big-field element
         inv = mat_invert(images, self.m)
         if inv is None:
@@ -274,7 +271,7 @@ class OracleEmbedding:
         mul = partial(gf.poly_mul_mod, big)
         images = {}
         for gen, degree, rhs in self.rules:
-            c = rhs(mul, self.alpha_img, *images.values())
+            c = rule_value(rhs, mul, self.alpha_img, list(images.values()))
             if degree == 2:
                 roots = gf.solve_artin_schreier(big, c)
             else:
@@ -327,7 +324,7 @@ class OracleEmbedding:
         for gen, degree, rhs in self.rules:
             y = self.gen_images[gen]
             lhs = mul(y, y) ^ y if degree == 2 else mul(mul(y, y), y)
-            if lhs != rhs(mul, self.alpha_img, *earlier):
+            if lhs != rule_value(rhs, mul, self.alpha_img, earlier):
                 return False
             earlier.append(y)
         return True

@@ -181,8 +181,8 @@ def _trace_by_squarings(nb, kind, g):
     over nb.  The reference for _check_rule's tower trace."""
     mul, sq = xb._prefix_field(nb, xb.RULES[kind][:g])
     monomials = xb._monomials(xb.RULES[kind][:g])
-    c = xb.RULES[kind][g].rhs(mul, nb.alpha, *(1 << nb.n * i for i, e in enumerate(monomials)
-                                               if sum(e) == 1))
+    c = xb.rule_value(xb.RULES[kind][g].rhs, mul, nb.alpha,
+                      [1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1])
     return reduce(xor, gf._frobenius_orbit(sq, c, nb.n * len(monomials)))
 
 
@@ -846,7 +846,7 @@ def test_a_context_keeps_its_compiled_program(kind, monkeypatch):
     """Building a context reads the compiled code of its prefix tuples at
     most, never its own tuple's; its first mul or square reads
     _compiled(ctx.rules) once and keeps it, so later products make no
-    lookup. A pickled or copied context, used or not, has the same rules,
+    lookup. A pickled or copied context, used or not, has equal rules,
     multiplies the same and compiles on its own first use."""
     base = next(ctx for ctx in _contexts() if ctx.kind == kind).base
     calls = Counter()
@@ -866,7 +866,7 @@ def test_a_context_keeps_its_compiled_program(kind, monkeypatch):
         assert xb.mul(ctx, x, y) == want and xb.square(ctx, x) == xb.mul(ctx, x, x)
     assert calls == {ctx.rules: 1} and ctx._program is compiled(ctx.rules)
     for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
-        assert twin.rules is ctx.rules and xb.mul(twin, x, y) == want
+        assert twin.rules == ctx.rules and xb.mul(twin, x, y) == want
     assert xb.square(xb.build_kind(base, kind), x) == xb.mul(ctx, x, x)
 
 
@@ -883,22 +883,78 @@ def test_a_context_squares_and_multiplies_by_its_own_rules(n, monkeypatch):
     want = [xb.mul(twin, x, x) for x in elems]
     assert want[0] == _xor(elems[0], xb.embed_base(ctx, 1))  # b^2 = b + a
     monkeypatch.setattr(xb, "_compiled", cache(xb._compiled.__wrapped__))
-    monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
+    monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, (((), 0b100),)),))
     got = [(xb.square(ctx, x), xb.mul(ctx, x, x)) for x in elems]
     assert got == [(w, w) for w in want]
 
 
 def test_copies_keep_their_rules(monkeypatch):
-    """A copy and a deep copy of an as2 context keep the rules tuple it was
-    built with, and multiply as it does, after RULES["as2"] is rebound."""
+    """A copy, a deep copy and a pickle of an as2 context keep the rules
+    tuple it was built with, and multiply and square as it does, after
+    RULES["as2"] is rebound."""
     ctx = xb.build_kind(get_fixture(4).basis(), "as2")
     rng = random.Random("copies")
     x, y = (_rand_elem(rng, ctx) for _ in range(2))
     want = xb.mul(ctx, x, y)
-    monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
-    for twin in (copy.copy(ctx), copy.deepcopy(ctx)):
-        assert twin.rules is ctx.rules and twin.kind == "as2"
+    pickled = pickle.dumps(ctx)  # loaded after the rebinding
+    monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, (((), 0b100),)),))
+    for twin in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickled),
+                 pickle.loads(pickle.dumps(ctx))):
+        assert twin.rules == ctx.rules and twin.kind == "as2"
         assert xb.mul(twin, x, y) == want and xb.square(twin, x) == xb.mul(ctx, x, x)
+
+
+def test_rules_are_values():
+    """RULES holds plain data, which pickles as it is. A rules tuple built
+    separately from equal data is equal to RULES["asw4"], hashes equal and
+    gets its one compiled program; one flipped bitmask is another key."""
+    assert all(isinstance(r.rhs, tuple) and all(isinstance(m, int) and
+                                                all(isinstance(e, int) for e in exps)
+                                                for exps, m in r.rhs)
+               for rules in xb.RULES.values() for r in rules)
+    assert pickle.loads(pickle.dumps(xb.RULES)) == xb.RULES
+    twin = (xb.Rule("b0", 2, (((), 0b10),)), xb.Rule("b1", 2, (((1,), 0b11), ((0,), 0b100))))
+    assert twin == xb.RULES["asw4"] and hash(twin) == hash(xb.RULES["asw4"])
+    assert twin is not xb.RULES["asw4"] and xb._compiled(twin) is xb._compiled(xb.RULES["asw4"])
+    flipped = (twin[0], twin[1]._replace(rhs=(((1,), 0b11), ((0,), 0b101))))
+    assert flipped != twin and xb._compiled(flipped) is not xb._compiled(twin)
+
+
+def _powers_sum(rhs, mul, a, gens):
+    """A rule's c by the definition: sum over its terms and the set bits i
+    of each mask of a^i times the monomial, each power a product from 1."""
+    def power(x, e):
+        return reduce(mul, [x] * e, 1)
+    return reduce(xor, (mul(power(a, i), reduce(mul, map(power, gens, exps), 1))
+                        for exps, mask in rhs for i in range(mask.bit_length())
+                        if mask >> i & 1), 0)
+
+
+@pytest.mark.parametrize("rhs,products", [
+    *((r.rhs, 0) for r in (*xb.RULES["as2"], *xb.RULES["k3"], xb.RULES["asw4"][0],
+                           xb.RULES["ka6"][1])),
+    (xb.RULES["asw4"][1].rhs, 1),
+    ((((2, 1), 0b1), ((0, 0), 0b1000), ((1, 3), 0b110)), 7),
+])
+def test_rule_value_is_the_sum_of_its_terms(rhs, products):
+    """rule_value in F_2^8 is the sum of mask(a) times each monomial, on
+    random a and generators, with the pinned number of products, none of
+    them by 0 or 1: none for c = a or c = b, one for asw4's
+    c = (1 + a) b0 + a^2 (Horner: (a + b0) a + b0)."""
+    F = gf.FieldCtx(0b100011011)
+    calls = []
+
+    def mul(x, y):
+        assert x > 1 and y > 1, (x, y)
+        calls.append((x, y))
+        return gf.poly_mul_mod(F, x, y)
+    rng = random.Random(repr(rhs))
+    for _ in range(20):
+        a, *gens = (rng.randrange(2, 256) for _ in range(1 + max(map(len, (e for e, _ in rhs)))))
+        calls.clear()
+        got = xb.rule_value(rhs, mul, a, gens)
+        assert len(calls) == products
+        assert got == _powers_sum(rhs, partial(gf.poly_mul_mod, F), a, gens)
 
 
 def test_ext_elem_and_op_counter_are_values():
@@ -1043,8 +1099,7 @@ def test_product_by_c_is_read_off_the_structure_constants(kind):
         lower = xb.RULES[kind][:g]
         monomials = xb._monomials(lower)
         rewrites = xb.rule_rewrites(lower)
-        c = rule.rhs(SymPoly.__mul__, SymPoly.const(A, g),
-                     *(SymPoly.gen(i, g) for i in range(g))).reduce(rewrites)
+        c = SymPoly(dict(rule.rhs)).reduce(rewrites)
         d = len(monomials)
         xs = [SymPoly.gen(p, d) for p in range(d)]
         want = [SymPoly() for _ in range(d)]

@@ -311,16 +311,23 @@ MAPS_MODULI = ([f for f, _ in REDUCTION_MODULI if bitpoly.is_irreducible(f)]
                + [_dense_irreducible(n, random.Random(n)) for n in (12, 26, 48, 64)])
 
 
+def _trace_by_orbit(ctx, a):
+    """Tr(a) by its definition, the sum of a's n conjugates by n - 1
+    squarings: the reference for gf.trace and the trace functional."""
+    return reduce(xor, gf._frobenius_orbit(partial(gf.square, ctx), a, ctx.n))
+
+
 @pytest.mark.parametrize("f", MAPS_MODULI, ids=bitpoly.to_human)
 def test_normality_maps_match_their_definition(f):
     """The trace functional, read off the modulus by Newton's identities, is
-    Tr on each monomial by gf.trace; each matrix sends x^i to
+    Tr on each monomial by the orbit sum; each matrix sends x^i to
     ((x^n - 1)/phi)(Frobenius)(x^i), one per factor phi != x + 1 of x^n - 1
     in ascending order."""
     ctx = gf.FieldCtx(f)
     n = ctx.n
     trace, maps = ctx.normality_maps
-    assert trace == sum(gf.trace(ctx, 1 << i) << i for i in range(n))
+    assert trace == sum(_trace_by_orbit(ctx, 1 << i) << i for i in range(n))
+    assert trace is ctx.trace_functional
     orbits = [gf._frobenius_orbit(partial(gf.square, ctx), 1 << i, n) for i in range(n)]
     want = []
     for phi in bitpoly.xn_minus_1_factors(n)[0][1:]:
@@ -454,6 +461,34 @@ def test_a_non_integer_polynomial_or_degree_is_a_domain_error(call, arg):
             call(bad)
     if call is not gf.FieldCtx:  # True is a constant, so no modulus
         assert call(True) == call(1)
+
+
+TRACE_FIELDS = sorted({bitpoly.parse(fixtures.get_fixture(n).modulus)
+                       for n in fixtures.fixture_degrees()} | {bitpoly.min_irreducible(64)})
+
+
+@pytest.mark.parametrize("f", TRACE_FIELDS, ids=bitpoly.to_human)
+def test_trace_is_the_sum_of_the_conjugates(f):
+    """gf.trace, the parity of a & t, is the orbit sum on every monomial and
+    on 200 random elements of every fixture field and of the n = 64 field."""
+    ctx = gf.FieldCtx(f)
+    rng = random.Random(f)
+    for a in [*(1 << i for i in range(ctx.n)), *(rng.getrandbits(ctx.n) for _ in range(200))]:
+        assert gf.trace(ctx, a) == _trace_by_orbit(ctx, a), a
+
+
+def test_trace_makes_no_squaring(monkeypatch):
+    """gf.trace reads the trace functional, built from the modulus alone, on
+    a fresh field: no field.square call, so no orbit."""
+    def forbidden(*args):
+        raise AssertionError("trace squared")
+    monkeypatch.setattr(gf, "square", forbidden)
+    for n in (1, 8, 26, 64):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        assert [gf.trace(ctx, 1 << i) for i in range(n)] == [
+            ctx.trace_functional >> i & 1 for i in range(n)]
+    with pytest.raises(InvalidElementError):
+        gf.trace(ctx, 1 << 64)
 
 
 def test_trace_properties():

@@ -609,7 +609,7 @@ def test_oracle_solves_the_stated_rules(monkeypatch):
     the big field does."""
     for nb in (NB2, NB4):
         ctx = xb.build_kind(nb, "as2")
-        monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, lambda mul, a: mul(a, a)),))
+        monkeypatch.setitem(xb.RULES, "as2", (xb.Rule("b", 2, (((), 0b100),)),))
         emb = tables.build_embedding(ctx)
         assert emb.check_rules()
         b = emb.embed_ext(xb.generator_element(ctx, "b"))
@@ -675,6 +675,26 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     monkeypatch.undo()
     for emb, ts in built:
         assert tables.verify_table_entries(emb, ts) == []
+
+
+def test_a_wrong_rule_value_in_the_oracle_fails_verification(monkeypatch):
+    """Negative control: the oracle's rule_value patched to drop the a^0
+    Horner term of each c with a higher one solves b1^2 + b1 = a b0 + a^2
+    for asw4's b1, and as it also checks by that rule, asw4 at n = 2 and 4
+    embeds and passes its rule check but disagrees with the closed form,
+    which reads the rules through rule_rewrites. as2, whose c = a has one
+    Horner term, still verifies."""
+    real = tables.rule_value
+
+    def dropped(rhs, mul, a, gens):
+        top = max(mask for _, mask in rhs)
+        return real(tuple((e, mask & ~1 if top > 1 else mask) for e, mask in rhs), mul, a, gens)
+    monkeypatch.setattr(tables, "rule_value", dropped)
+    for nb in (NB2, NB4):
+        for kind, clean in (("asw4", False), ("as2", True)):
+            emb = tables.build_embedding(xb.build_kind(nb, kind))
+            assert emb.check_rules()
+            assert (tables.verify_table_entries(emb, tables.build_tables(emb)) == []) == clean
 
 
 def _source_prefix_field(nb, rules):

@@ -169,7 +169,7 @@ def test_stated_rule_without_its_a_squared_term_fails_the_comparison():
     """Negative control: RULES["asw4"] with b1's side missing its a^2 term
     differs from the Witt derivation."""
     rule_b0, rule_b1 = xb.RULES["asw4"]
-    wrong_b1 = rule_b1._replace(rhs=lambda mul, a, b0: b0 ^ mul(a, b0))
+    wrong_b1 = rule_b1._replace(rhs=(((1,), 0b11),))
     assert list(witt.asw4_reduction_rules()) != _stated((rule_b0, wrong_b1))
 
 
