@@ -7,7 +7,7 @@ from math import gcd
 
 from . import bitpoly
 from .errors import DomainError, InvalidElementError, UnsupportedDegreeError
-from .linalg import PreparedMap, parity, row_apply, solve_linear
+from .linalg import PreparedMap, parity, solve_linear
 
 DEFAULT_MAX_N = 64
 
@@ -78,8 +78,12 @@ class FieldCtx(Reducer):
 
     Tables that only some callers read are built on their first read and
     kept: order_factors, trace_functional (trace), normality_maps (the
-    normality test and scan), squaring_map (normal.conjugates) and, at
-    n <= PRIMITIVE_FLAGS_MAX_N, primitive_flags (the primitive scan)."""
+    normality test and scan), squaring_map (conjugates and normality_maps)
+    and, at n <= PRIMITIVE_FLAGS_MAX_N, primitive_flags (the primitive
+    scan).  squaring_map is the package's one Frobenius: conjugates walks
+    it for multiplicative_order, is_primitive and the normal bases, and
+    normality_maps forms the squaring matrix's powers by it.  The oracle in
+    tables reads neither it nor conjugates; it takes its orbits by square."""
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int):
@@ -296,10 +300,11 @@ def _normality_maps(ctx: FieldCtx):
              for phi in bitpoly.xn_minus_1_factors(n)[0][1:]]  # x + 1 sorts first
     if not quots:
         return trace, ()
-    # powers[j] = S^j, S the squaring matrix: row i = (x^i)^(2^j)
-    powers = [[1 << i for i in range(n)], [reduce_product(ctx, 1 << 2 * i) for i in range(n)]]
-    for _ in range(max(quots).bit_length() - 2):
-        powers.append([row_apply(powers[1], r) for r in powers[-1]])
+    # powers[j] = S^j, S the squaring matrix: row i = (x^i)^(2^j), the
+    # square of row i of S^(j-1)
+    powers = [[1 << i for i in range(n)]]
+    for _ in range(max(quots).bit_length() - 1):
+        powers.append(list(map(ctx.squaring_map.apply, powers[-1])))
     maps = []
     for quot in quots:
         rows = [0] * n
@@ -478,19 +483,18 @@ def trace(ctx: FieldCtx, a: int) -> int:
     return parity(validate(ctx, a) & ctx.trace_functional)
 
 
-def _frobenius_orbit(square, x, count):
-    """[x, x^2, x^4, ...], count >= 1 entries, for a ring with squaring `square`."""
-    orbit = [x]
-    for _ in range(count - 1):
-        orbit.append(square(orbit[-1]))
-    return orbit
+def conjugates(ctx: FieldCtx, a: int):
+    """[a, a^2, a^4, ...] -- the Frobenius orbit, length n: the cycle of a
+    under ctx.squaring_map, n/8 lookups a step, repeated n/d times when a
+    lies in the subfield of 2^d elements."""
+    orbit = ctx.squaring_map.cycle(validate(ctx, a))
+    return orbit * (ctx.n // len(orbit))
 
 
 def _conjugate_power(ctx: FieldCtx, conj, e: int) -> int:
     """a^e for 0 < e < 2^n, from conj = [a, a^2, a^4, ...]: the product of
-    the conjugates a^(2^i) at the set bits of e.  One chain of n - 1
-    squarings serves every exponent, where a power per exponent would redo
-    it each time."""
+    the conjugates a^(2^i) at the set bits of e.  One orbit serves every
+    exponent, where a power per exponent would square n - 1 times for each."""
     return reduce(partial(poly_mul_mod, ctx), [c for i, c in enumerate(conj) if e >> i & 1])
 
 
@@ -498,11 +502,10 @@ def multiplicative_order(ctx: FieldCtx, a: int) -> int:
     """Order of a in the multiplicative group (a != 0).
 
     From t = 2^n - 1, each prime p of t is divided out of t for as long as
-    a^(t/p) = 1, each power a _conjugate_power of one Frobenius orbit."""
-    validate(ctx, a)
+    a^(t/p) = 1, each power a _conjugate_power of the conjugates of a."""
+    conj = conjugates(ctx, a)
     if a == 0:
         raise DomainError("zero has no multiplicative order")
-    conj = _frobenius_orbit(partial(square, ctx), a, ctx.n)
     t = ctx.order
     for p in ctx.order_factors:
         while t % p == 0:
@@ -516,7 +519,7 @@ def multiplicative_order(ctx: FieldCtx, a: int) -> int:
 def is_primitive(ctx: FieldCtx, a: int) -> bool:
     """True iff a generates the multiplicative group: a != 0 and
     _primitive_orbit finds it primitive."""
-    return a != 0 and _primitive_orbit(ctx, validate(ctx, a))[1]
+    return a != 0 and _primitive_orbit(ctx, a)[1]
 
 
 def _primitive_orbit(ctx: FieldCtx, a: int):
@@ -526,7 +529,7 @@ def _primitive_orbit(ctx: FieldCtx, a: int):
     that fails, each power a _conjugate_power of conj.  Conjugates share
     their multiplicative order (Lidl-Niederreiter, Finite Fields, Thm 2.18),
     so the verdict holds for every entry of conj."""
-    conj = _frobenius_orbit(partial(square, ctx), a, ctx.n)
+    conj = conjugates(ctx, a)
     return conj, all(_conjugate_power(ctx, conj, ctx.order // p) != 1
                      for p in ctx.order_factors)
 

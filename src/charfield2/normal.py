@@ -5,8 +5,9 @@ Coordinates relative to it are packed into ints (bit i = coefficient of a^(2^i))
 The structure table T = (t_{i,j}) is defined by a * a^(2^i) = sum_j t_{i,j} a^(2^j);
 row i of T is stored as an int with bit j = t_{i,j}.
 
-Building a basis takes the conjugates by one walk of the field's prepared
-squaring map, the map to normal coordinates by one elimination
+Building a basis takes the conjugates from field.conjugates, one walk of
+the field's squaring map (FieldCtx.squaring_map, which this module reads
+only through it), the map to normal coordinates by one elimination
 (linalg.mat_invert), and rows 0 .. n//2 of T by one carry-less product of a
 by those conjugates in 2n-bit lanes, reduced in every lane at once; the
 other rows are their rotations T[n - d] = rotl(T[d], -d).
@@ -62,14 +63,6 @@ def rotl(x: int, s: int, n: int) -> int:
     return ((x << s) | (x >> (n - s))) & mask
 
 
-def conjugates(ctx: gf.FieldCtx, a: int):
-    """[a, a^2, a^4, ...] -- the Frobenius orbit, length n: the cycle of a
-    under ctx.squaring_map, n/8 lookups a step, repeated n/d times when a
-    lies in the subfield of 2^d elements."""
-    orbit = ctx.squaring_map.cycle(gf.validate(ctx, a))
-    return orbit * (ctx.n // len(orbit))
-
-
 def is_normal_element(ctx: gf.FieldCtx, a: int) -> bool:
     """True iff the Frobenius orbit of a spans F_{2^n} over F_2, that is iff
     ((x^n - 1)/phi)(Frobenius) sends a to nonzero for every irreducible
@@ -84,7 +77,7 @@ class NormalBasisCtx:
     """A normal basis of F_{2^n} together with its structure table."""
 
     def __init__(self, ctx: gf.FieldCtx, alpha: int):
-        self.conj = conjugates(ctx, alpha)  # row i = poly coords of a^(2^i)
+        self.conj = gf.conjugates(ctx, alpha)  # row i = poly coords of a^(2^i)
         self._to_normal = mat_invert(self.conj, ctx.n)
         if self._to_normal is None:
             raise NotNormalError(

@@ -22,7 +22,8 @@ by build_tables, one lane-packed product per row, the bit-planes of the
 big-field products read off the rows' bit string by one stride slice each,
 and one row_apply per table on them; and closed_form_tables.
 verify_table_entries xors the two.  They start from disjoint data, and
-the oracle reads no product_planes.
+the oracle reads no product_planes and no squaring map: its orbits and
+power chains are _chain's, by field.square and field.poly_mul_mod.
 """
 
 from functools import cache, cached_property, partial, reduce
@@ -166,6 +167,17 @@ def find_root(big: gf.FieldCtx, coeffs) -> int:
 
 # --- oracle embedding ---------------------------------------------------
 
+def _chain(step, x, count):
+    """[x, step(x), step(step(x)), ...], count >= 1 entries: the oracle's
+    Frobenius orbits (step field.square) and power chains (step a
+    field.poly_mul_mod by a fixed element).  It walks no squaring map, so
+    the oracle shares no Frobenius with the bases it checks."""
+    out = [x]
+    for _ in range(count - 1):
+        out.append(step(out[-1]))
+    return out
+
+
 def _subfield(big: gf.FieldCtx, n: int):
     """The subfield K of degree n | m of `big` (L), by a generator beta:
     (p, powers), where p is beta's minimal polynomial, irreducible of degree
@@ -184,8 +196,8 @@ def _subfield(big: gf.FieldCtx, n: int):
     m = big.n
     for j in range(1, m + 1, 2):
         xj = gf.reduce_product(big, 1 << j)
-        beta = reduce(xor, gf._frobenius_orbit(partial(gf.square, big), xj, m)[::n])
-        powers = gf._frobenius_orbit(partial(gf.poly_mul_mod, big, beta), 1, n + 1)
+        beta = reduce(xor, _chain(partial(gf.square, big), xj, m)[::n])
+        powers = _chain(partial(gf.poly_mul_mod, big, beta), 1, n + 1)
         relations = null_space(powers, m)
         if len(relations) == 1:
             return relations[0], powers[:n]
@@ -205,7 +217,7 @@ def _base_root(big: gf.FieldCtx, base: gf.FieldCtx) -> int:
     n = base.n
     p, powers = _subfield(big, n)
     s = find_root(base, [(p >> i) & 1 for i in range(n + 1)])
-    c = solve_linear(gf._frobenius_orbit(partial(gf.poly_mul_mod, base, s), 1, n),
+    c = solve_linear(_chain(partial(gf.poly_mul_mod, base, s), 1, n),
                      n, gf.reduce_product(base, 2))
     if c is None:
         raise ConstructionContradictionError("the root of p does not generate the base field")
@@ -246,12 +258,12 @@ class OracleEmbedding:
         # big field alone as f(root) = root^n + (f - x^n)(root) = 0
         base = nb.field
         root = _base_root(big, base)
-        powers = gf._frobenius_orbit(partial(gf.poly_mul_mod, big, root), 1, nb.n)
+        powers = _chain(partial(gf.poly_mul_mod, big, root), 1, nb.n)
         if gf.poly_mul_mod(big, powers[-1], root) != row_apply(powers, base.modulus & base.mask):
             raise ConstructionContradictionError("the base modulus does not vanish at its root")
         self.alpha_img = row_apply(powers, nb.alpha)
         self.gen_images = self._solve_generators()
-        conj = gf._frobenius_orbit(partial(gf.square, big), self.alpha_img, nb.n)
+        conj = _chain(partial(gf.square, big), self.alpha_img, nb.n)
         mul, gens = partial(gf.poly_mul_mod, big), list(self.gen_images.values())
         monos = [rule_value(((e, 1),), mul, self.alpha_img, gens) for e in _monomials(self.rules)]
         self.basis_images = images = [c if mono == 1 else mul(c, mono)

@@ -26,7 +26,7 @@ MODULES = ("bitpoly", "linalg", "field", "normal", "witt", "extbasis", "tables",
            "tower", "fixtures", "errors", "cli")
 
 ALLOWED = {
-    "field.frobenius": "the tests' reference for squaring and normal_mul",
+    "field.frobenius": "the tests' reference for squaring, normal_mul and conjugates",
     "tables.normal_table_set": "the tests' reference for the oracle's tables",
     "normal.NormalBasisCtx.to_poly": "README quick start",
 }

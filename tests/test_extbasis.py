@@ -183,7 +183,11 @@ def _trace_by_squarings(nb, kind, g):
     monomials = xb._monomials(xb.RULES[kind][:g])
     c = xb.rule_value(xb.RULES[kind][g].rhs, mul, nb.alpha,
                       [1 << nb.n * i for i, e in enumerate(monomials) if sum(e) == 1])
-    return reduce(xor, gf._frobenius_orbit(sq, c, nb.n * len(monomials)))
+    total = 0
+    for _ in range(nb.n * len(monomials)):
+        total ^= c
+        c = sq(c)
+    return total
 
 
 def _tower_trace_bases():

@@ -2,7 +2,7 @@
 
 import random
 import time
-from functools import partial, reduce
+from functools import reduce
 from operator import xor
 
 import pytest
@@ -311,10 +311,19 @@ MAPS_MODULI = ([f for f, _ in REDUCTION_MODULI if bitpoly.is_irreducible(f)]
                + [_dense_irreducible(n, random.Random(n)) for n in (12, 26, 48, 64)])
 
 
+def _orbit_by_squares(ctx, a):
+    """[a, a^2, a^4, ...], n entries, by n - 1 calls of gf.square and not
+    by the squaring map that gf.conjugates walks: the reference orbit."""
+    orbit = [a]
+    for _ in range(ctx.n - 1):
+        orbit.append(gf.square(ctx, orbit[-1]))
+    return orbit
+
+
 def _trace_by_orbit(ctx, a):
     """Tr(a) by its definition, the sum of a's n conjugates by n - 1
     squarings: the reference for gf.trace and the trace functional."""
-    return reduce(xor, gf._frobenius_orbit(partial(gf.square, ctx), a, ctx.n))
+    return reduce(xor, _orbit_by_squares(ctx, a))
 
 
 @pytest.mark.parametrize("f", MAPS_MODULI, ids=bitpoly.to_human)
@@ -328,7 +337,7 @@ def test_normality_maps_match_their_definition(f):
     trace, maps = ctx.normality_maps
     assert trace == sum(_trace_by_orbit(ctx, 1 << i) << i for i in range(n))
     assert trace is ctx.trace_functional
-    orbits = [gf._frobenius_orbit(partial(gf.square, ctx), 1 << i, n) for i in range(n)]
+    orbits = [_orbit_by_squares(ctx, 1 << i) for i in range(n)]
     want = []
     for phi in bitpoly.xn_minus_1_factors(n)[0][1:]:
         quot = bitpoly.poly_divmod((1 << n) | 1, phi)[0]
@@ -338,28 +347,30 @@ def test_normality_maps_match_their_definition(f):
 
 
 def test_normality_maps_form_only_the_powers_their_quotients_need(monkeypatch):
-    """No row_apply at n = 2^k <= 64, where x^n - 1 = (x + 1)^n leaves the
-    trace as the only map; at n = 26 at most (D - 1) n, with D = 14 the top
-    degree of the quotients (x^26 - 1)/phi, phi != x + 1, where forming
-    every power of the squaring matrix took (n - 1) n."""
+    """No squaring map, built or applied, at n = 2^k <= 64, where
+    x^n - 1 = (x + 1)^n leaves the trace as the only map; at n = 26
+    exactly D n applications of the field's squaring map, with D = 14 the
+    top degree of the quotients (x^26 - 1)/phi, phi != x + 1: S^j is the
+    map applied to the n rows of S^(j-1), from the identity up to S^D,
+    where forming every power of the squaring matrix takes (n - 1) n."""
     calls = []
+    apply = linalg.PreparedMap.apply
 
-    def counting(rows, v):
-        calls.append(v)
-        return linalg.row_apply(rows, v)
+    def counting(pm, v):
+        calls.append(pm)
+        return apply(pm, v)
 
-    monkeypatch.setattr(gf, "row_apply", counting)
+    monkeypatch.setattr(linalg.PreparedMap, "apply", counting)
     for n in (1, 2, 4, 8, 16, 32, 64):
         ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
-        calls.clear()
         assert gf._normality_maps(ctx)[1] == (), n
-        assert calls == [], n
+        assert calls == [] and ctx._squaring_map is None, n
     top = max(bitpoly.degree(bitpoly.poly_divmod((1 << 26) | 1, phi)[0])
               for phi in bitpoly.xn_minus_1_factors(26)[0][1:])
     assert top == 14
-    calls.clear()
-    gf._normality_maps(gf.FieldCtx(bitpoly.min_irreducible(26)))
-    assert 0 < len(calls) <= (top - 1) * 26
+    ctx = gf.FieldCtx(bitpoly.min_irreducible(26))
+    gf._normality_maps(ctx)
+    assert calls == [ctx.squaring_map] * (top * 26)
 
 
 @given(elems16, elems16, elems16)
@@ -593,10 +604,12 @@ def test_is_primitive_matches_the_order_at_large_degree(n):
 
 
 def test_is_primitive_operation_counts(monkeypatch):
-    """Deterministic cost guard: each call squares n - 1 times, and forms one
-    conjugate product chain per prime up to the first that fails. A cube in
-    F_2^12 fails at the first prime, 3, after one chain; a primitive element
-    takes one chain for each of the four primes of 2^12 - 1."""
+    """Deterministic cost guard: each call walks the squaring map once, as
+    far as a's orbit reaches, makes no field.square, and forms one conjugate
+    product chain per prime up to the first that fails. A cube in F_2^12,
+    x^3, lies in the subfield of 16 elements: its walk takes 4 steps, and it
+    fails at the first prime, 3, after one chain; a primitive element takes
+    12 steps and one chain for each of the four primes of 2^12 - 1."""
     calls = {}
 
     def counting(name, fn):
@@ -605,23 +618,39 @@ def test_is_primitive_operation_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(gf, "square", counting("square", gf.square))
-    monkeypatch.setattr(gf, "_conjugate_power", counting("chain", gf._conjugate_power))
     f12 = gf.FieldCtx(bitpoly.min_irreducible(12))
     assert f12.order_factors == (3, 5, 7, 13)
     cube = gf.power(f12, 0b10, 3)
     prim = next(a for a in range(2, 1 << 12) if gf.is_primitive(f12, a))
-    for a, chains in ((cube, 1), (prim, 4)):
-        calls.clear()
-        gf.is_primitive(f12, a)
-        assert calls == {"square": 11, "chain": chains}, a
     f64 = gf.FieldCtx(bitpoly.min_irreducible(64))
     rng = random.Random(64)
-    for ctx in (F256, f64):
-        for a in [1, ctx.mask] + [rng.getrandbits(ctx.n) or 1 for _ in range(5)]:
+    draws = {ctx: [1, ctx.mask] + [rng.getrandbits(ctx.n) or 1 for _ in range(5)]
+             for ctx in (F256, f64)}
+    orbit = {(ctx, a): len(set(_orbit_by_squares(ctx, a)))
+             for ctx, elements in [(f12, [cube, prim]), *draws.items()] for a in elements}
+    assert orbit[f12, cube] == 4 and sorted(set(orbit.values())) == [1, 4, 8, 12, 64]
+    walks = []
+    cycle = linalg.PreparedMap.cycle
+
+    def walk(pm, v):
+        out = cycle(pm, v)
+        walks.append(len(out))
+        return out
+
+    monkeypatch.setattr(gf, "square", counting("square", gf.square))
+    monkeypatch.setattr(gf, "_conjugate_power", counting("chain", gf._conjugate_power))
+    monkeypatch.setattr(linalg.PreparedMap, "cycle", walk)
+    for a, chains in ((cube, 1), (prim, 4)):
+        calls.clear()
+        walks.clear()
+        gf.is_primitive(f12, a)
+        assert calls == {"chain": chains} and walks == [orbit[f12, a]], a
+    for ctx, elements in draws.items():
+        for a in elements:
             calls.clear()
+            walks.clear()
             gf.is_primitive(ctx, a)
-            assert calls["square"] == ctx.n - 1, a
+            assert walks == [orbit[ctx, a]] and set(calls) == {"chain"}, a
             assert 1 <= calls["chain"] <= len(ctx.order_factors), a
 
 
@@ -635,16 +664,28 @@ def test_is_cube_counts():
     assert all(gf.is_cube(f8, a) for a in range(8))
 
 
-def test_solve_artin_schreier_iff_trace_zero():
-    for c in range(256):
-        roots = gf.solve_artin_schreier(F256, c)
-        if gf.trace(F256, c) == 0:
-            assert len(roots) == 2
-            assert roots[1] == roots[0] ^ 1  # the two preimages differ by 1
+@pytest.mark.parametrize("f", MAPS_MODULI, ids=bitpoly.to_human)
+def test_solve_artin_schreier_iff_trace_zero(f):
+    """Every c at n <= 8 and 40 random c above, under each modulus of
+    MAPS_MODULI (dense ones at n = 12, 26, 48 and 64 among them): the
+    solver returns [] exactly when the orbit sum Tr(c) is 1, and otherwise
+    two roots y and y + 1, each with y^2 + y = c by field.square. The
+    oracle reads the solver, so its reference is the orbit sum by squares."""
+    ctx = gf.FieldCtx(f)
+    rng = random.Random(f)
+    cs = range(1 << ctx.n) if ctx.n <= 8 else [rng.getrandbits(ctx.n) for _ in range(40)]
+    outcomes = set()
+    for c in cs:
+        roots = gf.solve_artin_schreier(ctx, c)
+        trace = _trace_by_orbit(ctx, c)
+        outcomes.add(trace)
+        if trace == 0:
+            assert len(roots) == 2 and roots[1] == roots[0] ^ 1, c  # preimages differ by 1
             for y in roots:
-                assert gf.square(F256, y) ^ y == c
+                assert gf.square(ctx, y) ^ y == c, (c, y)
         else:
-            assert roots == []
+            assert roots == [], c
+    assert outcomes == {0, 1}
 
 
 def test_elem_hex_round_trip():

@@ -31,9 +31,20 @@ def test_rotl_cycles_bits():
     assert normal.rotl(0b1001, -1, 4) == normal.rotl(0b1001, 3, 4)
 
 
+def _orbit_by_squares(ctx, a):
+    """[a, a^2, a^4, ...], n entries, by n - 1 calls of field.square and
+    not by the squaring map that field.conjugates walks: the reference for
+    the trace functional and for the lengths of the walks."""
+    orbit = [a]
+    for _ in range(ctx.n - 1):
+        orbit.append(gf.square(ctx, orbit[-1]))
+    return orbit
+
+
 def test_conjugates_are_frobenius_orbit():
-    """conjugates equals repeated field.square, and one more squaring wraps
-    around: on every fixture field, for 0, 1, the fixture's normal element,
+    """field.conjugates equals field.frobenius, entry i a^(2^i) by i
+    squarings, and one more squaring wraps around: on every fixture field,
+    for 0, 1, the fixture's normal element,
     random elements (most of them not normal) and elements of each proper
     subfield F_(2^d), d | n (the powers b^((2^n - 1)/(2^d - 1)), whose
     orbits are shorter than n), and under the n = 64 modulus."""
@@ -49,23 +60,31 @@ def test_conjugates_are_frobenius_orbit():
             elements += [gf.power(ctx, rng.getrandbits(n) or 1, e) for _ in range(3)]
         assert any(not normal.is_normal_element(ctx, a) for a in elements)
         for a in elements:
-            orbit = normal.conjugates(ctx, a)
-            assert orbit == gf._frobenius_orbit(partial(gf.square, ctx), a, n), (ctx, a)
+            orbit = gf.conjugates(ctx, a)
+            assert orbit == [gf.frobenius(ctx, a, i) for i in range(n)], (ctx, a)
             assert gf.square(ctx, orbit[-1]) == a
 
 
 def test_squaring_map_is_built_on_first_read():
-    """A field builds no squaring map for a normality test or a scan; the
-    first conjugates call builds it, and later calls and reads keep it."""
-    ctx = gf.FieldCtx(bitpoly.min_irreducible(12))
-    hits = normal.search_normal_elements(ctx, limit=5)
-    assert normal.is_normal_element(ctx, hits[0])
-    assert ctx._squaring_map is None
-    normal.conjugates(ctx, hits[0])
-    built = ctx._squaring_map
-    assert built is not None and ctx.squaring_map is built
-    normal.build_normal_basis(ctx, hits[1])
-    assert ctx.squaring_map is built
+    """A field builds its squaring map on the first read: by its normality
+    maps at n = 12, whose quotients need the squaring matrix's powers, or by
+    the first conjugates call at n = 16, where the trace is the only map.
+    Later scans, normality tests, conjugates, orders and bases keep it, and
+    the trace functional builds none."""
+    for n, by_maps in ((12, True), (16, False)):
+        ctx = gf.FieldCtx(bitpoly.min_irreducible(n))
+        ctx.trace_functional
+        assert ctx._squaring_map is None, n
+        hits = normal.search_normal_elements(ctx, limit=5)
+        assert (ctx._squaring_map is not None) == by_maps, n
+        gf.conjugates(ctx, hits[0])
+        built = ctx._squaring_map
+        assert built is not None and ctx.squaring_map is built, n
+        assert normal.is_normal_element(ctx, hits[1])
+        gf.multiplicative_order(ctx, hits[1])
+        normal.build_normal_basis(ctx, hits[2])
+        normal.search_normal_elements(ctx, limit=5)
+        assert ctx.squaring_map is built, n
 
 
 def test_basis_construction_operation_counts(monkeypatch):
@@ -120,7 +139,7 @@ def test_build_rejects_non_normal():
 
 def _rank_normal(ctx, a):
     """The reference test: a is normal iff its n conjugates have rank n."""
-    return mat_rank(normal.conjugates(ctx, a), ctx.n) == ctx.n
+    return mat_rank(gf.conjugates(ctx, a), ctx.n) == ctx.n
 
 
 def _least_irreducibles(n, count=2):
@@ -191,8 +210,8 @@ def test_trace_functional_and_scan_start():
     f28 = gf.FieldCtx(bitpoly.min_irreducible(28))
     for ctx in (F4, F16, F64, f28):
         trace, _ = ctx.normality_maps
-        assert trace == sum(reduce(xor, gf._frobenius_orbit(partial(gf.square, ctx), 1 << i, ctx.n))
-                            << i for i in range(ctx.n))
+        assert trace == sum(reduce(xor, _orbit_by_squares(ctx, 1 << i)) << i
+                            for i in range(ctx.n))
     assert ((1 << 27) - 1) & f28.normality_maps[0] == 0
     assert normal.search_normal_elements(f28, limit=1) == [1 << 27]
 
@@ -596,7 +615,7 @@ def test_normal_elements_stop_at_the_first_taken(monkeypatch):
     assert calls == {"parity": blocks, "apply": 2 * blocks}
     calls.clear()
     assert next(normal.normal_elements(f18, require_primitive=True)) == head[prim_at]
-    orbits = {min(normal.conjugates(f18, a)) for a in head[:prim_at + 1]}
+    orbits = {min(gf.conjugates(f18, a)) for a in head[:prim_at + 1]}
     assert calls["orbit"] == len(orbits) and calls["parity"] == 1
     calls.clear()
     assert next(normal.normal_elements(f64)) == 1 << 61
@@ -653,10 +672,11 @@ def test_block_scan_matches_the_predicate(monkeypatch, n):
     n <= 3), the block scan lists exactly the candidates is_normal_element
     accepts, and its primitive path exactly those of them that are
     primitive. Up to n = 12 that path reads the field's primitive flags:
-    one walk of 2^n - 1 steps, and no orbit test past the search for the
-    least primitive element, which the walk starts from. At n = 13 and 14
-    it makes no walk and one orbit test per n normal elements. Below n = 8
-    one block is the whole field."""
+    one orbit test, a walk of the squaring map as long as the orbit, for
+    each a up to the least primitive element, then one walk of its 2^n - 1
+    powers, and no orbit test past them. At n = 13 and 14 it makes one
+    orbit test, a walk of n steps, per n normal elements. Below n = 8 one
+    block is the whole field."""
     calls = {}
     monkeypatch.setattr(gf, "_primitive_orbit",
                         _counting(calls, "orbit", gf._primitive_orbit))
@@ -667,14 +687,15 @@ def test_block_scan_matches_the_predicate(monkeypatch, n):
         assert list(normal.normal_elements(ctx)) == normals, f
         want = [a for a in normals if gf.is_primitive(ctx, a)]
         least = next(a for a in range(1, 1 << n) if gf.is_primitive(ctx, a))
+        orbits = [len(set(_orbit_by_squares(ctx, a))) for a in range(1, least + 1)]
         calls.clear()
+        walks.clear()
         assert list(normal.normal_elements(ctx, require_primitive=True)) == want, f
         if n <= gf.PRIMITIVE_FLAGS_MAX_N:
-            assert calls == {"orbit": least} and walks == [(1 << n) - 1], f
+            assert calls == {"orbit": least} and walks == orbits + [(1 << n) - 1], f
         else:
             assert len(normals) % n == 0 and calls == {"orbit": len(normals) // n}, f
-            assert walks == [] and ctx._primitive_flags is None, f
-        walks.clear()
+            assert walks == [n] * (len(normals) // n) and ctx._primitive_flags is None, f
 
 
 def test_block_scan_matches_the_predicate_at_degree_16():
@@ -747,10 +768,12 @@ def test_primitive_scans_by_flags_equal_the_orbit_path(monkeypatch):
 
 
 def test_primitive_flags_are_built_once_per_field(monkeypatch):
-    """The first primitive scan of a field builds its flags by one walk; a
-    second scan of the same FieldCtx, and a read of the flags, walk no more
-    and run no orbit test. A plain scan builds no flags, and the scan's
-    generator builds them only when its first element is asked for."""
+    """The first primitive scan of a field builds its flags by one walk of
+    4095 powers, after orbit tests of 1, x and 1 + x, walks of 1, 12 and 12
+    steps; a second scan of the same FieldCtx, and a read of the flags,
+    walk no more and run no orbit test. A plain scan builds no flags, and
+    the scan's generator builds them only when its first element is asked
+    for."""
     calls = {}
     monkeypatch.setattr(gf, "_primitive_orbit",
                         _counting(calls, "orbit", gf._primitive_orbit))
@@ -761,11 +784,11 @@ def test_primitive_flags_are_built_once_per_field(monkeypatch):
     assert ctx._primitive_flags is None and walks == [] and calls == {}
     first = next(scan)
     flags = ctx._primitive_flags
-    assert flags is not None and walks == [4095] and calls == {"orbit": 3}
+    assert flags is not None and walks == [1, 12, 12, 4095] and calls == {"orbit": 3}
     calls.clear()
     hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
     assert hits[0] == first and ctx.primitive_flags is flags
-    assert walks == [4095] and calls == {}
+    assert walks == [1, 12, 12, 4095] and calls == {}
 
 
 def test_is_primitive_never_reads_the_primitive_flags(monkeypatch):
@@ -798,9 +821,17 @@ def test_block_scan_matches_the_predicate_under_many_maps(n, maps):
 def test_scan_and_order_operation_counts(monkeypatch):
     """Deterministic cost guard: the exhaustive n = 16 scan calls neither
     is_normal_element nor field.power, and each multiplicative_order call
-    squares n - 1 times and calls no field.power."""
+    walks the squaring map once, as far as the orbit of its element
+    reaches (1, 3, 6 or 64 steps on the draws below), and calls neither
+    field.square nor field.power."""
     f16 = gf.FieldCtx(bitpoly.min_irreducible(16))
     f64 = gf.FieldCtx(bitpoly.min_irreducible(64))
+    rng = random.Random(64)
+    draws = [(ctx, a) for ctx in (F64, f64)
+             for a in [1, ctx.mask] + [rng.getrandbits(ctx.n) or 1 for _ in range(5)]]
+    orbits = [len(set(_orbit_by_squares(ctx, a))) for ctx, a in draws]
+    assert set(orbits) == {1, 3, 6, 64}
+    walks = _counting_walks(monkeypatch)
     calls = {}
     counted = (normal.is_normal_element, gf.power, gf.square)
     for mod in [m for name, m in sys.modules.items()
@@ -809,13 +840,11 @@ def test_scan_and_order_operation_counts(monkeypatch):
             if any(obj is fn for fn in counted):
                 monkeypatch.setattr(mod, attr, _counting(calls, obj.__name__, obj))
     assert len(normal.search_normal_elements(f16)) == 2 ** 15
-    assert calls == {}
-    rng = random.Random(64)
-    for ctx in (F64, f64):
-        for a in [1, ctx.mask] + [rng.getrandbits(ctx.n) or 1 for _ in range(5)]:
-            calls.clear()
-            gf.multiplicative_order(ctx, a)
-            assert calls == {"square": ctx.n - 1}, a
+    assert calls == {} and walks == []
+    for (ctx, a), orbit in zip(draws, orbits):
+        walks.clear()
+        gf.multiplicative_order(ctx, a)
+        assert calls == {} and walks == [orbit], a
 
 
 def test_primitive_scan_operation_counts(monkeypatch):
@@ -823,8 +852,8 @@ def test_primitive_scan_operation_counts(monkeypatch):
     the first 50 primitive normal elements under 1+x+x^3+x^4+x^13 lie among
     50 normal elements (2^13 - 1 is prime, so every element but 0 and 1 is
     primitive) in 41 orbits, and under 1+x^5+x^14 among 83 in 71 orbits;
-    they take one orbit test per orbit, with 41 and 170 conjugate product
-    chains, and no walk."""
+    they take one orbit test per orbit, each one walk of n steps, with 41
+    and 170 conjugate product chains, and no walk of the powers."""
     calls = {}
     monkeypatch.setattr(gf, "_primitive_orbit",
                         _counting(calls, "orbit", gf._primitive_orbit))
@@ -835,13 +864,13 @@ def test_primitive_scan_operation_counts(monkeypatch):
                                              ("1+x^5+x^14", 83, 71, 170)):
         ctx = gf.FieldCtx(bitpoly.parse(modulus))
         calls.clear()
-        walks.clear()  # normal.conjugates below walks the squaring map
+        walks.clear()
         hits = normal.search_normal_elements(ctx, require_primitive=True, limit=50)
-        assert len(hits) == 50 and walks == [], modulus
+        assert len(hits) == 50 and walks == [ctx.n] * orbits, modulus
         assert calls == {"orbit": orbits, "chain": chains}, modulus
         scanned = list(islice(normal.normal_elements(ctx), normals))
         assert scanned[-1] == hits[-1], modulus
-        assert len({min(normal.conjugates(ctx, a)) for a in scanned}) == orbits, modulus
+        assert len({min(gf.conjugates(ctx, a)) for a in scanned}) == orbits, modulus
 
 
 def test_search_primitive_filter():

@@ -634,11 +634,12 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     """With the normal-basis products and their logarithm-table builder,
     the extended programs, their compiler and the product, square and walk
     it compiled for every tuple of rules, prefixes included, the fold, its
-    step templates, the walk and its plans, and the structure constants
+    step templates, the walk and its plans, the structure constants, and
+    the field's conjugates and every read of its squaring map,
     made to raise at every binding, every kind at n = 2 and 4 still embeds,
     passes its rule check, and yields tables that verify against the closed
     form, which reads the structure constants and so runs with the bindings
-    restored: the oracle reads only RULES."""
+    restored: the oracle reads only RULES, and takes its orbits by squares."""
     sources = [get_fixture(n).basis() for n in (2, 4)]
     for kind in xb.KINDS:
         for n in (2, 4):
@@ -654,7 +655,7 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     under_test = (normal.normal_mul, normal._log_tables, normal.alpha_mul, xb.mul,
                   xb.square, xb.structure_constants, xb._structure_constants,
                   xb._compiled, xb._fold, *xb._STEP.values(), xb._asw4_mul, xb._walk,
-                  xb._square_walk, xb._plan,
+                  xb._square_walk, xb._plan, gf.conjugates,
                   *(fn for rules in xb.RULES.values() for g in range(1, len(rules) + 1)
                     for program in [xb._compiled(rules[:g])]
                     for fn in (program.product, program.square, program.walk)))
@@ -665,8 +666,11 @@ def test_oracle_shares_no_arithmetic_with_the_programs(monkeypatch):
     for table in (xb._STEP, xb._HAND_WRITTEN):
         for key in table:
             monkeypatch.setitem(table, key, forbidden)
+    monkeypatch.setattr(gf.FieldCtx, "squaring_map", property(forbidden))
     with pytest.raises(AssertionError):
         xb.mul(sources[2], xb.zero(sources[2]), xb.zero(sources[2]))
+    with pytest.raises(AssertionError):
+        gf.FieldCtx(0b111).squaring_map
     built = []
     for source in sources:
         emb = tables.build_embedding(source)

@@ -87,9 +87,18 @@ def test_wp_map_component_formula():
 
 
 def _stated(rules):
-    """The package's reduction rules for `rules`, as dicts in the shape
-    asw4_reduction_rules returns: y^2 = y + c as the terms of y + c."""
-    return [poly.terms for _, poly in xb.rule_rewrites(rules).values()]
+    """Artin-Schreier rules y^2 = y + c as stated, read straight off each
+    Rule.rhs and not through the package's rewrites: the terms of y + c in
+    the dict shape asw4_reduction_rules returns, exponents padded to one
+    per generator."""
+    count, out = len(rules), []
+    for g, rule in enumerate(rules):
+        assert rule.degree == 2, rule
+        terms = {e + (0,) * (count - len(e)): mask for e, mask in rule.rhs}
+        y = tuple(int(i == g) for i in range(count))
+        terms[y] = terms.get(y, 0) ^ 1
+        out.append({e: mask for e, mask in terms.items() if mask})
+    return out
 
 
 def test_asw4_rule_shapes():
@@ -149,10 +158,11 @@ def test_asw4_rules_plug_back_to_zero(n, modulus, alpha):
 
 
 def test_derived_rules_equal_the_stated_rules():
-    """The Witt derivation is RULES["asw4"] as the package reduces by it, the
-    rewrite behind the squares and the closed-form counts (the oracle reads
-    the same RULES); both are polynomials in a, so this holds for every
-    basis and build_kind need not check it."""
+    """The Witt derivation is RULES["asw4"] as stated, read off its data and
+    not through rule_rewrites, the rewrite the package reduces by; the
+    squares, the closed-form counts and the oracle all read the same RULES.
+    Both are polynomials in a, so this holds for every basis and build_kind
+    need not check it."""
     assert list(witt.asw4_reduction_rules()) == _stated(xb.RULES["asw4"])
 
 
